@@ -20,17 +20,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import lcm
 from typing import Optional, Union
 
-from .exterior import (
-    AlternatingForm,
-    _merge_sign,
-    _np_acc,
-    _np_terms,
-    _np_wedge_into,
-)
+from .exterior import AlternatingForm, two_form_from_operator, wedge_sum
 from .octonion import Octonion
 from .operators import (
     InvolutionFamily,
@@ -96,37 +90,6 @@ def sigma2(i: int, j: int, k: int) -> AlternatingForm:
     return AlternatingForm._raw(2, dict(_sigma_terms(i, j, k)))
 
 
-# small pure-python wedge on coefficient dicts -------------------------------
-
-
-def _wedge_dicts(ta: dict, tb: dict, scale: Num = 1) -> dict:
-    out: dict = {}
-    for ma, ca in ta.items():
-        for mb, cb in tb.items():
-            if ma & mb:
-                continue
-            m = ma | mb
-            w = out.get(m, 0) + _merge_sign(ma, mb) * ca * cb * scale
-            if w:
-                out[m] = w
-            else:
-                del out[m]
-    return out
-
-
-def _wedge_dicts_into(acc: dict, ta: dict, tb: dict) -> None:
-    for ma, ca in ta.items():
-        for mb, cb in tb.items():
-            if ma & mb:
-                continue
-            m = ma | mb
-            w = acc.get(m, 0) + _merge_sign(ma, mb) * ca * cb
-            if w:
-                acc[m] = w
-            else:
-                del acc[m]
-
-
 # the canonical eight-form ---------------------------------------------------
 
 
@@ -145,58 +108,28 @@ def _quadruples():
 
 @functools.cache
 def canonical_8form() -> AlternatingForm:
-    """The literal quadruple sum, with exact int64 inner arithmetic.
-
-    Pair products omega_ij ^ omega_ij' are computed once per (i, j, j')
-    and the quadruple loop wedges matching pairs; this is plain
-    distributivity, no index-set reduction.
-    """
-    arrays = {}
-    for i in range(9):
-        for j in range(9):
-            if i != j:
-                arrays[(i, j)] = _np_terms(_omega_terms(i, j))
-    acc4 = _np_acc()
-    pair = {}
-    for i in range(9):
-        for j in range(9):
-            if j == i:
-                continue
-            for jp in range(9):
-                if jp == i:
-                    continue
-                acc4[:] = 0
-                _np_wedge_into(acc4, arrays[(i, j)], arrays[(i, jp)])
-                nz = acc4.nonzero()[0]
-                pair[(i, j, jp)] = (nz.copy(), acc4[nz].copy())
-    acc8 = _np_acc()
-    for i, j, ip, jp in _quadruples():
-        _np_wedge_into(acc8, pair[(i, j, jp)], pair[(ip, j, jp)])
-    nz = acc8.nonzero()[0]
-    return AlternatingForm._raw(8, {int(m): int(acc8[m]) for m in nz})
+    """The literal quadruple sum over the omega_ij tables."""
+    w2 = {(i, j): _omega_terms(i, j) for i, j in permutations(range(9), 2)}
+    return AlternatingForm._raw(8, build_8form_from_two_forms(w2))
 
 
 def build_8form_from_two_forms(w2: dict) -> dict:
-    """The same quadruple sum over arbitrary two-form coefficient dicts.
+    """The quadruple sum over arbitrary integer two-form tables.
 
-    Pure python big-int path: exact for any integer coefficients, used to
-    cross-check the int64 kernel and for rotated frames where scaled
-    coefficients overflow 64 bits.  w2 maps ordered (i, j), i != j, to
-    {mask: coeff}.
+    w2 maps ordered (i, j), i != j, to {mask: coeff}.  Pair products
+    omega_ij ^ omega_ij' are formed once per (i, j, j') and the quadruple
+    loop wedges matching pairs; this is plain distributivity, no
+    index-set reduction.  Both stages run on the checked kernel
+    `wedge_sum`, exact for integer coefficients of any size.
     """
-    pair = {}
-    for i in range(9):
-        for j in range(9):
-            if j == i:
-                continue
-            for jp in range(9):
-                if jp == i:
-                    continue
-                pair[(i, j, jp)] = _wedge_dicts(w2[(i, j)], w2[(i, jp)])
-    acc: dict = {}
-    for i, j, ip, jp in _quadruples():
-        _wedge_dicts_into(acc, pair[(i, j, jp)], pair[(ip, j, jp)])
-    return acc
+    pair = {
+        (i, j, jp): wedge_sum([(w2[(i, j)], w2[(i, jp)])])
+        for i, j, jp in product(range(9), repeat=3)
+        if i not in (j, jp)
+    }
+    return wedge_sum(
+        (pair[(i, j, jp)], pair[(ip, j, jp)]) for i, j, ip, jp in _quadruples()
+    )
 
 
 @functools.cache
@@ -205,36 +138,21 @@ def canonical_8form_alt() -> AlternatingForm:
 
     For each ordered quadruple the four-form
         D = omega_ij ^ omega_i'j' - omega_i'j ^ omega_ij'
-    is squared and accumulated; the total is -1/2 of the sum.
+    is squared and accumulated; the total is -1/2 of the sum.  The minus
+    sign enters as omega_ji' = -omega_i'j.
     """
     empty: dict = {}
-    acc8 = _np_acc()
-    for i in range(9):
-        for ip in range(9):
-            for j in range(9):
-                for jp in range(9):
-                    d = _wedge_dicts(
-                        _omega_terms(i, j) if i != j else empty,
-                        _omega_terms(ip, jp) if ip != jp else empty,
-                    )
-                    for m, v in _wedge_dicts(
-                        _omega_terms(ip, j) if ip != j else empty,
-                        _omega_terms(i, jp) if i != jp else empty,
-                    ).items():
-                        w = d.get(m, 0) - v
-                        if w:
-                            d[m] = w
-                        else:
-                            d.pop(m, None)
-                    if not d:
-                        continue
-                    arrs = _np_terms(d)
-                    _np_wedge_into(acc8, arrs, arrs)
-    nz = acc8.nonzero()[0]
+
+    def w(i, j):
+        return _omega_terms(i, j) if i != j else empty
+
+    fours = (
+        wedge_sum([(w(i, j), w(ip, jp)), (w(j, ip), w(i, jp))])
+        for i, ip, j, jp in product(range(9), repeat=4)
+    )
     terms = {}
-    for m in nz:
-        c = int(acc8[m])
-        terms[int(m)] = -c // 2 if c % 2 == 0 else Fraction(-c, 2)
+    for m, c in wedge_sum((d, d) for d in fours).items():
+        terms[m] = -c // 2 if c % 2 == 0 else Fraction(-c, 2)
     return AlternatingForm._raw(8, terms)
 
 
@@ -290,23 +208,14 @@ def w_tilde(v: Octonion, vp: Octonion, w: Octonion, wp: Octonion) -> Num:
 
 def four_form_omega_sum() -> AlternatingForm:
     """sum_{i<j} omega_ij ^ omega_ij; vanishes identically."""
-    acc: dict = {}
-    for i in range(9):
-        for j in range(i + 1, 9):
-            t = _omega_terms(i, j)
-            _wedge_dicts_into(acc, t, t)
-    return AlternatingForm._raw(4, acc)
+    tables = (_omega_terms(i, j) for i, j in combinations(range(9), 2))
+    return AlternatingForm._raw(4, wedge_sum((t, t) for t in tables))
 
 
 def four_form_sigma_sum() -> AlternatingForm:
     """sum_{i<j<k} sigma_ijk ^ sigma_ijk; vanishes identically."""
-    acc: dict = {}
-    for i in range(9):
-        for j in range(i + 1, 9):
-            for k in range(j + 1, 9):
-                t = _sigma_terms(i, j, k)
-                _wedge_dicts_into(acc, t, t)
-    return AlternatingForm._raw(4, acc)
+    tables = (_sigma_terms(*ijk) for ijk in combinations(range(9), 3))
+    return AlternatingForm._raw(4, wedge_sum((t, t) for t in tables))
 
 
 @functools.cache
@@ -424,18 +333,10 @@ def frame_change_fixes(m9) -> bool:
             if c:
                 acc = acc + fam[j].scale(int(c * d))
         scaled_ops.append(acc)
-    w2 = {}
-    for i in range(9):
-        for j in range(9):
-            if i != j:
-                prod = scaled_ops[i] @ scaled_ops[j]
-                terms = {}
-                for a in range(16):
-                    ra = prod.rows[a]
-                    for b in range(a + 1, 16):
-                        if ra[b]:
-                            terms[1 << a | 1 << b] = ra[b]
-                w2[(i, j)] = terms
+    w2 = {
+        (i, j): two_form_from_operator(scaled_ops[i] @ scaled_ops[j])._terms
+        for i, j in permutations(range(9), 2)
+    }
     rebuilt = build_8form_from_two_forms(w2)
     target = {m: c * d**8 for m, c in canonical_8form()._terms.items()}
     return rebuilt == target
@@ -444,16 +345,19 @@ def frame_change_fixes(m9) -> bool:
 # the triple-form sum --------------------------------------------------------
 
 
-def _sigma_lookup(i: int, j: int, p: int, signed: bool):
-    """Sorted triple and sign for sigma with arbitrary index order."""
+@functools.cache
+def _sigma_any(i: int, j: int, p: int, signed: bool) -> dict:
+    """The sigma table for any index order; empty on a repeated index."""
     if i == j or i == p or j == p:
-        return None
+        return {}
     seq = (i, j, p)
     inv = sum(
         1 for x in range(3) for y in range(x + 1, 3) if seq[x] > seq[y]
     )
-    sign = -1 if (signed and inv % 2) else 1
-    return sign, tuple(sorted(seq))
+    terms = _sigma_terms(*sorted(seq))
+    if signed and inv % 2:
+        return {m: -v for m, v in terms.items()}
+    return terms
 
 
 def conjecture_8form(convention: str = "antisymmetric") -> AlternatingForm:
@@ -472,40 +376,16 @@ def conjecture_8form(convention: str = "antisymmetric") -> AlternatingForm:
 @functools.cache
 def _conjecture_build(convention: str) -> AlternatingForm:
     signed = convention == "antisymmetric"
-    acc8 = _np_acc()
-    for p in range(9):
-        for pp in range(9):
-            t_acc: dict = {}
-            for i in range(9):
-                for j in range(9):
-                    f1 = _sigma_lookup(i, j, p, signed)
-                    if f1 is None:
-                        continue
-                    f2 = _sigma_lookup(i, j, pp, signed)
-                    if f2 is None:
-                        continue
-                    s = f1[0] * f2[0]
-                    ta = _sigma_terms(*f1[1])
-                    tb = _sigma_terms(*f2[1])
-                    for ma, ca in ta.items():
-                        for mb, cb in tb.items():
-                            if ma & mb:
-                                continue
-                            m = ma | mb
-                            w = t_acc.get(m, 0) + _merge_sign(ma, mb) * ca * cb * s
-                            if w:
-                                t_acc[m] = w
-                            else:
-                                del t_acc[m]
-            if not t_acc:
-                continue
-            arrs = _np_terms(t_acc)
-            _np_wedge_into(acc8, arrs, arrs)
-    nz = acc8.nonzero()[0]
+    fours = (
+        wedge_sum(
+            (_sigma_any(i, j, p, signed), _sigma_any(i, j, pp, signed))
+            for i, j in product(range(9), repeat=2)
+        )
+        for p, pp in product(range(9), repeat=2)
+    )
     terms = {}
-    for m in nz:
-        c = int(acc8[m])
-        terms[int(m)] = c // 4 if c % 4 == 0 else Fraction(c, 4)
+    for m, c in wedge_sum((t, t) for t in fours).items():
+        terms[m] = c // 4 if c % 4 == 0 else Fraction(c, 4)
     return AlternatingForm._raw(8, terms)
 
 

@@ -7,6 +7,7 @@ from (--seed, --samples); --jobs never changes any numeric output.
 
 import argparse
 import concurrent.futures
+import os
 import sys
 import time
 
@@ -31,12 +32,18 @@ def _run_one(args):
     return name, run_suite(name, config)
 
 
+def pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for `tasks` tasks: never more than CPUs or tasks."""
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def cmd_verify(args) -> int:
-    config = RunConfig(seed=args.seed, samples=args.samples, jobs=args.jobs)
-    if args.suite == "all" and args.jobs > 1:
+    config = RunConfig(seed=args.seed, samples=args.samples)
+    workers = pool_size(args.jobs, len(SUITE_NAMES))
+    if args.suite == "all" and workers > 1:
         # fan out per suite; output order stays fixed by suite name
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(args.jobs, len(SUITE_NAMES))
+            max_workers=workers
         ) as pool:
             results = dict(
                 pool.map(_run_one, [(s, config) for s in SUITE_NAMES])
@@ -132,10 +139,13 @@ def _bench_wedge(jobs):
         for b in range(a, len(two_forms))
     ]
     t0 = time.perf_counter()
-    if jobs > 1:
-        step = (len(pairs) + jobs - 1) // jobs
+    workers = pool_size(jobs, len(pairs))
+    if workers > 1:
+        step = (len(pairs) + workers - 1) // workers
         chunks = [pairs[k:k + step] for k in range(0, len(pairs), step)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=len(chunks)
+        ) as pool:
             parts = list(pool.map(_wedge_chunk, chunks))
         ops = sum(p[0] for p in parts)
         checksum = sum(p[1] for p in parts)
@@ -185,13 +195,23 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_run_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized property checks")
-    parser.add_argument("--samples", type=int, default=25,
+    parser.add_argument("--samples", type=_positive_int, default=25,
                         help="sample count for randomized property checks")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallelism hint; never changes numeric output")
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes for `verify --suite all` (one "
+                        "per suite) and `bench wedge`, capped at the CPU "
+                        "count; other commands run serially; never changes "
+                        "numeric output")
 
 
 def build_parser() -> argparse.ArgumentParser:

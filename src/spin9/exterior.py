@@ -15,15 +15,21 @@ so evaluation of a monomial on the matching basis vectors gives exactly
 1, and wedge is the coefficient-level shuffle product with no extra
 factorials.
 
-Forms are immutable.  The `_np_*` helpers at the bottom are the exact
-int64 kernel used by the heavy eight-form assemblies; callers must keep
-coefficient products and accumulation sums below 2**62, which the users
-in `spin9.canonical` do by construction (their inputs are tiny integers).
+Forms are immutable.  `wedge_sum` at the bottom is the one exact kernel
+behind every heavy wedge sum: it takes integer coefficient tables
+{mask: int}, computes the a-priori bound B = sum |a|_1 |b|_1 over its
+pairs before any arithmetic, and runs the int64 per-pair step
+`_np_wedge_into` when B < 2**63, which then bounds every product and
+partial sum.  Otherwise it runs the same step modulo the fewest primes
+below 2**31 whose product exceeds 2B, checking before each step that the
+accumulators cannot overflow, and rebuilds the exact integers by the
+Chinese remainder theorem.  No float enters either path.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -329,7 +335,7 @@ def two_form_from_operator(op: Operator16) -> AlternatingForm:
     return AlternatingForm._raw(2, terms)
 
 
-# exact int64 numpy kernel ---------------------------------------------------
+# exact wedge-sum kernel -----------------------------------------------------
 
 
 @functools.cache
@@ -345,38 +351,115 @@ def _np_tables():
     return p16.astype(np.int64), poppar.astype(np.int64)
 
 
-def _np_terms(form_terms: dict):
-    """Dict {mask: int} to (masks, coeffs) int64 arrays, sorted by mask."""
-    if not form_terms:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    masks = np.array(sorted(form_terms), dtype=np.int64)
-    coeffs = np.array([form_terms[int(m)] for m in masks], dtype=np.int64)
-    return masks, coeffs
+def _np_terms(table: dict, p: int = 0):
+    """Table {mask: int} to (masks, coeffs) int64 arrays, coeffs mod p if p."""
+    values = (v % p for v in table.values()) if p else table.values()
+    masks = np.fromiter(table, dtype=np.int64, count=len(table))
+    return masks, np.fromiter(values, dtype=np.int64, count=len(table))
 
 
-def _np_wedge_into(acc, a, b, scale: int = 1):
-    """acc[m] += coefficients of (a wedge b), exactly, in int64."""
+def _np_wedge_into(acc, a, b, p: int = 0):
+    """acc[m] += coefficients of (a wedge b) in int64, products mod p if p.
+
+    The caller rules out overflow; `wedge_sum` does so from its bound.
+    """
     ma, ca = a
     mb, cb = b
-    if ma.size == 0 or mb.size == 0:
-        return
     p16, poppar = _np_tables()
-    cross = ma[:, None] & mb[None, :]
-    keep = cross == 0
-    if not keep.any():
-        return
-    union = (ma[:, None] | mb[None, :])[keep]
-    parity = poppar[p16[ma][:, None] & mb[None, :]][keep]
-    vals = (ca[:, None] * cb[None, :])[keep] * (1 - 2 * parity)
-    if scale != 1:
-        vals = vals * scale
-    np.add.at(acc, union, vals)
+    ia, ib = np.nonzero((ma[:, None] & mb[None, :]) == 0)
+    left, right = ma[ia], mb[ib]
+    vals = ca[ia] * cb[ib]
+    if p:
+        vals %= p
+    np.negative(vals, out=vals, where=poppar[p16[left] & right] == 1)
+    np.add.at(acc, left | right, vals)
 
 
 def _np_acc_to_terms(acc) -> dict:
-    nz = np.nonzero(acc)[0]
-    return {int(m): int(acc[m]) for m in nz}
+    nz = np.flatnonzero(acc != 0)
+    return dict(zip(nz.tolist(), acc[nz].tolist()))
 
 
-def _np_acc() -> np.ndarray:
-    return np.zeros(1 << 16, dtype=np.int64)
+INT64_LIMIT = 1 << 63
+
+
+def _moduli(bound: int) -> tuple:
+    """() if int64 holds sums bounded by `bound`, else primes for CRT.
+
+    The primes are the largest below 2**31, as few as make their product
+    exceed 2 * bound, so that residues pin every integer of absolute
+    value at most `bound`.
+    """
+    if bound < INT64_LIMIT:
+        return ()
+    primes, product = [], 1
+    while product <= 2 * bound:
+        primes.append(_prime_below(primes[-1] if primes else 1 << 31))
+        product *= primes[-1]
+    return tuple(primes)
+
+
+@functools.cache
+def _prime_below(n: int) -> int:
+    """The largest odd prime below n, by trial division."""
+    n -= 1 + n % 2
+    while not all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
+        n -= 2
+    return n
+
+
+def wedge_sum(pairs) -> dict:
+    """Exact sum of a ^ b over pairs of integer tables {mask: int}.
+
+    B = sum |a|_1 |b|_1 bounds every product and partial sum.  Below
+    2**63 the pairs run once in int64, otherwise once per prime of
+    `_moduli(B)` and CRT rebuilds the integers.  No zero entries.
+    """
+    pairs = [(a, b) for a, b in pairs if a and b]
+    norms = {id(t): sum(map(abs, t.values())) for pair in pairs for t in pair}
+    bound = sum(norms[id(a)] * norms[id(b)] for a, b in pairs)
+    if type(bound) is not int:
+        raise TypeError("wedge_sum takes integer coefficients only")
+    moduli = _moduli(bound)
+    if not moduli:
+        return _np_acc_to_terms(_wedge_sum_mod(pairs, 0))
+    return _crt([_wedge_sum_mod(pairs, p) for p in moduli], moduli)
+
+
+def _wedge_sum_mod(pairs, p: int) -> np.ndarray:
+    """The accumulator of the pair sum, exact if p = 0, else reduced mod p.
+
+    Mod p every product enters below p in absolute value, so a reduced
+    accumulator takes 2**63 // p - 1 more term pairs before it could
+    leave int64; it is reduced again before that.
+    """
+    tables = {id(t): t for pair in pairs for t in pair}
+    arrays = {key: _np_terms(t, p) for key, t in tables.items()}
+    acc = np.zeros(1 << 16, dtype=np.int64)
+    room = INT64_LIMIT // p - 1 if p else 0
+    pending = 0
+    for a, b in pairs:
+        x, y = arrays[id(a)], arrays[id(b)]
+        if p:
+            n = x[0].size * y[0].size
+            if n > room:
+                raise OverflowError("one pair exceeds the modular room")
+            if pending + n > room:
+                acc %= p
+                pending = 0
+            pending += n
+        _np_wedge_into(acc, x, y, p)
+    return acc % p if p else acc
+
+
+def _crt(residues, moduli) -> dict:
+    """Integers in the symmetric range from residue accumulators."""
+    modulus = math.prod(moduli)
+    weights = [modulus // p * pow(modulus // p, -1, p) for p in moduli]
+    support = np.flatnonzero(functools.reduce(np.bitwise_or, residues))
+    columns = [r[support].tolist() for r in residues]
+    out = {}
+    for m, *rs in zip(support.tolist(), *columns):
+        x = sum(r * w for r, w in zip(rs, weights)) % modulus
+        out[m] = x - modulus if 2 * x > modulus else x
+    return out

@@ -52,7 +52,10 @@ SUITE_NAMES = (
 class RunConfig:
     seed: int = 0
     samples: int = 25
-    jobs: int = 1
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1")
 
     def rng(self, salt: str) -> random.Random:
         return random.Random(f"{self.seed}:{salt}")

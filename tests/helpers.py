@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from spin9 import exterior
+from spin9.exterior import _merge_sign
 from spin9.octonion import Octonion
 from spin9.operators import Vector16
 
@@ -70,3 +72,61 @@ def oct_mul_oracle(x, y):
         a + b for a, b in zip(quat_mul(s, p), quat_mul(q, quat_conj(r)))
     )
     return lo + hi
+
+
+def _wedge_dicts(ta, tb):
+    out = {}
+    _wedge_dicts_into(out, ta, tb)
+    return out
+
+
+def _wedge_dicts_into(acc, ta, tb):
+    for ma, ca in ta.items():
+        for mb, cb in tb.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            w = acc.get(m, 0) + _merge_sign(ma, mb) * ca * cb
+            if w:
+                acc[m] = w
+            else:
+                del acc[m]
+
+
+def quadruple_sum_oracle(w2):
+    """The literal quadruple sum on Python ints, one dict wedge at a time.
+
+    w2 maps ordered (i, j), i != j, to two-form tables {mask: coeff}; the
+    result is the sum over i, j, i', j' of w_ij ^ w_ij' ^ w_i'j ^ w_i'j'
+    with j, j' outside {i, i'}.  Slow but exact for integers of any size,
+    it is the differential oracle of the int64 / multimodular kernel.
+    """
+    pair = {}
+    for i in range(9):
+        for j in range(9):
+            for jp in range(9):
+                if i not in (j, jp):
+                    pair[(i, j, jp)] = _wedge_dicts(w2[(i, j)], w2[(i, jp)])
+    acc = {}
+    for i in range(9):
+        for ip in range(9):
+            for j in range(9):
+                for jp in range(9):
+                    if not {j, jp} & {i, ip}:
+                        _wedge_dicts_into(
+                            acc, pair[(i, j, jp)], pair[(ip, j, jp)]
+                        )
+    return acc
+
+
+def spy_moduli(monkeypatch):
+    """Record the modulus of every per-pair kernel step (0 = int64)."""
+    seen = []
+    step = exterior._np_wedge_into
+
+    def spy(acc, a, b, p=0):
+        seen.append(p)
+        return step(acc, a, b, p)
+
+    monkeypatch.setattr(exterior, "_np_wedge_into", spy)
+    return seen

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_fraction_vector, rand_octonion, rand_vector
+from helpers import (
+    quadruple_sum_oracle,
+    rand_fraction_vector,
+    rand_octonion,
+    rand_vector,
+    spy_moduli,
+)
 from spin9.canonical import (
     build_8form_from_two_forms,
     canonical_8form,
@@ -192,6 +198,14 @@ def test_frame_independence_three_matrices():
     assert frame_change_fixes(m3)
 
 
+def test_frame_independence_d85_takes_the_modular_path(omega8, monkeypatch):
+    # (13, 84, 85): the rebuilt coefficients need 66 bits, past int64
+    seen = spy_moduli(monkeypatch)
+    m = givens9(2, 7, RationalCirclePoint(Fraction(13, 85), Fraction(84, 85)))
+    assert frame_change_fixes(m)
+    assert 0 in seen and len(set(seen) - {0}) == 3
+
+
 def test_frame_change_rejects_non_orthogonal():
     bad = tuple(
         tuple(Fraction(2) if r == c else Fraction(0) for c in range(9))
@@ -263,7 +277,8 @@ def test_export_round_trip(omega8):
 
 def test_rebuild_from_two_form_dictionary(omega8):
     # feeding the literal omega_ij coefficient dictionaries back through
-    # the quadruple-sum builder reproduces the canonical coefficients
+    # the quadruple-sum kernel reproduces the canonical coefficients and
+    # the pure-python oracle
     w2 = {}
     for i in range(9):
         for j in range(9):
@@ -273,6 +288,28 @@ def test_rebuild_from_two_form_dictionary(omega8):
                     for (a, b), v in omega2(i, j).items()
                 }
     rebuilt = build_8form_from_two_forms(w2)
+    assert rebuilt == quadruple_sum_oracle(w2)
     assert rebuilt == {
         sum(1 << i for i in idx): v for idx, v in omega8.items()
     }
+
+
+def test_rebuild_with_huge_coefficients_matches_oracle(monkeypatch):
+    # sparse random tables with 40-bit entries push the second stage
+    # past 2**63, so the kernel answers by residues and CRT
+    rng = random.Random(58)
+    w2 = {}
+    for i in range(9):
+        for j in range(9):
+            if i != j:
+                w2[(i, j)] = {
+                    (1 << a) | (1 << b): rng.choice((-1, 1))
+                    * rng.randint(1 << 39, 1 << 40)
+                    for a, b in (sorted(rng.sample(range(16), 2))
+                                 for _ in range(2))
+                }
+    seen = spy_moduli(monkeypatch)
+    rebuilt = build_8form_from_two_forms(w2)
+    assert len(set(seen) - {0}) > 1
+    assert rebuilt == quadruple_sum_oracle(w2)
+    assert max(abs(v) for v in rebuilt.values()) >= 1 << 63

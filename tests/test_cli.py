@@ -137,6 +137,27 @@ def test_bench_wedge_jobs_independent(capsys):
     assert "term_pairs=" in results[0]
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_run_flags_below_one_are_usage_errors(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--suite", "curvature", flag, value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli.pool_size(1, 666) == 1
+    assert cli.pool_size(10 ** 6, 666) == 2
+    assert cli.pool_size(10 ** 6, 1) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.pool_size(8, 7) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli.pool_size(10 ** 6, 7) == 7
+    assert cli.pool_size(3, 666) == 3
+
+
 def test_bench_stabilizer_assembly_dimensions(omega8, capsys):
     assert run_cli(["bench", "stabilizer-assembly"]) == 0
     out = capsys.readouterr().out

@@ -3,19 +3,23 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rand_vector
+from helpers import rand_vector, spy_moduli
 from spin9.canonical import omega2
 from spin9.exterior import (
+    INT64_LIMIT,
     AlternatingForm,
-    _np_acc,
+    _moduli,
     _np_acc_to_terms,
     _np_terms,
     _np_wedge_into,
+    _wedge_sum_mod,
     two_form_from_operator,
     wedge,
+    wedge_sum,
 )
 from spin9.operators import (
     Operator16,
@@ -195,11 +199,109 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
     for _ in range(10):
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
-        acc = _np_acc()
+        acc = np.zeros(1 << 16, dtype=np.int64)
         _np_wedge_into(acc, _np_terms({m: v for m, v in a._terms.items()}),
                         _np_terms({m: v for m, v in b._terms.items()}))
         got = AlternatingForm._raw(4, _np_acc_to_terms(acc))
         assert got == a.wedge(b)
+
+
+def _table(form):
+    return dict(form._terms)
+
+
+def _summed_wedges(pairs, degree):
+    total = AlternatingForm.zero(degree)
+    for a, b in pairs:
+        total = total + a.wedge(b)
+    return _table(total)
+
+
+def test_wedge_sum_int64_path_matches_summed_wedges(monkeypatch):
+    rng = random.Random(60)
+    seen = spy_moduli(monkeypatch)
+    for p, q in ((1, 1), (2, 2), (2, 3), (4, 4)):
+        pairs = [
+            (_random_form(rng, p, nterms=8), _random_form(rng, q, nterms=8))
+            for _ in range(6)
+        ]
+        pairs.append((pairs[0][0], pairs[1][1]))  # a table used twice
+        got = wedge_sum((_table(a), _table(b)) for a, b in pairs)
+        assert got == _summed_wedges(pairs, p + q)
+    assert set(seen) == {0}
+
+
+def test_wedge_sum_modular_path_matches_exact_ints(monkeypatch):
+    # coefficients near 2**40: the bound passes 2**63 and so do results
+    rng = random.Random(61)
+    seen = spy_moduli(monkeypatch)
+    pairs = []
+    for _ in range(8):
+        a, b = (_random_form(rng, 2, nterms=6, span=1 << 40) for _ in "ab")
+        pairs.append((a, b))
+    bound = sum(
+        sum(map(abs, a._terms.values())) * sum(map(abs, b._terms.values()))
+        for a, b in pairs
+    )
+    assert bound >= INT64_LIMIT
+    got = wedge_sum((_table(a), _table(b)) for a, b in pairs)
+    assert got == _summed_wedges(pairs, 4)
+    assert len(set(seen) - {0}) == len(_moduli(bound)) >= 2
+
+
+def test_wedge_sum_at_the_int64_edge(monkeypatch):
+    seen = spy_moduli(monkeypatch)
+    e01, e23 = 0b11, 0b1100
+    # B = 2**63 - 1 is the largest bound the int64 path takes
+    assert wedge_sum([({e01: INT64_LIMIT - 1}, {e23: 1})]) == {
+        e01 | e23: INT64_LIMIT - 1
+    }
+    assert seen == [0]
+    # B = 2**63 goes modular, and the result itself does not fit int64
+    seen.clear()
+    assert wedge_sum([({e01: 1 << 62}, {e23: -2})]) == {
+        e01 | e23: -INT64_LIMIT
+    }
+    assert 0 not in seen and len(seen) == 3
+    # two pairs that only reach 2**63 together
+    seen.clear()
+    got = wedge_sum([({e01: 1 << 62}, {e23: 1}), ({e23: 1 << 62}, {e01: 1})])
+    assert got == {e01 | e23: INT64_LIMIT}
+    assert 0 not in seen
+
+
+def test_wedge_sum_moduli_are_primes_below_2_31():
+    assert _moduli(0) == _moduli(INT64_LIMIT - 1) == ()
+    for bound in (INT64_LIMIT, 1 << 100, 3 ** 200):
+        primes = _moduli(bound)
+        product = 1
+        for p in primes:
+            assert p < 1 << 31
+            assert all(p % q for q in range(3, 46341, 2))
+            product *= p
+        assert product > 2 * bound
+        assert product // primes[-1] <= 2 * bound
+    assert _moduli(INT64_LIMIT)[0] == (1 << 31) - 1
+
+
+def test_wedge_sum_reduces_before_the_modular_room_runs_out():
+    # with p near 2**61 an accumulator holds only 3 more term pairs, so
+    # the fourth single-term pair forces a reduction mod p first
+    p = (1 << 61) - 1
+    e0, e1 = 1, 2
+    pairs = [({e0: 1}, {e1: p - 1})] * 5
+    acc = _wedge_sum_mod(pairs, p)
+    assert int(acc[e0 | e1]) == 5 * (p - 1) % p
+    with pytest.raises(OverflowError):
+        _wedge_sum_mod([({e0: 1, 4: 1}, {e1: 1, 8: 1})], p)
+
+
+def test_wedge_sum_rejects_inexact_coefficients():
+    with pytest.raises(TypeError):
+        wedge_sum([({3: Fraction(1, 2)}, {12: 1})])
+    with pytest.raises(TypeError):
+        wedge_sum([({3: 1}, {12: 0.5})])
+    assert wedge_sum([({3: 1}, {})]) == {}
 
 
 coeff_strategy = st.dictionaries(

@@ -23,6 +23,12 @@ def test_unknown_suite_raises():
         run_suite("nonsense", RunConfig())
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_run_config_rejects_samples_below_one(samples):
+    with pytest.raises(ValueError):
+        RunConfig(samples=samples)
+
+
 def test_octonion_suite_shape():
     report = run_suite("octonion", RunConfig(seed=3, samples=10))
     assert isinstance(report, VerificationReport)
