@@ -25,6 +25,7 @@ from math import lcm
 from typing import Optional, Union
 
 from .exterior import AlternatingForm, two_form_from_operator, wedge_sum
+from .linalg import clear_denominators, det
 from .octonion import Octonion
 from .operators import (
     InvolutionFamily,
@@ -316,22 +317,16 @@ def frame_change_fixes(m9) -> bool:
     tr = tuple(zip(*rows))
     if mat9_mul(tr, rows) != ident:
         raise ValueError("frame matrix is not orthogonal")
-    from .linalg import det as _det9
-
-    if _det9(rows) != 1:
+    if det(rows) != 1:
         raise ValueError("frame matrix must have determinant 1")
-    d = 1
-    for row in rows:
-        for v in row:
-            d = lcm(d, v.denominator)
+    entries, d = clear_denominators(v for row in rows for v in row)
     fam = build_involutions()
     scaled_ops = []
     for i in range(9):
         acc = Operator16.zero()
-        for j in range(9):
-            c = rows[i][j]
+        for j, c in enumerate(entries[9 * i:9 * i + 9]):
             if c:
-                acc = acc + fam[j].scale(int(c * d))
+                acc = acc + fam[j].scale(c)
         scaled_ops.append(acc)
     w2 = {
         (i, j): two_form_from_operator(scaled_ops[i] @ scaled_ops[j])._terms

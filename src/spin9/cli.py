@@ -7,7 +7,9 @@ from (--seed, --samples); --jobs never changes any numeric output.
 
 import argparse
 import concurrent.futures
+import math
 import os
+import random
 import sys
 import time
 
@@ -20,11 +22,12 @@ from .canonical import (
     export_coefficients,
     omega2,
 )
+from .operators import Vector16
 from .stabilizer import stabilizer_system
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 EXPORT_FORMS = ("omega8", "omega8-alt", "conjecture-rhs", "bpt")
-BENCH_KERNELS = ("wedge", "stabilizer-assembly", "bpt-materialize")
+BENCH_KERNELS = ("wedge", "stabilizer-assembly", "bpt-materialize", "evaluate")
 
 
 def _run_one(args):
@@ -167,8 +170,8 @@ def _bench_stabilizer_assembly():
     elapsed = time.perf_counter() - t0
     checksum = sum(abs(v) for row in rows for v in row.values())
     print(
-        f"bench stabilizer-assembly: rows=12870 cols=256 "
-        f"nonzero_rows={len(rows)} checksum={checksum}"
+        f"bench stabilizer-assembly: rows={math.comb(16, form.degree)} "
+        f"cols=256 nonzero_rows={len(rows)} checksum={checksum}"
     )
     print(f"bench stabilizer-assembly: time={elapsed:.3f}s")
 
@@ -185,11 +188,32 @@ def _bench_bpt_materialize():
     print(f"bench bpt-materialize: time={elapsed:.3f}s")
 
 
+def _bench_evaluate(seed, samples):
+    form = materialize_bpt_8form()
+    rng = random.Random(f"{seed}:bench-evaluate")
+    tuples = [
+        [Vector16.from_coords([rng.randint(-9, 9) for _ in range(16)])
+         for _ in range(8)]
+        for _ in range(samples)
+    ]
+    t0 = time.perf_counter()
+    values = [form.evaluate(vs) for vs in tuples]
+    elapsed = time.perf_counter() - t0
+    checksum = sum(abs(v) for v in values)
+    print(
+        f"bench evaluate: calls={samples} terms={form.term_count()} "
+        f"checksum={checksum}"
+    )
+    print(f"bench evaluate: time={elapsed:.3f}s")
+
+
 def cmd_bench(args) -> int:
     if args.kernel == "wedge":
         _bench_wedge(args.jobs)
     elif args.kernel == "stabilizer-assembly":
         _bench_stabilizer_assembly()
+    elif args.kernel == "evaluate":
+        _bench_evaluate(args.seed, args.samples)
     else:
         _bench_bpt_materialize()
     return 0

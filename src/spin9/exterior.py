@@ -24,6 +24,10 @@ partial sum.  Otherwise it runs the same step modulo the fewest primes
 below 2**31 whose product exceeds 2B, checking before each step that the
 accumulators cannot overflow, and rebuilds the exact integers by the
 Chinese remainder theorem.  No float enters either path.
+
+`evaluate` runs on the same kernel, so it is exact for integers of any
+size: one chain of `wedge_sum` calls wedges the integer-cleared argument
+vectors, which yields every p x p minor at once.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
+from .linalg import clear_denominators
 from .operators import Operator16, Vector16, sparse_rows
 
 Num = Union[int, Fraction]
@@ -190,21 +195,29 @@ class AlternatingForm:
         return AlternatingForm._raw(self.degree + other.degree, out)
 
     def evaluate(self, vectors: Iterable[Vector16]) -> Num:
+        """self(v1, ..., vp): with v_k = w_k / d_k for integer vectors w_k,
+        the coefficient of mask m in w_1 ^ ... ^ w_p is the minor
+        det[w_b[i_a]], so the value is sum_m c_m minor_m / prod d_k.
+        Coordinates outside the form's support meet no coefficient.
+        """
         vs = list(vectors)
         if len(vs) != self.degree:
             raise ValueError(
                 f"form of degree {self.degree} takes {self.degree} vectors"
             )
-        if not self._terms:
-            return 0
-        if self.degree == 0:
-            return self._terms.get(0, 0)
-        cols = [v.coords() for v in vs]
-        total = 0
-        for m, coeff in self._terms.items():
-            idx = _tuple_of(m)
-            total += coeff * _det([[col[i] for i in idx] for col in cols])
-        return total
+        coeffs, denom = clear_denominators(self._terms.values())
+        columns = [clear_denominators(v.coords()) for v in vs]
+        support = functools.reduce(int.__or__, self._terms, 0)
+        minors = {0: 1}
+        for k, (ints, d) in enumerate(columns):
+            denom *= d
+            column = {
+                1 << i: x for i, x in enumerate(ints) if x and support >> i & 1
+            }
+            minors = wedge_sum([(minors, column)]) if k else column
+        total = sum(c * minors.get(m, 0) for m, c in zip(self._terms, coeffs))
+        value = Fraction(total, denom)
+        return value.numerator if value.denominator == 1 else value
 
     def pullback(self, op: Operator16) -> "AlternatingForm":
         """The form X -> self(op X1, ..., op Xp)."""
@@ -261,37 +274,6 @@ class AlternatingForm:
 
 def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
     return a.wedge(b)
-
-
-def _det(m) -> Num:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    rows = [list(r) for r in m]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pval = rows[col][col]
-        det *= pval
-        inv = Fraction(1, 1) / pval
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det if isinstance(det, int) else _as_int_if_whole(det)
-
-
-def _as_int_if_whole(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 def _expand_pullback(rows, idx, depth, mask, coeff, out):

@@ -17,7 +17,7 @@ the resulting kernel exactly, which `spin9.stabilizer` does.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -26,21 +26,8 @@ MODP_PRIME = 67108859  # largest prime below 2**26; keeps int64 matmul exact
 
 def row_to_int(row: dict) -> dict:
     """Scale a rational row to integers and divide out the gcd."""
-    if not row:
-        return {}
-    denom = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {c: int(v * denom) for c, v in row.items() if v}
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+    ints, _ = clear_denominators(row.values())
+    return _normalize({c: v for c, v in zip(row, ints) if v})
 
 
 def _normalize(row: dict) -> dict:
@@ -194,22 +181,52 @@ def modp_independent_rows(rows: list, ncols: int, p: int = MODP_PRIME) -> list:
     return selected
 
 
+def clear_denominators(values) -> tuple:
+    """(ints, d) with values[k] == ints[k] / d and d the lcm of denominators.
+
+    Only int and Fraction are exact; any other entry raises ValueError
+    before any arithmetic, so a float never passes as a huge fraction.
+    """
+    values = list(values)
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(
+                f"exact int or Fraction expected, got {type(x).__name__}"
+            )
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 def det(rows) -> Fraction:
-    """Determinant of a small dense square matrix by rational elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Determinant of a small dense square matrix, fraction-free (Bareiss).
+
+    Each row is first scaled to integers by the lcm of its denominators.
+    Step k replaces every entry below and right of the pivot by the 2x2
+    cross product divided by the previous pivot; the division is exact,
+    as the entries stay minors of the integer matrix, so the last pivot
+    is the integer determinant.  The row scales are divided out once.
+    """
+    m, scale = [], 1
+    for row in rows:
+        ints, d = clear_denominators(row)
+        m.append(ints)
+        scale *= d
     n = len(m)
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
+    if any(len(row) != n for row in m):
+        raise ValueError("det needs a square matrix")
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
             return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = -d
-        d *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return d
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        pk = top[k]
+        for row in m[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pk * row[j] - a * top[j]) // prev
+        prev = pk
+    return Fraction(sign * prev, scale)

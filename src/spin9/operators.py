@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence, Union
 
+from .linalg import det
 from .octonion import Octonion, Scalar, inner_oct
 
 Num = Union[int, Fraction]
@@ -168,22 +169,7 @@ class Operator16:
         return Vector16.from_coords(out)
 
     def det(self) -> Fraction:
-        m = [[Fraction(x) for x in row] for row in self.rows]
-        d = Fraction(1)
-        for col in range(16):
-            piv = next((r for r in range(col, 16) if m[r][col]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                d = -d
-            d *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, 16):
-                if m[r][col]:
-                    f = m[r][col] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return d
+        return det(self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Operator16) and self.rows == other.rows

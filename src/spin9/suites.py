@@ -69,12 +69,6 @@ def _rand_vector(rng: random.Random) -> Vector16:
     return Vector16.from_coords([rng.randint(-9, 9) for _ in range(16)])
 
 
-def _rand_fraction_vector(rng: random.Random) -> Vector16:
-    return Vector16.from_coords(
-        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(16)]
-    )
-
-
 def verify_octonion(config: RunConfig) -> VerificationReport:
     report = VerificationReport()
     rng = config.rng("octonion")

@@ -41,6 +41,42 @@ def dense_rank(rows, ncols):
     return rank
 
 
+def det_oracle(m):
+    """Textbook Fraction elimination with row swaps, as an independent oracle."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pval = rows[col][col]
+        det *= pval
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                f = rows[r][col] / pval
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def evaluate_oracle(form, vectors):
+    """form(v1, ..., vp) as one determinant per monomial, by definition.
+
+    (dx_i1 ^ ... ^ dx_ip)(v1, ..., vp) = det [v_b[i_a]]; slow, but it
+    shares no code with the wedge chain of `AlternatingForm.evaluate`.
+    """
+    cols = [v.coords() for v in vectors]
+    assert len(cols) == form.degree
+    return sum(
+        (coeff * det_oracle([[col[i] for i in idx] for col in cols])
+         for idx, coeff in form.items()),
+        Fraction(0),
+    )
+
+
 def quat_mul(p, q):
     """Hamilton product of 4-tuples (1, i, j, k)."""
     a, b, c, d = p

@@ -1,5 +1,6 @@
 """Exit codes, report grammar, export stability, bench determinism."""
 
+import random
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 from spin9 import cli
+from spin9.bpt import bpt_8form_reduced
+from spin9.operators import Vector16
 from spin9.report import VerificationReport
 
 
@@ -168,6 +171,22 @@ def test_bench_bpt_materialize(capsys):
     assert run_cli(["bench", "bpt-materialize"]) == 0
     out = capsys.readouterr().out
     assert "nonzero=870" in out
+
+
+def test_bench_evaluate_reports_calls_terms_and_checksum(capsys):
+    assert run_cli(["bench", "evaluate", "--seed", "3", "--samples", "2"]) == 0
+    out = capsys.readouterr().out
+    head, timing = out.splitlines()
+    assert head.startswith("bench evaluate: calls=2 terms=870 checksum=")
+    assert timing.startswith("bench evaluate: time=")
+    # the checksum is sum |value| over the seeded tuples, by the reduced sum
+    rng = random.Random("3:bench-evaluate")
+    expected = 0
+    for _ in range(2):
+        vs = [Vector16.from_coords([rng.randint(-9, 9) for _ in range(16)])
+              for _ in range(8)]
+        expected += abs(bpt_8form_reduced(vs))
+    assert head.endswith(f"checksum={expected}")
 
 
 def test_bench_unknown_kernel_usage_error():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rand_vector, spy_moduli
+from helpers import evaluate_oracle, rand_fraction_vector, rand_vector, spy_moduli
+from spin9.bpt import materialize_bpt_8form
 from spin9.canonical import omega2
 from spin9.exterior import (
     INT64_LIMIT,
@@ -107,6 +108,91 @@ def test_evaluate_multilinear_antisymmetric():
     )
     assert f.evaluate([x, y, z]) == -f.evaluate([y, x, z])
     assert f.evaluate([x, x, z]) == 0
+
+
+def test_evaluate_matches_oracle_on_the_eight_forms(omega8):
+    # integer entries in -9..9 as in the verify suites: the int64 path
+    rng = random.Random(70)
+    for form in (materialize_bpt_8form(), omega8):
+        for _ in range(2):
+            vs = [rand_vector(rng, span=9) for _ in range(8)]
+            value = form.evaluate(vs)
+            assert type(value) is int
+            assert value == evaluate_oracle(form, vs)
+    vs = [rand_fraction_vector(rng) for _ in range(8)]
+    assert omega8.evaluate(vs) == evaluate_oracle(omega8, vs)
+
+
+def test_evaluate_fraction_coefficients_and_vectors():
+    rng = random.Random(71)
+    for degree in (2, 3, 5):
+        form = AlternatingForm(degree, {
+            tuple(sorted(rng.sample(range(16), degree))):
+                Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+            for _ in range(6)
+        })
+        for _ in range(3):
+            vs = [rand_fraction_vector(rng) for _ in range(degree)]
+            assert form.evaluate(vs) == evaluate_oracle(form, vs)
+    half = AlternatingForm(2, {(0, 1): Fraction(1, 2)})
+    e0, e1 = Vector16.basis(0), Vector16.basis(1)
+    whole = half.evaluate([e0, e1.scale(2)])
+    assert whole == 1 and type(whole) is int
+    assert half.evaluate([e0.scale(Fraction(1, 3)), e1]) == Fraction(1, 6)
+
+
+def test_evaluate_vanishes_on_dependent_vectors(omega8):
+    rng = random.Random(72)
+    vs = [rand_vector(rng, span=9) for _ in range(8)]
+    assert omega8.evaluate(vs) != 0
+    assert omega8.evaluate(vs[:7] + [vs[2]]) == 0
+    combo = vs[0].scale(3) - vs[5] + vs[6].scale(Fraction(1, 2))
+    assert omega8.evaluate(vs[:7] + [combo]) == 0
+    assert omega8.evaluate(vs[:7] + [Vector16.basis(0).scale(0)]) == 0
+
+
+def test_evaluate_degrees_zero_and_one():
+    assert AlternatingForm(0, {(): 5}).evaluate([]) == 5
+    assert AlternatingForm(0, {(): Fraction(5, 2)}).evaluate([]) == Fraction(5, 2)
+    assert AlternatingForm.zero(0).evaluate([]) == 0
+    flat = AlternatingForm(1, {(3,): 2, (7,): Fraction(1, 3)})
+    v = Vector16.from_coords([Fraction(k, 4) for k in range(16)])
+    assert flat.evaluate([v]) == 2 * Fraction(3, 4) + Fraction(7, 12)
+    assert AlternatingForm.zero(1).evaluate([v]) == 0
+
+
+def test_evaluate_takes_the_modular_path_for_large_entries(monkeypatch):
+    # entries near 10**6 push the chain bound far past 2**63
+    rng = random.Random(73)
+    form = _random_form(rng, 8, nterms=40, span=9)
+    vs = [
+        Vector16.from_coords(
+            [rng.randint(-10 ** 6, 10 ** 6) for _ in range(16)]
+        )
+        for _ in range(8)
+    ]
+    seen = spy_moduli(monkeypatch)
+    value = form.evaluate(vs)
+    assert value == evaluate_oracle(form, vs)
+    assert abs(value) >= INT64_LIMIT
+    assert 0 in seen and len(set(seen) - {0}) >= 2
+
+
+def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
+    form = AlternatingForm(2, {(0, 1): 1})
+    e0, e1 = Vector16.basis(0), Vector16.basis(1)
+    with pytest.raises(ValueError):
+        form.evaluate([e0])
+    with pytest.raises(ValueError):
+        form.evaluate([e0, e1, e1])
+    seen = spy_moduli(monkeypatch)
+    with pytest.raises(ValueError):
+        form.evaluate([e0, e1.scale(0.1)])
+    with pytest.raises(ValueError):
+        AlternatingForm(2, {(0, 1): 0.5}).evaluate([e0, e1])
+    with pytest.raises(ValueError):
+        AlternatingForm(0, {(): 0.5}).evaluate([])
+    assert seen == []
 
 
 def test_pullback_matches_definition():

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_rank
+from helpers import dense_rank, det_oracle
+from spin9.canonical import givens9, mat9_mul
 from spin9.linalg import (
+    clear_denominators,
     det,
     int_echelon,
     modp_independent_rows,
@@ -15,6 +18,12 @@ from spin9.linalg import (
     rank,
     reduce_against,
     row_to_int,
+)
+from spin9.operators import (
+    Operator16,
+    RationalCirclePoint,
+    build_involutions,
+    rotation,
 )
 
 
@@ -95,6 +104,57 @@ def test_det_known_values():
     assert det([[1, 2], [2, 4]]) == 0
     assert det([[0, 1], [1, 0]]) == -1
     assert det([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
+
+
+def test_det_singular_and_row_swaps():
+    assert det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    assert det([[0, 0], [0, 0]]) == 0
+    assert det([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 0
+    # a zero leading pivot forces a swap; each swap flips the sign
+    assert det([[0, 2, 0], [3, 0, 0], [0, 0, 5]]) == -30
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]) == -1
+    assert det([]) == 1 and det([[7]]) == 7
+
+
+def test_det_fraction_entries_and_rational_rotations():
+    m = [[Fraction(1, 2), Fraction(2, 3), 1],
+         [Fraction(-3, 4), 0, Fraction(5, 6)],
+         [2, Fraction(1, 9), Fraction(-1, 5)]]
+    assert det(m) == det_oracle(m)
+    p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
+    q = RationalCirclePoint(Fraction(5, 13), Fraction(12, 13))
+    g = mat9_mul(givens9(0, 4, p), givens9(2, 7, q))
+    assert det(g) == 1
+    assert rotation(build_involutions(), 0, 1, p).det() == 1
+
+
+def test_det_random_matrices_match_oracle():
+    rng = random.Random(31)
+    for n in (9, 9, 9, 5, 2):
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert det(m) == det_oracle(m)
+    for _ in range(3):
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6
+              else 0 for _ in range(9)] for _ in range(9)]
+        assert det(m) == det_oracle(m)
+    rows = [[rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(16)]
+            for _ in range(16)]
+    for k in range(16):
+        rows[k][k] = rng.choice((-2, -1, 1, 2))
+    assert Operator16(rows).det() == det_oracle(rows)
+
+
+def test_det_rejects_inexact_and_non_square():
+    with pytest.raises(ValueError):
+        det([[1, 0.5], [0, 1]])
+    with pytest.raises(ValueError):
+        det([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        clear_denominators([1, Fraction(1, 2), "3"])
+    assert clear_denominators([3, Fraction(1, 2), Fraction(-2, 3)]) == (
+        [18, 3, -4], 6
+    )
 
 
 small_matrix = st.lists(
