@@ -32,6 +32,9 @@ from .operators import (
     Operator16,
     RationalCirclePoint,
     Vector16,
+    _pair_sps,
+    _sp_apply,
+    _sp_compose,
     build_involutions,
     clifford_signed,
     rotation,
@@ -56,17 +59,10 @@ def _sp_two_form_terms(sp) -> dict:
 
 
 @functools.cache
-def _pair_sp(i: int, j: int):
-    """Signed permutation of I_i I_j, any i != j in 0..8."""
-    fam = build_involutions()
-    from .operators import _sp_compose
-
-    return _sp_compose(fam.signed[i], fam.signed[j])
-
-
-@functools.cache
 def _omega_terms(i: int, j: int) -> dict:
-    return _sp_two_form_terms(_pair_sp(i, j))
+    """Two-form table of I_i I_j, any i != j in 0..8."""
+    fam = build_involutions()
+    return _sp_two_form_terms(_sp_compose(fam.signed[i], fam.signed[j]))
 
 
 @functools.cache
@@ -219,26 +215,6 @@ def four_form_sigma_sum() -> AlternatingForm:
     return AlternatingForm._raw(4, wedge_sum((t, t) for t in tables))
 
 
-@functools.cache
-def _pair_sparse():
-    out = {}
-    for i in range(9):
-        for j in range(i + 1, 9):
-            perm, sign = _pair_sp(i, j)
-            out[(i, j)] = (perm, sign)
-    return out
-
-
-def _sp_apply(sp, coords):
-    perm, sign = sp
-    out = [0] * 16
-    for t in range(16):
-        c = coords[t]
-        if c:
-            out[perm[t]] = sign[t] * c
-    return out
-
-
 def bianchi_cyclic_residual(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
     """Cyclic sum over (x, y, z) of sum_{i<j} omega_ij(x, y) I_i I_j z.
 
@@ -247,7 +223,7 @@ def bianchi_cyclic_residual(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
     """
     cx, cy, cz = x.coords(), y.coords(), z.coords()
     total = [0] * 16
-    for sp in _pair_sparse().values():
+    for sp in _pair_sps():
         iy = _sp_apply(sp, cy)
         iz = _sp_apply(sp, cz)
         ix = _sp_apply(sp, cx)

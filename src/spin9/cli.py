@@ -12,7 +12,9 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 
+from . import curvature
 from .bpt import materialize_bpt_8form
 from .canonical import (
     canonical_8form,
@@ -27,7 +29,9 @@ from .stabilizer import stabilizer_system
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 EXPORT_FORMS = ("omega8", "omega8-alt", "conjecture-rhs", "bpt")
-BENCH_KERNELS = ("wedge", "stabilizer-assembly", "bpt-materialize", "evaluate")
+BENCH_KERNELS = (
+    "wedge", "stabilizer-assembly", "bpt-materialize", "evaluate", "curvature"
+)
 
 
 def _run_one(args):
@@ -207,6 +211,30 @@ def _bench_evaluate(seed, samples):
     print(f"bench evaluate: time={elapsed:.3f}s")
 
 
+def _bench_curvature(seed, samples):
+    rng = random.Random(f"{seed}:bench-curvature")
+    triples = [
+        [Vector16.from_coords([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                               for _ in range(16)])
+         for _ in range(3)]
+        for _ in range(samples)
+    ]
+    exprs = (
+        curvature.curvature_omega,
+        curvature.curvature_brown_gray,
+        curvature.curvature_prime_operator,
+        curvature.curvature_prime_octonion,
+    )
+    t0 = time.perf_counter()
+    values = [f(x, y, z, 4) for x, y, z in triples for f in exprs]
+    elapsed = time.perf_counter() - t0
+    checksum = sum(
+        abs(v.numerator) + v.denominator for r in values for v in r.coords()
+    )
+    print(f"bench curvature: calls={len(values)} checksum={checksum}")
+    print(f"bench curvature: time={elapsed:.3f}s")
+
+
 def cmd_bench(args) -> int:
     if args.kernel == "wedge":
         _bench_wedge(args.jobs)
@@ -214,6 +242,8 @@ def cmd_bench(args) -> int:
         _bench_stabilizer_assembly()
     elif args.kernel == "evaluate":
         _bench_evaluate(args.seed, args.samples)
+    elif args.kernel == "curvature":
+        _bench_curvature(args.seed, args.samples)
     else:
         _bench_bpt_materialize()
     return 0

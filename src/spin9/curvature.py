@@ -9,20 +9,25 @@ Four equivalent expressions for the curvature with scale c:
 
 The module also provides the averaging identity 5 R_XY = sum_j I_j R_XY I_j
 and exact sectional curvature, pinched between c/4 and c on the nose.
+
+Each expression is trilinear in (X, Y, Z): it clears the denominators of
+its arguments once, runs its own formula on Python ints, and multiplies
+its 16 outputs by -c / (4 d_X d_Y d_Z) at the end.  Outputs are exact
+int or Fraction values; int inputs at c = 4 give plain ints.  Only int
+and Fraction arguments and scales are accepted.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from itertools import combinations
 from typing import Union
 
-from .canonical import _pair_sp
-from .octonion import Octonion, inner_oct
+from .linalg import clear_denominators, require_exact
+from .octonion import inner_oct
 from .operators import (
-    Operator16,
     Vector16,
+    _pair_sps,
+    _sp_apply,
     build_involutions,
     inner16,
 )
@@ -32,44 +37,48 @@ Num = Union[int, Fraction]
 
 
 def _require_scale(c: Num) -> Num:
-    if not c:
+    if not require_exact(c):
         raise ValueError("curvature scale c must be nonzero")
     return c
 
 
-@functools.cache
-def _pairs():
-    return tuple(combinations(range(9), 2))
+def _cleared(x: Vector16, y: Vector16, z: Vector16, c: Num) -> tuple:
+    """Integer coordinates of x, y, z and the factor -c / (4 d_x d_y d_z).
+
+    Every expression below is trilinear in (X, Y, Z), so it runs on the
+    integer coordinates and is multiplied by the factor once at the end.
+    Entries that are not int or Fraction raise ValueError here, before
+    any curvature arithmetic.
+    """
+    c = _require_scale(c)
+    cx, dx = clear_denominators(x.coords())
+    cy, dy = clear_denominators(y.coords())
+    cz, dz = clear_denominators(z.coords())
+    return cx, cy, cz, Fraction(-c, 4 * dx * dy * dz)
 
 
-def _sp_apply_coords(sp, coords):
-    perm, sign = sp
-    out = [0] * 16
-    for t in range(16):
-        v = coords[t]
-        if v:
-            out[perm[t]] = sign[t] * v
-    return out
+def _rescaled(total, factor: Fraction) -> Vector16:
+    """factor * total; plain ints when the factor is whole."""
+    if factor.denominator == 1:
+        f = factor.numerator
+        return Vector16.from_coords([f * t for t in total])
+    return Vector16.from_coords([factor * t for t in total])
 
 
 def curvature_omega(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """R_XY Z via the two-form expansion over the 36 involution pairs."""
-    _require_scale(c)
-    cx, cy, cz = x.coords(), y.coords(), z.coords()
+    cx, cy, cz, factor = _cleared(x, y, z, c)
     total = [0] * 16
-    for i, j in _pairs():
-        sp = _pair_sp(i, j)
-        iy = _sp_apply_coords(sp, cy)
-        coeff = sum(p * q for p, q in zip(cx, iy))
+    for sp in _pair_sps():
+        coeff = sum(p * q for p, q in zip(cx, _sp_apply(sp, cy)))
         if coeff:
-            iz = _sp_apply_coords(sp, cz)
+            iz = _sp_apply(sp, cz)
             total = [t + coeff * v for t, v in zip(total, iz)]
-    scale = -Fraction(c, 4)
-    return Vector16.from_coords([scale * t for t in total])
+    return _rescaled(total, factor)
 
 
-def _brown_gray_s(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
-    """S_XY Z in octonion pairs; the curvature is its antisymmetrization."""
+def _brown_gray_s(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
+    """S_XY Z / (-c/4) in octonion pairs; the curvature is its antisymmetrization."""
     x1, x2 = x.x1, x.x2
     y1, y2 = y.x1, y.x2
     z1, z2 = z.x1, z.x2
@@ -83,37 +92,36 @@ def _brown_gray_s(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
         + x1.conj() * (y1 * z2)
         + z1.conj() * (y1 * x2)
     )
-    scale = -Fraction(c, 4)
-    return Vector16(first.scale(scale), second.scale(scale))
+    return Vector16(first, second)
 
 
 def curvature_brown_gray(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
-    _require_scale(c)
-    return _brown_gray_s(x, y, z, c) - _brown_gray_s(y, x, z, c)
+    cx, cy, cz, factor = _cleared(x, y, z, c)
+    x, y, z = (Vector16.from_coords(v) for v in (cx, cy, cz))
+    total = _brown_gray_s(x, y, z) - _brown_gray_s(y, x, z)
+    return _rescaled(total.coords(), factor)
+
+
+def _s_prime_operator(cx, cy, cz) -> list:
+    """S'_XY Z / (-c/4) = 3 g(Y,Z) X + sum_i g(I_i Y, Z) I_i X."""
+    g = sum(p * q for p, q in zip(cy, cz))
+    total = [3 * g * v for v in cx]
+    for sp in build_involutions().signed:
+        coeff = sum(p * q for p, q in zip(_sp_apply(sp, cy), cz))
+        if coeff:
+            ix = _sp_apply(sp, cx)
+            total = [t + coeff * v for t, v in zip(total, ix)]
+    return total
 
 
 def s_prime_operator(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """S'_XY Z = -(c/4)(3 g(Y,Z) X + sum_i g(I_i Y, Z) I_i X)."""
-    _require_scale(c)
-    fam = build_involutions()
-    cy = y.coords()
-    cz = z.coords()
-    cx = x.coords()
-    total = [3 * inner16(y, z) * v for v in cx]
-    for i in range(9):
-        sp = fam.signed[i]
-        iy = _sp_apply_coords(sp, cy)
-        coeff = sum(p * q for p, q in zip(iy, cz))
-        if coeff:
-            ix = _sp_apply_coords(sp, cx)
-            total = [t + coeff * v for t, v in zip(total, ix)]
-    scale = -Fraction(c, 4)
-    return Vector16.from_coords([scale * t for t in total])
+    cx, cy, cz, factor = _cleared(x, y, z, c)
+    return _rescaled(_s_prime_operator(cx, cy, cz), factor)
 
 
-def s_prime_octonion(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
-    """The same S' written through octonion products."""
-    _require_scale(c)
+def _s_prime_octonion(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
+    """S'_XY Z / (-c/4) written through octonion products."""
     x1, x2 = x.x1, x.x2
     y1, y2 = y.x1, y.x2
     z1, z2 = z.x1, z.x2
@@ -129,41 +137,65 @@ def s_prime_octonion(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
         + x2 * (y2.conj() * z2)
         + x1.conj() * (y1 * z2)
     )
-    scale = -Fraction(c, 4)
-    return Vector16(first.scale(scale), second.scale(scale))
+    return Vector16(first, second)
+
+
+def s_prime_octonion(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
+    """The same S' written through octonion products."""
+    cx, cy, cz, factor = _cleared(x, y, z, c)
+    x, y, z = (Vector16.from_coords(v) for v in (cx, cy, cz))
+    return _rescaled(_s_prime_octonion(x, y, z).coords(), factor)
 
 
 def curvature_prime_operator(x, y, z, c: Num) -> Vector16:
-    return s_prime_operator(x, y, z, c) - s_prime_operator(y, x, z, c)
+    """S'_XY Z - S'_YX Z, both potentials on the same integer coordinates."""
+    cx, cy, cz, factor = _cleared(x, y, z, c)
+    total = [
+        a - b
+        for a, b in zip(_s_prime_operator(cx, cy, cz), _s_prime_operator(cy, cx, cz))
+    ]
+    return _rescaled(total, factor)
 
 
 def curvature_prime_octonion(x, y, z, c: Num) -> Vector16:
-    return s_prime_octonion(x, y, z, c) - s_prime_octonion(y, x, z, c)
+    """The octonion S'_XY Z - S'_YX Z on the same integer coordinates."""
+    cx, cy, cz, factor = _cleared(x, y, z, c)
+    x, y, z = (Vector16.from_coords(v) for v in (cx, cy, cz))
+    total = _s_prime_octonion(x, y, z) - _s_prime_octonion(y, x, z)
+    return _rescaled(total.coords(), factor)
 
 
 def averaging_identity(x: Vector16, y: Vector16, z: Vector16, c: Num) -> VerificationReport:
     """Check 5 R_XY Z = sum_j I_j R_XY (I_j Z) for the given arguments."""
-    fam = build_involutions()
     lhs = 5 * curvature_omega(x, y, z, c)
-    acc = Vector16.from_coords([0] * 16)
-    for j in range(9):
-        ij = fam[j]
-        acc = acc + ij.apply(curvature_omega(x, y, ij.apply(z), c))
+    cz = z.coords()
+    acc = [0] * 16
+    for sp in build_involutions().signed:
+        iz = Vector16.from_coords(_sp_apply(sp, cz))
+        r = _sp_apply(sp, curvature_omega(x, y, iz, c).coords())
+        acc = [a + v for a, v in zip(acc, r)]
     rep = VerificationReport()
-    rep.add("curvature.averaging", lhs == acc)
+    rep.add("curvature.averaging", lhs == Vector16.from_coords(acc))
     return rep
 
 
 def curvature_entry(x, y, z, w, c: Num) -> Num:
     """The (4,0) tensor R_XYZW = <R_XY Z, W>."""
-    return inner16(curvature_omega(x, y, z, c), w)
+    cw, dw = clear_denominators(w.coords())
+    r = curvature_omega(x, y, z, c).coords()
+    total = sum(p * q for p, q in zip(r, cw))
+    return total if dw == 1 else Fraction(total, dw)
 
 
 def sectional_curvature(v: Vector16, w: Vector16, c: Num) -> Fraction:
-    """K(v, w) = R_vwvw / (|v|^2 |w|^2 - <v,w>^2) for independent v, w."""
+    """K(v, w) = R_vwvw / (|v|^2 |w|^2 - <v,w>^2) for independent v, w.
+
+    Both R_vwvw and the Gram determinant are of degree two in v and in w,
+    so K is computed on v and w cleared to integer vectors.
+    """
     _require_scale(c)
+    v, w = (Vector16.from_coords(clear_denominators(u.coords())[0]) for u in (v, w))
     gram = inner16(v, v) * inner16(w, w) - inner16(v, w) ** 2
     if not gram:
         raise ValueError("vectors are linearly dependent")
-    num = curvature_entry(v, w, v, w, c)
-    return Fraction(num) / Fraction(gram)
+    return Fraction(curvature_entry(v, w, v, w, c), gram)

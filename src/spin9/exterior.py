@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .linalg import clear_denominators
+from .linalg import clear_denominators, require_exact
 from .operators import Operator16, Vector16, sparse_rows
 
 Num = Union[int, Fraction]
@@ -85,7 +85,7 @@ class AlternatingForm:
             idx = (key,) if isinstance(key, int) else tuple(key)
             if len(idx) != degree:
                 raise ValueError("index tuple length must equal the degree")
-            if val:
+            if require_exact(val):
                 clean[_mask_of(idx)] = val
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_terms", clean)
@@ -163,7 +163,7 @@ class AlternatingForm:
         )
 
     def scale(self, t: Num) -> "AlternatingForm":
-        if not t:
+        if not require_exact(t):
             return AlternatingForm.zero(self.degree)
         return AlternatingForm._raw(
             self.degree, {m: t * v for m, v in self._terms.items()}

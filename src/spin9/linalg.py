@@ -181,18 +181,20 @@ def modp_independent_rows(rows: list, ncols: int, p: int = MODP_PRIME) -> list:
     return selected
 
 
+def require_exact(x):
+    """x itself when it is an int or Fraction; anything else raises ValueError."""
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"exact int or Fraction expected, got {type(x).__name__}")
+    return x
+
+
 def clear_denominators(values) -> tuple:
     """(ints, d) with values[k] == ints[k] / d and d the lcm of denominators.
 
     Only int and Fraction are exact; any other entry raises ValueError
     before any arithmetic, so a float never passes as a huge fraction.
     """
-    values = list(values)
-    for x in values:
-        if not isinstance(x, (int, Fraction)):
-            raise ValueError(
-                f"exact int or Fraction expected, got {type(x).__name__}"
-            )
+    values = [require_exact(x) for x in values]
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
 

@@ -198,6 +198,17 @@ def _sp_compose(a, b):
     )
 
 
+def _sp_apply(sp, coords) -> list:
+    """Coordinates of op(v) for a signed permutation op and v's coordinates."""
+    perm, sign = sp
+    out = [0] * 16
+    for t in range(16):
+        v = coords[t]
+        if v:
+            out[perm[t]] = sign[t] * v
+    return out
+
+
 def _sp_to_operator(sp) -> Operator16:
     perm, sign = sp
     rows = [[0] * 16 for _ in range(16)]
@@ -240,6 +251,16 @@ def build_involutions() -> InvolutionFamily:
     sps.append((tuple(range(16)), (-1,) * 8 + (1,) * 8))
     return InvolutionFamily(
         ops=tuple(_sp_to_operator(sp) for sp in sps), signed=tuple(sps)
+    )
+
+
+@functools.cache
+def _pair_sps() -> tuple:
+    """Signed permutations of I_i I_j for the 36 pairs i < j, in lex order."""
+    fam = build_involutions()
+    return tuple(
+        _sp_compose(fam.signed[i], fam.signed[j])
+        for i, j in combinations(range(9), 2)
     )
 
 
@@ -327,7 +348,3 @@ def sparse_rows(op: Operator16) -> tuple:
         tuple((b, x) for b, x in enumerate(row) if x) for row in op.rows
     )
 
-
-def apply_sparse(rows, coords):
-    """Apply sparse_rows output to a coordinate tuple."""
-    return tuple(sum(x * coords[b] for b, x in row) for row in rows)

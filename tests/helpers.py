@@ -5,7 +5,7 @@ from fractions import Fraction
 from spin9 import exterior
 from spin9.exterior import _merge_sign
 from spin9.octonion import Octonion
-from spin9.operators import Vector16
+from spin9.operators import Vector16, build_involutions, clifford_signed
 
 
 def rand_octonion(rng, span=3):
@@ -20,6 +20,39 @@ def rand_fraction_vector(rng):
     return Vector16.from_coords(
         [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(16)]
     )
+
+
+def apply_sparse(rows, coords):
+    """Apply `operators.sparse_rows` output to a coordinate tuple."""
+    return tuple(sum(x * coords[b] for b, x in row) for row in rows)
+
+
+def curvature_oracle(x, y, z, c):
+    """R_XY Z = -(c/4) sum_{i<j} omega_ij(X, Y) I_i I_j Z on Fraction throughout.
+
+    The two-form expansion with no clearing of denominators: the slow
+    differential oracle of the integer-cleared curvature expressions.
+    """
+    fam = build_involutions()
+
+    def apply(sp, coords):
+        perm, sign = sp
+        out = [0] * 16
+        for t in range(16):
+            out[perm[t]] = sign[t] * coords[t]
+        return out
+
+    cx, cy, cz = x.coords(), y.coords(), z.coords()
+    total = [Fraction(0)] * 16
+    for i in range(9):
+        for j in range(i + 1, 9):
+            sp = clifford_signed(fam, (i, j))
+            coeff = sum(p * q for p, q in zip(cx, apply(sp, cy)))
+            if coeff:
+                iz = apply(sp, cz)
+                total = [t + coeff * v for t, v in zip(total, iz)]
+    scale = -Fraction(c, 4)
+    return Vector16.from_coords([scale * t for t in total])
 
 
 def dense_rank(rows, ncols):

@@ -4,9 +4,11 @@ import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from helpers import curvature_oracle
 from spin9 import cli
 from spin9.bpt import bpt_8form_reduced
 from spin9.operators import Vector16
@@ -186,6 +188,28 @@ def test_bench_evaluate_reports_calls_terms_and_checksum(capsys):
         vs = [Vector16.from_coords([rng.randint(-9, 9) for _ in range(16)])
               for _ in range(8)]
         expected += abs(bpt_8form_reduced(vs))
+    assert head.endswith(f"checksum={expected}")
+
+
+def test_bench_curvature_reports_calls_and_checksum(capsys):
+    assert run_cli(["bench", "curvature", "--seed", "5", "--samples", "3"]) == 0
+    out = capsys.readouterr().out
+    head, timing = out.splitlines()
+    assert head.startswith("bench curvature: calls=12 checksum=")
+    assert timing.startswith("bench curvature: time=")
+    # all four expressions equal the Fraction oracle on the seeded triples
+    rng = random.Random("5:bench-curvature")
+    expected = 0
+    for _ in range(3):
+        x, y, z = (
+            Vector16.from_coords(
+                [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for _ in range(16)]
+            )
+            for _ in range(3)
+        )
+        r = curvature_oracle(x, y, z, 4)
+        expected += 4 * sum(abs(v.numerator) + v.denominator for v in r.coords())
     assert head.endswith(f"checksum={expected}")
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_fraction_vector, rand_vector
+from helpers import curvature_oracle, rand_fraction_vector, rand_vector
 from spin9.curvature import (
     averaging_identity,
     curvature_brown_gray,
@@ -189,3 +189,126 @@ def test_curvature_zero_on_degenerate_inputs():
     x = BASIS[2]
     assert curvature_omega(x, x, BASIS[5], C) == zero
     assert curvature_omega(x, zero, BASIS[5], C) == zero
+
+
+# integer-cleared expressions against the Fraction-throughout oracle --------
+
+SCALES = (4, 8, Fraction(1, 2), Fraction(-3, 7))
+
+
+def _coprime_vector(rng):
+    return Vector16.from_coords(
+        [Fraction(rng.randint(-20, 20), rng.choice((7, 9, 11, 13)))
+         for _ in range(16)]
+    )
+
+
+def _one_denominator_vector(rng, d):
+    return Vector16.from_coords(
+        [Fraction(rng.randint(-20, 20), d) for _ in range(16)]
+    )
+
+
+def _mixed_vector(rng):
+    return Vector16.from_coords(
+        [rng.randint(-5, 5) if rng.random() < 0.5
+         else Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+         for _ in range(16)]
+    )
+
+
+def _big_vector(rng):
+    return Vector16.from_coords(
+        [rng.randint(-(1 << 40), 1 << 40) for _ in range(16)]
+    )
+
+
+def _oracle_quadruples():
+    rng = random.Random(70)
+    zero = Vector16.from_coords([0] * 16)
+    quads = [tuple(_coprime_vector(rng) for _ in range(4)) for _ in range(3)]
+    quads.append(tuple(_one_denominator_vector(rng, d) for d in (7, 9, 11, 13)))
+    quads += [tuple(_mixed_vector(rng) for _ in range(4)) for _ in range(3)]
+    quads += [tuple(_big_vector(rng) for _ in range(4)) for _ in range(2)]
+    x, y = _mixed_vector(rng), _coprime_vector(rng)
+    z, w = rand_vector(rng), _big_vector(rng)
+    quads += [(zero, y, z, w), (x, zero, z, w), (x, y, zero, w), (zero,) * 4]
+    return quads
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_expressions_match_fraction_oracle(c):
+    for x, y, z, w in _oracle_quadruples():
+        ref = curvature_oracle(x, y, z, c)
+        for f in EXPRS:
+            assert f(x, y, z, c) == ref
+        assert s_prime_operator(x, y, z, c) - s_prime_operator(y, x, z, c) == ref
+        assert s_prime_octonion(x, y, z, c) - s_prime_octonion(y, x, z, c) == ref
+        assert curvature_entry(x, y, z, w, c) == inner16(ref, w)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_sectional_curvature_matches_fraction_oracle(c):
+    seen = 0
+    for v, w, _, _ in _oracle_quadruples():
+        gram = inner16(v, v) * inner16(w, w) - inner16(v, w) ** 2
+        if not gram:
+            continue
+        seen += 1
+        expected = Fraction(inner16(curvature_oracle(v, w, v, c), w)) / gram
+        assert sectional_curvature(v, w, c) == expected
+    assert seen >= 9
+
+
+def test_integer_inputs_at_c4_give_plain_ints():
+    rng = random.Random(71)
+    x, y, z = (rand_vector(rng) for _ in range(3))
+    for f in EXPRS + (s_prime_operator, s_prime_octonion):
+        assert all(type(v) is int for v in f(x, y, z, C).coords())
+    assert type(curvature_entry(x, y, z, x, C)) is int
+
+
+BAD_INPUTS = ("c-float", "c-zero", "x-float", "y-float", "z-float")
+
+
+def _bad_arguments(kind):
+    x, y, z = BASIS[0], BASIS[1], BASIS[9]
+    coords = [0] * 16
+    coords[3] = 0.5
+    bad = Vector16.from_coords(coords)
+    c = {"c-float": 0.3, "c-zero": 0}.get(kind, C)
+    if kind == "x-float":
+        x = bad
+    elif kind == "y-float":
+        y = bad
+    elif kind == "z-float":
+        z = bad
+    return x, y, z, c
+
+
+@pytest.mark.parametrize("kind", BAD_INPUTS)
+def test_expressions_reject_inexact_input_and_zero_scale(kind):
+    x, y, z, c = _bad_arguments(kind)
+    for f in EXPRS + (s_prime_operator, s_prime_octonion):
+        with pytest.raises(ValueError):
+            f(x, y, z, c)
+    with pytest.raises(ValueError):
+        averaging_identity(x, y, z, c)
+    with pytest.raises(ValueError):
+        curvature_entry(x, y, z, BASIS[2], c)
+    if kind != "z-float":
+        with pytest.raises(ValueError):
+            sectional_curvature(x, y, c)
+
+
+def test_entry_rejects_inexact_fourth_vector():
+    w = Vector16.from_coords([0.25] + [0] * 15)
+    with pytest.raises(ValueError):
+        curvature_entry(BASIS[0], BASIS[1], BASIS[0], w, C)
+
+
+def test_float_scale_with_zero_value_is_rejected():
+    with pytest.raises(ValueError):
+        curvature_omega(BASIS[0], BASIS[1], BASIS[0], 0.0)
+    with pytest.raises(ValueError):
+        sectional_curvature(BASIS[0], BASIS[1], 4.0)

@@ -70,6 +70,25 @@ def test_monomial_sorting_sign():
     assert not AlternatingForm.monomial((3, 3))
 
 
+def test_inexact_coefficients_and_scalars_rejected():
+    with pytest.raises(ValueError):
+        AlternatingForm(2, {(0, 1): 0.1})
+    with pytest.raises(ValueError):
+        AlternatingForm(2, {(0, 1): 1, (2, 3): 0.0})
+    with pytest.raises(ValueError):
+        AlternatingForm(1, {(4,): np.float64(2)})
+    form = AlternatingForm(2, {(0, 1): Fraction(1, 3), (2, 3): 2})
+    for t in (0.5, 0.0, 3.0, "2"):
+        with pytest.raises(ValueError):
+            form.scale(t)
+    assert form.scale(Fraction(3, 2)) == AlternatingForm(
+        2, {(0, 1): Fraction(1, 2), (2, 3): 3}
+    )
+    assert form.scale(0) == AlternatingForm.zero(2)
+    # the internal constructor stays unchecked
+    assert AlternatingForm._raw(2, {3: 0.5}).term_count() == 1
+
+
 def test_degree_and_index_validation():
     with pytest.raises(ValueError):
         AlternatingForm(17, {})
@@ -192,6 +211,9 @@ def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
         AlternatingForm(2, {(0, 1): 0.5}).evaluate([e0, e1])
     with pytest.raises(ValueError):
         AlternatingForm(0, {(): 0.5}).evaluate([])
+    # the constructor rejects those coefficients; evaluate checks its own
+    with pytest.raises(ValueError):
+        AlternatingForm._raw(2, {0b11: 0.5}).evaluate([e0, e1])
     assert seen == []
 
 

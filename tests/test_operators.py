@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import rand_vector
+from helpers import apply_sparse, rand_vector
 from spin9.linalg import rank
 from spin9.operators import (
     Operator16,
@@ -21,7 +21,6 @@ from spin9.operators import (
     lambda_basis,
     rotation,
     sparse_rows,
-    apply_sparse,
 )
 
 FAM = build_involutions()
