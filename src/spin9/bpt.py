@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .exterior import AlternatingForm, _merge_sign
+from .exterior import AlternatingForm, perm_sign
 from .octonion import Octonion, cross_oct, re_mul
 from .operators import Operator16, Vector16, build_involutions, clifford_product
 from .report import VerificationReport
@@ -29,16 +29,6 @@ from .report import VerificationReport
 def bpt_cross(u: Vector16, v: Vector16) -> Octonion:
     """Cross product on O^2: conjugated in the first slot, plain in the second."""
     return cross_oct(u.x1.conj(), v.x1.conj()) + cross_oct(u.x2, v.x2)
-
-
-def _perm_sign(perm) -> int:
-    inv = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inv & 1 else 1
 
 
 @cache
@@ -57,7 +47,7 @@ def s8_star() -> tuple:
             continue
         if perm[0] > perm[2] or perm[4] > perm[6] or perm[0] > perm[4]:
             continue
-        reps.append((perm, _perm_sign(perm)))
+        reps.append((perm, perm_sign(perm)))
     assert len(reps) == 315
     assert all(perm[0] == 0 for perm, _ in reps)
     return tuple(reps)
@@ -66,7 +56,7 @@ def s8_star() -> tuple:
 @cache
 def _s4_signed() -> tuple:
     return tuple(
-        (perm, _perm_sign(perm)) for perm in itertools.permutations(range(4))
+        (perm, perm_sign(perm)) for perm in itertools.permutations(range(4))
     )
 
 
@@ -130,10 +120,8 @@ def bpt_8form_full(vectors) -> Fraction | int:
     total = Octonion.zero()
     for first in itertools.combinations(range(8), 4):
         rest = tuple(k for k in range(8) if k not in first)
-        fmask = sum(1 << k for k in first)
-        rmask = sum(1 << k for k in rest)
         prod = block_sum(first) * block_sum(rest)
-        if _merge_sign(fmask, rmask) > 0:
+        if perm_sign(first + rest) > 0:
             total = total + prod
         else:
             total = total - prod

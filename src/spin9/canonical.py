@@ -24,7 +24,7 @@ from itertools import combinations, permutations, product
 from math import lcm
 from typing import Optional, Union
 
-from .exterior import AlternatingForm, two_form_from_operator, wedge_sum
+from .exterior import AlternatingForm, perm_sign, two_form_from_operator, wedge_sum
 from .linalg import clear_denominators, det
 from .octonion import Octonion
 from .operators import (
@@ -35,8 +35,9 @@ from .operators import (
     _pair_sps,
     _sp_apply,
     _sp_compose,
+    _sp_to_operator,
     build_involutions,
-    clifford_signed,
+    clifford_product,
     rotation,
 )
 from .report import VerificationReport
@@ -47,28 +48,18 @@ Num = Union[int, Fraction]
 # two-form coefficient tables ------------------------------------------------
 
 
-def _sp_two_form_terms(sp) -> dict:
-    """Coefficients {mask(a,b): value} of the two-form of a skew signed perm."""
-    perm, sign = sp
-    terms = {}
-    for b in range(16):
-        a = perm[b]
-        if a < b:
-            terms[1 << a | 1 << b] = sign[b]
-    return terms
-
-
 @functools.cache
 def _omega_terms(i: int, j: int) -> dict:
     """Two-form table of I_i I_j, any i != j in 0..8."""
     fam = build_involutions()
-    return _sp_two_form_terms(_sp_compose(fam.signed[i], fam.signed[j]))
+    op = _sp_to_operator(_sp_compose(fam.signed[i], fam.signed[j]))
+    return two_form_from_operator(op)._terms
 
 
 @functools.cache
 def _sigma_terms(i: int, j: int, k: int) -> dict:
-    fam = build_involutions()
-    return _sp_two_form_terms(clifford_signed(fam, (i, j, k)))
+    op = clifford_product(build_involutions(), (i, j, k))
+    return two_form_from_operator(op)._terms
 
 
 def omega2(i: int, j: int) -> AlternatingForm:
@@ -158,16 +149,7 @@ def canonical_8form_alt() -> AlternatingForm:
 
 @functools.cache
 def _perms8():
-    out = []
-    for perm in permutations(range(8)):
-        inv = 0
-        for a in range(8):
-            pa = perm[a]
-            for b in range(a + 1, 8):
-                if pa > perm[b]:
-                    inv += 1
-        out.append((perm, -1 if inv & 1 else 1))
-    return out
+    return [(perm, perm_sign(perm)) for perm in permutations(range(8))]
 
 
 def w_tilde(v: Octonion, vp: Octonion, w: Octonion, wp: Octonion) -> Num:
@@ -236,7 +218,7 @@ def bianchi_cyclic_residual(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
             total = [t + b * v for t, v in zip(total, ix)]
         if c:
             total = [t + c * v for t, v in zip(total, iy)]
-    return Vector16.from_coords(total)
+    return Vector16._raw(total)
 
 
 # rotation invariance and frame independence ---------------------------------
@@ -322,11 +304,8 @@ def _sigma_any(i: int, j: int, p: int, signed: bool) -> dict:
     if i == j or i == p or j == p:
         return {}
     seq = (i, j, p)
-    inv = sum(
-        1 for x in range(3) for y in range(x + 1, 3) if seq[x] > seq[y]
-    )
     terms = _sigma_terms(*sorted(seq))
-    if signed and inv % 2:
+    if signed and perm_sign(seq) < 0:
         return {m: -v for m, v in terms.items()}
     return terms
 

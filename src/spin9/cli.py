@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "conjecture",
         help="report whether the quarter sigma-sum equals the 8-form",
     )
-    _add_run_flags(p_conj)
     p_conj.set_defaults(func=cmd_conjecture)
 
     p_bench = sub.add_parser(

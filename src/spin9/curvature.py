@@ -61,8 +61,8 @@ def _rescaled(total, factor: Fraction) -> Vector16:
     """factor * total; plain ints when the factor is whole."""
     if factor.denominator == 1:
         f = factor.numerator
-        return Vector16.from_coords([f * t for t in total])
-    return Vector16.from_coords([factor * t for t in total])
+        return Vector16._raw([f * t for t in total])
+    return Vector16._raw([factor * t for t in total])
 
 
 def curvature_omega(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
@@ -97,7 +97,7 @@ def _brown_gray_s(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
 
 def curvature_brown_gray(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     cx, cy, cz, factor = _cleared(x, y, z, c)
-    x, y, z = (Vector16.from_coords(v) for v in (cx, cy, cz))
+    x, y, z = (Vector16._raw(v) for v in (cx, cy, cz))
     total = _brown_gray_s(x, y, z) - _brown_gray_s(y, x, z)
     return _rescaled(total.coords(), factor)
 
@@ -143,7 +143,7 @@ def _s_prime_octonion(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
 def s_prime_octonion(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """The same S' written through octonion products."""
     cx, cy, cz, factor = _cleared(x, y, z, c)
-    x, y, z = (Vector16.from_coords(v) for v in (cx, cy, cz))
+    x, y, z = (Vector16._raw(v) for v in (cx, cy, cz))
     return _rescaled(_s_prime_octonion(x, y, z).coords(), factor)
 
 
@@ -160,7 +160,7 @@ def curvature_prime_operator(x, y, z, c: Num) -> Vector16:
 def curvature_prime_octonion(x, y, z, c: Num) -> Vector16:
     """The octonion S'_XY Z - S'_YX Z on the same integer coordinates."""
     cx, cy, cz, factor = _cleared(x, y, z, c)
-    x, y, z = (Vector16.from_coords(v) for v in (cx, cy, cz))
+    x, y, z = (Vector16._raw(v) for v in (cx, cy, cz))
     total = _s_prime_octonion(x, y, z) - _s_prime_octonion(y, x, z)
     return _rescaled(total.coords(), factor)
 
@@ -171,11 +171,11 @@ def averaging_identity(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Verific
     cz = z.coords()
     acc = [0] * 16
     for sp in build_involutions().signed:
-        iz = Vector16.from_coords(_sp_apply(sp, cz))
+        iz = Vector16._raw(_sp_apply(sp, cz))
         r = _sp_apply(sp, curvature_omega(x, y, iz, c).coords())
         acc = [a + v for a, v in zip(acc, r)]
     rep = VerificationReport()
-    rep.add("curvature.averaging", lhs == Vector16.from_coords(acc))
+    rep.add("curvature.averaging", lhs == Vector16._raw(acc))
     return rep
 
 
@@ -194,7 +194,7 @@ def sectional_curvature(v: Vector16, w: Vector16, c: Num) -> Fraction:
     so K is computed on v and w cleared to integer vectors.
     """
     _require_scale(c)
-    v, w = (Vector16.from_coords(clear_denominators(u.coords())[0]) for u in (v, w))
+    v, w = (Vector16._raw(clear_denominators(u.coords())[0]) for u in (v, w))
     gram = inner16(v, v) * inner16(w, w) - inner16(v, w) ** 2
     if not gram:
         raise ValueError("vectors are linearly dependent")

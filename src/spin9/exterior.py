@@ -15,12 +15,20 @@ so evaluation of a monomial on the matching basis vectors gives exactly
 1, and wedge is the coefficient-level shuffle product with no extra
 factorials.
 
+One sign rule serves the whole module: reordering a sequence of distinct
+indices into increasing order costs the parity of its inversions,
+`perm_sign`.  With masks, moving one index past a set of others costs
+the popcount parity of those others; that is how the matrix unit E_rc,
+which turns index r into c, picks up the parity of the monomial's
+indices strictly between r and c (`generator_image`), and how the wedge
+kernel and the pullback sign each incoming factor.
+
 Forms are immutable.  `wedge_sum` at the bottom is the one exact kernel
-behind every heavy wedge sum: it takes integer coefficient tables
-{mask: int}, computes the a-priori bound B = sum |a|_1 |b|_1 over its
-pairs before any arithmetic, and runs the int64 per-pair step
-`_np_wedge_into` when B < 2**63, which then bounds every product and
-partial sum.  Otherwise it runs the same step modulo the fewest primes
+behind every wedge, `AlternatingForm.wedge` included: it takes integer
+coefficient tables {mask: int}, computes the a-priori bound
+B = sum |a|_1 |b|_1 over its pairs before any arithmetic, and runs the
+int64 per-pair step `_np_wedge_into` when B < 2**63, which then bounds
+every product and partial sum.  Otherwise it runs the same step modulo the fewest primes
 below 2**31 whose product exceeds 2B, checking before each step that the
 accumulators cannot overflow, and rebuilds the exact integers by the
 Chinese remainder theorem.  No float enters either path.
@@ -62,14 +70,17 @@ def _tuple_of(mask: int) -> tuple:
     return tuple(i for i in range(16) if mask >> i & 1)
 
 
-def _merge_sign(a: int, b: int) -> int:
-    """Sign of dx_A ^ dx_B for disjoint masks, by inversion parity."""
-    parity = 0
-    while b:
-        low = b & -b
-        parity ^= (a >> low.bit_length()).bit_count() & 1
-        b ^= low
-    return -1 if parity else 1
+def perm_sign(seq) -> int:
+    """Sign of the permutation sorting distinct entries: inversion parity."""
+    seq = tuple(seq)
+    inversions = sum(a > b for k, a in enumerate(seq) for b in seq[k + 1:])
+    return -1 if inversions & 1 else 1
+
+
+def _exact_ratio(n: int, d: int) -> Num:
+    """n / d as an int when whole, else as a Fraction."""
+    q = Fraction(n, d)
+    return q.numerator if q.denominator == 1 else q
 
 
 class AlternatingForm:
@@ -110,14 +121,7 @@ class AlternatingForm:
         idx = tuple(indices)
         if len(set(idx)) != len(idx):
             return cls.zero(len(idx))
-        sign = 1
-        lst = list(idx)
-        for a in range(len(lst)):
-            for b in range(a + 1, len(lst)):
-                if lst[a] > lst[b]:
-                    lst[a], lst[b] = lst[b], lst[a]
-                    sign = -sign
-        return cls(len(idx), {tuple(lst): sign * coeff})
+        return cls(len(idx), {tuple(sorted(idx)): perm_sign(idx) * coeff})
 
     def items(self):
         """Sorted (index_tuple, coefficient) pairs."""
@@ -179,20 +183,18 @@ class AlternatingForm:
         )
 
     def wedge(self, other: "AlternatingForm") -> "AlternatingForm":
+        """self ^ other on `wedge_sum`: a / d_a ^ b / d_b = (a ^ b) / (d_a d_b)."""
         if self.degree + other.degree > 16:
             raise ValueError("wedge degree exceeds 16")
-        out: dict = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                if ma & mb:
-                    continue
-                m = ma | mb
-                w = out.get(m, 0) + _merge_sign(ma, mb) * ca * cb
-                if w:
-                    out[m] = w
-                else:
-                    del out[m]
-        return AlternatingForm._raw(self.degree + other.degree, out)
+        a, da = clear_denominators(self._terms.values())
+        b, db = clear_denominators(other._terms.values())
+        terms = wedge_sum(
+            [(dict(zip(self._terms, a)), dict(zip(other._terms, b)))]
+        )
+        d = da * db
+        if d > 1:
+            terms = {m: _exact_ratio(v, d) for m, v in terms.items()}
+        return AlternatingForm._raw(self.degree + other.degree, terms)
 
     def evaluate(self, vectors: Iterable[Vector16]) -> Num:
         """self(v1, ..., vp): with v_k = w_k / d_k for integer vectors w_k,
@@ -216,8 +218,7 @@ class AlternatingForm:
             }
             minors = wedge_sum([(minors, column)]) if k else column
         total = sum(c * minors.get(m, 0) for m, c in zip(self._terms, coeffs))
-        value = Fraction(total, denom)
-        return value.numerator if value.denominator == 1 else value
+        return _exact_ratio(total, denom)
 
     def pullback(self, op: Operator16) -> "AlternatingForm":
         """The form X -> self(op X1, ..., op Xp)."""
@@ -232,38 +233,18 @@ class AlternatingForm:
     def lie_derivative(self, op: Operator16) -> "AlternatingForm":
         """Derivative of the pullback along exp(t op) at t = 0.
 
-        Equals sum over slots of self with op inserted in one argument;
-        on coefficients this replaces one index a by b weighted by the
-        matrix entry op[a][b].
+        Linear in op: the sum of op[r][c] times the image of the matrix
+        unit E_rc (`generator_image`) over the nonzero entries of op.
         """
-        rows = op.rows
         out: dict = {}
-        for m, coeff in self._terms.items():
-            for a in _tuple_of(m):
-                row = rows[a]
-                rest = m & ~(1 << a)
-                sign_a = _merge_sign(1 << a, rest)
-                for b in range(16):
-                    v = row[b]
-                    if not v:
-                        continue
-                    if b == a:
-                        w = out.get(m, 0) + coeff * v
-                        if w:
-                            out[m] = w
-                        else:
-                            del out[m]
-                        continue
-                    if rest >> b & 1:
-                        continue
-                    m2 = rest | 1 << b
-                    s = sign_a * _merge_sign(1 << b, rest)
-                    w = out.get(m2, 0) + s * coeff * v
-                    if w:
-                        out[m2] = w
-                    else:
-                        del out[m2]
-        return AlternatingForm._raw(self.degree, out)
+        for r, row in enumerate(op.rows):
+            for c, x in enumerate(row):
+                if x:
+                    for m, v in generator_image(self, r, c).items():
+                        out[m] = out.get(m, 0) + x * v
+        return AlternatingForm._raw(
+            self.degree, {m: v for m, v in out.items() if v}
+        )
 
     def restrict_low(self) -> "AlternatingForm":
         """Keep only monomials supported on the first octonion block 0..7."""
@@ -274,6 +255,27 @@ class AlternatingForm:
 
 def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
     return a.wedge(b)
+
+
+def generator_image(form: AlternatingForm, r: int, c: int) -> dict:
+    """Terms {mask: coeff} of the Lie derivative of `form` along E_rc.
+
+    E_rc turns the index r into c in every monomial that holds r and not
+    c; moving c to its sorted place passes the monomial's indices
+    strictly between r and c, one sign flip each.  The diagonal unit
+    E_rr keeps the monomials holding r.  Distinct monomials have
+    distinct images, so nothing cancels.
+    """
+    rbit = 1 << r
+    if r == c:
+        return {m: v for m, v in form._terms.items() if m & rbit}
+    cbit = 1 << c
+    between = (1 << max(r, c)) - (2 << min(r, c))
+    return {
+        m ^ rbit ^ cbit: -v if (m & between).bit_count() & 1 else v
+        for m, v in form._terms.items()
+        if m & rbit and not m & cbit
+    }
 
 
 def _expand_pullback(rows, idx, depth, mask, coeff, out):
@@ -288,14 +290,10 @@ def _expand_pullback(rows, idx, depth, mask, coeff, out):
         bit = 1 << b
         if mask & bit:
             continue
-        # the accumulated mask sits to the left of the incoming factor
+        # the incoming factor moves left past the accumulated indices above b
+        sign = -1 if (mask >> b).bit_count() & 1 else 1
         _expand_pullback(
-            rows,
-            idx,
-            depth + 1,
-            mask | bit,
-            coeff * v * _merge_sign(mask, bit),
-            out,
+            rows, idx, depth + 1, mask | bit, sign * coeff * v, out
         )
 
 
@@ -306,7 +304,7 @@ def two_form_from_operator(op: Operator16) -> AlternatingForm:
     Symmetric parts have no alternating shadow, so they are rejected
     rather than silently dropped.
     """
-    if not op.is_skew:
+    if not op.is_skew():
         raise ValueError("operator has a nonzero symmetric part")
     terms = {}
     for a in range(16):

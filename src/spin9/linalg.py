@@ -47,39 +47,32 @@ def int_echelon(rows) -> list:
     """
     pivots = {}  # pivot_col -> row dict
     for raw in rows:
-        row = dict(raw)
-        while row:
+        row = _reduce(dict(raw), pivots)
+        if row:
             lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                if row[lead] < 0:
-                    row = {c: -v for c, v in row.items()}
-                pivots[lead] = _normalize(row)
-                break
-            a, b = piv[lead], row[lead]
-            new = {}
-            for c, v in row.items():
-                w = a * v - b * piv.get(c, 0)
-                if w:
-                    new[c] = w
-            for c, v in piv.items():
-                if c not in row:
-                    w = -b * v
-                    if w:
-                        new[c] = w
-            row = _normalize(new)
+            if row[lead] < 0:
+                row = {c: -v for c, v in row.items()}
+            pivots[lead] = _normalize(row)
     return sorted(pivots.items())
 
 
 def reduce_against(echelon, raw: dict) -> dict:
     """Reduce a row against an echelon list; empty dict means dependent."""
-    row = row_to_int(raw)
-    table = dict(echelon)
+    return _reduce(row_to_int(raw), dict(echelon))
+
+
+def _reduce(row: dict, pivots: dict) -> dict:
+    """Eliminate the lead column of row until no pivot row holds it.
+
+    One step replaces row by a*row - b*pivot, with a and b the two lead
+    entries, and divides out the gcd; the result is empty when the row
+    lies in the span of the pivots.
+    """
     while row:
         lead = min(row)
-        piv = table.get(lead)
+        piv = pivots.get(lead)
         if piv is None:
-            return row
+            break
         a, b = piv[lead], row[lead]
         new = {}
         for c, v in row.items():
@@ -92,7 +85,7 @@ def reduce_against(echelon, raw: dict) -> dict:
                 if w:
                     new[c] = w
         row = _normalize(new)
-    return {}
+    return row
 
 
 def rank(rows) -> int:

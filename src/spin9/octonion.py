@@ -22,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .linalg import require_exact
+
 Scalar = Union[int, Fraction]
 
 BASIS_NAMES = ("1", "i", "j", "ij", "e", "ie", "je", "(ij)e")
@@ -97,13 +99,20 @@ class Octonion:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        c = tuple(coeffs)
+        c = tuple(map(require_exact, coeffs))
         if len(c) != 8:
             raise ValueError("octonion needs exactly 8 coefficients")
         object.__setattr__(self, "coeffs", c)
 
     def __setattr__(self, name, value):
         raise AttributeError("Octonion is immutable")
+
+    @classmethod
+    def _raw(cls, coeffs) -> "Octonion":
+        """Unchecked constructor for arithmetic results."""
+        o = cls.__new__(cls)
+        object.__setattr__(o, "coeffs", tuple(coeffs))
+        return o
 
     @classmethod
     def zero(cls) -> "Octonion":
@@ -120,16 +129,16 @@ class Octonion:
         return cls((x, 0, 0, 0, 0, 0, 0, 0))
 
     def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Octonion._raw(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Octonion._raw(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Octonion":
-        return Octonion(tuple(-a for a in self.coeffs))
+        return Octonion._raw(-a for a in self.coeffs)
 
     def scale(self, x: Scalar) -> "Octonion":
-        return Octonion(tuple(x * a for a in self.coeffs))
+        return Octonion._raw(x * a for a in self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
@@ -143,7 +152,7 @@ class Octonion:
                         continue
                     s, k = row[b]
                     out[k] += s * ca * cb
-            return Octonion(out)
+            return Octonion._raw(out)
         return self.scale(other)
 
     def __rmul__(self, other) -> "Octonion":
@@ -151,13 +160,13 @@ class Octonion:
 
     def conj(self) -> "Octonion":
         c = self.coeffs
-        return Octonion((c[0],) + tuple(-a for a in c[1:]))
+        return Octonion._raw((c[0],) + tuple(-a for a in c[1:]))
 
     def re(self) -> Scalar:
         return self.coeffs[0]
 
     def im(self) -> "Octonion":
-        return Octonion((0,) + self.coeffs[1:])
+        return Octonion._raw((0,) + self.coeffs[1:])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Octonion) and self.coeffs == other.coeffs

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence, Union
 
-from .linalg import det
+from .linalg import det, require_exact
 from .octonion import Octonion, Scalar, inner_oct
 
 Num = Union[int, Fraction]
@@ -51,6 +51,11 @@ class Vector16:
         if len(c) != 16:
             raise ValueError("need 16 coordinates")
         return cls(Octonion(c[:8]), Octonion(c[8:]))
+
+    @classmethod
+    def _raw(cls, coords: Sequence[Num]) -> "Vector16":
+        """Unchecked constructor for 16 coordinates computed internally."""
+        return cls(Octonion._raw(coords[:8]), Octonion._raw(coords[8:]))
 
     def coords(self) -> tuple:
         return self.x1.coeffs + self.x2.coeffs
@@ -97,13 +102,20 @@ class Operator16:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        r = tuple(tuple(row) for row in rows)
+        r = tuple(tuple(map(require_exact, row)) for row in rows)
         if len(r) != 16 or any(len(row) != 16 for row in r):
             raise ValueError("need a 16x16 matrix")
         object.__setattr__(self, "rows", r)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator16 is immutable")
+
+    @classmethod
+    def _raw(cls, rows: tuple) -> "Operator16":
+        """Unchecked constructor for arithmetic results (tuple rows)."""
+        op = cls.__new__(cls)
+        object.__setattr__(op, "rows", rows)
+        return op
 
     @classmethod
     def identity(cls, scale: Num = 1) -> "Operator16":
@@ -118,7 +130,7 @@ class Operator16:
         return cls(((0,) * 16,) * 16)
 
     def __add__(self, other: "Operator16") -> "Operator16":
-        return Operator16(
+        return Operator16._raw(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
@@ -126,7 +138,7 @@ class Operator16:
         )
 
     def __sub__(self, other: "Operator16") -> "Operator16":
-        return Operator16(
+        return Operator16._raw(
             tuple(
                 tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
@@ -134,17 +146,21 @@ class Operator16:
         )
 
     def __neg__(self) -> "Operator16":
-        return Operator16(tuple(tuple(-a for a in row) for row in self.rows))
+        return Operator16._raw(
+            tuple(tuple(-a for a in row) for row in self.rows)
+        )
 
     def scale(self, t: Num) -> "Operator16":
-        return Operator16(tuple(tuple(t * a for a in row) for row in self.rows))
+        return Operator16._raw(
+            tuple(tuple(t * a for a in row) for row in self.rows)
+        )
 
     def __rmul__(self, t) -> "Operator16":
         return self.scale(t)
 
     def __matmul__(self, other: "Operator16") -> "Operator16":
         bcols = tuple(zip(*other.rows))
-        return Operator16(
+        return Operator16._raw(
             tuple(
                 tuple(sum(x * y for x, y in zip(row, col) if x) for col in bcols)
                 for row in self.rows
@@ -152,7 +168,7 @@ class Operator16:
         )
 
     def transpose(self) -> "Operator16":
-        return Operator16(tuple(zip(*self.rows)))
+        return Operator16._raw(tuple(zip(*self.rows)))
 
     def trace(self) -> Num:
         return sum(self.rows[a][a] for a in range(16))
@@ -166,7 +182,7 @@ class Operator16:
     def apply(self, v: Vector16) -> Vector16:
         c = v.coords()
         out = tuple(sum(r[k] * c[k] for k in range(16) if c[k]) for r in self.rows)
-        return Vector16.from_coords(out)
+        return Vector16._raw(out)
 
     def det(self) -> Fraction:
         return det(self.rows)
@@ -277,11 +293,7 @@ def _validate_indices(indices) -> tuple:
 
 def clifford_product(family: InvolutionFamily, indices) -> Operator16:
     """The product I_{i1} ... I_{ir} for a strictly increasing index tuple."""
-    idx = _validate_indices(indices)
-    sp = _SP_IDENTITY
-    for i in idx:
-        sp = _sp_compose(sp, family.signed[i])
-    return _sp_to_operator(sp)
+    return _sp_to_operator(clifford_signed(family, indices))
 
 
 def clifford_signed(family: InvolutionFamily, indices):
@@ -308,8 +320,8 @@ class RationalCirclePoint:
     s: Fraction
 
     def __init__(self, c, s):
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "s", Fraction(s))
+        object.__setattr__(self, "c", Fraction(require_exact(c)))
+        object.__setattr__(self, "s", Fraction(require_exact(s)))
         if not (self.is_rotation or self.is_boost):
             raise ValueError(
                 "point satisfies neither c^2 + s^2 = 1 nor (c^2 - s^2 = 1, c >= 1)"

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import AlternatingForm, _merge_sign
+from .exterior import AlternatingForm, generator_image
 from .linalg import (
     int_echelon,
     modp_independent_rows,
@@ -42,38 +42,13 @@ from .operators import (
 from .report import VerificationReport
 
 
-def generator_image(form: AlternatingForm, r: int, c: int) -> dict:
-    """Terms of the Lie derivative of `form` along the matrix unit E_rc.
-
-    E_rc replaces the index r by c in every monomial containing r (the
-    diagonal unit E_rr rescales those monomials instead).  This is the
-    single-entry specialization of AlternatingForm.lie_derivative and is
-    cross-checked against it in the test suite.
-    """
-    out: dict = {}
-    rbit = 1 << r
-    if r == c:
-        return {m: v for m, v in form._terms.items() if m & rbit}
-    cbit = 1 << c
-    for m, v in form._terms.items():
-        if not m & rbit or m & cbit:
-            continue
-        rest = m & ~rbit
-        s = _merge_sign(rbit, rest) * _merge_sign(cbit, rest)
-        m2 = rest | cbit
-        w = out.get(m2, 0) + s * v
-        if w:
-            out[m2] = w
-        else:
-            del out[m2]
-    return out
-
-
 def stabilizer_system(form: AlternatingForm, n: int) -> list:
     """Equation rows of {A : L_A form = 0} over the n*n matrix entries.
 
-    Column n*r + c carries the matrix entry A[r][c]; each row demands
-    that one monomial coefficient of L_A form vanish.  Rows are sorted
+    Column n*r + c carries the matrix entry A[r][c] and holds the image
+    of the matrix unit E_rc, the same `generator_image` terms that
+    `AlternatingForm.lie_derivative` sums; each row demands that one
+    monomial coefficient of L_A form vanish.  Rows are sorted
     by monomial mask so the system is reproducible.
     """
     equations: dict = {}
@@ -103,7 +78,9 @@ class StabilizerResult:
 
     kernel_basis elements are primitive integer matrices; system_rank is
     the exact rank of the equation system, so system_rank plus
-    kernel_dimension equals n*n.
+    kernel_dimension equals n*n.  selected_rows counts the equations kept
+    by the mod-p preselection; retries is 1 when the kernel of that
+    subsystem failed its certificate and the full system was solved.
     """
 
     kernel_dimension: int
@@ -111,6 +88,8 @@ class StabilizerResult:
     contains_spin9: bool
     system_rank: int
     dimension: int
+    selected_rows: int
+    retries: int
 
 
 def _support_bound(form: AlternatingForm) -> int:
@@ -136,6 +115,7 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
     ncols = n * n
     all_rows = [row_to_int(r) for r in stabilizer_system(form, n)]
     work = [all_rows[i] for i in modp_independent_rows(all_rows, ncols)]
+    selected, retries = len(work), 0
     while True:
         vecs = nullspace(work, ncols)
         ops = [vec_to_operator(v, n) for v in vecs]
@@ -145,6 +125,7 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
             raise AssertionError("system rows inconsistent with the form")
         # unlucky prime dropped a needed equation; redo on the full system
         work = all_rows
+        retries += 1
     exact_rank = len(int_echelon(work))
     if exact_rank + len(vecs) != ncols:
         raise AssertionError("rank-nullity certificate failed")
@@ -160,6 +141,8 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
         contains_spin9=contains,
         system_rank=exact_rank,
         dimension=n,
+        selected_rows=selected,
+        retries=retries,
     )
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from spin9 import exterior
-from spin9.exterior import _merge_sign
+from spin9.exterior import AlternatingForm
 from spin9.octonion import Octonion
 from spin9.operators import Vector16, build_involutions, clifford_signed
 
@@ -141,6 +141,39 @@ def oct_mul_oracle(x, y):
         a + b for a, b in zip(quat_mul(s, p), quat_mul(q, quat_conj(r)))
     )
     return lo + hi
+
+
+def _merge_sign(a, b):
+    """Sign of dx_A ^ dx_B for disjoint masks, by inversion parity."""
+    parity = 0
+    while b:
+        low = b & -b
+        parity ^= (a >> low.bit_length()).bit_count() & 1
+        b ^= low
+    return -1 if parity else 1
+
+
+def _bits(mask):
+    return [i for i in range(16) if mask >> i & 1]
+
+
+def lie_derivative_oracle(form, op):
+    """L_op form slot by slot: each index a becomes b, weighted by op[a][b].
+
+    The monomial loop with its own merge-sign bookkeeping; it shares no
+    code with the matrix-unit images of `AlternatingForm.lie_derivative`.
+    """
+    out = {}
+    for m, coeff in form._terms.items():
+        for a in _bits(m):
+            rest = m & ~(1 << a)
+            for b, v in enumerate(op.rows[a]):
+                if not v or (b != a and rest >> b & 1):
+                    continue
+                s = _merge_sign(1 << a, rest) * _merge_sign(1 << b, rest)
+                m2 = rest | 1 << b
+                out[m2] = out.get(m2, 0) + s * coeff * v
+    return AlternatingForm._raw(form.degree, {m: v for m, v in out.items() if v})
 
 
 def _wedge_dicts(ta, tb):

@@ -124,10 +124,14 @@ def test_conjecture_verdict_line(omega8, capsys):
 
 def test_conjecture_deterministic_across_settings(omega8, capsys):
     outputs = []
-    for jobs in ("1", "4"):
-        run_cli(["conjecture", "--jobs", jobs])
+    for _ in range(2):
+        assert run_cli(["conjecture"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+    # conjecture takes no run flags: it has no randomness and no workers
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["conjecture", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_bench_wedge_jobs_independent(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import curvature_oracle, rand_fraction_vector, rand_vector
+from spin9.octonion import Octonion
 from spin9.curvature import (
     averaging_identity,
     curvature_brown_gray,
@@ -271,11 +272,16 @@ def test_integer_inputs_at_c4_give_plain_ints():
 BAD_INPUTS = ("c-float", "c-zero", "x-float", "y-float", "z-float")
 
 
+def _unchecked_vector(coords):
+    """A vector past the constructor check, as internal arithmetic builds one."""
+    return Vector16(Octonion._raw(coords[:8]), Octonion._raw(coords[8:]))
+
+
 def _bad_arguments(kind):
     x, y, z = BASIS[0], BASIS[1], BASIS[9]
     coords = [0] * 16
     coords[3] = 0.5
-    bad = Vector16.from_coords(coords)
+    bad = _unchecked_vector(coords)
     c = {"c-float": 0.3, "c-zero": 0}.get(kind, C)
     if kind == "x-float":
         x = bad
@@ -302,7 +308,7 @@ def test_expressions_reject_inexact_input_and_zero_scale(kind):
 
 
 def test_entry_rejects_inexact_fourth_vector():
-    w = Vector16.from_coords([0.25] + [0] * 15)
+    w = _unchecked_vector([0.25] + [0] * 15)
     with pytest.raises(ValueError):
         curvature_entry(BASIS[0], BASIS[1], BASIS[0], w, C)
 

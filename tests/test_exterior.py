@@ -2,12 +2,21 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import evaluate_oracle, rand_fraction_vector, rand_vector, spy_moduli
+from helpers import (
+    _wedge_dicts,
+    _wedge_dicts_into,
+    evaluate_oracle,
+    lie_derivative_oracle,
+    rand_fraction_vector,
+    rand_vector,
+    spy_moduli,
+)
 from spin9.bpt import materialize_bpt_8form
 from spin9.canonical import omega2
 from spin9.exterior import (
@@ -18,6 +27,7 @@ from spin9.exterior import (
     _np_terms,
     _np_wedge_into,
     _wedge_sum_mod,
+    perm_sign,
     two_form_from_operator,
     wedge,
     wedge_sum,
@@ -70,6 +80,19 @@ def test_monomial_sorting_sign():
     assert not AlternatingForm.monomial((3, 3))
 
 
+def test_perm_sign_matches_inversion_count_on_s5():
+    for perm in permutations(range(5)):
+        inversions = 0
+        for a in range(5):
+            for b in range(a + 1, 5):
+                if perm[a] > perm[b]:
+                    inversions += 1
+        assert perm_sign(perm) == (-1) ** inversions
+        # only the relative order counts, not the values
+        assert perm_sign([3 * v + 7 for v in perm]) == perm_sign(perm)
+    assert perm_sign(()) == perm_sign((4,)) == 1
+
+
 def test_inexact_coefficients_and_scalars_rejected():
     with pytest.raises(ValueError):
         AlternatingForm(2, {(0, 1): 0.1})
@@ -116,6 +139,40 @@ def test_wedge_associativity_and_bilinearity():
     assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
     assert (a + b).wedge(c) == a.wedge(c) + b.wedge(c)
     assert a.scale(3).wedge(c) == a.wedge(c).scale(3)
+
+
+def _random_fraction_form(rng, degree, nterms=5):
+    terms = {}
+    for _ in range(nterms):
+        idx = tuple(sorted(rng.sample(range(16), degree)))
+        terms[idx] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return AlternatingForm(degree, terms)
+
+
+def test_wedge_matches_dict_oracle_on_fraction_coefficients():
+    rng = random.Random(50)
+    for p, q in ((0, 0), (0, 3), (1, 1), (2, 2), (3, 4), (4, 4)):
+        for _ in range(4):
+            a = _random_fraction_form(rng, p, nterms=6)
+            b = _random_fraction_form(rng, q, nterms=6)
+            assert a.wedge(b)._terms == _wedge_dicts(a._terms, b._terms)
+    # whole quotients come back as plain ints
+    half = AlternatingForm(1, {(0,): Fraction(1, 2)})
+    two = AlternatingForm(1, {(1,): Fraction(4, 3), (2,): 6})
+    got = half.wedge(two)
+    assert got == AlternatingForm(2, {(0, 1): Fraction(2, 3), (0, 2): 3})
+    assert type(got.coefficient((0, 2))) is int
+
+
+def test_wedge_with_degree_zero_forms():
+    rng = random.Random(51)
+    c = AlternatingForm(0, {(): Fraction(-3, 7)})
+    f = _random_fraction_form(rng, 3)
+    assert c.wedge(f) == f.wedge(c) == f.scale(Fraction(-3, 7))
+    assert c.wedge(f)._terms == _wedge_dicts(c._terms, f._terms)
+    assert c.wedge(c) == AlternatingForm(0, {(): Fraction(9, 49)})
+    assert not AlternatingForm.zero(0).wedge(f)
+    assert f.wedge(AlternatingForm.zero(2)) == AlternatingForm.zero(5)
 
 
 def test_evaluate_multilinear_antisymmetric():
@@ -269,6 +326,26 @@ def test_lie_derivative_leibniz_rule():
     )
 
 
+def _dense_fraction_operator(rng):
+    return Operator16(
+        [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(16)]
+         for _ in range(16)]
+    )
+
+
+def test_lie_derivative_matches_slotwise_oracle(omega8):
+    rng = random.Random(52)
+    for degree in range(5):
+        for _ in range(3):
+            f = _random_fraction_form(rng, degree, nterms=6)
+            op = _dense_fraction_operator(rng)
+            assert f.lie_derivative(op) == lie_derivative_oracle(f, op)
+            sparse = _random_operator(rng)
+            assert f.lie_derivative(sparse) == lie_derivative_oracle(f, sparse)
+    op = _dense_fraction_operator(rng)
+    assert omega8.lie_derivative(op) == lie_derivative_oracle(omega8, op)
+
+
 def test_lie_derivative_of_generator_rotation():
     gen = clifford_product(FAM, (0, 1))
     assert omega2(0, 2).lie_derivative(gen) == omega2(1, 2).scale(2)
@@ -296,6 +373,16 @@ def test_two_form_from_operator_convention():
     assert f == omega2(0, 2)
 
 
+def test_two_form_from_operator_rejects_symmetric_parts():
+    with pytest.raises(ValueError):
+        two_form_from_operator(FAM[0])
+    with pytest.raises(ValueError):
+        two_form_from_operator(Operator16.identity())
+    skew_plus_sym = clifford_product(FAM, (0, 2)) + FAM[3]
+    with pytest.raises(ValueError):
+        two_form_from_operator(skew_plus_sym)
+
+
 def test_restrict_low_drops_high_indices():
     f = AlternatingForm(2, {(0, 3): 2, (0, 8): 5, (9, 12): 1})
     low = f.restrict_low()
@@ -310,19 +397,18 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
         acc = np.zeros(1 << 16, dtype=np.int64)
         _np_wedge_into(acc, _np_terms({m: v for m, v in a._terms.items()}),
                         _np_terms({m: v for m, v in b._terms.items()}))
-        got = AlternatingForm._raw(4, _np_acc_to_terms(acc))
-        assert got == a.wedge(b)
+        assert _np_acc_to_terms(acc) == _wedge_dicts(a._terms, b._terms)
 
 
 def _table(form):
     return dict(form._terms)
 
 
-def _summed_wedges(pairs, degree):
-    total = AlternatingForm.zero(degree)
+def _summed_wedges(pairs):
+    total = {}
     for a, b in pairs:
-        total = total + a.wedge(b)
-    return _table(total)
+        _wedge_dicts_into(total, a._terms, b._terms)
+    return total
 
 
 def test_wedge_sum_int64_path_matches_summed_wedges(monkeypatch):
@@ -335,7 +421,7 @@ def test_wedge_sum_int64_path_matches_summed_wedges(monkeypatch):
         ]
         pairs.append((pairs[0][0], pairs[1][1]))  # a table used twice
         got = wedge_sum((_table(a), _table(b)) for a, b in pairs)
-        assert got == _summed_wedges(pairs, p + q)
+        assert got == _summed_wedges(pairs)
     assert set(seen) == {0}
 
 
@@ -353,7 +439,7 @@ def test_wedge_sum_modular_path_matches_exact_ints(monkeypatch):
     )
     assert bound >= INT64_LIMIT
     got = wedge_sum((_table(a), _table(b)) for a, b in pairs)
-    assert got == _summed_wedges(pairs, 4)
+    assert got == _summed_wedges(pairs)
     assert len(set(seen) - {0}) == len(_moduli(bound)) >= 2
 
 

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -200,3 +201,15 @@ def test_octonion_immutability_and_validation():
         x.coeffs = ()
     with pytest.raises(ValueError):
         Octonion.unit(8)
+
+
+def test_octonion_rejects_inexact_coefficients():
+    for bad in (0.5, 1.0, np.float64(2), "1"):
+        with pytest.raises(ValueError, match="exact int or Fraction"):
+            Octonion([bad] + [0] * 7)
+        with pytest.raises(ValueError, match="exact int or Fraction"):
+            Octonion.scalar(bad)
+        with pytest.raises(ValueError, match="exact int or Fraction"):
+            Octonion.unit(2, bad)
+    x = Octonion([Fraction(1, 2), True, 0, 0, 0, 0, 0, -3])
+    assert x.coeffs == (Fraction(1, 2), 1, 0, 0, 0, 0, 0, -3)

@@ -181,6 +181,30 @@ def test_circle_point_validation():
         RationalCirclePoint(Fraction(-5, 4), Fraction(3, 4))
 
 
+def test_constructors_reject_inexact_input():
+    # (0.6, 0.8) means (3/5, 4/5) but is not exact: rejected as a float,
+    # not misreported as a point off the circle
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        RationalCirclePoint(0.6, 0.8)
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        RationalCirclePoint(1, 0.0)
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        RationalCirclePoint(1.0, 0)
+    coords = [0] * 15 + [0.5]
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        Vector16.from_coords(coords)
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        Vector16.from_coords([1.0] + [0] * 15)
+    rows = [[0] * 16 for _ in range(16)]
+    rows[3][7] = 0.25
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        Operator16(rows)
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        Operator16.identity(1.0)
+    rows[3][7] = Fraction(1, 4)
+    assert Operator16(rows).rows[3][7] == Fraction(1, 4)
+
+
 def test_boost_preserves_quadratic_form():
     # c Id + s I_8 rescales the two octonion lines by reciprocal factors
     p = RationalCirclePoint(Fraction(5, 4), Fraction(3, 4))

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from spin9.exterior import AlternatingForm
+from helpers import lie_derivative_oracle
+from spin9 import stabilizer
+from spin9.exterior import AlternatingForm, generator_image
 from spin9.linalg import rank
 from spin9.operators import Operator16, build_involutions, clifford_product
 from spin9.stabilizer import (
     bracket_closure,
     decomposable_certification,
     decomposable_form_low,
-    generator_image,
     in_kernel_span,
     infinitesimal_stabilizer,
     lambda1_exclusion,
@@ -43,17 +44,17 @@ def _random_form(rng, degree, nterms=4):
     return AlternatingForm(degree, terms)
 
 
-def test_generator_image_matches_lie_derivative():
+def test_generator_image_matches_lie_derivative(omega8):
     rng = random.Random(71)
-    for degree in (2, 3, 4):
-        for _ in range(8):
-            f = _random_form(rng, degree)
-            r, c = rng.randrange(16), rng.randrange(16)
-            img = generator_image(f, r, c)
-            direct = f.lie_derivative(_single_entry(r, c))
-            assert img == {
-                m: v for m, v in direct._terms.items()
-            }
+    forms = [_random_form(rng, degree) for degree in (2, 3, 4) for _ in range(8)]
+    for f in forms:
+        r, c = rng.randrange(16), rng.randrange(16)
+        oracle = lie_derivative_oracle(f, _single_entry(r, c))
+        assert generator_image(f, r, c) == oracle._terms
+    for r in range(16):
+        for c in range(16):
+            oracle = lie_derivative_oracle(omega8, _single_entry(r, c))
+            assert generator_image(omega8, r, c) == oracle._terms
 
 
 def test_stabilizer_system_rows_are_lie_coefficients():
@@ -110,9 +111,32 @@ def test_eight_form_kernel_certificate(omega8):
     assert result.system_rank == 220
     assert result.system_rank + result.kernel_dimension == 256
     assert result.contains_spin9
-    # every kernel element annihilates the form, re-checked directly
+    assert result.retries == 0
+    assert result.selected_rows == 220
+    # every kernel element annihilates the form, re-checked directly and
+    # through the slotwise oracle
     for op in result.kernel_basis:
         assert not omega8.lie_derivative(op)
+        assert not lie_derivative_oracle(omega8, op)
+
+
+def test_dropped_modp_row_is_caught_and_retried(omega8, monkeypatch):
+    # a selection missing one needed equation leaves a 37-dimensional
+    # candidate kernel; the certificate rejects it and the full system
+    # is solved instead
+    select = stabilizer.modp_independent_rows
+    monkeypatch.setattr(
+        stabilizer,
+        "modp_independent_rows",
+        lambda rows, ncols: select(rows, ncols)[1:],
+    )
+    result = infinitesimal_stabilizer(omega8)
+    assert result.selected_rows == 219
+    assert result.retries == 1
+    assert result.kernel_dimension == 36
+    assert result.system_rank == 220
+    assert result.contains_spin9
+    assert spans_involution_pairs(result)
 
 
 def test_eight_form_kernel_spans_pairs(omega8):
