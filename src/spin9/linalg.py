@@ -7,21 +7,17 @@ rationals appear until back-substitution.  Pivots follow a fixed order
 (rows in the order given, pivot on each row's least column), making every
 result deterministic.
 
-For very tall systems, `modp_independent_rows` preselects a maximal
-independent subset of rows by elimination modulo a fixed prime.  Modular
-independence certifies independence over Q for integer rows; callers that
-need the converse direction (no dependent row wrongly kept) must verify
-the resulting kernel exactly, which `spin9.stabilizer` does.
+There is no modular step: tall systems are eliminated exactly, row by
+row, and a row in the span of the pivots reduces to the empty dict.  An
+echelon fed back to `nullspace` passes through the elimination unchanged,
+so it costs almost nothing and gives the same kernel basis as the rows it
+came from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
-
-MODP_PRIME = 67108859  # largest prime below 2**26; keeps int64 matmul exact
 
 
 def row_to_int(row: dict) -> dict:
@@ -132,46 +128,6 @@ def nullspace(rows, ncols: int) -> list:
             vec = [-v for v in vec]
         basis.append(vec)
     return basis
-
-
-def modp_independent_rows(rows: list, ncols: int, p: int = MODP_PRIME) -> list:
-    """Indices of a maximal mod-p independent subset, in input order.
-
-    Maintains a reduced echelon mod p so each incoming row reduces in one
-    matrix-vector product.  Integer rows independent mod p are independent
-    over Q, so every selected row is safe; rows discarded here could in
-    principle be independent over Q, which the caller's exact kernel
-    verification rules out after the fact.
-    """
-    basis = np.zeros((min(len(rows), ncols), ncols), dtype=np.int64)
-    pivot_cols: list[int] = []
-    selected = []
-    for idx, row in enumerate(rows):
-        v = np.zeros(ncols, dtype=np.int64)
-        for c, val in row.items():
-            v[c] = val % p
-        if pivot_cols:
-            coef = v[pivot_cols] % p
-            if coef.any():
-                v = (v - coef @ basis[: len(pivot_cols)]) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            continue
-        lead = int(nz[0])
-        inv = pow(int(v[lead]), p - 2, p)
-        v = (v * inv) % p
-        # keep the basis fully reduced so reduction stays a single matmul
-        col = basis[: len(pivot_cols), lead] % p
-        if col.any():
-            basis[: len(pivot_cols)] = (
-                basis[: len(pivot_cols)] - np.outer(col, v)
-            ) % p
-        basis[len(pivot_cols)] = v
-        pivot_cols.append(lead)
-        selected.append(idx)
-        if len(pivot_cols) == ncols:
-            break
-    return selected
 
 
 def require_exact(x):

@@ -89,10 +89,6 @@ def unit_mul(a: SignedUnit, b: SignedUnit) -> SignedUnit:
     return (a[0] * b[0] * s, k)
 
 
-def unit_conj(a: SignedUnit) -> SignedUnit:
-    return a if a[1] == 0 else (-a[0], a[1])
-
-
 class Octonion:
     """An octonion with exact rational coefficients on u0..u7."""
 
@@ -138,6 +134,7 @@ class Octonion:
         return Octonion._raw(-a for a in self.coeffs)
 
     def scale(self, x: Scalar) -> "Octonion":
+        x = require_exact(x)
         return Octonion._raw(x * a for a in self.coeffs)
 
     def __mul__(self, other):
@@ -197,10 +194,6 @@ def re_mul(a: Octonion, b: Octonion) -> Scalar:
     """Re(a b) without forming the full product."""
     ac, bc = a.coeffs, b.coeffs
     return ac[0] * bc[0] - sum(ac[k] * bc[k] for k in range(1, 8))
-
-
-def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
-    return (a * b) * c - a * (b * c)
 
 
 def cross_oct(u: Octonion, v: Octonion) -> Octonion:

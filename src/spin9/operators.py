@@ -151,6 +151,7 @@ class Operator16:
         )
 
     def scale(self, t: Num) -> "Operator16":
+        t = require_exact(t)
         return Operator16._raw(
             tuple(tuple(t * a for a in row) for row in self.rows)
         )

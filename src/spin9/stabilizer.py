@@ -2,13 +2,11 @@
 
 The stabilizer algebra of a p-form w on R^n is the kernel of the linear
 map A -> L_A w from the n x n matrices to p-forms.  The kernel is found
-in three stages: assemble the exact integer system row by row, select a
-maximal independent subset of equations modulo a large prime, then solve
-that subsystem exactly and certify the candidate kernel by substituting
-every basis vector back into the full map.  Modular selection can only
-drop equations, never corrupt them, so a certified kernel is exact
-regardless of the prime; a failed certificate feeds the violated
-equations back into the subsystem and retries.
+by one exact computation: assemble the integer system row by row, bring
+all of it to fraction-free echelon form, and read the kernel off that
+echelon.  Two certificates follow.  Every basis vector is substituted
+back through the full map and must give the zero form, and the rank of
+the echelon plus the kernel dimension must equal n*n.
 
 The solver is anchored on two closed-form cases before being trusted on
 the canonical 8-form: the standard symplectic 2-form on R^4, whose
@@ -25,7 +23,6 @@ from fractions import Fraction
 from .exterior import AlternatingForm, generator_image
 from .linalg import (
     int_echelon,
-    modp_independent_rows,
     nullspace,
     reduce_against,
     row_to_int,
@@ -78,9 +75,8 @@ class StabilizerResult:
 
     kernel_basis elements are primitive integer matrices; system_rank is
     the exact rank of the equation system, so system_rank plus
-    kernel_dimension equals n*n.  selected_rows counts the equations kept
-    by the mod-p preselection; retries is 1 when the kernel of that
-    subsystem failed its certificate and the full system was solved.
+    kernel_dimension equals n*n.  Both certificates have passed on every
+    result returned.
     """
 
     kernel_dimension: int
@@ -88,8 +84,6 @@ class StabilizerResult:
     contains_spin9: bool
     system_rank: int
     dimension: int
-    selected_rows: int
-    retries: int
 
 
 def _support_bound(form: AlternatingForm) -> int:
@@ -113,21 +107,12 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
     if _support_bound(form) > n:
         raise ValueError(f"form uses coordinates beyond R^{n}")
     ncols = n * n
-    all_rows = [row_to_int(r) for r in stabilizer_system(form, n)]
-    work = [all_rows[i] for i in modp_independent_rows(all_rows, ncols)]
-    selected, retries = len(work), 0
-    while True:
-        vecs = nullspace(work, ncols)
-        ops = [vec_to_operator(v, n) for v in vecs]
-        if not any(form.lie_derivative(op) for op in ops):
-            break
-        if len(work) == len(all_rows):
-            raise AssertionError("system rows inconsistent with the form")
-        # unlucky prime dropped a needed equation; redo on the full system
-        work = all_rows
-        retries += 1
-    exact_rank = len(int_echelon(work))
-    if exact_rank + len(vecs) != ncols:
+    ech = int_echelon(row_to_int(r) for r in stabilizer_system(form, n))
+    vecs = nullspace([row for _, row in ech], ncols)
+    ops = [vec_to_operator(v, n) for v in vecs]
+    if any(form.lie_derivative(op) for op in ops):
+        raise AssertionError("kernel vector moves the form")
+    if len(ech) + len(vecs) != ncols:
         raise AssertionError("rank-nullity certificate failed")
     fam = build_involutions()
     contains = n == 16 and all(
@@ -139,10 +124,8 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
         kernel_dimension=len(vecs),
         kernel_basis=tuple(ops),
         contains_spin9=contains,
-        system_rank=exact_rank,
+        system_rank=len(ech),
         dimension=n,
-        selected_rows=selected,
-        retries=retries,
     )
 
 

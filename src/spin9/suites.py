@@ -484,8 +484,6 @@ def verify_stabilizer(config: RunConfig) -> VerificationReport:
         stabilizer_dim=result.kernel_dimension,
         system_rank=result.system_rank,
         contains_spin9=result.contains_spin9,
-        selected_rows=result.selected_rows,
-        retries=result.retries,
     )
     report.add(
         "stabilizer.spin9-span",

@@ -143,6 +143,15 @@ def oct_mul_oracle(x, y):
     return lo + hi
 
 
+def unit_conj(a):
+    """Conjugate of a signed basis unit (sign, index)."""
+    return a if a[1] == 0 else (-a[0], a[1])
+
+
+def associator(a, b, c):
+    return (a * b) * c - a * (b * c)
+
+
 def _merge_sign(a, b):
     """Sign of dx_A ^ dx_B for disjoint masks, by inversion parity."""
     parity = 0

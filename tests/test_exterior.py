@@ -263,7 +263,7 @@ def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
         form.evaluate([e0, e1, e1])
     seen = spy_moduli(monkeypatch)
     with pytest.raises(ValueError):
-        form.evaluate([e0, e1.scale(0.1)])
+        form.evaluate([e0, Vector16._raw([0, 0.1] + [0] * 14)])
     with pytest.raises(ValueError):
         AlternatingForm(2, {(0, 1): 0.5}).evaluate([e0, e1])
     with pytest.raises(ValueError):

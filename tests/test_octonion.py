@@ -8,16 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import oct_mul_oracle, rand_octonion
+from helpers import associator, oct_mul_oracle, rand_octonion, unit_conj
 from spin9.octonion import (
     MUL_TABLE,
     Octonion,
     apply_matrix8,
-    associator,
     automorphism_from_triple,
     cross_oct,
     inner_oct,
-    unit_conj,
     unit_mul,
 )
 
@@ -211,5 +209,11 @@ def test_octonion_rejects_inexact_coefficients():
             Octonion.scalar(bad)
         with pytest.raises(ValueError, match="exact int or Fraction"):
             Octonion.unit(2, bad)
+        with pytest.raises(ValueError, match="exact int or Fraction"):
+            Octonion.unit(1).scale(bad)
+        with pytest.raises(ValueError, match="exact int or Fraction"):
+            Octonion.unit(1) * bad
+        with pytest.raises(ValueError, match="exact int or Fraction"):
+            bad * Octonion.unit(1)
     x = Octonion([Fraction(1, 2), True, 0, 0, 0, 0, 0, -3])
     assert x.coeffs == (Fraction(1, 2), 1, 0, 0, 0, 0, 0, -3)

@@ -201,6 +201,14 @@ def test_constructors_reject_inexact_input():
         Operator16(rows)
     with pytest.raises(ValueError, match="exact int or Fraction"):
         Operator16.identity(1.0)
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        Vector16.basis(3).scale(0.5)
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        0.5 * Vector16.basis(3)
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        Operator16.identity().scale(0.5)
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        0.5 * Operator16.identity()
     rows[3][7] = Fraction(1, 4)
     assert Operator16(rows).rows[3][7] == Fraction(1, 4)
 

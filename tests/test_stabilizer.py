@@ -111,8 +111,6 @@ def test_eight_form_kernel_certificate(omega8):
     assert result.system_rank == 220
     assert result.system_rank + result.kernel_dimension == 256
     assert result.contains_spin9
-    assert result.retries == 0
-    assert result.selected_rows == 220
     # every kernel element annihilates the form, re-checked directly and
     # through the slotwise oracle
     for op in result.kernel_basis:
@@ -120,23 +118,17 @@ def test_eight_form_kernel_certificate(omega8):
         assert not lie_derivative_oracle(omega8, op)
 
 
-def test_dropped_modp_row_is_caught_and_retried(omega8, monkeypatch):
-    # a selection missing one needed equation leaves a 37-dimensional
-    # candidate kernel; the certificate rejects it and the full system
-    # is solved instead
-    select = stabilizer.modp_independent_rows
+def test_truncated_system_fails_the_certificate(omega8, monkeypatch):
+    # 100 of the equations leave a kernel far larger than spin(9); a
+    # kernel vector outside the stabilizer must stop the solve
+    system = stabilizer.stabilizer_system
     monkeypatch.setattr(
         stabilizer,
-        "modp_independent_rows",
-        lambda rows, ncols: select(rows, ncols)[1:],
+        "stabilizer_system",
+        lambda form, n: system(form, n)[:100],
     )
-    result = infinitesimal_stabilizer(omega8)
-    assert result.selected_rows == 219
-    assert result.retries == 1
-    assert result.kernel_dimension == 36
-    assert result.system_rank == 220
-    assert result.contains_spin9
-    assert spans_involution_pairs(result)
+    with pytest.raises(AssertionError, match="kernel vector moves the form"):
+        infinitesimal_stabilizer(omega8)
 
 
 def test_eight_form_kernel_spans_pairs(omega8):
