@@ -24,6 +24,7 @@ from itertools import combinations, permutations, product
 from math import lcm
 from typing import Optional, Union
 
+from .curvature import curvature_omega
 from .exterior import AlternatingForm, perm_sign, two_form_from_operator, wedge_sum
 from .linalg import clear_denominators, det
 from .octonion import Octonion
@@ -32,12 +33,9 @@ from .operators import (
     Operator16,
     RationalCirclePoint,
     Vector16,
-    _pair_sps,
-    _sp_apply,
-    _sp_compose,
-    _sp_to_operator,
     build_involutions,
     clifford_product,
+    inner16,
     rotation,
 )
 from .report import VerificationReport
@@ -52,8 +50,7 @@ Num = Union[int, Fraction]
 def _omega_terms(i: int, j: int) -> dict:
     """Two-form table of I_i I_j, any i != j in 0..8."""
     fam = build_involutions()
-    op = _sp_to_operator(_sp_compose(fam.signed[i], fam.signed[j]))
-    return two_form_from_operator(op)._terms
+    return two_form_from_operator(fam[i] @ fam[j])._terms
 
 
 @functools.cache
@@ -201,24 +198,15 @@ def bianchi_cyclic_residual(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
     """Cyclic sum over (x, y, z) of sum_{i<j} omega_ij(x, y) I_i I_j z.
 
     Identically zero; this is the algebraic heart of the first Bianchi
-    identity for the associated curvature operator.
+    identity for the associated curvature operator.  Each term is the
+    two-form expansion `curvature_omega` at scale c = -4, where its
+    factor -c/4 is 1.
     """
-    cx, cy, cz = x.coords(), y.coords(), z.coords()
-    total = [0] * 16
-    for sp in _pair_sps():
-        iy = _sp_apply(sp, cy)
-        iz = _sp_apply(sp, cz)
-        ix = _sp_apply(sp, cx)
-        a = sum(p * q for p, q in zip(cx, iy))  # omega(x, y)
-        b = sum(p * q for p, q in zip(cy, iz))  # omega(y, z)
-        c = sum(p * q for p, q in zip(cz, ix))  # omega(z, x)
-        if a:
-            total = [t + a * v for t, v in zip(total, iz)]
-        if b:
-            total = [t + b * v for t, v in zip(total, ix)]
-        if c:
-            total = [t + c * v for t, v in zip(total, iy)]
-    return Vector16._raw(total)
+    return (
+        curvature_omega(x, y, z, -4)
+        + curvature_omega(y, z, x, -4)
+        + curvature_omega(z, x, y, -4)
+    )
 
 
 # rotation invariance and frame independence ---------------------------------
@@ -442,58 +430,27 @@ def friedrich_identities(x: Vector16, y: Vector16) -> VerificationReport:
     with both sums over increasing index tuples.
     """
     fam = build_involutions()
-    cx, cy = x.coords(), y.coords()
 
-    omega_part: dict = {}
-    sigma_part: dict = {}
-    for i in range(9):
-        for j in range(i + 1, 9):
-            t = _omega_terms(i, j)
-            val = _eval_two_form(t, cx, cy)
-            if val:
-                _accumulate_scaled(omega_part, t, val)
-    for i in range(9):
-        for j in range(i + 1, 9):
-            for k in range(j + 1, 9):
-                t = _sigma_terms(i, j, k)
-                val = _eval_two_form(t, cx, cy)
-                if val:
-                    _accumulate_scaled(sigma_part, t, val)
+    def expansion(grade: int, two_form) -> AlternatingForm:
+        """sum over increasing index tuples of <x, P y> times P's two-form."""
+        total = AlternatingForm.zero(2)
+        for idx in combinations(range(9), grade):
+            p = clifford_product(fam, idx)
+            total = total + two_form(*idx).scale(inner16(x, p.apply(y)))
+        return total
 
+    omega_part = expansion(2, omega2)
+    sigma_part = expansion(3, sigma2)
     lhs1 = flat(x).wedge(flat(y)).scale(8)
-    rhs1_terms = dict(omega_part)
-    _accumulate_scaled(rhs1_terms, sigma_part, 1)
-    rhs1 = AlternatingForm._raw(2, rhs1_terms)
-
     lhs2 = AlternatingForm.zero(2)
-    for l in range(9):
-        ilx = fam[l].apply(x)
-        ily = fam[l].apply(y)
-        lhs2 = lhs2 + flat(ilx).wedge(flat(ily))
+    for op in fam.ops:
+        lhs2 = lhs2 + flat(op.apply(x)).wedge(flat(op.apply(y)))
     lhs2 = lhs2.scale(8)
-    rhs2_terms = {m: 5 * v for m, v in omega_part.items()}
-    _accumulate_scaled(rhs2_terms, sigma_part, -3)
-    rhs2 = AlternatingForm._raw(2, rhs2_terms)
 
     rep = VerificationReport()
-    rep.add("friedrich.wedge-expansion", lhs1 == rhs1)
-    rep.add("friedrich.averaged-expansion", lhs2 == rhs2)
+    rep.add("friedrich.wedge-expansion", lhs1 == omega_part + sigma_part)
+    rep.add(
+        "friedrich.averaged-expansion",
+        lhs2 == omega_part.scale(5) - sigma_part.scale(3),
+    )
     return rep
-
-
-def _eval_two_form(terms: dict, cx, cy) -> Num:
-    total = 0
-    for m, v in terms.items():
-        a = (m & -m).bit_length() - 1
-        b = m.bit_length() - 1
-        total += v * (cx[a] * cy[b] - cx[b] * cy[a])
-    return total
-
-
-def _accumulate_scaled(acc: dict, terms: dict, scale: Num) -> None:
-    for m, v in terms.items():
-        w = acc.get(m, 0) + v * scale
-        if w:
-            acc[m] = w
-        else:
-            del acc[m]

@@ -19,18 +19,13 @@ and Fraction arguments and scales are accepted.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Union
 
 from .linalg import clear_denominators, require_exact
 from .octonion import inner_oct
-from .operators import (
-    Vector16,
-    _pair_sps,
-    _sp_apply,
-    build_involutions,
-    inner16,
-)
+from .operators import Vector16, build_involutions, inner16, pair_products
 from .report import VerificationReport
 
 Num = Union[int, Fraction]
@@ -69,11 +64,12 @@ def curvature_omega(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """R_XY Z via the two-form expansion over the 36 involution pairs."""
     cx, cy, cz, factor = _cleared(x, y, z, c)
     total = [0] * 16
-    for sp in _pair_sps():
-        coeff = sum(p * q for p, q in zip(cx, _sp_apply(sp, cy)))
+    for op in pair_products():
+        entries = op.entries()
+        coeff = sum(v * cx[r] * cy[k] for r, k, v in entries)  # <x, P y>
         if coeff:
-            iz = _sp_apply(sp, cz)
-            total = [t + coeff * v for t, v in zip(total, iz)]
+            for r, k, v in entries:
+                total[r] += coeff * v * cz[k]
     return _rescaled(total, factor)
 
 
@@ -106,11 +102,12 @@ def _s_prime_operator(cx, cy, cz) -> list:
     """S'_XY Z / (-c/4) = 3 g(Y,Z) X + sum_i g(I_i Y, Z) I_i X."""
     g = sum(p * q for p, q in zip(cy, cz))
     total = [3 * g * v for v in cx]
-    for sp in build_involutions().signed:
-        coeff = sum(p * q for p, q in zip(_sp_apply(sp, cy), cz))
+    for op in build_involutions().ops:
+        entries = op.entries()
+        coeff = sum(v * cz[r] * cy[k] for r, k, v in entries)  # <I Y, Z>
         if coeff:
-            ix = _sp_apply(sp, cx)
-            total = [t + coeff * v for t, v in zip(total, ix)]
+            for r, k, v in entries:
+                total[r] += coeff * v * cx[k]
     return total
 
 
@@ -168,14 +165,15 @@ def curvature_prime_octonion(x, y, z, c: Num) -> Vector16:
 def averaging_identity(x: Vector16, y: Vector16, z: Vector16, c: Num) -> VerificationReport:
     """Check 5 R_XY Z = sum_j I_j R_XY (I_j Z) for the given arguments."""
     lhs = 5 * curvature_omega(x, y, z, c)
-    cz = z.coords()
-    acc = [0] * 16
-    for sp in build_involutions().signed:
-        iz = Vector16._raw(_sp_apply(sp, cz))
-        r = _sp_apply(sp, curvature_omega(x, y, iz, c).coords())
-        acc = [a + v for a, v in zip(acc, r)]
+    rhs = functools.reduce(
+        Vector16.__add__,
+        (
+            op.apply(curvature_omega(x, y, op.apply(z), c))
+            for op in build_involutions().ops
+        ),
+    )
     rep = VerificationReport()
-    rep.add("curvature.averaging", lhs == Vector16._raw(acc))
+    rep.add("curvature.averaging", lhs == rhs)
     return rep
 
 

@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .linalg import clear_denominators, require_exact
-from .operators import Operator16, Vector16, sparse_rows
+from .operators import Operator16, Vector16
 
 Num = Union[int, Fraction]
 
@@ -221,8 +221,14 @@ class AlternatingForm:
         return _exact_ratio(total, denom)
 
     def pullback(self, op: Operator16) -> "AlternatingForm":
-        """The form X -> self(op X1, ..., op Xp)."""
-        rows = sparse_rows(op)
+        """The form X -> self(op X1, ..., op Xp).
+
+        Each index of a monomial expands over the nonzero entries of its
+        row of op; a signed permutation leaves one leaf per monomial.
+        """
+        rows: list = [[] for _ in range(16)]
+        for r, c, v in op.entries():
+            rows[r].append((c, v))
         out: dict = {}
         for m, coeff in self._terms.items():
             _expand_pullback(rows, _tuple_of(m), 0, 0, coeff, out)
@@ -237,11 +243,9 @@ class AlternatingForm:
         unit E_rc (`generator_image`) over the nonzero entries of op.
         """
         out: dict = {}
-        for r, row in enumerate(op.rows):
-            for c, x in enumerate(row):
-                if x:
-                    for m, v in generator_image(self, r, c).items():
-                        out[m] = out.get(m, 0) + x * v
+        for r, c, x in op.entries():
+            for m, v in generator_image(self, r, c).items():
+                out[m] = out.get(m, 0) + x * v
         return AlternatingForm._raw(
             self.degree, {m: v for m, v in out.items() if v}
         )
@@ -306,13 +310,9 @@ def two_form_from_operator(op: Operator16) -> AlternatingForm:
     """
     if not op.is_skew():
         raise ValueError("operator has a nonzero symmetric part")
-    terms = {}
-    for a in range(16):
-        row = op.rows[a]
-        for b in range(a + 1, 16):
-            if row[b]:
-                terms[1 << a | 1 << b] = row[b]
-    return AlternatingForm._raw(2, terms)
+    return AlternatingForm._raw(
+        2, {1 << a | 1 << b: v for a, b, v in op.entries() if a < b}
+    )
 
 
 # exact wedge-sum kernel -----------------------------------------------------

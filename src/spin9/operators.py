@@ -7,8 +7,10 @@ for k = 0..7 and e_{k+8} = (0, u_k).  The involutions act by
     I_8 (x1, x2) = (-x1, x2),
 
 and satisfy I_i I_j + I_j I_i = 2 delta_ij, I_i symmetric, trace zero.
-Products of distinct I_i are signed permutations of the basis, which the
-internal helpers exploit; the public surface stays plain exact matrices.
+Products of distinct I_i are signed permutations of the basis, so they
+have one nonzero entry per row.  `Operator16` keeps its dense rows and
+lists its nonzero entries once; products and `apply` run over those, so
+a signed permutation costs 16 entries, and there is no second format.
 """
 
 from __future__ import annotations
@@ -97,9 +99,13 @@ def inner16(x: Vector16, y: Vector16) -> Num:
 
 
 class Operator16:
-    """A linear operator on R^16 as a dense 16x16 exact matrix."""
+    """A linear operator on R^16 as a dense 16x16 exact matrix.
 
-    __slots__ = ("rows",)
+    `entries()` lists the nonzero entries, computed at most once per
+    instance; equality and hashing use the rows alone.
+    """
+
+    __slots__ = ("rows", "_entries")
 
     def __init__(self, rows):
         r = tuple(tuple(map(require_exact, row)) for row in rows)
@@ -159,14 +165,26 @@ class Operator16:
     def __rmul__(self, t) -> "Operator16":
         return self.scale(t)
 
-    def __matmul__(self, other: "Operator16") -> "Operator16":
-        bcols = tuple(zip(*other.rows))
-        return Operator16._raw(
-            tuple(
-                tuple(sum(x * y for x, y in zip(row, col) if x) for col in bcols)
-                for row in self.rows
+    def entries(self) -> tuple:
+        """The nonzero entries (row, col, value) in row-major order."""
+        try:
+            return self._entries
+        except AttributeError:
+            e = tuple(
+                (r, c, x)
+                for r, row in enumerate(self.rows)
+                for c, x in enumerate(row)
+                if x
             )
-        )
+            object.__setattr__(self, "_entries", e)
+            return e
+
+    def __matmul__(self, other: "Operator16") -> "Operator16":
+        out = [[0] * 16 for _ in range(16)]
+        brows = other.rows
+        for r, k, x in self.entries():
+            out[r] = [a + x * y for a, y in zip(out[r], brows[k])]
+        return Operator16._raw(tuple(map(tuple, out)))
 
     def transpose(self) -> "Operator16":
         return Operator16._raw(tuple(zip(*self.rows)))
@@ -182,7 +200,9 @@ class Operator16:
 
     def apply(self, v: Vector16) -> Vector16:
         c = v.coords()
-        out = tuple(sum(r[k] * c[k] for k in range(16) if c[k]) for r in self.rows)
+        out = [0] * 16
+        for r, k, x in self.entries():
+            out[r] += x * c[k]
         return Vector16._raw(out)
 
     def det(self) -> Fraction:
@@ -202,47 +222,11 @@ def commutator(a: Operator16, b: Operator16) -> Operator16:
     return a @ b - b @ a
 
 
-# Signed permutations (perm, sign): op(e_t) = sign[t] * e_perm[t].
-# Used internally because products of the involutions stay in this class.
-
-
-def _sp_compose(a, b):
-    pa, sa = a
-    pb, sb = b
-    return (
-        tuple(pa[pb[t]] for t in range(16)),
-        tuple(sb[t] * sa[pb[t]] for t in range(16)),
-    )
-
-
-def _sp_apply(sp, coords) -> list:
-    """Coordinates of op(v) for a signed permutation op and v's coordinates."""
-    perm, sign = sp
-    out = [0] * 16
-    for t in range(16):
-        v = coords[t]
-        if v:
-            out[perm[t]] = sign[t] * v
-    return out
-
-
-def _sp_to_operator(sp) -> Operator16:
-    perm, sign = sp
-    rows = [[0] * 16 for _ in range(16)]
-    for t in range(16):
-        rows[perm[t]][t] = sign[t]
-    return Operator16(rows)
-
-
-_SP_IDENTITY = (tuple(range(16)), (1,) * 16)
-
-
 @dataclass(frozen=True)
 class InvolutionFamily:
-    """The nine involutions, with their signed-permutation forms."""
+    """The nine involutions I_0, ..., I_8 as operators."""
 
     ops: tuple
-    signed: tuple
 
     def __getitem__(self, i: int) -> Operator16:
         return self.ops[i]
@@ -250,35 +234,34 @@ class InvolutionFamily:
 
 @functools.cache
 def build_involutions() -> InvolutionFamily:
-    sps = []
+    ops = []
     for i in range(8):
         ui = Octonion.unit(i)
-        perm = [0] * 16
-        sign = [0] * 16
-        for b in range(16):
-            if b < 8:
-                img = Octonion.unit(b).conj() * ui  # low block maps to high
-                k = next(t for t in range(8) if img.coeffs[t])
-                perm[b], sign[b] = k + 8, img.coeffs[k]
-            else:
-                img = ui * Octonion.unit(b - 8).conj()
-                k = next(t for t in range(8) if img.coeffs[t])
-                perm[b], sign[b] = k, img.coeffs[k]
-        sps.append((tuple(perm), tuple(sign)))
-    sps.append((tuple(range(16)), (-1,) * 8 + (1,) * 8))
-    return InvolutionFamily(
-        ops=tuple(_sp_to_operator(sp) for sp in sps), signed=tuple(sps)
+        rows = [[0] * 16 for _ in range(16)]
+        for b in range(8):
+            ub = Octonion.unit(b).conj()
+            # I_i e_b = (0, conj(u_b) u_i) and I_i e_{b+8} = (u_i conj(u_b), 0)
+            for t, v in enumerate((ub * ui).coeffs):
+                rows[t + 8][b] = v
+            for t, v in enumerate((ui * ub).coeffs):
+                rows[t][b + 8] = v
+        ops.append(Operator16(rows))
+    ops.append(
+        Operator16(
+            tuple(
+                tuple((1 if a >= 8 else -1) if a == b else 0 for b in range(16))
+                for a in range(16)
+            )
+        )
     )
+    return InvolutionFamily(ops=tuple(ops))
 
 
 @functools.cache
-def _pair_sps() -> tuple:
-    """Signed permutations of I_i I_j for the 36 pairs i < j, in lex order."""
+def pair_products() -> tuple:
+    """I_i I_j for the 36 pairs i < j, in lex order."""
     fam = build_involutions()
-    return tuple(
-        _sp_compose(fam.signed[i], fam.signed[j])
-        for i, j in combinations(range(9), 2)
-    )
+    return tuple(fam[i] @ fam[j] for i, j in combinations(range(9), 2))
 
 
 def _validate_indices(indices) -> tuple:
@@ -294,16 +277,9 @@ def _validate_indices(indices) -> tuple:
 
 def clifford_product(family: InvolutionFamily, indices) -> Operator16:
     """The product I_{i1} ... I_{ir} for a strictly increasing index tuple."""
-    return _sp_to_operator(clifford_signed(family, indices))
-
-
-def clifford_signed(family: InvolutionFamily, indices):
-    """Signed-permutation form of clifford_product, for fast composition."""
-    idx = _validate_indices(indices)
-    sp = _SP_IDENTITY
-    for i in idx:
-        sp = _sp_compose(sp, family.signed[i])
-    return sp
+    return functools.reduce(
+        Operator16.__matmul__, (family[i] for i in _validate_indices(indices))
+    )
 
 
 def lambda_basis(family: InvolutionFamily, r: int) -> list:
@@ -353,11 +329,4 @@ def boost8(family: InvolutionFamily, p: RationalCirclePoint) -> Operator16:
     if not p.is_boost:
         raise ValueError("boost needs a hyperbola point with c^2 - s^2 = 1, c >= 1")
     return Operator16.identity(p.c) + family[8].scale(p.s)
-
-
-def sparse_rows(op: Operator16) -> tuple:
-    """Rows as tuples of (column, value) with zeros dropped."""
-    return tuple(
-        tuple((b, x) for b, x in enumerate(row) if x) for row in op.rows
-    )
 

@@ -4,9 +4,11 @@ The stabilizer algebra of a p-form w on R^n is the kernel of the linear
 map A -> L_A w from the n x n matrices to p-forms.  The kernel is found
 by one exact computation: assemble the integer system row by row, bring
 all of it to fraction-free echelon form, and read the kernel off that
-echelon.  Two certificates follow.  Every basis vector is substituted
-back through the full map and must give the zero form, and the rank of
-the echelon plus the kernel dimension must equal n*n.
+echelon.  The certificate is the substitution: every basis vector is
+put back through the full Lie-derivative map and must give the zero
+form.  The rank of the echelon plus the kernel dimension equals n*n as
+a consistency identity, not a second certificate, because `nullspace`
+returns one vector per non-pivot column of that same echelon.
 
 The solver is anchored on two closed-form cases before being trusted on
 the canonical 8-form: the standard symplectic 2-form on R^4, whose
@@ -65,18 +67,24 @@ def vec_to_operator(vec, n: int) -> Operator16:
     return Operator16(rows)
 
 
-def operator_to_vec(op: Operator16, n: int = 16) -> tuple:
-    return tuple(op.rows[r][c] for r in range(n) for c in range(n))
+def operator_row(op: Operator16, n: int = 16) -> dict:
+    """The n x n block of op as one integer row {n*r + c: entry}.
+
+    Scaled by `row_to_int`, which keeps spans and ranks unchanged.
+    """
+    return row_to_int(
+        {n * r + c: v for r, c, v in op.entries() if r < n and c < n}
+    )
 
 
 @dataclass(frozen=True)
 class StabilizerResult:
     """Exact kernel of A -> L_A form, with its certificates.
 
-    kernel_basis elements are primitive integer matrices; system_rank is
-    the exact rank of the equation system, so system_rank plus
-    kernel_dimension equals n*n.  Both certificates have passed on every
-    result returned.
+    kernel_basis elements are primitive integer matrices, each checked
+    to annihilate the form by substitution; that check is the
+    certificate.  system_rank is the exact rank of the equation system,
+    and system_rank plus kernel_dimension equals n*n by construction.
     """
 
     kernel_dimension: int
@@ -113,7 +121,7 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
     if any(form.lie_derivative(op) for op in ops):
         raise AssertionError("kernel vector moves the form")
     if len(ech) + len(vecs) != ncols:
-        raise AssertionError("rank-nullity certificate failed")
+        raise AssertionError("rank-nullity identity failed")
     fam = build_involutions()
     contains = n == 16 and all(
         not form.lie_derivative(clifford_product(fam, (i, j)))
@@ -131,20 +139,13 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
 
 def kernel_echelon(result: StabilizerResult) -> list:
     n = result.dimension
-    return int_echelon(
-        row_to_int(
-            {i: v for i, v in enumerate(operator_to_vec(op, n)) if v}
-        )
-        for op in result.kernel_basis
-    )
+    return int_echelon(operator_row(op, n) for op in result.kernel_basis)
 
 
 def in_kernel_span(result: StabilizerResult, op: Operator16, ech=None) -> bool:
     if ech is None:
         ech = kernel_echelon(result)
-    n = result.dimension
-    vec = {i: v for i, v in enumerate(operator_to_vec(op, n)) if v}
-    return not reduce_against(ech, vec)
+    return not reduce_against(ech, operator_row(op, result.dimension))
 
 
 def bracket_closure(result: StabilizerResult) -> VerificationReport:
@@ -186,13 +187,7 @@ def spans_involution_pairs(result: StabilizerResult) -> bool:
     ech = kernel_echelon(result)
     if not all(in_kernel_span(result, p, ech) for p in prods):
         return False
-    prod_rank = len(
-        int_echelon(
-            row_to_int({i: v for i, v in enumerate(operator_to_vec(p)) if v})
-            for p in prods
-        )
-    )
-    return prod_rank == 36
+    return len(int_echelon(operator_row(p) for p in prods)) == 36
 
 
 def symplectic_form_r4() -> AlternatingForm:
@@ -264,33 +259,18 @@ def sp4_certification() -> VerificationReport:
         solver_dim=result.kernel_dimension,
         oracle_dim=oracle_dim,
     )
-    jrows = [[0] * 4 for _ in range(4)]
+    jrows = [[0] * 16 for _ in range(16)]
     for a, b in ((0, 1), (2, 3)):
         jrows[a][b] = 1
         jrows[b][a] = -1
-    ok = True
-    for op in result.kernel_basis:
-        a4 = [[op.rows[r][c] for c in range(4)] for r in range(4)]
-        ja = _mat4_mul(jrows, a4)
-        atj = _mat4_mul(_transpose4(a4), jrows)
-        if any(
-            ja[r][c] + atj[r][c] for r in range(4) for c in range(4)
-        ):
-            ok = False
+    j = Operator16(jrows)
+    ok = all(
+        j @ op + op.transpose() @ j == Operator16.zero()
+        for op in result.kernel_basis
+    )
     report.add("stabilizer.sp4.symplectic-condition", ok)
     report.extend(bracket_closure(result))
     return report
-
-
-def _mat4_mul(a, b):
-    return [
-        [sum(a[r][k] * b[k][c] for k in range(4)) for c in range(4)]
-        for r in range(4)
-    ]
-
-
-def _transpose4(a):
-    return [[a[c][r] for c in range(4)] for r in range(4)]
 
 
 def decomposable_certification() -> VerificationReport:

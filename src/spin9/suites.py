@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import bpt, canonical, curvature, stabilizer
 from .exterior import AlternatingForm
-from .linalg import int_echelon, row_to_int
+from .linalg import int_echelon
 from .octonion import (
     Octonion,
     apply_matrix8,
@@ -134,16 +134,7 @@ def verify_operators(config: RunConfig) -> VerificationReport:
 
     sizes = tuple(len(lambda_basis(fam, r)) for r in (1, 2, 3, 4))
     prod_rank = len(
-        int_echelon(
-            row_to_int(
-                {
-                    k: v
-                    for k, v in enumerate(stabilizer.operator_to_vec(op))
-                    if v
-                }
-            )
-            for op in lambda_basis(fam, 2)
-        )
+        int_echelon(stabilizer.operator_row(op) for op in lambda_basis(fam, 2))
     )
     report.add(
         "operators.clifford-grading",

@@ -5,7 +5,12 @@ from fractions import Fraction
 from spin9 import exterior
 from spin9.exterior import AlternatingForm
 from spin9.octonion import Octonion
-from spin9.operators import Vector16, build_involutions, clifford_signed
+from spin9.operators import (
+    Operator16,
+    Vector16,
+    build_involutions,
+    clifford_product,
+)
 
 
 def rand_octonion(rng, span=3):
@@ -22,9 +27,15 @@ def rand_fraction_vector(rng):
     )
 
 
-def apply_sparse(rows, coords):
-    """Apply `operators.sparse_rows` output to a coordinate tuple."""
-    return tuple(sum(x * coords[b] for b, x in row) for row in rows)
+def matmul_oracle(a, b):
+    """The dense row-by-column product of two `Operator16`s, by definition."""
+    bcols = tuple(zip(*b.rows))
+    return Operator16(
+        tuple(
+            tuple(sum(x * y for x, y in zip(row, col) if x) for col in bcols)
+            for row in a.rows
+        )
+    )
 
 
 def curvature_oracle(x, y, z, c):
@@ -35,21 +46,17 @@ def curvature_oracle(x, y, z, c):
     """
     fam = build_involutions()
 
-    def apply(sp, coords):
-        perm, sign = sp
-        out = [0] * 16
-        for t in range(16):
-            out[perm[t]] = sign[t] * coords[t]
-        return out
+    def apply(rows, coords):
+        return [sum(p * q for p, q in zip(row, coords)) for row in rows]
 
     cx, cy, cz = x.coords(), y.coords(), z.coords()
     total = [Fraction(0)] * 16
     for i in range(9):
         for j in range(i + 1, 9):
-            sp = clifford_signed(fam, (i, j))
-            coeff = sum(p * q for p, q in zip(cx, apply(sp, cy)))
+            rows = clifford_product(fam, (i, j)).rows
+            coeff = sum(p * q for p, q in zip(cx, apply(rows, cy)))
             if coeff:
-                iz = apply(sp, cz)
+                iz = apply(rows, cz)
                 total = [t + coeff * v for t, v in zip(total, iz)]
     scale = -Fraction(c, 4)
     return Vector16.from_coords([scale * t for t in total])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import apply_sparse, rand_vector
+from helpers import matmul_oracle, rand_vector
 from spin9.linalg import rank
 from spin9.operators import (
     Operator16,
@@ -19,8 +19,8 @@ from spin9.operators import (
     commutator,
     inner16,
     lambda_basis,
+    pair_products,
     rotation,
-    sparse_rows,
 )
 
 FAM = build_involutions()
@@ -224,10 +224,61 @@ def test_boost_preserves_quadratic_form():
     assert (p.c + p.s) * (p.c - p.s) == 1
 
 
-def test_sparse_rows_round_trip():
+def _rand_dense_operator(rng):
+    return Operator16(
+        [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(16)]
+         for _ in range(16)]
+    )
+
+
+def test_entries_round_trip():
     rng = random.Random(24)
-    op = clifford_product(FAM, (2, 6))
-    rows = sparse_rows(op)
-    for _ in range(10):
-        v = rand_vector(rng)
-        assert tuple(apply_sparse(rows, v.coords())) == op.apply(v).coords()
+    p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
+    for op in (clifford_product(FAM, (2, 6)), rotation(FAM, 1, 4, p),
+               _rand_dense_operator(rng), Operator16.zero()):
+        entries = op.entries()
+        assert entries is op.entries()
+        dense = [[0] * 16 for _ in range(16)]
+        for r, c, v in entries:
+            assert v
+            dense[r][c] = v
+        assert tuple(map(tuple, dense)) == op.rows
+        assert [rc[:2] for rc in entries] == sorted(rc[:2] for rc in entries)
+        for _ in range(5):
+            v = rand_vector(rng).coords()
+            by_rows = tuple(sum(a * b for a, b in zip(row, v)) for row in op.rows)
+            assert op.apply(Vector16.from_coords(v)).coords() == by_rows
+
+
+def test_matmul_matches_dense_oracle():
+    rng = random.Random(25)
+    dense = [_rand_dense_operator(rng) for _ in range(3)]
+    for a, b in itertools.product(dense, repeat=2):
+        assert a @ b == matmul_oracle(a, b)
+    for ops in (FAM.ops, pair_products()):
+        few = ops[::5]
+        for a, b in itertools.chain(itertools.product(ops, few),
+                                    itertools.product(few, ops)):
+            assert a @ b == matmul_oracle(a, b)
+        for a in ops[::4]:
+            assert a @ dense[0] == matmul_oracle(a, dense[0])
+            assert dense[0] @ a == matmul_oracle(dense[0], a)
+
+
+def test_pair_products_are_the_lex_pairs():
+    pairs = list(itertools.combinations(range(9), 2))
+    assert pair_products() == tuple(
+        matmul_oracle(FAM[i], FAM[j]) for i, j in pairs
+    )
+
+
+def test_clifford_product_matches_oracle_on_every_index_tuple():
+    count = 0
+    for r in range(1, 5):
+        for idx in itertools.combinations(range(9), r):
+            expected = FAM[idx[0]]
+            for i in idx[1:]:
+                expected = matmul_oracle(expected, FAM[i])
+            assert clifford_product(FAM, idx) == expected
+            count += 1
+    assert count == 255

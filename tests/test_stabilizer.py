@@ -1,15 +1,21 @@
 """Kernel of A -> L_A form: certified solve, oracles, exclusion witnesses."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import lie_derivative_oracle
+from helpers import lie_derivative_oracle, matmul_oracle
 from spin9 import stabilizer
 from spin9.exterior import AlternatingForm, generator_image
 from spin9.linalg import rank
-from spin9.operators import Operator16, build_involutions, clifford_product
+from spin9.operators import (
+    Operator16,
+    build_involutions,
+    clifford_product,
+    commutator,
+)
 from spin9.stabilizer import (
     bracket_closure,
     decomposable_certification,
@@ -23,8 +29,8 @@ from spin9.stabilizer import (
     spans_involution_pairs,
     stabilizer_system,
     symplectic_form_r4,
+    operator_row,
     vec_to_operator,
-    operator_to_vec,
 )
 
 FAM = build_involutions()
@@ -76,7 +82,9 @@ def test_stabilizer_system_rows_are_lie_coefficients():
 def test_vec_operator_round_trip():
     rng = random.Random(73)
     vec = tuple(rng.randint(-3, 3) for _ in range(256))
-    assert operator_to_vec(vec_to_operator(vec, 16), 16) == vec
+    # the entries include +-1, so the gcd scaling of the row is 1
+    row = operator_row(vec_to_operator(vec, 16), 16)
+    assert row == {i: v for i, v in enumerate(vec) if v}
 
 
 def test_sp4_oracle_dimension():
@@ -147,14 +155,22 @@ def test_eight_form_kernel_closes_under_bracket(omega8):
     assert rep.passed
 
 
+def test_kernel_basis_products_match_dense_oracle(omega8):
+    # the 630 commutators that bracket_closure forms, product by product
+    basis = infinitesimal_stabilizer(omega8).kernel_basis
+    assert len(basis) == 36
+    for a, b in itertools.combinations(basis, 2):
+        assert a @ b == matmul_oracle(a, b)
+        assert commutator(a, b) == matmul_oracle(a, b) - matmul_oracle(b, a)
+
+
 def test_kernel_dimension_bounds_are_sharp(omega8):
     # the 36 pair products are independent solutions, so 36 is attained
-    vecs = [
-        operator_to_vec(clifford_product(FAM, (i, j)), 16)
+    rows = [
+        operator_row(clifford_product(FAM, (i, j)), 16)
         for i in range(9)
         for j in range(i + 1, 9)
     ]
-    rows = [{c: v for c, v in enumerate(vec) if v} for vec in vecs]
     assert rank(rows) == 36
 
 
