@@ -21,6 +21,7 @@ from functools import cache
 import numpy as np
 
 from .exterior import AlternatingForm, perm_sign
+from .linalg import exact_ratio
 from .octonion import Octonion, cross_oct, re_mul
 from .operators import Operator16, Vector16, build_involutions, clifford_product
 from .report import VerificationReport
@@ -127,8 +128,7 @@ def bpt_8form_full(vectors) -> Fraction | int:
             total = total - prod
     if total.im():
         raise AssertionError("symmetrized cross-product sum is not real")
-    value = Fraction(total.re(), 128)
-    return int(value) if value.denominator == 1 else value
+    return exact_ratio(total.re(), 128)
 
 
 def bpt_4form(vectors) -> Fraction | int:

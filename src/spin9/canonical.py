@@ -7,7 +7,12 @@ assemble into the invariant eight-form
 
 with omega_ii = 0 and omega_ji = -omega_ij.  The sum here is literal,
 over all ordered index quadruples; the cancellations down to 702
-surviving monomials are an output, never an assumption.  This module
+surviving monomials are an output, never an assumption.  It is grouped
+by plain distributivity as sum_{j,j'} Q_jj' ^ Q_jj' with
+Q_jj' = sum_{i not in {j,j'}} omega_ij ^ omega_ij', so every ordered
+quadruple still contributes its term exactly once.  The alternative
+grouping and the triple-form sum are sums of squared four-forms as well;
+all three go through one sum-of-squares helper.  This module
 also provides the S8-sum evaluation kernel used to cross-check wedge
 arithmetic, the vanishing corollaries, an alternative grouping of the
 sum, the triple-form analogue whose equality with Omega is settled by
@@ -26,7 +31,7 @@ from typing import Optional, Union
 
 from .curvature import curvature_omega
 from .exterior import AlternatingForm, perm_sign, two_form_from_operator, wedge_sum
-from .linalg import clear_denominators, det
+from .linalg import clear_denominators, det, exact_ratio
 from .octonion import Octonion
 from .operators import (
     InvolutionFamily,
@@ -78,17 +83,13 @@ def sigma2(i: int, j: int, k: int) -> AlternatingForm:
 # the canonical eight-form ---------------------------------------------------
 
 
-def _quadruples():
-    for i in range(9):
-        for ip in range(9):
-            banned = {i, ip}
-            for j in range(9):
-                if j in banned:
-                    continue
-                for jp in range(9):
-                    if jp in banned:
-                        continue
-                    yield i, j, ip, jp
+def _sum_of_squares(groups) -> dict:
+    """sum over groups of Q ^ Q, where Q = sum of a ^ b over the group's pairs.
+
+    Each group is a list of (a, b) integer tables; both stages run on the
+    checked kernel `wedge_sum`.
+    """
+    return wedge_sum((q, q) for q in (wedge_sum(g) for g in groups))
 
 
 @functools.cache
@@ -101,19 +102,16 @@ def canonical_8form() -> AlternatingForm:
 def build_8form_from_two_forms(w2: dict) -> dict:
     """The quadruple sum over arbitrary integer two-form tables.
 
-    w2 maps ordered (i, j), i != j, to {mask: coeff}.  Pair products
-    omega_ij ^ omega_ij' are formed once per (i, j, j') and the quadruple
-    loop wedges matching pairs; this is plain distributivity, no
-    index-set reduction.  Both stages run on the checked kernel
-    `wedge_sum`, exact for integer coefficients of any size.
+    w2 maps ordered (i, j), i != j, to {mask: coeff}.  By distributivity
+    the sum is sum_{j,j'} Q_jj' ^ Q_jj' over the 81 ordered pairs
+    (j, j'), with Q_jj' = sum_{i not in {j, j'}} omega_ij ^ omega_ij';
+    every ordered quadruple still contributes its term exactly once, and
+    no index-set reduction enters.  Exact for integer coefficients of
+    any size.
     """
-    pair = {
-        (i, j, jp): wedge_sum([(w2[(i, j)], w2[(i, jp)])])
-        for i, j, jp in product(range(9), repeat=3)
-        if i not in (j, jp)
-    }
-    return wedge_sum(
-        (pair[(i, j, jp)], pair[(ip, j, jp)]) for i, j, ip, jp in _quadruples()
+    return _sum_of_squares(
+        [(w2[(i, j)], w2[(i, jp)]) for i in range(9) if i not in (j, jp)]
+        for j, jp in product(range(9), repeat=2)
     )
 
 
@@ -131,14 +129,13 @@ def canonical_8form_alt() -> AlternatingForm:
     def w(i, j):
         return _omega_terms(i, j) if i != j else empty
 
-    fours = (
-        wedge_sum([(w(i, j), w(ip, jp)), (w(j, ip), w(i, jp))])
+    squares = _sum_of_squares(
+        [(w(i, j), w(ip, jp)), (w(j, ip), w(i, jp))]
         for i, ip, j, jp in product(range(9), repeat=4)
     )
-    terms = {}
-    for m, c in wedge_sum((d, d) for d in fours).items():
-        terms[m] = -c // 2 if c % 2 == 0 else Fraction(-c, 2)
-    return AlternatingForm._raw(8, terms)
+    return AlternatingForm._raw(
+        8, {m: exact_ratio(-c, 2) for m, c in squares.items()}
+    )
 
 
 # S8-sum evaluation kernel ---------------------------------------------------
@@ -176,7 +173,7 @@ def w_tilde(v: Octonion, vp: Octonion, w: Octonion, wp: Octonion) -> Num:
         if not k:
             continue
         total += sign * f * g * h * k
-    return Fraction(total, 16) if total % 16 else total // 16
+    return exact_ratio(total, 16)
 
 
 # vanishing corollaries ------------------------------------------------------
@@ -314,17 +311,16 @@ def conjecture_8form(convention: str = "antisymmetric") -> AlternatingForm:
 @functools.cache
 def _conjecture_build(convention: str) -> AlternatingForm:
     signed = convention == "antisymmetric"
-    fours = (
-        wedge_sum(
+    squares = _sum_of_squares(
+        [
             (_sigma_any(i, j, p, signed), _sigma_any(i, j, pp, signed))
             for i, j in product(range(9), repeat=2)
-        )
+        ]
         for p, pp in product(range(9), repeat=2)
     )
-    terms = {}
-    for m, c in wedge_sum((t, t) for t in fours).items():
-        terms[m] = c // 4 if c % 4 == 0 else Fraction(c, 4)
-    return AlternatingForm._raw(8, terms)
+    return AlternatingForm._raw(
+        8, {m: exact_ratio(c, 4) for m, c in squares.items()}
+    )
 
 
 @dataclass(frozen=True)

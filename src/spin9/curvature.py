@@ -23,7 +23,7 @@ import functools
 from fractions import Fraction
 from typing import Union
 
-from .linalg import clear_denominators, require_exact
+from .linalg import clear_denominators, exact_ratio, require_exact
 from .octonion import inner_oct
 from .operators import Vector16, build_involutions, inner16, pair_products
 from .report import VerificationReport
@@ -182,7 +182,7 @@ def curvature_entry(x, y, z, w, c: Num) -> Num:
     cw, dw = clear_denominators(w.coords())
     r = curvature_omega(x, y, z, c).coords()
     total = sum(p * q for p, q in zip(r, cw))
-    return total if dw == 1 else Fraction(total, dw)
+    return exact_ratio(total, dw)
 
 
 def sectional_curvature(v: Vector16, w: Vector16, c: Num) -> Fraction:

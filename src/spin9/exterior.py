@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .linalg import clear_denominators, require_exact
+from .linalg import clear_denominators, exact_ratio, require_exact
 from .operators import Operator16, Vector16
 
 Num = Union[int, Fraction]
@@ -75,12 +75,6 @@ def perm_sign(seq) -> int:
     seq = tuple(seq)
     inversions = sum(a > b for k, a in enumerate(seq) for b in seq[k + 1:])
     return -1 if inversions & 1 else 1
-
-
-def _exact_ratio(n: int, d: int) -> Num:
-    """n / d as an int when whole, else as a Fraction."""
-    q = Fraction(n, d)
-    return q.numerator if q.denominator == 1 else q
 
 
 class AlternatingForm:
@@ -193,7 +187,7 @@ class AlternatingForm:
         )
         d = da * db
         if d > 1:
-            terms = {m: _exact_ratio(v, d) for m, v in terms.items()}
+            terms = {m: exact_ratio(v, d) for m, v in terms.items()}
         return AlternatingForm._raw(self.degree + other.degree, terms)
 
     def evaluate(self, vectors: Iterable[Vector16]) -> Num:
@@ -218,7 +212,7 @@ class AlternatingForm:
             }
             minors = wedge_sum([(minors, column)]) if k else column
         total = sum(c * minors.get(m, 0) for m, c in zip(self._terms, coeffs))
-        return _exact_ratio(total, denom)
+        return exact_ratio(total, denom)
 
     def pullback(self, op: Operator16) -> "AlternatingForm":
         """The form X -> self(op X1, ..., op Xp).

@@ -113,19 +113,11 @@ def nullspace(rows, ncols: int) -> list:
                     s += v * xv
             if s:
                 x[c] = -s / row[c]
-        denom = 1
-        for v in x.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+        row = row_to_int(x)
+        sign = 1 if row[f] > 0 else -1
         vec = [0] * ncols
-        for c, v in x.items():
-            vec[c] = int(v * denom)
-        g = 0
-        for v in vec:
-            g = gcd(g, v)
-        if g > 1:
-            vec = [v // g for v in vec]
-        if vec[f] < 0:
-            vec = [-v for v in vec]
+        for c, v in row.items():
+            vec[c] = sign * v
         basis.append(vec)
     return basis
 
@@ -146,6 +138,12 @@ def clear_denominators(values) -> tuple:
     values = [require_exact(x) for x in values]
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def exact_ratio(n, d):
+    """n / d as an int when whole, else as a Fraction."""
+    q = Fraction(n, d)
+    return q.numerator if q.denominator == 1 else q
 
 
 def det(rows) -> Fraction:

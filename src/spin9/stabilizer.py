@@ -37,6 +37,7 @@ from .operators import (
     build_involutions,
     clifford_product,
     commutator,
+    pair_products,
 )
 from .report import VerificationReport
 
@@ -70,11 +71,14 @@ def vec_to_operator(vec, n: int) -> Operator16:
 def operator_row(op: Operator16, n: int = 16) -> dict:
     """The n x n block of op as one integer row {n*r + c: entry}.
 
-    Scaled by `row_to_int`, which keeps spans and ranks unchanged.
+    Scaled by `row_to_int`, which keeps spans and ranks unchanged.  An
+    entry outside the block raises ValueError: dropping it would let an
+    operator on R^16 pass as one on R^n.
     """
-    return row_to_int(
-        {n * r + c: v for r, c, v in op.entries() if r < n and c < n}
-    )
+    entries = op.entries()
+    if any(r >= n or c >= n for r, c, _ in entries):
+        raise ValueError(f"operator has entries outside the {n} x {n} block")
+    return row_to_int({n * r + c: v for r, c, v in entries})
 
 
 @dataclass(frozen=True)
@@ -122,11 +126,8 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
         raise AssertionError("kernel vector moves the form")
     if len(ech) + len(vecs) != ncols:
         raise AssertionError("rank-nullity identity failed")
-    fam = build_involutions()
     contains = n == 16 and all(
-        not form.lie_derivative(clifford_product(fam, (i, j)))
-        for i in range(9)
-        for j in range(i + 1, 9)
+        not form.lie_derivative(p) for p in pair_products()
     )
     return StabilizerResult(
         kernel_dimension=len(vecs),
@@ -178,12 +179,7 @@ def spans_involution_pairs(result: StabilizerResult) -> bool:
     """
     if result.dimension != 16 or result.kernel_dimension != 36:
         return False
-    fam = build_involutions()
-    prods = [
-        clifford_product(fam, (i, j))
-        for i in range(9)
-        for j in range(i + 1, 9)
-    ]
+    prods = pair_products()
     ech = kernel_echelon(result)
     if not all(in_kernel_span(result, p, ech) for p in prods):
         return False

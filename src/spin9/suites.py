@@ -33,6 +33,7 @@ from .operators import (
     commutator,
     inner16,
     lambda_basis,
+    pair_products,
     rotation,
 )
 from .report import VerificationReport
@@ -291,11 +292,7 @@ def verify_canonical(config: RunConfig) -> VerificationReport:
         and not canonical.four_form_sigma_sum(),
     )
 
-    ok = all(
-        not omega.lie_derivative(clifford_product(fam, (i, j)))
-        for i in range(9)
-        for j in range(i + 1, 9)
-    )
+    ok = all(not omega.lie_derivative(p) for p in pair_products())
     report.add("canonical.infinitesimal-invariance", ok, pairs=36)
 
     p1 = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
@@ -425,12 +422,9 @@ def verify_curvature(config: RunConfig) -> VerificationReport:
     counts = []
     for m in range(1, 16):
         total = 0
-        for i in range(9):
-            for j in range(i + 1, 9):
-                v = inner16(
-                    basis[0], clifford_product(fam, (i, j)).apply(basis[m])
-                )
-                total += v * v
+        for p in pair_products():
+            v = inner16(basis[0], p.apply(basis[m]))
+            total += v * v
         counts.append(total)
     report.add(
         "curvature.plane-multiplicities",

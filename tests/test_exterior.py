@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -38,6 +38,7 @@ from spin9.operators import (
     Vector16,
     build_involutions,
     clifford_product,
+    inner16,
     rotation,
 )
 
@@ -367,10 +368,18 @@ def test_lie_derivative_matches_first_order_pullback():
 
 
 def test_two_form_from_operator_convention():
-    # omega(X, Y) = <X, (I_i I_j) Y> as a two-form
-    ij = clifford_product(FAM, (0, 2))
-    f = two_form_from_operator(ij)
-    assert f == omega2(0, 2)
+    # the coefficient on (a, b), a < b, is <e_a, P e_b>: for a pair
+    # product, and for a skew operator with Fraction entries that is no
+    # signed permutation
+    m = _random_operator(random.Random(71))
+    m = Operator16([[Fraction(v, 3) for v in row] for row in m.rows])
+    skew = m - m.transpose()
+    assert any(abs(v) not in (0, 1) for _, _, v in skew.entries())
+    basis = [Vector16.basis(k) for k in range(16)]
+    for op in (clifford_product(FAM, (0, 2)), skew):
+        f = two_form_from_operator(op)
+        for a, b in combinations(range(16), 2):
+            assert f.coefficient((a, b)) == inner16(basis[a], op.apply(basis[b]))
 
 
 def test_two_form_from_operator_rejects_symmetric_parts():

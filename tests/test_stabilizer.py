@@ -106,6 +106,17 @@ def test_symplectic_kernel_matches_oracle():
     assert result.system_rank + result.kernel_dimension == 16
 
 
+def test_operators_outside_the_block_are_rejected():
+    # E_{5,9} acts outside R^4; keeping only the 4 x 4 block would
+    # report it in the span of the sp(4) kernel
+    result = infinitesimal_stabilizer(symplectic_form_r4(), n=4)
+    with pytest.raises(ValueError, match="outside the 4 x 4 block"):
+        in_kernel_span(result, _single_entry(5, 9))
+    with pytest.raises(ValueError, match="outside the 4 x 4 block"):
+        operator_row(result.kernel_basis[0] + _single_entry(0, 4), 4)
+    assert in_kernel_span(result, result.kernel_basis[0])
+
+
 def test_decomposable_form_kernel():
     rep = decomposable_certification()
     assert rep.passed

@@ -6,25 +6,36 @@ from pathlib import Path
 import spin9
 
 
-def _private_operator_imports(path):
+def _private_imports(path):
+    """Underscore names that path imports from a spin9 module."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
-        relative = node.level == 1 and node.module == "operators"
-        if relative or node.module == "spin9.operators":
+        if node.level or (node.module or "").split(".")[0] == "spin9":
             for alias in node.names:
                 if alias.name.startswith("_"):
                     yield f"{path.name}:{node.lineno} imports {alias.name}"
 
 
-def test_no_module_imports_private_operator_names():
+def test_no_module_imports_private_names():
     sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
-    assert "operators.py" in [p.name for p in sources]
-    found = [
-        line
-        for path in sources
-        if path.name != "operators.py"
-        for line in _private_operator_imports(path)
-    ]
+    assert {"operators.py", "linalg.py", "exterior.py"} <= {p.name for p in sources}
+    found = [line for path in sources for line in _private_imports(path)]
     assert found == []
+
+
+def test_private_import_guard_sees_each_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "from .linalg import exact_ratio, _normalize\n"
+        "from spin9.operators import _validate_indices\n"
+        "from . import _private_module\n"
+        "from fractions import _gcd\n"
+    )
+    assert [line.split(" imports ")[1] for line in _private_imports(src)] == [
+        "_normalize",
+        "_validate_indices",
+        "_private_module",
+    ]
