@@ -11,12 +11,14 @@ surviving monomials are an output, never an assumption.  It is grouped
 by plain distributivity as sum_{j,j'} Q_jj' ^ Q_jj' with
 Q_jj' = sum_{i not in {j,j'}} omega_ij ^ omega_ij', so every ordered
 quadruple still contributes its term exactly once.  The alternative
-grouping and the triple-form sum are sums of squared four-forms as well;
-all three go through one sum-of-squares helper.  This module
-also provides the S8-sum evaluation kernel used to cross-check wedge
-arithmetic, the vanishing corollaries, an alternative grouping of the
-sum, the triple-form analogue whose equality with Omega is settled by
-exact expansion, deterministic coefficient export, and the two-form
+grouping -1/2 sum D^2 squares the two-by-two minors D of the skew matrix
+(omega_ij); D vanishes when i = i' or j = j' and is antisymmetric in
+i <-> i' and in j <-> j', so each unordered pair of pairs stands for four
+ordered quadruples and the sum is -2 sum D^2 over i < i', j < j'.  The
+triple-form sum is a sum of squared four-forms too; all three go through
+one sum-of-squares helper.  The module also provides the S8-sum
+evaluation kernel, the vanishing corollaries, the verdict on the
+triple-form sum, deterministic coefficient export, and the two-form
 expansion identities of X-flat wedge Y-flat.
 """
 
@@ -117,12 +119,14 @@ def build_8form_from_two_forms(w2: dict) -> dict:
 
 @functools.cache
 def canonical_8form_alt() -> AlternatingForm:
-    """Alternative grouping: -1/2 sum of squared two-by-two differences.
+    """Alternative grouping: -1/2 sum of D^2 over the 6561 ordered quadruples.
 
-    For each ordered quadruple the four-form
-        D = omega_ij ^ omega_i'j' - omega_i'j ^ omega_ij'
-    is squared and accumulated; the total is -1/2 of the sum.  The minus
-    sign enters as omega_ji' = -omega_i'j.
+    D = omega_ij ^ omega_i'j' - omega_i'j ^ omega_ij' (the minus sign
+    enters as omega_ji' = -omega_i'j) vanishes for i = i' (its two terms
+    coincide) and for j = j' (two-forms commute), and changes sign under
+    i <-> i' and under j <-> j'.  So each of the 1296 groups i < i', j < j'
+    stands for four ordered quadruples with the same square, and the sum
+    is -2 sum D^2 over those groups.
     """
     empty: dict = {}
 
@@ -131,11 +135,9 @@ def canonical_8form_alt() -> AlternatingForm:
 
     squares = _sum_of_squares(
         [(w(i, j), w(ip, jp)), (w(j, ip), w(i, jp))]
-        for i, ip, j, jp in product(range(9), repeat=4)
+        for (i, ip), (j, jp) in product(combinations(range(9), 2), repeat=2)
     )
-    return AlternatingForm._raw(
-        8, {m: exact_ratio(-c, 2) for m, c in squares.items()}
-    )
+    return AlternatingForm._raw(8, {m: -2 * c for m, c in squares.items()})
 
 
 # S8-sum evaluation kernel ---------------------------------------------------

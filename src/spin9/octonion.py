@@ -75,7 +75,8 @@ def _build_mul_table() -> tuple:
         table.append(tuple(row))
     out = tuple(table)
     # consistency of the doubling: u5 = u1 u4, u6 = u2 u4, u7 = u3 u4
-    assert out[1][4] == (1, 5) and out[2][4] == (1, 6) and out[3][4] == (1, 7)
+    if out[1][4] != (1, 5) or out[2][4] != (1, 6) or out[3][4] != (1, 7):
+        raise AssertionError("Cayley-Dickson doubling is inconsistent")
     return out
 
 

@@ -1,9 +1,11 @@
 """Shared random generators and small independent oracles for the tests."""
 
 from fractions import Fraction
+from itertools import product
 
 from spin9 import exterior
-from spin9.exterior import AlternatingForm
+from spin9.exterior import AlternatingForm, wedge_sum
+from spin9.linalg import exact_ratio
 from spin9.octonion import Octonion
 from spin9.operators import (
     Operator16,
@@ -235,6 +237,27 @@ def quadruple_sum_oracle(w2):
                             acc, pair[(i, j, jp)], pair[(ip, j, jp)]
                         )
     return acc
+
+
+def alt_grouping_oracle(w):
+    """The alternative grouping as written: -1/2 sum D^2 over 6561 quadruples.
+
+    w(i, j) gives the two-form table {mask: coeff} for i != j; the sum runs
+    over every ordered (i, i', j, j') with
+    D = w(i, j) ^ w(i', j') - w(i', j) ^ w(i, j') (a repeated index gives
+    an empty table), and no symmetry of D is used.
+    """
+
+    def table(i, j):
+        return w(i, j) if i != j else {}
+
+    def minor(i, ip, j, jp):
+        neg = {m: -c for m, c in table(ip, j).items()}
+        return wedge_sum([(table(i, j), table(ip, jp)), (neg, table(i, jp))])
+
+    quads = product(range(9), repeat=4)
+    squares = wedge_sum((d, d) for d in (minor(*q) for q in quads))
+    return {m: exact_ratio(-c, 2) for m, c in squares.items()}
 
 
 def spy_moduli(monkeypatch):

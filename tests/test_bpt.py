@@ -4,7 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import rand_fraction_vector, rand_vector
+from spin9 import bpt
 from spin9.bpt import (
     bpt_4form,
     bpt_8form_full,
@@ -126,12 +129,27 @@ def test_square_factorization():
 
 
 def test_four_form_materialization():
+    # the scalar sum is the one path that does not read `_re_pair_table`
     form = materialize_bpt_4form()
-    rng = random.Random(86)
-    for _ in range(15):
-        idx = sorted(rng.sample(range(16), 4))
-        vs = [Vector16.basis(k) for k in idx]
-        assert form.coefficient(tuple(idx)) == bpt_4form(vs)
+    basis = [Vector16.basis(k) for k in range(16)]
+    for idx in itertools.combinations(range(16), 4):
+        assert form.coefficient(idx) == bpt_4form([basis[k] for k in idx])
+    assert form.term_count() == 140
+
+
+def test_basis_cross_premise_is_checked(monkeypatch):
+    # the table lookups rest on every basis cross being a signed
+    # imaginary unit; a doubled cross must raise, also under python -O
+    def doubled(u, v):
+        return bpt_cross(u, v).scale(2)
+
+    bpt._basis_cross_units.cache_clear()
+    monkeypatch.setattr(bpt, "bpt_cross", doubled)
+    try:
+        with pytest.raises(AssertionError, match="signed imaginary unit"):
+            bpt._basis_cross_units()
+    finally:
+        bpt._basis_cross_units.cache_clear()
 
 
 def test_head_to_head(omega8):

@@ -1,5 +1,6 @@
 """The canonical 8-form: anchors, symmetries, corollaries, conventions."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    alt_grouping_oracle,
     quadruple_sum_oracle,
     rand_fraction_vector,
     rand_octonion,
@@ -41,6 +43,7 @@ from spin9.operators import (
     clifford_product,
     inner16,
 )
+from spin9 import canonical
 from spin9.canonical import bianchi_cyclic_residual
 
 FAM = build_involutions()
@@ -61,6 +64,38 @@ def test_eight_form_term_count(omega8):
 
 def test_grouped_rebuild_agrees(omega8):
     assert canonical_8form_alt() == omega8
+
+
+def test_alt_grouping_reduction_matches_the_literal_sum(monkeypatch):
+    # a random skew family has none of Omega's coincidences, so only the
+    # symmetries of D itself can make the 1296-group sum agree
+    rng = random.Random(93)
+    family = {}
+    for i, j in itertools.combinations(range(9), 2):
+        t = {}
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(range(16), 2)
+            t[(1 << a) | (1 << b)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        family[(i, j)] = t
+        family[(j, i)] = {m: -c for m, c in t.items()}
+
+    def w(i, j):
+        return family[(i, j)]
+
+    groups = []
+    squares = canonical._sum_of_squares
+
+    def spy(gs):
+        gs = list(gs)
+        groups.append(len(gs))
+        return squares(gs)
+
+    monkeypatch.setattr(canonical, "_omega_terms", w)
+    monkeypatch.setattr(canonical, "_sum_of_squares", spy)
+    oracle = alt_grouping_oracle(w)
+    assert len(oracle) > 100
+    assert canonical_8form_alt.__wrapped__()._terms == oracle
+    assert groups == [1296]
 
 
 def test_two_form_conventions():

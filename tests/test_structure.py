@@ -39,3 +39,30 @@ def test_private_import_guard_sees_each_form(tmp_path):
         "_validate_indices",
         "_private_module",
     ]
+
+
+def _assert_statements(path):
+    """Bare `assert` statements in path; `python -O` strips them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_no_module_checks_a_premise_with_assert():
+    # checked premises must raise AssertionError explicitly
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert {"bpt.py", "octonion.py"} <= {p.name for p in sources}
+    found = [line for path in sources for line in _assert_statements(path)]
+    assert found == []
+
+
+def test_assert_guard_sees_assert_statements(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "def f(x):\n"
+        "    assert x, 'bare'\n"
+        "    if not x:\n"
+        "        raise AssertionError('explicit')\n"
+    )
+    assert list(_assert_statements(src)) == ["probe.py:2"]
