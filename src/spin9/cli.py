@@ -13,6 +13,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 from . import curvature
 from .bpt import materialize_bpt_8form
@@ -233,6 +234,11 @@ def _bench_curvature(seed, samples):
     )
     print(f"bench curvature: calls={len(values)} checksum={checksum}")
     print(f"bench curvature: time={elapsed:.3f}s")
+    basis = [Vector16.basis(k) for k in range(16)]
+    t0 = time.perf_counter()
+    values = [f(x, y, z, 4) for x, y, z in product(basis, repeat=3) for f in exprs]
+    elapsed = time.perf_counter() - t0
+    print(f"bench curvature: basis_calls={len(values)} time={elapsed:.3f}s")
 
 
 def cmd_bench(args) -> int:

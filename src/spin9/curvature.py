@@ -10,11 +10,25 @@ Four equivalent expressions for the curvature with scale c:
 The module also provides the averaging identity 5 R_XY = sum_j I_j R_XY I_j
 and exact sectional curvature, pinched between c/4 and c on the nose.
 
+Sign convention: R_XY is minus the commutator curvature
+[nabla_X, nabla_Y] - nabla_[X,Y], so the sectional curvature is
+K(v, w) = <R_vw v, w> / |v ^ w|^2, and the Ricci trace is
+
+    sum_a <R(e_a, Y) Z, e_a> = -9c <Y, Z>,
+
+which is Ric = 9c g in the commutator sign (-36 at c = 4).
+
 Each expression is trilinear in (X, Y, Z): it clears the denominators of
-its arguments once, runs its own formula on Python ints, and multiplies
-its 16 outputs by -c / (4 d_X d_Y d_Z) at the end.  Outputs are exact
-int or Fraction values; int inputs at c = 4 give plain ints.  Only int
-and Fraction arguments and scales are accepted.
+its arguments once, runs its own formula on the integer coordinate lists
+and multiplies its 16 outputs by -c / (4 d_X d_Y d_Z) at the end.  The
+octonion expressions split each list into its two octonion halves and
+use `coeff_mul` and `coeff_conj` on them, with no Octonion objects in
+between.  The operator expressions read the operators by column and
+visit only the nonzero coordinates of their vector arguments, so a
+basis triple costs a few entries per operator; a dense vector visits
+all 16.  Outputs are exact int or Fraction values; int inputs at c = 4
+give plain ints.  Only int and Fraction arguments and scales are
+accepted.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from fractions import Fraction
 from typing import Union
 
 from .linalg import clear_denominators, exact_ratio, require_exact
-from .octonion import inner_oct
+from .octonion import coeff_conj, coeff_mul
 from .operators import Vector16, build_involutions, inner16, pair_products
 from .report import VerificationReport
 
@@ -60,55 +74,78 @@ def _rescaled(total, factor: Fraction) -> Vector16:
     return Vector16._raw([factor * t for t in total])
 
 
+@functools.cache
+def _columns(family) -> tuple:
+    """(n, cols) for the n operators P_i of family(), read by column.
+
+    cols[k] lists the nonzero entries of column k of every operator as
+    (i, r, v), v being entry (r, k) of P_i.
+    """
+    ops = tuple(family())
+    cols = [[] for _ in range(16)]
+    for i, op in enumerate(ops):
+        for r, k, v in op.entries():
+            cols[k].append((i, r, v))
+    return len(ops), tuple(map(tuple, cols))
+
+
+def _expand(family, a: list, b: list, d: list, total: list) -> list:
+    """total + sum_i <a, P_i b> P_i d over the operators P_i of family().
+
+    The first loop visits the nonzero coordinates of b only, the second
+    those of d only; a dense vector has all 16.
+    """
+    n, cols = _columns(family)
+    coeff = [0] * n
+    for k, t in enumerate(b):
+        if t:
+            for i, r, v in cols[k]:
+                coeff[i] += v * a[r] * t
+    for k, t in enumerate(d):
+        if t:
+            for i, r, v in cols[k]:
+                total[r] += coeff[i] * v * t
+    return total
+
+
 def curvature_omega(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """R_XY Z via the two-form expansion over the 36 involution pairs."""
     cx, cy, cz, factor = _cleared(x, y, z, c)
-    total = [0] * 16
-    for op in pair_products():
-        entries = op.entries()
-        coeff = sum(v * cx[r] * cy[k] for r, k, v in entries)  # <x, P y>
-        if coeff:
-            for r, k, v in entries:
-                total[r] += coeff * v * cz[k]
-    return _rescaled(total, factor)
+    return _rescaled(_expand(pair_products, cx, cy, cz, [0] * 16), factor)
 
 
-def _brown_gray_s(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
+def _antisymmetrized(s, x, y, z, c: Num) -> Vector16:
+    """-(c/4)(s(X, Y, Z) - s(Y, X, Z)), s run on the same integer coordinates."""
+    cx, cy, cz, factor = _cleared(x, y, z, c)
+    return _rescaled([a - b for a, b in zip(s(cx, cy, cz), s(cy, cx, cz))], factor)
+
+
+def _brown_gray_s(x: list, y: list, z: list) -> list:
     """S_XY Z / (-c/4) in octonion pairs; the curvature is its antisymmetrization."""
-    x1, x2 = x.x1, x.x2
-    y1, y2 = y.x1, y.x2
-    z1, z2 = z.x1, z.x2
-    first = (
-        x1.scale(4 * inner_oct(y1, z1))
-        + (z1 * y2) * x2.conj()
-        + (x1 * y2) * z2.conj()
+    x1, x2, y1, y2, z1, z2 = x[:8], x[8:], y[:8], y[8:], z[:8], z[8:]
+    g1 = 4 * sum(p * q for p, q in zip(y1, z1))
+    g2 = 4 * sum(p * q for p, q in zip(y2, z2))
+    first = zip(
+        [g1 * a for a in x1],
+        coeff_mul(coeff_mul(z1, y2), coeff_conj(x2)),
+        coeff_mul(coeff_mul(x1, y2), coeff_conj(z2)),
     )
-    second = (
-        x2.scale(4 * inner_oct(y2, z2))
-        + x1.conj() * (y1 * z2)
-        + z1.conj() * (y1 * x2)
+    second = zip(
+        [g2 * a for a in x2],
+        coeff_mul(coeff_conj(x1), coeff_mul(y1, z2)),
+        coeff_mul(coeff_conj(z1), coeff_mul(y1, x2)),
     )
-    return Vector16(first, second)
+    return [sum(t) for t in first] + [sum(t) for t in second]
 
 
 def curvature_brown_gray(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
-    cx, cy, cz, factor = _cleared(x, y, z, c)
-    x, y, z = (Vector16._raw(v) for v in (cx, cy, cz))
-    total = _brown_gray_s(x, y, z) - _brown_gray_s(y, x, z)
-    return _rescaled(total.coords(), factor)
+    return _antisymmetrized(_brown_gray_s, x, y, z, c)
 
 
 def _s_prime_operator(cx, cy, cz) -> list:
     """S'_XY Z / (-c/4) = 3 g(Y,Z) X + sum_i g(I_i Y, Z) I_i X."""
     g = sum(p * q for p, q in zip(cy, cz))
-    total = [3 * g * v for v in cx]
-    for op in build_involutions().ops:
-        entries = op.entries()
-        coeff = sum(v * cz[r] * cy[k] for r, k, v in entries)  # <I Y, Z>
-        if coeff:
-            for r, k, v in entries:
-                total[r] += coeff * v * cx[k]
-    return total
+    return _expand(build_involutions, cz, cy, cx, [3 * g * v for v in cx])
 
 
 def s_prime_operator(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
@@ -117,49 +154,39 @@ def s_prime_operator(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     return _rescaled(_s_prime_operator(cx, cy, cz), factor)
 
 
-def _s_prime_octonion(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
+def _s_prime_octonion(x: list, y: list, z: list) -> list:
     """S'_XY Z / (-c/4) written through octonion products."""
-    x1, x2 = x.x1, x.x2
-    y1, y2 = y.x1, y.x2
-    z1, z2 = z.x1, z.x2
-    first = (
-        (x1 * y1.conj()) * z1
-        + (x1 * y2) * z2.conj()
-        + (z1 * y1.conj()) * x1
-        + (z1 * y2) * x2.conj()
+    x1, x2, y1, y2, z1, z2 = x[:8], x[8:], y[:8], y[8:], z[:8], z[8:]
+    y1c, y2c = coeff_conj(y1), coeff_conj(y2)
+    first = zip(
+        coeff_mul(coeff_mul(x1, y1c), z1),
+        coeff_mul(coeff_mul(x1, y2), coeff_conj(z2)),
+        coeff_mul(coeff_mul(z1, y1c), x1),
+        coeff_mul(coeff_mul(z1, y2), coeff_conj(x2)),
     )
-    second = (
-        z1.conj() * (y1 * x2)
-        + z2 * (y2.conj() * x2)
-        + x2 * (y2.conj() * z2)
-        + x1.conj() * (y1 * z2)
+    second = zip(
+        coeff_mul(coeff_conj(z1), coeff_mul(y1, x2)),
+        coeff_mul(z2, coeff_mul(y2c, x2)),
+        coeff_mul(x2, coeff_mul(y2c, z2)),
+        coeff_mul(coeff_conj(x1), coeff_mul(y1, z2)),
     )
-    return Vector16(first, second)
+    return [sum(t) for t in first] + [sum(t) for t in second]
 
 
 def s_prime_octonion(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """The same S' written through octonion products."""
     cx, cy, cz, factor = _cleared(x, y, z, c)
-    x, y, z = (Vector16._raw(v) for v in (cx, cy, cz))
-    return _rescaled(_s_prime_octonion(x, y, z).coords(), factor)
+    return _rescaled(_s_prime_octonion(cx, cy, cz), factor)
 
 
 def curvature_prime_operator(x, y, z, c: Num) -> Vector16:
     """S'_XY Z - S'_YX Z, both potentials on the same integer coordinates."""
-    cx, cy, cz, factor = _cleared(x, y, z, c)
-    total = [
-        a - b
-        for a, b in zip(_s_prime_operator(cx, cy, cz), _s_prime_operator(cy, cx, cz))
-    ]
-    return _rescaled(total, factor)
+    return _antisymmetrized(_s_prime_operator, x, y, z, c)
 
 
 def curvature_prime_octonion(x, y, z, c: Num) -> Vector16:
     """The octonion S'_XY Z - S'_YX Z on the same integer coordinates."""
-    cx, cy, cz, factor = _cleared(x, y, z, c)
-    x, y, z = (Vector16._raw(v) for v in (cx, cy, cz))
-    total = _s_prime_octonion(x, y, z) - _s_prime_octonion(y, x, z)
-    return _rescaled(total.coords(), factor)
+    return _antisymmetrized(_s_prime_octonion, x, y, z, c)
 
 
 def averaging_identity(x: Vector16, y: Vector16, z: Vector16, c: Num) -> VerificationReport:

@@ -134,7 +134,11 @@ def clear_denominators(values) -> tuple:
 
     Only int and Fraction are exact; any other entry raises ValueError
     before any arithmetic, so a float never passes as a huge fraction.
+    All-int values come back as a new list with d = 1.
     """
+    values = list(values)
+    if all(type(x) is int for x in values):
+        return values, 1
     values = [require_exact(x) for x in values]
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d

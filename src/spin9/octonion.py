@@ -12,6 +12,10 @@ rules
     (q1 e) q2 = (q1 conj(q2)) e,
     (q1 e)(q2 e) = -conj(q2) q1.
 
+In this basis every unit product is u_a u_b = +-u_{a xor b}, which is
+checked at import, so the table reduces to its signs SIGN[a][b] and
+`coeff_mul`, the one product loop, works on plain coefficient sequences.
+
 Everything is exact: coefficients are ints or fractions.Fraction, never
 floats.  All objects here are immutable, so values can be shared freely
 across threads.
@@ -83,6 +87,33 @@ def _build_mul_table() -> tuple:
 # MUL_TABLE[a][b] = (sign, index) with u_a u_b = sign * u_index
 MUL_TABLE = _build_mul_table()
 
+# SIGN[a][b] = sign with u_a u_b = sign * u_{a ^ b}
+SIGN = tuple(tuple(s for s, _ in row) for row in MUL_TABLE)
+if any(k != a ^ b for a, row in enumerate(MUL_TABLE) for b, (_, k) in enumerate(row)):
+    raise AssertionError("unit products are not indexed by a xor b")
+
+
+def coeff_mul(x: Sequence[Scalar], y: Sequence[Scalar]) -> list:
+    """Coefficients of the product of the octonions with coefficients x and y.
+
+    The only octonion product loop: it visits the nonzero coefficients of
+    each factor and adds SIGN[a][b] x_a y_b to coefficient a ^ b.
+    """
+    out = [0] * 8
+    if any(x) and any(y):
+        ys = [(b, cb) for b, cb in enumerate(y) if cb]
+        for a, ca in enumerate(x):
+            if ca:
+                row = SIGN[a]
+                for b, cb in ys:
+                    out[a ^ b] += row[b] * ca * cb
+    return out
+
+
+def coeff_conj(x: Sequence[Scalar]) -> list:
+    """Coefficients of the conjugate of the octonion with coefficients x."""
+    return [x[0]] + [-a for a in x[1:]]
+
 
 def unit_mul(a: SignedUnit, b: SignedUnit) -> SignedUnit:
     """Product of two signed basis units, as a signed basis unit."""
@@ -140,25 +171,14 @@ class Octonion:
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
-            out = [0] * 8
-            for a, ca in enumerate(self.coeffs):
-                if not ca:
-                    continue
-                row = MUL_TABLE[a]
-                for b, cb in enumerate(other.coeffs):
-                    if not cb:
-                        continue
-                    s, k = row[b]
-                    out[k] += s * ca * cb
-            return Octonion._raw(out)
+            return Octonion._raw(coeff_mul(self.coeffs, other.coeffs))
         return self.scale(other)
 
     def __rmul__(self, other) -> "Octonion":
         return self.scale(other)
 
     def conj(self) -> "Octonion":
-        c = self.coeffs
-        return Octonion._raw((c[0],) + tuple(-a for a in c[1:]))
+        return Octonion._raw(coeff_conj(self.coeffs))
 
     def re(self) -> Scalar:
         return self.coeffs[0]

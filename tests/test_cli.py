@@ -1,6 +1,7 @@
 """Exit codes, report grammar, export stability, bench determinism."""
 
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -198,9 +199,11 @@ def test_bench_evaluate_reports_calls_terms_and_checksum(capsys):
 def test_bench_curvature_reports_calls_and_checksum(capsys):
     assert run_cli(["bench", "curvature", "--seed", "5", "--samples", "3"]) == 0
     out = capsys.readouterr().out
-    head, timing = out.splitlines()
+    head, timing, basis = out.splitlines()
     assert head.startswith("bench curvature: calls=12 checksum=")
     assert timing.startswith("bench curvature: time=")
+    # the four expressions on all 16^3 integer basis triples
+    assert re.fullmatch(r"bench curvature: basis_calls=16384 time=\d+\.\d{3}s", basis)
     # all four expressions equal the Fraction oracle on the seeded triples
     rng = random.Random("5:bench-curvature")
     expected = 0

@@ -1,5 +1,6 @@
 """Four curvature expressions, their symmetries, and the pinching bounds."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -51,6 +52,25 @@ def test_four_expressions_agree_on_random_triples():
         ref = curvature_omega(x, y, z, C)
         for f in EXPRS[1:]:
             assert f(x, y, z, C) == ref
+
+
+def test_four_expressions_agree_on_all_basis_triples():
+    for x, y, z in itertools.product(BASIS, repeat=3):
+        ref = curvature_omega(x, y, z, C)
+        for f in EXPRS[1:]:
+            assert f(x, y, z, C) == ref
+
+
+@pytest.mark.parametrize("c", (4, Fraction(1, 2)))
+def test_ricci_trace_pins_the_sign(c):
+    # sum_a <R(e_a, e_j) e_k, e_a> = -9c delta_jk: Ric = 9c g with R_XY
+    # the negative of the commutator curvature (-36 at c = 4)
+    for f in EXPRS:
+        for j, k in itertools.product(range(16), repeat=2):
+            trace = sum(
+                f(BASIS[a], BASIS[j], BASIS[k], c).coords()[a] for a in range(16)
+            )
+            assert trace == (-9 * c if j == k else 0)
 
 
 def test_four_expressions_agree_on_basis_sample():
@@ -218,6 +238,14 @@ def _mixed_vector(rng):
     )
 
 
+def _sparse_vector(rng):
+    """1-3 nonzero Fraction coordinates with mixed denominators."""
+    coords = [0] * 16
+    for k in rng.sample(range(16), rng.randint(1, 3)):
+        coords[k] = Fraction(rng.choice((-5, -3, -1, 1, 2, 7)), rng.randint(1, 9))
+    return Vector16.from_coords(coords)
+
+
 def _big_vector(rng):
     return Vector16.from_coords(
         [rng.randint(-(1 << 40), 1 << 40) for _ in range(16)]
@@ -231,6 +259,9 @@ def _oracle_quadruples():
     quads.append(tuple(_one_denominator_vector(rng, d) for d in (7, 9, 11, 13)))
     quads += [tuple(_mixed_vector(rng) for _ in range(4)) for _ in range(3)]
     quads += [tuple(_big_vector(rng) for _ in range(4)) for _ in range(2)]
+    quads += [tuple(_sparse_vector(rng) for _ in range(4)) for _ in range(6)]
+    quads += [(_sparse_vector(rng), _coprime_vector(rng), _sparse_vector(rng),
+               _mixed_vector(rng)) for _ in range(2)]
     x, y = _mixed_vector(rng), _coprime_vector(rng)
     z, w = rand_vector(rng), _big_vector(rng)
     quads += [(zero, y, z, w), (x, zero, z, w), (x, y, zero, w), (zero,) * 4]

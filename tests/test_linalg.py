@@ -169,3 +169,21 @@ def test_echelon_row_space_membership(mat):
     ech = int_echelon(rows)
     for row in rows:
         assert not reduce_against(ech, dict(row))
+
+
+def test_clear_denominators_all_int_fast_path():
+    ints = [4, -7, 0, 1 << 70]
+    out, d = clear_denominators(ints)
+    assert (out, d) == (ints, 1)
+    assert out is not ints
+    out.append(5)
+    assert ints == [4, -7, 0, 1 << 70]
+    # a float after ints still takes the checked path and raises
+    with pytest.raises(ValueError):
+        clear_denominators([1, 2, 0.5])
+    with pytest.raises(ValueError):
+        clear_denominators(iter([1, 2, 0.5]))
+    # Fractions with denominator 1 come back as plain ints
+    out, d = clear_denominators([Fraction(6, 3), 5, Fraction(0)])
+    assert (out, d) == ([2, 5, 0], 1)
+    assert all(type(v) is int for v in out)

@@ -11,9 +11,12 @@ from hypothesis import given, strategies as st
 from helpers import associator, oct_mul_oracle, rand_octonion, unit_conj
 from spin9.octonion import (
     MUL_TABLE,
+    SIGN,
     Octonion,
     apply_matrix8,
     automorphism_from_triple,
+    coeff_conj,
+    coeff_mul,
     cross_oct,
     inner_oct,
     unit_mul,
@@ -30,6 +33,28 @@ def test_unit_table_matches_doubling_oracle():
         got = (UNITS[a] * UNITS[b]).coeffs
         want = oct_mul_oracle(UNITS[a].coeffs, UNITS[b].coeffs)
         assert got == tuple(want)
+
+
+def test_unit_products_are_indexed_by_xor():
+    for a, b in itertools.product(range(8), repeat=2):
+        assert MUL_TABLE[a][b] == (SIGN[a][b], a ^ b)
+        ua, ub = UNITS[a].coeffs, UNITS[b].coeffs
+        assert tuple(coeff_mul(ua, ub)) == oct_mul_oracle(ua, ub)
+    rng = random.Random(31)
+    zero = (Fraction(0),) * 8
+    samples = [zero, (0,) * 8]
+    for _ in range(20):
+        density = rng.random()
+        samples.append(tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            if rng.random() < density else 0
+            for _ in range(8)
+        ))
+    for x, y in itertools.product(samples, repeat=2):
+        assert tuple(coeff_mul(x, y)) == oct_mul_oracle(x, y)
+        assert tuple(coeff_mul(list(x), list(y))) == oct_mul_oracle(x, y)
+    for x in samples:
+        assert coeff_conj(x) == [x[0]] + [-a for a in x[1:]]
 
 
 def test_hand_checked_products():
