@@ -28,7 +28,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm
 from typing import Optional, Union
 
 from .curvature import curvature_omega
@@ -43,7 +42,9 @@ from .operators import (
     build_involutions,
     clifford_product,
     inner16,
+    pair_products,
     rotation,
+    triple_products,
 )
 from .report import VerificationReport
 
@@ -143,39 +144,39 @@ def canonical_8form_alt() -> AlternatingForm:
 # S8-sum evaluation kernel ---------------------------------------------------
 
 
-@functools.cache
-def _perms8():
-    return [(perm, perm_sign(perm)) for perm in permutations(range(8))]
-
-
 def w_tilde(v: Octonion, vp: Octonion, w: Octonion, wp: Octonion) -> Num:
     """The 2^-4-normalized S8 sum of four octonion Gram factors.
 
-    Independent of the wedge machinery; evaluating the corresponding
-    product of restricted two-forms on the octonion-line basis gives the
-    same number, which tests exploit as a cross-check.
+    The sum runs over permutations perm of 0..7 of
+    sign(perm) prod_k M_k[perm(2k+1)][perm(2k)], by a DP over the set S
+    of values placed so far: placing a after S adds popcount(S >> (a+1))
+    inversions, so the sign is a popcount parity and the 40320 terms
+    collapse onto 256 subsets.  Independent of the wedge machinery;
+    evaluating the corresponding product of restricted two-forms on the
+    octonion-line basis gives the same number, which tests exploit as a
+    cross-check.
     """
-    mats = []
+    sums = {0: 1}
     for x, y in ((v, w), (v, wp), (vp, w), (vp, wp)):
-        cols = tuple((x * (y * Octonion.unit(b))).coeffs for b in range(8))
-        mats.append(cols)
-    m0, m1, m2, m3 = mats
-    total = 0
-    for perm, sign in _perms8():
-        f = m0[perm[1]][perm[0]]
-        if not f:
-            continue
-        g = m1[perm[3]][perm[2]]
-        if not g:
-            continue
-        h = m2[perm[5]][perm[4]]
-        if not h:
-            continue
-        k = m3[perm[7]][perm[6]]
-        if not k:
-            continue
-        total += sign * f * g * h * k
-    return exact_ratio(total, 16)
+        cols = [(x * (y * Octonion.unit(b))).coeffs for b in range(8)]
+        step: dict = {}
+        for s, total in sums.items():
+            for a in range(8):
+                if s >> a & 1:
+                    continue
+                sa = s | 1 << a
+                odd = (s >> (a + 1)).bit_count()
+                for b in range(8):
+                    f = cols[b][a]
+                    if not f or sa >> b & 1:
+                        continue
+                    t = f * total
+                    if (odd + (sa >> (b + 1)).bit_count()) & 1:
+                        t = -t
+                    key = sa | 1 << b
+                    step[key] = step.get(key, 0) + t
+        sums = step
+    return exact_ratio(sums.get(255, 0), 16)
 
 
 # vanishing corollaries ------------------------------------------------------
@@ -214,17 +215,8 @@ def bianchi_cyclic_residual(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
 def rotation_fixes(
     form: AlternatingForm, family: InvolutionFamily, k: int, l: int, p: RationalCirclePoint
 ) -> bool:
-    """Exact check that the (k, l) rotation pulls the form back to itself.
-
-    Scales the rotation to an integer matrix first: (d R)* f = d^deg R* f,
-    so R fixes f iff the integer pullback equals d^deg f.
-    """
-    rot = rotation(family, k, l, p)
-    d = lcm(p.c.denominator, p.s.denominator)
-    scaled = Operator16(
-        tuple(tuple(int(v * d) for v in row) for row in rot.rows)
-    )
-    return form.pullback(scaled) == form.scale(d**form.degree)
+    """Exact check that the (k, l) rotation pulls the form back to itself."""
+    return form.pullback(rotation(family, k, l, p)) == form
 
 
 def givens9(a: int, b: int, p: RationalCirclePoint):
@@ -429,16 +421,15 @@ def friedrich_identities(x: Vector16, y: Vector16) -> VerificationReport:
     """
     fam = build_involutions()
 
-    def expansion(grade: int, two_form) -> AlternatingForm:
+    def expansion(grade: int, products, two_form) -> AlternatingForm:
         """sum over increasing index tuples of <x, P y> times P's two-form."""
         total = AlternatingForm.zero(2)
-        for idx in combinations(range(9), grade):
-            p = clifford_product(fam, idx)
+        for idx, p in zip(combinations(range(9), grade), products):
             total = total + two_form(*idx).scale(inner16(x, p.apply(y)))
         return total
 
-    omega_part = expansion(2, omega2)
-    sigma_part = expansion(3, sigma2)
+    omega_part = expansion(2, pair_products(), omega2)
+    sigma_part = expansion(3, triple_products(), sigma2)
     lhs1 = flat(x).wedge(flat(y)).scale(8)
     lhs2 = AlternatingForm.zero(2)
     for op in fam.ops:

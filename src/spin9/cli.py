@@ -13,7 +13,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from . import curvature
 from .bpt import materialize_bpt_8form
@@ -25,13 +25,15 @@ from .canonical import (
     export_coefficients,
     omega2,
 )
-from .operators import Vector16
+from .exterior import integer_entries, pullback_table
+from .operators import RationalCirclePoint, Vector16, build_involutions, rotation
 from .stabilizer import stabilizer_system
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 EXPORT_FORMS = ("omega8", "omega8-alt", "conjecture-rhs", "bpt")
 BENCH_KERNELS = (
-    "wedge", "stabilizer-assembly", "bpt-materialize", "evaluate", "curvature"
+    "wedge", "stabilizer-assembly", "bpt-materialize", "evaluate", "curvature",
+    "pullback",
 )
 
 
@@ -241,6 +243,44 @@ def _bench_curvature(seed, samples):
     print(f"bench curvature: basis_calls={len(values)} time={elapsed:.3f}s")
 
 
+def _bench_pullback():
+    """Omega (integer coefficients) pulled back along the 36 plane
+    rotations at two circle points, on the integer kernel as
+    `AlternatingForm.pullback` calls it."""
+    # imported here: hashlib maps OpenSSL, 3.5 MiB every command would carry
+    import hashlib
+
+    form = canonical_8form()
+    fam = build_involutions()
+    points = (
+        RationalCirclePoint(Fraction(3, 5), Fraction(4, 5)),
+        RationalCirclePoint(Fraction(5, 13), Fraction(12, 13)),
+    )
+    rotations = [
+        rotation(fam, k, l, p)
+        for k, l in combinations(range(9), 2)
+        for p in points
+    ]
+    digest = hashlib.sha256()
+    leaves = 0
+    modular = False
+    t0 = time.perf_counter()
+    for rot in rotations:
+        terms, n, moduli = pullback_table(
+            form._terms, form.degree, integer_entries(rot)[0]
+        )
+        leaves += n
+        modular = modular or bool(moduli)
+        digest.update(repr(sorted(terms.items())).encode())
+    elapsed = time.perf_counter() - t0
+    print(
+        f"bench pullback: rotations={len(rotations)} leaves={leaves} "
+        f"path={'crt' if modular else 'int64'} "
+        f"checksum={digest.hexdigest()[:16]}"
+    )
+    print(f"bench pullback: time={elapsed:.3f}s")
+
+
 def cmd_bench(args) -> int:
     if args.kernel == "wedge":
         _bench_wedge(args.jobs)
@@ -250,6 +290,8 @@ def cmd_bench(args) -> int:
         _bench_evaluate(args.seed, args.samples)
     elif args.kernel == "curvature":
         _bench_curvature(args.seed, args.samples)
+    elif args.kernel == "pullback":
+        _bench_pullback()
     else:
         _bench_bpt_materialize()
     return 0

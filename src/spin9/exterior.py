@@ -36,6 +36,13 @@ Chinese remainder theorem.  No float enters either path.
 `evaluate` runs on the same kernel, so it is exact for integers of any
 size: one chain of `wedge_sum` calls wedges the integer-cleared argument
 vectors, which yields every p x p minor at once.
+
+`AlternatingForm.pullback` is the second client of the bound, int64 and
+CRT design.  `pullback_table` takes the integer-cleared form and
+operator, bounds every leaf and partial sum by
+B = sum_m |c_m| prod_t |row m_t|_1 before any arithmetic, and expands all
+monomials together in int64 when B < 2**63, otherwise once per prime of
+the same `_moduli(B)`, rebuilt by the same `_crt`.
 """
 
 from __future__ import annotations
@@ -215,20 +222,20 @@ class AlternatingForm:
         return exact_ratio(total, denom)
 
     def pullback(self, op: Operator16) -> "AlternatingForm":
-        """The form X -> self(op X1, ..., op Xp).
+        """The form X -> self(op X1, ..., op Xp), on `pullback_table`.
 
-        Each index of a monomial expands over the nonzero entries of its
-        row of op; a signed permutation leaves one leaf per monomial.
+        With op = A / d_op and coefficients a / d_a for integer A and a,
+        the pullback is (A* a) / (d_a d_op^p).
         """
-        rows: list = [[] for _ in range(16)]
-        for r, c, v in op.entries():
-            rows[r].append((c, v))
-        out: dict = {}
-        for m, coeff in self._terms.items():
-            _expand_pullback(rows, _tuple_of(m), 0, 0, coeff, out)
-        return AlternatingForm._raw(
-            self.degree, {m: v for m, v in out.items() if v}
+        entries, d_op = integer_entries(op)
+        coeffs, d = clear_denominators(self._terms.values())
+        terms, _, _ = pullback_table(
+            dict(zip(self._terms, coeffs)), self.degree, entries
         )
+        d *= d_op**self.degree
+        if d > 1:
+            terms = {m: exact_ratio(v, d) for m, v in terms.items()}
+        return AlternatingForm._raw(self.degree, terms)
 
     def lie_derivative(self, op: Operator16) -> "AlternatingForm":
         """Derivative of the pullback along exp(t op) at t = 0.
@@ -274,25 +281,6 @@ def generator_image(form: AlternatingForm, r: int, c: int) -> dict:
         for m, v in form._terms.items()
         if m & rbit and not m & cbit
     }
-
-
-def _expand_pullback(rows, idx, depth, mask, coeff, out):
-    if depth == len(idx):
-        w = out.get(mask, 0) + coeff
-        if w:
-            out[mask] = w
-        else:
-            del out[mask]
-        return
-    for b, v in rows[idx[depth]]:
-        bit = 1 << b
-        if mask & bit:
-            continue
-        # the incoming factor moves left past the accumulated indices above b
-        sign = -1 if (mask >> b).bit_count() & 1 else 1
-        _expand_pullback(
-            rows, idx, depth + 1, mask | bit, sign * coeff * v, out
-        )
 
 
 def two_form_from_operator(op: Operator16) -> AlternatingForm:
@@ -437,3 +425,133 @@ def _crt(residues, moduli) -> dict:
         x = sum(r * w for r, w in zip(rs, weights)) % modulus
         out[m] = x - modulus if 2 * x > modulus else x
     return out
+
+
+# exact pullback kernel ------------------------------------------------------
+
+PULLBACK_CHUNK = 1 << 18  # leaves expanded at once; bounds the kernel's memory
+
+
+def integer_entries(op: Operator16) -> tuple:
+    """(entries, d): the nonzero entries of d * op as (row, col, int)."""
+    entries = op.entries()
+    ints, d = clear_denominators(v for _, _, v in entries)
+    return [(r, c, v) for (r, c, _), v in zip(entries, ints)], d
+
+
+def pullback_table(table: dict, degree: int, entries) -> tuple:
+    """Exact pullback of an integer table {mask: int} of the given degree
+    along integer matrix entries (row, col, value): (terms, leaves, moduli).
+
+    `leaves` counts the products that reach the accumulator; `moduli` is
+    () on the int64 path, else the primes of the CRT path.
+    """
+    plan, bound = _pullback_plan(table, degree, entries)
+    if plan is None:
+        return {}, 0, ()
+    moduli = _moduli(bound)
+    if not moduli:
+        acc, leaves = _pullback_mod(plan, 0)
+        return _np_acc_to_terms(acc), leaves, moduli
+    runs = [_pullback_mod(plan, p) for p in moduli]
+    return _crt([acc for acc, _ in runs], moduli), runs[0][1], moduli
+
+
+def _pullback_plan(table: dict, degree: int, entries) -> tuple:
+    """(plan, B) for `_pullback_mod`; plan is None when nothing survives.
+
+    Monomial m becomes the wedge over its indices t of sum_c A[t][c] dx_c.
+    B = sum_m |c_m| prod_t |row t|_1 bounds every leaf and partial sum,
+    and every partial product too, as a nonzero row has norm at least 1.
+    The monomials are cut into chunks of at most PULLBACK_CHUNK leaves
+    (a monomial with more is a chunk alone), bounding the memory.
+    """
+    rows: list = [[] for _ in range(16)]
+    for r, c, v in sorted(entries):
+        rows[r].append((c, v))
+    if not all(type(v) is int for v in table.values()) or not all(
+        type(v) is int for row in rows for _, v in row
+    ):
+        raise TypeError("pullback_table takes integer coefficients only")
+    masks = np.fromiter(table, dtype=np.int64, count=len(table))
+    bits = masks[:, None] >> np.arange(16) & 1
+    if (bits.sum(axis=1) != degree).any():
+        raise ValueError("every mask must hold `degree` indices")
+    idx = np.nonzero(bits)[1].reshape(len(table), degree)
+
+    # object arrays keep the bound in exact Python integers
+    norms = np.array([sum(abs(v) for _, v in row) for row in rows], dtype=object)
+    coeffs = np.array(list(table.values()), dtype=object)
+    sizes = np.abs(coeffs) * np.prod(norms[idx], axis=1)
+    bound = int(sizes.sum())
+    keep = np.flatnonzero(sizes)  # a monomial meeting an empty row drops out
+    if not keep.size:
+        return None, bound
+    counts = [len(row) for row in rows]
+    fans = np.prod(np.array(counts, dtype=object)[idx[keep]], axis=1)
+    chunks, start, load = [], 0, 0
+    for k, size in enumerate(fans.tolist()):
+        if load and load + size > PULLBACK_CHUNK:
+            chunks.append((start, k, load))
+            start, load = k, 0
+        load += size
+    chunks.append((start, keep.size, load))
+    plan = (
+        idx[keep],
+        coeffs[keep].tolist(),
+        np.cumsum([0] + counts),
+        np.array([c for row in rows for c, _ in row], dtype=np.int64),
+        [v for row in rows for _, v in row],
+        chunks,
+    )
+    return plan, bound
+
+
+def _pullback_mod(plan, p: int) -> tuple:
+    """(accumulator, leaves) of the pullback, exact if p = 0, else mod p.
+
+    All monomials of a chunk expand together, one index position at a
+    time, as arrays of (monomial, mask, coefficient, sign parity): each
+    state branches over the nonzero entries of its row, a leaf whose
+    column is already in the mask drops out, and the incoming dx_col
+    moves left past the mask's indices above col.  Mod p a leaf enters
+    below p + 1, so the accumulator is reduced after every chunk and a
+    chunk may hold 2**63 // p - 2 leaves.
+    """
+    idx, coeffs, indptr, cols, vals, chunks = plan
+    p16, _ = _np_tables()
+    nnz = np.diff(indptr)
+    values = np.array([v % p for v in vals] if p else vals, dtype=np.int64)
+    start = np.array([c % p for c in coeffs] if p else coeffs, dtype=np.int64)
+    acc = np.zeros(1 << 16, dtype=np.int64)
+    leaves = 0
+    for lo, hi, load in chunks:
+        if p and load > INT64_LIMIT // p - 2:
+            raise OverflowError("one monomial exceeds the modular room")
+        mon = np.arange(lo, hi)
+        mask = np.zeros(hi - lo, dtype=np.int64)
+        odd = np.zeros(hi - lo, dtype=np.int64)
+        coef = start[lo:hi]
+        for t in range(idx.shape[1]):
+            row = idx[mon, t]
+            fan = nnz[row]
+            src = np.repeat(np.arange(mon.size), fan)
+            pos = np.arange(src.size) + np.repeat(
+                indptr[row] - (np.cumsum(fan) - fan), fan
+            )
+            col = cols[pos]
+            old = mask[src]
+            free = (old >> col & 1) == 0
+            src, col, pos, old = src[free], col[free], pos[free], old[free]
+            odd = odd[src] ^ (p16[old] >> col & 1)
+            mask = old | 1 << col
+            coef = coef[src] * values[pos]
+            if p:
+                coef %= p
+            mon = mon[src]
+        coef = np.where(odd == 1, p - coef if p else -coef, coef)
+        np.add.at(acc, mask, coef)
+        leaves += mask.size
+        if p:
+            acc %= p
+    return acc, leaves

@@ -146,6 +146,8 @@ def clear_denominators(values) -> tuple:
 
 def exact_ratio(n, d):
     """n / d as an int when whole, else as a Fraction."""
+    if type(n) is int and type(d) is int and not n % d:
+        return n // d
     q = Fraction(n, d)
     return q.numerator if q.denominator == 1 else q
 

@@ -264,6 +264,17 @@ def pair_products() -> tuple:
     return tuple(fam[i] @ fam[j] for i, j in combinations(range(9), 2))
 
 
+@functools.cache
+def triple_products() -> tuple:
+    """I_i I_j I_k for the 84 triples i < j < k in lex order, one product
+    each on the cached pairs."""
+    fam = build_involutions()
+    pairs = dict(zip(combinations(range(9), 2), pair_products()))
+    return tuple(
+        pairs[i, j] @ fam[k] for i, j, k in combinations(range(9), 3)
+    )
+
+
 def _validate_indices(indices) -> tuple:
     idx = tuple(indices)
     if not 1 <= len(idx) <= 4:

@@ -1,10 +1,10 @@
 """Shared random generators and small independent oracles for the tests."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from spin9 import exterior
-from spin9.exterior import AlternatingForm, wedge_sum
+from spin9.exterior import AlternatingForm, perm_sign, wedge_sum
 from spin9.linalg import exact_ratio
 from spin9.octonion import Octonion
 from spin9.operators import (
@@ -194,6 +194,60 @@ def lie_derivative_oracle(form, op):
     return AlternatingForm._raw(form.degree, {m: v for m, v in out.items() if v})
 
 
+def _expand_pullback(rows, idx, depth, mask, coeff, out):
+    """Add the leaves below one node to out; return how many there were."""
+    if depth == len(idx):
+        out[mask] = out.get(mask, 0) + coeff
+        return 1
+    leaves = 0
+    for b, v in rows[idx[depth]]:
+        bit = 1 << b
+        if mask & bit:
+            continue
+        # the incoming factor moves left past the accumulated indices above b
+        sign = -1 if (mask >> b).bit_count() & 1 else 1
+        leaves += _expand_pullback(
+            rows, idx, depth + 1, mask | bit, sign * coeff * v, out
+        )
+    return leaves
+
+
+def pullback_oracle(form, op):
+    """(op* form, leaves) by recursion, one Python call per leaf.
+
+    Each index of a monomial expands over the nonzero entries of its row
+    of op, on the operator's own int or Fraction entries; it shares no
+    code with the vectorized kernel of `AlternatingForm.pullback`.
+    """
+    rows = [[] for _ in range(16)]
+    for r, c, v in op.entries():
+        rows[r].append((c, v))
+    out = {}
+    leaves = sum(
+        _expand_pullback(rows, _bits(m), 0, 0, coeff, out)
+        for m, coeff in form._terms.items()
+    )
+    pulled = AlternatingForm._raw(form.degree, {m: v for m, v in out.items() if v})
+    return pulled, leaves
+
+
+def w_tilde_oracle(v, vp, w, wp):
+    """The literal S8 sum of `w_tilde`, one term per signed permutation."""
+    mats = [
+        [(x * (y * Octonion.unit(b))).coeffs for b in range(8)]
+        for x, y in ((v, w), (v, wp), (vp, w), (vp, wp))
+    ]
+    total = 0
+    for perm in permutations(range(8)):
+        term = perm_sign(perm)
+        for k, mat in enumerate(mats):
+            term *= mat[perm[2 * k + 1]][perm[2 * k]]
+            if not term:
+                break
+        total += term
+    return exact_ratio(total, 16)
+
+
 def _wedge_dicts(ta, tb):
     out = {}
     _wedge_dicts_into(out, ta, tb)
@@ -270,4 +324,17 @@ def spy_moduli(monkeypatch):
         return step(acc, a, b, p)
 
     monkeypatch.setattr(exterior, "_np_wedge_into", spy)
+    return seen
+
+
+def spy_pullback_moduli(monkeypatch):
+    """Record the modulus of every pullback expansion (0 = int64)."""
+    seen = []
+    run = exterior._pullback_mod
+
+    def spy(plan, p):
+        seen.append(p)
+        return run(plan, p)
+
+    monkeypatch.setattr(exterior, "_pullback_mod", spy)
     return seen

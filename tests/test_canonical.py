@@ -14,6 +14,7 @@ from helpers import (
     rand_octonion,
     rand_vector,
     spy_moduli,
+    w_tilde_oracle,
 )
 from spin9.canonical import (
     build_8form_from_two_forms,
@@ -131,6 +132,31 @@ def test_w_tilde_anchors():
     assert w_tilde(u(0), u(0), u(1), u(2)) == -8
     assert w_tilde(u(0), u(1), u(2), u(3)) == -8
     assert w_tilde(u(0), u(1), u(2), u(4)) == -8
+
+
+def test_w_tilde_subset_sum_matches_the_literal_s8_sum():
+    # the DP over placed-value subsets against one term per permutation,
+    # on integer and Fraction octonions with zero coordinates and zero
+    # arguments among them
+    rng = random.Random(57)
+    zero = Octonion([0] * 8)
+
+    def fraction_octonion():
+        return Octonion(
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(8)]
+        )
+
+    cases = [[rand_octonion(rng, span=2) for _ in range(4)] for _ in range(3)]
+    cases.append([fraction_octonion() for _ in range(4)])
+    cases.append([rand_octonion(rng), fraction_octonion(), *(
+        Octonion([rng.choice((0, 0, 1, -2)) for _ in range(8)]) for _ in "ww"
+    )])
+    cases.append([rand_octonion(rng), zero, rand_octonion(rng), rand_octonion(rng)])
+    for args in cases:
+        assert w_tilde(*args) == w_tilde_oracle(*args)
+    assert w_tilde_oracle(*cases[0]) != 0
+    assert type(w_tilde(*cases[3])) is Fraction
+    assert w_tilde(*cases[-1]) == 0
 
 
 def test_w_tilde_pair_symmetries():

@@ -1,5 +1,6 @@
 """Exit codes, report grammar, export stability, bench determinism."""
 
+import hashlib
 import random
 import re
 import shutil
@@ -218,6 +219,26 @@ def test_bench_curvature_reports_calls_and_checksum(capsys):
         r = curvature_oracle(x, y, z, 4)
         expected += 4 * sum(abs(v.numerator) + v.denominator for v in r.coords())
     assert head.endswith(f"checksum={expected}")
+
+
+def test_bench_pullback_reports_rotations_leaves_and_path(omega8, capsys):
+    assert run_cli(["bench", "pullback"]) == 0
+    head, timing = capsys.readouterr().out.splitlines()
+    # 59 872 leaves per rotation, the count of the recursive oracle
+    assert re.fullmatch(
+        r"bench pullback: rotations=72 leaves=4310784 path=int64 "
+        r"checksum=[0-9a-f]{16}",
+        head,
+    )
+    assert re.fullmatch(r"bench pullback: time=\d+\.\d{3}s", timing)
+    # every rotation fixes omega, so the integer kernel returns d^8 omega
+    # with d = 5 and 13, the denominators of the two circle points
+    digest = hashlib.sha256()
+    for _ in range(36):
+        for d in (5, 13):
+            terms = sorted((m, c * d ** 8) for m, c in omega8._terms.items())
+            digest.update(repr(terms).encode())
+    assert head.endswith(f"checksum={digest.hexdigest()[:16]}")
 
 
 def test_bench_unknown_kernel_usage_error():

@@ -13,10 +13,13 @@ from helpers import (
     _wedge_dicts_into,
     evaluate_oracle,
     lie_derivative_oracle,
+    pullback_oracle,
     rand_fraction_vector,
     rand_vector,
     spy_moduli,
+    spy_pullback_moduli,
 )
+from spin9 import exterior
 from spin9.bpt import materialize_bpt_8form
 from spin9.canonical import omega2
 from spin9.exterior import (
@@ -26,8 +29,12 @@ from spin9.exterior import (
     _np_acc_to_terms,
     _np_terms,
     _np_wedge_into,
+    _pullback_mod,
+    _pullback_plan,
     _wedge_sum_mod,
+    integer_entries,
     perm_sign,
+    pullback_table,
     two_form_from_operator,
     wedge,
     wedge_sum,
@@ -36,6 +43,7 @@ from spin9.operators import (
     Operator16,
     RationalCirclePoint,
     Vector16,
+    boost8,
     build_involutions,
     clifford_product,
     inner16,
@@ -314,6 +322,152 @@ def test_rotation_pullback_on_two_forms():
         2 * c * s
     )
     assert pulled == expected
+
+
+def _sparse_operator(rng, per_row, draw):
+    """An operator with per_row nonzero entries draw() in every row."""
+    rows = [[0] * 16 for _ in range(16)]
+    for row in rows:
+        for c in rng.sample(range(16), per_row):
+            while not row[c]:
+                row[c] = draw()
+    return Operator16(rows)
+
+
+def _signed_permutation(rng):
+    perm = rng.sample(range(16), 16)
+    return Operator16(
+        [[rng.choice((-1, 1)) if c == perm[r] else 0 for c in range(16)]
+         for r in range(16)]
+    )
+
+
+def test_pullback_matches_the_recursive_oracle():
+    rng = random.Random(74)
+
+    def integer():
+        return rng.randint(-3, 3)
+
+    def fraction():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    for degree in range(9):
+        forms = (
+            _random_form(rng, degree),
+            _random_fraction_form(rng, degree, nterms=6),
+            AlternatingForm.zero(degree),
+        )
+        ops = [
+            _sparse_operator(rng, 3 if degree <= 5 else 2, integer),
+            _sparse_operator(rng, 2, fraction),
+            _signed_permutation(rng),
+        ]
+        if degree <= 3:
+            ops.append(_dense_fraction_operator(rng))
+        for f in forms:
+            for op in ops:
+                assert f.pullback(op) == pullback_oracle(f, op)[0]
+    # a constant pulls back to itself, even along the zero operator
+    const = AlternatingForm(0, {(): Fraction(-7, 3)})
+    assert const.pullback(Operator16.zero()) == const
+    assert not _random_form(rng, 2).pullback(Operator16.zero())
+
+
+def test_pullback_of_omega_matches_the_oracle(omega8):
+    rot = rotation(FAM, 7, 8, RationalCirclePoint(Fraction(5, 13), Fraction(12, 13)))
+    boost = boost8(FAM, RationalCirclePoint(Fraction(5, 4), Fraction(3, 4)))
+    for op in (rot, boost):
+        assert omega8.pullback(op) == pullback_oracle(omega8, op)[0]
+
+
+def test_pullback_leaves_match_the_oracle(omega8):
+    # a signed permutation leaves one leaf per monomial
+    rng = random.Random(75)
+    for degree in (0, 1, 2, 5, 8):
+        f = _random_form(rng, degree, nterms=8)
+        for op in (
+            _sparse_operator(rng, 2, lambda: rng.randint(-2, 2)),
+            _signed_permutation(rng),
+        ):
+            _, leaves, moduli = pullback_table(dict(f._terms), degree, op.entries())
+            assert leaves == pullback_oracle(f, op)[1]
+            assert moduli == ()
+    perm = _signed_permutation(rng)
+    _, leaves, _ = pullback_table(dict(omega8._terms), 8, perm.entries())
+    assert leaves == omega8.term_count() == 702
+
+
+def _crt_case(rng):
+    # coefficients near 2**40 and entries near 2**8: leaves near 2**80;
+    # an odd degree, so that a sign flipped at every step does not cancel
+    f = _random_form(rng, 5, nterms=6, span=1 << 40)
+    op = _sparse_operator(rng, 3, lambda: rng.randint(-(1 << 8), 1 << 8))
+    return f, op
+
+
+def test_pullback_takes_the_crt_path_past_int64(monkeypatch):
+    f, op = _crt_case(random.Random(76))
+    seen = spy_pullback_moduli(monkeypatch)
+    got = f.pullback(op)
+    assert got == pullback_oracle(f, op)[0]
+    assert max(abs(v) for _, v in got.items()) >= INT64_LIMIT
+    _, bound = _pullback_plan(dict(f._terms), 5, op.entries())
+    assert seen == list(_moduli(bound)) and len(seen) >= 2
+
+
+def test_pullback_at_the_int64_edge(monkeypatch):
+    seen = spy_pullback_moduli(monkeypatch)
+    # B = 2**63 - 1 is the largest bound the int64 path takes
+    assert pullback_table({1: INT64_LIMIT - 1}, 1, [(0, 0, 1)]) == (
+        {1: INT64_LIMIT - 1}, 1, ()
+    )
+    assert seen == [0]
+    # B = 2**63 goes modular, and the result itself does not fit int64
+    seen.clear()
+    terms, leaves, moduli = pullback_table({1: 1 << 62}, 1, [(0, 3, -2)])
+    assert terms == {8: -INT64_LIMIT} and leaves == 1
+    assert seen == list(moduli) and 0 not in seen
+
+
+def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8):
+    rot = rotation(FAM, 2, 5, RationalCirclePoint(Fraction(5, 13), Fraction(12, 13)))
+    f, op = _crt_case(random.Random(77))
+    whole = f.pullback(op)
+    monkeypatch.setattr(exterior, "PULLBACK_CHUNK", 7)
+    plan, _ = _pullback_plan(dict(omega8._terms), 8, integer_entries(rot)[0])
+    assert len(plan[-1]) == omega8.term_count()  # 2**8 leaves each: one a chunk
+    assert len(_pullback_plan(dict(f._terms), 5, op.entries())[0][-1]) > 1
+    assert omega8.pullback(rot) == omega8
+    assert f.pullback(op) == whole
+
+
+def test_pullback_modular_room_is_checked():
+    # two leaves; with p near 2**61 a reduced accumulator takes only two
+    # more, so a chunk of four leaves is refused
+    plan, _ = _pullback_plan(
+        {0b11: 1}, 2, [(0, 0, 1), (0, 2, 1), (1, 1, 1), (1, 3, 1)]
+    )
+    acc, leaves = _pullback_mod(plan, 101)
+    assert leaves == 4 and int(acc[0b11]) == 1 and int(acc[0b1001]) == 1
+    assert int(acc[0b0110]) == 101 - 1  # dx2 ^ dx1 = -dx1 ^ dx2
+    with pytest.raises(OverflowError):
+        _pullback_mod(plan, (1 << 61) - 1)
+
+
+def test_pullback_rejects_inexact_coefficients():
+    op = Operator16.identity()
+    with pytest.raises(TypeError):
+        pullback_table({0b11: Fraction(1, 2)}, 2, op.entries())
+    with pytest.raises(TypeError):
+        pullback_table({0b11: 1}, 2, [(0, 0, 0.5)])
+    with pytest.raises(ValueError):
+        pullback_table({0b11: 1}, 3, op.entries())
+    with pytest.raises(ValueError):
+        AlternatingForm._raw(2, {0b11: 0.5}).pullback(op)
+    with pytest.raises(ValueError):
+        AlternatingForm(2, {(0, 1): 1}).pullback(
+            Operator16._raw(((0.5,) * 16,) * 16)
+        )
 
 
 def test_lie_derivative_leibniz_rule():
