@@ -23,7 +23,7 @@ import numpy as np
 from .exterior import AlternatingForm, perm_sign
 from .linalg import exact_ratio
 from .octonion import Octonion, cross_oct, re_mul
-from .operators import Operator16, Vector16, build_involutions, clifford_product
+from .operators import Vector16, clifford_product
 from .report import VerificationReport
 
 
@@ -242,8 +242,7 @@ def bpt_invariance_defect() -> BptDefect:
     invariance under the ninth-generator rotation plane; the witness
     tuple produces a nonzero total, refuting invariance.
     """
-    fam = build_involutions()
-    gen = clifford_product(fam, (7, 8))
+    gen = clifford_product((7, 8))
     vs = defect_vectors()
     terms = []
     for slot in range(8):
@@ -271,8 +270,7 @@ def bpt_square_check() -> VerificationReport:
     )
     proportional = factor is not None and omega8 == square.scale(factor)
     report.add("bpt.square-factor", proportional, factor=str(factor))
-    fam = build_involutions()
-    gen = clifford_product(fam, (7, 8))
+    gen = clifford_product((7, 8))
     report.add(
         "bpt.four-form-not-invariant",
         bool(omega4.lie_derivative(gen)),
@@ -283,8 +281,7 @@ def bpt_square_check() -> VerificationReport:
 def head_to_head(canonical: AlternatingForm) -> VerificationReport:
     """L along I_7 I_8 moves the cross-product form but fixes the canonical one."""
     report = VerificationReport()
-    fam = build_involutions()
-    gen = clifford_product(fam, (7, 8))
+    gen = clifford_product((7, 8))
     report.add(
         "bpt.not-invariant",
         bool(materialize_bpt_8form().lie_derivative(gen)),

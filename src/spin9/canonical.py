@@ -5,21 +5,27 @@ assemble into the invariant eight-form
 
     Omega = sum_{i,j,i',j' = 0..8} omega_ij ^ omega_ij' ^ omega_i'j ^ omega_i'j'
 
-with omega_ii = 0 and omega_ji = -omega_ij.  The sum here is literal,
-over all ordered index quadruples; the cancellations down to 702
-surviving monomials are an output, never an assumption.  It is grouped
-by plain distributivity as sum_{j,j'} Q_jj' ^ Q_jj' with
-Q_jj' = sum_{i not in {j,j'}} omega_ij ^ omega_ij', so every ordered
-quadruple still contributes its term exactly once.  The alternative
-grouping -1/2 sum D^2 squares the two-by-two minors D of the skew matrix
-(omega_ij); D vanishes when i = i' or j = j' and is antisymmetric in
-i <-> i' and in j <-> j', so each unordered pair of pairs stands for four
-ordered quadruples and the sum is -2 sum D^2 over i < i', j < j'.  The
-triple-form sum is a sum of squared four-forms too; all three go through
-one sum-of-squares helper.  The module also provides the S8-sum
-evaluation kernel, the vanishing corollaries, the verdict on the
-triple-form sum, deterministic coefficient export, and the two-form
-expansion identities of X-flat wedge Y-flat.
+with omega_ii = 0 and omega_ji = -omega_ij.  Every two-form, omega_ij and
+sigma_ijk(X, Y) = <X, I_i I_j I_k Y> alike, is one cached table per index
+tuple read off the cached Clifford product: empty on a repeated index,
+otherwise the sorted product's table with the sign of the sorting
+permutation (left out under the unsigned convention of the triple-form
+sum).
+
+The sum here is literal, over all ordered index quadruples; the
+cancellations down to 702 surviving monomials are an output, never an
+assumption.  It is grouped by plain distributivity as
+sum_{j,j'} Q_jj' ^ Q_jj' with Q_jj' = sum_{i not in {j,j'}} omega_ij ^
+omega_ij', so every ordered quadruple still contributes its term exactly
+once.  The alternative grouping -1/2 sum D^2 squares the two-by-two
+minors D of the skew matrix (omega_ij); D vanishes when i = i' or j = j'
+and is antisymmetric in i <-> i' and in j <-> j', so each unordered pair
+of pairs stands for four ordered quadruples and the sum is -2 sum D^2
+over i < i', j < j'.  The triple-form sum is a sum of squared four-forms
+too; all three go through one sum-of-squares helper.  The module also
+provides the S8-sum evaluation kernel, the vanishing corollaries, the
+verdict on the triple-form sum, deterministic coefficient export, and
+the two-form expansion identities of X-flat wedge Y-flat.
 """
 
 from __future__ import annotations
@@ -32,19 +38,16 @@ from typing import Optional, Union
 
 from .curvature import curvature_omega
 from .exterior import AlternatingForm, perm_sign, two_form_from_operator, wedge_sum
-from .linalg import clear_denominators, det, exact_ratio
+from .linalg import clear_denominators, det, exact_ratio, require_exact
 from .octonion import Octonion
 from .operators import (
-    InvolutionFamily,
     Operator16,
     RationalCirclePoint,
     Vector16,
     build_involutions,
     clifford_product,
     inner16,
-    pair_products,
     rotation,
-    triple_products,
 )
 from .report import VerificationReport
 
@@ -55,32 +58,36 @@ Num = Union[int, Fraction]
 
 
 @functools.cache
-def _omega_terms(i: int, j: int) -> dict:
-    """Two-form table of I_i I_j, any i != j in 0..8."""
-    fam = build_involutions()
-    return two_form_from_operator(fam[i] @ fam[j])._terms
+def _two_form_table(idx: tuple, signed: bool = True) -> dict:
+    """Two-form table of the product I_{i1} ... I_{ir} in any index order.
 
-
-@functools.cache
-def _sigma_terms(i: int, j: int, k: int) -> dict:
-    op = clifford_product(build_involutions(), (i, j, k))
-    return two_form_from_operator(op)._terms
+    Empty on a repeated index; otherwise the table of the sorted product,
+    negated when `signed` and the sorting permutation is odd.  Only sorted
+    tuples are read off the product; the others reuse their table.
+    """
+    if len(set(idx)) < len(idx):
+        return {}
+    ordered = tuple(sorted(idx))
+    if idx == ordered:
+        return two_form_from_operator(clifford_product(idx))._terms
+    terms = _two_form_table(ordered)
+    if signed and perm_sign(idx) < 0:
+        return {m: -v for m, v in terms.items()}
+    return terms
 
 
 def omega2(i: int, j: int) -> AlternatingForm:
     """The two-form of I_i I_j; zero when i = j, skew in (i, j)."""
     if not (0 <= i <= 8 and 0 <= j <= 8):
         raise ValueError("indices must lie in 0..8")
-    if i == j:
-        return AlternatingForm.zero(2)
-    return AlternatingForm._raw(2, dict(_omega_terms(i, j)))
+    return AlternatingForm._raw(2, dict(_two_form_table((i, j))))
 
 
 def sigma2(i: int, j: int, k: int) -> AlternatingForm:
     """The two-form of I_i I_j I_k for a strictly increasing triple."""
     if not (0 <= i < j < k <= 8):
         raise ValueError("need 0 <= i < j < k <= 8")
-    return AlternatingForm._raw(2, dict(_sigma_terms(i, j, k)))
+    return AlternatingForm._raw(2, dict(_two_form_table((i, j, k))))
 
 
 # the canonical eight-form ---------------------------------------------------
@@ -98,7 +105,7 @@ def _sum_of_squares(groups) -> dict:
 @functools.cache
 def canonical_8form() -> AlternatingForm:
     """The literal quadruple sum over the omega_ij tables."""
-    w2 = {(i, j): _omega_terms(i, j) for i, j in permutations(range(9), 2)}
+    w2 = {ij: _two_form_table(ij) for ij in permutations(range(9), 2)}
     return AlternatingForm._raw(8, build_8form_from_two_forms(w2))
 
 
@@ -129,13 +136,9 @@ def canonical_8form_alt() -> AlternatingForm:
     stands for four ordered quadruples with the same square, and the sum
     is -2 sum D^2 over those groups.
     """
-    empty: dict = {}
-
-    def w(i, j):
-        return _omega_terms(i, j) if i != j else empty
-
+    w = _two_form_table
     squares = _sum_of_squares(
-        [(w(i, j), w(ip, jp)), (w(j, ip), w(i, jp))]
+        [(w((i, j)), w((ip, jp))), (w((j, ip)), w((i, jp)))]
         for (i, ip), (j, jp) in product(combinations(range(9), 2), repeat=2)
     )
     return AlternatingForm._raw(8, {m: -2 * c for m, c in squares.items()})
@@ -184,13 +187,13 @@ def w_tilde(v: Octonion, vp: Octonion, w: Octonion, wp: Octonion) -> Num:
 
 def four_form_omega_sum() -> AlternatingForm:
     """sum_{i<j} omega_ij ^ omega_ij; vanishes identically."""
-    tables = (_omega_terms(i, j) for i, j in combinations(range(9), 2))
+    tables = map(_two_form_table, combinations(range(9), 2))
     return AlternatingForm._raw(4, wedge_sum((t, t) for t in tables))
 
 
 def four_form_sigma_sum() -> AlternatingForm:
     """sum_{i<j<k} sigma_ijk ^ sigma_ijk; vanishes identically."""
-    tables = (_sigma_terms(*ijk) for ijk in combinations(range(9), 3))
+    tables = map(_two_form_table, combinations(range(9), 3))
     return AlternatingForm._raw(4, wedge_sum((t, t) for t in tables))
 
 
@@ -213,10 +216,10 @@ def bianchi_cyclic_residual(x: Vector16, y: Vector16, z: Vector16) -> Vector16:
 
 
 def rotation_fixes(
-    form: AlternatingForm, family: InvolutionFamily, k: int, l: int, p: RationalCirclePoint
+    form: AlternatingForm, k: int, l: int, p: RationalCirclePoint
 ) -> bool:
     """Exact check that the (k, l) rotation pulls the form back to itself."""
-    return form.pullback(rotation(family, k, l, p)) == form
+    return form.pullback(rotation(k, l, p)) == form
 
 
 def givens9(a: int, b: int, p: RationalCirclePoint):
@@ -242,11 +245,17 @@ def mat9_mul(m1, m2):
 def frame_change_fixes(m9) -> bool:
     """Whether rebuilding the eight-form from I'_i = sum_j m[i][j] I_j changes it.
 
-    m9 must be special orthogonal with rational entries.  Works with
+    m9 must be a special orthogonal 9 x 9 matrix of int or Fraction
+    entries; any other shape or entry raises ValueError.  Works with
     integer-scaled operators throughout, comparing against d^8 times the
     canonical coefficients, so no rational division enters the big sum.
+    The products I'_i I'_j are taken in the rotated family here, not
+    from `clifford_product`.
     """
-    rows = tuple(tuple(Fraction(v) for v in row) for row in m9)
+    rows = tuple(tuple(row) for row in m9)
+    if len(rows) != 9 or any(len(row) != 9 for row in rows):
+        raise ValueError("frame matrix must be 9 x 9")
+    rows = tuple(tuple(Fraction(require_exact(v)) for v in row) for row in rows)
     ident = tuple(
         tuple(Fraction(1) if r == c else Fraction(0) for c in range(9))
         for r in range(9)
@@ -277,18 +286,6 @@ def frame_change_fixes(m9) -> bool:
 # the triple-form sum --------------------------------------------------------
 
 
-@functools.cache
-def _sigma_any(i: int, j: int, p: int, signed: bool) -> dict:
-    """The sigma table for any index order; empty on a repeated index."""
-    if i == j or i == p or j == p:
-        return {}
-    seq = (i, j, p)
-    terms = _sigma_terms(*sorted(seq))
-    if signed and perm_sign(seq) < 0:
-        return {m: -v for m, v in terms.items()}
-    return terms
-
-
 def conjecture_8form(convention: str = "antisymmetric") -> AlternatingForm:
     """One quarter of the sextuple sigma sum, under the stated convention.
 
@@ -307,7 +304,10 @@ def _conjecture_build(convention: str) -> AlternatingForm:
     signed = convention == "antisymmetric"
     squares = _sum_of_squares(
         [
-            (_sigma_any(i, j, p, signed), _sigma_any(i, j, pp, signed))
+            (
+                _two_form_table((i, j, p), signed),
+                _two_form_table((i, j, pp), signed),
+            )
             for i, j in product(range(9), repeat=2)
         ]
         for p, pp in product(range(9), repeat=2)
@@ -417,22 +417,27 @@ def friedrich_identities(x: Vector16, y: Vector16) -> VerificationReport:
       8 sum_l (I_l x)b ^ (I_l y)b
                            = 5 sum omega_ij(x,y) omega_ij - 3 sum sigma_ijk(x,y) sigma_ijk
 
-    with both sums over increasing index tuples.
+    with both sums over increasing index tuples.  Both sides are bilinear
+    in (x, y), so x and y are cleared to integer vectors first and each
+    expansion sums its coefficients into one table.
     """
-    fam = build_involutions()
+    x, y = (Vector16._raw(clear_denominators(v.coords())[0]) for v in (x, y))
 
-    def expansion(grade: int, products, two_form) -> AlternatingForm:
+    def expansion(grade: int) -> AlternatingForm:
         """sum over increasing index tuples of <x, P y> times P's two-form."""
-        total = AlternatingForm.zero(2)
-        for idx, p in zip(combinations(range(9), grade), products):
-            total = total + two_form(*idx).scale(inner16(x, p.apply(y)))
-        return total
+        total: dict = {}
+        for idx in combinations(range(9), grade):
+            c = inner16(x, clifford_product(idx).apply(y))
+            if c:
+                for m, v in _two_form_table(idx).items():
+                    total[m] = total.get(m, 0) + c * v
+        return AlternatingForm._raw(2, {m: v for m, v in total.items() if v})
 
-    omega_part = expansion(2, pair_products(), omega2)
-    sigma_part = expansion(3, triple_products(), sigma2)
+    omega_part = expansion(2)
+    sigma_part = expansion(3)
     lhs1 = flat(x).wedge(flat(y)).scale(8)
     lhs2 = AlternatingForm.zero(2)
-    for op in fam.ops:
+    for op in build_involutions().ops:
         lhs2 = lhs2 + flat(op.apply(x)).wedge(flat(op.apply(y)))
     lhs2 = lhs2.scale(8)
 

@@ -26,7 +26,7 @@ from .canonical import (
     omega2,
 )
 from .exterior import integer_entries, pullback_table
-from .operators import RationalCirclePoint, Vector16, build_involutions, rotation
+from .operators import RationalCirclePoint, Vector16, rotation
 from .stabilizer import stabilizer_system
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
@@ -251,13 +251,12 @@ def _bench_pullback():
     import hashlib
 
     form = canonical_8form()
-    fam = build_involutions()
     points = (
         RationalCirclePoint(Fraction(3, 5), Fraction(4, 5)),
         RationalCirclePoint(Fraction(5, 13), Fraction(12, 13)),
     )
     rotations = [
-        rotation(fam, k, l, p)
+        rotation(k, l, p)
         for k, l in combinations(range(9), 2)
         for p in points
     ]

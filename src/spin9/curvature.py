@@ -39,7 +39,7 @@ from typing import Union
 
 from .linalg import clear_denominators, exact_ratio, require_exact
 from .octonion import coeff_conj, coeff_mul
-from .operators import Vector16, build_involutions, inner16, pair_products
+from .operators import Vector16, build_involutions, inner16, lambda_basis
 from .report import VerificationReport
 
 Num = Union[int, Fraction]
@@ -75,13 +75,13 @@ def _rescaled(total, factor: Fraction) -> Vector16:
 
 
 @functools.cache
-def _columns(family) -> tuple:
-    """(n, cols) for the n operators P_i of family(), read by column.
+def _columns(grade: int) -> tuple:
+    """(n, cols) for the n products P_i of lambda_basis(grade), by column.
 
     cols[k] lists the nonzero entries of column k of every operator as
     (i, r, v), v being entry (r, k) of P_i.
     """
-    ops = tuple(family())
+    ops = lambda_basis(grade)
     cols = [[] for _ in range(16)]
     for i, op in enumerate(ops):
         for r, k, v in op.entries():
@@ -89,13 +89,13 @@ def _columns(family) -> tuple:
     return len(ops), tuple(map(tuple, cols))
 
 
-def _expand(family, a: list, b: list, d: list, total: list) -> list:
-    """total + sum_i <a, P_i b> P_i d over the operators P_i of family().
+def _expand(grade: int, a: list, b: list, d: list, total: list) -> list:
+    """total + sum_i <a, P_i b> P_i d over the products P_i of one grade.
 
     The first loop visits the nonzero coordinates of b only, the second
     those of d only; a dense vector has all 16.
     """
-    n, cols = _columns(family)
+    n, cols = _columns(grade)
     coeff = [0] * n
     for k, t in enumerate(b):
         if t:
@@ -111,7 +111,7 @@ def _expand(family, a: list, b: list, d: list, total: list) -> list:
 def curvature_omega(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """R_XY Z via the two-form expansion over the 36 involution pairs."""
     cx, cy, cz, factor = _cleared(x, y, z, c)
-    return _rescaled(_expand(pair_products, cx, cy, cz, [0] * 16), factor)
+    return _rescaled(_expand(2, cx, cy, cz, [0] * 16), factor)
 
 
 def _antisymmetrized(s, x, y, z, c: Num) -> Vector16:
@@ -145,7 +145,7 @@ def curvature_brown_gray(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vecto
 def _s_prime_operator(cx, cy, cz) -> list:
     """S'_XY Z / (-c/4) = 3 g(Y,Z) X + sum_i g(I_i Y, Z) I_i X."""
     g = sum(p * q for p, q in zip(cy, cz))
-    return _expand(build_involutions, cz, cy, cx, [3 * g * v for v in cx])
+    return _expand(1, cz, cy, cx, [3 * g * v for v in cx])
 
 
 def s_prime_operator(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:

@@ -11,6 +11,12 @@ Products of distinct I_i are signed permutations of the basis, so they
 have one nonzero entry per row.  `Operator16` keeps its dense rows and
 lists its nonzero entries once; products and `apply` run over those, so
 a signed permutation costs 16 entries, and there is no second format.
+
+`clifford_product` is the one source of the products I_{i1} ... I_{ir}
+(increasing indices, r = 1..4): each is cached per index tuple and built
+from its cached prefix by one product, so the 255 of them cost 246
+products in all, and only when first asked for.  The family is fixed:
+no function takes the involutions as an argument.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from itertools import combinations
 from typing import Sequence, Union
 
 from .linalg import det, require_exact
-from .octonion import Octonion, Scalar, inner_oct
+from .octonion import Octonion, inner_oct
 
 Num = Union[int, Fraction]
 
@@ -257,24 +263,6 @@ def build_involutions() -> InvolutionFamily:
     return InvolutionFamily(ops=tuple(ops))
 
 
-@functools.cache
-def pair_products() -> tuple:
-    """I_i I_j for the 36 pairs i < j, in lex order."""
-    fam = build_involutions()
-    return tuple(fam[i] @ fam[j] for i, j in combinations(range(9), 2))
-
-
-@functools.cache
-def triple_products() -> tuple:
-    """I_i I_j I_k for the 84 triples i < j < k in lex order, one product
-    each on the cached pairs."""
-    fam = build_involutions()
-    pairs = dict(zip(combinations(range(9), 2), pair_products()))
-    return tuple(
-        pairs[i, j] @ fam[k] for i, j, k in combinations(range(9), 3)
-    )
-
-
 def _validate_indices(indices) -> tuple:
     idx = tuple(indices)
     if not 1 <= len(idx) <= 4:
@@ -286,18 +274,27 @@ def _validate_indices(indices) -> tuple:
     return idx
 
 
-def clifford_product(family: InvolutionFamily, indices) -> Operator16:
-    """The product I_{i1} ... I_{ir} for a strictly increasing index tuple."""
-    return functools.reduce(
-        Operator16.__matmul__, (family[i] for i in _validate_indices(indices))
-    )
+def clifford_product(indices) -> Operator16:
+    """The product I_{i1} ... I_{ir} for a strictly increasing index tuple.
+
+    The one source of Clifford products: the indices are checked, then the
+    product comes from a cache filled on first use.
+    """
+    return _product(_validate_indices(indices))
 
 
-def lambda_basis(family: InvolutionFamily, r: int) -> list:
-    """All products over strictly increasing r-tuples from 0..8."""
+@functools.cache
+def _product(idx: tuple) -> Operator16:
+    """The left fold clifford_product(idx[:-1]) @ I_{idx[-1]}, cached."""
+    last = build_involutions()[idx[-1]]
+    return _product(idx[:-1]) @ last if len(idx) > 1 else last
+
+
+def lambda_basis(r: int) -> tuple:
+    """All products over strictly increasing r-tuples from 0..8, in lex order."""
     if not 1 <= r <= 4:
         raise ValueError("grade r must be in 1..4")
-    return [clifford_product(family, c) for c in combinations(range(9), r)]
+    return tuple(clifford_product(c) for c in combinations(range(9), r))
 
 
 @dataclass(frozen=True)
@@ -324,20 +321,18 @@ class RationalCirclePoint:
         return self.c * self.c - self.s * self.s == 1 and self.c >= 1
 
 
-def rotation(
-    family: InvolutionFamily, k: int, l: int, p: RationalCirclePoint
-) -> Operator16:
+def rotation(k: int, l: int, p: RationalCirclePoint) -> Operator16:
     """The rotation c * Id + s * I_k I_l in the plane of the pair (k, l)."""
     if not (isinstance(k, int) and isinstance(l, int) and 0 <= k < l <= 8):
         raise ValueError("need 0 <= k < l <= 8")
     if not p.is_rotation:
         raise ValueError("rotation needs a circle point with c^2 + s^2 = 1")
-    return Operator16.identity(p.c) + clifford_product(family, (k, l)).scale(p.s)
+    return Operator16.identity(p.c) + clifford_product((k, l)).scale(p.s)
 
 
-def boost8(family: InvolutionFamily, p: RationalCirclePoint) -> Operator16:
+def boost8(p: RationalCirclePoint) -> Operator16:
     """The boost c * Id + s * I_8, diagonal on the two octonion blocks."""
     if not p.is_boost:
         raise ValueError("boost needs a hyperbola point with c^2 - s^2 = 1, c >= 1")
-    return Operator16.identity(p.c) + family[8].scale(p.s)
+    return Operator16.identity(p.c) + build_involutions()[8].scale(p.s)
 

@@ -37,7 +37,7 @@ from .operators import (
     build_involutions,
     clifford_product,
     commutator,
-    pair_products,
+    lambda_basis,
 )
 from .report import VerificationReport
 
@@ -127,7 +127,7 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
     if len(ech) + len(vecs) != ncols:
         raise AssertionError("rank-nullity identity failed")
     contains = n == 16 and all(
-        not form.lie_derivative(p) for p in pair_products()
+        not form.lie_derivative(p) for p in lambda_basis(2)
     )
     return StabilizerResult(
         kernel_dimension=len(vecs),
@@ -179,7 +179,7 @@ def spans_involution_pairs(result: StabilizerResult) -> bool:
     """
     if result.dimension != 16 or result.kernel_dimension != 36:
         return False
-    prods = pair_products()
+    prods = lambda_basis(2)
     ech = kernel_echelon(result)
     if not all(in_kernel_span(result, p, ech) for p in prods):
         return False
@@ -301,24 +301,23 @@ def lambda1_exclusion(form: AlternatingForm) -> VerificationReport:
     witness is run alongside as the cheaper equivalent.
     """
     report = VerificationReport()
-    fam = build_involutions()
     low = form.restrict_low()
     report.add("stabilizer.lambda1.restriction-nonzero", bool(low))
 
     trivial = RationalCirclePoint(1, 0)
-    pulled = form.pullback(boost8(fam, trivial)).restrict_low()
+    pulled = form.pullback(boost8(trivial)).restrict_low()
     report.add("stabilizer.lambda1.identity-boost", pulled == low)
 
     p = RationalCirclePoint(Fraction(5, 4), Fraction(3, 4))
     factor = (p.c - p.s) ** 8
-    pulled = form.pullback(boost8(fam, p)).restrict_low()
+    pulled = form.pullback(boost8(p)).restrict_low()
     report.add(
         "stabilizer.lambda1.boost-scaling",
         pulled == low.scale(factor),
         factor=str(factor),
     )
 
-    witness = form.lie_derivative(fam[8])
+    witness = form.lie_derivative(build_involutions()[8])
     report.add("stabilizer.lambda1.lie-witness", bool(witness))
     return report
 
@@ -331,14 +330,13 @@ def lambda3_exclusion(form: AlternatingForm) -> VerificationReport:
     the 36-dimensional degree-2 part found by the kernel solve.
     """
     report = VerificationReport()
-    fam = build_involutions()
     report.add(
         "stabilizer.lambda3.witness",
-        bool(form.lie_derivative(clifford_product(fam, (0, 1, 2)))),
+        bool(form.lie_derivative(clifford_product((0, 1, 2)))),
     )
     report.add(
         "stabilizer.lambda3.pair-control",
-        not form.lie_derivative(clifford_product(fam, (0, 1))),
+        not form.lie_derivative(clifford_product((0, 1))),
     )
     scaling = form.lie_derivative(Operator16.identity())
     report.add(

@@ -33,7 +33,6 @@ from .operators import (
     commutator,
     inner16,
     lambda_basis,
-    pair_products,
     rotation,
 )
 from .report import VerificationReport
@@ -127,15 +126,15 @@ def verify_operators(config: RunConfig) -> VerificationReport:
         fam[i] @ fam[i] == ident and fam[i].is_symmetric() for i in range(9)
     )
     anti = all(
-        fam[i] @ fam[j] == -(fam[j] @ fam[i])
+        clifford_product((i, j)) == -(fam[j] @ fam[i])
         for i in range(9)
         for j in range(i + 1, 9)
     )
     report.add("operators.involution-family", ok and anti, pairs=36)
 
-    sizes = tuple(len(lambda_basis(fam, r)) for r in (1, 2, 3, 4))
+    sizes = tuple(len(lambda_basis(r)) for r in (1, 2, 3, 4))
     prod_rank = len(
-        int_echelon(stabilizer.operator_row(op) for op in lambda_basis(fam, 2))
+        int_echelon(stabilizer.operator_row(op) for op in lambda_basis(2))
     )
     report.add(
         "operators.clifford-grading",
@@ -146,10 +145,10 @@ def verify_operators(config: RunConfig) -> VerificationReport:
 
     ok = all(
         sum(
-            (fam[j] @ clifford_product(fam, (k, l)) @ fam[j] for j in range(9)),
+            (fam[j] @ clifford_product((k, l)) @ fam[j] for j in range(9)),
             Operator16.zero(),
         )
-        == clifford_product(fam, (k, l)).scale(5)
+        == clifford_product((k, l)).scale(5)
         for k in range(9)
         for l in range(k + 1, 9)
     )
@@ -164,17 +163,15 @@ def verify_operators(config: RunConfig) -> VerificationReport:
         abc = tuple(sorted(rng.sample(others, 3)))
         defs = tuple(sorted(rng.sample(others, 3)))
         lhs = commutator(
-            fam[k] @ clifford_product(fam, abc),
-            fam[k] @ clifford_product(fam, defs),
+            fam[k] @ clifford_product(abc),
+            fam[k] @ clifford_product(defs),
         )
-        rhs = -commutator(
-            clifford_product(fam, abc), clifford_product(fam, defs)
-        )
+        rhs = -commutator(clifford_product(abc), clifford_product(defs))
         ok = ok and lhs == rhs
     report.add("operators.conjugated-commutators", ok)
 
     p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
-    r = rotation(fam, 0, 1, p)
+    r = rotation(0, 1, p)
     report.add(
         "operators.rotation-orthogonal",
         r.transpose() @ r == ident and r.det() == 1,
@@ -185,7 +182,6 @@ def verify_operators(config: RunConfig) -> VerificationReport:
 def verify_exterior(config: RunConfig) -> VerificationReport:
     report = VerificationReport()
     rng = config.rng("exterior")
-    fam = build_involutions()
 
     a = AlternatingForm.monomial((0, 1))
     b = AlternatingForm.monomial((2, 3))
@@ -206,7 +202,7 @@ def verify_exterior(config: RunConfig) -> VerificationReport:
     report.add("exterior.graded-commutativity", ok, samples=config.samples)
 
     p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
-    r01 = rotation(fam, 0, 1, p)
+    r01 = rotation(0, 1, p)
     c, s = p.c, p.s
     w02, w12 = canonical.omega2(0, 2), canonical.omega2(1, 2)
     report.add(
@@ -215,12 +211,12 @@ def verify_exterior(config: RunConfig) -> VerificationReport:
     )
     report.add(
         "exterior.derivative-of-rotation",
-        w02.lie_derivative(clifford_product(fam, (0, 1)))
+        w02.lie_derivative(clifford_product((0, 1)))
         == w12.scale(2),
     )
 
     q = RationalCirclePoint(Fraction(5, 13), Fraction(12, 13))
-    r25 = rotation(fam, 2, 5, q)
+    r25 = rotation(2, 5, q)
     ok = True
     for _ in range(min(config.samples, 6)):
         form = _random_form(rng, 3)
@@ -253,7 +249,6 @@ def _random_form(rng: random.Random, degree: int) -> AlternatingForm:
 def verify_canonical(config: RunConfig) -> VerificationReport:
     report = VerificationReport()
     rng = config.rng("canonical")
-    fam = build_involutions()
     omega = canonical.canonical_8form()
     frame = [Vector16.basis(k) for k in range(8)]
 
@@ -292,13 +287,13 @@ def verify_canonical(config: RunConfig) -> VerificationReport:
         and not canonical.four_form_sigma_sum(),
     )
 
-    ok = all(not omega.lie_derivative(p) for p in pair_products())
+    ok = all(not omega.lie_derivative(p) for p in lambda_basis(2))
     report.add("canonical.infinitesimal-invariance", ok, pairs=36)
 
     p1 = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
     p2 = RationalCirclePoint(Fraction(5, 13), Fraction(12, 13))
     ok = all(
-        canonical.rotation_fixes(omega, fam, k, l, pt)
+        canonical.rotation_fixes(omega, k, l, pt)
         for (k, l) in ((0, 1), (7, 8))
         for pt in (p1, p2)
     )
@@ -403,9 +398,8 @@ def verify_curvature(config: RunConfig) -> VerificationReport:
             ok = False
     report.add("curvature.bianchi-and-pair-symmetry", ok)
 
-    fam = build_involutions()
     p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
-    a = rotation(fam, 2, 5, p)
+    a = rotation(2, 5, p)
     x, y, z = (_rand_vector(rng) for _ in range(3))
     report.add(
         "curvature.rotation-equivariance",
@@ -422,7 +416,7 @@ def verify_curvature(config: RunConfig) -> VerificationReport:
     counts = []
     for m in range(1, 16):
         total = 0
-        for p in pair_products():
+        for p in lambda_basis(2):
             v = inner16(basis[0], p.apply(basis[m]))
             total += v * v
         counts.append(total)

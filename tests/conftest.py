@@ -1,18 +1,12 @@
 import pytest
 
 from spin9.canonical import canonical_8form
-from spin9.operators import build_involutions
 
 CRITERION_LINES = []
 
 
 def record_criterion(line: str) -> None:
     CRITERION_LINES.append(line)
-
-
-@pytest.fixture(scope="session")
-def family():
-    return build_involutions()
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ from spin9.octonion import Octonion
 from spin9.operators import (
     Operator16,
     Vector16,
-    build_involutions,
     clifford_product,
 )
 
@@ -46,7 +45,6 @@ def curvature_oracle(x, y, z, c):
     The two-form expansion with no clearing of denominators: the slow
     differential oracle of the integer-cleared curvature expressions.
     """
-    fam = build_involutions()
 
     def apply(rows, coords):
         return [sum(p * q for p, q in zip(row, coords)) for row in rows]
@@ -55,7 +53,7 @@ def curvature_oracle(x, y, z, c):
     total = [Fraction(0)] * 16
     for i in range(9):
         for j in range(i + 1, 9):
-            rows = clifford_product(fam, (i, j)).rows
+            rows = clifford_product((i, j)).rows
             coeff = sum(p * q for p, q in zip(cx, apply(rows, cy)))
             if coeff:
                 iz = apply(rows, cz)

@@ -86,12 +86,12 @@ def test_criterion_02_term_count_and_byte_stable_export(omega8):
 def test_criterion_03_invariance(omega8):
     t0 = time.perf_counter()
     pairs_ok = all(
-        not omega8.lie_derivative(clifford_product(FAM, (k, l)))
+        not omega8.lie_derivative(clifford_product((k, l)))
         for k in range(9)
         for l in range(k + 1, 9)
     )
     rot_ok = all(
-        rotation_fixes(omega8, FAM, k, l, pt)
+        rotation_fixes(omega8, k, l, pt)
         for k in range(9)
         for l in range(k + 1, 9)
         for pt in (P1, P2)
@@ -231,7 +231,7 @@ def test_criterion_07_curvature_equivalence():
     operator_ok = True
     for k in range(9):
         for l in range(k + 1, 9):
-            ikl = clifford_product(FAM, (k, l))
+            ikl = clifford_product((k, l))
             acc = Operator16.zero()
             for j in range(9):
                 acc = acc + FAM[j] @ ikl @ FAM[j]

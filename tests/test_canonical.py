@@ -40,14 +40,12 @@ from spin9.octonion import Octonion
 from spin9.operators import (
     RationalCirclePoint,
     Vector16,
-    build_involutions,
     clifford_product,
     inner16,
 )
 from spin9 import canonical
 from spin9.canonical import bianchi_cyclic_residual
 
-FAM = build_involutions()
 FRAME8 = [Vector16.basis(k) for k in range(8)]
 P1 = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
 P2 = RationalCirclePoint(Fraction(5, 13), Fraction(12, 13))
@@ -83,6 +81,9 @@ def test_alt_grouping_reduction_matches_the_literal_sum(monkeypatch):
     def w(i, j):
         return family[(i, j)]
 
+    def table(idx, signed=True):
+        return family.get(idx, {})  # empty on a repeated index
+
     groups = []
     squares = canonical._sum_of_squares
 
@@ -91,7 +92,7 @@ def test_alt_grouping_reduction_matches_the_literal_sum(monkeypatch):
         groups.append(len(gs))
         return squares(gs)
 
-    monkeypatch.setattr(canonical, "_omega_terms", w)
+    monkeypatch.setattr(canonical, "_two_form_table", table)
     monkeypatch.setattr(canonical, "_sum_of_squares", spy)
     oracle = alt_grouping_oracle(w)
     assert len(oracle) > 100
@@ -101,12 +102,12 @@ def test_alt_grouping_reduction_matches_the_literal_sum(monkeypatch):
 
 def test_two_form_conventions():
     # omega_ij(X, Y) = <X, I_i I_j Y>; basis pins for two pairs
-    ij = clifford_product(FAM, (0, 1))
+    ij = clifford_product((0, 1))
     x, y = Vector16.basis(0), Vector16.basis(1)
     rng = random.Random(51)
     for i, j in ((0, 1), (2, 7), (3, 8)):
         f = omega2(i, j)
-        op = clifford_product(FAM, (i, j))
+        op = clifford_product((i, j))
         for _ in range(5):
             u, v = rand_vector(rng), rand_vector(rng)
             assert f.evaluate([u, v]) == inner16(u, op.apply(v))
@@ -118,7 +119,7 @@ def test_sigma_two_form_convention():
     rng = random.Random(52)
     for i, j, k in ((0, 1, 2), (1, 4, 8), (2, 3, 7)):
         f = sigma2(i, j, k)
-        op = clifford_product(FAM, (i, j, k))
+        op = clifford_product((i, j, k))
         for _ in range(5):
             u, v = rand_vector(rng), rand_vector(rng)
             assert f.evaluate([u, v]) == inner16(u, op.apply(v))
@@ -209,12 +210,12 @@ def test_block_restrictions():
 
 def test_infinitesimal_invariance_sample(omega8):
     for pair in ((0, 1), (3, 7), (2, 8), (5, 6)):
-        assert not omega8.lie_derivative(clifford_product(FAM, pair))
+        assert not omega8.lie_derivative(clifford_product(pair))
 
 
 def test_rotation_invariance_sample(omega8):
-    assert rotation_fixes(omega8, FAM, 0, 1, P1)
-    assert rotation_fixes(omega8, FAM, 7, 8, P2)
+    assert rotation_fixes(omega8, 0, 1, P1)
+    assert rotation_fixes(omega8, 7, 8, P2)
 
 
 def test_cyclic_two_form_identity():
@@ -274,6 +275,23 @@ def test_frame_change_rejects_non_orthogonal():
     )
     with pytest.raises(ValueError):
         frame_change_fixes(bad)
+
+
+def test_frame_change_checks_shape_and_entries():
+    ident = [[int(r == c) for c in range(9)] for r in range(9)]
+    as_float = [[float(v) for v in row] for row in ident]
+    givens_float = [[float(v) for v in row] for row in givens9(0, 4, P1)]
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        frame_change_fixes(as_float)
+    with pytest.raises(ValueError, match="exact int or Fraction"):
+        frame_change_fixes(givens_float)
+    for n in (8, 10):
+        square = [[int(r == c) for c in range(n)] for r in range(n)]
+        with pytest.raises(ValueError, match="9 x 9"):
+            frame_change_fixes(square)
+    with pytest.raises(ValueError, match="9 x 9"):
+        frame_change_fixes([row[:8] for row in ident])
+    assert frame_change_fixes(ident)
 
 
 def test_conjecture_antisymmetric_convention(omega8):

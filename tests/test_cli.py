@@ -169,6 +169,25 @@ def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch):
     assert cli.pool_size(3, 666) == 3
 
 
+def test_verify_jobs_pool_prints_the_serial_lines(monkeypatch, capsys):
+    # two CPUs seen here, so --jobs 2 fans the suites out to two workers
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    pools = []
+    executor = cli.concurrent.futures.ProcessPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spy)
+    assert run_cli(["verify", "--jobs", "1", "--samples", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert run_cli(["verify", "--jobs", "2", "--samples", "1"]) == 0
+    assert capsys.readouterr().out == serial
+    assert pools == [2]
+    assert len(serial.splitlines()) == 58
+
+
 def test_bench_stabilizer_assembly_dimensions(omega8, capsys):
     assert run_cli(["bench", "stabilizer-assembly"]) == 0
     out = capsys.readouterr().out

@@ -132,7 +132,7 @@ def test_rotation_equivariance():
     rng = random.Random(66)
     p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
     for pair in ((0, 1), (4, 8)):
-        a = rotation(FAM, pair[0], pair[1], p)
+        a = rotation(pair[0], pair[1], p)
         for _ in range(5):
             x, y, z = (rand_vector(rng) for _ in range(3))
             assert curvature_omega(
@@ -160,7 +160,7 @@ def test_averaging_identity_random():
 
 def test_conjugation_average_of_pairs():
     for k, l in ((0, 1), (2, 8), (5, 6)):
-        ikl = clifford_product(FAM, (k, l))
+        ikl = clifford_product((k, l))
         acc = Operator16.zero()
         for j in range(9):
             acc = acc + FAM[j] @ ikl @ FAM[j]
@@ -175,7 +175,7 @@ def test_plane_multiplicity_counts():
         for i in range(9):
             for j in range(i + 1, 9):
                 v = inner16(
-                    BASIS[0], clifford_product(FAM, (i, j)).apply(BASIS[m])
+                    BASIS[0], clifford_product((i, j)).apply(BASIS[m])
                 )
                 total += v * v
         assert total == (4 if m < 8 else 1)

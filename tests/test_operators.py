@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import matmul_oracle, rand_vector
+from spin9 import operators
 from spin9.linalg import rank
 from spin9.operators import (
     Operator16,
@@ -19,7 +20,6 @@ from spin9.operators import (
     commutator,
     inner16,
     lambda_basis,
-    pair_products,
     rotation,
 )
 
@@ -53,7 +53,7 @@ def test_involutions_are_isometries():
 def test_graded_counts_and_independence():
     sizes = []
     for r in range(1, 5):
-        ops = lambda_basis(FAM, r)
+        ops = lambda_basis(r)
         sizes.append(len(ops))
         assert rank([_vec_rows(op) for op in ops]) == len(ops)
     assert sizes == [9, 36, 84, 126]
@@ -62,14 +62,14 @@ def test_graded_counts_and_independence():
 def test_pair_products_are_skew():
     for i in range(9):
         for j in range(i + 1, 9):
-            assert clifford_product(FAM, (i, j)).is_skew()
+            assert clifford_product((i, j)).is_skew()
 
 
 def test_averaging_conjugation_identity():
     # sum_j I_j I_kl I_j = 5 I_kl for every pair
     for k in range(9):
         for l in range(k + 1, 9):
-            ikl = clifford_product(FAM, (k, l))
+            ikl = clifford_product((k, l))
             acc = Operator16.zero()
             for j in range(9):
                 acc = acc + FAM[j] @ ikl @ FAM[j]
@@ -77,17 +77,17 @@ def test_averaging_conjugation_identity():
 
 
 def test_triple_product_outside_pair_span():
-    pairs = [_vec_rows(clifford_product(FAM, (i, j)))
+    pairs = [_vec_rows(clifford_product((i, j)))
              for i in range(9) for j in range(i + 1, 9)]
     assert rank(pairs) == 36
-    witness = _vec_rows(clifford_product(FAM, (0, 1, 2)))
+    witness = _vec_rows(clifford_product((0, 1, 2)))
     assert rank(pairs + [witness]) == 37
 
 
 def test_pair_commutators_close():
     # [I_ij, I_kl] lies in span{I_pq}: reconstruct via trace projection,
     # using tr(A^T B) with each I_pq of squared norm 16
-    pair_ops = [clifford_product(FAM, (i, j))
+    pair_ops = [clifford_product((i, j))
                 for i in range(9) for j in range(i + 1, 9)]
     rng = random.Random(22)
     sample = rng.sample(list(itertools.combinations(pair_ops, 2)), 60)
@@ -109,16 +109,16 @@ def test_conjugated_commutators_disjoint_index():
         others = [i for i in range(9) if i != k]
         abc = tuple(sorted(rng.sample(others, 3)))
         defs = tuple(sorted(rng.sample(others, 3)))
-        lhs = commutator(FAM[k] @ clifford_product(FAM, abc),
-                         FAM[k] @ clifford_product(FAM, defs))
-        assert lhs == -commutator(clifford_product(FAM, abc),
-                                  clifford_product(FAM, defs))
+        lhs = commutator(FAM[k] @ clifford_product(abc),
+                         FAM[k] @ clifford_product(defs))
+        assert lhs == -commutator(clifford_product(abc),
+                                  clifford_product(defs))
 
 
 def test_conjugated_commutators_need_disjointness():
-    a = clifford_product(FAM, (1, 2, 3))
-    b = clifford_product(FAM, (4, 5, 6))
-    c = clifford_product(FAM, (1, 4, 5))
+    a = clifford_product((1, 2, 3))
+    b = clifford_product((4, 5, 6))
+    c = clifford_product((1, 4, 5))
     # k inside one triple: the minus-sign form fails
     assert (commutator(FAM[1] @ a, FAM[1] @ b)
             != -commutator(a, b))
@@ -129,19 +129,39 @@ def test_conjugated_commutators_need_disjointness():
 
 def test_clifford_product_validation():
     with pytest.raises(ValueError):
-        clifford_product(FAM, (2, 1))
+        clifford_product((2, 1))
     with pytest.raises(ValueError):
-        clifford_product(FAM, (1, 1))
+        clifford_product((1, 1))
     with pytest.raises(ValueError):
-        clifford_product(FAM, (0, 9))
-    assert clifford_product(FAM, (3,)) == FAM[3]
-    assert clifford_product(FAM, (0, 1)) @ clifford_product(FAM, (0, 1)) == -IDENT
+        clifford_product((0, 9))
+    assert clifford_product((3,)) == FAM[3]
+    assert clifford_product((0, 1)) @ clifford_product((0, 1)) == -IDENT
+    assert clifford_product([0, 1]) is clifford_product((0, 1))
+
+
+def test_products_are_cached_per_tuple_on_their_prefix(monkeypatch):
+    operators._product.cache_clear()
+    calls = []
+    matmul = Operator16.__matmul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Operator16, "__matmul__", counted)
+    for r in (4, 3, 2, 1, 4):
+        lambda_basis(r)
+    # one product per tuple of length 2..4, each on its cached prefix
+    assert len(calls) == 36 + 84 + 126
+    assert calls[0] == (FAM[0], FAM[1])
+    assert all(b in FAM.ops for _, b in calls)
+    assert operators._product.cache_info().currsize == 255
 
 
 def test_quadruple_from_commutator():
     # 2 I_{abcd} = [I_a, I_bcd] for distinct indices
-    quad = clifford_product(FAM, (0, 2, 5, 7))
-    assert quad.scale(2) == commutator(FAM[0], clifford_product(FAM, (2, 5, 7)))
+    quad = clifford_product((0, 2, 5, 7))
+    assert quad.scale(2) == commutator(FAM[0], clifford_product((2, 5, 7)))
 
 
 circle_params = st.tuples(st.integers(-9, 9), st.integers(1, 9))
@@ -154,21 +174,21 @@ def test_rotation_is_orthogonal(param):
     c = Fraction(den * den - num * num, den * den + num * num)
     s = Fraction(2 * num * den, den * den + num * num)
     p = RationalCirclePoint(c, s)
-    rot = rotation(FAM, 1, 4, p)
+    rot = rotation(1, 4, p)
     assert rot.transpose() @ rot == IDENT
 
 
 def test_rotation_validation():
     p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
     with pytest.raises(ValueError):
-        rotation(FAM, 4, 1, p)
+        rotation(4, 1, p)
     with pytest.raises(ValueError):
-        rotation(FAM, 1, 1, p)
+        rotation(1, 1, p)
     boost_pt = RationalCirclePoint(Fraction(5, 4), Fraction(3, 4))
     with pytest.raises(ValueError):
-        rotation(FAM, 1, 4, boost_pt)
+        rotation(1, 4, boost_pt)
     with pytest.raises(ValueError):
-        boost8(FAM, p)
+        boost8(p)
 
 
 def test_circle_point_validation():
@@ -216,7 +236,7 @@ def test_constructors_reject_inexact_input():
 def test_boost_preserves_quadratic_form():
     # c Id + s I_8 rescales the two octonion lines by reciprocal factors
     p = RationalCirclePoint(Fraction(5, 4), Fraction(3, 4))
-    b = boost8(FAM, p)
+    b = boost8(p)
     lo = b.apply(Vector16.basis(0))
     hi = b.apply(Vector16.basis(8))
     assert lo == Vector16.basis(0).scale(p.c - p.s)
@@ -234,7 +254,7 @@ def _rand_dense_operator(rng):
 def test_entries_round_trip():
     rng = random.Random(24)
     p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
-    for op in (clifford_product(FAM, (2, 6)), rotation(FAM, 1, 4, p),
+    for op in (clifford_product((2, 6)), rotation(1, 4, p),
                _rand_dense_operator(rng), Operator16.zero()):
         entries = op.entries()
         assert entries is op.entries()
@@ -255,7 +275,7 @@ def test_matmul_matches_dense_oracle():
     dense = [_rand_dense_operator(rng) for _ in range(3)]
     for a, b in itertools.product(dense, repeat=2):
         assert a @ b == matmul_oracle(a, b)
-    for ops in (FAM.ops, pair_products()):
+    for ops in (FAM.ops, lambda_basis(2)):
         few = ops[::5]
         for a, b in itertools.chain(itertools.product(ops, few),
                                     itertools.product(few, ops)):
@@ -267,7 +287,7 @@ def test_matmul_matches_dense_oracle():
 
 def test_pair_products_are_the_lex_pairs():
     pairs = list(itertools.combinations(range(9), 2))
-    assert pair_products() == tuple(
+    assert lambda_basis(2) == tuple(
         matmul_oracle(FAM[i], FAM[j]) for i, j in pairs
     )
 
@@ -279,6 +299,6 @@ def test_clifford_product_matches_oracle_on_every_index_tuple():
             expected = FAM[idx[0]]
             for i in idx[1:]:
                 expected = matmul_oracle(expected, FAM[i])
-            assert clifford_product(FAM, idx) == expected
+            assert clifford_product(idx) == expected
             count += 1
     assert count == 255

@@ -1,6 +1,8 @@
 """Module boundaries that the package keeps, checked on the source."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import spin9
@@ -66,3 +68,18 @@ def test_assert_guard_sees_assert_statements(tmp_path):
         "        raise AssertionError('explicit')\n"
     )
     assert list(_assert_statements(src)) == ["probe.py:2"]
+
+
+def test_importing_the_cli_builds_no_product():
+    # a product built at import would land in every command's set-up time
+    code = (
+        "import spin9.cli\n"
+        "from spin9 import operators\n"
+        "print(operators._product.cache_info().currsize,"
+        " operators.build_involutions.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
