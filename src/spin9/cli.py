@@ -25,7 +25,7 @@ from .canonical import (
     export_coefficients,
     omega2,
 )
-from .exterior import integer_entries, pullback_table
+from .exterior import evaluate_table, integer_entries, pullback_table
 from .operators import RationalCirclePoint, Vector16, rotation
 from .stabilizer import stabilizer_system
 from .suites import SUITE_NAMES, RunConfig, run_suite
@@ -196,6 +196,8 @@ def _bench_bpt_materialize():
 
 
 def _bench_evaluate(seed, samples):
+    """The BPT form (integer coefficients) on seeded integer 8-tuples, on
+    the integer kernel as `AlternatingForm.evaluate` calls it."""
     form = materialize_bpt_8form()
     rng = random.Random(f"{seed}:bench-evaluate")
     tuples = [
@@ -203,12 +205,20 @@ def _bench_evaluate(seed, samples):
          for _ in range(8)]
         for _ in range(samples)
     ]
+    values = []
+    products = 0
+    modular = False
     t0 = time.perf_counter()
-    values = [form.evaluate(vs) for vs in tuples]
+    for vs in tuples:
+        value, n, moduli = evaluate_table(form._terms, [v.coords() for v in vs])
+        values.append(value)
+        products += n
+        modular = modular or bool(moduli)
     elapsed = time.perf_counter() - t0
     checksum = sum(abs(v) for v in values)
     print(
         f"bench evaluate: calls={samples} terms={form.term_count()} "
+        f"products={products} path={'crt' if modular else 'int64'} "
         f"checksum={checksum}"
     )
     print(f"bench evaluate: time={elapsed:.3f}s")

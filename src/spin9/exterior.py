@@ -20,34 +20,41 @@ indices into increasing order costs the parity of its inversions,
 `perm_sign`.  With masks, moving one index past a set of others costs
 the popcount parity of those others; that is how the matrix unit E_rc,
 which turns index r into c, picks up the parity of the monomial's
-indices strictly between r and c (`generator_image`), and how the wedge
-kernel and the pullback sign each incoming factor.
+indices strictly between r and c (`lie_incidences`), and how the wedge
+kernel, the pullback and the Laplace gather sign each incoming factor.
 
-Forms are immutable.  `wedge_sum` at the bottom is the one exact kernel
-behind every wedge, `AlternatingForm.wedge` included: it takes integer
-coefficient tables {mask: int}, computes the a-priori bound
-B = sum |a|_1 |b|_1 over its pairs before any arithmetic, and runs the
-int64 per-pair step `_np_wedge_into` when B < 2**63, which then bounds
-every product and partial sum.  Otherwise it runs the same step modulo the fewest primes
+Forms are immutable.  `wedge_sum` is the one exact kernel behind every
+wedge, `AlternatingForm.wedge` included: it takes integer coefficient
+tables {mask: int}, computes the a-priori bound B = sum |a|_1 |b|_1 over
+its pairs before any arithmetic, and runs the int64 per-pair step
+`_np_wedge_into` when B < 2**63, which then bounds every product and
+partial sum.  Otherwise it runs the same step modulo the fewest primes
 below 2**31 whose product exceeds 2B, checking before each step that the
 accumulators cannot overflow, and rebuilds the exact integers by the
-Chinese remainder theorem.  No float enters either path.
+Chinese remainder theorem.  No float enters either path.  Three more
+kernels follow the same design (bound first, int64 below 2**63,
+otherwise once per prime of the same `_moduli(B)`, rebuilt by the same
+`_crt`):
 
-`evaluate` runs on the same kernel, so it is exact for integers of any
-size: one chain of `wedge_sum` calls wedges the integer-cleared argument
-vectors, which yields every p x p minor at once.
-
-`AlternatingForm.pullback` is the second client of the bound, int64 and
-CRT design.  `pullback_table` takes the integer-cleared form and
-operator, bounds every leaf and partial sum by
-B = sum_m |c_m| prod_t |row m_t|_1 before any arithmetic, and expands all
-monomials together in int64 when B < 2**63, otherwise once per prime of
-the same `_moduli(B)`, rebuilt by the same `_crt`.
+- `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
+  and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands all
+  monomials together.
+- `evaluate_table` behind `AlternatingForm.evaluate` is a Laplace
+  expansion across the middle: the integer-cleared argument vectors are
+  wedged in two halves by short `wedge_sum` chains, L = w_1 ^ ... ^ w_q
+  and R = w_{q+1} ^ ... ^ w_p with q = p // 2, and each minor of a
+  monomial m is the signed sum of L[A] R[m - A] over the q-subsets A of
+  m, gathered for every monomial at once under B = |L|_1 |R|_1.
+- `lie_table` behind `AlternatingForm.lie_derivative` finds every
+  (monomial, matrix unit) incidence in one array pass and accumulates
+  them under B = sum_m |c_m| sum |op entry|; `stabilizer_system` reads
+  its equation rows off the same incidences.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -200,8 +207,8 @@ class AlternatingForm:
     def evaluate(self, vectors: Iterable[Vector16]) -> Num:
         """self(v1, ..., vp): with v_k = w_k / d_k for integer vectors w_k,
         the coefficient of mask m in w_1 ^ ... ^ w_p is the minor
-        det[w_b[i_a]], so the value is sum_m c_m minor_m / prod d_k.
-        Coordinates outside the form's support meet no coefficient.
+        det[w_b[i_a]], so the value is sum_m c_m minor_m / prod d_k, which
+        `evaluate_table` sums exactly.
         """
         vs = list(vectors)
         if len(vs) != self.degree:
@@ -209,16 +216,12 @@ class AlternatingForm:
                 f"form of degree {self.degree} takes {self.degree} vectors"
             )
         coeffs, denom = clear_denominators(self._terms.values())
-        columns = [clear_denominators(v.coords()) for v in vs]
-        support = functools.reduce(int.__or__, self._terms, 0)
-        minors = {0: 1}
-        for k, (ints, d) in enumerate(columns):
+        columns = []
+        for v in vs:
+            ints, d = clear_denominators(v.coords())
+            columns.append(ints)
             denom *= d
-            column = {
-                1 << i: x for i, x in enumerate(ints) if x and support >> i & 1
-            }
-            minors = wedge_sum([(minors, column)]) if k else column
-        total = sum(c * minors.get(m, 0) for m, c in zip(self._terms, coeffs))
+        total, _, _ = evaluate_table(dict(zip(self._terms, coeffs)), columns)
         return exact_ratio(total, denom)
 
     def pullback(self, op: Operator16) -> "AlternatingForm":
@@ -238,18 +241,18 @@ class AlternatingForm:
         return AlternatingForm._raw(self.degree, terms)
 
     def lie_derivative(self, op: Operator16) -> "AlternatingForm":
-        """Derivative of the pullback along exp(t op) at t = 0.
+        """Derivative of the pullback along exp(t op) at t = 0, on `lie_table`.
 
-        Linear in op: the sum of op[r][c] times the image of the matrix
-        unit E_rc (`generator_image`) over the nonzero entries of op.
+        Linear in op and in the form: with op = A / d_op and coefficients
+        a / d_a for integer A and a, it is (L_A a) / (d_a d_op).
         """
-        out: dict = {}
-        for r, c, x in op.entries():
-            for m, v in generator_image(self, r, c).items():
-                out[m] = out.get(m, 0) + x * v
-        return AlternatingForm._raw(
-            self.degree, {m: v for m, v in out.items() if v}
-        )
+        entries, d_op = integer_entries(op)
+        coeffs, d = clear_denominators(self._terms.values())
+        terms, _ = lie_table(dict(zip(self._terms, coeffs)), entries)
+        d *= d_op
+        if d > 1:
+            terms = {m: exact_ratio(v, d) for m, v in terms.items()}
+        return AlternatingForm._raw(self.degree, terms)
 
     def restrict_low(self) -> "AlternatingForm":
         """Keep only monomials supported on the first octonion block 0..7."""
@@ -260,27 +263,6 @@ class AlternatingForm:
 
 def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
     return a.wedge(b)
-
-
-def generator_image(form: AlternatingForm, r: int, c: int) -> dict:
-    """Terms {mask: coeff} of the Lie derivative of `form` along E_rc.
-
-    E_rc turns the index r into c in every monomial that holds r and not
-    c; moving c to its sorted place passes the monomial's indices
-    strictly between r and c, one sign flip each.  The diagonal unit
-    E_rr keeps the monomials holding r.  Distinct monomials have
-    distinct images, so nothing cancels.
-    """
-    rbit = 1 << r
-    if r == c:
-        return {m: v for m, v in form._terms.items() if m & rbit}
-    cbit = 1 << c
-    between = (1 << max(r, c)) - (2 << min(r, c))
-    return {
-        m ^ rbit ^ cbit: -v if (m & between).bit_count() & 1 else v
-        for m, v in form._terms.items()
-        if m & rbit and not m & cbit
-    }
 
 
 def two_form_from_operator(op: Operator16) -> AlternatingForm:
@@ -555,3 +537,184 @@ def _pullback_mod(plan, p: int) -> tuple:
         if p:
             acc %= p
     return acc, leaves
+
+
+# exact evaluation kernel ----------------------------------------------------
+
+
+@functools.cache
+def _subset_positions(p: int, q: int) -> np.ndarray:
+    """The q-subsets of positions 0..p-1, one per row, in combinations order."""
+    subsets = list(itertools.combinations(range(p), q))
+    return np.array(subsets, dtype=np.int64).reshape(len(subsets), q)
+
+
+def _column_chain(columns) -> dict:
+    """w_1 ^ ... ^ w_k of one-form tables on `wedge_sum`; {0: 1} when k = 0."""
+    minors = {0: 1}
+    for k, column in enumerate(columns):
+        minors = wedge_sum([(minors, column)]) if k else column
+    return minors
+
+
+def evaluate_table(table: dict, columns) -> tuple:
+    """sum_m c_m det[w_b[i_a]] for an integer table {mask: int} of degree p
+    and p integer columns w_b: (value, products, moduli).
+
+    Laplace expansion across the middle: with q = p // 2, the left half
+    L = w_1 ^ ... ^ w_q and the right half R = w_{q+1} ^ ... ^ w_p are
+    short `wedge_sum` chains, and each minor is
+    sum_{A in m, |A| = q} eps(A, m - A) L[A] R[m - A], gathered for every
+    monomial at once.  `products` counts the gathered L R products;
+    `moduli` is () on the int64 path, else the primes of the CRT path.
+    """
+    if not all(type(v) is int for v in table.values()) or not all(
+        type(x) is int for column in columns for x in column
+    ):
+        raise TypeError("evaluate_table takes integer coefficients only")
+    plan, bound = _laplace_plan(table, columns)
+    if plan is None:
+        return 0, 0, ()
+    coeffs = plan[0]
+    moduli = _moduli(bound)
+    if not moduli:
+        minors = _laplace_mod(plan, 0).tolist()
+    else:
+        rebuilt = _crt([_laplace_mod(plan, p) for p in moduli], moduli)
+        minors = [rebuilt.get(k, 0) for k in range(len(coeffs))]
+    value = sum(c * x for c, x in zip(coeffs, minors))
+    return value, plan[1].size, moduli
+
+
+def _laplace_plan(table: dict, columns) -> tuple:
+    """(plan, B) for `_laplace_mod`; plan is None when every minor is zero.
+
+    Coordinates outside the table's support meet no coefficient, so the
+    columns are cut to it, and a monomial holding a coordinate on which
+    every column vanishes has a zero minor, so it is left out.  Distinct
+    pairs (A, B) of disjoint masks meet in distinct monomials A | B, so
+    B = |L|_1 |R|_1 bounds every product and partial sum of the gather.
+    """
+    degree = len(columns)
+    masks = np.fromiter(table, dtype=np.int64, count=len(table))
+    bits = masks[:, None] >> np.arange(16) & 1
+    if (bits.sum(axis=1) != degree).any():
+        raise ValueError("every mask must hold one index per column")
+    support = functools.reduce(int.__or__, table, 0)
+    cut = [
+        {1 << i: x for i, x in enumerate(column) if x and support >> i & 1}
+        for column in columns
+    ]
+    reach = functools.reduce(int.__or__, itertools.chain(*cut), 0)
+    kept = np.flatnonzero((masks & ~reach) == 0)
+    if not kept.size:
+        return None, 0
+    half = degree // 2
+    left, right = _column_chain(cut[:half]), _column_chain(cut[half:])
+    if not left or not right:
+        return None, 0
+    bound = sum(map(abs, left.values())) * sum(map(abs, right.values()))
+    one = 1 << np.nonzero(bits[kept])[1].reshape(kept.size, degree)
+    a = np.zeros((kept.size, math.comb(degree, half)), dtype=np.int64)
+    for position in _subset_positions(degree, half).T:
+        a |= one[:, position]
+    b = masks[kept, None] ^ a
+    p16, poppar = _np_tables()
+    coeffs = list(table.values())
+    plan = ([coeffs[k] for k in kept.tolist()], a, b, poppar[p16[a] & b] == 1,
+            left, right)
+    return plan, bound
+
+
+def _laplace_mod(plan, p: int) -> np.ndarray:
+    """The minors of the table's monomials, exact if p = 0, else mod p.
+
+    Mod p every product is reduced below p before the sum over the at most
+    C(16, 8) subsets, so no row sum can leave int64.
+    """
+    _, a, b, odd, left, right = plan
+    halves = []
+    for table in (left, right):
+        dense = np.zeros(1 << 16, dtype=np.int64)
+        masks, coeffs = _np_terms(table, p)
+        dense[masks] = coeffs
+        halves.append(dense)
+    vals = halves[0][a] * halves[1][b]
+    if p:
+        vals %= p
+    np.negative(vals, out=vals, where=odd)
+    minors = vals.sum(axis=1)
+    return minors % p if p else minors
+
+
+# exact Lie-derivative kernel ------------------------------------------------
+
+
+def lie_incidences(masks, rows, cols) -> tuple:
+    """Every (monomial, matrix unit) pair that moves: (out, odd, mon, unit).
+
+    The matrix unit E_rc with r = rows[unit], c = cols[unit] turns the
+    index r into c in every monomial masks[mon] that holds r and not c;
+    moving c to its sorted place passes the monomial's indices strictly
+    between r and c, one sign flip each, so odd is the popcount parity of
+    those.  The diagonal unit E_rr keeps each monomial holding r, unsigned.
+    Distinct monomials have distinct images under one unit.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(16) & 1).astype(bool)
+    mon, unit = np.nonzero(bits[:, rows] & (~bits[:, cols] | (rows == cols)))
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    between = np.where(rows == cols, 0, (1 << hi) - (2 << lo))
+    m, r, c = masks[mon], rows[unit], cols[unit]
+    _, poppar = _np_tables()
+    return m ^ (1 << r) ^ (1 << c), poppar[m & between[unit]], mon, unit
+
+
+def lie_table(table: dict, entries) -> tuple:
+    """Exact Lie derivative of an integer table {mask: int} along integer
+    matrix entries (row, col, value): (terms, moduli).
+
+    B = sum_m |c_m| * sum |value| bounds every product and partial sum
+    before any arithmetic, and B = 0 leaves nothing to sum.  Below 2**63
+    the incidences of `lie_incidences` accumulate once in int64, otherwise
+    once per prime of `_moduli(B)`, rebuilt by `_crt`.  `moduli` is () on
+    the int64 path.
+    """
+    entries = list(entries)
+    coeffs = list(table.values())
+    vals = [v for _, _, v in entries]
+    bound = sum(map(abs, coeffs)) * sum(map(abs, vals))
+    if type(bound) is not int:
+        raise TypeError("lie_table takes integer coefficients only")
+    if not bound:
+        return {}, ()
+    out, odd, mon, unit = lie_incidences(
+        list(table), [r for r, _, _ in entries], [c for _, c, _ in entries]
+    )
+    plan = (out, odd == 1, mon, unit, coeffs, vals)
+    moduli = _moduli(bound)
+    if not moduli:
+        return _np_acc_to_terms(_lie_mod(plan, 0)), moduli
+    return _crt([_lie_mod(plan, p) for p in moduli], moduli), moduli
+
+
+def _lie_mod(plan, p: int) -> np.ndarray:
+    """The accumulator of the Lie derivative, exact if p = 0, else mod p.
+
+    Mod p an incidence enters below p in absolute value, so the sum holds
+    2**63 // p - 1 of them.
+    """
+    out, odd, mon, unit, coeffs, vals = plan
+    if p and out.size > INT64_LIMIT // p - 1:
+        raise OverflowError("the incidences exceed the modular room")
+    c = np.array([v % p for v in coeffs] if p else coeffs, dtype=np.int64)
+    x = np.array([v % p for v in vals] if p else vals, dtype=np.int64)
+    terms = c[mon] * x[unit]
+    if p:
+        terms %= p
+    np.negative(terms, out=terms, where=odd)
+    acc = np.zeros(1 << 16, dtype=np.int64)
+    np.add.at(acc, out, terms)
+    return acc % p if p else acc

@@ -106,7 +106,7 @@ def evaluate_oracle(form, vectors):
     """form(v1, ..., vp) as one determinant per monomial, by definition.
 
     (dx_i1 ^ ... ^ dx_ip)(v1, ..., vp) = det [v_b[i_a]]; slow, but it
-    shares no code with the wedge chain of `AlternatingForm.evaluate`.
+    shares no code with the Laplace gather of `AlternatingForm.evaluate`.
     """
     cols = [v.coords() for v in vectors]
     assert len(cols) == form.degree
@@ -177,7 +177,7 @@ def lie_derivative_oracle(form, op):
     """L_op form slot by slot: each index a becomes b, weighted by op[a][b].
 
     The monomial loop with its own merge-sign bookkeeping; it shares no
-    code with the matrix-unit images of `AlternatingForm.lie_derivative`.
+    code with the incidence kernel of `AlternatingForm.lie_derivative`.
     """
     out = {}
     for m, coeff in form._terms.items():
@@ -190,6 +190,38 @@ def lie_derivative_oracle(form, op):
                 m2 = rest | 1 << b
                 out[m2] = out.get(m2, 0) + s * coeff * v
     return AlternatingForm._raw(form.degree, {m: v for m, v in out.items() if v})
+
+
+def generator_image_oracle(form, r, c):
+    """Terms {mask: coeff} of the Lie derivative of `form` along E_rc.
+
+    One dict per matrix unit, by a loop over the monomials: E_rc turns
+    the index r into c in every monomial that holds r and not c, and
+    moving c to its sorted place passes the monomial's indices strictly
+    between r and c, one sign flip each.  The diagonal unit E_rr keeps
+    the monomials holding r.
+    """
+    rbit = 1 << r
+    if r == c:
+        return {m: v for m, v in form._terms.items() if m & rbit}
+    cbit = 1 << c
+    between = (1 << max(r, c)) - (2 << min(r, c))
+    return {
+        m ^ rbit ^ cbit: -v if (m & between).bit_count() & 1 else v
+        for m, v in form._terms.items()
+        if m & rbit and not m & cbit
+    }
+
+
+def stabilizer_system_oracle(form, n):
+    """The equation rows of {A : L_A form = 0}, one `generator_image_oracle`
+    dict per matrix unit E_rc in column n*r + c, rows sorted by mask."""
+    equations = {}
+    for r in range(n):
+        for c in range(n):
+            for m, v in generator_image_oracle(form, r, c).items():
+                equations.setdefault(m, {})[n * r + c] = v
+    return [equations[m] for m in sorted(equations)]
 
 
 def _expand_pullback(rows, idx, depth, mask, coeff, out):
@@ -335,4 +367,17 @@ def spy_pullback_moduli(monkeypatch):
         return run(plan, p)
 
     monkeypatch.setattr(exterior, "_pullback_mod", spy)
+    return seen
+
+
+def spy_laplace_moduli(monkeypatch):
+    """Record the modulus of every Laplace gather of `evaluate` (0 = int64)."""
+    seen = []
+    run = exterior._laplace_mod
+
+    def spy(plan, p):
+        seen.append(p)
+        return run(plan, p)
+
+    monkeypatch.setattr(exterior, "_laplace_mod", spy)
     return seen

@@ -204,7 +204,10 @@ def test_bench_evaluate_reports_calls_terms_and_checksum(capsys):
     assert run_cli(["bench", "evaluate", "--seed", "3", "--samples", "2"]) == 0
     out = capsys.readouterr().out
     head, timing = out.splitlines()
-    assert head.startswith("bench evaluate: calls=2 terms=870 checksum=")
+    # 870 monomials, each gathering its C(8, 4) = 70 splits, in int64
+    assert head.startswith(
+        "bench evaluate: calls=2 terms=870 products=121800 path=int64 checksum="
+    )
     assert timing.startswith("bench evaluate: time=")
     # the checksum is sum |value| over the seeded tuples, by the reduced sum
     rng = random.Random("3:bench-evaluate")

@@ -1,5 +1,6 @@
 """Alternating forms: conventions, wedge, pullback, Lie derivative."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -16,6 +17,7 @@ from helpers import (
     pullback_oracle,
     rand_fraction_vector,
     rand_vector,
+    spy_laplace_moduli,
     spy_moduli,
     spy_pullback_moduli,
 )
@@ -32,7 +34,10 @@ from spin9.exterior import (
     _pullback_mod,
     _pullback_plan,
     _wedge_sum_mod,
+    evaluate_table,
     integer_entries,
+    lie_incidences,
+    lie_table,
     perm_sign,
     pullback_table,
     two_form_from_operator,
@@ -283,6 +288,87 @@ def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
     assert seen == []
 
 
+def test_evaluate_matches_oracle_in_every_degree():
+    # odd degrees split into halves q = p // 2 and p - q of unequal size
+    rng = random.Random(74)
+    for degree in range(9):
+        # supported on coordinates 0..11, so a column can vanish on it
+        form = AlternatingForm(degree, {
+            tuple(sorted(rng.sample(range(12), degree))):
+                Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            for _ in range(6)
+        })
+        vs = [rand_fraction_vector(rng) for _ in range(degree)]
+        assert form.evaluate(vs) == evaluate_oracle(form, vs)
+        if not degree:
+            continue
+        off = Vector16.from_coords(
+            [0] * 12 + [Fraction(rng.randint(1, 6), 7) for _ in range(4)]
+        )
+        for k in (0, degree - 1):  # in the left half, then the right half
+            cut = vs[:k] + [off] + vs[k + 1:]
+            assert form.evaluate(cut) == 0 == evaluate_oracle(form, cut)
+        if degree > 1:
+            combo = vs[0].scale(Fraction(2, 3)) - vs[-2]
+            dependent = vs[:-1] + [combo]
+            assert form.evaluate(dependent) == 0
+            assert evaluate_oracle(form, dependent) == 0
+
+
+def test_evaluate_gathers_on_the_crt_path_for_large_entries(monkeypatch):
+    # entries near 10**6 put |L|_1 |R|_1 far past 2**63
+    rng = random.Random(75)
+    form = _random_form(rng, 8, nterms=40, span=9)
+    vs = [
+        Vector16.from_coords(
+            [rng.randint(-10 ** 6, 10 ** 6) for _ in range(16)]
+        )
+        for _ in range(8)
+    ]
+    seen = spy_laplace_moduli(monkeypatch)
+    value, products, moduli = evaluate_table(
+        dict(form._terms), [v.coords() for v in vs]
+    )
+    assert seen == list(moduli) and len(moduli) >= 2
+    assert products == form.term_count() * math.comb(8, 4)
+    seen.clear()
+    assert form.evaluate(vs) == value == evaluate_oracle(form, vs)
+    assert seen == list(moduli)
+    seen.clear()
+    small = [rand_vector(rng, span=9) for _ in range(8)]
+    assert form.evaluate(small) == evaluate_oracle(form, small)
+    assert seen == [0]
+
+
+def test_evaluate_table_at_the_int64_edge(monkeypatch):
+    seen = spy_laplace_moduli(monkeypatch)
+    e1 = [0, 1] + [0] * 14
+    # B = 2**63 - 1 is the largest bound the int64 gather takes
+    big = [INT64_LIMIT - 1] + [0] * 15
+    assert evaluate_table({0b11: 1}, [big, e1]) == (INT64_LIMIT - 1, 2, ())
+    assert seen == [0]
+    # B = 2**63 goes modular, and the minor itself does not fit int64
+    seen.clear()
+    half = [1 << 62] + [0] * 15
+    minus_two = [-2 * x for x in e1]
+    value, products, moduli = evaluate_table({0b11: 1}, [half, minus_two])
+    assert value == -INT64_LIMIT and products == 2
+    assert seen == list(moduli) and 0 not in seen
+    # the swapped columns give the opposite minor, through the shuffle sign
+    assert evaluate_table({0b11: 3}, [e1, big])[0] == -3 * (INT64_LIMIT - 1)
+
+
+def test_evaluate_table_rejects_inexact_and_mismatched_input():
+    e0, e1 = [1] + [0] * 15, [0, 1] + [0] * 14
+    with pytest.raises(TypeError):
+        evaluate_table({0b11: Fraction(1, 2)}, [e0, e1])
+    with pytest.raises(TypeError):
+        evaluate_table({0b11: 1}, [e0, [0.5] * 16])
+    with pytest.raises(ValueError):
+        evaluate_table({0b111: 1}, [e0, e1])
+    assert evaluate_table({}, [e0, e1]) == (0, 0, ())
+
+
 def test_pullback_matches_definition():
     # ground truth: (A* f)(v1..vp) = f(A v1, .., A vp), every degree
     rng = random.Random(44)
@@ -499,6 +585,71 @@ def test_lie_derivative_matches_slotwise_oracle(omega8):
             assert f.lie_derivative(sparse) == lie_derivative_oracle(f, sparse)
     op = _dense_fraction_operator(rng)
     assert omega8.lie_derivative(op) == lie_derivative_oracle(omega8, op)
+
+
+def _diagonal_fraction_operator(rng):
+    return Operator16(
+        [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if r == c else 0
+          for c in range(16)] for r in range(16)]
+    )
+
+
+def test_lie_kernel_matches_slotwise_oracle_in_every_degree():
+    rng = random.Random(53)
+    for degree in range(9):
+        forms = (
+            _random_form(rng, degree, nterms=6),
+            _random_fraction_form(rng, degree, nterms=6),
+        )
+        ops = (
+            _dense_fraction_operator(rng),
+            _diagonal_fraction_operator(rng),
+            _random_operator(rng),
+        )
+        for f in forms:
+            for op in ops:
+                assert f.lie_derivative(op) == lie_derivative_oracle(f, op)
+
+
+def test_lie_derivative_takes_the_crt_path_past_int64():
+    # coefficients near 2**40 and entries near 2**30: terms near 2**70
+    rng = random.Random(54)
+    f = _random_form(rng, 5, nterms=6, span=1 << 40)
+    op = _sparse_operator(rng, 3, lambda: rng.randint(-(1 << 30), 1 << 30))
+    terms, moduli = lie_table(dict(f._terms), op.entries())
+    oracle = lie_derivative_oracle(f, op)
+    assert terms == oracle._terms and len(moduli) >= 2
+    assert max(abs(v) for v in terms.values()) >= INT64_LIMIT
+    assert f.lie_derivative(op) == oracle
+    small = _random_operator(rng)
+    assert lie_table(dict(f._terms), small.entries())[1] == ()
+
+
+def test_lie_table_at_the_int64_edge():
+    # B = 2**63 - 1 stays in int64; B = 2**63 goes modular
+    assert lie_table({1: INT64_LIMIT - 1}, [(0, 0, 1)]) == (
+        {1: INT64_LIMIT - 1}, ()
+    )
+    terms, moduli = lie_table({1: 1 << 62}, [(0, 3, -2)])
+    assert terms == {8: -INT64_LIMIT} and len(moduli) >= 2
+    # B = 0 sums nothing, however large the other factor
+    assert lie_table({1: 1 << 70}, []) == lie_table({1: 1 << 70}, [(0, 3, 0)])
+    assert lie_table({1: 1 << 70}, []) == ({}, ())
+    with pytest.raises(TypeError):
+        lie_table({3: Fraction(1, 2)}, [(0, 0, 1)])
+    with pytest.raises(TypeError):
+        lie_table({3: 1}, [(0, 0, 0.5)])
+
+
+def test_lie_incidences_move_r_to_c_with_the_between_parity():
+    # dx0 ^ dx2 under E_00, E_03, E_02, E_20, E_23, E_10
+    out, odd, mon, unit = lie_incidences(
+        [0b101], [0, 0, 0, 2, 2, 1], [0, 3, 2, 0, 3, 0]
+    )
+    assert unit.tolist() == [0, 1, 4] and mon.tolist() == [0, 0, 0]
+    # E_03 gives dx3 ^ dx2 = -dx2 ^ dx3; E_23 gives dx0 ^ dx3
+    assert out.tolist() == [0b101, 0b1100, 0b1001]
+    assert odd.tolist() == [0, 1, 0]
 
 
 def test_lie_derivative_of_generator_rotation():

@@ -6,10 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import lie_derivative_oracle, matmul_oracle
+from helpers import (
+    generator_image_oracle,
+    lie_derivative_oracle,
+    matmul_oracle,
+    stabilizer_system_oracle,
+)
 from spin9 import stabilizer
-from spin9.exterior import AlternatingForm, generator_image
-from spin9.linalg import rank
+from spin9.exterior import AlternatingForm
+from spin9.linalg import int_echelon, rank, row_to_int
 from spin9.operators import (
     Operator16,
     build_involutions,
@@ -51,16 +56,56 @@ def _random_form(rng, degree, nterms=4):
 
 
 def test_generator_image_matches_lie_derivative(omega8):
+    # the per-unit dict loop, the slotwise loop and the incidence kernel
+    # agree on every matrix unit
     rng = random.Random(71)
     forms = [_random_form(rng, degree) for degree in (2, 3, 4) for _ in range(8)]
-    for f in forms:
-        r, c = rng.randrange(16), rng.randrange(16)
-        oracle = lie_derivative_oracle(f, _single_entry(r, c))
-        assert generator_image(f, r, c) == oracle._terms
-    for r in range(16):
-        for c in range(16):
-            oracle = lie_derivative_oracle(omega8, _single_entry(r, c))
-            assert generator_image(omega8, r, c) == oracle._terms
+    cases = [(f, rng.randrange(16), rng.randrange(16)) for f in forms]
+    cases += [(omega8, r, c) for r in range(16) for c in range(16)]
+    for f, r, c in cases:
+        unit = _single_entry(r, c)
+        oracle = lie_derivative_oracle(f, unit)
+        assert generator_image_oracle(f, r, c) == oracle._terms
+        assert f.lie_derivative(unit) == oracle
+
+
+def test_stabilizer_system_matches_the_per_unit_oracle(omega8):
+    rng = random.Random(74)
+    fraction_form = AlternatingForm(3, {
+        tuple(sorted(rng.sample(range(16), 3))):
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for _ in range(6)
+    })
+    for form, n in (
+        (omega8, 16),
+        (decomposable_form_low(), 16),
+        (symplectic_form_r4(), 4),
+        (fraction_form, 16),
+    ):
+        rows = stabilizer_system(form, n)
+        oracle = stabilizer_system_oracle(form, n)
+        # equal rows with the same column order, in the same row order
+        assert [list(r.items()) for r in rows] == [
+            list(r.items()) for r in oracle
+        ]
+
+
+def test_distinct_rows_leave_the_echelon_unchanged(omega8):
+    for form, n, kept in (
+        (omega8, 16, 5982),
+        (decomposable_form_low(), 16, None),
+        (symplectic_form_r4(), 4, None),
+    ):
+        rows = stabilizer_system(form, n)
+        distinct = stabilizer._distinct_rows(rows)
+        assert int_echelon(distinct) == int_echelon(row_to_int(r) for r in rows)
+        if kept is not None:
+            assert (len(rows), len(distinct)) == (12030, kept)
+    # rows compare as primitive integer rows: a row equal to an earlier
+    # one up to sign or scale goes, one that differs in a single sign stays
+    assert stabilizer._distinct_rows(
+        [{0: 1, 3: -2}, {0: -1, 3: 2}, {0: 2, 3: -4}, {0: Fraction(1, 2), 3: 1}]
+    ) == [{0: 1, 3: -2}, {0: 1, 3: 2}]
 
 
 def test_stabilizer_system_rows_are_lie_coefficients():

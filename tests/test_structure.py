@@ -83,3 +83,19 @@ def test_importing_the_cli_builds_no_product():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+def test_importing_the_cli_builds_no_exterior_table():
+    # the parity tables and the Laplace subset positions are built on
+    # first use, so that no command pays for them at import
+    code = (
+        "import spin9.cli\n"
+        "from spin9 import exterior\n"
+        "print(exterior._np_tables.cache_info().currsize,"
+        " exterior._subset_positions.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
