@@ -100,8 +100,10 @@ def bpt_8form_full(vectors) -> Fraction | int:
     Factorized over the 70 ways to split the eight slots into two
     blocks of four: the inner signed sums over each block's 24
     arrangements multiply as octonions, and the block interleaving
-    contributes the shuffle sign.  The grand total must be a real
-    octonion, which is asserted, not assumed.
+    contributes the shuffle sign.  Each of the 70 block sums is built
+    once, as every block is the first of one split and the rest of
+    another.  The grand total must be a real octonion, which is
+    asserted, not assumed.
     """
     vs = list(vectors)
     if len(vs) != 8:
@@ -118,10 +120,11 @@ def bpt_8form_full(vectors) -> Fraction | int:
         s = (ab * cd + cd * ab) - (ac * bd + bd * ac) + (ad * bc + bc * ad)
         return s.scale(4)
 
+    blocks = {b: block_sum(b) for b in itertools.combinations(range(8), 4)}
     total = Octonion.zero()
-    for first in itertools.combinations(range(8), 4):
+    for first, block in blocks.items():
         rest = tuple(k for k in range(8) if k not in first)
-        prod = block_sum(first) * block_sum(rest)
+        prod = block * blocks[rest]
         if perm_sign(first + rest) > 0:
             total = total + prod
         else:

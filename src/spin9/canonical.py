@@ -22,7 +22,9 @@ minors D of the skew matrix (omega_ij); D vanishes when i = i' or j = j'
 and is antisymmetric in i <-> i' and in j <-> j', so each unordered pair
 of pairs stands for four ordered quadruples and the sum is -2 sum D^2
 over i < i', j < j'.  The triple-form sum is a sum of squared four-forms
-too; all three go through one sum-of-squares helper.  The module also
+too; all three go through one sum-of-squares helper, which makes two
+kernel calls: `wedge_sums` builds every four-form at once, and `wedge_sum`
+squares them over unordered term pairs.  The module also
 provides the S8-sum evaluation kernel, the vanishing corollaries, the
 verdict on the triple-form sum, deterministic coefficient export, and
 the two-form expansion identities of X-flat wedge Y-flat.
@@ -37,7 +39,13 @@ from itertools import combinations, permutations, product
 from typing import Optional, Union
 
 from .curvature import curvature_omega
-from .exterior import AlternatingForm, perm_sign, two_form_from_operator, wedge_sum
+from .exterior import (
+    AlternatingForm,
+    perm_sign,
+    two_form_from_operator,
+    wedge_sum,
+    wedge_sums,
+)
 from .linalg import clear_denominators, det, exact_ratio, require_exact
 from .octonion import Octonion
 from .operators import (
@@ -96,10 +104,11 @@ def sigma2(i: int, j: int, k: int) -> AlternatingForm:
 def _sum_of_squares(groups) -> dict:
     """sum over groups of Q ^ Q, where Q = sum of a ^ b over the group's pairs.
 
-    Each group is a list of (a, b) integer tables; both stages run on the
-    checked kernel `wedge_sum`.
+    Each group is a list of (a, b) integer tables.  Two calls of the
+    checked kernel: `wedge_sums` builds every Q at once, exactly, and
+    `wedge_sum` squares them over unordered term pairs.
     """
-    return wedge_sum((q, q) for q in (wedge_sum(g) for g in groups))
+    return wedge_sum((q, q) for q in wedge_sums(groups))
 
 
 @functools.cache

@@ -23,18 +23,24 @@ which turns index r into c, picks up the parity of the monomial's
 indices strictly between r and c (`lie_incidences`), and how the wedge
 kernel, the pullback and the Laplace gather sign each incoming factor.
 
-Forms are immutable.  `wedge_sum` is the one exact kernel behind every
-wedge, `AlternatingForm.wedge` included: it takes integer coefficient
-tables {mask: int}, computes the a-priori bound B = sum |a|_1 |b|_1 over
-its pairs before any arithmetic, and runs the int64 per-pair step
-`_np_wedge_into` when B < 2**63, which then bounds every product and
-partial sum.  Otherwise it runs the same step modulo the fewest primes
-below 2**31 whose product exceeds 2B, checking before each step that the
-accumulators cannot overflow, and rebuilds the exact integers by the
-Chinese remainder theorem.  No float enters either path.  Three more
-kernels follow the same design (bound first, int64 below 2**63,
-otherwise once per prime of the same `_moduli(B)`, rebuilt by the same
-`_crt`):
+Forms are immutable.  `wedge_sums` is the one exact kernel behind every
+wedge, `AlternatingForm.wedge` and `wedge_sum` (one group) included: it
+takes groups of pairs of integer coefficient tables {mask: int} and sums
+a ^ b over each group's pairs.  Every term pair of every pair of every
+group expands in one array pass per chunk of WEDGE_CHUNK candidates;
+overlapping masks drop out and the sign is a popcount parity.  A pair
+whose two tables are the same object Q, every term of even positive
+degree, is a square: Q ^ Q = 2 sum_{i<j}, so only its term pairs i < j
+expand.  One group sums into a dense 2**16 accumulator, several by
+`np.unique` on the keys group << 16 | mask.  The a-priori bound
+B_g = sum |a|_1 |b|_1 of each group comes before any arithmetic: when
+the largest is below 2**63 the pass runs in int64, which then holds
+every product and partial sum.  Otherwise it runs modulo the fewest
+primes below 2**31 whose product exceeds 2B, checking per chunk that the
+sums cannot overflow, and rebuilds the exact integers by the Chinese
+remainder theorem.  No float enters either path.  Three more kernels
+follow the same design (bound first, int64 below 2**63, otherwise once
+per prime of the same `_moduli(B)`, rebuilt by the same `_crt`):
 
 - `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
   and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands all
@@ -302,23 +308,6 @@ def _np_terms(table: dict, p: int = 0):
     return masks, np.fromiter(values, dtype=np.int64, count=len(table))
 
 
-def _np_wedge_into(acc, a, b, p: int = 0):
-    """acc[m] += coefficients of (a wedge b) in int64, products mod p if p.
-
-    The caller rules out overflow; `wedge_sum` does so from its bound.
-    """
-    ma, ca = a
-    mb, cb = b
-    p16, poppar = _np_tables()
-    ia, ib = np.nonzero((ma[:, None] & mb[None, :]) == 0)
-    left, right = ma[ia], mb[ib]
-    vals = ca[ia] * cb[ib]
-    if p:
-        vals %= p
-    np.negative(vals, out=vals, where=poppar[p16[left] & right] == 1)
-    np.add.at(acc, left | right, vals)
-
-
 def _np_acc_to_terms(acc) -> dict:
     nz = np.flatnonzero(acc != 0)
     return dict(zip(nz.tolist(), acc[nz].tolist()))
@@ -352,55 +341,166 @@ def _prime_below(n: int) -> int:
     return n
 
 
-def wedge_sum(pairs) -> dict:
-    """Exact sum of a ^ b over pairs of integer tables {mask: int}.
+WEDGE_CHUNK = 1 << 16  # candidate term pairs expanded at once; bounds the memory
 
-    B = sum |a|_1 |b|_1 bounds every product and partial sum.  Below
-    2**63 the pairs run once in int64, otherwise once per prime of
-    `_moduli(B)` and CRT rebuilds the integers.  No zero entries.
+
+def wedge_sum(pairs) -> dict:
+    """Exact sum of a ^ b over pairs of integer tables {mask: int}: the one
+    group of `wedge_sums`.  No zero entries.
     """
-    pairs = [(a, b) for a, b in pairs if a and b]
-    norms = {id(t): sum(map(abs, t.values())) for pair in pairs for t in pair}
-    bound = sum(norms[id(a)] * norms[id(b)] for a, b in pairs)
-    if type(bound) is not int:
-        raise TypeError("wedge_sum takes integer coefficients only")
+    return wedge_sums([pairs])[0]
+
+
+def wedge_sums(groups) -> list:
+    """Exact sum of a ^ b over the pairs of each group of integer tables
+    {mask: int}: one table per group, no zero entries.
+
+    B_g = sum |a|_1 |b|_1 bounds every product and partial sum of group
+    g.  When the largest B_g is below 2**63 all groups run once in int64,
+    otherwise once per prime of `_moduli(max B_g)`, and CRT rebuilds the
+    integers.
+    """
+    plan, bound, count = _wedge_plan(groups)
+    if plan is None:
+        return [{} for _ in range(count)]
     moduli = _moduli(bound)
     if not moduli:
-        return _np_acc_to_terms(_wedge_sum_mod(pairs, 0))
-    return _crt([_wedge_sum_mod(pairs, p) for p in moduli], moduli)
+        keys, sums = _wedge_sums_mod(plan, 0)
+        nz = np.flatnonzero(sums != 0)
+        values = sums[nz].tolist()
+    else:
+        runs = [_wedge_sums_mod(plan, p) for p in moduli]
+        # no step drops a sum by its value, so the primes share their keys
+        rebuilt = _crt([sums for _, sums in runs], moduli)
+        keys = runs[0][0]
+        nz = np.fromiter(rebuilt, dtype=np.int64, count=len(rebuilt))
+        values = list(rebuilt.values())
+    if keys is None:
+        return [dict(zip(nz.tolist(), values))]
+    keys = keys[nz]
+    cuts = np.searchsorted(keys >> 16, np.arange(count + 1)).tolist()
+    masks = (keys & 0xFFFF).tolist()
+    return [
+        dict(zip(masks[lo:hi], values[lo:hi])) for lo, hi in zip(cuts, cuts[1:])
+    ]
 
 
-def _wedge_sum_mod(pairs, p: int) -> np.ndarray:
-    """The accumulator of the pair sum, exact if p = 0, else reduced mod p.
+def _wedge_plan(groups) -> tuple:
+    """(plan, max B_g, group count) for `_wedge_sums_mod`; plan is None
+    when no pair has two nonempty tables.
 
-    Mod p every product enters below p in absolute value, so a reduced
-    accumulator takes 2**63 // p - 1 more term pairs before it could
-    leave int64; it is reduced again before that.
+    A row of the plan is one term of a pair's first table with the range
+    of its partner terms in the second table.  When both tables of a pair
+    are the same object Q and every term of Q has even positive degree,
+    m ^ m = 0 and the terms commute, so Q ^ Q = 2 sum_{i<j} c_i c_j
+    m_i ^ m_j: the row takes only the later terms and is a square row,
+    whose products are doubled.  That sum stays within |Q|_1^2.  Any
+    other pair, an odd-degree square included, expands every term pair.
     """
-    tables = {id(t): t for pair in pairs for t in pair}
-    arrays = {key: _np_terms(t, p) for key, t in tables.items()}
-    acc = np.zeros(1 << 16, dtype=np.int64)
-    room = INT64_LIMIT // p - 1 if p else 0
-    pending = 0
-    for a, b in pairs:
-        x, y = arrays[id(a)], arrays[id(b)]
+    groups = [[(a, b) for a, b in group if a and b] for group in groups]
+    tables = {id(t): t for group in groups for pair in group for t in pair}
+    norms = {key: sum(map(abs, t.values())) for key, t in tables.items()}
+    bounds = [sum(norms[id(a)] * norms[id(b)] for a, b in g) for g in groups]
+    if any(type(b) is not int for b in bounds):
+        raise TypeError("wedge_sums takes integer coefficients only")
+    if not tables:
+        return None, 0, len(groups)
+    spans, size = {}, 0
+    for key, t in tables.items():
+        spans[key] = size, len(t)
+        size += len(t)
+    masks = np.fromiter(
+        itertools.chain.from_iterable(tables.values()), dtype=np.int64, count=size
+    )
+    _, poppar = _np_tables()
+    starts = [at for at, _ in spans.values()]
+    uneven = np.maximum.reduceat(poppar[masks] | (masks == 0), starts)
+    even = dict(zip(spans, (uneven == 0).tolist()))
+    pairs, begin = [], 0
+    for g, group in enumerate(groups):
+        for a, b in group:
+            (a_at, a_len), (b_at, b_len) = spans[id(a)], spans[id(b)]
+            square = a is b and even[id(a)]
+            pairs.append((a_len, begin, a_at, b_at, b_len, square, g))
+            begin += a_len
+    table = np.array(pairs, dtype=np.int64).T
+    begin, a_at, b_at, b_len, square, group = np.repeat(table[1:], table[0], axis=1)
+    term = np.arange(begin.size) - begin
+    later = (term + 1) * square
+    count = b_len - later
+    ends = np.cumsum(count)
+    # a row's k-th candidate of the whole plan meets partner k + shift
+    shift = b_at + later - (ends - count)
+    coeffs = [v for t in tables.values() for v in t.values()]
+    rows = np.array((a_at + term, shift, square, group))
+    plan = (masks, coeffs, rows, count, ends, len(groups) > 1)
+    return plan, max(bounds), len(groups)
+
+
+def _wedge_sums_mod(plan, p: int) -> tuple:
+    """(keys, sums) of the grouped pair sums, exact if p = 0, else mod p.
+
+    The rows expand in chunks of at most WEDGE_CHUNK candidate term pairs
+    (a row with more is a chunk alone).  A pair of overlapping masks drops
+    out, and each index of the right mask moves left past the indices of
+    the left mask above it, one sign flip each.  One group sums into a
+    dense 2**16 accumulator (keys None: the index is the mask).  Several
+    sum by `np.unique` on the keys group << 16 | mask; the rows run group
+    by group, so only the last group of a chunk carries into the next.
+    Mod p every product enters below p in absolute value and the sums are
+    reduced after each chunk, so a chunk may hold 2**63 // p - 1 products.
+    """
+    masks, coeffs, rows, count, ends, grouped = plan
+    p16, poppar = _np_tables()
+    c = np.array([v % p for v in coeffs] if p else coeffs, dtype=np.int64)
+    room = INT64_LIMIT // p - 1 if p else INT64_LIMIT
+    limit = min(WEDGE_CHUNK, room)
+    parts: list = []
+    keys = np.zeros(0, dtype=np.int64)
+    sums = np.zeros(0 if grouped else 1 << 16, dtype=np.int64)
+    lo, before = 0, 0
+    while lo < count.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, before + limit, "right")))
+        load = int(ends[hi - 1]) - before
+        if load > room:
+            raise OverflowError("one row exceeds the modular room")
+        cand = np.repeat(rows[:, lo:hi], count[lo:hi], axis=1)
+        cand[1] += np.arange(before, before + load)  # the partner terms
+        disjoint = np.flatnonzero((masks[cand[0]] & masks[cand[1]]) == 0)
+        left, right, twice, group = cand[:, disjoint]
+        ml, mr = masks[left], masks[right]
+        vals = c[left] * c[right] << twice
         if p:
-            n = x[0].size * y[0].size
-            if n > room:
-                raise OverflowError("one pair exceeds the modular room")
-            if pending + n > room:
-                acc %= p
-                pending = 0
-            pending += n
-        _np_wedge_into(acc, x, y, p)
-    return acc % p if p else acc
+            vals %= p
+        np.negative(vals, out=vals, where=poppar[p16[ml] & mr] == 1)
+        if not grouped:
+            np.add.at(sums, ml | mr, vals)
+            if p:
+                sums %= p
+        else:
+            keys, inverse = np.unique(
+                np.concatenate((keys, group << 16 | ml | mr)), return_inverse=True
+            )
+            total = np.zeros(keys.size, dtype=np.int64)
+            np.add.at(total, inverse, np.concatenate((sums, vals)))
+            if p:
+                total %= p
+            # the keys of the chunk's last group carry into the next chunk
+            cut = np.searchsorted(keys, rows[3, hi - 1] << 16)
+            parts.append((keys[:cut], total[:cut]))
+            keys, sums = keys[cut:], total[cut:]
+        lo, before = hi, before + load
+    if not grouped:
+        return None, sums
+    parts.append((keys, sums))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _crt(residues, moduli) -> dict:
     """Integers in the symmetric range from residue accumulators."""
     modulus = math.prod(moduli)
     weights = [modulus // p * pow(modulus // p, -1, p) for p in moduli]
-    support = np.flatnonzero(functools.reduce(np.bitwise_or, residues))
+    support = np.flatnonzero(functools.reduce(np.bitwise_or, residues) != 0)
     columns = [r[support].tolist() for r in residues]
     out = {}
     for m, *rs in zip(support.tolist(), *columns):

@@ -345,15 +345,15 @@ def alt_grouping_oracle(w):
 
 
 def spy_moduli(monkeypatch):
-    """Record the modulus of every per-pair kernel step (0 = int64)."""
+    """Record the modulus of every wedge-sum kernel run (0 = int64)."""
     seen = []
-    step = exterior._np_wedge_into
+    run = exterior._wedge_sums_mod
 
-    def spy(acc, a, b, p=0):
+    def spy(plan, p):
         seen.append(p)
-        return step(acc, a, b, p)
+        return run(plan, p)
 
-    monkeypatch.setattr(exterior, "_np_wedge_into", spy)
+    monkeypatch.setattr(exterior, "_wedge_sums_mod", spy)
     return seen
 
 

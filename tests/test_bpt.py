@@ -79,6 +79,23 @@ def test_full_and_reduced_sums_agree_on_random():
     assert bpt_8form_full(vs) == bpt_8form_reduced(vs)
 
 
+def test_full_sum_builds_each_block_sum_once(monkeypatch):
+    # 28 crosses of two products each, 70 block sums of six, 70 splits
+    rng = random.Random(84)
+    vs = [rand_vector(rng, span=2) for _ in range(8)]
+    expected = bpt_8form_reduced(vs)
+    calls = []
+    mul = Octonion.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Octonion, "__mul__", counting)
+    assert bpt_8form_full(vs) == expected
+    assert len(calls) == 546
+
+
 def test_materialized_form_matches_evaluator():
     form = materialize_bpt_8form()
     assert form.term_count() == 870

@@ -261,11 +261,20 @@ def test_frame_independence_three_matrices():
 
 
 def test_frame_independence_d85_takes_the_modular_path(omega8, monkeypatch):
-    # (13, 84, 85): the rebuilt coefficients need 66 bits, past int64
+    # (13, 84, 85): the rebuilt coefficients need 66 bits, past int64; the
+    # four-forms are built exactly in int64 first, then squared mod 3 primes
     seen = spy_moduli(monkeypatch)
     m = givens9(2, 7, RationalCirclePoint(Fraction(13, 85), Fraction(84, 85)))
     assert frame_change_fixes(m)
-    assert 0 in seen and len(set(seen) - {0}) == 3
+    assert seen[0] == 0 and len(seen) == 4 and len(set(seen) - {0}) == 3
+
+
+def test_frame_independence_d25_stays_on_int64(omega8, monkeypatch):
+    # (7, 24, 25): the squares' bound is about 2**62, still int64
+    seen = spy_moduli(monkeypatch)
+    m = givens9(2, 7, RationalCirclePoint(Fraction(7, 25), Fraction(24, 25)))
+    assert frame_change_fixes(m)
+    assert seen == [0, 0]
 
 
 def test_frame_change_rejects_non_orthogonal():

@@ -29,11 +29,10 @@ from spin9.exterior import (
     AlternatingForm,
     _moduli,
     _np_acc_to_terms,
-    _np_terms,
-    _np_wedge_into,
     _pullback_mod,
     _pullback_plan,
-    _wedge_sum_mod,
+    _wedge_plan,
+    _wedge_sums_mod,
     evaluate_table,
     integer_entries,
     lie_incidences,
@@ -43,6 +42,7 @@ from spin9.exterior import (
     two_form_from_operator,
     wedge,
     wedge_sum,
+    wedge_sums,
 )
 from spin9.operators import (
     Operator16,
@@ -708,9 +708,9 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
     for _ in range(10):
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
-        acc = np.zeros(1 << 16, dtype=np.int64)
-        _np_wedge_into(acc, _np_terms({m: v for m, v in a._terms.items()}),
-                        _np_terms({m: v for m, v in b._terms.items()}))
+        plan, _, _ = _wedge_plan([[(a._terms, b._terms)]])
+        keys, acc = _wedge_sums_mod(plan, 0)
+        assert keys is None and acc.shape == (1 << 16,)
         assert _np_acc_to_terms(acc) == _wedge_dicts(a._terms, b._terms)
 
 
@@ -793,15 +793,25 @@ def test_wedge_sum_moduli_are_primes_below_2_31():
 
 
 def test_wedge_sum_reduces_before_the_modular_room_runs_out():
-    # with p near 2**61 an accumulator holds only 3 more term pairs, so
-    # the fourth single-term pair forces a reduction mod p first
+    # with p near 2**61 reduced sums hold only 3 more term pairs, so the
+    # fourth single-term pair forces a reduction mod p first, on the dense
+    # accumulator of one group and on the carried sums of several
     p = (1 << 61) - 1
     e0, e1 = 1, 2
     pairs = [({e0: 1}, {e1: p - 1})] * 5
-    acc = _wedge_sum_mod(pairs, p)
+    plan, _, _ = _wedge_plan([pairs])
+    _, acc = _wedge_sums_mod(plan, p)
     assert int(acc[e0 | e1]) == 5 * (p - 1) % p
-    with pytest.raises(OverflowError):
-        _wedge_sum_mod([({e0: 1, 4: 1}, {e1: 1, 8: 1})], p)
+    plan, _, _ = _wedge_plan([pairs, pairs])
+    keys, sums = _wedge_sums_mod(plan, p)
+    assert keys.tolist() == [e0 | e1, 1 << 16 | e0 | e1]
+    assert sums.tolist() == [5 * (p - 1) % p] * 2
+    # one row of four term pairs cannot be split
+    for groups in ([[({e0: 1}, {e1: 1, 4: 1, 8: 1, 16: 1})]],
+                   [[({e0: 1}, {e1: 1})], [({e0: 1}, {e1: 1, 4: 1, 8: 1, 16: 1})]]):
+        plan, _, _ = _wedge_plan(groups)
+        with pytest.raises(OverflowError):
+            _wedge_sums_mod(plan, p)
 
 
 def test_wedge_sum_rejects_inexact_coefficients():
@@ -809,7 +819,103 @@ def test_wedge_sum_rejects_inexact_coefficients():
         wedge_sum([({3: Fraction(1, 2)}, {12: 1})])
     with pytest.raises(TypeError):
         wedge_sum([({3: 1}, {12: 0.5})])
+    with pytest.raises(TypeError):
+        wedge_sums([[({3: 1}, {12: 1})], [({3: 1}, {12: Fraction(2)})]])
     assert wedge_sum([({3: 1}, {})]) == {}
+
+
+def _tables(pairs):
+    return [(a._terms, b._terms) for a, b in pairs]
+
+
+def test_wedge_sums_match_each_group_summed_alone():
+    rng = random.Random(62)
+    shared = _random_form(rng, 2, nterms=6)
+    empty = AlternatingForm.zero(2)
+    groups = [
+        [(shared, _random_form(rng, 2, nterms=6)), (empty, shared)],
+        [],
+        [(_random_form(rng, 1), empty)],
+        [(_random_form(rng, 3, nterms=7), shared), (shared, shared)],
+        [(_random_form(rng, 1, nterms=3), _random_form(rng, 1, nterms=3))
+         for _ in range(5)],
+        [(shared, _random_form(rng, 4, nterms=8))],
+    ]
+    got = wedge_sums(_tables(g) for g in groups)
+    assert got == [_summed_wedges(g) for g in groups]
+    assert got == [wedge_sum(_tables(g)) for g in groups]
+    assert got[1] == got[2] == {}
+    assert wedge_sums([]) == [] and wedge_sums([[]]) == [{}]
+
+
+def test_wedge_of_a_table_with_itself_expands_unordered_pairs():
+    # Q ^ Q is 2 sum_{i<j} for even degrees and vanishes for odd ones;
+    # a degree-0 term is the one term whose own square is not 0
+    rng = random.Random(63)
+    for degree in (0, 1, 2, 3, 4):
+        for _ in range(4):
+            q = _random_form(rng, degree, nterms=9)
+            got = wedge_sum([(q._terms, q._terms)])
+            assert got == _summed_wedges([(q, q)])
+            if degree % 2:
+                assert got == {}
+            # an equal copy is not the same object and expands every pair
+            assert wedge_sum([(q._terms, dict(q._terms))]) == got
+    # tables with odd-degree terms, or a degree-0 term, expand every pair
+    q = {0b1: 2, 0b110: -3, 0b11000: 5, 0b1100000: 1, 0b10000000: 7}
+    for table in (q, {0: -4, **q}):
+        total = {}
+        _wedge_dicts_into(total, table, table)
+        assert wedge_sum([(table, table)]) == total != {}
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_wedge_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    rng = random.Random(64)
+    # rows of 20 partners, and of 19 down to 0 in its square
+    big = AlternatingForm(2, {
+        ij: k + 1 for k, ij in enumerate(combinations(range(16), 2)) if k < 20
+    })
+    groups = [
+        [(_random_form(rng, 2), big), (big, big)],
+        [(_random_form(rng, 2), _random_form(rng, 3))],
+        [(big, big)],
+    ]
+    huge = [[(_random_form(rng, 2, nterms=6, span=1 << 40),
+              _random_form(rng, 2, nterms=6, span=1 << 40))
+             for _ in range(3)] for _ in range(3)]
+    expected = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
+    expected.append(wedge_sum(_tables(groups[0])))
+    monkeypatch.setattr(exterior, "WEDGE_CHUNK", chunk)
+    seen = spy_moduli(monkeypatch)
+    got = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
+    got.append(wedge_sum(_tables(groups[0])))
+    assert got == expected
+    assert expected[0] == [_summed_wedges(g) for g in groups]
+    assert expected[1] == [_summed_wedges(g) for g in huge]
+    assert 0 in seen and len(set(seen) - {0}) >= 2
+
+
+def test_wedge_sums_modular_path_aligns_the_keys_of_every_prime(monkeypatch):
+    # the first group pushes the bound to 2**63; the second's coefficient
+    # is 0 modulo the first prime but not modulo the others
+    e01, e23, e45 = 0b11, 0b1100, 0b110000
+    primes = _moduli(INT64_LIMIT)
+    seen = spy_moduli(monkeypatch)
+    groups = [
+        [({e01: 1 << 62}, {e23: 2})],
+        [({e01: primes[0]}, {e45: 1}), ({e23: 1}, {e45: 3})],
+        [({e23: 2 * primes[0]}, {e01: -1})],
+    ]
+    expected = [
+        {e01 | e23: INT64_LIMIT},
+        {e01 | e45: primes[0], e23 | e45: 3},
+        {e01 | e23: -2 * primes[0]},
+    ]
+    assert wedge_sums(groups) == expected
+    assert seen == list(primes) and len(primes) == 3
+    # the largest bound decides the path, wherever its group stands
+    assert wedge_sums(groups[::-1]) == expected[::-1]
 
 
 coeff_strategy = st.dictionaries(
