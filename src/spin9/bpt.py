@@ -6,14 +6,17 @@ cross is x x y = Im(conj(y) x).  The form is a signed sum over S_8 of
 products of paired crosses, normalized by 2^-7, or equivalently a sum
 over the 315 canonical representatives S*_8 of products of real parts.
 This module implements both sums literally, materializes the form's full
-coefficient map, and computes the exact invariance defect under the
-generator I_7 I_8: the defect is nonzero, so the construction is not
-invariant and cannot equal the canonical 8-form in any scaling.
+coefficient map (each distinct 4-slot block gathered once as int8 over
+all basis tuples, every term summed in int16 under a checked bound), and
+computes the exact invariance defect under the generator I_7 I_8: the
+defect is nonzero, so the construction is not invariant and cannot equal
+the canonical 8-form in any scaling.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -32,26 +35,32 @@ def bpt_cross(u: Vector16, v: Vector16) -> Octonion:
     return cross_oct(u.x1.conj(), v.x1.conj()) + cross_oct(u.x2, v.x2)
 
 
+def _pairings(block: tuple) -> tuple:
+    """The three splits of an ascending 4-block into two ascending pairs."""
+    a, b, c, d = block
+    return (a, b, c, d), (a, c, b, d), (a, d, b, c)
+
+
 @cache
 def s8_star() -> tuple:
     """Signed canonical representatives of S_8 modulo pair symmetries.
 
-    Filtered from all of S_8 by the defining inequalities: each of the
-    four pairs ascends, the pairs ascend within each half, and the
-    halves ascend.  Positions are 0-based.  The census (315 elements,
-    every representative starting at the first slot) is checked at
-    build time rather than recorded.
+    The defining inequalities (each of the four pairs ascends, the pairs
+    ascend within each half, the halves ascend) put slot 0 first, so a
+    representative is a block of slot 0 and three other slots, the
+    complementary block, and one pairing of each: 35 * 3 * 3, listed in
+    lexicographic order, positions 0-based.  The census (315 distinct
+    permutations starting at the first slot) is checked at build time.
     """
-    reps = []
-    for perm in itertools.permutations(range(8)):
-        if any(perm[2 * i] > perm[2 * i + 1] for i in range(4)):
-            continue
-        if perm[0] > perm[2] or perm[4] > perm[6] or perm[0] > perm[4]:
-            continue
-        reps.append((perm, perm_sign(perm)))
-    if len(reps) != 315 or any(perm[0] != 0 for perm, _ in reps):
-        raise AssertionError("S*_8 census is not 315 tuples starting at 0")
-    return tuple(reps)
+    perms = sorted(
+        first + second
+        for rest in itertools.combinations(range(1, 8), 3)
+        for first in _pairings((0,) + rest)
+        for second in _pairings(tuple(k for k in range(1, 8) if k not in rest))
+    )
+    if len(set(perms)) != 315 or any(p[0] or sorted(p) != [*range(8)] for p in perms):
+        raise AssertionError("S*_8 census is not 315 permutations starting at 0")
+    return tuple((perm, perm_sign(perm)) for perm in perms)
 
 
 @cache
@@ -182,27 +191,44 @@ def _re_pair_table() -> np.ndarray:
     return table
 
 
+ACC_LIMIT = 1 << 15  # int16 accumulator: |sum| <= number of terms < 2^15
+
+
 def _materialize(k: int, signed_perms) -> AlternatingForm:
-    """The signed sum over all ascending basis k-tuples at once, in int64.
+    """The signed sum over all ascending basis k-tuples at once.
 
     On basis vectors every cross is zero or a signed imaginary unit, so
-    each real-part factor (four slots of a permutation) is one entry of
-    `_re_pair_table`.
+    each real-part factor (one 4-slot block of a permutation) is one
+    int8 entry of `_re_pair_table`, in {-1, 0, 1}.  Each distinct block
+    is gathered once for all tuples, by one `take` from the flat table
+    on (a*16 + b) << 8 | (c*16 + d), from cached per-position-pair codes.
+    Each term sign * factor * ... is in {-1, 0, 1} and is added on its
+    own, so an int16 accumulator is exact below ACC_LIMIT terms (checked).
     """
-    table = _re_pair_table()
-    combos = np.array(list(itertools.combinations(range(16), k)))
-    cols = [combos[:, t] for t in range(k)]
-    acc = np.zeros(len(combos), dtype=np.int64)
+    if len(signed_perms) >= ACC_LIMIT:
+        raise OverflowError(f"{len(signed_perms)} terms overflow the int16 sum")
+    flat = _re_pair_table().reshape(-1)
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(16), k)),
+        dtype=np.intp,
+    ).reshape(-1, k)
+
+    @cache
+    def code(i: int, j: int) -> np.ndarray:
+        return combos[:, i] * 16 + combos[:, j]
+
+    @cache
+    def factor(block: tuple) -> np.ndarray:
+        a, b, c, d = block
+        return flat.take(code(a, b) << 8 | code(c, d))
+
+    acc = np.zeros(len(combos), dtype=np.int16)
     for perm, sign in signed_perms:
-        term = sign
-        for q in range(0, k, 4):
-            slots = tuple(cols[p] for p in perm[q:q + 4])
-            term = term * table[slots].astype(np.int64)
-        acc += term
-    masks = np.bitwise_or.reduce(1 << combos, axis=1)
-    return AlternatingForm._raw(
-        k, {int(m): int(v) for m, v in zip(masks, acc) if v}
-    )
+        blocks = (factor(perm[q:q + 4]) for q in range(0, k, 4))
+        acc += math.prod(blocks, start=sign)
+    nz = np.flatnonzero(acc)
+    masks = np.bitwise_or.reduce(1 << combos[nz], axis=1)
+    return AlternatingForm._raw(k, dict(zip(masks.tolist(), acc[nz].tolist())))
 
 
 @cache

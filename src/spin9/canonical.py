@@ -33,7 +33,7 @@ the two-form expansion identities of X-flat wedge Y-flat.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional, Union
@@ -231,13 +231,16 @@ def rotation_fixes(
     return form.pullback(rotation(k, l, p)) == form
 
 
+_IDENTITY9 = tuple(tuple(Fraction(int(r == c)) for c in range(9)) for r in range(9))
+
+
 def givens9(a: int, b: int, p: RationalCirclePoint):
     """Rational Givens rotation of R^9 in the (a, b) plane, as tuple rows."""
     if not (0 <= a < b <= 8):
         raise ValueError("need 0 <= a < b <= 8")
     if not p.is_rotation:
         raise ValueError("needs a circle point")
-    rows = [[Fraction(1) if r == c else Fraction(0) for c in range(9)] for r in range(9)]
+    rows = [list(row) for row in _IDENTITY9]
     rows[a][a] = rows[b][b] = p.c
     rows[a][b] = -p.s
     rows[b][a] = p.s
@@ -265,12 +268,7 @@ def frame_change_fixes(m9) -> bool:
     if len(rows) != 9 or any(len(row) != 9 for row in rows):
         raise ValueError("frame matrix must be 9 x 9")
     rows = tuple(tuple(Fraction(require_exact(v)) for v in row) for row in rows)
-    ident = tuple(
-        tuple(Fraction(1) if r == c else Fraction(0) for c in range(9))
-        for r in range(9)
-    )
-    tr = tuple(zip(*rows))
-    if mat9_mul(tr, rows) != ident:
+    if mat9_mul(tuple(zip(*rows)), rows) != _IDENTITY9:
         raise ValueError("frame matrix is not orthogonal")
     if det(rows) != 1:
         raise ValueError("frame matrix must have determinant 1")
@@ -347,16 +345,7 @@ def conjecture_verdict() -> ConjectureVerdict:
     primary = _verdict_against(lhs, "antisymmetric")
     if primary.equal:
         return primary
-    alt = _verdict_against(lhs, "unsigned")
-    return ConjectureVerdict(
-        equal=primary.equal,
-        convention=primary.convention,
-        lhs_terms=primary.lhs_terms,
-        rhs_terms=primary.rhs_terms,
-        difference_terms=primary.difference_terms,
-        sample_monomials=primary.sample_monomials,
-        alternative=alt,
-    )
+    return replace(primary, alternative=_verdict_against(lhs, "unsigned"))
 
 
 def _verdict_against(lhs: AlternatingForm, convention: str) -> ConjectureVerdict:
@@ -384,28 +373,16 @@ def export_coefficients(form: AlternatingForm, fmt: str) -> bytes:
     "json": one object per line with indices and num/den strings.
     "csv": header i1..ip,num,den then one row per monomial.
     """
-    items = form.items()
+    rows = [(",".join(map(str, idx)), Fraction(v)) for idx, v in form.items()]
     if fmt == "json":
-        lines = []
-        for idx, v in items:
-            q = Fraction(v)
-            idx_s = ",".join(str(i) for i in idx)
-            lines.append(
-                '{"indices":[%s],"num":"%s","den":"%s"}'
-                % (idx_s, q.numerator, q.denominator)
-            )
-        return ("\n".join(lines) + "\n").encode()
-    if fmt == "csv":
-        head = ",".join(f"i{t + 1}" for t in range(form.degree)) + ",num,den"
-        lines = [head]
-        for idx, v in items:
-            q = Fraction(v)
-            lines.append(
-                ",".join(str(i) for i in idx)
-                + f",{q.numerator},{q.denominator}"
-            )
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError("format must be 'json' or 'csv'")
+        record = '{"indices":[%s],"num":"%s","den":"%s"}'
+        lines = [record % (idx, q.numerator, q.denominator) for idx, q in rows]
+    elif fmt == "csv":
+        lines = [",".join(f"i{t + 1}" for t in range(form.degree)) + ",num,den"]
+        lines += [f"{idx},{q.numerator},{q.denominator}" for idx, q in rows]
+    else:
+        raise ValueError("format must be 'json' or 'csv'")
+    return ("\n".join(lines) + "\n").encode()
 
 
 # flat-wedge expansion identities --------------------------------------------

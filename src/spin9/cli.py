@@ -25,7 +25,7 @@ from .canonical import (
     export_coefficients,
     omega2,
 )
-from .exterior import evaluate_table, integer_entries, pullback_table
+from .exterior import evaluate_table, pullback_table
 from .operators import RationalCirclePoint, Vector16, rotation
 from .stabilizer import stabilizer_system
 from .suites import SUITE_NAMES, RunConfig, run_suite
@@ -276,7 +276,7 @@ def _bench_pullback():
     t0 = time.perf_counter()
     for rot in rotations:
         terms, n, moduli = pullback_table(
-            form._terms, form.degree, integer_entries(rot)[0]
+            form._terms, form.degree, rot.integer_entries()[0]
         )
         leaves += n
         modular = modular or bool(moduli)

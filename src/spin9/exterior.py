@@ -200,15 +200,8 @@ class AlternatingForm:
         """self ^ other on `wedge_sum`: a / d_a ^ b / d_b = (a ^ b) / (d_a d_b)."""
         if self.degree + other.degree > 16:
             raise ValueError("wedge degree exceeds 16")
-        a, da = clear_denominators(self._terms.values())
-        b, db = clear_denominators(other._terms.values())
-        terms = wedge_sum(
-            [(dict(zip(self._terms, a)), dict(zip(other._terms, b)))]
-        )
-        d = da * db
-        if d > 1:
-            terms = {m: exact_ratio(v, d) for m, v in terms.items()}
-        return AlternatingForm._raw(self.degree + other.degree, terms)
+        (a, da), (b, db) = self._integer_table(), other._integer_table()
+        return _divided(self.degree + other.degree, wedge_sum([(a, b)]), da * db)
 
     def evaluate(self, vectors: Iterable[Vector16]) -> Num:
         """self(v1, ..., vp): with v_k = w_k / d_k for integer vectors w_k,
@@ -221,13 +214,13 @@ class AlternatingForm:
             raise ValueError(
                 f"form of degree {self.degree} takes {self.degree} vectors"
             )
-        coeffs, denom = clear_denominators(self._terms.values())
+        table, denom = self._integer_table()
         columns = []
         for v in vs:
             ints, d = clear_denominators(v.coords())
             columns.append(ints)
             denom *= d
-        total, _, _ = evaluate_table(dict(zip(self._terms, coeffs)), columns)
+        total, _, _ = evaluate_table(table, columns)
         return exact_ratio(total, denom)
 
     def pullback(self, op: Operator16) -> "AlternatingForm":
@@ -236,15 +229,10 @@ class AlternatingForm:
         With op = A / d_op and coefficients a / d_a for integer A and a,
         the pullback is (A* a) / (d_a d_op^p).
         """
-        entries, d_op = integer_entries(op)
-        coeffs, d = clear_denominators(self._terms.values())
-        terms, _, _ = pullback_table(
-            dict(zip(self._terms, coeffs)), self.degree, entries
-        )
-        d *= d_op**self.degree
-        if d > 1:
-            terms = {m: exact_ratio(v, d) for m, v in terms.items()}
-        return AlternatingForm._raw(self.degree, terms)
+        entries, d_op = op.integer_entries()
+        table, d = self._integer_table()
+        terms, _, _ = pullback_table(table, self.degree, entries)
+        return _divided(self.degree, terms, d * d_op**self.degree)
 
     def lie_derivative(self, op: Operator16) -> "AlternatingForm":
         """Derivative of the pullback along exp(t op) at t = 0, on `lie_table`.
@@ -252,19 +240,29 @@ class AlternatingForm:
         Linear in op and in the form: with op = A / d_op and coefficients
         a / d_a for integer A and a, it is (L_A a) / (d_a d_op).
         """
-        entries, d_op = integer_entries(op)
+        entries, d_op = op.integer_entries()
+        table, d = self._integer_table()
+        terms, _ = lie_table(table, entries)
+        return _divided(self.degree, terms, d * d_op)
+
+    def _integer_table(self) -> tuple:
+        """(table, d): the coefficients times d, the lcm of their
+        denominators, as an integer table {mask: int}."""
         coeffs, d = clear_denominators(self._terms.values())
-        terms, _ = lie_table(dict(zip(self._terms, coeffs)), entries)
-        d *= d_op
-        if d > 1:
-            terms = {m: exact_ratio(v, d) for m, v in terms.items()}
-        return AlternatingForm._raw(self.degree, terms)
+        return dict(zip(self._terms, coeffs)), d
 
     def restrict_low(self) -> "AlternatingForm":
         """Keep only monomials supported on the first octonion block 0..7."""
         return AlternatingForm._raw(
             self.degree, {m: v for m, v in self._terms.items() if m < 256}
         )
+
+
+def _divided(degree: int, terms: dict, d: int) -> AlternatingForm:
+    """The form of an integer table {mask: int} divided by d."""
+    if d > 1:
+        terms = {m: exact_ratio(v, d) for m, v in terms.items()}
+    return AlternatingForm._raw(degree, terms)
 
 
 def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
@@ -290,15 +288,15 @@ def two_form_from_operator(op: Operator16) -> AlternatingForm:
 
 @functools.cache
 def _np_tables():
-    """Parity tables: P16[m] bit b = parity of popcount(m >> (b+1))."""
-    masks = np.arange(1 << 16, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(16)[None, :]) & 1
-    # parity of the bits strictly above position b, as a 16-bit word
-    above = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1]  # inclusive suffix sums
-    strictly_above = (above - bits) & 1
-    p16 = (strictly_above << np.arange(16)[None, :]).sum(axis=1)
-    poppar = bits.sum(axis=1) & 1
-    return p16.astype(np.int64), poppar.astype(np.int64)
+    """Parity tables over all 16-bit masks m, as int64 arrays: P16[m] bit b
+    is the parity of popcount(m >> (b+1)), POPPAR[m] that of popcount(m).
+    Folding p = m >> 1 onto itself shifted by 1, 2, 4 and 8 leaves in bit
+    b the XOR of bits b..15 of m >> 1; bit 0 XOR m's bit 0 is POPPAR[m]."""
+    m = np.arange(1 << 16, dtype=np.int64)
+    p16 = m >> 1
+    for s in (1, 2, 4, 8):
+        p16 ^= p16 >> s
+    return p16, p16 & 1 ^ m & 1
 
 
 def _np_terms(table: dict, p: int = 0):
@@ -512,13 +510,6 @@ def _crt(residues, moduli) -> dict:
 # exact pullback kernel ------------------------------------------------------
 
 PULLBACK_CHUNK = 1 << 18  # leaves expanded at once; bounds the kernel's memory
-
-
-def integer_entries(op: Operator16) -> tuple:
-    """(entries, d): the nonzero entries of d * op as (row, col, int)."""
-    entries = op.entries()
-    ints, d = clear_denominators(v for _, _, v in entries)
-    return [(r, c, v) for (r, c, _), v in zip(entries, ints)], d
 
 
 def pullback_table(table: dict, degree: int, entries) -> tuple:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence, Union
 
-from .linalg import det, require_exact
+from .linalg import clear_denominators, det, exact_ratio, require_exact
 from .octonion import Octonion, inner_oct
 
 Num = Union[int, Fraction]
@@ -107,11 +107,12 @@ def inner16(x: Vector16, y: Vector16) -> Num:
 class Operator16:
     """A linear operator on R^16 as a dense 16x16 exact matrix.
 
-    `entries()` lists the nonzero entries, computed at most once per
-    instance; equality and hashing use the rows alone.
+    `entries()` lists the nonzero entries and `integer_entries()` the
+    same entries with their denominators cleared, each computed at most
+    once per instance; equality and hashing use the rows alone.
     """
 
-    __slots__ = ("rows", "_entries")
+    __slots__ = ("rows", "_entries", "_integer_entries")
 
     def __init__(self, rows):
         r = tuple(tuple(map(require_exact, row)) for row in rows)
@@ -185,6 +186,17 @@ class Operator16:
             object.__setattr__(self, "_entries", e)
             return e
 
+    def integer_entries(self) -> tuple:
+        """(entries, d): the nonzero entries of d * self as (row, col, int),
+        d the lcm of the entries' denominators."""
+        try:
+            return self._integer_entries
+        except AttributeError:
+            ints, d = clear_denominators(x for _, _, x in self.entries())
+            e = tuple((r, c, x) for (r, c, _), x in zip(self.entries(), ints)), d
+            object.__setattr__(self, "_integer_entries", e)
+            return e
+
     def __matmul__(self, other: "Operator16") -> "Operator16":
         out = [[0] * 16 for _ in range(16)]
         brows = other.rows
@@ -205,11 +217,17 @@ class Operator16:
         return self.rows == (-self).transpose().rows
 
     def apply(self, v: Vector16) -> Vector16:
+        """self v; with fractional entries, summed over the cleared integer
+        entries and coordinates and divided once, so whole results are ints."""
+        entries, d = self.integer_entries()
         c = v.coords()
+        if d != 1:
+            c, dv = clear_denominators(c)
+            d *= dv
         out = [0] * 16
-        for r, k, x in self.entries():
+        for r, k, x in entries:
             out[r] += x * c[k]
-        return Vector16._raw(out)
+        return Vector16._raw(out if d == 1 else [exact_ratio(x, d) for x in out])
 
     def det(self) -> Fraction:
         return det(self.rows)

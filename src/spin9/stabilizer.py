@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -110,13 +111,6 @@ class StabilizerResult:
     dimension: int
 
 
-def _support_bound(form: AlternatingForm) -> int:
-    top = 0
-    for m in form._terms:
-        top = max(top, m.bit_length())
-    return top
-
-
 def _distinct_rows(rows) -> list:
     """The rows as `row_to_int` rows, each kept only if no earlier one
     equals it up to sign.
@@ -147,7 +141,7 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
         raise ValueError("dimension must be between 1 and 16")
     if form.degree < 1 or form.degree > n:
         raise ValueError(f"degree {form.degree} form does not fit R^{n}")
-    if _support_bound(form) > n:
+    if max(map(int.bit_length, form._terms), default=0) > n:
         raise ValueError(f"form uses coordinates beyond R^{n}")
     ncols = n * n
     ech = int_echelon(_distinct_rows(stabilizer_system(form, n)))
@@ -184,20 +178,9 @@ def bracket_closure(result: StabilizerResult) -> VerificationReport:
     """Pairwise commutators of the kernel basis land back in the kernel."""
     report = VerificationReport()
     ech = kernel_echelon(result)
-    basis = result.kernel_basis
-    bad = 0
-    pairs = 0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pairs += 1
-            if not in_kernel_span(result, commutator(basis[i], basis[j]), ech):
-                bad += 1
-    report.add(
-        "stabilizer.bracket-closure",
-        bad == 0,
-        pairs=pairs,
-        failures=bad,
-    )
+    pairs = list(combinations(result.kernel_basis, 2))
+    bad = sum(not in_kernel_span(result, commutator(a, b), ech) for a, b in pairs)
+    report.add("stabilizer.bracket-closure", bad == 0, pairs=len(pairs), failures=bad)
     return report
 
 
@@ -310,14 +293,11 @@ def decomposable_certification() -> VerificationReport:
         dim=result.kernel_dimension,
         expected=64 + 64 + 63,
     )
-    ok = True
-    for op in result.kernel_basis:
-        upper_right = any(
-            op.rows[r][c] for r in range(8) for c in range(8, 16)
-        )
-        block_trace = sum(op.rows[r][r] for r in range(8))
-        if upper_right or block_trace:
-            ok = False
+    ok = not any(
+        any(op.rows[r][c] for r in range(8) for c in range(8, 16))
+        or sum(op.rows[r][r] for r in range(8))
+        for op in result.kernel_basis
+    )
     report.add("stabilizer.decomposable.block-structure", ok)
     return report
 

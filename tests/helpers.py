@@ -1,7 +1,9 @@
 """Shared random generators and small independent oracles for the tests."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+
+import numpy as np
 
 from spin9 import exterior
 from spin9.exterior import AlternatingForm, perm_sign, wedge_sum
@@ -381,3 +383,52 @@ def spy_laplace_moduli(monkeypatch):
 
     monkeypatch.setattr(exterior, "_laplace_mod", spy)
     return seen
+
+
+def s8_star_oracle():
+    """S*_8 filtered from all of S_8 by its defining inequalities."""
+    reps = []
+    for perm in permutations(range(8)):
+        if any(perm[2 * i] > perm[2 * i + 1] for i in range(4)):
+            continue
+        if perm[0] > perm[2] or perm[4] > perm[6] or perm[0] > perm[4]:
+            continue
+        reps.append((perm, perm_sign(perm)))
+    return tuple(reps)
+
+
+def materialize_oracle(k, signed_perms, table):
+    """The signed sum on every ascending basis k-tuple, one int64 4-index
+    gather of `table` per 4-slot block of every permutation."""
+    combos = np.array(list(combinations(range(16), k)))
+    cols = [combos[:, t] for t in range(k)]
+    acc = np.zeros(len(combos), dtype=np.int64)
+    for perm, sign in signed_perms:
+        term = sign
+        for q in range(0, k, 4):
+            slots = tuple(cols[p] for p in perm[q:q + 4])
+            term = term * table[slots].astype(np.int64)
+        acc += term
+    masks = np.bitwise_or.reduce(1 << combos, axis=1)
+    return AlternatingForm._raw(
+        k, {int(m): int(v) for m, v in zip(masks, acc) if v}
+    )
+
+
+def np_tables_oracle():
+    """The parity tables from per-bit suffix sums over all 2^16 masks."""
+    masks = np.arange(1 << 16, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(16)[None, :]) & 1
+    above = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1]  # inclusive suffix sums
+    strictly_above = (above - bits) & 1
+    p16 = (strictly_above << np.arange(16)[None, :]).sum(axis=1)
+    return p16, bits.sum(axis=1) & 1
+
+
+def apply_oracle(op, v):
+    """op v by definition: one Fraction product per matrix entry."""
+    c = v.coords()
+    return [
+        sum((Fraction(x) * Fraction(y) for x, y in zip(row, c)), Fraction(0))
+        for row in op.rows
+    ]

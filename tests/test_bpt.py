@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_fraction_vector, rand_vector
+from helpers import (
+    materialize_oracle,
+    rand_fraction_vector,
+    rand_vector,
+    s8_star_oracle,
+)
 from spin9 import bpt
 from spin9.bpt import (
     bpt_4form,
@@ -41,16 +46,9 @@ def test_permutation_census():
 
 
 def test_census_against_direct_count():
-    # 7!! * (3!!)^2-style pairing count: 105 pair partitions of 8 into
-    # blocks of two pairs, times 3 orderings inside, collapse to 315
-    count = 0
-    for perm in itertools.permutations(range(8)):
-        if any(perm[2 * i] > perm[2 * i + 1] for i in range(4)):
-            continue
-        if perm[0] > perm[2] or perm[4] > perm[6] or perm[0] > perm[4]:
-            continue
-        count += 1
-    assert count == 315
+    # generated from the pairings, equal to the S_8 filter tuple for
+    # tuple and sign for sign, in the same lexicographic order
+    assert s8_star() == s8_star_oracle()
 
 
 def test_cross_on_pair_vectors():
@@ -150,6 +148,28 @@ def test_four_form_materialization():
     for idx in itertools.combinations(range(16), 4):
         assert form.coefficient(idx) == bpt_4form([basis[k] for k in idx])
     assert form.term_count() == 140
+
+
+def test_materialized_forms_match_the_per_permutation_gather():
+    # every coefficient, zero or not, against one 4-index gather per block
+    table = bpt._re_pair_table()
+    for k, form, perms in (
+        (8, materialize_bpt_8form(), s8_star()),
+        (4, materialize_bpt_4form(), bpt._s4_signed()),
+    ):
+        expected = materialize_oracle(k, perms, table)
+        for idx in itertools.combinations(range(16), k):
+            assert form.coefficient(idx) == expected.coefficient(idx)
+
+
+def test_materialize_raises_past_the_accumulator_limit(monkeypatch):
+    # with fewer terms allowed than the 315 of S*_8, the int16 bound no
+    # longer covers the sum, and the build must refuse instead of wrapping
+    monkeypatch.setattr(bpt, "ACC_LIMIT", 315)
+    with pytest.raises(OverflowError, match="int16"):
+        bpt._materialize(8, s8_star())
+    monkeypatch.setattr(bpt, "ACC_LIMIT", 316)
+    assert bpt._materialize(8, s8_star()) == materialize_bpt_8form()
 
 
 def test_basis_cross_premise_is_checked(monkeypatch):

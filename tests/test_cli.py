@@ -12,7 +12,16 @@ import pytest
 
 from helpers import curvature_oracle
 from spin9 import cli
-from spin9.bpt import bpt_8form_reduced
+from spin9.bpt import (
+    bpt_8form_reduced,
+    materialize_bpt_4form,
+    materialize_bpt_8form,
+)
+from spin9.canonical import (
+    canonical_8form_alt,
+    conjecture_8form,
+    export_coefficients,
+)
 from spin9.operators import Vector16
 from spin9.report import VerificationReport
 
@@ -97,6 +106,41 @@ def test_export_all_forms(omega8, tmp_path):
     assert counts["omega8-alt"] == 702
     assert counts["conjecture-rhs"] == 702
     assert counts["bpt"] == 870
+
+
+# SHA-256 of each export; a regression fixture that any change to a
+# builder or to the serialization must leave alone
+OMEGA8_DIGESTS = {
+    "json": "723f697a9784d93e2ced9262429f87166915dffe876a41a8d84a593af11b666a",
+    "csv": "6a957113c58693cfad7e438197808812047871e60743539005e4e88cbde316fd",
+}
+EXPORT_DIGESTS = {
+    "omega8": OMEGA8_DIGESTS,
+    "omega8-alt": OMEGA8_DIGESTS,
+    "conjecture-rhs": OMEGA8_DIGESTS,
+    "bpt": {
+        "json": "8a7dcbf9435b30b1e1a92e7f7fb3677d9f4a9e80e510e5f7ceb19f445ce65105",
+        "csv": "b211cb2d8c323452cf228dddcce8991c673f0ae0d60db59845e793ce70bad293",
+    },
+    "bpt4": {
+        "json": "41ad426fc6387ad3af857f3c9fe1296fa792b16090acaf43e3a6425483d606df",
+        "csv": "3ef366aa79ce95902fb432e28a20f773becd43d3489741cd5bec1ae9c6522b18",
+    },
+}
+
+
+def test_exports_match_the_pinned_digests(omega8):
+    forms = {
+        "omega8": omega8,
+        "omega8-alt": canonical_8form_alt(),
+        "conjecture-rhs": conjecture_8form("antisymmetric"),
+        "bpt": materialize_bpt_8form(),
+        "bpt4": materialize_bpt_4form(),
+    }
+    for name, form in forms.items():
+        for fmt, digest in EXPORT_DIGESTS[name].items():
+            data = export_coefficients(form, fmt)
+            assert hashlib.sha256(data).hexdigest() == digest, (name, fmt)
 
 
 def test_export_unwritable_destination(tmp_path, capsys):

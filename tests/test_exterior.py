@@ -14,6 +14,7 @@ from helpers import (
     _wedge_dicts_into,
     evaluate_oracle,
     lie_derivative_oracle,
+    np_tables_oracle,
     pullback_oracle,
     rand_fraction_vector,
     rand_vector,
@@ -34,7 +35,6 @@ from spin9.exterior import (
     _wedge_plan,
     _wedge_sums_mod,
     evaluate_table,
-    integer_entries,
     lie_incidences,
     lie_table,
     perm_sign,
@@ -84,6 +84,14 @@ def test_determinant_evaluation_convention():
     prod = f.wedge(g)
     assert prod.coefficient((0, 1, 2, 3)) == 1
     assert prod.evaluate([Vector16.basis(k) for k in (0, 1, 2, 3)]) == 1
+
+
+def test_parity_tables_match_the_suffix_sum_construction():
+    # bit folding against per-bit suffix sums, on all 2^16 masks
+    p16, poppar = exterior._np_tables()
+    q16, qpar = np_tables_oracle()
+    assert p16.dtype == poppar.dtype == np.int64
+    assert np.array_equal(p16, q16) and np.array_equal(poppar, qpar)
 
 
 def test_monomial_sorting_sign():
@@ -520,7 +528,7 @@ def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8):
     f, op = _crt_case(random.Random(77))
     whole = f.pullback(op)
     monkeypatch.setattr(exterior, "PULLBACK_CHUNK", 7)
-    plan, _ = _pullback_plan(dict(omega8._terms), 8, integer_entries(rot)[0])
+    plan, _ = _pullback_plan(dict(omega8._terms), 8, rot.integer_entries()[0])
     assert len(plan[-1]) == omega8.term_count()  # 2**8 leaves each: one a chunk
     assert len(_pullback_plan(dict(f._terms), 5, op.entries())[0][-1]) > 1
     assert omega8.pullback(rot) == omega8

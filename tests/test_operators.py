@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import matmul_oracle, rand_vector
+from helpers import (
+    apply_oracle,
+    matmul_oracle,
+    rand_fraction_vector,
+    rand_vector,
+)
 from spin9 import operators
 from spin9.linalg import rank
 from spin9.operators import (
@@ -268,6 +273,34 @@ def test_entries_round_trip():
             v = rand_vector(rng).coords()
             by_rows = tuple(sum(a * b for a, b in zip(row, v)) for row in op.rows)
             assert op.apply(Vector16.from_coords(v)).coords() == by_rows
+
+
+def test_apply_with_fraction_entries_matches_the_per_entry_oracle():
+    rng = random.Random(26)
+    ops = (
+        rotation(0, 1, RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))),
+        rotation(2, 7, RationalCirclePoint(Fraction(-5, 13), Fraction(12, 13))),
+        boost8(RationalCirclePoint(Fraction(5, 4), Fraction(3, 4))),
+        _rand_dense_operator(rng),
+    )
+    vectors = [Vector16.basis(3), Vector16.from_coords([260] * 16)]
+    vectors += [rand_vector(rng) for _ in range(3)]
+    vectors += [rand_fraction_vector(rng) for _ in range(3)]
+    for op in ops:
+        entries, d = op.integer_entries()
+        assert d > 1 and entries is op.integer_entries()[0]
+        assert all(type(x) is int for _, _, x in entries)
+        for v in vectors:
+            out = op.apply(v).coords()
+            assert list(out) == apply_oracle(op, v)
+            # whole results come back as ints, the others as Fractions
+            assert all(
+                type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+                for x in out
+            )
+    # denominators 5, 13 and 4 all divide 260: every coordinate is an int
+    for op in ops[:3]:
+        assert all(type(x) is int for x in op.apply(vectors[1]).coords())
 
 
 def test_matmul_matches_dense_oracle():

@@ -99,3 +99,19 @@ def test_importing_the_cli_builds_no_exterior_table():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+def test_importing_the_cli_builds_no_bpt_table():
+    # S*_8, the basis crosses and the real-part table are built by the
+    # first BPT call, not at import
+    code = (
+        "import spin9.cli\n"
+        "from spin9 import bpt\n"
+        "print(*(f.cache_info().currsize for f in (bpt.s8_star,"
+        " bpt._basis_cross_units, bpt._re_pair_table)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0"]
