@@ -141,7 +141,7 @@ def _wedge_chunk(pairs):
     return ops, checksum
 
 
-def _bench_wedge(jobs):
+def _bench_wedge():
     two_forms = [(i, j) for i in range(9) for j in range(i + 1, 9)]
     pairs = [
         (two_forms[a], two_forms[b])
@@ -149,18 +149,7 @@ def _bench_wedge(jobs):
         for b in range(a, len(two_forms))
     ]
     t0 = time.perf_counter()
-    workers = pool_size(jobs, len(pairs))
-    if workers > 1:
-        step = (len(pairs) + workers - 1) // workers
-        chunks = [pairs[k:k + step] for k in range(0, len(pairs), step)]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=len(chunks)
-        ) as pool:
-            parts = list(pool.map(_wedge_chunk, chunks))
-        ops = sum(p[0] for p in parts)
-        checksum = sum(p[1] for p in parts)
-    else:
-        ops, checksum = _wedge_chunk(pairs)
+    ops, checksum = _wedge_chunk(pairs)
     elapsed = time.perf_counter() - t0
     print(
         f"bench wedge: products={len(pairs)} term_pairs={ops} "
@@ -292,7 +281,7 @@ def _bench_pullback():
 
 def cmd_bench(args) -> int:
     if args.kernel == "wedge":
-        _bench_wedge(args.jobs)
+        _bench_wedge()
     elif args.kernel == "stabilizer-assembly":
         _bench_stabilizer_assembly()
     elif args.kernel == "evaluate":
@@ -318,11 +307,6 @@ def _add_run_flags(parser) -> None:
                         help="seed for randomized property checks")
     parser.add_argument("--samples", type=_positive_int, default=25,
                         help="sample count for randomized property checks")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for `verify --suite all` (one "
-                        "per suite) and `bench wedge`, capped at the CPU "
-                        "count; other commands run serially; never changes "
-                        "numeric output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,6 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=("all",) + SUITE_NAMES, default="all"
     )
     _add_run_flags(p_verify)
+    p_verify.add_argument("--jobs", type=_positive_int, default=1,
+                          help="worker processes for `--suite all`, one per "
+                          "suite, capped at the CPU count; never changes "
+                          "numeric output")
     p_verify.set_defaults(func=cmd_verify)
 
     p_export = sub.add_parser(

@@ -32,15 +32,15 @@ overlapping masks drop out and the sign is a popcount parity.  A pair
 whose two tables are the same object Q, every term of even positive
 degree, is a square: Q ^ Q = 2 sum_{i<j}, so only its term pairs i < j
 expand.  One group sums into a dense 2**16 accumulator, several by
-`np.unique` on the keys group << 16 | mask.  The a-priori bound
-B_g = sum |a|_1 |b|_1 of each group comes before any arithmetic: when
-the largest is below 2**63 the pass runs in int64, which then holds
-every product and partial sum.  Otherwise it runs modulo the fewest
-primes below 2**31 whose product exceeds 2B, checking per chunk that the
-sums cannot overflow, and rebuilds the exact integers by the Chinese
-remainder theorem.  No float enters either path.  Three more kernels
-follow the same design (bound first, int64 below 2**63, otherwise once
-per prime of the same `_moduli(B)`, rebuilt by the same `_crt`):
+`np.unique` on the keys group << 16 | mask.
+
+One driver, `_exact`, serves all four kernels.  Each bounds its sums by
+B before any arithmetic (the wedge by the largest B_g = sum |a|_1 |b|_1);
+below 2**63 its per-modulus step runs once in int64, which then holds
+every product and partial sum, otherwise once modulo each of the fewest
+primes below 2**31 whose product exceeds 2B, checking that the sums
+cannot overflow, and `_crt` rebuilds the exact integers by the Chinese
+remainder theorem.  No float enters either path.  The other kernels:
 
 - `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
   and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands all
@@ -299,19 +299,39 @@ def _np_tables():
     return p16, p16 & 1 ^ m & 1
 
 
-def _np_terms(table: dict, p: int = 0):
-    """Table {mask: int} to (masks, coeffs) int64 arrays, coeffs mod p if p."""
-    values = (v % p for v in table.values()) if p else table.values()
-    masks = np.fromiter(table, dtype=np.int64, count=len(table))
-    return masks, np.fromiter(values, dtype=np.int64, count=len(table))
-
-
-def _np_acc_to_terms(acc) -> dict:
-    nz = np.flatnonzero(acc != 0)
-    return dict(zip(nz.tolist(), acc[nz].tolist()))
-
-
 INT64_LIMIT = 1 << 63
+
+
+def _require_int(name: str, *groups) -> None:
+    """TypeError unless every value of every group is an `int`."""
+    if not all(type(v) is int for group in groups for v in group):
+        raise TypeError(f"{name} takes integer coefficients only")
+
+
+def _residues(values, p: int) -> np.ndarray:
+    """Integers as an int64 array, reduced mod p if p (p = 0: as they are)."""
+    return np.fromiter((v % p for v in values) if p else values, dtype=np.int64)
+
+
+def _room(p: int) -> int:
+    """Terms below p in absolute value that int64 adds to a sum reduced mod p."""
+    return INT64_LIMIT // p - 1 if p else INT64_LIMIT
+
+
+def _exact(plan, bound: int, run) -> tuple:
+    """(support, values, aux, moduli) of one exact kernel, whose step
+    `run(plan, p)` gives its sums mod p (exact if p = 0) as an int64 array
+    and an aux that no modulus changes: once in int64 if `bound` < 2**63,
+    else once per prime of `_moduli(bound)`.  `support` indexes the
+    nonzero sums, `values` holds them exactly, `aux` is the first run's.
+    """
+    moduli = _moduli(bound)
+    if not moduli:
+        sums, aux = run(plan, 0)
+        support = np.flatnonzero(sums != 0)  # scans bool far faster than int64
+        return support, sums[support].tolist(), aux, moduli
+    runs = [run(plan, p) for p in moduli]
+    return (*_crt([sums for sums, _ in runs], moduli), runs[0][1], moduli)
 
 
 def _moduli(bound: int) -> tuple:
@@ -354,25 +374,13 @@ def wedge_sums(groups) -> list:
     {mask: int}: one table per group, no zero entries.
 
     B_g = sum |a|_1 |b|_1 bounds every product and partial sum of group
-    g.  When the largest B_g is below 2**63 all groups run once in int64,
-    otherwise once per prime of `_moduli(max B_g)`, and CRT rebuilds the
-    integers.
+    g; all groups run together under `_exact` with the largest B_g.
     """
     plan, bound, count = _wedge_plan(groups)
     if plan is None:
         return [{} for _ in range(count)]
-    moduli = _moduli(bound)
-    if not moduli:
-        keys, sums = _wedge_sums_mod(plan, 0)
-        nz = np.flatnonzero(sums != 0)
-        values = sums[nz].tolist()
-    else:
-        runs = [_wedge_sums_mod(plan, p) for p in moduli]
-        # no step drops a sum by its value, so the primes share their keys
-        rebuilt = _crt([sums for _, sums in runs], moduli)
-        keys = runs[0][0]
-        nz = np.fromiter(rebuilt, dtype=np.int64, count=len(rebuilt))
-        values = list(rebuilt.values())
+    # no step drops a sum by its value, so the primes share their keys
+    nz, values, keys, _ = _exact(plan, bound, _wedge_sums_mod)
     if keys is None:
         return [dict(zip(nz.tolist(), values))]
     keys = keys[nz]
@@ -398,9 +406,9 @@ def _wedge_plan(groups) -> tuple:
     groups = [[(a, b) for a, b in group if a and b] for group in groups]
     tables = {id(t): t for group in groups for pair in group for t in pair}
     norms = {key: sum(map(abs, t.values())) for key, t in tables.items()}
+    # a coefficient that is not an int makes its table's norm none either
+    _require_int("wedge_sums", norms.values())
     bounds = [sum(norms[id(a)] * norms[id(b)] for a, b in g) for g in groups]
-    if any(type(b) is not int for b in bounds):
-        raise TypeError("wedge_sums takes integer coefficients only")
     if not tables:
         return None, 0, len(groups)
     spans, size = {}, 0
@@ -436,7 +444,7 @@ def _wedge_plan(groups) -> tuple:
 
 
 def _wedge_sums_mod(plan, p: int) -> tuple:
-    """(keys, sums) of the grouped pair sums, exact if p = 0, else mod p.
+    """(sums, keys) of the grouped pair sums, exact if p = 0, else mod p.
 
     The rows expand in chunks of at most WEDGE_CHUNK candidate term pairs
     (a row with more is a chunk alone).  A pair of overlapping masks drops
@@ -446,12 +454,12 @@ def _wedge_sums_mod(plan, p: int) -> tuple:
     sum by `np.unique` on the keys group << 16 | mask; the rows run group
     by group, so only the last group of a chunk carries into the next.
     Mod p every product enters below p in absolute value and the sums are
-    reduced after each chunk, so a chunk may hold 2**63 // p - 1 products.
+    reduced after each chunk, so a chunk may hold `_room(p)` products.
     """
     masks, coeffs, rows, count, ends, grouped = plan
     p16, poppar = _np_tables()
-    c = np.array([v % p for v in coeffs] if p else coeffs, dtype=np.int64)
-    room = INT64_LIMIT // p - 1 if p else INT64_LIMIT
+    c = _residues(coeffs, p)
+    room = _room(p)
     limit = min(WEDGE_CHUNK, room)
     parts: list = []
     keys = np.zeros(0, dtype=np.int64)
@@ -485,26 +493,28 @@ def _wedge_sums_mod(plan, p: int) -> tuple:
                 total %= p
             # the keys of the chunk's last group carry into the next chunk
             cut = np.searchsorted(keys, rows[3, hi - 1] << 16)
-            parts.append((keys[:cut], total[:cut]))
+            parts.append((total[:cut], keys[:cut]))
             keys, sums = keys[cut:], total[cut:]
         lo, before = hi, before + load
     if not grouped:
-        return None, sums
-    parts.append((keys, sums))
+        return sums, None
+    parts.append((sums, keys))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def _crt(residues, moduli) -> dict:
-    """Integers in the symmetric range from residue accumulators."""
+def _crt(residues, moduli) -> tuple:
+    """(support, values): the indices at which the integers of absolute
+    value below prod(moduli) / 2 with these residues are nonzero, and
+    those integers."""
     modulus = math.prod(moduli)
     weights = [modulus // p * pow(modulus // p, -1, p) for p in moduli]
+    residues = [r % p for r, p in zip(residues, moduli)]
     support = np.flatnonzero(functools.reduce(np.bitwise_or, residues) != 0)
-    columns = [r[support].tolist() for r in residues]
-    out = {}
-    for m, *rs in zip(support.tolist(), *columns):
+    values = []
+    for rs in zip(*(r[support].tolist() for r in residues)):
         x = sum(r * w for r, w in zip(rs, weights)) % modulus
-        out[m] = x - modulus if 2 * x > modulus else x
-    return out
+        values.append(x - modulus if 2 * x > modulus else x)
+    return support, values
 
 
 # exact pullback kernel ------------------------------------------------------
@@ -522,12 +532,8 @@ def pullback_table(table: dict, degree: int, entries) -> tuple:
     plan, bound = _pullback_plan(table, degree, entries)
     if plan is None:
         return {}, 0, ()
-    moduli = _moduli(bound)
-    if not moduli:
-        acc, leaves = _pullback_mod(plan, 0)
-        return _np_acc_to_terms(acc), leaves, moduli
-    runs = [_pullback_mod(plan, p) for p in moduli]
-    return _crt([acc for acc, _ in runs], moduli), runs[0][1], moduli
+    support, values, leaves, moduli = _exact(plan, bound, _pullback_mod)
+    return dict(zip(support.tolist(), values)), leaves, moduli
 
 
 def _pullback_plan(table: dict, degree: int, entries) -> tuple:
@@ -542,10 +548,7 @@ def _pullback_plan(table: dict, degree: int, entries) -> tuple:
     rows: list = [[] for _ in range(16)]
     for r, c, v in sorted(entries):
         rows[r].append((c, v))
-    if not all(type(v) is int for v in table.values()) or not all(
-        type(v) is int for row in rows for _, v in row
-    ):
-        raise TypeError("pullback_table takes integer coefficients only")
+    _require_int("pullback_table", table.values(), (v for row in rows for _, v in row))
     masks = np.fromiter(table, dtype=np.int64, count=len(table))
     bits = masks[:, None] >> np.arange(16) & 1
     if (bits.sum(axis=1) != degree).any():
@@ -588,18 +591,17 @@ def _pullback_mod(plan, p: int) -> tuple:
     state branches over the nonzero entries of its row, a leaf whose
     column is already in the mask drops out, and the incoming dx_col
     moves left past the mask's indices above col.  Mod p a leaf enters
-    below p + 1, so the accumulator is reduced after every chunk and a
-    chunk may hold 2**63 // p - 2 leaves.
+    below p in absolute value, so the accumulator is reduced before every
+    chunk and a chunk may hold `_room(p)` leaves.
     """
     idx, coeffs, indptr, cols, vals, chunks = plan
     p16, _ = _np_tables()
     nnz = np.diff(indptr)
-    values = np.array([v % p for v in vals] if p else vals, dtype=np.int64)
-    start = np.array([c % p for c in coeffs] if p else coeffs, dtype=np.int64)
+    values, start = _residues(vals, p), _residues(coeffs, p)
     acc = np.zeros(1 << 16, dtype=np.int64)
     leaves = 0
     for lo, hi, load in chunks:
-        if p and load > INT64_LIMIT // p - 2:
+        if load > _room(p):
             raise OverflowError("one monomial exceeds the modular room")
         mon = np.arange(lo, hi)
         mask = np.zeros(hi - lo, dtype=np.int64)
@@ -622,11 +624,11 @@ def _pullback_mod(plan, p: int) -> tuple:
             if p:
                 coef %= p
             mon = mon[src]
-        coef = np.where(odd == 1, p - coef if p else -coef, coef)
-        np.add.at(acc, mask, coef)
-        leaves += mask.size
+        np.negative(coef, out=coef, where=odd == 1)
         if p:
             acc %= p
+        np.add.at(acc, mask, coef)
+        leaves += mask.size
     return acc, leaves
 
 
@@ -659,21 +661,13 @@ def evaluate_table(table: dict, columns) -> tuple:
     monomial at once.  `products` counts the gathered L R products;
     `moduli` is () on the int64 path, else the primes of the CRT path.
     """
-    if not all(type(v) is int for v in table.values()) or not all(
-        type(x) is int for column in columns for x in column
-    ):
-        raise TypeError("evaluate_table takes integer coefficients only")
+    _require_int("evaluate_table", table.values(), *columns)
     plan, bound = _laplace_plan(table, columns)
     if plan is None:
         return 0, 0, ()
+    support, minors, _, moduli = _exact(plan, bound, _laplace_mod)
     coeffs = plan[0]
-    moduli = _moduli(bound)
-    if not moduli:
-        minors = _laplace_mod(plan, 0).tolist()
-    else:
-        rebuilt = _crt([_laplace_mod(plan, p) for p in moduli], moduli)
-        minors = [rebuilt.get(k, 0) for k in range(len(coeffs))]
-    value = sum(c * x for c, x in zip(coeffs, minors))
+    value = sum(coeffs[k] * x for k, x in zip(support.tolist(), minors))
     return value, plan[1].size, moduli
 
 
@@ -717,8 +711,8 @@ def _laplace_plan(table: dict, columns) -> tuple:
     return plan, bound
 
 
-def _laplace_mod(plan, p: int) -> np.ndarray:
-    """The minors of the table's monomials, exact if p = 0, else mod p.
+def _laplace_mod(plan, p: int) -> tuple:
+    """(minors, None) of the table's monomials, exact if p = 0, else mod p.
 
     Mod p every product is reduced below p before the sum over the at most
     C(16, 8) subsets, so no row sum can leave int64.
@@ -727,15 +721,13 @@ def _laplace_mod(plan, p: int) -> np.ndarray:
     halves = []
     for table in (left, right):
         dense = np.zeros(1 << 16, dtype=np.int64)
-        masks, coeffs = _np_terms(table, p)
-        dense[masks] = coeffs
+        dense[np.fromiter(table, dtype=np.int64)] = _residues(table.values(), p)
         halves.append(dense)
     vals = halves[0][a] * halves[1][b]
     if p:
         vals %= p
     np.negative(vals, out=vals, where=odd)
-    minors = vals.sum(axis=1)
-    return minors % p if p else minors
+    return vals.sum(axis=1), None
 
 
 # exact Lie-derivative kernel ------------------------------------------------
@@ -767,45 +759,37 @@ def lie_table(table: dict, entries) -> tuple:
     """Exact Lie derivative of an integer table {mask: int} along integer
     matrix entries (row, col, value): (terms, moduli).
 
-    B = sum_m |c_m| * sum |value| bounds every product and partial sum
-    before any arithmetic, and B = 0 leaves nothing to sum.  Below 2**63
-    the incidences of `lie_incidences` accumulate once in int64, otherwise
-    once per prime of `_moduli(B)`, rebuilt by `_crt`.  `moduli` is () on
-    the int64 path.
+    B = sum_m |c_m| * sum |value| bounds every product and partial sum;
+    B = 0 leaves nothing to sum, else the incidences of `lie_incidences`
+    accumulate under `_exact`.  `moduli` is () on the int64 path.
     """
     entries = list(entries)
     coeffs = list(table.values())
     vals = [v for _, _, v in entries]
+    _require_int("lie_table", coeffs, vals)
     bound = sum(map(abs, coeffs)) * sum(map(abs, vals))
-    if type(bound) is not int:
-        raise TypeError("lie_table takes integer coefficients only")
     if not bound:
         return {}, ()
     out, odd, mon, unit = lie_incidences(
         list(table), [r for r, _, _ in entries], [c for _, c, _ in entries]
     )
     plan = (out, odd == 1, mon, unit, coeffs, vals)
-    moduli = _moduli(bound)
-    if not moduli:
-        return _np_acc_to_terms(_lie_mod(plan, 0)), moduli
-    return _crt([_lie_mod(plan, p) for p in moduli], moduli), moduli
+    support, values, _, moduli = _exact(plan, bound, _lie_mod)
+    return dict(zip(support.tolist(), values)), moduli
 
 
-def _lie_mod(plan, p: int) -> np.ndarray:
-    """The accumulator of the Lie derivative, exact if p = 0, else mod p.
-
-    Mod p an incidence enters below p in absolute value, so the sum holds
-    2**63 // p - 1 of them.
+def _lie_mod(plan, p: int) -> tuple:
+    """(accumulator, None) of the Lie derivative, exact if p = 0, else
+    mod p.  Mod p an incidence enters below p in absolute value, so the
+    sum holds `_room(p)` of them.
     """
     out, odd, mon, unit, coeffs, vals = plan
-    if p and out.size > INT64_LIMIT // p - 1:
+    if out.size > _room(p):
         raise OverflowError("the incidences exceed the modular room")
-    c = np.array([v % p for v in coeffs] if p else coeffs, dtype=np.int64)
-    x = np.array([v % p for v in vals] if p else vals, dtype=np.int64)
-    terms = c[mon] * x[unit]
+    terms = _residues(coeffs, p)[mon] * _residues(vals, p)[unit]
     if p:
         terms %= p
     np.negative(terms, out=terms, where=odd)
     acc = np.zeros(1 << 16, dtype=np.int64)
     np.add.at(acc, out, terms)
-    return acc % p if p else acc
+    return acc, None

@@ -478,10 +478,16 @@ def verify_bpt(config: RunConfig) -> VerificationReport:
     report = VerificationReport()
     rng = config.rng("bpt")
 
-    reps = bpt.s8_star()
+    # the 2^7 pair symmetries act freely on S_8, so 8!/2^7 = 315 distinct
+    # permutations that meet the seven defining inequalities are all of S*_8
+    reps = [perm for perm, _ in bpt.s8_star()]
     report.add(
         "bpt.representative-census",
-        len(reps) == 315 and all(perm[0] == 0 for perm, _ in reps),
+        len(set(reps)) == len(reps) == 315 and all(
+            sorted(p) == [*range(8)] and p[0] < p[1] and p[2] < p[3]
+            and p[4] < p[5] and p[6] < p[7] and p[0] < p[2] and p[4] < p[6]
+            and p[0] < p[4] for p in reps
+        ),
         count=len(reps),
     )
 

@@ -346,42 +346,17 @@ def alt_grouping_oracle(w):
     return {m: exact_ratio(-c, 2) for m, c in squares.items()}
 
 
-def spy_moduli(monkeypatch):
-    """Record the modulus of every wedge-sum kernel run (0 = int64)."""
+def spy_moduli(monkeypatch, step):
+    """Record the modulus of every run of the per-modulus kernel step
+    `exterior.<step>`, for example "_wedge_sums_mod" (0 = int64)."""
     seen = []
-    run = exterior._wedge_sums_mod
+    run = getattr(exterior, step)
 
     def spy(plan, p):
         seen.append(p)
         return run(plan, p)
 
-    monkeypatch.setattr(exterior, "_wedge_sums_mod", spy)
-    return seen
-
-
-def spy_pullback_moduli(monkeypatch):
-    """Record the modulus of every pullback expansion (0 = int64)."""
-    seen = []
-    run = exterior._pullback_mod
-
-    def spy(plan, p):
-        seen.append(p)
-        return run(plan, p)
-
-    monkeypatch.setattr(exterior, "_pullback_mod", spy)
-    return seen
-
-
-def spy_laplace_moduli(monkeypatch):
-    """Record the modulus of every Laplace gather of `evaluate` (0 = int64)."""
-    seen = []
-    run = exterior._laplace_mod
-
-    def spy(plan, p):
-        seen.append(p)
-        return run(plan, p)
-
-    monkeypatch.setattr(exterior, "_laplace_mod", spy)
+    monkeypatch.setattr(exterior, step, spy)
     return seen
 
 

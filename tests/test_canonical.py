@@ -263,7 +263,7 @@ def test_frame_independence_three_matrices():
 def test_frame_independence_d85_takes_the_modular_path(omega8, monkeypatch):
     # (13, 84, 85): the rebuilt coefficients need 66 bits, past int64; the
     # four-forms are built exactly in int64 first, then squared mod 3 primes
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     m = givens9(2, 7, RationalCirclePoint(Fraction(13, 85), Fraction(84, 85)))
     assert frame_change_fixes(m)
     assert seen[0] == 0 and len(seen) == 4 and len(set(seen) - {0}) == 3
@@ -271,7 +271,7 @@ def test_frame_independence_d85_takes_the_modular_path(omega8, monkeypatch):
 
 def test_frame_independence_d25_stays_on_int64(omega8, monkeypatch):
     # (7, 24, 25): the squares' bound is about 2**62, still int64
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     m = givens9(2, 7, RationalCirclePoint(Fraction(7, 25), Fraction(24, 25)))
     assert frame_change_fixes(m)
     assert seen == [0, 0]
@@ -396,7 +396,7 @@ def test_rebuild_with_huge_coefficients_matches_oracle(monkeypatch):
                     for a, b in (sorted(rng.sample(range(16), 2))
                                  for _ in range(2))
                 }
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     rebuilt = build_8form_from_two_forms(w2)
     assert len(set(seen) - {0}) > 1
     assert rebuilt == quadruple_sum_oracle(w2)

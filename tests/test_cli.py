@@ -182,14 +182,18 @@ def test_conjecture_deterministic_across_settings(omega8, capsys):
 
 def test_bench_wedge_jobs_independent(capsys):
     results = []
-    for jobs in ("1", "2"):
-        assert run_cli(["bench", "wedge", "--jobs", jobs]) == 0
+    for _ in range(2):
+        assert run_cli(["bench", "wedge"]) == 0
         out = capsys.readouterr().out.splitlines()
         # first line holds the deterministic counts, second the timing
         results.append(out[0])
         assert out[1].startswith("bench wedge: time=")
     assert results[0] == results[1]
     assert "term_pairs=" in results[0]
+    # bench wedge runs serially and takes no --jobs
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bench", "wedge", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--jobs"])

@@ -18,9 +18,7 @@ from helpers import (
     pullback_oracle,
     rand_fraction_vector,
     rand_vector,
-    spy_laplace_moduli,
     spy_moduli,
-    spy_pullback_moduli,
 )
 from spin9 import exterior
 from spin9.bpt import materialize_bpt_8form
@@ -29,7 +27,6 @@ from spin9.exterior import (
     INT64_LIMIT,
     AlternatingForm,
     _moduli,
-    _np_acc_to_terms,
     _pullback_mod,
     _pullback_plan,
     _wedge_plan,
@@ -269,7 +266,7 @@ def test_evaluate_takes_the_modular_path_for_large_entries(monkeypatch):
         )
         for _ in range(8)
     ]
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     value = form.evaluate(vs)
     assert value == evaluate_oracle(form, vs)
     assert abs(value) >= INT64_LIMIT
@@ -283,7 +280,7 @@ def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
         form.evaluate([e0])
     with pytest.raises(ValueError):
         form.evaluate([e0, e1, e1])
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     with pytest.raises(ValueError):
         form.evaluate([e0, Vector16._raw([0, 0.1] + [0] * 14)])
     with pytest.raises(ValueError):
@@ -333,7 +330,7 @@ def test_evaluate_gathers_on_the_crt_path_for_large_entries(monkeypatch):
         )
         for _ in range(8)
     ]
-    seen = spy_laplace_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_laplace_mod")
     value, products, moduli = evaluate_table(
         dict(form._terms), [v.coords() for v in vs]
     )
@@ -349,7 +346,7 @@ def test_evaluate_gathers_on_the_crt_path_for_large_entries(monkeypatch):
 
 
 def test_evaluate_table_at_the_int64_edge(monkeypatch):
-    seen = spy_laplace_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_laplace_mod")
     e1 = [0, 1] + [0] * 14
     # B = 2**63 - 1 is the largest bound the int64 gather takes
     big = [INT64_LIMIT - 1] + [0] * 15
@@ -501,7 +498,7 @@ def _crt_case(rng):
 
 def test_pullback_takes_the_crt_path_past_int64(monkeypatch):
     f, op = _crt_case(random.Random(76))
-    seen = spy_pullback_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_pullback_mod")
     got = f.pullback(op)
     assert got == pullback_oracle(f, op)[0]
     assert max(abs(v) for _, v in got.items()) >= INT64_LIMIT
@@ -510,7 +507,7 @@ def test_pullback_takes_the_crt_path_past_int64(monkeypatch):
 
 
 def test_pullback_at_the_int64_edge(monkeypatch):
-    seen = spy_pullback_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_pullback_mod")
     # B = 2**63 - 1 is the largest bound the int64 path takes
     assert pullback_table({1: INT64_LIMIT - 1}, 1, [(0, 0, 1)]) == (
         {1: INT64_LIMIT - 1}, 1, ()
@@ -536,14 +533,14 @@ def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8):
 
 
 def test_pullback_modular_room_is_checked():
-    # two leaves; with p near 2**61 a reduced accumulator takes only two
-    # more, so a chunk of four leaves is refused
+    # four leaves; with p near 2**61 a reduced accumulator takes only
+    # three more, so a chunk of four leaves is refused
     plan, _ = _pullback_plan(
         {0b11: 1}, 2, [(0, 0, 1), (0, 2, 1), (1, 1, 1), (1, 3, 1)]
     )
     acc, leaves = _pullback_mod(plan, 101)
     assert leaves == 4 and int(acc[0b11]) == 1 and int(acc[0b1001]) == 1
-    assert int(acc[0b0110]) == 101 - 1  # dx2 ^ dx1 = -dx1 ^ dx2
+    assert int(acc[0b0110]) == -1  # dx2 ^ dx1 = -dx1 ^ dx2, signed mod p
     with pytest.raises(OverflowError):
         _pullback_mod(plan, (1 << 61) - 1)
 
@@ -717,9 +714,11 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
         plan, _, _ = _wedge_plan([[(a._terms, b._terms)]])
-        keys, acc = _wedge_sums_mod(plan, 0)
+        acc, keys = _wedge_sums_mod(plan, 0)
         assert keys is None and acc.shape == (1 << 16,)
-        assert _np_acc_to_terms(acc) == _wedge_dicts(a._terms, b._terms)
+        nz = np.flatnonzero(acc)
+        terms = dict(zip(nz.tolist(), acc[nz].tolist()))
+        assert terms == _wedge_dicts(a._terms, b._terms)
 
 
 def _table(form):
@@ -735,7 +734,7 @@ def _summed_wedges(pairs):
 
 def test_wedge_sum_int64_path_matches_summed_wedges(monkeypatch):
     rng = random.Random(60)
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     for p, q in ((1, 1), (2, 2), (2, 3), (4, 4)):
         pairs = [
             (_random_form(rng, p, nterms=8), _random_form(rng, q, nterms=8))
@@ -750,7 +749,7 @@ def test_wedge_sum_int64_path_matches_summed_wedges(monkeypatch):
 def test_wedge_sum_modular_path_matches_exact_ints(monkeypatch):
     # coefficients near 2**40: the bound passes 2**63 and so do results
     rng = random.Random(61)
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     pairs = []
     for _ in range(8):
         a, b = (_random_form(rng, 2, nterms=6, span=1 << 40) for _ in "ab")
@@ -766,7 +765,7 @@ def test_wedge_sum_modular_path_matches_exact_ints(monkeypatch):
 
 
 def test_wedge_sum_at_the_int64_edge(monkeypatch):
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     e01, e23 = 0b11, 0b1100
     # B = 2**63 - 1 is the largest bound the int64 path takes
     assert wedge_sum([({e01: INT64_LIMIT - 1}, {e23: 1})]) == {
@@ -808,10 +807,10 @@ def test_wedge_sum_reduces_before_the_modular_room_runs_out():
     e0, e1 = 1, 2
     pairs = [({e0: 1}, {e1: p - 1})] * 5
     plan, _, _ = _wedge_plan([pairs])
-    _, acc = _wedge_sums_mod(plan, p)
+    acc, _ = _wedge_sums_mod(plan, p)
     assert int(acc[e0 | e1]) == 5 * (p - 1) % p
     plan, _, _ = _wedge_plan([pairs, pairs])
-    keys, sums = _wedge_sums_mod(plan, p)
+    sums, keys = _wedge_sums_mod(plan, p)
     assert keys.tolist() == [e0 | e1, 1 << 16 | e0 | e1]
     assert sums.tolist() == [5 * (p - 1) % p] * 2
     # one row of four term pairs cannot be split
@@ -895,7 +894,7 @@ def test_wedge_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
     expected = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
     expected.append(wedge_sum(_tables(groups[0])))
     monkeypatch.setattr(exterior, "WEDGE_CHUNK", chunk)
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     got = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
     got.append(wedge_sum(_tables(groups[0])))
     assert got == expected
@@ -909,7 +908,7 @@ def test_wedge_sums_modular_path_aligns_the_keys_of_every_prime(monkeypatch):
     # is 0 modulo the first prime but not modulo the others
     e01, e23, e45 = 0b11, 0b1100, 0b110000
     primes = _moduli(INT64_LIMIT)
-    seen = spy_moduli(monkeypatch)
+    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
     groups = [
         [({e01: 1 << 62}, {e23: 2})],
         [({e01: primes[0]}, {e45: 1}), ({e23: 1}, {e45: 3})],

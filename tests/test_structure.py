@@ -1,11 +1,13 @@
 """Module boundaries that the package keeps, checked on the source."""
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import spin9
+from spin9 import exterior
 
 
 def _private_imports(path):
@@ -68,6 +70,66 @@ def test_assert_guard_sees_assert_statements(tmp_path):
         "        raise AssertionError('explicit')\n"
     )
     assert list(_assert_statements(src)) == ["probe.py:2"]
+
+
+def _driver_references(path):
+    """Lines that name `_moduli` or `_crt` outside `exterior._exact`, the
+    one exact driver every int64/CRT kernel goes through."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {
+        id(node)
+        for top in tree.body
+        if path.name == "exterior.py"
+        and isinstance(top, ast.FunctionDef) and top.name == "_exact"
+        for node in ast.walk(top)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ("_moduli", "_crt") and id(node) not in inside:
+            found.append((node.lineno, f"{path.name}:{node.lineno} names {name}"))
+    return [line for _, line in sorted(found)]
+
+
+def test_only_the_exact_driver_picks_moduli_and_rebuilds():
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert callable(exterior._moduli) and callable(exterior._crt)
+    assert "_moduli(" in inspect.getsource(exterior._exact)
+    found = [line for path in sources for line in _driver_references(path)]
+    assert found == []
+
+
+def test_driver_guard_sees_a_second_call_site(tmp_path):
+    (tmp_path / "exterior.py").write_text(
+        "def _exact(plan, bound, run):\n"
+        "    moduli = _moduli(bound)\n"
+        "    return _crt([run(plan, p) for p in moduli], moduli)\n"
+        "\n"
+        "def fifth_table(plan, bound):\n"
+        "    moduli = _moduli(bound)\n"
+        "    return exterior._crt([_fifth_mod(plan, p) for p in moduli], moduli)\n"
+    )
+    (tmp_path / "probe.py").write_text(
+        "from .exterior import _moduli\n"
+        "def _exact(bound):\n"
+        "    return _moduli(bound)\n"
+    )
+    assert _driver_references(tmp_path / "exterior.py") == [
+        "exterior.py:6 names _moduli",
+        "exterior.py:7 names _crt",
+    ]
+    # a function called `_exact` elsewhere is not the driver
+    assert _driver_references(tmp_path / "probe.py") == [
+        "probe.py:1 names _moduli",
+        "probe.py:3 names _moduli",
+    ]
 
 
 def test_importing_the_cli_builds_no_product():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from spin9 import bpt
 from spin9.report import VerificationReport
 from spin9.suites import SUITE_NAMES, RunConfig, run_suite
 
@@ -53,3 +54,17 @@ def test_rng_salt_separates_suites():
     config = RunConfig(seed=0)
     assert config.rng("octonion").random() != config.rng("exterior").random()
     assert config.rng("octonion").random() == config.rng("octonion").random()
+
+
+def test_census_line_fails_on_a_swapped_pair(monkeypatch):
+    # the cached BPT form is built from the true S*_8 before the patch
+    bpt.materialize_bpt_8form()
+    reps = list(bpt.s8_star())
+    # the last two pairs of the last representative trade places: still
+    # 315 distinct permutations starting at slot 0, but p[4] > p[6]
+    perm, sign = reps[-1]
+    reps[-1] = (perm[:4] + perm[6:] + perm[4:6], sign)
+    assert reps[-1][0][0] == 0 and len(set(reps)) == 315
+    monkeypatch.setattr(bpt, "s8_star", lambda: tuple(reps))
+    lines = run_suite("bpt", RunConfig(samples=1)).lines()
+    assert lines[0] == "bpt.representative-census FAIL count=315"
