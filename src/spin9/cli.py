@@ -7,6 +7,7 @@ from (--seed, --samples); --jobs never changes any numeric output.
 
 import argparse
 import concurrent.futures
+import ctypes
 import math
 import os
 import random
@@ -357,6 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # glibc raises its mmap threshold to the largest array freed and keeps up
+    # to twice that free on the heap, so a run's peak memory would hang on the
+    # heap layout.  Fixed at 1 MiB, larger arrays go back to the system when
+    # freed, while the wedge kernel's 512 KiB chunk arrays reuse the heap.
+    if sys.platform == "linux":
+        ctypes.CDLL(None).mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD, fixed
     args = build_parser().parse_args(argv)
     return args.func(args)
 

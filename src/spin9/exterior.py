@@ -359,7 +359,9 @@ def _prime_below(n: int) -> int:
     return n
 
 
-WEDGE_CHUNK = 1 << 16  # candidate term pairs expanded at once; bounds the memory
+# candidate term pairs expanded at once; bounds the memory: the 4 x 2**14 int64
+# of a chunk stay below the 1 MiB mmap threshold that `cli.main` fixes
+WEDGE_CHUNK = 1 << 14
 
 
 def wedge_sum(pairs) -> dict:

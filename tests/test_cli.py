@@ -38,6 +38,23 @@ def test_verify_known_suite_passes(capsys):
     assert any(l.startswith("octonion.") for l in lines)
 
 
+def test_main_fixes_the_mmap_threshold(monkeypatch):
+    # a threshold that follows the arrays freed would let the peak memory
+    # of a run depend on the heap layout
+    calls = []
+
+    class Libc:
+        def mallopt(self, *args):
+            calls.append(args)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    assert run_cli(["verify", "--suite", "octonion"]) == 0
+    monkeypatch.setattr(cli.sys, "platform", "darwin")
+    assert run_cli(["verify", "--suite", "octonion"]) == 0
+    assert calls == [(-3, 1 << 20)]
+
+
 def test_verify_reports_anchor_values(omega8, capsys):
     assert run_cli(["verify", "--suite", "stabilizer"]) == 0
     out = capsys.readouterr().out
