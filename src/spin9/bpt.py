@@ -5,7 +5,9 @@ cross product U x V = conj(u1) x conj(v1) + u2 x v2, where the octonion
 cross is x x y = Im(conj(y) x).  The form is a signed sum over S_8 of
 products of paired crosses, normalized by 2^-7, or equivalently a sum
 over the 315 canonical representatives S*_8 of products of real parts.
-This module implements both sums literally, materializes the form's full
+This module implements both sums literally, as exact array stages on
+`exact_array` (the crosses of all pairs in one batched `oct_mul`, then
+the block sums or the real-part table), materializes the form's full
 coefficient map (each distinct 4-slot block gathered once as int8 over
 all basis tuples, every term summed in int16 under a checked bound), and
 computes the exact invariance defect under the generator I_7 I_8: the
@@ -23,16 +25,52 @@ from functools import cache
 
 import numpy as np
 
-from .exterior import AlternatingForm, perm_sign
-from .linalg import exact_ratio
-from .octonion import Octonion, cross_oct, re_mul
+from .exterior import AlternatingForm, exact_array, perm_sign
+from .linalg import clear_denominators, exact_ratio
+from .octonion import XOR_SIGN, Octonion, coeff_mul, oct_mul
 from .operators import Vector16, clifford_product
 from .report import VerificationReport
 
 
+# the cross of (u, v) is Im(v1 conj(u1) + conj(v2) u2): the coefficient signs
+# of the two products' left factors v1, conj(v2) and right factors conj(u1), u2
+_CONJ = (1, -1, -1, -1, -1, -1, -1, -1)
+_LEFT, _RIGHT = np.array([(1,) * 8, _CONJ]), np.array([_CONJ, (1,) * 8])
+_BLOCK_SIGNS = np.array([1, 1, -1, -1, 1, 1])  # ab cd, cd ab, ac bd, bd ac, ad bc, bc ad
+
+
+@cache
+def _pair_slots(n: int) -> tuple:
+    """(i, j, slot, skew) of n vectors: the pairs i < j in combinations
+    order, the position slot[a, b] of the pair {a, b}, and skew[a, b] =
+    sign(b - a), the sign of the cross of (a, b) read there."""
+    i, j = np.triu_indices(n, 1)
+    slot = np.zeros((n, n), dtype=np.intp)
+    slot[i, j] = slot[j, i] = np.arange(i.size)
+    return i, j, slot, np.sign(np.arange(n) - np.arange(n)[:, None])
+
+
+def _crosses(vectors) -> tuple:
+    """(C, d): row k of C is d^2 times the cross of the k-th pair i < j
+    (exact ints), d the lcm of all denominators; one batched `oct_mul`,
+    each coefficient 16 products: B = 16 M^2, M the largest |coordinate|."""
+    ints, d = clear_denominators(c for v in vectors for c in v.coords())
+    x = np.array(ints, dtype=object).reshape(-1, 2, 8)
+    i, j, _, _ = _pair_slots(len(x))
+
+    def step(p, x):
+        c = oct_mul(x[j] * _LEFT, x[i] * _RIGHT, p).sum(axis=1)
+        c[:, 0] = 0
+        return c
+
+    return exact_array(step, 16 * max(map(abs, ints)) ** 2, x), d
+
+
 def bpt_cross(u: Vector16, v: Vector16) -> Octonion:
-    """Cross product on O^2: conjugated in the first slot, plain in the second."""
-    return cross_oct(u.x1.conj(), v.x1.conj()) + cross_oct(u.x2, v.x2)
+    """Cross product on O^2: conjugated in the first slot, plain in the
+    second; the one pair of `_crosses`."""
+    (c,), d = _crosses([u, v])
+    return Octonion._raw(exact_ratio(x, d * d) for x in c)
 
 
 def _pairings(block: tuple) -> tuple:
@@ -70,125 +108,119 @@ def _s4_signed() -> tuple:
     )
 
 
-def _cross_table(vectors) -> dict:
-    table = {}
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            table[i, j] = bpt_cross(vectors[i], vectors[j])
-    return table
+@cache
+def _factor_plan(k: int) -> tuple:
+    """(factors, signs) of `_factor_sum` in degree k: for each signed
+    permutation (S*_8, or all of S_4) the flat indices of its k / 4
+    factors Re(C_{p0 p1} C_{p2 p3}), ... in the table of crosses, and its
+    sign times the skew of each pair: a descending pair reads the negated
+    cross."""
+    signed = s8_star() if k == 8 else _s4_signed()
+    i, _, slot, skew = _pair_slots(k)
+    perms = np.array([perm for perm, _ in signed])
+    pairs = slot[perms[:, 0::2], perms[:, 1::2]]
+    turns = skew[perms[:, 0::2], perms[:, 1::2]].prod(axis=1).tolist()
+    signs = np.array([s * t for (_, s), t in zip(signed, turns)], dtype=object)
+    return pairs[:, 0::2] * i.size + pairs[:, 1::2], signs
+
+
+def _factor_sum(vectors, k: int) -> Fraction | int:
+    """The signed sum over `_factor_plan(k)` of products of real parts, read
+    from the table Re(C_s C_t) over the pairs s, t: with M the largest
+    |cross coefficient|, Re(x y) = sum_a SIGN[a][a] x_a y_a, so B = 8 M^2."""
+    vs = list(vectors)
+    if len(vs) != k:
+        raise ValueError(f"the {k}-form takes {k} vectors")
+    crosses, d = _crosses(vs)
+
+    def step(p, c):
+        terms = c[:, None, :] * c[None, :, :]
+        if p:
+            terms %= p
+        return (terms * XOR_SIGN[:, 0]).sum(axis=-1)
+
+    table = exact_array(step, 8 * max(map(abs, crosses.flat)) ** 2, crosses)
+    factors, terms = _factor_plan(k)
+    for f in factors.T:
+        terms = terms * table.flat[f]
+    return exact_ratio(int(terms.sum()), d**k)
 
 
 def bpt_8form_reduced(vectors) -> Fraction | int:
     """The 315-term reduced sum of products of two real parts."""
-    vs = list(vectors)
-    if len(vs) != 8:
-        raise ValueError("the 8-form takes eight vectors")
-    table = _cross_table(vs)
-    total = 0
-    for perm, sign in s8_star():
-        a = table[perm[0], perm[1]]
-        b = table[perm[2], perm[3]]
-        first = re_mul(a, b)
-        if not first:
-            continue
-        c = table[perm[4], perm[5]]
-        d = table[perm[6], perm[7]]
-        second = re_mul(c, d)
-        if second:
-            total += sign * first * second
-    return total
+    return _factor_sum(vectors, 8)
 
 
-def _signed_cross(table, a: int, b: int) -> Octonion:
-    return table[a, b] if a < b else -table[b, a]
+@cache
+def _block_plan() -> tuple:
+    """(left, right, shuffle) of `bpt_8form_full`: the pair slots of the
+    products of each 4-block of the slots (combinations order), in the
+    order of _BLOCK_SIGNS, and the shuffle sign of the block followed by
+    its complement, which sits as many places from the end."""
+    _, _, slot, _ = _pair_slots(8)
+    blocks = list(itertools.combinations(range(8), 4))
+    pairs = np.array([
+        (slot[a, b], slot[c, d]) for block in blocks for a, b, c, d in _pairings(block)
+    ])
+    shuffle = [perm_sign(b + c) for b, c in zip(blocks, reversed(blocks))]
+    return pairs.ravel(), pairs[:, ::-1].ravel(), shuffle
 
 
 def bpt_8form_full(vectors) -> Fraction | int:
     """The 2^-7-normalized sum over all of S_8, with octonion products.
 
-    Factorized over the 70 ways to split the eight slots into two
-    blocks of four: the inner signed sums over each block's 24
-    arrangements multiply as octonions, and the block interleaving
-    contributes the shuffle sign.  Each of the 70 block sums is built
-    once, as every block is the first of one split and the rest of
-    another.  The grand total must be a real octonion, which is
-    asserted, not assumed.
+    Factorized over the 70 ways to split the eight slots into two blocks
+    of four: the inner signed sums over each block's 24 arrangements
+    multiply as octonions, and the block interleaving contributes the
+    shuffle sign.  Skewness of the cross folds a block's arrangements into
+    its three pairings, each in both orders, times four: 420 literal
+    products in one batched `oct_mul` (B = 4 * 6 * 8 M^2, M the largest
+    |cross coefficient|), then 70 split products on `coeff_mul`.  The
+    total must be a real octonion, which is asserted, not assumed.
     """
     vs = list(vectors)
     if len(vs) != 8:
         raise ValueError("the 8-form takes eight vectors")
-    table = _cross_table(vs)
+    crosses, d = _crosses(vs)
+    left, right, shuffle = _block_plan()
 
-    def block_sum(positions) -> Octonion:
-        # skewness of the cross folds the 24 arrangements into the three
-        # pairings of the block, each in both product orders, times four
-        a, b, c, d = positions
-        ab, cd = table[a, b], table[c, d]
-        ac, bd = table[a, c], table[b, d]
-        ad, bc = table[a, d], table[b, c]
-        s = (ab * cd + cd * ab) - (ac * bd + bd * ac) + (ad * bc + bc * ad)
-        return s.scale(4)
+    def step(p, c):
+        prods = oct_mul(c[left], c[right], p).reshape(70, 6, 8)
+        return 4 * (prods * _BLOCK_SIGNS[:, None]).sum(axis=1)
 
-    blocks = {b: block_sum(b) for b in itertools.combinations(range(8), 4)}
-    total = Octonion.zero()
-    for first, block in blocks.items():
-        rest = tuple(k for k in range(8) if k not in first)
-        prod = block * blocks[rest]
-        if perm_sign(first + rest) > 0:
-            total = total + prod
-        else:
-            total = total - prod
-    if total.im():
+    bound = 192 * max(map(abs, crosses.flat)) ** 2
+    blocks = exact_array(step, bound, crosses).tolist()
+    total = [0] * 8
+    for first, rest, sign in zip(blocks, reversed(blocks), shuffle):
+        for k, x in enumerate(coeff_mul(first, rest)):
+            total[k] += sign * x
+    if any(total[1:]):
         raise AssertionError("symmetrized cross-product sum is not real")
-    return exact_ratio(total.re(), 128)
+    return exact_ratio(total[0], 128 * d**8)
 
 
 def bpt_4form(vectors) -> Fraction | int:
     """Signed S_4 sum of the real part of one product of two crosses."""
-    vs = list(vectors)
-    if len(vs) != 4:
-        raise ValueError("the 4-form takes four vectors")
-    table = _cross_table(vs)
-    total = 0
-    for perm, sign in _s4_signed():
-        a = _signed_cross(table, perm[0], perm[1])
-        b = _signed_cross(table, perm[2], perm[3])
-        v = re_mul(a, b)
-        if v:
-            total += sign * v
-    return total
+    return _factor_sum(vectors, 4)
 
 
 @cache
-def _basis_cross_units() -> list:
-    """(sign, imaginary index) of each nonzero basis-pair cross product."""
-    entries = []
-    for a in range(16):
-        for b in range(16):
-            if a == b:
-                continue
-            x = bpt_cross(Vector16.basis(a), Vector16.basis(b))
-            cs = x.coeffs
-            nz = [k for k, v in enumerate(cs) if v]
-            if not nz:
-                continue
-            if len(nz) != 1 or nz[0] < 1 or cs[nz[0]] not in (1, -1):
-                raise AssertionError("cross is not a signed imaginary unit")
-            entries.append((a, b, nz[0], cs[nz[0]]))
-    return entries
+def _basis_cross_units() -> np.ndarray:
+    """The crosses of the basis pairs a < b, from one `_crosses` call on the
+    16 basis vectors; each must be zero or a signed imaginary unit."""
+    units = _crosses([Vector16.basis(k) for k in range(16)])[0].astype(np.int64)
+    if (abs(units).sum(axis=1) > 1).any() or units[:, 0].any():
+        raise AssertionError("cross is not a signed imaginary unit")
+    return units
 
 
 @cache
 def _re_pair_table() -> np.ndarray:
-    """R[a,b,c,d] = Re[(e_a x e_b)(e_c x e_d)] over the 16 basis vectors."""
-    table = np.zeros((16, 16, 16, 16), dtype=np.int8)
-    units = _basis_cross_units()
-    for a, b, p, s in units:
-        for c, d, q, t in units:
-            if p == q:
-                # the square of an imaginary unit is -1
-                table[a, b, c, d] = -s * t
-    return table
+    """R[a,b,c,d] = Re[(e_a x e_b)(e_c x e_d)] over the 16 basis vectors:
+    sum_k SIGN[k][k] x_k y_k over two signed units, so R is in {-1, 0, 1}."""
+    _, _, slot, skew = _pair_slots(16)
+    cross = _basis_cross_units()[slot] * skew[:, :, None]
+    return np.tensordot(cross * XOR_SIGN[:, 0], cross, axes=(2, 2)).astype(np.int8)
 
 
 ACC_LIMIT = 1 << 15  # int16 accumulator: |sum| <= number of terms < 2^15
@@ -226,7 +258,7 @@ def _materialize(k: int, signed_perms) -> AlternatingForm:
     for perm, sign in signed_perms:
         blocks = (factor(perm[q:q + 4]) for q in range(0, k, 4))
         acc += math.prod(blocks, start=sign)
-    nz = np.flatnonzero(acc)
+    nz = np.flatnonzero(acc != 0)  # a bool scan is far faster than int16
     masks = np.bitwise_or.reduce(1 << combos[nz], axis=1)
     return AlternatingForm._raw(k, dict(zip(masks.tolist(), acc[nz].tolist())))
 

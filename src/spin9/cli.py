@@ -200,7 +200,9 @@ def _bench_evaluate(seed, samples):
     modular = False
     t0 = time.perf_counter()
     for vs in tuples:
-        value, n, moduli = evaluate_table(form._terms, [v.coords() for v in vs])
+        value, n, moduli = evaluate_table(
+            form._terms, [v.coords() for v in vs], form._laplace()
+        )
         values.append(value)
         products += n
         modular = modular or bool(moduli)

@@ -34,8 +34,9 @@ degree, is a square: Q ^ Q = 2 sum_{i<j}, so only its term pairs i < j
 expand.  One group sums into a dense 2**16 accumulator, several by
 `np.unique` on the keys group << 16 | mask.
 
-One driver, `_exact`, serves all four kernels.  Each bounds its sums by
-B before any arithmetic (the wedge by the largest B_g = sum |a|_1 |b|_1);
+One driver, `_exact`, serves all four kernels and `exact_array`, which
+runs the array stages of the BPT audit.  Each bounds its sums by B
+before any arithmetic (the wedge by the largest B_g = sum |a|_1 |b|_1);
 below 2**63 its per-modulus step runs once in int64, which then holds
 every product and partial sum, otherwise once modulo each of the fewest
 primes below 2**31 whose product exceeds 2B, checking that the sums
@@ -45,12 +46,11 @@ remainder theorem.  No float enters either path.  The other kernels:
 - `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
   and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands all
   monomials together.
-- `evaluate_table` behind `AlternatingForm.evaluate` is a Laplace
-  expansion across the middle: the integer-cleared argument vectors are
-  wedged in two halves by short `wedge_sum` chains, L = w_1 ^ ... ^ w_q
-  and R = w_{q+1} ^ ... ^ w_p with q = p // 2, and each minor of a
-  monomial m is the signed sum of L[A] R[m - A] over the q-subsets A of
-  m, gathered for every monomial at once under B = |L|_1 |R|_1.
+- `evaluate_table` behind `AlternatingForm.evaluate` is a recursive
+  Laplace expansion of every monomial's minor at once, across the middle
+  and then one column at a time, on a plan of masks, splits and shuffle
+  signs cached on the form, under B = prod_b |w_b|_1 over the
+  integer-cleared columns.
 - `lie_table` behind `AlternatingForm.lie_derivative` finds every
   (monomial, matrix unit) incidence in one array pass and accumulates
   them under B = sum_m |c_m| sum |op entry|; `stabilizer_system` reads
@@ -100,7 +100,7 @@ def perm_sign(seq) -> int:
 class AlternatingForm:
     """An exact alternating form, stored sparsely by index mask."""
 
-    __slots__ = ("degree", "_terms")
+    __slots__ = ("degree", "_terms", "_plan")
 
     def __init__(self, degree: int, terms: Mapping = ()):
         if not 0 <= degree <= 16:
@@ -220,8 +220,17 @@ class AlternatingForm:
             ints, d = clear_denominators(v.coords())
             columns.append(ints)
             denom *= d
-        total, _, _ = evaluate_table(table, columns)
+        total, _, _ = evaluate_table(table, columns, self._laplace())
         return exact_ratio(total, denom)
+
+    def _laplace(self) -> tuple:
+        """The `_laplace_plan` of the form's masks, built on first use."""
+        try:
+            return self._plan
+        except AttributeError:
+            plan = _laplace_plan(self._terms, self.degree)
+            object.__setattr__(self, "_plan", plan)
+            return plan
 
     def pullback(self, op: Operator16) -> "AlternatingForm":
         """The form X -> self(op X1, ..., op Xp), on `pullback_table`.
@@ -332,6 +341,22 @@ def _exact(plan, bound: int, run) -> tuple:
         return support, sums[support].tolist(), aux, moduli
     runs = [run(plan, p) for p in moduli]
     return (*_crt([sums for sums, _ in runs], moduli), runs[0][1], moduli)
+
+
+def exact_array(step, bound: int, *arrays) -> np.ndarray:
+    """`step(p, *residues)` on `_exact`, as an object array of exact ints:
+    the step maps the int64 residues mod p (p = 0: the values) of integer
+    arrays to an int64 array, keeping its mod-p sums within int64; the
+    caller proves first that `bound` covers its inputs, products and sums.
+    """
+    def run(_, p):
+        out = step(p, *((x % p if p else x).astype(np.int64) for x in arrays))
+        return out.ravel(), out.shape
+
+    support, values, shape, _ = _exact(None, bound, run)
+    out = np.zeros(math.prod(shape), dtype=object)
+    out[support] = values
+    return out.reshape(shape)
 
 
 def _moduli(bound: int) -> tuple:
@@ -551,11 +576,7 @@ def _pullback_plan(table: dict, degree: int, entries) -> tuple:
     for r, c, v in sorted(entries):
         rows[r].append((c, v))
     _require_int("pullback_table", table.values(), (v for row in rows for _, v in row))
-    masks = np.fromiter(table, dtype=np.int64, count=len(table))
-    bits = masks[:, None] >> np.arange(16) & 1
-    if (bits.sum(axis=1) != degree).any():
-        raise ValueError("every mask must hold `degree` indices")
-    idx = np.nonzero(bits)[1].reshape(len(table), degree)
+    idx = _positions(np.fromiter(table, dtype=np.int64, count=len(table)), degree)
 
     # object arrays keep the bound in exact Python integers
     norms = np.array([sum(abs(v) for _, v in row) for row in rows], dtype=object)
@@ -644,92 +665,102 @@ def _subset_positions(p: int, q: int) -> np.ndarray:
     return np.array(subsets, dtype=np.int64).reshape(len(subsets), q)
 
 
-def _column_chain(columns) -> dict:
-    """w_1 ^ ... ^ w_k of one-form tables on `wedge_sum`; {0: 1} when k = 0."""
-    minors = {0: 1}
-    for k, column in enumerate(columns):
-        minors = wedge_sum([(minors, column)]) if k else column
-    return minors
+def _positions(masks: np.ndarray, degree: int) -> np.ndarray:
+    """The indices of each mask in increasing order, one row per mask."""
+    bits = (masks[:, None] >> np.arange(16) & 1) == 1  # bool scans far faster
+    if (bits.sum(axis=1) != degree).any():
+        raise ValueError(f"every mask must hold {degree} indices")
+    return (np.flatnonzero(bits) & 15).reshape(masks.size, degree)
 
 
-def evaluate_table(table: dict, columns) -> tuple:
+def _laplace_split(masks: np.ndarray, k: int, q: int) -> tuple:
+    """(masks, q, sign, left, right): each mask of k indices split every
+    way into A, q of its indices, and the rest B, one column per split,
+    sign = eps(A, B).  A half of j indices is (index, split): for j <= 1
+    split is None and index its one coordinate (0 if j = 0), else index
+    points into the half's unique masks, whose split takes off their last
+    column.  uint16 indices and int8 signs keep a plan small.
+    """
+    pos = _positions(masks, k)
+    a = np.zeros((masks.size, math.comb(k, q)), dtype=np.int64)
+    for position in _subset_positions(k, q).T:
+        a |= 1 << pos[:, position]
+    b = masks[:, None] ^ a
+    halves = []
+    for part, j in ((a, q), (b, k - q)):
+        if j <= 1:
+            index, split = _positions(part.ravel(), j).sum(axis=1), None
+        else:
+            unique, index = np.unique(part, return_inverse=True)
+            split = _laplace_split(unique, j, j - 1)
+        halves.append((index.reshape(part.shape).astype(np.uint16), split))
+    p16, poppar = _np_tables()
+    return masks, q, 1 - 2 * poppar[p16[a] & b].astype(np.int8), *halves
+
+
+def evaluate_table(table: dict, columns, plan=None) -> tuple:
     """sum_m c_m det[w_b[i_a]] for an integer table {mask: int} of degree p
     and p integer columns w_b: (value, products, moduli).
 
-    Laplace expansion across the middle: with q = p // 2, the left half
-    L = w_1 ^ ... ^ w_q and the right half R = w_{q+1} ^ ... ^ w_p are
-    short `wedge_sum` chains, and each minor is
-    sum_{A in m, |A| = q} eps(A, m - A) L[A] R[m - A], gathered for every
-    monomial at once.  `products` counts the gathered L R products;
-    `moduli` is () on the int64 path, else the primes of the CRT path.
+    A recursive Laplace expansion on `plan`, the table's `_laplace_plan`
+    (built if None; `AlternatingForm.evaluate` caches it on the form):
+    each minor is sum_A eps(A, m - A) L[A] R[m - A] over the q-subsets A
+    of m, q = p // 2, and the halves' minors come from the same gather,
+    one column at a time.  The columns are cut to the table's support and
+    every level to the masks in their reach.  A minor's terms are products
+    of one entry per column, so B = prod_b |w_b|_1.  `products` counts the
+    top level's L R products; `moduli` is () on the int64 path.
     """
     _require_int("evaluate_table", table.values(), *columns)
-    plan, bound = _laplace_plan(table, columns)
-    if plan is None:
+    plan = plan or _laplace_plan(table, len(columns))
+    support = int(np.bitwise_or.reduce(plan[0]))
+    cut = [[x if support >> i & 1 else 0 for i, x in enumerate(w)] for w in columns]
+    reach = sum(1 << i for i in range(16) if any(w[i] for w in cut))
+    kept = np.flatnonzero((plan[0] & ~reach) == 0)
+    bound = math.prod(sum(map(abs, w)) for w in cut)
+    if not kept.size or not bound:
         return 0, 0, ()
-    support, minors, _, moduli = _exact(plan, bound, _laplace_mod)
-    coeffs = plan[0]
-    value = sum(coeffs[k] * x for k, x in zip(support.tolist(), minors))
-    return value, plan[1].size, moduli
-
-
-def _laplace_plan(table: dict, columns) -> tuple:
-    """(plan, B) for `_laplace_mod`; plan is None when every minor is zero.
-
-    Coordinates outside the table's support meet no coefficient, so the
-    columns are cut to it, and a monomial holding a coordinate on which
-    every column vanishes has a zero minor, so it is left out.  Distinct
-    pairs (A, B) of disjoint masks meet in distinct monomials A | B, so
-    B = |L|_1 |R|_1 bounds every product and partial sum of the gather.
-    """
-    degree = len(columns)
-    masks = np.fromiter(table, dtype=np.int64, count=len(table))
-    bits = masks[:, None] >> np.arange(16) & 1
-    if (bits.sum(axis=1) != degree).any():
-        raise ValueError("every mask must hold one index per column")
-    support = functools.reduce(int.__or__, table, 0)
-    cut = [
-        {1 << i: x for i, x in enumerate(column) if x and support >> i & 1}
-        for column in columns
-    ]
-    reach = functools.reduce(int.__or__, itertools.chain(*cut), 0)
-    kept = np.flatnonzero((masks & ~reach) == 0)
-    if not kept.size:
-        return None, 0
-    half = degree // 2
-    left, right = _column_chain(cut[:half]), _column_chain(cut[half:])
-    if not left or not right:
-        return None, 0
-    bound = sum(map(abs, left.values())) * sum(map(abs, right.values()))
-    one = 1 << np.nonzero(bits[kept])[1].reshape(kept.size, degree)
-    a = np.zeros((kept.size, math.comb(degree, half)), dtype=np.int64)
-    for position in _subset_positions(degree, half).T:
-        a |= one[:, position]
-    b = masks[kept, None] ^ a
-    p16, poppar = _np_tables()
+    rows = kept if kept.size < len(table) else slice(None)
+    nz, minors, _, moduli = _exact((plan, rows, cut, reach), bound, _laplace_mod)
     coeffs = list(table.values())
-    plan = ([coeffs[k] for k in kept.tolist()], a, b, poppar[p16[a] & b] == 1,
-            left, right)
-    return plan, bound
+    value = sum(coeffs[k] * x for k, x in zip(kept[nz].tolist(), minors))
+    return value, kept.size * math.comb(len(cut), len(cut) // 2), moduli
+
+
+def _laplace_plan(table: dict, degree: int) -> tuple:
+    """The `_laplace_split` across the middle of the table's masks."""
+    masks = np.fromiter(table, dtype=np.int64, count=len(table))
+    return _laplace_split(masks, degree, degree // 2)
 
 
 def _laplace_mod(plan, p: int) -> tuple:
-    """(minors, None) of the table's monomials, exact if p = 0, else mod p.
+    """(minors, None) of the kept monomials, exact if p = 0, else mod p."""
+    split, rows, columns, reach = plan
+    cols = _residues(itertools.chain(*columns), p).reshape(len(columns), 16)
+    return _minors(split, cols, p, reach, rows), None
 
-    Mod p every product is reduced below p before the sum over the at most
-    C(16, 8) subsets, so no row sum can leave int64.
+
+def _minors(split, cols, p: int, reach: int, rows=slice(None)) -> np.ndarray:
+    """The minors on the columns cols of a split's masks (the rows given),
+    from its halves' minors on their masks inside reach (the others are
+    0).  Mod p every product is reduced below p before the sum over at
+    most C(16, 8) splits, and a half's sums before the next products.
     """
-    _, a, b, odd, left, right = plan
-    halves = []
-    for table in (left, right):
-        dense = np.zeros(1 << 16, dtype=np.int64)
-        dense[np.fromiter(table, dtype=np.int64)] = _residues(table.values(), p)
-        halves.append(dense)
-    vals = halves[0][a] * halves[1][b]
+    _, q, sign, *halves = split
+    vals = np.ones(1, dtype=np.int64)
+    for (index, half), part in zip(halves, (cols[:q], cols[q:])):
+        values = part[0] if len(part) else np.ones(1, dtype=np.int64)
+        if half is not None:
+            inside = np.flatnonzero((half[0] & ~reach) == 0)
+            values = np.zeros(half[0].size, dtype=np.int64)
+            values[inside] = _minors(half, part, p, reach, inside)
+            if p:
+                values %= p
+        vals = vals * values.take(index[rows])
     if p:
         vals %= p
-    np.negative(vals, out=vals, where=odd)
-    return vals.sum(axis=1), None
+    vals *= sign[rows]
+    return vals.sum(axis=1)
 
 
 # exact Lie-derivative kernel ------------------------------------------------

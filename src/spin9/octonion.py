@@ -13,8 +13,10 @@ rules
     (q1 e)(q2 e) = -conj(q2) q1.
 
 In this basis every unit product is u_a u_b = +-u_{a xor b}, which is
-checked at import, so the table reduces to its signs SIGN[a][b] and
-`coeff_mul`, the one product loop, works on plain coefficient sequences.
+checked at import, so the table reduces to its signs SIGN[a][b].  Two
+products read it: `coeff_mul`, the scalar loop on plain coefficient
+sequences of ints or Fractions, and `oct_mul`, the same sum batched over
+int64 arrays for the exact array stages of the BPT audit.
 
 Everything is exact: coefficients are ints or fractions.Fraction, never
 floats.  All objects here are immutable, so values can be shared freely
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .linalg import require_exact
 
@@ -96,7 +100,7 @@ if any(k != a ^ b for a, row in enumerate(MUL_TABLE) for b, (_, k) in enumerate(
 def coeff_mul(x: Sequence[Scalar], y: Sequence[Scalar]) -> list:
     """Coefficients of the product of the octonions with coefficients x and y.
 
-    The only octonion product loop: it visits the nonzero coefficients of
+    The scalar product loop: it visits the nonzero coefficients of
     each factor and adds SIGN[a][b] x_a y_b to coefficient a ^ b.
     """
     out = [0] * 8
@@ -108,6 +112,22 @@ def coeff_mul(x: Sequence[Scalar], y: Sequence[Scalar]) -> list:
                 for b, cb in ys:
                     out[a ^ b] += row[b] * ca * cb
     return out
+
+
+# XOR[a, k] = a ^ k, XOR_SIGN[a, k] = SIGN[a][a ^ k]: the terms of coefficient k
+XOR = np.bitwise_xor.outer(np.arange(8), np.arange(8))
+XOR_SIGN = np.array(SIGN, dtype=np.int64)[np.arange(8)[:, None], XOR]
+
+
+def oct_mul(x: np.ndarray, y: np.ndarray, p: int = 0) -> np.ndarray:
+    """`coeff_mul` batched over the last axis of two int64 arrays, exact
+    while int64 holds its products and sums, which the caller bounds
+    first; with p > 0 each product is reduced mod p before the sum.
+    """
+    terms = x[..., :, None] * y[..., XOR]
+    if p:
+        terms %= p
+    return (terms * XOR_SIGN).sum(axis=-2)
 
 
 def coeff_conj(x: Sequence[Scalar]) -> list:
@@ -209,12 +229,6 @@ _ZERO = Octonion((0,) * 8)
 def inner_oct(a: Octonion, b: Octonion) -> Scalar:
     """Euclidean inner product; agrees with Re(a conj(b)) for this basis."""
     return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
-
-
-def re_mul(a: Octonion, b: Octonion) -> Scalar:
-    """Re(a b) without forming the full product."""
-    ac, bc = a.coeffs, b.coeffs
-    return ac[0] * bc[0] - sum(ac[k] * bc[k] for k in range(1, 8))
 
 
 def cross_oct(u: Octonion, v: Octonion) -> Octonion:

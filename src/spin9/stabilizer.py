@@ -65,7 +65,7 @@ def stabilizer_system(form: AlternatingForm, n: int) -> list:
         -coeffs[k] if o else coeffs[k]
         for k, o in zip(mon[order].tolist(), odd[order].tolist())
     ]
-    cuts = [0, *(np.flatnonzero(np.diff(out)) + 1).tolist(), out.size]
+    cuts = [0, *(np.flatnonzero(np.diff(out) != 0) + 1).tolist(), out.size]
     return [
         dict(zip(unit[lo:hi], vals[lo:hi]))
         for lo, hi in zip(cuts, cuts[1:])

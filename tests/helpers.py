@@ -8,7 +8,7 @@ import numpy as np
 from spin9 import exterior
 from spin9.exterior import AlternatingForm, perm_sign, wedge_sum
 from spin9.linalg import exact_ratio
-from spin9.octonion import Octonion
+from spin9.octonion import Octonion, cross_oct
 from spin9.operators import (
     Operator16,
     Vector16,
@@ -407,3 +407,58 @@ def apply_oracle(op, v):
         sum((Fraction(x) * Fraction(y) for x, y in zip(row, c)), Fraction(0))
         for row in op.rows
     ]
+
+
+def spy_exact(monkeypatch):
+    """Record the moduli of every `exterior._exact` run (() = int64)."""
+    seen = []
+    run = exterior._exact
+
+    def spy(plan, bound, step):
+        out = run(plan, bound, step)
+        seen.append(out[3])
+        return out
+
+    monkeypatch.setattr(exterior, "_exact", spy)
+    return seen
+
+
+def _cross_table_oracle(vectors):
+    """The crosses of the pairs i < j, each from two `cross_oct` calls on
+    `Octonion` objects."""
+    return {
+        (i, j): cross_oct(u.x1.conj(), v.x1.conj()) + cross_oct(u.x2, v.x2)
+        for (i, u), (j, v) in combinations(enumerate(vectors), 2)
+    }
+
+
+def bpt_reduced_oracle(vectors, reps):
+    """The reduced BPT sum over the signed representatives reps, one
+    `Octonion` product per real part; every pair of reps must ascend."""
+    table = _cross_table_oracle(list(vectors))
+    total = 0
+    for perm, sign in reps:
+        a, b, c, d = (table[perm[k], perm[k + 1]] for k in (0, 2, 4, 6))
+        total += sign * (a * b).re() * (c * d).re()
+    return total
+
+
+def bpt_full_oracle(vectors):
+    """The full BPT sum on `Octonion` objects: each 4-block's signed sum
+    over its three pairings in both orders, times four, then the 70 split
+    products with their shuffle signs, divided by 2^7."""
+    table = _cross_table_oracle(list(vectors))
+
+    def block_sum(a, b, c, d):
+        ab, cd = table[a, b], table[c, d]
+        ac, bd = table[a, c], table[b, d]
+        ad, bc = table[a, d], table[b, c]
+        return ((ab * cd + cd * ab) - (ac * bd + bd * ac) + (ad * bc + bc * ad)).scale(4)
+
+    blocks = {b: block_sum(*b) for b in combinations(range(8), 4)}
+    total = Octonion.zero()
+    for first, block in blocks.items():
+        rest = tuple(k for k in range(8) if k not in first)
+        total = total + (block * blocks[rest]).scale(perm_sign(first + rest))
+    assert not total.im()
+    return exact_ratio(total.re(), 128)

@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    bpt_full_oracle,
+    bpt_reduced_oracle,
     materialize_oracle,
     rand_fraction_vector,
     rand_vector,
     s8_star_oracle,
+    spy_exact,
 )
 from spin9 import bpt
 from spin9.bpt import (
@@ -78,20 +81,65 @@ def test_full_and_reduced_sums_agree_on_random():
 
 
 def test_full_sum_builds_each_block_sum_once(monkeypatch):
-    # 28 crosses of two products each, 70 block sums of six, 70 splits
+    # 28 crosses of two products each and 420 block products, each set in
+    # one batched call; then 70 split products, one `coeff_mul` each
     rng = random.Random(84)
     vs = [rand_vector(rng, span=2) for _ in range(8)]
     expected = bpt_8form_reduced(vs)
-    calls = []
-    mul = Octonion.__mul__
+    batched, split = [], []
+    oct_mul, coeff_mul = bpt.oct_mul, bpt.coeff_mul
 
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counting_batch(x, y, p=0):
+        batched.append(x.size // 8)
+        return oct_mul(x, y, p)
 
-    monkeypatch.setattr(Octonion, "__mul__", counting)
+    def counting_split(x, y):
+        split.append(1)
+        return coeff_mul(x, y)
+
+    monkeypatch.setattr(bpt, "oct_mul", counting_batch)
+    monkeypatch.setattr(bpt, "coeff_mul", counting_split)
     assert bpt_8form_full(vs) == expected
-    assert len(calls) == 546
+    assert batched == [56, 420]
+    assert len(split) == 70
+
+
+def test_sums_match_the_octonion_oracles(monkeypatch):
+    # int tuples, Fraction tuples, and entries near 2**30 that put the
+    # cross stage itself past int64, so that every stage runs on CRT
+    rng = random.Random(86)
+    cases = [[rand_vector(rng, span=9) for _ in range(8)] for _ in range(3)]
+    cases.append([rand_fraction_vector(rng) for _ in range(8)])
+    big = [
+        Vector16.from_coords([rng.randint(-(1 << 30), 1 << 30) for _ in range(16)])
+        for _ in range(8)
+    ]
+    seen = spy_exact(monkeypatch)
+    for vs in cases:
+        assert bpt_8form_full(vs) == bpt_full_oracle(vs)
+        assert bpt_8form_reduced(vs) == bpt_reduced_oracle(vs, s8_star())
+        assert bpt_8form_full(vs) == bpt_8form_reduced(vs)
+    assert all(moduli == () for moduli in seen)
+    seen.clear()
+    value = bpt_8form_full(big)
+    assert len(seen) == 2 and all(len(moduli) >= 2 for moduli in seen)
+    assert value == bpt_full_oracle(big) == bpt_8form_reduced(big)
+    assert bpt_8form_reduced(big) == bpt_reduced_oracle(big, s8_star())
+    assert abs(value) >= 1 << 63
+
+
+def test_four_form_reads_descending_pairs_as_negated_crosses():
+    rng = random.Random(87)
+    vs = [rand_vector(rng, span=3) for _ in range(4)]
+    crosses = {
+        (a, b): bpt_cross(vs[a], vs[b]) for a in range(4) for b in range(4)
+    }
+    expected = sum(
+        sign * (crosses[p[0], p[1]] * crosses[p[2], p[3]]).re()
+        for p, sign in bpt._s4_signed()
+    )
+    assert bpt_4form(vs) == expected
+    assert crosses[1, 0] == -crosses[0, 1]
 
 
 def test_materialized_form_matches_evaluator():
@@ -175,11 +223,14 @@ def test_materialize_raises_past_the_accumulator_limit(monkeypatch):
 def test_basis_cross_premise_is_checked(monkeypatch):
     # the table lookups rest on every basis cross being a signed
     # imaginary unit; a doubled cross must raise, also under python -O
-    def doubled(u, v):
-        return bpt_cross(u, v).scale(2)
+    crosses = bpt._crosses
+
+    def doubled(vectors):
+        table, d = crosses(vectors)
+        return 2 * table, d
 
     bpt._basis_cross_units.cache_clear()
-    monkeypatch.setattr(bpt, "bpt_cross", doubled)
+    monkeypatch.setattr(bpt, "_crosses", doubled)
     try:
         with pytest.raises(AssertionError, match="signed imaginary unit"):
             bpt._basis_cross_units()

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     _wedge_dicts,
     _wedge_dicts_into,
+    det_oracle,
     evaluate_oracle,
     lie_derivative_oracle,
     np_tables_oracle,
@@ -257,7 +258,9 @@ def test_evaluate_degrees_zero_and_one():
 
 
 def test_evaluate_takes_the_modular_path_for_large_entries(monkeypatch):
-    # entries near 10**6 push the chain bound far past 2**63
+    # entries near 10**6 push the bound far past 2**63, and the 4-column
+    # minors of the inner levels past every prime: the whole recursion
+    # runs once per prime, and the inner sums must be reduced mod p
     rng = random.Random(73)
     form = _random_form(rng, 8, nterms=40, span=9)
     vs = [
@@ -266,11 +269,13 @@ def test_evaluate_takes_the_modular_path_for_large_entries(monkeypatch):
         )
         for _ in range(8)
     ]
-    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
+    seen = spy_moduli(monkeypatch, "_laplace_mod")
     value = form.evaluate(vs)
     assert value == evaluate_oracle(form, vs)
     assert abs(value) >= INT64_LIMIT
-    assert 0 in seen and len(set(seen) - {0}) >= 2
+    assert 0 not in seen and len(seen) >= 2
+    inner = det_oracle([[v.coords()[i] for v in vs[:4]] for i in range(4)])
+    assert abs(inner) > max(seen)
 
 
 def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
@@ -318,6 +323,50 @@ def test_evaluate_matches_oracle_in_every_degree():
             dependent = vs[:-1] + [combo]
             assert form.evaluate(dependent) == 0
             assert evaluate_oracle(form, dependent) == 0
+
+
+def test_evaluate_matches_oracle_in_degrees_up_to_sixteen(monkeypatch):
+    # the top level splits at q = p // 2 (q != p - q in odd degrees) and
+    # each half down to single columns; the cleared Fraction entries take
+    # the CRT path through every level from degree 9 on, the entries in
+    # -1..1 stay on int64 up to degree 16
+    seen = spy_moduli(monkeypatch, "_laplace_mod")
+    rng = random.Random(76)
+    for degree in range(17):
+        form = AlternatingForm(degree, {
+            tuple(sorted(rng.sample(range(16), degree))):
+                Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            for _ in range(3)
+        })
+        for vs, crt in (
+            ([rand_fraction_vector(rng) for _ in range(degree)], degree >= 9),
+            ([rand_vector(rng, span=1) for _ in range(degree)], False),
+        ):
+            seen.clear()
+            assert form.evaluate(vs) == evaluate_oracle(form, vs)
+            assert (0 not in seen and len(seen) >= 2) if crt else seen == [0]
+        basis = [Vector16.basis(k) for k in range(degree)]
+        assert form.evaluate(basis) == form.coefficient(tuple(range(degree)))
+
+
+def test_evaluate_caches_the_plan_on_the_form():
+    # the plan depends on the form's masks alone: built once per form,
+    # never shared with another form of the same degree, however its
+    # object id was reused
+    rng = random.Random(77)
+    vs = [rand_vector(rng, span=5) for _ in range(4)]
+    first = _random_form(rng, 4, nterms=8)
+    assert first.evaluate(vs) == evaluate_oracle(first, vs)
+    plan = first._laplace()
+    assert first._laplace() is plan
+    assert first.evaluate(vs) == evaluate_oracle(first, vs)
+    for _ in range(20):
+        other = _random_form(rng, 4, nterms=8)
+        assert other.evaluate(vs) == evaluate_oracle(other, vs)
+        del other
+    negated = -first
+    assert negated.evaluate(vs) == -first.evaluate(vs)
+    assert first._laplace() is plan
 
 
 def test_evaluate_gathers_on_the_crt_path_for_large_entries(monkeypatch):

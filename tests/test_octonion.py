@@ -19,6 +19,7 @@ from spin9.octonion import (
     coeff_mul,
     cross_oct,
     inner_oct,
+    oct_mul,
     unit_mul,
 )
 
@@ -55,6 +56,27 @@ def test_unit_products_are_indexed_by_xor():
         assert tuple(coeff_mul(list(x), list(y))) == oct_mul_oracle(x, y)
     for x in samples:
         assert coeff_conj(x) == [x[0]] + [-a for a in x[1:]]
+
+
+def test_batched_product_matches_the_scalar_loop_and_the_oracle():
+    rng = np.random.default_rng(32)
+    x = rng.integers(-(1 << 20), 1 << 20, size=(5, 3, 8))
+    y = rng.integers(-(1 << 20), 1 << 20, size=(5, 3, 8))
+    x[0, 0] = 0  # a zero factor
+    y[1, :, 1:] = 0  # real right factors
+    out = oct_mul(x, y)
+    assert out.shape == (5, 3, 8) and out.dtype == np.int64
+    p = 2_147_483_629
+    mod = oct_mul(x % p, y % p, p)
+    for k in np.ndindex(5, 3):
+        a, b = x[k].tolist(), y[k].tolist()
+        assert out[k].tolist() == coeff_mul(a, b) == list(oct_mul_oracle(a, b))
+        # mod p each product is reduced first, so the sum stays below 8p
+        assert (mod[k] % p).tolist() == [v % p for v in coeff_mul(a, b)]
+        assert (abs(mod[k]) < 8 * p).all()
+    units = np.eye(8, dtype=np.int64)
+    for a, b in itertools.product(range(8), repeat=2):
+        assert oct_mul(units[a], units[b])[a ^ b] == SIGN[a][b]
 
 
 def test_hand_checked_products():

@@ -149,31 +149,36 @@ def test_importing_the_cli_builds_no_product():
 
 def test_importing_the_cli_builds_no_exterior_table():
     # the parity tables and the Laplace subset positions are built on
-    # first use, so that no command pays for them at import
+    # first use, and no form holds a Laplace plan, so that no command pays
+    # for them at import
     code = (
-        "import spin9.cli\n"
+        "import gc, spin9.cli\n"
         "from spin9 import exterior\n"
         "print(exterior._np_tables.cache_info().currsize,"
-        " exterior._subset_positions.cache_info().currsize)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
-
-
-def test_importing_the_cli_builds_no_bpt_table():
-    # S*_8, the basis crosses and the real-part table are built by the
-    # first BPT call, not at import
-    code = (
-        "import spin9.cli\n"
-        "from spin9 import bpt\n"
-        "print(*(f.cache_info().currsize for f in (bpt.s8_star,"
-        " bpt._basis_cross_units, bpt._re_pair_table)))\n"
+        " exterior._subset_positions.cache_info().currsize,"
+        " sum(hasattr(f, '_plan') for f in gc.get_objects()"
+        " if isinstance(f, exterior.AlternatingForm)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "0"]
+
+
+def test_importing_the_cli_builds_no_bpt_table():
+    # S*_8, the pair-index tables, the block and factor plans, the basis
+    # crosses and the real-part table are built by the first BPT call,
+    # not at import
+    code = (
+        "import spin9.cli\n"
+        "from spin9 import bpt\n"
+        "print(*(f.cache_info().currsize for f in (bpt.s8_star,"
+        " bpt._pair_slots, bpt._block_plan, bpt._factor_plan,"
+        " bpt._basis_cross_units, bpt._re_pair_table)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"] * 6

@@ -56,7 +56,16 @@ def test_rng_salt_separates_suites():
     assert config.rng("octonion").random() == config.rng("octonion").random()
 
 
-def test_census_line_fails_on_a_swapped_pair(monkeypatch):
+@pytest.fixture
+def fresh_factor_plans():
+    # the reduced sums cache their plan from `bpt.s8_star`: clear it, so
+    # that a patched S*_8 reaches them, and again, so that it goes away
+    bpt._factor_plan.cache_clear()
+    yield
+    bpt._factor_plan.cache_clear()
+
+
+def test_census_line_fails_on_a_swapped_pair(monkeypatch, fresh_factor_plans):
     # the cached BPT form is built from the true S*_8 before the patch
     bpt.materialize_bpt_8form()
     reps = list(bpt.s8_star())
@@ -68,3 +77,20 @@ def test_census_line_fails_on_a_swapped_pair(monkeypatch):
     monkeypatch.setattr(bpt, "s8_star", lambda: tuple(reps))
     lines = run_suite("bpt", RunConfig(samples=1)).lines()
     assert lines[0] == "bpt.representative-census FAIL count=315"
+
+
+def test_a_descending_pair_fails_lines_instead_of_raising(
+    monkeypatch, fresh_factor_plans
+):
+    # p[2] and p[3] of one representative trade places: the reduced sum
+    # reads that pair's cross negated (the cross is skew), which flips the
+    # term: the census and the sample sums report FAIL lines, no KeyError
+    bpt.materialize_bpt_8form()
+    reps = list(bpt.s8_star())
+    perm, sign = reps[0]
+    reps[0] = (perm[:2] + (perm[3], perm[2]) + perm[4:], sign)
+    assert reps[0][0][2] > reps[0][0][3]
+    monkeypatch.setattr(bpt, "s8_star", lambda: tuple(reps))
+    lines = run_suite("bpt", RunConfig(samples=1)).lines()
+    failed = {line.split(" ")[0] for line in lines if " FAIL" in line}
+    assert {"bpt.representative-census", "bpt.full-vs-reduced"} <= failed
