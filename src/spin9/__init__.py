@@ -41,7 +41,7 @@ from .curvature import (
     s_prime_operator,
     sectional_curvature,
 )
-from .exterior import AlternatingForm, wedge
+from .exterior import AlternatingForm
 from .octonion import Octonion, automorphism_from_triple, cross_oct
 from .operators import (
     InvolutionFamily,
@@ -115,5 +115,4 @@ __all__ = [
     "sp4_certification",
     "stabilizer_system",
     "w_tilde",
-    "wedge",
 ]

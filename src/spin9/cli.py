@@ -1,22 +1,20 @@
-"""Command line entry point: verify, export, conjecture, bench.
+"""Command line entry point: verify, export, conjecture.
 
 Exit codes: 0 all checks passed or verdict delivered, 1 check failure,
 2 usage error, 3 I/O error.  All randomized behavior is reproducible
 from (--seed, --samples); --jobs never changes any numeric output.
+
+Timing is not a command: the benchmark in `bench/` times each layer,
+for example `mkdir -p bench/out && python3 bench/run.py --workload all
+--trace 1` from the repository root.
 """
 
 import argparse
 import concurrent.futures
 import ctypes
-import math
 import os
-import random
 import sys
-import time
-from fractions import Fraction
-from itertools import combinations, product
 
-from . import curvature
 from .bpt import materialize_bpt_8form
 from .canonical import (
     canonical_8form,
@@ -24,18 +22,10 @@ from .canonical import (
     conjecture_8form,
     conjecture_verdict,
     export_coefficients,
-    omega2,
 )
-from .exterior import evaluate_table, pullback_table
-from .operators import RationalCirclePoint, Vector16, rotation
-from .stabilizer import stabilizer_system
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 EXPORT_FORMS = ("omega8", "omega8-alt", "conjecture-rhs", "bpt")
-BENCH_KERNELS = (
-    "wedge", "stabilizer-assembly", "bpt-materialize", "evaluate", "curvature",
-    "pullback",
-)
 
 
 def _run_one(args):
@@ -130,186 +120,11 @@ def cmd_conjecture(args) -> int:
     return 0
 
 
-def _wedge_chunk(pairs):
-    ops = 0
-    checksum = 0
-    for (i, j), (k, l) in pairs:
-        a = omega2(i, j)
-        b = omega2(k, l)
-        ops += a.term_count() * b.term_count()
-        w = a.wedge(b)
-        checksum += sum(v for _, v in w.items())
-    return ops, checksum
-
-
-def _bench_wedge():
-    two_forms = [(i, j) for i in range(9) for j in range(i + 1, 9)]
-    pairs = [
-        (two_forms[a], two_forms[b])
-        for a in range(len(two_forms))
-        for b in range(a, len(two_forms))
-    ]
-    t0 = time.perf_counter()
-    ops, checksum = _wedge_chunk(pairs)
-    elapsed = time.perf_counter() - t0
-    print(
-        f"bench wedge: products={len(pairs)} term_pairs={ops} "
-        f"checksum={checksum}"
-    )
-    rate = ops / elapsed if elapsed > 0 else float("inf")
-    print(f"bench wedge: time={elapsed:.3f}s term_pairs_per_s={rate:.0f}")
-
-
-def _bench_stabilizer_assembly():
-    form = canonical_8form()
-    t0 = time.perf_counter()
-    rows = stabilizer_system(form, 16)
-    elapsed = time.perf_counter() - t0
-    checksum = sum(abs(v) for row in rows for v in row.values())
-    print(
-        f"bench stabilizer-assembly: rows={math.comb(16, form.degree)} "
-        f"cols=256 nonzero_rows={len(rows)} checksum={checksum}"
-    )
-    print(f"bench stabilizer-assembly: time={elapsed:.3f}s")
-
-
-def _bench_bpt_materialize():
-    t0 = time.perf_counter()
-    form = materialize_bpt_8form.__wrapped__()
-    elapsed = time.perf_counter() - t0
-    checksum = sum(abs(v) for _, v in form.items())
-    print(
-        f"bench bpt-materialize: nonzero={form.term_count()} "
-        f"checksum={checksum}"
-    )
-    print(f"bench bpt-materialize: time={elapsed:.3f}s")
-
-
-def _bench_evaluate(seed, samples):
-    """The BPT form (integer coefficients) on seeded integer 8-tuples, on
-    the integer kernel as `AlternatingForm.evaluate` calls it."""
-    form = materialize_bpt_8form()
-    rng = random.Random(f"{seed}:bench-evaluate")
-    tuples = [
-        [Vector16.from_coords([rng.randint(-9, 9) for _ in range(16)])
-         for _ in range(8)]
-        for _ in range(samples)
-    ]
-    values = []
-    products = 0
-    modular = False
-    t0 = time.perf_counter()
-    for vs in tuples:
-        value, n, moduli = evaluate_table(
-            form._terms, [v.coords() for v in vs], form._laplace()
-        )
-        values.append(value)
-        products += n
-        modular = modular or bool(moduli)
-    elapsed = time.perf_counter() - t0
-    checksum = sum(abs(v) for v in values)
-    print(
-        f"bench evaluate: calls={samples} terms={form.term_count()} "
-        f"products={products} path={'crt' if modular else 'int64'} "
-        f"checksum={checksum}"
-    )
-    print(f"bench evaluate: time={elapsed:.3f}s")
-
-
-def _bench_curvature(seed, samples):
-    rng = random.Random(f"{seed}:bench-curvature")
-    triples = [
-        [Vector16.from_coords([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                               for _ in range(16)])
-         for _ in range(3)]
-        for _ in range(samples)
-    ]
-    exprs = (
-        curvature.curvature_omega,
-        curvature.curvature_brown_gray,
-        curvature.curvature_prime_operator,
-        curvature.curvature_prime_octonion,
-    )
-    t0 = time.perf_counter()
-    values = [f(x, y, z, 4) for x, y, z in triples for f in exprs]
-    elapsed = time.perf_counter() - t0
-    checksum = sum(
-        abs(v.numerator) + v.denominator for r in values for v in r.coords()
-    )
-    print(f"bench curvature: calls={len(values)} checksum={checksum}")
-    print(f"bench curvature: time={elapsed:.3f}s")
-    basis = [Vector16.basis(k) for k in range(16)]
-    t0 = time.perf_counter()
-    values = [f(x, y, z, 4) for x, y, z in product(basis, repeat=3) for f in exprs]
-    elapsed = time.perf_counter() - t0
-    print(f"bench curvature: basis_calls={len(values)} time={elapsed:.3f}s")
-
-
-def _bench_pullback():
-    """Omega (integer coefficients) pulled back along the 36 plane
-    rotations at two circle points, on the integer kernel as
-    `AlternatingForm.pullback` calls it."""
-    # imported here: hashlib maps OpenSSL, 3.5 MiB every command would carry
-    import hashlib
-
-    form = canonical_8form()
-    points = (
-        RationalCirclePoint(Fraction(3, 5), Fraction(4, 5)),
-        RationalCirclePoint(Fraction(5, 13), Fraction(12, 13)),
-    )
-    rotations = [
-        rotation(k, l, p)
-        for k, l in combinations(range(9), 2)
-        for p in points
-    ]
-    digest = hashlib.sha256()
-    leaves = 0
-    modular = False
-    t0 = time.perf_counter()
-    for rot in rotations:
-        terms, n, moduli = pullback_table(
-            form._terms, form.degree, rot.integer_entries()[0]
-        )
-        leaves += n
-        modular = modular or bool(moduli)
-        digest.update(repr(sorted(terms.items())).encode())
-    elapsed = time.perf_counter() - t0
-    print(
-        f"bench pullback: rotations={len(rotations)} leaves={leaves} "
-        f"path={'crt' if modular else 'int64'} "
-        f"checksum={digest.hexdigest()[:16]}"
-    )
-    print(f"bench pullback: time={elapsed:.3f}s")
-
-
-def cmd_bench(args) -> int:
-    if args.kernel == "wedge":
-        _bench_wedge()
-    elif args.kernel == "stabilizer-assembly":
-        _bench_stabilizer_assembly()
-    elif args.kernel == "evaluate":
-        _bench_evaluate(args.seed, args.samples)
-    elif args.kernel == "curvature":
-        _bench_curvature(args.seed, args.samples)
-    elif args.kernel == "pullback":
-        _bench_pullback()
-    else:
-        _bench_bpt_materialize()
-    return 0
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _add_run_flags(parser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property checks")
-    parser.add_argument("--samples", type=_positive_int, default=25,
-                        help="sample count for randomized property checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", choices=("all",) + SUITE_NAMES, default="all"
     )
-    _add_run_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized property checks")
+    p_verify.add_argument("--samples", type=_positive_int, default=25,
+                          help="sample count for randomized property checks")
     p_verify.add_argument("--jobs", type=_positive_int, default=1,
                           help="worker processes for `--suite all`, one per "
                           "suite, capped at the CPU count; never changes "
@@ -348,13 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report whether the quarter sigma-sum equals the 8-form",
     )
     p_conj.set_defaults(func=cmd_conjecture)
-
-    p_bench = sub.add_parser(
-        "bench", help="time one computational kernel (informational only)"
-    )
-    p_bench.add_argument("kernel", choices=BENCH_KERNELS)
-    _add_run_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -220,8 +220,7 @@ class AlternatingForm:
             ints, d = clear_denominators(v.coords())
             columns.append(ints)
             denom *= d
-        total, _, _ = evaluate_table(table, columns, self._laplace())
-        return exact_ratio(total, denom)
+        return exact_ratio(evaluate_table(table, columns, self._laplace()), denom)
 
     def _laplace(self) -> tuple:
         """The `_laplace_plan` of the form's masks, built on first use."""
@@ -240,7 +239,7 @@ class AlternatingForm:
         """
         entries, d_op = op.integer_entries()
         table, d = self._integer_table()
-        terms, _, _ = pullback_table(table, self.degree, entries)
+        terms = pullback_table(table, self.degree, entries)
         return _divided(self.degree, terms, d * d_op**self.degree)
 
     def lie_derivative(self, op: Operator16) -> "AlternatingForm":
@@ -251,8 +250,7 @@ class AlternatingForm:
         """
         entries, d_op = op.integer_entries()
         table, d = self._integer_table()
-        terms, _ = lie_table(table, entries)
-        return _divided(self.degree, terms, d * d_op)
+        return _divided(self.degree, lie_table(table, entries), d * d_op)
 
     def _integer_table(self) -> tuple:
         """(table, d): the coefficients times d, the lcm of their
@@ -272,10 +270,6 @@ def _divided(degree: int, terms: dict, d: int) -> AlternatingForm:
     if d > 1:
         terms = {m: exact_ratio(v, d) for m, v in terms.items()}
     return AlternatingForm._raw(degree, terms)
-
-
-def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
-    return a.wedge(b)
 
 
 def two_form_from_operator(op: Operator16) -> AlternatingForm:
@@ -328,7 +322,7 @@ def _room(p: int) -> int:
 
 
 def _exact(plan, bound: int, run) -> tuple:
-    """(support, values, aux, moduli) of one exact kernel, whose step
+    """(support, values, aux) of one exact kernel, whose step
     `run(plan, p)` gives its sums mod p (exact if p = 0) as an int64 array
     and an aux that no modulus changes: once in int64 if `bound` < 2**63,
     else once per prime of `_moduli(bound)`.  `support` indexes the
@@ -338,9 +332,9 @@ def _exact(plan, bound: int, run) -> tuple:
     if not moduli:
         sums, aux = run(plan, 0)
         support = np.flatnonzero(sums != 0)  # scans bool far faster than int64
-        return support, sums[support].tolist(), aux, moduli
+        return support, sums[support].tolist(), aux
     runs = [run(plan, p) for p in moduli]
-    return (*_crt([sums for sums, _ in runs], moduli), runs[0][1], moduli)
+    return (*_crt([sums for sums, _ in runs], moduli), runs[0][1])
 
 
 def exact_array(step, bound: int, *arrays) -> np.ndarray:
@@ -353,7 +347,7 @@ def exact_array(step, bound: int, *arrays) -> np.ndarray:
         out = step(p, *((x % p if p else x).astype(np.int64) for x in arrays))
         return out.ravel(), out.shape
 
-    support, values, shape, _ = _exact(None, bound, run)
+    support, values, shape = _exact(None, bound, run)
     out = np.zeros(math.prod(shape), dtype=object)
     out[support] = values
     return out.reshape(shape)
@@ -407,7 +401,7 @@ def wedge_sums(groups) -> list:
     if plan is None:
         return [{} for _ in range(count)]
     # no step drops a sum by its value, so the primes share their keys
-    nz, values, keys, _ = _exact(plan, bound, _wedge_sums_mod)
+    nz, values, keys = _exact(plan, bound, _wedge_sums_mod)
     if keys is None:
         return [dict(zip(nz.tolist(), values))]
     keys = keys[nz]
@@ -505,7 +499,7 @@ def _wedge_sums_mod(plan, p: int) -> tuple:
         vals = c[left] * c[right] << twice
         if p:
             vals %= p
-        np.negative(vals, out=vals, where=poppar[p16[ml] & mr] == 1)
+        vals *= 1 - 2 * poppar[p16[ml] & mr]
         if not grouped:
             np.add.at(sums, ml | mr, vals)
             if p:
@@ -549,18 +543,15 @@ def _crt(residues, moduli) -> tuple:
 PULLBACK_CHUNK = 1 << 18  # leaves expanded at once; bounds the kernel's memory
 
 
-def pullback_table(table: dict, degree: int, entries) -> tuple:
+def pullback_table(table: dict, degree: int, entries) -> dict:
     """Exact pullback of an integer table {mask: int} of the given degree
-    along integer matrix entries (row, col, value): (terms, leaves, moduli).
-
-    `leaves` counts the products that reach the accumulator; `moduli` is
-    () on the int64 path, else the primes of the CRT path.
+    along integer matrix entries (row, col, value), as an integer table.
     """
     plan, bound = _pullback_plan(table, degree, entries)
     if plan is None:
-        return {}, 0, ()
-    support, values, leaves, moduli = _exact(plan, bound, _pullback_mod)
-    return dict(zip(support.tolist(), values)), leaves, moduli
+        return {}
+    support, values, _ = _exact(plan, bound, _pullback_mod)
+    return dict(zip(support.tolist(), values))
 
 
 def _pullback_plan(table: dict, degree: int, entries) -> tuple:
@@ -607,7 +598,7 @@ def _pullback_plan(table: dict, degree: int, entries) -> tuple:
 
 
 def _pullback_mod(plan, p: int) -> tuple:
-    """(accumulator, leaves) of the pullback, exact if p = 0, else mod p.
+    """(accumulator, None) of the pullback, exact if p = 0, else mod p.
 
     All monomials of a chunk expand together, one index position at a
     time, as arrays of (monomial, mask, coefficient, sign parity): each
@@ -622,7 +613,6 @@ def _pullback_mod(plan, p: int) -> tuple:
     nnz = np.diff(indptr)
     values, start = _residues(vals, p), _residues(coeffs, p)
     acc = np.zeros(1 << 16, dtype=np.int64)
-    leaves = 0
     for lo, hi, load in chunks:
         if load > _room(p):
             raise OverflowError("one monomial exceeds the modular room")
@@ -647,12 +637,11 @@ def _pullback_mod(plan, p: int) -> tuple:
             if p:
                 coef %= p
             mon = mon[src]
-        np.negative(coef, out=coef, where=odd == 1)
+        coef *= 1 - 2 * odd
         if p:
             acc %= p
         np.add.at(acc, mask, coef)
-        leaves += mask.size
-    return acc, leaves
+    return acc, None
 
 
 # exact evaluation kernel ----------------------------------------------------
@@ -698,9 +687,9 @@ def _laplace_split(masks: np.ndarray, k: int, q: int) -> tuple:
     return masks, q, 1 - 2 * poppar[p16[a] & b].astype(np.int8), *halves
 
 
-def evaluate_table(table: dict, columns, plan=None) -> tuple:
+def evaluate_table(table: dict, columns, plan=None) -> int:
     """sum_m c_m det[w_b[i_a]] for an integer table {mask: int} of degree p
-    and p integer columns w_b: (value, products, moduli).
+    and p integer columns w_b.
 
     A recursive Laplace expansion on `plan`, the table's `_laplace_plan`
     (built if None; `AlternatingForm.evaluate` caches it on the form):
@@ -708,8 +697,7 @@ def evaluate_table(table: dict, columns, plan=None) -> tuple:
     of m, q = p // 2, and the halves' minors come from the same gather,
     one column at a time.  The columns are cut to the table's support and
     every level to the masks in their reach.  A minor's terms are products
-    of one entry per column, so B = prod_b |w_b|_1.  `products` counts the
-    top level's L R products; `moduli` is () on the int64 path.
+    of one entry per column, so B = prod_b |w_b|_1.
     """
     _require_int("evaluate_table", table.values(), *columns)
     plan = plan or _laplace_plan(table, len(columns))
@@ -719,12 +707,11 @@ def evaluate_table(table: dict, columns, plan=None) -> tuple:
     kept = np.flatnonzero((plan[0] & ~reach) == 0)
     bound = math.prod(sum(map(abs, w)) for w in cut)
     if not kept.size or not bound:
-        return 0, 0, ()
+        return 0
     rows = kept if kept.size < len(table) else slice(None)
-    nz, minors, _, moduli = _exact((plan, rows, cut, reach), bound, _laplace_mod)
+    nz, minors, _ = _exact((plan, rows, cut, reach), bound, _laplace_mod)
     coeffs = list(table.values())
-    value = sum(coeffs[k] * x for k, x in zip(kept[nz].tolist(), minors))
-    return value, kept.size * math.comb(len(cut), len(cut) // 2), moduli
+    return sum(coeffs[k] * x for k, x in zip(kept[nz].tolist(), minors))
 
 
 def _laplace_plan(table: dict, degree: int) -> tuple:
@@ -788,13 +775,13 @@ def lie_incidences(masks, rows, cols) -> tuple:
     return m ^ (1 << r) ^ (1 << c), poppar[m & between[unit]], mon, unit
 
 
-def lie_table(table: dict, entries) -> tuple:
+def lie_table(table: dict, entries) -> dict:
     """Exact Lie derivative of an integer table {mask: int} along integer
-    matrix entries (row, col, value): (terms, moduli).
+    matrix entries (row, col, value), as an integer table.
 
     B = sum_m |c_m| * sum |value| bounds every product and partial sum;
     B = 0 leaves nothing to sum, else the incidences of `lie_incidences`
-    accumulate under `_exact`.  `moduli` is () on the int64 path.
+    accumulate under `_exact`.
     """
     entries = list(entries)
     coeffs = list(table.values())
@@ -802,13 +789,13 @@ def lie_table(table: dict, entries) -> tuple:
     _require_int("lie_table", coeffs, vals)
     bound = sum(map(abs, coeffs)) * sum(map(abs, vals))
     if not bound:
-        return {}, ()
+        return {}
     out, odd, mon, unit = lie_incidences(
         list(table), [r for r, _, _ in entries], [c for _, c, _ in entries]
     )
-    plan = (out, odd == 1, mon, unit, coeffs, vals)
-    support, values, _, moduli = _exact(plan, bound, _lie_mod)
-    return dict(zip(support.tolist(), values)), moduli
+    plan = (out, odd, mon, unit, coeffs, vals)
+    support, values, _ = _exact(plan, bound, _lie_mod)
+    return dict(zip(support.tolist(), values))
 
 
 def _lie_mod(plan, p: int) -> tuple:
@@ -822,7 +809,7 @@ def _lie_mod(plan, p: int) -> tuple:
     terms = _residues(coeffs, p)[mon] * _residues(vals, p)[unit]
     if p:
         terms %= p
-    np.negative(terms, out=terms, where=odd)
+    terms *= 1 - 2 * odd
     acc = np.zeros(1 << 16, dtype=np.int64)
     np.add.at(acc, out, terms)
     return acc, None

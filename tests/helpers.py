@@ -227,25 +227,21 @@ def stabilizer_system_oracle(form, n):
 
 
 def _expand_pullback(rows, idx, depth, mask, coeff, out):
-    """Add the leaves below one node to out; return how many there were."""
+    """Add the leaves below one node to out."""
     if depth == len(idx):
         out[mask] = out.get(mask, 0) + coeff
-        return 1
-    leaves = 0
+        return
     for b, v in rows[idx[depth]]:
         bit = 1 << b
         if mask & bit:
             continue
         # the incoming factor moves left past the accumulated indices above b
         sign = -1 if (mask >> b).bit_count() & 1 else 1
-        leaves += _expand_pullback(
-            rows, idx, depth + 1, mask | bit, sign * coeff * v, out
-        )
-    return leaves
+        _expand_pullback(rows, idx, depth + 1, mask | bit, sign * coeff * v, out)
 
 
 def pullback_oracle(form, op):
-    """(op* form, leaves) by recursion, one Python call per leaf.
+    """op* form by recursion, one Python call per leaf.
 
     Each index of a monomial expands over the nonzero entries of its row
     of op, on the operator's own int or Fraction entries; it shares no
@@ -255,12 +251,9 @@ def pullback_oracle(form, op):
     for r, c, v in op.entries():
         rows[r].append((c, v))
     out = {}
-    leaves = sum(
+    for m, coeff in form._terms.items():
         _expand_pullback(rows, _bits(m), 0, 0, coeff, out)
-        for m, coeff in form._terms.items()
-    )
-    pulled = AlternatingForm._raw(form.degree, {m: v for m, v in out.items() if v})
-    return pulled, leaves
+    return AlternatingForm._raw(form.degree, {m: v for m, v in out.items() if v})
 
 
 def w_tilde_oracle(v, vp, w, wp):
@@ -410,16 +403,17 @@ def apply_oracle(op, v):
 
 
 def spy_exact(monkeypatch):
-    """Record the moduli of every `exterior._exact` run (() = int64)."""
+    """Record the moduli of every `exterior._exact` run (() = int64), as
+    the driver's one `_moduli` call per run picks them."""
     seen = []
-    run = exterior._exact
+    pick = exterior._moduli
 
-    def spy(plan, bound, step):
-        out = run(plan, bound, step)
-        seen.append(out[3])
-        return out
+    def spy(bound):
+        moduli = pick(bound)
+        seen.append(moduli)
+        return moduli
 
-    monkeypatch.setattr(exterior, "_exact", spy)
+    monkeypatch.setattr(exterior, "_moduli", spy)
     return seen
 
 

@@ -151,8 +151,8 @@ def test_materialized_form_matches_evaluator():
         idx = sorted(rng.sample(range(16), 8))
         vs = [Vector16.basis(k) for k in idx]
         assert form.coefficient(tuple(idx)) == bpt_8form_reduced(vs)
-    for _ in range(3):
-        vs = [rand_vector(rng, span=2) for _ in range(8)]
+    for span in (2, 2, 2, 9):
+        vs = [rand_vector(rng, span=span) for _ in range(8)]
         assert form.evaluate(vs) == bpt_8form_reduced(vs)
 
 

@@ -265,6 +265,7 @@ def _oracle_quadruples():
     x, y = _mixed_vector(rng), _coprime_vector(rng)
     z, w = rand_vector(rng), _big_vector(rng)
     quads += [(zero, y, z, w), (x, zero, z, w), (x, y, zero, w), (zero,) * 4]
+    quads.append(tuple(rand_fraction_vector(rng) for _ in range(4)))
     return quads
 
 
