@@ -54,7 +54,8 @@ remainder theorem.  No float enters either path.  The other kernels:
 - `lie_table` behind `AlternatingForm.lie_derivative` finds every
   (monomial, matrix unit) incidence in one array pass and accumulates
   them under B = sum_m |c_m| sum |op entry|; `stabilizer_system` reads
-  its equation rows off the same incidences.
+  its equation blocks off the same incidences, split by the characters
+  of the sign group D of `sign_characters`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .linalg import clear_denominators, exact_ratio, require_exact
+from .linalg import INT64_LIMIT, clear_denominators, exact_ratio, require_exact
 from .operators import Operator16, Vector16
 
 Num = Union[int, Fraction]
@@ -100,7 +101,7 @@ def perm_sign(seq) -> int:
 class AlternatingForm:
     """An exact alternating form, stored sparsely by index mask."""
 
-    __slots__ = ("degree", "_terms", "_plan")
+    __slots__ = ("degree", "_terms", "_plan", "_table")
 
     def __init__(self, degree: int, terms: Mapping = ()):
         if not 0 <= degree <= 16:
@@ -254,9 +255,15 @@ class AlternatingForm:
 
     def _integer_table(self) -> tuple:
         """(table, d): the coefficients times d, the lcm of their
-        denominators, as an integer table {mask: int}."""
-        coeffs, d = clear_denominators(self._terms.values())
-        return dict(zip(self._terms, coeffs)), d
+        denominators, as an integer table {mask: int}, built on first use.
+        Callers share the table and must not change it."""
+        try:
+            return self._table
+        except AttributeError:
+            coeffs, d = clear_denominators(self._terms.values())
+            table = dict(zip(self._terms, coeffs)), d
+            object.__setattr__(self, "_table", table)
+            return table
 
     def restrict_low(self) -> "AlternatingForm":
         """Keep only monomials supported on the first octonion block 0..7."""
@@ -300,9 +307,6 @@ def _np_tables():
     for s in (1, 2, 4, 8):
         p16 ^= p16 >> s
     return p16, p16 & 1 ^ m & 1
-
-
-INT64_LIMIT = 1 << 63
 
 
 def _require_int(name: str, *groups) -> None:
@@ -751,6 +755,42 @@ def _minors(split, cols, p: int, reach: int, rows=slice(None)) -> np.ndarray:
 
 
 # exact Lie-derivative kernel ------------------------------------------------
+
+
+def sign_characters(support, masks) -> tuple:
+    """(generators, characters) of D, the diagonal sign matrices that fix
+    every monomial of `support`, a list of monomial masks.
+
+    A sign mask g (the matrix that is -1 on the coordinates in g) scales
+    dx_m by the popcount parity of g & m, so D is the GF(2) kernel of the
+    incidence matrix of `support`.  The generators are one per bit outside
+    the pivots of the reduced GF(2) echelon of the support, in increasing
+    bit order.  The character of a mask x is the sign D puts on dx_x, as
+    the integer whose bit i is the parity of generators[i] & x; two masks
+    share it exactly when their XOR lies in the GF(2) span of the support.
+    """
+    pivots = {}  # pivot bit -> reduced basis mask holding no other pivot bit
+    for m in support:
+        for bit, row in pivots.items():
+            if m >> bit & 1:
+                m ^= row
+        if m:
+            top = m.bit_length() - 1
+            for bit, row in pivots.items():
+                if row >> top & 1:
+                    pivots[bit] = row ^ m
+            pivots[top] = m
+    generators = tuple(
+        1 << f | sum(1 << bit for bit, row in pivots.items() if row >> f & 1)
+        for f in range(16)
+        if f not in pivots
+    )
+    masks = np.asarray(masks, dtype=np.int64)
+    _, poppar = _np_tables()
+    characters = np.zeros(masks.shape, dtype=np.int64)
+    for i, g in enumerate(generators):
+        characters |= poppar[masks & g] << i
+    return generators, characters
 
 
 def lie_incidences(masks, rows, cols) -> tuple:

@@ -1,17 +1,19 @@
-"""Exact integer and rational linear algebra for sparse systems.
+"""Exact integer and rational linear algebra.
 
-Rows are dicts mapping column index to a nonzero value.  Elimination is
-fraction-free over the integers: a row update is the cross-multiplied
-difference, then the row is divided by the gcd of its entries, so no
-rationals appear until back-substitution.  Pivots follow a fixed order
-(rows in the order given, pivot on each row's least column), making every
-result deterministic.
+Integer systems are dense arrays (`int_array`): int64 while every entry
+fits, else Python ints (dtype=object).  `int_echelon` is the one
+elimination: a fraction-free reduced echelon, column by column.  Each
+step cross-multiplies every row holding an entry in the pivot column
+against the pivot row and divides each row by the gcd of its entries
+(`_eliminate`), so no rational appears.  Before each step in int64 the
+largest result is bounded from the maxima of the arrays; a bound of
+2**63 or more moves the matrix to Python ints, and the same loop goes
+on there.  No float enters either way, and there is no modular step.
 
-There is no modular step: tall systems are eliminated exactly, row by
-row, and a row in the span of the pivots reduces to the empty dict.  An
-echelon fed back to `nullspace` passes through the elimination unchanged,
-so it costs almost nothing and gives the same kernel basis as the rows it
-came from.
+The echelon is the primitive integer multiple of the reduced row echelon
+form, so it depends only on the row space: `nullspace` reads one kernel
+vector per free column off it, and `reduce_against` takes rows to zero
+exactly when they lie in its row space.
 """
 
 from __future__ import annotations
@@ -19,106 +21,127 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 
-def row_to_int(row: dict) -> dict:
-    """Scale a rational row to integers and divide out the gcd."""
-    ints, _ = clear_denominators(row.values())
-    return _normalize({c: v for c, v in zip(row, ints) if v})
+INT64_LIMIT = 1 << 63
 
 
-def _normalize(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
+def int_array(values) -> np.ndarray:
+    """values as an integer array: int64 when every entry lies strictly
+    within +-2**63, else Python ints (dtype=object).  Any entry that is
+    not an integer raises ValueError, so a float never enters a kernel."""
+    a = np.asarray(values)
+    if a.dtype == np.int64 and (not a.size or a.min() > -INT64_LIMIT):
+        return a
+    if a.dtype.kind not in "iu":
+        # numpy reads ints past int64 as floats: take the entries as given
+        a = np.array(values, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in a.flat):
+            raise ValueError("integer entries expected")
+    flat = [int(x) for x in a.flat]
+    small = all(-INT64_LIMIT < x < INT64_LIMIT for x in flat)
+    return np.array(flat, dtype=np.int64 if small else object).reshape(a.shape)
 
 
-def int_echelon(rows) -> list:
-    """Fraction-free row echelon of integer rows.
+def _peak(a) -> int:
+    """The largest absolute entry of an int64 array or scalar, as an int."""
+    return int(np.abs(a).max(initial=0))
 
-    Returns a list of (pivot_col, row_dict) sorted by pivot column; each
-    row is gcd-reduced with a positive pivot entry.
+
+def _eliminate(m: np.ndarray, targets, piv: np.ndarray, col: int) -> np.ndarray:
+    """m with each row t of targets replaced by piv[col] * m[t] - m[t, col]
+    * piv, then divided by the gcd of its entries.
+
+    In int64 the step first bounds its largest entry by
+    |piv[col]| max|m[t]| + max|m[t, col]| max|piv|; at 2**63 or more, m
+    and piv move to Python ints and the step runs there.  Returns m,
+    which is a new array after such a move.
     """
-    pivots = {}  # pivot_col -> row dict
-    for raw in rows:
-        row = _reduce(dict(raw), pivots)
-        if row:
-            lead = min(row)
-            if row[lead] < 0:
-                row = {c: -v for c, v in row.items()}
-            pivots[lead] = _normalize(row)
-    return sorted(pivots.items())
+    sub = m[targets]
+    if m.dtype == object or piv.dtype == object or (
+        _peak(piv[col]) * _peak(sub) + _peak(sub[:, col]) * _peak(piv)
+        >= INT64_LIMIT
+    ):
+        m, piv = m.astype(object, copy=False), piv.astype(object, copy=False)
+        sub = m[targets]
+    new = piv[col] * sub - sub[:, col:col + 1] * piv
+    g = np.gcd.reduce(new, axis=1)
+    m[targets] = new // np.where(g == 0, 1, g)[:, None]
+    return m
 
 
-def reduce_against(echelon, raw: dict) -> dict:
-    """Reduce a row against an echelon list; empty dict means dependent."""
-    return _reduce(row_to_int(raw), dict(echelon))
+def int_echelon(rows) -> np.ndarray:
+    """Fraction-free reduced row echelon of an integer matrix.
 
-
-def _reduce(row: dict, pivots: dict) -> dict:
-    """Eliminate the lead column of row until no pivot row holds it.
-
-    One step replaces row by a*row - b*pivot, with a and b the two lead
-    entries, and divides out the gcd; the result is empty when the row
-    lies in the span of the pivots.
+    Columns are taken left to right.  The pivot of a column is the first
+    unused row with an entry there; every other row with an entry in the
+    column is eliminated against it by `_eliminate`.  Returns one row per
+    pivot, in increasing pivot column: each primitive, with a positive
+    pivot entry and zeros in every other pivot column.  That is the
+    primitive integer multiple of each row of the reduced row echelon
+    form, so it depends only on the row space.
     """
-    while row:
-        lead = min(row)
-        piv = pivots.get(lead)
-        if piv is None:
+    m = int_array(rows)
+    if m.ndim != 2:
+        raise ValueError("int_echelon needs a 2-D array of rows")
+    m = m.copy()
+    done = 0
+    for col in range(m.shape[1]):
+        if done == m.shape[0]:
             break
-        a, b = piv[lead], row[lead]
-        new = {}
-        for c, v in row.items():
-            w = a * v - b * piv.get(c, 0)
-            if w:
-                new[c] = w
-        for c, v in piv.items():
-            if c not in row:
-                w = -b * v
-                if w:
-                    new[c] = w
-        row = _normalize(new)
-    return row
+        cand = np.flatnonzero(m[done:, col])
+        if not cand.size:
+            continue
+        p = done + cand[0]
+        m[[done, p]] = m[[p, done]]
+        piv = m[done]
+        g = np.gcd.reduce(piv)
+        m[done] = piv // (g if piv[col] > 0 else -g)
+        targets = np.flatnonzero(m[:, col])
+        targets = targets[targets != done]
+        if targets.size:
+            m = _eliminate(m, targets, m[done], col)
+        done += 1
+    return m[:done]
 
 
-def rank(rows) -> int:
-    return len(int_echelon(row_to_int(r) for r in rows))
+def reduce_against(echelon: np.ndarray, rows) -> np.ndarray:
+    """rows reduced by every row of an `int_echelon` result, in the same
+    `_eliminate` steps; a row comes out zero exactly when it lies in the
+    echelon's row space."""
+    m = int_array(rows).copy()
+    for piv in echelon:
+        col = int(np.flatnonzero(piv)[0])
+        targets = np.flatnonzero(m[:, col])
+        if targets.size:
+            m = _eliminate(m, targets, piv, col)
+    return m
 
 
-def nullspace(rows, ncols: int) -> list:
+def nullspace(rows) -> list:
     """Primitive integer kernel basis of the system {row . x = 0}.
 
-    One basis vector per free column, in increasing free-column order:
-    the vector whose free coordinates are zero except a one in that
-    column, scaled to primitive integers with positive entry there.
+    One basis vector per free column, in increasing free-column order: the
+    vector whose free coordinates are zero except a positive entry in that
+    column, scaled to primitive integers.  On the reduced echelon a pivot
+    row d x_p + v x_f = 0 gives x_p = -v x_f / d directly, with no
+    back-substitution; entries are Python ints.
     """
-    ech = int_echelon(row_to_int(r) for r in rows)
-    pivot_cols = [c for c, _ in ech]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    ech = int_echelon(rows)
+    pivots = (ech != 0).argmax(axis=1).tolist()
+    taken, ech_rows = set(pivots), ech.tolist()
     basis = []
-    for f in free_cols:
-        x = {f: Fraction(1)}
-        # rows are in increasing pivot order; solve bottom-up
-        for c, row in reversed(ech):
-            s = Fraction(0)
-            for col, v in row.items():
-                if col == c:
-                    continue
-                xv = x.get(col)
-                if xv:
-                    s += v * xv
-            if s:
-                x[c] = -s / row[c]
-        row = row_to_int(x)
-        sign = 1 if row[f] > 0 else -1
-        vec = [0] * ncols
-        for c, v in row.items():
-            vec[c] = sign * v
-        basis.append(vec)
+    for f in range(ech.shape[1]):
+        if f in taken:
+            continue
+        hits = [(p, row[p], row[f]) for p, row in zip(pivots, ech_rows) if row[f]]
+        scale = lcm(*(d for _, d, _ in hits))
+        vec = [0] * ech.shape[1]
+        vec[f] = scale
+        for p, d, v in hits:
+            vec[p] = -v * (scale // d)
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
 
 

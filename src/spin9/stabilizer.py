@@ -2,14 +2,19 @@
 
 The stabilizer algebra of a p-form w on R^n is the kernel of the linear
 map A -> L_A w from the n x n matrices to p-forms.  The kernel is found
-by one exact computation: assemble the integer system, drop the rows
-that repeat an earlier one up to sign, bring the rest to fraction-free
-echelon form, and read the kernel off that echelon.  The certificate is
-the substitution: every basis vector is put back through the full
-Lie-derivative map and must give the zero form.  The rank of the
-echelon plus the kernel dimension equals n*n as a consistency identity,
-not a second certificate, because `nullspace` returns one vector per
-non-pivot column of that same echelon.
+by one exact computation.  The matrix unit E_rc moves the monomial m to
+m ^ e_r ^ e_c, so the sign group D of diagonal sign matrices that fix w
+(`exterior.sign_characters`) splits the equations into blocks, one per
+character of e_r ^ e_c: every unit of an equation has the character of
+its monomial.  Each block is a dense integer array over its own units
+(for the canonical 8-form, 16 blocks of 16 units, no row dropped), and
+is brought to `linalg.int_echelon`, int64 while its bound holds, with
+the kernel read off each block's echelon.  The certificate is the
+substitution: every basis vector is put back through the full
+Lie-derivative map and must give the zero form.  The rank of the blocks
+plus the kernel dimension equals n*n as a consistency identity, not a
+second certificate, because `nullspace` returns one vector per non-pivot
+column of those same echelons.
 
 The solver is anchored on two closed-form cases before being trusted on
 the canonical 8-form: the standard symplectic 2-form on R^4, whose
@@ -22,16 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
-from .exterior import AlternatingForm, lie_incidences
+from .exterior import AlternatingForm, lie_incidences, sign_characters
 from .linalg import (
+    INT64_LIMIT,
+    int_array,
     int_echelon,
     nullspace,
     reduce_against,
-    row_to_int,
 )
 from .operators import (
     Operator16,
@@ -40,58 +45,77 @@ from .operators import (
     boost8,
     build_involutions,
     clifford_product,
-    commutator,
     lambda_basis,
 )
 from .report import VerificationReport
 
 
 def stabilizer_system(form: AlternatingForm, n: int) -> list:
-    """Equation rows of {A : L_A form = 0} over the n*n matrix entries.
+    """Equation blocks of {A : L_A form = 0}, one per D-character.
 
     Column n*r + c carries the matrix entry A[r][c] and holds the image
     of the matrix unit E_rc, read off the same `lie_incidences` that
-    `AlternatingForm.lie_derivative` accumulates; each row demands that
-    one monomial coefficient of L_A form vanish.  Rows are sorted by
-    monomial mask, and the columns of a row increase, so the system is
-    reproducible.
+    `AlternatingForm.lie_derivative` accumulates; each equation demands
+    that one monomial coefficient of L_A form vanish.  Units share a
+    block when e_r ^ e_c have the same character on the sign group D of
+    the form (`sign_characters`), and so do the equations they appear
+    in.  A block is (units, rows): its columns in increasing order, and
+    an integer array (`int_array`) with one row per monomial, sorted by
+    mask, over those units.  Blocks come in the order of their first
+    unit; the coefficients are the form's, cleared of denominators.
     """
-    rows, cols = np.divmod(np.arange(n * n), n)
-    out, odd, mon, unit = lie_incidences(list(form._terms), rows, cols)
-    order = np.lexsort((unit, out))
-    out, unit = out[order], unit[order].tolist()
-    coeffs = list(form._terms.values())
-    vals = [
-        -coeffs[k] if o else coeffs[k]
-        for k, o in zip(mon[order].tolist(), odd[order].tolist())
-    ]
-    cuts = [0, *(np.flatnonzero(np.diff(out) != 0) + 1).tolist(), out.size]
-    return [
-        dict(zip(unit[lo:hi], vals[lo:hi]))
-        for lo, hi in zip(cuts, cuts[1:])
-        if hi > lo
-    ]
+    table, _ = form._integer_table()
+    masks = list(table)
+    r, c = np.divmod(np.arange(n * n), n)
+    _, key = sign_characters(masks, (1 << r) ^ (1 << c))
+    out, odd, mon, unit = lie_incidences(masks, r, c)
+    coeffs = int_array(list(table.values()))[mon]
+    vals = np.where(odd, -coeffs, coeffs)
+    order = np.lexsort((out, key[unit]))
+    out, unit, vals = out[order], unit[order], vals[order]
+    inc_key = key[unit]
+    keys, first = np.unique(key, return_index=True)
+    blocks = []
+    for k in keys[np.argsort(first)]:
+        units = np.flatnonzero(key == k)
+        lo, hi = np.searchsorted(inc_key, [k, k + 1])
+        row_masks, row = np.unique(out[lo:hi], return_inverse=True)
+        rows = np.zeros((row_masks.size, units.size), dtype=vals.dtype)
+        rows[row, np.searchsorted(units, unit[lo:hi])] = vals[lo:hi]
+        blocks.append((units, rows))
+    return blocks
+
+
+def _block_rows(vec, n: int) -> tuple:
+    """The 16 x 16 rows of an n*n vector, with zeros outside the block."""
+    rows = [[0] * 16 for _ in range(16)]
+    for r in range(n):
+        rows[r][:n] = vec[n * r:n * r + n]
+    return tuple(map(tuple, rows))
 
 
 def vec_to_operator(vec, n: int) -> Operator16:
-    rows = [[0] * 16 for _ in range(16)]
-    for r in range(n):
-        for c in range(n):
-            rows[r][c] = vec[n * r + c]
-    return Operator16(rows)
+    return Operator16(_block_rows(list(vec), n))
 
 
-def operator_row(op: Operator16, n: int = 16) -> dict:
-    """The n x n block of op as one integer row {n*r + c: entry}.
+def operator_rows(ops, n: int = 16) -> np.ndarray:
+    """The n x n blocks of ops as integer rows of n*n entries (`int_array`).
 
-    Scaled by `row_to_int`, which keeps spans and ranks unchanged.  An
-    entry outside the block raises ValueError: dropping it would let an
-    operator on R^16 pass as one on R^n.
+    Each operator is cleared of its denominators, a scale that keeps
+    spans and ranks unchanged.  An entry outside the block raises
+    ValueError: dropping it would let an operator on R^16 pass as one on
+    R^n.
     """
-    entries = op.entries()
-    if any(r >= n or c >= n for r, c, _ in entries):
-        raise ValueError(f"operator has entries outside the {n} x {n} block")
-    return row_to_int({n * r + c: v for r, c, v in entries})
+    rows = []
+    for op in ops:
+        entries, _ = op.integer_entries()
+        if any(r >= n or c >= n for r, c, _ in entries):
+            raise ValueError(f"operator has entries outside the {n} x {n} block")
+        row = [0] * (n * n)
+        for r, c, v in entries:
+            row[n * r + c] = v
+        rows.append(row)
+    return int_array(rows).reshape(len(rows), n * n)
 
 
 @dataclass(frozen=True)
@@ -111,28 +135,13 @@ class StabilizerResult:
     dimension: int
 
 
-def _distinct_rows(rows) -> list:
-    """The rows as `row_to_int` rows, each kept only if no earlier one
-    equals it up to sign.
-
-    A later row equal to +-(an earlier row) lies in the span of the
-    pivots at the time it would be reduced, so `int_echelon` would bring
-    it to zero: dropping it changes no pivot.  For the canonical 8-form
-    5982 of the 12030 rows remain.
-    """
-    seen, kept = set(), []
-    for row in map(row_to_int, rows):
-        flip = row[min(row)] < 0
-        key = frozenset((c, -v if flip else v) for c, v in row.items())
-        if key not in seen:
-            seen.add(key)
-            kept.append(row)
-    return kept
-
-
 def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerResult:
     """Solve {A in gl(n) : L_A form = 0} exactly.
 
+    Each block of `stabilizer_system` is eliminated on its own.  The
+    kernel basis is the one of the whole system, one vector per free
+    column in increasing order: a block's kernel vector has its last
+    nonzero entry in its free column, and is zero outside the block.
     Every reported kernel vector is substituted back through the full
     Lie-derivative map; the result is returned only once each image is
     the exact zero form.
@@ -144,60 +153,80 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
     if max(map(int.bit_length, form._terms), default=0) > n:
         raise ValueError(f"form uses coordinates beyond R^{n}")
     ncols = n * n
-    ech = int_echelon(_distinct_rows(stabilizer_system(form, n)))
-    vecs = nullspace([row for _, row in ech], ncols)
-    ops = [vec_to_operator(v, n) for v in vecs]
+    rank, kernel = 0, []
+    for units, rows in stabilizer_system(form, n):
+        ech = int_echelon(rows)
+        rank += len(ech)
+        units = units.tolist()
+        for vec in nullspace(ech):
+            full = [0] * ncols
+            for u, v in zip(units, vec):
+                full[u] = v
+            free = max(j for j, v in enumerate(vec) if v)
+            kernel.append((units[free], full))
+    kernel.sort()
+    ops = [Operator16._raw(_block_rows(vec, n)) for _, vec in kernel]
     if any(form.lie_derivative(op) for op in ops):
         raise AssertionError("kernel vector moves the form")
-    if len(ech) + len(vecs) != ncols:
+    if rank + len(ops) != ncols:
         raise AssertionError("rank-nullity identity failed")
     contains = n == 16 and all(
         not form.lie_derivative(p) for p in lambda_basis(2)
     )
     return StabilizerResult(
-        kernel_dimension=len(vecs),
+        kernel_dimension=len(ops),
         kernel_basis=tuple(ops),
         contains_spin9=contains,
-        system_rank=len(ech),
+        system_rank=rank,
         dimension=n,
     )
 
 
-def kernel_echelon(result: StabilizerResult) -> list:
-    n = result.dimension
-    return int_echelon(operator_row(op, n) for op in result.kernel_basis)
+def kernel_echelon(result: StabilizerResult) -> np.ndarray:
+    return int_echelon(operator_rows(result.kernel_basis, result.dimension))
 
 
 def in_kernel_span(result: StabilizerResult, op: Operator16, ech=None) -> bool:
     if ech is None:
         ech = kernel_echelon(result)
-    return not reduce_against(ech, operator_row(op, result.dimension))
+    return not reduce_against(ech, operator_rows([op], result.dimension)).any()
 
 
 def bracket_closure(result: StabilizerResult) -> VerificationReport:
-    """Pairwise commutators of the kernel basis land back in the kernel."""
+    """Pairwise commutators of the kernel basis land back in the kernel.
+
+    All commutators come from one batched product of the n x n blocks;
+    |[A, B]_rc| <= 2 n max|A| max|B| bounds it, and below 2**63 it runs
+    in int64.  They are reduced against the kernel's echelon at once.
+    """
     report = VerificationReport()
-    ech = kernel_echelon(result)
-    pairs = list(combinations(result.kernel_basis, 2))
-    bad = sum(not in_kernel_span(result, commutator(a, b), ech) for a, b in pairs)
-    report.add("stabilizer.bracket-closure", bad == 0, pairs=len(pairs), failures=bad)
+    n = result.dimension
+    basis = operator_rows(result.kernel_basis, n)
+    peak = int(np.abs(basis).max(initial=0))
+    if 2 * n * peak * peak >= INT64_LIMIT:
+        basis = basis.astype(object)
+    mats = basis.reshape(-1, n, n)
+    a, b = np.triu_indices(len(mats), 1)
+    comms = (mats[a] @ mats[b] - mats[b] @ mats[a]).reshape(-1, n * n)
+    left = reduce_against(int_echelon(basis), comms)
+    bad = int(np.count_nonzero(left.any(axis=1)))
+    report.add("stabilizer.bracket-closure", bad == 0, pairs=len(a), failures=bad)
     return report
 
 
 def spans_involution_pairs(result: StabilizerResult) -> bool:
     """Kernel span equals span{I_i I_j : i < j} exactly.
 
-    Containment one way is certified by in_kernel_span for each product;
-    equality follows when the 36 products are independent and the kernel
-    dimension is 36.
+    Containment one way is certified by reducing each product against
+    the kernel's echelon; equality follows when the 36 products are
+    independent and the kernel dimension is 36.
     """
     if result.dimension != 16 or result.kernel_dimension != 36:
         return False
-    prods = lambda_basis(2)
-    ech = kernel_echelon(result)
-    if not all(in_kernel_span(result, p, ech) for p in prods):
+    prods = operator_rows(lambda_basis(2))
+    if reduce_against(kernel_echelon(result), prods).any():
         return False
-    return len(int_echelon(operator_row(p) for p in prods)) == 36
+    return len(int_echelon(prods)) == 36
 
 
 def symplectic_form_r4() -> AlternatingForm:

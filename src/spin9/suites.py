@@ -134,7 +134,7 @@ def verify_operators(config: RunConfig) -> VerificationReport:
 
     sizes = tuple(len(lambda_basis(r)) for r in (1, 2, 3, 4))
     prod_rank = len(
-        int_echelon(stabilizer.operator_row(op) for op in lambda_basis(2))
+        int_echelon(stabilizer.operator_rows(lambda_basis(2)))
     )
     report.add(
         "operators.clifford-grading",

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 import numpy as np
 
-from spin9 import exterior
+from spin9 import exterior, linalg
 from spin9.exterior import AlternatingForm, perm_sign, wedge_sum
-from spin9.linalg import exact_ratio
+from spin9.linalg import clear_denominators, exact_ratio
 from spin9.octonion import Octonion, cross_oct
 from spin9.operators import (
     Operator16,
@@ -81,6 +82,103 @@ def dense_rank(rows, ncols):
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def row_to_int(row: dict) -> dict:
+    """Scale a rational dict row {col: value} to integers and divide out the gcd."""
+    ints, _ = clear_denominators(row.values())
+    return _normalize({c: v for c, v in zip(row, ints) if v})
+
+
+def _normalize(row: dict) -> dict:
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
+def _reduce(row: dict, pivots: dict) -> dict:
+    """Eliminate the lead column of row until no pivot row holds it: one
+    step is a*row - b*pivot, a and b the two lead entries, then the gcd
+    is divided out; the result is empty when row lies in the pivots' span."""
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            break
+        a, b = piv[lead], row[lead]
+        new = {}
+        for c, v in row.items():
+            w = a * v - b * piv.get(c, 0)
+            if w:
+                new[c] = w
+        for c, v in piv.items():
+            if c not in row:
+                w = -b * v
+                if w:
+                    new[c] = w
+        row = _normalize(new)
+    return row
+
+
+def int_echelon_oracle(rows) -> list:
+    """Fraction-free row echelon of integer dict rows, one row at a time.
+
+    The sparse loop that `linalg.int_echelon` replaced, kept as its
+    oracle: (pivot_col, row_dict) pairs sorted by pivot column, each row
+    gcd-reduced with a positive pivot entry.  It is not reduced above the
+    pivots, so only its rank, pivots and row space compare.
+    """
+    pivots = {}
+    for raw in rows:
+        row = _reduce(dict(raw), pivots)
+        if row:
+            lead = min(row)
+            if row[lead] < 0:
+                row = {c: -v for c, v in row.items()}
+            pivots[lead] = _normalize(row)
+    return sorted(pivots.items())
+
+
+def reduce_against_oracle(echelon, raw: dict) -> dict:
+    """Reduce a dict row against an `int_echelon_oracle` list; empty means
+    the row lies in the echelon's row space."""
+    return _reduce(row_to_int(raw), dict(echelon))
+
+
+def rank(rows) -> int:
+    """Rank of rational dict rows by the oracle echelon."""
+    return len(int_echelon_oracle(row_to_int(r) for r in rows))
+
+
+def nullspace_oracle(rows, ncols: int) -> list:
+    """Primitive integer kernel basis of dict rows by back-substitution on
+    the oracle echelon over Fraction: one vector per free column, in
+    increasing order, positive in its free column."""
+    ech = int_echelon_oracle(row_to_int(r) for r in rows)
+    pivot_set = {c for c, _ in ech}
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        x = {f: Fraction(1)}
+        for c, row in reversed(ech):
+            s = sum((v * x[col] for col, v in row.items() if col != c and col in x),
+                    Fraction(0))
+            if s:
+                x[c] = -s / row[c]
+        row = row_to_int(x)
+        sign = 1 if row[f] > 0 else -1
+        vec = [0] * ncols
+        for c, v in row.items():
+            vec[c] = sign * v
+        basis.append(vec)
+    return basis
+
+
+def dense_rows(rows, ncols):
+    """Dict rows {col: int} as dense lists of ncols entries."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
 def det_oracle(m):
@@ -350,6 +448,21 @@ def spy_moduli(monkeypatch, step):
         return run(plan, p)
 
     monkeypatch.setattr(exterior, step, spy)
+    return seen
+
+
+def spy_dtypes(monkeypatch):
+    """Record the dtype that every `linalg._eliminate` step leaves: int64,
+    or object once the loop has moved to Python ints."""
+    seen = []
+    run = linalg._eliminate
+
+    def spy(m, targets, piv, col):
+        out = run(m, targets, piv, col)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
     return seen
 
 

@@ -1,22 +1,32 @@
-"""Sparse integer elimination against a dense Fraction oracle."""
+"""Vectorized integer elimination against the dict-row and dense Fraction oracles."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_rank, det_oracle
+from helpers import (
+    dense_rank,
+    dense_rows,
+    det_oracle,
+    int_echelon_oracle,
+    nullspace_oracle,
+    rank,
+    reduce_against_oracle,
+    row_to_int,
+    spy_dtypes,
+)
 from spin9.canonical import givens9, mat9_mul
 from spin9.linalg import (
     clear_denominators,
     det,
+    int_array,
     int_echelon,
     nullspace,
-    rank,
     reduce_against,
-    row_to_int,
 )
 from spin9.operators import (
     Operator16,
@@ -34,11 +44,20 @@ def _random_rows(rng, nrows, ncols, density=0.6, span=5):
     return rows
 
 
+def _pivots(ech):
+    return [int(c) for c in (ech != 0).argmax(axis=1)]
+
+
 def test_rank_known_matrices():
-    assert rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
-    assert rank([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
-    assert rank([]) == 0
-    assert rank([{}]) == 0
+    for rows, ncols, expected in (
+        ([{0: 1, 1: 2}, {0: 2, 1: 4}], 2, 1),
+        ([{0: 1}, {1: 1}, {0: 1, 1: 1}], 2, 2),
+        ([], 2, 0),
+        ([{}], 2, 0),
+    ):
+        assert rank(rows) == expected
+        dense = np.array(dense_rows(rows, ncols), dtype=np.int64).reshape(-1, ncols)
+        assert len(int_echelon(dense)) == expected
 
 
 def test_row_to_int_clears_denominators():
@@ -52,19 +71,23 @@ def test_row_to_int_clears_denominators():
 
 def test_nullspace_known_system():
     # x0 + x1 + x2 = 0, x0 - x1 = 0  ->  span{(1, 1, -2)}
-    vecs = nullspace([{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1}], 3)
+    vecs = nullspace([[1, 1, 1], [1, -1, 0]])
     assert len(vecs) == 1
     v = vecs[0]
     assert v[0] == v[1] and v[2] == -2 * v[0]
     g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
     assert g == 1
+    assert all(type(x) is int for x in v)
+    assert vecs == nullspace_oracle([{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1}], 3)
 
 
 def test_nullspace_vectors_satisfy_system():
     rng = random.Random(31)
     for _ in range(20):
         rows = _random_rows(rng, 6, 8)
-        for v in nullspace(rows, 8):
+        vecs = nullspace(dense_rows(rows, 8))
+        assert vecs == nullspace_oracle(rows, 8)
+        for v in vecs:
             assert any(v)
             for row in rows:
                 assert sum(coef * v[c] for c, coef in row.items()) == 0
@@ -74,19 +97,89 @@ def test_rank_nullity_on_random_systems():
     rng = random.Random(32)
     for _ in range(20):
         rows = _random_rows(rng, 7, 9)
-        r = rank(rows)
-        n = len(nullspace(rows, 9))
-        assert r + n == 9
-        assert r == dense_rank(rows, 9)
+        dense = dense_rows(rows, 9)
+        ech = int_echelon(dense)
+        n = len(nullspace(dense))
+        assert len(ech) + n == 9
+        assert len(ech) == dense_rank(rows, 9) == rank(rows)
+        oracle = int_echelon_oracle(row_to_int(r) for r in rows)
+        assert _pivots(ech) == [c for c, _ in oracle]
         # the echelon rows have the kernel basis of the rows they came from
-        assert nullspace([row for _, row in int_echelon(rows)], 9) == nullspace(rows, 9)
+        assert nullspace(ech) == nullspace(dense)
+        assert int_echelon(ech).tolist() == ech.tolist()
 
 
 def test_reduce_against_detects_membership():
-    rows = [{0: 1, 1: 2}, {2: 3, 3: 1}]
-    ech = int_echelon(rows)
-    assert not reduce_against(ech, {0: 2, 1: 4, 2: 3, 3: 1})
-    assert reduce_against(ech, {0: 1, 1: 1})
+    ech = int_echelon([[1, 2, 0, 0], [0, 0, 3, 1]])
+    left = reduce_against(ech, [[2, 4, 3, 1], [1, 1, 0, 0], [0, 0, 0, 0]])
+    assert left.any(axis=1).tolist() == [False, True, False]
+    oracle = int_echelon_oracle([{0: 1, 1: 2}, {2: 3, 3: 1}])
+    assert not reduce_against_oracle(oracle, {0: 2, 1: 4, 2: 3, 3: 1})
+    assert reduce_against_oracle(oracle, {0: 1, 1: 1})
+
+
+def test_echelon_is_the_primitive_reduced_form():
+    # one row per pivot, primitive, positive pivot, zero in the other
+    # pivot columns, whatever the order of the rows
+    rng = random.Random(33)
+    for _ in range(20):
+        rows = dense_rows(_random_rows(rng, 6, 7), 7)
+        ech = int_echelon(rows)
+        pivots = _pivots(ech)
+        assert pivots == sorted(set(pivots))
+        for k, (p, row) in enumerate(zip(pivots, ech.tolist())):
+            assert row[p] > 0 and gcd(*row) == 1
+            assert all(ech[j, p] == 0 for j in range(len(ech)) if j != k)
+        assert int_echelon(rows[::-1]).tolist() == ech.tolist()
+
+
+def test_echelon_past_the_int64_bound_finishes_in_python_ints(monkeypatch):
+    # entries near 2**20: the first steps fit in int64, the cross products
+    # of later ones do not, so the loop moves to Python ints partway
+    rng = random.Random(34)
+    rows = [
+        {c: rng.randint(1 << 19, 1 << 20) * rng.choice((-1, 1)) for c in range(6)}
+        for _ in range(5)
+    ]
+    seen = spy_dtypes(monkeypatch)
+    ech = int_echelon(dense_rows(rows, 6))
+    assert seen[0] == np.int64 and seen[-1] == object
+    assert ech.dtype == object and max(abs(x) for x in ech.ravel()) >= 1 << 63
+    assert all(type(x) is int for x in ech.ravel())
+    oracle = int_echelon_oracle(rows)
+    assert _pivots(ech) == [c for c, _ in oracle]
+    assert nullspace(dense_rows(rows, 6)) == nullspace_oracle(rows, 6)
+    left = reduce_against(ech, dense_rows(rows, 6))
+    assert not left.any()
+    # entries past int64 from the start stay Python ints throughout
+    big = [[(1 << 70) + 1, 3], [5, 1 << 65]]
+    assert int_array(big).dtype == object
+    # numpy alone reads 2**63 in a list as a float; it stays an exact int
+    assert int_array([[1 << 63, 1]]).tolist() == [[1 << 63, 1]]
+    assert len(int_echelon(big)) == 2
+    assert nullspace([[1 << 70, -(1 << 71)]]) == [[2, 1]]
+
+
+def test_a_step_whose_bound_reaches_2_63_runs_in_python_ints(monkeypatch):
+    # rows (P, P, 1), (-(P + 1), P, 1): the first step's bound is
+    # P (P + 1) + (P + 1) P, and the minor P^2 + (P + 1) P it produces
+    # reaches it; at P = 2**31 that is past int64, at P = 2**30 not
+    for p, dtype in ((1 << 31, object), (1 << 30, np.int64)):
+        rows = [{0: p, 1: p, 2: 1}, {0: -(p + 1), 1: p, 2: 1}]
+        seen = spy_dtypes(monkeypatch)
+        vecs = nullspace(dense_rows(rows, 3))
+        assert seen[0] == dtype
+        assert vecs == nullspace_oracle(rows, 3)
+
+
+def test_float_entries_are_rejected():
+    for rows in ([[1.0, 2.0]], [[1, 0.5]], [[1, Fraction(1, 2)]], [[1 << 70, 0.5]]):
+        with pytest.raises(ValueError):
+            int_echelon(rows)
+        with pytest.raises(ValueError):
+            nullspace(rows)
+        with pytest.raises(ValueError):
+            reduce_against(int_echelon([[1, 0]]), rows)
 
 
 def test_det_known_values():
@@ -158,16 +251,17 @@ small_matrix = st.lists(
 @settings(max_examples=60)
 def test_rank_matches_dense_oracle(mat):
     rows = [{c: v for c, v in enumerate(row) if v} for row in mat]
-    assert rank(rows) == dense_rank(rows, 5)
+    assert len(int_echelon(mat)) == rank(rows) == dense_rank(rows, 5)
 
 
 @given(small_matrix)
 @settings(max_examples=40)
 def test_echelon_row_space_membership(mat):
     rows = [{c: v for c, v in enumerate(row) if v} for row in mat]
-    ech = int_echelon(rows)
+    assert not reduce_against(int_echelon(mat), mat).any()
+    ech = int_echelon_oracle(row_to_int(r) for r in rows)
     for row in rows:
-        assert not reduce_against(ech, dict(row))
+        assert not reduce_against_oracle(ech, dict(row))
 
 
 def test_clear_denominators_all_int_fast_path():

@@ -12,9 +12,9 @@ from helpers import (
     matmul_oracle,
     rand_fraction_vector,
     rand_vector,
+    rank,
 )
 from spin9 import operators
-from spin9.linalg import rank
 from spin9.operators import (
     Operator16,
     RationalCirclePoint,

@@ -4,17 +4,23 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
     generator_image_oracle,
+    int_echelon_oracle,
     lie_derivative_oracle,
     matmul_oracle,
+    nullspace_oracle,
+    rank,
+    row_to_int,
+    spy_dtypes,
     stabilizer_system_oracle,
 )
 from spin9 import stabilizer
-from spin9.exterior import AlternatingForm
-from spin9.linalg import int_echelon, rank, row_to_int
+from spin9.exterior import AlternatingForm, sign_characters
+from spin9.linalg import int_echelon
 from spin9.operators import (
     Operator16,
     build_involutions,
@@ -22,6 +28,7 @@ from spin9.operators import (
     commutator,
 )
 from spin9.stabilizer import (
+    StabilizerResult,
     bracket_closure,
     decomposable_certification,
     decomposable_form_low,
@@ -29,12 +36,12 @@ from spin9.stabilizer import (
     infinitesimal_stabilizer,
     lambda1_exclusion,
     lambda3_exclusion,
+    operator_rows,
     sp4_certification,
     sp4_oracle_dimension,
     spans_involution_pairs,
     stabilizer_system,
     symplectic_form_r4,
-    operator_row,
     vec_to_operator,
 )
 
@@ -47,12 +54,35 @@ def _single_entry(r, c, n=16):
     return Operator16(rows)
 
 
-def _random_form(rng, degree, nterms=4):
+def _random_form(rng, degree, nterms=4, n=16, fractions=False):
     terms = {}
     for _ in range(nterms):
-        idx = tuple(sorted(rng.sample(range(16), degree)))
-        terms[idx] = rng.randint(-3, 3)
+        idx = tuple(sorted(rng.sample(range(n), degree)))
+        v = rng.randint(-3, 3)
+        terms[idx] = Fraction(v, rng.randint(1, 4)) if fractions else v
     return AlternatingForm(degree, terms)
+
+
+def _fraction_form():
+    rng = random.Random(74)
+    return AlternatingForm(3, {
+        tuple(sorted(rng.sample(range(16), 3))):
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for _ in range(6)
+    })
+
+
+def _as_rows(blocks):
+    """The blocks of `stabilizer_system` as dict rows {column: value}."""
+    return [
+        {u: v for u, v in zip(units.tolist(), row) if v}
+        for units, rows in blocks
+        for row in rows.tolist()
+    ]
+
+
+def _sorted_rows(rows):
+    return sorted(sorted(row.items()) for row in rows)
 
 
 def test_generator_image_matches_lie_derivative(omega8):
@@ -70,66 +100,149 @@ def test_generator_image_matches_lie_derivative(omega8):
 
 
 def test_stabilizer_system_matches_the_per_unit_oracle(omega8):
-    rng = random.Random(74)
-    fraction_form = AlternatingForm(3, {
-        tuple(sorted(rng.sample(range(16), 3))):
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        for _ in range(6)
-    })
     for form, n in (
         (omega8, 16),
         (decomposable_form_low(), 16),
         (symplectic_form_r4(), 4),
-        (fraction_form, 16),
+        (_fraction_form(), 16),
     ):
-        rows = stabilizer_system(form, n)
+        blocks = stabilizer_system(form, n)
         oracle = stabilizer_system_oracle(form, n)
-        # equal rows with the same column order, in the same row order
-        assert [list(r.items()) for r in rows] == [
-            list(r.items()) for r in oracle
-        ]
+        # the same equations, with the coefficients cleared of the form's
+        # common denominator d
+        _, d = form._integer_table()
+        assert _sorted_rows(_as_rows(blocks)) == _sorted_rows(
+            {c: v * d for c, v in row.items()} for row in oracle
+        )
+        # every unit lies in exactly one block, and a block's units
+        # increase, as do its first units from block to block
+        units = [u.tolist() for u, _ in blocks]
+        assert sorted(sum(units, [])) == list(range(n * n))
+        assert all(u == sorted(u) for u in units)
+        assert [u[0] for u in units] == sorted(u[0] for u in units)
 
 
-def test_distinct_rows_leave_the_echelon_unchanged(omega8):
-    for form, n, kept in (
-        (omega8, 16, 5982),
-        (decomposable_form_low(), 16, None),
-        (symplectic_form_r4(), 4, None),
-    ):
-        rows = stabilizer_system(form, n)
-        distinct = stabilizer._distinct_rows(rows)
-        assert int_echelon(distinct) == int_echelon(row_to_int(r) for r in rows)
-        if kept is not None:
-            assert (len(rows), len(distinct)) == (12030, kept)
-    # rows compare as primitive integer rows: a row equal to an earlier
-    # one up to sign or scale goes, one that differs in a single sign stays
-    assert stabilizer._distinct_rows(
-        [{0: 1, 3: -2}, {0: -1, 3: 2}, {0: 2, 3: -4}, {0: Fraction(1, 2), 3: 1}]
-    ) == [{0: 1, 3: -2}, {0: 1, 3: 2}]
+def _oracle_solve(form, n):
+    """(rows, rank, pivot columns, kernel basis) of the dict echelon oracle
+    on the per-unit rows, the whole system at once."""
+    rows = stabilizer_system_oracle(form, n)
+    ech = int_echelon_oracle(row_to_int(r) for r in rows)
+    kernel = nullspace_oracle([row for _, row in ech], n * n)
+    return len(rows), len(ech), [c for c, _ in ech], kernel
+
+
+def test_block_solve_matches_the_dict_echelon_oracle(omega8):
+    rng = random.Random(75)
+    cases = [
+        (omega8, 16),
+        (decomposable_form_low(), 16),
+        (symplectic_form_r4(), 4),
+        (_fraction_form(), 16),
+    ]
+    for k in range(20):
+        n = rng.choice((5, 8, 12, 16))
+        degree = rng.randint(1, min(n, 6))
+        form = _random_form(rng, degree, rng.randint(1, 8), n, fractions=k % 3 == 0)
+        if form:
+            cases.append((form, n))
+    assert len(cases) >= 24
+    for form, n in cases:
+        blocks = stabilizer_system(form, n)
+        pivots = sorted(
+            units[p]
+            for units, rows in blocks
+            for p in (int_echelon(rows) != 0).argmax(axis=1)
+        )
+        result = infinitesimal_stabilizer(form, n)
+        nrows, oracle_rank, oracle_pivots, oracle_kernel = _oracle_solve(form, n)
+        assert sum(len(rows) for _, rows in blocks) == nrows
+        assert result.system_rank == oracle_rank == len(pivots)
+        assert pivots == oracle_pivots
+        # the same vectors, in the same order
+        assert operator_rows(result.kernel_basis, n).tolist() == oracle_kernel
+    assert sum(len(rows) for _, rows in stabilizer_system(omega8, 16)) == 12030
+
+
+def test_sign_blocks_of_the_eight_form(omega8):
+    masks = list(omega8._terms)
+    generators, characters = sign_characters(masks, masks)
+    assert len(generators) == 5 and not characters.any()
+    # D is every sign mask that fixes each monomial, found by brute force
+    signs = np.arange(1 << 16)
+    moved = np.zeros(1 << 16, dtype=bool)
+    for m in masks:
+        moved |= np.bitwise_count(signs & m) % 2 == 1
+    group = set(np.flatnonzero(~moved).tolist())
+    spanned = {0}
+    for g in generators:
+        spanned |= {s ^ g for s in spanned}
+    assert len(group) == 32 and spanned == group
+    for g in generators:
+        diag = [[0] * 16 for _ in range(16)]
+        for i in range(16):
+            diag[i][i] = -1 if g >> i & 1 else 1
+        assert omega8.pullback(Operator16(diag)) == omega8
+
+    blocks = stabilizer_system(omega8, 16)
+    ranks = [len(int_echelon(rows)) for _, rows in blocks]
+    assert [len(units) for units, _ in blocks] == [16] * 16
+    assert sorted(16 - r for r in ranks) == [0] + [1] * 8 + [4] * 7
+    assert sum(ranks) == 220
+    sizes = sorted(len(u) for u, _ in stabilizer_system(decomposable_form_low(), 16))
+    assert sizes == [2] * 120 + [16]
+
+
+def test_eight_form_solve_stays_on_int64(omega8, monkeypatch):
+    blocks = stabilizer_system(omega8, 16)
+    assert {rows.dtype for _, rows in blocks} == {np.dtype(np.int64)}
+    seen = spy_dtypes(monkeypatch)
+    result = infinitesimal_stabilizer(omega8)
+    assert bracket_closure(result).passed and spans_involution_pairs(result)
+    assert len(seen) > 100 and set(seen) == {np.dtype(np.int64)}
+
+
+def test_huge_coefficients_solve_in_python_ints(monkeypatch):
+    # a coefficient past 2**63 puts its system on Python ints from the
+    # start; the kernel is the one of the scaled-down form
+    small = _random_form(random.Random(76), 3, 5)
+    huge = small.scale(1 << 70)
+    assert {r.dtype for _, r in stabilizer_system(huge, 16)} == {np.dtype(object)}
+    seen = spy_dtypes(monkeypatch)
+    a, b = infinitesimal_stabilizer(huge), infinitesimal_stabilizer(small)
+    assert np.dtype(object) in seen
+    assert a.kernel_basis == b.kernel_basis and a.system_rank == b.system_rank
 
 
 def test_stabilizer_system_rows_are_lie_coefficients():
     rng = random.Random(72)
     f = _random_form(rng, 2, nterms=3)
-    rows = stabilizer_system(f, 16)
-    # every equation must kill the corresponding monomial of L_A f for
-    # the generators that appear in it
-    ops = {}
-    for row in rows[:20]:
-        for col, coeff in row.items():
-            r, c = divmod(col, 16)
-            if (r, c) not in ops:
-                ops[(r, c)] = f.lie_derivative(_single_entry(r, c))
-    for row in rows[:20]:
-        assert row
+    blocks = stabilizer_system(f, 16)
+    # the column of unit E_rc holds the coefficients of L_{E_rc} f, one
+    # per equation of the block, and nothing in the other blocks
+    for units, rows in blocks:
+        for j, u in enumerate(units.tolist()):
+            image = f.lie_derivative(_single_entry(*divmod(u, 16)))
+            column = [v for v in rows[:, j].tolist() if v]
+            assert sorted(column) == sorted(image._terms.values())
+    # a random matrix A: the rows times A are the coefficients of L_A f
+    a = [rng.randint(-3, 3) for _ in range(256)]
+    values = [
+        v for units, rows in blocks
+        for v in (rows @ np.array(a)[units]).tolist() if v
+    ]
+    image = f.lie_derivative(vec_to_operator(a, 16))
+    assert sorted(values) == sorted(image._terms.values())
+    assert all(rows.any(axis=1).all() for _, rows in blocks)
 
 
 def test_vec_operator_round_trip():
     rng = random.Random(73)
     vec = tuple(rng.randint(-3, 3) for _ in range(256))
-    # the entries include +-1, so the gcd scaling of the row is 1
-    row = operator_row(vec_to_operator(vec, 16), 16)
-    assert row == {i: v for i, v in enumerate(vec) if v}
+    row = operator_rows([vec_to_operator(vec, 16)], 16)
+    assert row.tolist() == [list(vec)]
+    # the public constructor still validates its entries
+    with pytest.raises(ValueError):
+        vec_to_operator((0.5,) + vec[1:], 16)
 
 
 def test_sp4_oracle_dimension():
@@ -158,7 +271,7 @@ def test_operators_outside_the_block_are_rejected():
     with pytest.raises(ValueError, match="outside the 4 x 4 block"):
         in_kernel_span(result, _single_entry(5, 9))
     with pytest.raises(ValueError, match="outside the 4 x 4 block"):
-        operator_row(result.kernel_basis[0] + _single_entry(0, 4), 4)
+        operator_rows([result.kernel_basis[0] + _single_entry(0, 4)], 4)
     assert in_kernel_span(result, result.kernel_basis[0])
 
 
@@ -183,13 +296,13 @@ def test_eight_form_kernel_certificate(omega8):
 
 
 def test_truncated_system_fails_the_certificate(omega8, monkeypatch):
-    # 100 of the equations leave a kernel far larger than spin(9); a
-    # kernel vector outside the stabilizer must stop the solve
+    # 6 equations per block, 96 in all, leave a kernel far larger than
+    # spin(9); a kernel vector outside the stabilizer must stop the solve
     system = stabilizer.stabilizer_system
     monkeypatch.setattr(
         stabilizer,
         "stabilizer_system",
-        lambda form, n: system(form, n)[:100],
+        lambda form, n: [(units, rows[:6]) for units, rows in system(form, n)],
     )
     with pytest.raises(AssertionError, match="kernel vector moves the form"):
         infinitesimal_stabilizer(omega8)
@@ -211,6 +324,18 @@ def test_eight_form_kernel_closes_under_bracket(omega8):
     assert rep.passed
 
 
+def test_bracket_closure_counts_the_pairs_that_leave_the_span():
+    # [E_01, E_10] = E_00 - E_11 leaves span{E_01, E_10}; adding it closes
+    # sl(2).  Scaled by 2**40 the batched product runs on Python ints.
+    for scale in (1, 1 << 40):
+        e, f = _single_entry(0, 1).scale(scale), _single_entry(1, 0).scale(scale)
+        h = _single_entry(0, 0).scale(scale) - _single_entry(1, 1).scale(scale)
+        for basis, pairs, failures in (((e, f), 1, 1), ((e, f, h), 3, 0)):
+            result = StabilizerResult(len(basis), basis, False, 0, 16)
+            details = dict(bracket_closure(result).checks[0].details)
+            assert (details["pairs"], details["failures"]) == (pairs, failures)
+
+
 def test_kernel_basis_products_match_dense_oracle(omega8):
     # the 630 commutators that bracket_closure forms, product by product
     basis = infinitesimal_stabilizer(omega8).kernel_basis
@@ -222,12 +347,10 @@ def test_kernel_basis_products_match_dense_oracle(omega8):
 
 def test_kernel_dimension_bounds_are_sharp(omega8):
     # the 36 pair products are independent solutions, so 36 is attained
-    rows = [
-        operator_row(clifford_product((i, j)), 16)
-        for i in range(9)
-        for j in range(i + 1, 9)
-    ]
-    assert rank(rows) == 36
+    prods = [clifford_product((i, j)) for i in range(9) for j in range(i + 1, 9)]
+    rows = operator_rows(prods)
+    assert len(int_echelon(rows)) == 36
+    assert rank([{c: v for c, v in enumerate(row) if v} for row in rows.tolist()]) == 36
 
 
 def test_lambda1_exclusion_witnesses(omega8):
