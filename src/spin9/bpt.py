@@ -58,8 +58,8 @@ def _crosses(vectors) -> tuple:
     x = np.array(ints, dtype=object).reshape(-1, 2, 8)
     i, j, _, _ = _pair_slots(len(x))
 
-    def step(p, x):
-        c = oct_mul(x[j] * _LEFT, x[i] * _RIGHT, p).sum(axis=1)
+    def step(x):
+        c = oct_mul(x[j] * _LEFT, x[i] * _RIGHT).sum(axis=1)
         c[:, 0] = 0
         return c
 
@@ -133,11 +133,8 @@ def _factor_sum(vectors, k: int) -> Fraction | int:
         raise ValueError(f"the {k}-form takes {k} vectors")
     crosses, d = _crosses(vs)
 
-    def step(p, c):
-        terms = c[:, None, :] * c[None, :, :]
-        if p:
-            terms %= p
-        return (terms * XOR_SIGN[:, 0]).sum(axis=-1)
+    def step(c):
+        return (c[:, None, :] * c[None, :, :] * XOR_SIGN[:, 0]).sum(axis=-1)
 
     table = exact_array(step, 8 * max(map(abs, crosses.flat)) ** 2, crosses)
     factors, terms = _factor_plan(k)
@@ -184,8 +181,8 @@ def bpt_8form_full(vectors) -> Fraction | int:
     crosses, d = _crosses(vs)
     left, right, shuffle = _block_plan()
 
-    def step(p, c):
-        prods = oct_mul(c[left], c[right], p).reshape(70, 6, 8)
+    def step(c):
+        prods = oct_mul(c[left], c[right]).reshape(70, 6, 8)
         return 4 * (prods * _BLOCK_SIGNS[:, None]).sum(axis=1)
 
     bound = 192 * max(map(abs, crosses.flat)) ** 2

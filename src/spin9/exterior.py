@@ -36,12 +36,10 @@ expand.  One group sums into a dense 2**16 accumulator, several by
 
 One driver, `_exact`, serves all four kernels and `exact_array`, which
 runs the array stages of the BPT audit.  Each bounds its sums by B
-before any arithmetic (the wedge by the largest B_g = sum |a|_1 |b|_1);
-below 2**63 its per-modulus step runs once in int64, which then holds
-every product and partial sum, otherwise once modulo each of the fewest
-primes below 2**31 whose product exceeds 2B, checking that the sums
-cannot overflow, and `_crt` rebuilds the exact integers by the Chinese
-remainder theorem.  No float enters either path.  The other kernels:
+before any arithmetic (the wedge by the largest B_g = sum |a|_1 |b|_1)
+and runs its step once: in int64 when B < 2**63, which then holds every
+product and partial sum, else on Python ints (dtype=object), the rule
+`linalg` follows too.  No float enters either way.  The other kernels:
 
 - `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
   and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands all
@@ -315,71 +313,35 @@ def _require_int(name: str, *groups) -> None:
         raise TypeError(f"{name} takes integer coefficients only")
 
 
-def _residues(values, p: int) -> np.ndarray:
-    """Integers as an int64 array, reduced mod p if p (p = 0: as they are)."""
-    return np.fromiter((v % p for v in values) if p else values, dtype=np.int64)
-
-
-def _room(p: int) -> int:
-    """Terms below p in absolute value that int64 adds to a sum reduced mod p."""
-    return INT64_LIMIT // p - 1 if p else INT64_LIMIT
-
-
 def _exact(plan, bound: int, run) -> tuple:
     """(support, values, aux) of one exact kernel, whose step
-    `run(plan, p)` gives its sums mod p (exact if p = 0) as an int64 array
-    and an aux that no modulus changes: once in int64 if `bound` < 2**63,
-    else once per prime of `_moduli(bound)`.  `support` indexes the
-    nonzero sums, `values` holds them exactly, `aux` is the first run's.
+    `run(plan, dtype)` gives its sums as an array of that dtype and an
+    aux: once in int64 if `bound` < 2**63, else once on Python ints
+    (dtype=object).  `support` indexes the nonzero sums and `values`
+    holds them as ints.
     """
-    moduli = _moduli(bound)
-    if not moduli:
-        sums, aux = run(plan, 0)
-        support = np.flatnonzero(sums != 0)  # scans bool far faster than int64
-        return support, sums[support].tolist(), aux
-    runs = [run(plan, p) for p in moduli]
-    return (*_crt([sums for sums, _ in runs], moduli), runs[0][1])
+    sums, aux = run(plan, np.int64 if bound < INT64_LIMIT else object)
+    support = np.flatnonzero(sums != 0)  # scans bool far faster than int64
+    return support, sums[support].tolist(), aux
 
 
 def exact_array(step, bound: int, *arrays) -> np.ndarray:
-    """`step(p, *residues)` on `_exact`, as an object array of exact ints:
-    the step maps the int64 residues mod p (p = 0: the values) of integer
-    arrays to an int64 array, keeping its mod-p sums within int64; the
-    caller proves first that `bound` covers its inputs, products and sums.
+    """`step(*arrays)` on `_exact`, as an object array of exact ints: the
+    step maps integer arrays, cast to the driver's dtype, to an array of
+    that dtype; the caller proves first that `bound` covers its inputs,
+    products and sums.
     """
-    def run(_, p):
-        out = step(p, *((x % p if p else x).astype(np.int64) for x in arrays))
-        return out.ravel(), out.shape
-
-    support, values, shape = _exact(None, bound, run)
+    support, values, shape = _exact((step, arrays), bound, _array_step)
     out = np.zeros(math.prod(shape), dtype=object)
     out[support] = values
     return out.reshape(shape)
 
 
-def _moduli(bound: int) -> tuple:
-    """() if int64 holds sums bounded by `bound`, else primes for CRT.
-
-    The primes are the largest below 2**31, as few as make their product
-    exceed 2 * bound, so that residues pin every integer of absolute
-    value at most `bound`.
-    """
-    if bound < INT64_LIMIT:
-        return ()
-    primes, product = [], 1
-    while product <= 2 * bound:
-        primes.append(_prime_below(primes[-1] if primes else 1 << 31))
-        product *= primes[-1]
-    return tuple(primes)
-
-
-@functools.cache
-def _prime_below(n: int) -> int:
-    """The largest odd prime below n, by trial division."""
-    n -= 1 + n % 2
-    while not all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
-        n -= 2
-    return n
+def _array_step(plan, dtype) -> tuple:
+    """(flat result, shape) of an `exact_array` step on its arrays as dtype."""
+    step, arrays = plan
+    out = step(*(x.astype(dtype) for x in arrays))
+    return out.ravel(), out.shape
 
 
 # candidate term pairs expanded at once; bounds the memory: the 4 x 2**14 int64
@@ -399,13 +361,13 @@ def wedge_sums(groups) -> list:
     {mask: int}: one table per group, no zero entries.
 
     B_g = sum |a|_1 |b|_1 bounds every product and partial sum of group
-    g; all groups run together under `_exact` with the largest B_g.
+    g; all groups run together under `_exact` with the largest B_g (at
+    least every |a|_1, see `_wedge_plan`).
     """
     plan, bound, count = _wedge_plan(groups)
     if plan is None:
         return [{} for _ in range(count)]
-    # no step drops a sum by its value, so the primes share their keys
-    nz, values, keys = _exact(plan, bound, _wedge_sums_mod)
+    nz, values, keys = _exact(plan, bound, _wedge_step)
     if keys is None:
         return [dict(zip(nz.tolist(), values))]
     keys = keys[nz]
@@ -417,8 +379,10 @@ def wedge_sums(groups) -> list:
 
 
 def _wedge_plan(groups) -> tuple:
-    """(plan, max B_g, group count) for `_wedge_sums_mod`; plan is None
-    when no pair has two nonempty tables.
+    """(plan, B, group count) for `_wedge_step`; plan is None when no
+    pair has two nonempty tables.  B is the largest B_g, or the largest
+    |a|_1 if more, so that it covers a coefficient whose partner table
+    holds only zeros.
 
     A row of the plan is one term of a pair's first table with the range
     of its partner terms in the second table.  When both tables of a pair
@@ -465,11 +429,11 @@ def _wedge_plan(groups) -> tuple:
     coeffs = [v for t in tables.values() for v in t.values()]
     rows = np.array((a_at + term, shift, square, group))
     plan = (masks, coeffs, rows, count, ends, len(groups) > 1)
-    return plan, max(bounds), len(groups)
+    return plan, max(*bounds, *norms.values()), len(groups)
 
 
-def _wedge_sums_mod(plan, p: int) -> tuple:
-    """(sums, keys) of the grouped pair sums, exact if p = 0, else mod p.
+def _wedge_step(plan, dtype) -> tuple:
+    """(sums, keys) of the grouped pair sums, as an array of dtype.
 
     The rows expand in chunks of at most WEDGE_CHUNK candidate term pairs
     (a row with more is a chunk alone).  A pair of overlapping masks drops
@@ -478,44 +442,32 @@ def _wedge_sums_mod(plan, p: int) -> tuple:
     dense 2**16 accumulator (keys None: the index is the mask).  Several
     sum by `np.unique` on the keys group << 16 | mask; the rows run group
     by group, so only the last group of a chunk carries into the next.
-    Mod p every product enters below p in absolute value and the sums are
-    reduced after each chunk, so a chunk may hold `_room(p)` products.
     """
     masks, coeffs, rows, count, ends, grouped = plan
     p16, poppar = _np_tables()
-    c = _residues(coeffs, p)
-    room = _room(p)
-    limit = min(WEDGE_CHUNK, room)
+    c = np.array(coeffs, dtype=dtype)
     parts: list = []
     keys = np.zeros(0, dtype=np.int64)
-    sums = np.zeros(0 if grouped else 1 << 16, dtype=np.int64)
+    sums = np.zeros(0 if grouped else 1 << 16, dtype=dtype)
     lo, before = 0, 0
     while lo < count.size:
-        hi = max(lo + 1, int(np.searchsorted(ends, before + limit, "right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, before + WEDGE_CHUNK, "right")))
         load = int(ends[hi - 1]) - before
-        if load > room:
-            raise OverflowError("one row exceeds the modular room")
         cand = np.repeat(rows[:, lo:hi], count[lo:hi], axis=1)
         cand[1] += np.arange(before, before + load)  # the partner terms
         disjoint = np.flatnonzero((masks[cand[0]] & masks[cand[1]]) == 0)
         left, right, twice, group = cand[:, disjoint]
         ml, mr = masks[left], masks[right]
         vals = c[left] * c[right] << twice
-        if p:
-            vals %= p
         vals *= 1 - 2 * poppar[p16[ml] & mr]
         if not grouped:
             np.add.at(sums, ml | mr, vals)
-            if p:
-                sums %= p
         else:
             keys, inverse = np.unique(
                 np.concatenate((keys, group << 16 | ml | mr)), return_inverse=True
             )
-            total = np.zeros(keys.size, dtype=np.int64)
+            total = np.zeros(keys.size, dtype=dtype)
             np.add.at(total, inverse, np.concatenate((sums, vals)))
-            if p:
-                total %= p
             # the keys of the chunk's last group carry into the next chunk
             cut = np.searchsorted(keys, rows[3, hi - 1] << 16)
             parts.append((total[:cut], keys[:cut]))
@@ -525,21 +477,6 @@ def _wedge_sums_mod(plan, p: int) -> tuple:
         return sums, None
     parts.append((sums, keys))
     return tuple(np.concatenate(x) for x in zip(*parts))
-
-
-def _crt(residues, moduli) -> tuple:
-    """(support, values): the indices at which the integers of absolute
-    value below prod(moduli) / 2 with these residues are nonzero, and
-    those integers."""
-    modulus = math.prod(moduli)
-    weights = [modulus // p * pow(modulus // p, -1, p) for p in moduli]
-    residues = [r % p for r, p in zip(residues, moduli)]
-    support = np.flatnonzero(functools.reduce(np.bitwise_or, residues) != 0)
-    values = []
-    for rs in zip(*(r[support].tolist() for r in residues)):
-        x = sum(r * w for r, w in zip(rs, weights)) % modulus
-        values.append(x - modulus if 2 * x > modulus else x)
-    return support, values
 
 
 # exact pullback kernel ------------------------------------------------------
@@ -554,12 +491,12 @@ def pullback_table(table: dict, degree: int, entries) -> dict:
     plan, bound = _pullback_plan(table, degree, entries)
     if plan is None:
         return {}
-    support, values, _ = _exact(plan, bound, _pullback_mod)
+    support, values, _ = _exact(plan, bound, _pullback_step)
     return dict(zip(support.tolist(), values))
 
 
 def _pullback_plan(table: dict, degree: int, entries) -> tuple:
-    """(plan, B) for `_pullback_mod`; plan is None when nothing survives.
+    """(plan, B) for `_pullback_step`; plan is None when nothing survives.
 
     Monomial m becomes the wedge over its indices t of sum_c A[t][c] dx_c.
     B = sum_m |c_m| prod_t |row t|_1 bounds every leaf and partial sum,
@@ -586,10 +523,10 @@ def _pullback_plan(table: dict, degree: int, entries) -> tuple:
     chunks, start, load = [], 0, 0
     for k, size in enumerate(fans.tolist()):
         if load and load + size > PULLBACK_CHUNK:
-            chunks.append((start, k, load))
+            chunks.append((start, k))
             start, load = k, 0
         load += size
-    chunks.append((start, keep.size, load))
+    chunks.append((start, keep.size))
     plan = (
         idx[keep],
         coeffs[keep].tolist(),
@@ -601,25 +538,21 @@ def _pullback_plan(table: dict, degree: int, entries) -> tuple:
     return plan, bound
 
 
-def _pullback_mod(plan, p: int) -> tuple:
-    """(accumulator, None) of the pullback, exact if p = 0, else mod p.
+def _pullback_step(plan, dtype) -> tuple:
+    """(accumulator, None) of the pullback, as an array of dtype.
 
     All monomials of a chunk expand together, one index position at a
     time, as arrays of (monomial, mask, coefficient, sign parity): each
     state branches over the nonzero entries of its row, a leaf whose
     column is already in the mask drops out, and the incoming dx_col
-    moves left past the mask's indices above col.  Mod p a leaf enters
-    below p in absolute value, so the accumulator is reduced before every
-    chunk and a chunk may hold `_room(p)` leaves.
+    moves left past the mask's indices above col.
     """
     idx, coeffs, indptr, cols, vals, chunks = plan
     p16, _ = _np_tables()
     nnz = np.diff(indptr)
-    values, start = _residues(vals, p), _residues(coeffs, p)
-    acc = np.zeros(1 << 16, dtype=np.int64)
-    for lo, hi, load in chunks:
-        if load > _room(p):
-            raise OverflowError("one monomial exceeds the modular room")
+    values, start = np.array(vals, dtype=dtype), np.array(coeffs, dtype=dtype)
+    acc = np.zeros(1 << 16, dtype=dtype)
+    for lo, hi in chunks:
         mon = np.arange(lo, hi)
         mask = np.zeros(hi - lo, dtype=np.int64)
         odd = np.zeros(hi - lo, dtype=np.int64)
@@ -638,12 +571,8 @@ def _pullback_mod(plan, p: int) -> tuple:
             odd = odd[src] ^ (p16[old] >> col & 1)
             mask = old | 1 << col
             coef = coef[src] * values[pos]
-            if p:
-                coef %= p
             mon = mon[src]
         coef *= 1 - 2 * odd
-        if p:
-            acc %= p
         np.add.at(acc, mask, coef)
     return acc, None
 
@@ -713,7 +642,7 @@ def evaluate_table(table: dict, columns, plan=None) -> int:
     if not kept.size or not bound:
         return 0
     rows = kept if kept.size < len(table) else slice(None)
-    nz, minors, _ = _exact((plan, rows, cut, reach), bound, _laplace_mod)
+    nz, minors, _ = _exact((plan, rows, cut, reach), bound, _laplace_step)
     coeffs = list(table.values())
     return sum(coeffs[k] * x for k, x in zip(kept[nz].tolist(), minors))
 
@@ -724,32 +653,27 @@ def _laplace_plan(table: dict, degree: int) -> tuple:
     return _laplace_split(masks, degree, degree // 2)
 
 
-def _laplace_mod(plan, p: int) -> tuple:
-    """(minors, None) of the kept monomials, exact if p = 0, else mod p."""
+def _laplace_step(plan, dtype) -> tuple:
+    """(minors, None) of the kept monomials, as an array of dtype."""
     split, rows, columns, reach = plan
-    cols = _residues(itertools.chain(*columns), p).reshape(len(columns), 16)
-    return _minors(split, cols, p, reach, rows), None
+    cols = np.array(columns, dtype=dtype).reshape(len(columns), 16)
+    return _minors(split, cols, reach, rows), None
 
 
-def _minors(split, cols, p: int, reach: int, rows=slice(None)) -> np.ndarray:
+def _minors(split, cols, reach: int, rows=slice(None)) -> np.ndarray:
     """The minors on the columns cols of a split's masks (the rows given),
     from its halves' minors on their masks inside reach (the others are
-    0).  Mod p every product is reduced below p before the sum over at
-    most C(16, 8) splits, and a half's sums before the next products.
+    0), in the dtype of cols.
     """
     _, q, sign, *halves = split
-    vals = np.ones(1, dtype=np.int64)
+    vals = np.ones(1, dtype=cols.dtype)
     for (index, half), part in zip(halves, (cols[:q], cols[q:])):
-        values = part[0] if len(part) else np.ones(1, dtype=np.int64)
+        values = part[0] if len(part) else np.ones(1, dtype=cols.dtype)
         if half is not None:
             inside = np.flatnonzero((half[0] & ~reach) == 0)
-            values = np.zeros(half[0].size, dtype=np.int64)
-            values[inside] = _minors(half, part, p, reach, inside)
-            if p:
-                values %= p
+            values = np.zeros(half[0].size, dtype=cols.dtype)
+            values[inside] = _minors(half, part, reach, inside)
         vals = vals * values.take(index[rows])
-    if p:
-        vals %= p
     vals *= sign[rows]
     return vals.sum(axis=1)
 
@@ -834,22 +758,15 @@ def lie_table(table: dict, entries) -> dict:
         list(table), [r for r, _, _ in entries], [c for _, c, _ in entries]
     )
     plan = (out, odd, mon, unit, coeffs, vals)
-    support, values, _ = _exact(plan, bound, _lie_mod)
+    support, values, _ = _exact(plan, bound, _lie_step)
     return dict(zip(support.tolist(), values))
 
 
-def _lie_mod(plan, p: int) -> tuple:
-    """(accumulator, None) of the Lie derivative, exact if p = 0, else
-    mod p.  Mod p an incidence enters below p in absolute value, so the
-    sum holds `_room(p)` of them.
-    """
+def _lie_step(plan, dtype) -> tuple:
+    """(accumulator, None) of the Lie derivative, as an array of dtype."""
     out, odd, mon, unit, coeffs, vals = plan
-    if out.size > _room(p):
-        raise OverflowError("the incidences exceed the modular room")
-    terms = _residues(coeffs, p)[mon] * _residues(vals, p)[unit]
-    if p:
-        terms %= p
+    terms = np.array(coeffs, dtype=dtype)[mon] * np.array(vals, dtype=dtype)[unit]
     terms *= 1 - 2 * odd
-    acc = np.zeros(1 << 16, dtype=np.int64)
+    acc = np.zeros(1 << 16, dtype=dtype)
     np.add.at(acc, out, terms)
     return acc, None

@@ -16,7 +16,7 @@ In this basis every unit product is u_a u_b = +-u_{a xor b}, which is
 checked at import, so the table reduces to its signs SIGN[a][b].  Two
 products read it: `coeff_mul`, the scalar loop on plain coefficient
 sequences of ints or Fractions, and `oct_mul`, the same sum batched over
-int64 arrays for the exact array stages of the BPT audit.
+integer arrays for the exact array stages of the BPT audit.
 
 Everything is exact: coefficients are ints or fractions.Fraction, never
 floats.  All objects here are immutable, so values can be shared freely
@@ -119,14 +119,12 @@ XOR = np.bitwise_xor.outer(np.arange(8), np.arange(8))
 XOR_SIGN = np.array(SIGN, dtype=np.int64)[np.arange(8)[:, None], XOR]
 
 
-def oct_mul(x: np.ndarray, y: np.ndarray, p: int = 0) -> np.ndarray:
-    """`coeff_mul` batched over the last axis of two int64 arrays, exact
-    while int64 holds its products and sums, which the caller bounds
-    first; with p > 0 each product is reduced mod p before the sum.
+def oct_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`coeff_mul` batched over the last axis of two integer arrays: exact
+    on Python ints (dtype=object), and in int64 while it holds the
+    products and sums, which the caller bounds first.
     """
     terms = x[..., :, None] * y[..., XOR]
-    if p:
-        terms %= p
     return (terms * XOR_SIGN).sum(axis=-2)
 
 

@@ -437,32 +437,22 @@ def alt_grouping_oracle(w):
     return {m: exact_ratio(-c, 2) for m, c in squares.items()}
 
 
-def spy_moduli(monkeypatch, step):
-    """Record the modulus of every run of the per-modulus kernel step
-    `exterior.<step>`, for example "_wedge_sums_mod" (0 = int64)."""
+def spy_dtypes(monkeypatch, step):
+    """Record the dtype of every run of a kernel step, by name: an
+    `exterior` step called as step(plan, dtype) by `exterior._exact`
+    (for example "_wedge_step"), or `linalg._eliminate`, which records
+    the dtype the elimination leaves: int64, or object once the loop has
+    moved to Python ints."""
     seen = []
-    run = getattr(exterior, step)
+    module = linalg if step == "_eliminate" else exterior
+    run = getattr(module, step)
 
-    def spy(plan, p):
-        seen.append(p)
-        return run(plan, p)
-
-    monkeypatch.setattr(exterior, step, spy)
-    return seen
-
-
-def spy_dtypes(monkeypatch):
-    """Record the dtype that every `linalg._eliminate` step leaves: int64,
-    or object once the loop has moved to Python ints."""
-    seen = []
-    run = linalg._eliminate
-
-    def spy(m, targets, piv, col):
-        out = run(m, targets, piv, col)
-        seen.append(out.dtype)
+    def spy(*args):
+        out = run(*args)
+        seen.append(out.dtype if module is linalg else np.dtype(args[-1]))
         return out
 
-    monkeypatch.setattr(linalg, "_eliminate", spy)
+    monkeypatch.setattr(module, step, spy)
     return seen
 
 
@@ -513,21 +503,6 @@ def apply_oracle(op, v):
         sum((Fraction(x) * Fraction(y) for x, y in zip(row, c)), Fraction(0))
         for row in op.rows
     ]
-
-
-def spy_exact(monkeypatch):
-    """Record the moduli of every `exterior._exact` run (() = int64), as
-    the driver's one `_moduli` call per run picks them."""
-    seen = []
-    pick = exterior._moduli
-
-    def spy(bound):
-        moduli = pick(bound)
-        seen.append(moduli)
-        return moduli
-
-    monkeypatch.setattr(exterior, "_moduli", spy)
-    return seen
 
 
 def _cross_table_oracle(vectors):

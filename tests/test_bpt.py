@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -13,7 +14,7 @@ from helpers import (
     rand_fraction_vector,
     rand_vector,
     s8_star_oracle,
-    spy_exact,
+    spy_dtypes,
 )
 from spin9 import bpt
 from spin9.bpt import (
@@ -89,9 +90,9 @@ def test_full_sum_builds_each_block_sum_once(monkeypatch):
     batched, split = [], []
     oct_mul, coeff_mul = bpt.oct_mul, bpt.coeff_mul
 
-    def counting_batch(x, y, p=0):
+    def counting_batch(x, y):
         batched.append(x.size // 8)
-        return oct_mul(x, y, p)
+        return oct_mul(x, y)
 
     def counting_split(x, y):
         split.append(1)
@@ -106,7 +107,7 @@ def test_full_sum_builds_each_block_sum_once(monkeypatch):
 
 def test_sums_match_the_octonion_oracles(monkeypatch):
     # int tuples, Fraction tuples, and entries near 2**30 that put the
-    # cross stage itself past int64, so that every stage runs on CRT
+    # cross stage itself past int64, so that every stage runs on Python ints
     rng = random.Random(86)
     cases = [[rand_vector(rng, span=9) for _ in range(8)] for _ in range(3)]
     cases.append([rand_fraction_vector(rng) for _ in range(8)])
@@ -114,18 +115,39 @@ def test_sums_match_the_octonion_oracles(monkeypatch):
         Vector16.from_coords([rng.randint(-(1 << 30), 1 << 30) for _ in range(16)])
         for _ in range(8)
     ]
-    seen = spy_exact(monkeypatch)
+    seen = spy_dtypes(monkeypatch, "_array_step")
     for vs in cases:
         assert bpt_8form_full(vs) == bpt_full_oracle(vs)
         assert bpt_8form_reduced(vs) == bpt_reduced_oracle(vs, s8_star())
         assert bpt_8form_full(vs) == bpt_8form_reduced(vs)
-    assert all(moduli == () for moduli in seen)
+    assert set(seen) == {np.dtype(np.int64)}
     seen.clear()
     value = bpt_8form_full(big)
-    assert len(seen) == 2 and all(len(moduli) >= 2 for moduli in seen)
+    assert seen == [object, object]
     assert value == bpt_full_oracle(big) == bpt_8form_reduced(big)
     assert bpt_8form_reduced(big) == bpt_reduced_oracle(big, s8_star())
     assert abs(value) >= 1 << 63
+
+
+def test_sums_far_past_int64_run_each_stage_once_on_python_ints(monkeypatch):
+    # coordinates near 2**70: crosses near 2**140 and block products near
+    # 2**280, far past int64
+    rng = random.Random(88)
+    vs = [
+        Vector16.from_coords(
+            [rng.randint(-(1 << 70), 1 << 70) for _ in range(16)]
+        )
+        for _ in range(8)
+    ]
+    seen = spy_dtypes(monkeypatch, "_array_step")
+    full = bpt_8form_full(vs)
+    assert seen == [object, object]
+    seen.clear()
+    reduced = bpt_8form_reduced(vs)
+    assert seen == [object, object]
+    assert full == bpt_full_oracle(vs) == reduced
+    assert reduced == bpt_reduced_oracle(vs, s8_star())
+    assert abs(full) >= 1 << 500
 
 
 def test_four_form_reads_descending_pairs_as_negated_crosses():

@@ -18,7 +18,7 @@ from helpers import (
     pullback_oracle,
     rand_fraction_vector,
     rand_vector,
-    spy_moduli,
+    spy_dtypes,
 )
 from spin9 import exterior
 from spin9.bpt import materialize_bpt_8form
@@ -26,11 +26,9 @@ from spin9.canonical import omega2
 from spin9.exterior import (
     INT64_LIMIT,
     AlternatingForm,
-    _moduli,
-    _pullback_mod,
     _pullback_plan,
     _wedge_plan,
-    _wedge_sums_mod,
+    _wedge_step,
     evaluate_table,
     lie_incidences,
     lie_table,
@@ -256,8 +254,8 @@ def test_evaluate_degrees_zero_and_one():
 
 def test_evaluate_takes_the_modular_path_for_large_entries(monkeypatch):
     # entries near 10**6 push the bound far past 2**63, and the 4-column
-    # minors of the inner levels past every prime: the whole recursion
-    # runs once per prime, and the inner sums must be reduced mod p
+    # minors of the inner levels past it too: the whole recursion runs
+    # once, on Python ints
     rng = random.Random(73)
     form = _random_form(rng, 8, nterms=40, span=9)
     vs = [
@@ -266,13 +264,13 @@ def test_evaluate_takes_the_modular_path_for_large_entries(monkeypatch):
         )
         for _ in range(8)
     ]
-    seen = spy_moduli(monkeypatch, "_laplace_mod")
+    seen = spy_dtypes(monkeypatch, "_laplace_step")
     value = form.evaluate(vs)
     assert value == evaluate_oracle(form, vs)
     assert abs(value) >= INT64_LIMIT
-    assert 0 not in seen and len(seen) >= 2
+    assert seen == [object]
     inner = det_oracle([[v.coords()[i] for v in vs[:4]] for i in range(4)])
-    assert abs(inner) > max(seen)
+    assert abs(inner) >= INT64_LIMIT
 
 
 def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
@@ -282,7 +280,7 @@ def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
         form.evaluate([e0])
     with pytest.raises(ValueError):
         form.evaluate([e0, e1, e1])
-    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
+    seen = spy_dtypes(monkeypatch, "_laplace_step")
     with pytest.raises(ValueError):
         form.evaluate([e0, Vector16._raw([0, 0.1] + [0] * 14)])
     with pytest.raises(ValueError):
@@ -325,9 +323,9 @@ def test_evaluate_matches_oracle_in_every_degree():
 def test_evaluate_matches_oracle_in_degrees_up_to_sixteen(monkeypatch):
     # the top level splits at q = p // 2 (q != p - q in odd degrees) and
     # each half down to single columns; the cleared Fraction entries take
-    # the CRT path through every level from degree 9 on, the entries in
-    # -1..1 stay on int64 up to degree 16
-    seen = spy_moduli(monkeypatch, "_laplace_mod")
+    # the Python-int path through every level from degree 9 on, the
+    # entries in -1..1 stay on int64 up to degree 16
+    seen = spy_dtypes(monkeypatch, "_laplace_step")
     rng = random.Random(76)
     for degree in range(17):
         form = AlternatingForm(degree, {
@@ -335,13 +333,13 @@ def test_evaluate_matches_oracle_in_degrees_up_to_sixteen(monkeypatch):
                 Fraction(rng.randint(-6, 6), rng.randint(1, 5))
             for _ in range(3)
         })
-        for vs, crt in (
+        for vs, big in (
             ([rand_fraction_vector(rng) for _ in range(degree)], degree >= 9),
             ([rand_vector(rng, span=1) for _ in range(degree)], False),
         ):
             seen.clear()
             assert form.evaluate(vs) == evaluate_oracle(form, vs)
-            assert (0 not in seen and len(seen) >= 2) if crt else seen == [0]
+            assert seen == [object if big else np.int64]
         basis = [Vector16.basis(k) for k in range(degree)]
         assert form.evaluate(basis) == form.coefficient(tuple(range(degree)))
 
@@ -376,32 +374,31 @@ def test_evaluate_gathers_on_the_crt_path_for_large_entries(monkeypatch):
         )
         for _ in range(8)
     ]
-    seen = spy_moduli(monkeypatch, "_laplace_mod")
+    seen = spy_dtypes(monkeypatch, "_laplace_step")
     value = evaluate_table(dict(form._terms), [v.coords() for v in vs])
-    moduli = list(seen)
-    assert 0 not in moduli and len(moduli) >= 2
+    assert seen == [object]
     seen.clear()
     assert form.evaluate(vs) == value == evaluate_oracle(form, vs)
-    assert seen == moduli
+    assert seen == [object]
     seen.clear()
     small = [rand_vector(rng, span=9) for _ in range(8)]
     assert form.evaluate(small) == evaluate_oracle(form, small)
-    assert seen == [0]
+    assert seen == [np.int64]
 
 
 def test_evaluate_table_at_the_int64_edge(monkeypatch):
-    seen = spy_moduli(monkeypatch, "_laplace_mod")
+    seen = spy_dtypes(monkeypatch, "_laplace_step")
     e1 = [0, 1] + [0] * 14
     # B = 2**63 - 1 is the largest bound the int64 gather takes
     big = [INT64_LIMIT - 1] + [0] * 15
     assert evaluate_table({0b11: 1}, [big, e1]) == INT64_LIMIT - 1
-    assert seen == [0]
-    # B = 2**63 goes modular, and the minor itself does not fit int64
+    assert seen == [np.int64]
+    # B = 2**63 goes to Python ints, and the minor itself does not fit int64
     seen.clear()
     half = [1 << 62] + [0] * 15
     minus_two = [-2 * x for x in e1]
     assert evaluate_table({0b11: 1}, [half, minus_two]) == -INT64_LIMIT
-    assert seen == list(_moduli(INT64_LIMIT)) and 0 not in seen
+    assert seen == [object]
     # the swapped columns give the opposite minor, through the shuffle sign
     assert evaluate_table({0b11: 3}, [e1, big]) == -3 * (INT64_LIMIT - 1)
 
@@ -514,7 +511,7 @@ def test_pullback_of_omega_matches_the_oracle(omega8):
         assert omega8.pullback(op) == pullback_oracle(omega8, op)
 
 
-def _crt_case(rng):
+def _past_int64_case(rng):
     # coefficients near 2**40 and entries near 2**8: leaves near 2**80;
     # an odd degree, so that a sign flipped at every step does not cancel
     f = _random_form(rng, 5, nterms=6, span=1 << 40)
@@ -523,31 +520,31 @@ def _crt_case(rng):
 
 
 def test_pullback_takes_the_crt_path_past_int64(monkeypatch):
-    f, op = _crt_case(random.Random(76))
-    seen = spy_moduli(monkeypatch, "_pullback_mod")
+    f, op = _past_int64_case(random.Random(76))
+    seen = spy_dtypes(monkeypatch, "_pullback_step")
     got = f.pullback(op)
     assert got == pullback_oracle(f, op)
     assert max(abs(v) for _, v in got.items()) >= INT64_LIMIT
     _, bound = _pullback_plan(dict(f._terms), 5, op.entries())
-    assert seen == list(_moduli(bound)) and len(seen) >= 2
+    assert bound >= INT64_LIMIT and seen == [object]
 
 
 def test_pullback_at_the_int64_edge(monkeypatch):
-    seen = spy_moduli(monkeypatch, "_pullback_mod")
+    seen = spy_dtypes(monkeypatch, "_pullback_step")
     # B = 2**63 - 1 is the largest bound the int64 path takes
     assert pullback_table({1: INT64_LIMIT - 1}, 1, [(0, 0, 1)]) == {
         1: INT64_LIMIT - 1
     }
-    assert seen == [0]
-    # B = 2**63 goes modular, and the result itself does not fit int64
+    assert seen == [np.int64]
+    # B = 2**63 goes to Python ints, and the result itself does not fit int64
     seen.clear()
     assert pullback_table({1: 1 << 62}, 1, [(0, 3, -2)]) == {8: -INT64_LIMIT}
-    assert seen == list(_moduli(INT64_LIMIT)) and 0 not in seen
+    assert seen == [object]
 
 
 def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8):
     rot = rotation(2, 5, RationalCirclePoint(Fraction(5, 13), Fraction(12, 13)))
-    f, op = _crt_case(random.Random(77))
+    f, op = _past_int64_case(random.Random(77))
     whole = f.pullback(op)
     monkeypatch.setattr(exterior, "PULLBACK_CHUNK", 7)
     plan, _ = _pullback_plan(dict(omega8._terms), 8, rot.integer_entries()[0])
@@ -555,20 +552,6 @@ def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8):
     assert len(_pullback_plan(dict(f._terms), 5, op.entries())[0][-1]) > 1
     assert omega8.pullback(rot) == omega8
     assert f.pullback(op) == whole
-
-
-def test_pullback_modular_room_is_checked():
-    # four leaves; with p near 2**61 a reduced accumulator takes only
-    # three more, so a chunk of four leaves is refused
-    plan, _ = _pullback_plan(
-        {0b11: 1}, 2, [(0, 0, 1), (0, 2, 1), (1, 1, 1), (1, 3, 1)]
-    )
-    acc, _ = _pullback_mod(plan, 101)
-    assert np.count_nonzero(acc) == 4
-    assert int(acc[0b11]) == int(acc[0b1001]) == int(acc[0b1100]) == 1
-    assert int(acc[0b0110]) == -1  # dx2 ^ dx1 = -dx1 ^ dx2, signed mod p
-    with pytest.raises(OverflowError):
-        _pullback_mod(plan, (1 << 61) - 1)
 
 
 def test_pullback_rejects_inexact_coefficients():
@@ -647,26 +630,27 @@ def test_lie_derivative_takes_the_crt_path_past_int64(monkeypatch):
     rng = random.Random(54)
     f = _random_form(rng, 5, nterms=6, span=1 << 40)
     op = _sparse_operator(rng, 3, lambda: rng.randint(-(1 << 30), 1 << 30))
-    seen = spy_moduli(monkeypatch, "_lie_mod")
+    seen = spy_dtypes(monkeypatch, "_lie_step")
     terms = lie_table(dict(f._terms), op.entries())
     oracle = lie_derivative_oracle(f, op)
-    assert terms == oracle._terms and 0 not in seen and len(seen) >= 2
+    assert terms == oracle._terms and seen == [object]
     assert max(abs(v) for v in terms.values()) >= INT64_LIMIT
     assert f.lie_derivative(op) == oracle
     seen.clear()
     small = _random_operator(rng)
     terms = lie_table(dict(f._terms), small.entries())
-    assert terms == lie_derivative_oracle(f, small)._terms and seen == [0]
+    assert terms == lie_derivative_oracle(f, small)._terms
+    assert seen == [np.int64]
 
 
 def test_lie_table_at_the_int64_edge(monkeypatch):
-    # B = 2**63 - 1 stays in int64; B = 2**63 goes modular
-    seen = spy_moduli(monkeypatch, "_lie_mod")
+    # B = 2**63 - 1 stays in int64; B = 2**63 goes to Python ints
+    seen = spy_dtypes(monkeypatch, "_lie_step")
     assert lie_table({1: INT64_LIMIT - 1}, [(0, 0, 1)]) == {1: INT64_LIMIT - 1}
-    assert seen == [0]
+    assert seen == [np.int64]
     seen.clear()
     assert lie_table({1: 1 << 62}, [(0, 3, -2)]) == {8: -INT64_LIMIT}
-    assert seen == list(_moduli(INT64_LIMIT)) and 0 not in seen
+    assert seen == [object]
     # B = 0 sums nothing, however large the other factor
     seen.clear()
     assert lie_table({1: 1 << 70}, []) == lie_table({1: 1 << 70}, [(0, 3, 0)])
@@ -746,7 +730,7 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
         plan, _, _ = _wedge_plan([[(a._terms, b._terms)]])
-        acc, keys = _wedge_sums_mod(plan, 0)
+        acc, keys = _wedge_step(plan, np.int64)
         assert keys is None and acc.shape == (1 << 16,)
         nz = np.flatnonzero(acc)
         terms = dict(zip(nz.tolist(), acc[nz].tolist()))
@@ -766,7 +750,7 @@ def _summed_wedges(pairs):
 
 def test_wedge_sum_int64_path_matches_summed_wedges(monkeypatch):
     rng = random.Random(60)
-    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
+    seen = spy_dtypes(monkeypatch, "_wedge_step")
     for p, q in ((1, 1), (2, 2), (2, 3), (4, 4)):
         pairs = [
             (_random_form(rng, p, nterms=8), _random_form(rng, q, nterms=8))
@@ -775,13 +759,13 @@ def test_wedge_sum_int64_path_matches_summed_wedges(monkeypatch):
         pairs.append((pairs[0][0], pairs[1][1]))  # a table used twice
         got = wedge_sum((_table(a), _table(b)) for a, b in pairs)
         assert got == _summed_wedges(pairs)
-    assert set(seen) == {0}
+    assert set(seen) == {np.dtype(np.int64)}
 
 
 def test_wedge_sum_modular_path_matches_exact_ints(monkeypatch):
     # coefficients near 2**40: the bound passes 2**63 and so do results
     rng = random.Random(61)
-    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
+    seen = spy_dtypes(monkeypatch, "_wedge_step")
     pairs = []
     for _ in range(8):
         a, b = (_random_form(rng, 2, nterms=6, span=1 << 40) for _ in "ab")
@@ -793,64 +777,33 @@ def test_wedge_sum_modular_path_matches_exact_ints(monkeypatch):
     assert bound >= INT64_LIMIT
     got = wedge_sum((_table(a), _table(b)) for a, b in pairs)
     assert got == _summed_wedges(pairs)
-    assert len(set(seen) - {0}) == len(_moduli(bound)) >= 2
+    assert seen == [object]
 
 
 def test_wedge_sum_at_the_int64_edge(monkeypatch):
-    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
+    seen = spy_dtypes(monkeypatch, "_wedge_step")
     e01, e23 = 0b11, 0b1100
     # B = 2**63 - 1 is the largest bound the int64 path takes
     assert wedge_sum([({e01: INT64_LIMIT - 1}, {e23: 1})]) == {
         e01 | e23: INT64_LIMIT - 1
     }
-    assert seen == [0]
-    # B = 2**63 goes modular, and the result itself does not fit int64
+    assert seen == [np.int64]
+    # B = 2**63 goes to Python ints, and the result itself does not fit int64
     seen.clear()
     assert wedge_sum([({e01: 1 << 62}, {e23: -2})]) == {
         e01 | e23: -INT64_LIMIT
     }
-    assert 0 not in seen and len(seen) == 3
+    assert seen == [object]
     # two pairs that only reach 2**63 together
     seen.clear()
     got = wedge_sum([({e01: 1 << 62}, {e23: 1}), ({e23: 1 << 62}, {e01: 1})])
     assert got == {e01 | e23: INT64_LIMIT}
-    assert 0 not in seen
-
-
-def test_wedge_sum_moduli_are_primes_below_2_31():
-    assert _moduli(0) == _moduli(INT64_LIMIT - 1) == ()
-    for bound in (INT64_LIMIT, 1 << 100, 3 ** 200):
-        primes = _moduli(bound)
-        product = 1
-        for p in primes:
-            assert p < 1 << 31
-            assert all(p % q for q in range(3, 46341, 2))
-            product *= p
-        assert product > 2 * bound
-        assert product // primes[-1] <= 2 * bound
-    assert _moduli(INT64_LIMIT)[0] == (1 << 31) - 1
-
-
-def test_wedge_sum_reduces_before_the_modular_room_runs_out():
-    # with p near 2**61 reduced sums hold only 3 more term pairs, so the
-    # fourth single-term pair forces a reduction mod p first, on the dense
-    # accumulator of one group and on the carried sums of several
-    p = (1 << 61) - 1
-    e0, e1 = 1, 2
-    pairs = [({e0: 1}, {e1: p - 1})] * 5
-    plan, _, _ = _wedge_plan([pairs])
-    acc, _ = _wedge_sums_mod(plan, p)
-    assert int(acc[e0 | e1]) == 5 * (p - 1) % p
-    plan, _, _ = _wedge_plan([pairs, pairs])
-    sums, keys = _wedge_sums_mod(plan, p)
-    assert keys.tolist() == [e0 | e1, 1 << 16 | e0 | e1]
-    assert sums.tolist() == [5 * (p - 1) % p] * 2
-    # one row of four term pairs cannot be split
-    for groups in ([[({e0: 1}, {e1: 1, 4: 1, 8: 1, 16: 1})]],
-                   [[({e0: 1}, {e1: 1})], [({e0: 1}, {e1: 1, 4: 1, 8: 1, 16: 1})]]):
-        plan, _, _ = _wedge_plan(groups)
-        with pytest.raises(OverflowError):
-            _wedge_sums_mod(plan, p)
+    assert seen == [object]
+    # a partner of zeros adds nothing to B_g, yet the bound covers the
+    # coefficient it meets
+    seen.clear()
+    assert wedge_sum([({e01: 1 << 70}, {e23: 0})]) == {}
+    assert seen == [object]
 
 
 def test_wedge_sum_rejects_inexact_coefficients():
@@ -926,35 +879,74 @@ def test_wedge_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
     expected = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
     expected.append(wedge_sum(_tables(groups[0])))
     monkeypatch.setattr(exterior, "WEDGE_CHUNK", chunk)
-    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
+    seen = spy_dtypes(monkeypatch, "_wedge_step")
     got = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
     got.append(wedge_sum(_tables(groups[0])))
     assert got == expected
     assert expected[0] == [_summed_wedges(g) for g in groups]
     assert expected[1] == [_summed_wedges(g) for g in huge]
-    assert 0 in seen and len(set(seen) - {0}) >= 2
+    assert seen == [np.int64, object, np.int64]
 
 
 def test_wedge_sums_modular_path_aligns_the_keys_of_every_prime(monkeypatch):
-    # the first group pushes the bound to 2**63; the second's coefficient
-    # is 0 modulo the first prime but not modulo the others
+    # the first group pushes the bound to 2**63, so all groups sum on
+    # Python ints under the keys group << 16 | mask; the second group's
+    # first sum cancels and drops out of its keys
     e01, e23, e45 = 0b11, 0b1100, 0b110000
-    primes = _moduli(INT64_LIMIT)
-    seen = spy_moduli(monkeypatch, "_wedge_sums_mod")
+    seen = spy_dtypes(monkeypatch, "_wedge_step")
     groups = [
         [({e01: 1 << 62}, {e23: 2})],
-        [({e01: primes[0]}, {e45: 1}), ({e23: 1}, {e45: 3})],
-        [({e23: 2 * primes[0]}, {e01: -1})],
+        [({e01: 5}, {e45: 1}), ({e23: 1}, {e45: 3}), ({e45: -5}, {e01: 1})],
+        [({e23: 10}, {e01: -1})],
     ]
     expected = [
         {e01 | e23: INT64_LIMIT},
-        {e01 | e45: primes[0], e23 | e45: 3},
-        {e01 | e23: -2 * primes[0]},
+        {e23 | e45: 3},
+        {e01 | e23: -10},
     ]
     assert wedge_sums(groups) == expected
-    assert seen == list(primes) and len(primes) == 3
+    assert seen == [object]
     # the largest bound decides the path, wherever its group stands
     assert wedge_sums(groups[::-1]) == expected[::-1]
+
+
+def test_bounds_far_past_2_63_run_each_step_once_on_python_ints(monkeypatch):
+    # coefficients and entries near 2**100 put every bound past 2**200,
+    # far past int64
+    rng = random.Random(79)
+    huge = 1 << 100
+    a, b, c = (_random_form(rng, 2, nterms=6, span=huge) for _ in "abc")
+    pairs = [(a, b), (b, c), (c, c)]
+    norms = [sum(map(abs, f._terms.values())) for f in (a, b)]
+    assert norms[0] * norms[1] >= 1 << 200
+    seen = spy_dtypes(monkeypatch, "_wedge_step")
+    assert wedge_sum(_tables(pairs)) == _summed_wedges(pairs)
+    groups = [pairs, [(c, a)], [], [(a, a)]]
+    got = wedge_sums(_tables(g) for g in groups)
+    assert got == [_summed_wedges(g) for g in groups]
+    assert seen == [object, object]
+    assert all(type(v) is int for table in got for v in table.values())
+
+    f = _random_form(rng, 3, nterms=5, span=huge)
+    op = _sparse_operator(rng, 2, lambda: rng.randint(-huge, huge))
+    _, bound = _pullback_plan(dict(f._terms), 3, op.entries())
+    assert bound >= 1 << 200
+    seen = spy_dtypes(monkeypatch, "_pullback_step")
+    assert f.pullback(op) == pullback_oracle(f, op)
+    assert seen == [object]
+
+    seen = spy_dtypes(monkeypatch, "_lie_step")
+    assert f.lie_derivative(op) == lie_derivative_oracle(f, op)
+    assert seen == [object]
+
+    form = _random_form(rng, 4, nterms=9, span=huge)
+    vs = [
+        Vector16.from_coords([rng.randint(-huge, huge) for _ in range(16)])
+        for _ in range(4)
+    ]
+    seen = spy_dtypes(monkeypatch, "_laplace_step")
+    assert form.evaluate(vs) == evaluate_oracle(form, vs)
+    assert seen == [object]
 
 
 coeff_strategy = st.dictionaries(

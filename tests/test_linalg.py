@@ -141,7 +141,7 @@ def test_echelon_past_the_int64_bound_finishes_in_python_ints(monkeypatch):
         {c: rng.randint(1 << 19, 1 << 20) * rng.choice((-1, 1)) for c in range(6)}
         for _ in range(5)
     ]
-    seen = spy_dtypes(monkeypatch)
+    seen = spy_dtypes(monkeypatch, "_eliminate")
     ech = int_echelon(dense_rows(rows, 6))
     assert seen[0] == np.int64 and seen[-1] == object
     assert ech.dtype == object and max(abs(x) for x in ech.ravel()) >= 1 << 63
@@ -166,7 +166,7 @@ def test_a_step_whose_bound_reaches_2_63_runs_in_python_ints(monkeypatch):
     # reaches it; at P = 2**31 that is past int64, at P = 2**30 not
     for p, dtype in ((1 << 31, object), (1 << 30, np.int64)):
         rows = [{0: p, 1: p, 2: 1}, {0: -(p + 1), 1: p, 2: 1}]
-        seen = spy_dtypes(monkeypatch)
+        seen = spy_dtypes(monkeypatch, "_eliminate")
         vecs = nullspace(dense_rows(rows, 3))
         assert seen[0] == dtype
         assert vecs == nullspace_oracle(rows, 3)

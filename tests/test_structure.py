@@ -72,63 +72,56 @@ def test_assert_guard_sees_assert_statements(tmp_path):
     assert list(_assert_statements(src)) == ["probe.py:2"]
 
 
-def _driver_references(path):
-    """Lines that name `_moduli` or `_crt` outside `exterior._exact`, the
-    one exact driver every int64/CRT kernel goes through."""
+def _limit_readers(path):
+    """Lines that read `INT64_LIMIT` outside the top-level `_exact`, the
+    one driver that picks int64 or Python ints for every exact kernel of
+    `exterior`; importing the name under another name counts as a read."""
     tree = ast.parse(path.read_text(), filename=str(path))
     inside = {
         id(node)
         for top in tree.body
-        if path.name == "exterior.py"
-        and isinstance(top, ast.FunctionDef) and top.name == "_exact"
+        if isinstance(top, ast.FunctionDef) and top.name == "_exact"
         for node in ast.walk(top)
     }
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            name = node.id
+            read = node.id == "INT64_LIMIT"
         elif isinstance(node, ast.Attribute):
-            name = node.attr
+            read = node.attr == "INT64_LIMIT"
         elif isinstance(node, ast.alias):
-            name = node.name
+            read = node.name == "INT64_LIMIT" and node.asname not in (None, node.name)
         else:
             continue
-        if name in ("_moduli", "_crt") and id(node) not in inside:
-            found.append((node.lineno, f"{path.name}:{node.lineno} names {name}"))
-    return [line for _, line in sorted(found)]
+        if read and id(node) not in inside:
+            found.append(node.lineno)
+    return [f"{path.name}:{line} reads INT64_LIMIT" for line in sorted(found)]
 
 
-def test_only_the_exact_driver_picks_moduli_and_rebuilds():
-    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
-    assert callable(exterior._moduli) and callable(exterior._crt)
-    assert "_moduli(" in inspect.getsource(exterior._exact)
-    found = [line for path in sources for line in _driver_references(path)]
-    assert found == []
+def test_only_the_exact_driver_reads_the_int64_limit():
+    assert "INT64_LIMIT" in inspect.getsource(exterior._exact)
+    assert _limit_readers(Path(exterior.__file__)) == []
 
 
 def test_driver_guard_sees_a_second_call_site(tmp_path):
     (tmp_path / "exterior.py").write_text(
+        "from .linalg import INT64_LIMIT\n"
         "def _exact(plan, bound, run):\n"
-        "    moduli = _moduli(bound)\n"
-        "    return _crt([run(plan, p) for p in moduli], moduli)\n"
+        "    return run(plan, int if bound < INT64_LIMIT else object)\n"
         "\n"
         "def fifth_table(plan, bound):\n"
-        "    moduli = _moduli(bound)\n"
-        "    return exterior._crt([_fifth_mod(plan, p) for p in moduli], moduli)\n"
+        "    return _fifth_step(plan, bound < linalg.INT64_LIMIT)\n"
+        "\n"
+        "class Form:\n"
+        "    def _exact(self, bound):\n"
+        "        return bound < INT64_LIMIT\n"
+        "from .linalg import INT64_LIMIT as LIMIT\n"
     )
-    (tmp_path / "probe.py").write_text(
-        "from .exterior import _moduli\n"
-        "def _exact(bound):\n"
-        "    return _moduli(bound)\n"
-    )
-    assert _driver_references(tmp_path / "exterior.py") == [
-        "exterior.py:6 names _moduli",
-        "exterior.py:7 names _crt",
-    ]
-    # a function called `_exact` elsewhere is not the driver
-    assert _driver_references(tmp_path / "probe.py") == [
-        "probe.py:1 names _moduli",
-        "probe.py:3 names _moduli",
+    # a method called `_exact` is not the driver
+    assert _limit_readers(tmp_path / "exterior.py") == [
+        "exterior.py:6 reads INT64_LIMIT",
+        "exterior.py:10 reads INT64_LIMIT",
+        "exterior.py:11 reads INT64_LIMIT",
     ]
 
 
