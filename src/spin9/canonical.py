@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Optional, Union
+from typing import Optional
 
 from .curvature import curvature_omega
 from .exterior import (
@@ -46,7 +46,7 @@ from .exterior import (
     wedge_sum,
     wedge_sums,
 )
-from .linalg import clear_denominators, det, exact_ratio, require_exact
+from .linalg import Num, clear_denominators, det, exact_ratio, require_exact
 from .octonion import Octonion
 from .operators import (
     Operator16,
@@ -58,8 +58,6 @@ from .operators import (
     rotation,
 )
 from .report import VerificationReport
-
-Num = Union[int, Fraction]
 
 
 # two-form coefficient tables ------------------------------------------------
@@ -77,7 +75,7 @@ def _two_form_table(idx: tuple, signed: bool = True) -> dict:
         return {}
     ordered = tuple(sorted(idx))
     if idx == ordered:
-        return two_form_from_operator(clifford_product(idx))._terms
+        return two_form_from_operator(clifford_product(idx)).numerators
     terms = _two_form_table(ordered)
     if signed and perm_sign(idx) < 0:
         return {m: -v for m, v in terms.items()}
@@ -259,8 +257,8 @@ def frame_change_fixes(m9) -> bool:
 
     m9 must be a special orthogonal 9 x 9 matrix of int or Fraction
     entries; any other shape or entry raises ValueError.  Works with
-    integer-scaled operators throughout, comparing against d^8 times the
-    canonical coefficients, so no rational division enters the big sum.
+    integer-scaled operators throughout and puts the rebuilt table over
+    d^8 at the end, so no rational division enters the big sum.
     The products I'_i I'_j are taken in the rotated family here, not
     from `clifford_product`.
     """
@@ -282,12 +280,11 @@ def frame_change_fixes(m9) -> bool:
                 acc = acc + fam[j].scale(c)
         scaled_ops.append(acc)
     w2 = {
-        (i, j): two_form_from_operator(scaled_ops[i] @ scaled_ops[j])._terms
+        (i, j): two_form_from_operator(scaled_ops[i] @ scaled_ops[j]).numerators
         for i, j in permutations(range(9), 2)
     }
     rebuilt = build_8form_from_two_forms(w2)
-    target = {m: c * d**8 for m, c in canonical_8form()._terms.items()}
-    return rebuilt == target
+    return AlternatingForm._raw(8, rebuilt, d**8) == canonical_8form()
 
 
 # the triple-form sum --------------------------------------------------------
@@ -319,9 +316,7 @@ def _conjecture_build(convention: str) -> AlternatingForm:
         ]
         for p, pp in product(range(9), repeat=2)
     )
-    return AlternatingForm._raw(
-        8, {m: exact_ratio(c, 4) for m, c in squares.items()}
-    )
+    return AlternatingForm._raw(8, squares, 4)
 
 
 @dataclass(frozen=True)
@@ -404,10 +399,10 @@ def friedrich_identities(x: Vector16, y: Vector16) -> VerificationReport:
                            = 5 sum omega_ij(x,y) omega_ij - 3 sum sigma_ijk(x,y) sigma_ijk
 
     with both sums over increasing index tuples.  Both sides are bilinear
-    in (x, y), so x and y are cleared to integer vectors first and each
+    in (x, y), so they run on the integer numerators of x and y and each
     expansion sums its coefficients into one table.
     """
-    x, y = (Vector16._raw(clear_denominators(v.coords())[0]) for v in (x, y))
+    x, y = Vector16._raw(x.numerators), Vector16._raw(y.numerators)
 
     def expansion(grade: int) -> AlternatingForm:
         """sum over increasing index tuples of <x, P y> times P's two-form."""

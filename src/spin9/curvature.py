@@ -18,31 +18,28 @@ K(v, w) = <R_vw v, w> / |v ^ w|^2, and the Ricci trace is
 
 which is Ric = 9c g in the commutator sign (-36 at c = 4).
 
-Each expression is trilinear in (X, Y, Z): it clears the denominators of
-its arguments once, runs its own formula on the integer coordinate lists
-and multiplies its 16 outputs by -c / (4 d_X d_Y d_Z) at the end.  The
+Each expression is trilinear in (X, Y, Z): it runs its own formula on
+the integer numerators of its arguments and puts its 16 outputs over
+-c / (4 d_X d_Y d_Z) once, at the end, with no clearing per call.  The
 octonion expressions split each list into its two octonion halves and
 use `coeff_mul` and `coeff_conj` on them, with no Octonion objects in
 between.  The operator expressions read the operators by column and
 visit only the nonzero coordinates of their vector arguments, so a
 basis triple costs a few entries per operator; a dense vector visits
 all 16.  Outputs are exact int or Fraction values; int inputs at c = 4
-give plain ints.  Only int and Fraction arguments and scales are
-accepted.
+give plain ints.  Only int and Fraction scales are accepted, and a
+vector holds integers by construction.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Union
 
-from .linalg import clear_denominators, exact_ratio, require_exact
+from .linalg import Num, require_exact
 from .octonion import coeff_conj, coeff_mul
 from .operators import Vector16, build_involutions, inner16, lambda_basis
 from .report import VerificationReport
-
-Num = Union[int, Fraction]
 
 
 def _require_scale(c: Num) -> Num:
@@ -51,27 +48,20 @@ def _require_scale(c: Num) -> Num:
     return c
 
 
-def _cleared(x: Vector16, y: Vector16, z: Vector16, c: Num) -> tuple:
-    """Integer coordinates of x, y, z and the factor -c / (4 d_x d_y d_z).
+def _numerators(x: Vector16, y: Vector16, z: Vector16, c: Num) -> tuple:
+    """The integer numerators of x, y, z and the factor -c / (4 d_x d_y d_z).
 
     Every expression below is trilinear in (X, Y, Z), so it runs on the
-    integer coordinates and is multiplied by the factor once at the end.
-    Entries that are not int or Fraction raise ValueError here, before
-    any curvature arithmetic.
+    numerators and is put over the factor once at the end.
     """
     c = _require_scale(c)
-    cx, dx = clear_denominators(x.coords())
-    cy, dy = clear_denominators(y.coords())
-    cz, dz = clear_denominators(z.coords())
-    return cx, cy, cz, Fraction(-c, 4 * dx * dy * dz)
+    d = 4 * x.denominator * y.denominator * z.denominator
+    return x.numerators, y.numerators, z.numerators, Fraction(-c, d)
 
 
 def _rescaled(total, factor: Fraction) -> Vector16:
-    """factor * total; plain ints when the factor is whole."""
-    if factor.denominator == 1:
-        f = factor.numerator
-        return Vector16._raw([f * t for t in total])
-    return Vector16._raw([factor * t for t in total])
+    """factor * total, in lowest terms."""
+    return Vector16._raw([factor.numerator * t for t in total], factor.denominator)
 
 
 @functools.cache
@@ -110,13 +100,13 @@ def _expand(grade: int, a: list, b: list, d: list, total: list) -> list:
 
 def curvature_omega(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """R_XY Z via the two-form expansion over the 36 involution pairs."""
-    cx, cy, cz, factor = _cleared(x, y, z, c)
+    cx, cy, cz, factor = _numerators(x, y, z, c)
     return _rescaled(_expand(2, cx, cy, cz, [0] * 16), factor)
 
 
 def _antisymmetrized(s, x, y, z, c: Num) -> Vector16:
     """-(c/4)(s(X, Y, Z) - s(Y, X, Z)), s run on the same integer coordinates."""
-    cx, cy, cz, factor = _cleared(x, y, z, c)
+    cx, cy, cz, factor = _numerators(x, y, z, c)
     return _rescaled([a - b for a, b in zip(s(cx, cy, cz), s(cy, cx, cz))], factor)
 
 
@@ -150,7 +140,7 @@ def _s_prime_operator(cx, cy, cz) -> list:
 
 def s_prime_operator(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """S'_XY Z = -(c/4)(3 g(Y,Z) X + sum_i g(I_i Y, Z) I_i X)."""
-    cx, cy, cz, factor = _cleared(x, y, z, c)
+    cx, cy, cz, factor = _numerators(x, y, z, c)
     return _rescaled(_s_prime_operator(cx, cy, cz), factor)
 
 
@@ -175,7 +165,7 @@ def _s_prime_octonion(x: list, y: list, z: list) -> list:
 
 def s_prime_octonion(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """The same S' written through octonion products."""
-    cx, cy, cz, factor = _cleared(x, y, z, c)
+    cx, cy, cz, factor = _numerators(x, y, z, c)
     return _rescaled(_s_prime_octonion(cx, cy, cz), factor)
 
 
@@ -206,21 +196,13 @@ def averaging_identity(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Verific
 
 def curvature_entry(x, y, z, w, c: Num) -> Num:
     """The (4,0) tensor R_XYZW = <R_XY Z, W>."""
-    cw, dw = clear_denominators(w.coords())
-    r = curvature_omega(x, y, z, c).coords()
-    total = sum(p * q for p, q in zip(r, cw))
-    return exact_ratio(total, dw)
+    return inner16(curvature_omega(x, y, z, c), w)
 
 
 def sectional_curvature(v: Vector16, w: Vector16, c: Num) -> Fraction:
-    """K(v, w) = R_vwvw / (|v|^2 |w|^2 - <v,w>^2) for independent v, w.
-
-    Both R_vwvw and the Gram determinant are of degree two in v and in w,
-    so K is computed on v and w cleared to integer vectors.
-    """
+    """K(v, w) = R_vwvw / (|v|^2 |w|^2 - <v,w>^2) for independent v, w."""
     _require_scale(c)
-    v, w = (Vector16._raw(clear_denominators(u.coords())[0]) for u in (v, w))
     gram = inner16(v, v) * inner16(w, w) - inner16(v, w) ** 2
     if not gram:
         raise ValueError("vectors are linearly dependent")
-    return Fraction(curvature_entry(v, w, v, w, c), gram)
+    return Fraction(curvature_entry(v, w, v, w, c)) / gram

@@ -3,7 +3,9 @@
 A form of degree p is a finite map from strictly increasing p-tuples of
 indices 0..15 to nonzero rationals; the tuple (i1 < ... < ip) stands for
 dx_{i1} ^ ... ^ dx_{ip}.  Internally a tuple is packed into a 16-bit
-mask, and the sign bookkeeping of a wedge is a popcount parity.
+mask, and the sign bookkeeping of a wedge is a popcount parity.  A form
+holds an integer table {mask: int} over one denominator (`linalg.Exact`),
+which the kernels read as it is.
 
 Conventions (the determinant convention):
 
@@ -47,8 +49,8 @@ product and partial sum, else on Python ints (dtype=object), the rule
 - `evaluate_table` behind `AlternatingForm.evaluate` is a recursive
   Laplace expansion of every monomial's minor at once, across the middle
   and then one column at a time, on a plan of masks, splits and shuffle
-  signs cached on the form, under B = prod_b |w_b|_1 over the
-  integer-cleared columns.
+  signs cached on the form, under B = prod_b |w_b|_1 over the vectors'
+  numerators.
 - `lie_table` behind `AlternatingForm.lie_derivative` finds every
   (monomial, matrix unit) incidence in one array pass and accumulates
   them under B = sum_m |c_m| sum |op entry|; `stabilizer_system` reads
@@ -61,15 +63,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .linalg import INT64_LIMIT, clear_denominators, exact_ratio, require_exact
+from .linalg import (
+    INT64_LIMIT,
+    Exact,
+    Num,
+    clear_denominators,
+    exact_ratio,
+    lowest_terms,
+    require_exact,
+)
 from .operators import Operator16, Vector16
-
-Num = Union[int, Fraction]
 
 
 def _mask_of(indices) -> int:
@@ -96,32 +103,37 @@ def perm_sign(seq) -> int:
     return -1 if inversions & 1 else 1
 
 
-class AlternatingForm:
-    """An exact alternating form, stored sparsely by index mask."""
+class AlternatingForm(Exact):
+    """An exact alternating form: an integer table `numerators` {mask: int}
+    with no zero entries over one positive `denominator`, in lowest terms."""
 
-    __slots__ = ("degree", "_terms", "_plan", "_table")
+    __slots__ = ("degree", "_plan")
 
     def __init__(self, degree: int, terms: Mapping = ()):
         if not 0 <= degree <= 16:
             raise ValueError("degree must be in 0..16")
-        clean = {}
-        for key, val in dict(terms).items():
+        terms, masks = dict(terms), []
+        for key in terms:
             idx = (key,) if isinstance(key, int) else tuple(key)
             if len(idx) != degree:
                 raise ValueError("index tuple length must equal the degree")
-            if require_exact(val):
-                clean[_mask_of(idx)] = val
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", clean)
+            masks.append(_mask_of(idx))
+        ints, d = clear_denominators(terms.values())
+        self._set(degree, {m: v for m, v in zip(masks, ints) if v}, d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlternatingForm is immutable")
+    def _set(self, degree: int, numerators: dict, denominator: int) -> None:
+        object.__setattr__(self, "degree", degree)
+        super()._set(numerators, denominator)
 
     @classmethod
-    def _raw(cls, degree: int, mask_terms: dict) -> "AlternatingForm":
+    def _raw(cls, degree: int, numerators: dict, d: int = 1) -> "AlternatingForm":
+        """Unchecked constructor for an integer table with no zero entries
+        over d, brought to lowest terms."""
         f = cls.__new__(cls)
-        object.__setattr__(f, "degree", degree)
-        object.__setattr__(f, "_terms", mask_terms)
+        if d != 1:
+            ints, d = lowest_terms(list(numerators.values()), d)
+            numerators = dict(zip(numerators, ints))
+        f._set(degree, numerators, d)
         return f
 
     @classmethod
@@ -137,96 +149,93 @@ class AlternatingForm:
         return cls(len(idx), {tuple(sorted(idx)): perm_sign(idx) * coeff})
 
     def items(self):
-        """Sorted (index_tuple, coefficient) pairs."""
+        """Sorted (index_tuple, coefficient) pairs; whole coefficients are ints."""
+        d = self.denominator
         return sorted(
-            ((_tuple_of(m), v) for m, v in self._terms.items()),
-            key=lambda kv: kv[0],
+            (_tuple_of(m), v if d == 1 else exact_ratio(v, d))
+            for m, v in self.numerators.items()
         )
 
     def coefficient(self, indices) -> Num:
-        return self._terms.get(_mask_of(indices), 0)
+        return exact_ratio(self.numerators.get(_mask_of(indices), 0), self.denominator)
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self.numerators)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlternatingForm)
-            and self.degree == other.degree
-            and self._terms == other._terms
-        )
+        return super().__eq__(other) and self.degree == other.degree
 
     def __add__(self, other: "AlternatingForm") -> "AlternatingForm":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        out = dict(self._terms)
-        for m, v in other._terms.items():
-            w = out.get(m, 0) + v
+        da, db = self.denominator, other.denominator
+        out = {m: v * db for m, v in self.numerators.items()}
+        for m, v in other.numerators.items():
+            w = out.get(m, 0) + v * da
             if w:
                 out[m] = w
             else:
                 out.pop(m, None)
-        return AlternatingForm._raw(self.degree, out)
+        return AlternatingForm._raw(self.degree, out, da * db)
 
     def __sub__(self, other: "AlternatingForm") -> "AlternatingForm":
         return self + (-other)
 
     def __neg__(self) -> "AlternatingForm":
         return AlternatingForm._raw(
-            self.degree, {m: -v for m, v in self._terms.items()}
+            self.degree, {m: -v for m, v in self.numerators.items()}, self.denominator
         )
 
     def scale(self, t: Num) -> "AlternatingForm":
         if not require_exact(t):
             return AlternatingForm.zero(self.degree)
         return AlternatingForm._raw(
-            self.degree, {m: t * v for m, v in self._terms.items()}
+            self.degree,
+            {m: t.numerator * v for m, v in self.numerators.items()},
+            self.denominator * t.denominator,
         )
-
-    def __rmul__(self, t) -> "AlternatingForm":
-        return self.scale(t)
 
     def __repr__(self) -> str:
         return (
             f"AlternatingForm(degree={self.degree}, "
-            f"terms={len(self._terms)})"
+            f"terms={len(self.numerators)})"
         )
 
     def wedge(self, other: "AlternatingForm") -> "AlternatingForm":
         """self ^ other on `wedge_sum`: a / d_a ^ b / d_b = (a ^ b) / (d_a d_b)."""
         if self.degree + other.degree > 16:
             raise ValueError("wedge degree exceeds 16")
-        (a, da), (b, db) = self._integer_table(), other._integer_table()
-        return _divided(self.degree + other.degree, wedge_sum([(a, b)]), da * db)
+        return AlternatingForm._raw(
+            self.degree + other.degree,
+            wedge_sum([(self.numerators, other.numerators)]),
+            self.denominator * other.denominator,
+        )
 
     def evaluate(self, vectors: Iterable[Vector16]) -> Num:
         """self(v1, ..., vp): with v_k = w_k / d_k for integer vectors w_k,
         the coefficient of mask m in w_1 ^ ... ^ w_p is the minor
-        det[w_b[i_a]], so the value is sum_m c_m minor_m / prod d_k, which
-        `evaluate_table` sums exactly.
+        det[w_b[i_a]], so the value is sum_m c_m minor_m / (d prod d_k),
+        which `evaluate_table` sums exactly.
         """
         vs = list(vectors)
         if len(vs) != self.degree:
             raise ValueError(
                 f"form of degree {self.degree} takes {self.degree} vectors"
             )
-        table, denom = self._integer_table()
-        columns = []
-        for v in vs:
-            ints, d = clear_denominators(v.coords())
-            columns.append(ints)
-            denom *= d
-        return exact_ratio(evaluate_table(table, columns, self._laplace()), denom)
+        columns = [v.numerators for v in vs]
+        value = evaluate_table(self.numerators, columns, self._laplace())
+        d = math.prod((v.denominator for v in vs), start=self.denominator)
+        return exact_ratio(value, d)
 
     def _laplace(self) -> tuple:
         """The `_laplace_plan` of the form's masks, built on first use."""
         try:
             return self._plan
         except AttributeError:
-            plan = _laplace_plan(self._terms, self.degree)
+            plan = _laplace_plan(self.numerators, self.degree)
             object.__setattr__(self, "_plan", plan)
             return plan
 
@@ -236,10 +245,9 @@ class AlternatingForm:
         With op = A / d_op and coefficients a / d_a for integer A and a,
         the pullback is (A* a) / (d_a d_op^p).
         """
-        entries, d_op = op.integer_entries()
-        table, d = self._integer_table()
-        terms = pullback_table(table, self.degree, entries)
-        return _divided(self.degree, terms, d * d_op**self.degree)
+        terms = pullback_table(self.numerators, self.degree, op.entries())
+        d = self.denominator * op.denominator**self.degree
+        return AlternatingForm._raw(self.degree, terms, d)
 
     def lie_derivative(self, op: Operator16) -> "AlternatingForm":
         """Derivative of the pullback along exp(t op) at t = 0, on `lie_table`.
@@ -247,34 +255,17 @@ class AlternatingForm:
         Linear in op and in the form: with op = A / d_op and coefficients
         a / d_a for integer A and a, it is (L_A a) / (d_a d_op).
         """
-        entries, d_op = op.integer_entries()
-        table, d = self._integer_table()
-        return _divided(self.degree, lie_table(table, entries), d * d_op)
-
-    def _integer_table(self) -> tuple:
-        """(table, d): the coefficients times d, the lcm of their
-        denominators, as an integer table {mask: int}, built on first use.
-        Callers share the table and must not change it."""
-        try:
-            return self._table
-        except AttributeError:
-            coeffs, d = clear_denominators(self._terms.values())
-            table = dict(zip(self._terms, coeffs)), d
-            object.__setattr__(self, "_table", table)
-            return table
+        terms = lie_table(self.numerators, op.entries())
+        d = self.denominator * op.denominator
+        return AlternatingForm._raw(self.degree, terms, d)
 
     def restrict_low(self) -> "AlternatingForm":
         """Keep only monomials supported on the first octonion block 0..7."""
         return AlternatingForm._raw(
-            self.degree, {m: v for m, v in self._terms.items() if m < 256}
+            self.degree,
+            {m: v for m, v in self.numerators.items() if m < 256},
+            self.denominator,
         )
-
-
-def _divided(degree: int, terms: dict, d: int) -> AlternatingForm:
-    """The form of an integer table {mask: int} divided by d."""
-    if d > 1:
-        terms = {m: exact_ratio(v, d) for m, v in terms.items()}
-    return AlternatingForm._raw(degree, terms)
 
 
 def two_form_from_operator(op: Operator16) -> AlternatingForm:
@@ -287,7 +278,7 @@ def two_form_from_operator(op: Operator16) -> AlternatingForm:
     if not op.is_skew():
         raise ValueError("operator has a nonzero symmetric part")
     return AlternatingForm._raw(
-        2, {1 << a | 1 << b: v for a, b, v in op.entries() if a < b}
+        2, {1 << a | 1 << b: v for a, b, v in op.entries() if a < b}, op.denominator
     )
 
 

@@ -14,16 +14,23 @@ The echelon is the primitive integer multiple of the reduced row echelon
 form, so it depends only on the row space: `nullspace` reads one kernel
 vector per free column off it, and `reduce_against` takes rows to zero
 exactly when they lie in its row space.
+
+`Exact` is the one exact representation of vectors, operators and forms:
+integer numerators over one positive denominator, in lowest terms by
+`lowest_terms`; `clear_denominators` takes exact input there once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Union
 
 import numpy as np
 
 INT64_LIMIT = 1 << 63
+
+Num = Union[int, Fraction]
 
 
 def int_array(values) -> np.ndarray:
@@ -165,6 +172,40 @@ def clear_denominators(values) -> tuple:
     values = [require_exact(x) for x in values]
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
+
+
+class Exact:
+    """An immutable exact value: integer `numerators` over one positive
+    `denominator`, in lowest terms; each subclass shapes its numerators."""
+
+    __slots__ = ("numerators", "denominator")
+
+    def _set(self, numerators, denominator: int) -> None:
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.numerators, self.denominator))
+
+    def __rmul__(self, t):
+        return self.scale(t)
+
+
+def lowest_terms(numerators, d: int) -> tuple:
+    """(numerators, d) divided by the gcd of d and every numerator, for a
+    positive d; d = 1 and a gcd of 1 give the numerators back as passed."""
+    g = gcd(d, *numerators) if d != 1 else 1
+    return (numerators, d) if g == 1 else ([x // g for x in numerators], d // g)
 
 
 def exact_ratio(n, d):

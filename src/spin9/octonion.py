@@ -25,14 +25,11 @@ across threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import require_exact
-
-Scalar = Union[int, Fraction]
+from .linalg import Num, require_exact
 
 BASIS_NAMES = ("1", "i", "j", "ij", "e", "ie", "je", "(ij)e")
 
@@ -97,7 +94,7 @@ if any(k != a ^ b for a, row in enumerate(MUL_TABLE) for b, (_, k) in enumerate(
     raise AssertionError("unit products are not indexed by a xor b")
 
 
-def coeff_mul(x: Sequence[Scalar], y: Sequence[Scalar]) -> list:
+def coeff_mul(x: Sequence[Num], y: Sequence[Num]) -> list:
     """Coefficients of the product of the octonions with coefficients x and y.
 
     The scalar product loop: it visits the nonzero coefficients of
@@ -128,7 +125,7 @@ def oct_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (terms * XOR_SIGN).sum(axis=-2)
 
 
-def coeff_conj(x: Sequence[Scalar]) -> list:
+def coeff_conj(x: Sequence[Num]) -> list:
     """Coefficients of the conjugate of the octonion with coefficients x."""
     return [x[0]] + [-a for a in x[1:]]
 
@@ -144,7 +141,7 @@ class Octonion:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar]):
+    def __init__(self, coeffs: Iterable[Num]):
         c = tuple(map(require_exact, coeffs))
         if len(c) != 8:
             raise ValueError("octonion needs exactly 8 coefficients")
@@ -165,13 +162,13 @@ class Octonion:
         return _ZERO
 
     @classmethod
-    def unit(cls, k: int, sign: Scalar = 1) -> "Octonion":
+    def unit(cls, k: int, sign: Num = 1) -> "Octonion":
         if not 0 <= k <= 7:
             raise ValueError("basis index out of range 0..7")
         return cls(tuple(sign if t == k else 0 for t in range(8)))
 
     @classmethod
-    def scalar(cls, x: Scalar) -> "Octonion":
+    def scalar(cls, x: Num) -> "Octonion":
         return cls((x, 0, 0, 0, 0, 0, 0, 0))
 
     def __add__(self, other: "Octonion") -> "Octonion":
@@ -183,7 +180,7 @@ class Octonion:
     def __neg__(self) -> "Octonion":
         return Octonion._raw(-a for a in self.coeffs)
 
-    def scale(self, x: Scalar) -> "Octonion":
+    def scale(self, x: Num) -> "Octonion":
         x = require_exact(x)
         return Octonion._raw(x * a for a in self.coeffs)
 
@@ -198,7 +195,7 @@ class Octonion:
     def conj(self) -> "Octonion":
         return Octonion._raw(coeff_conj(self.coeffs))
 
-    def re(self) -> Scalar:
+    def re(self) -> Num:
         return self.coeffs[0]
 
     def im(self) -> "Octonion":
@@ -224,7 +221,7 @@ class Octonion:
 _ZERO = Octonion((0,) * 8)
 
 
-def inner_oct(a: Octonion, b: Octonion) -> Scalar:
+def inner_oct(a: Octonion, b: Octonion) -> Num:
     """Euclidean inner product; agrees with Re(a conj(b)) for this basis."""
     return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
 
@@ -234,7 +231,7 @@ def cross_oct(u: Octonion, v: Octonion) -> Octonion:
     return (v.conj() * u).im()
 
 
-def apply_matrix8(rows: Sequence[Sequence[Scalar]], a: Octonion) -> Octonion:
+def apply_matrix8(rows: Sequence[Sequence[Num]], a: Octonion) -> Octonion:
     """Apply an 8x8 matrix (tuple of rows) to the coefficient vector."""
     c = a.coeffs
     return Octonion(tuple(sum(r[k] * c[k] for k in range(8) if c[k]) for r in rows))

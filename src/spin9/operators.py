@@ -8,9 +8,12 @@ for k = 0..7 and e_{k+8} = (0, u_k).  The involutions act by
 
 and satisfy I_i I_j + I_j I_i = 2 delta_ij, I_i symmetric, trace zero.
 Products of distinct I_i are signed permutations of the basis, so they
-have one nonzero entry per row.  `Operator16` keeps its dense rows and
-lists its nonzero entries once; products and `apply` run over those, so
-a signed permutation costs 16 entries, and there is no second format.
+have one nonzero entry per row.  `Vector16` and `Operator16` hold
+integer numerators over one positive denominator in lowest terms (the
+`linalg.Exact` representation); exact values appear only at the edge
+(`coords`, `x1`/`x2`, `rows`, `trace`, `inner16`).  `Operator16` lists
+its nonzero integer entries once; products and `apply` run over those,
+so a signed permutation costs 16 entries, and there is no second format.
 
 `clifford_product` is the one source of the products I_{i1} ... I_{ir}
 (increasing indices, r = 1..4): each is cached per index tuple and built
@@ -25,110 +28,132 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Sequence
 
-from .linalg import clear_denominators, det, exact_ratio, require_exact
-from .octonion import Octonion, inner_oct
+from .linalg import (
+    Exact,
+    Num,
+    clear_denominators,
+    det,
+    exact_ratio,
+    lowest_terms,
+    require_exact,
+)
+from .octonion import Octonion
 
-Num = Union[int, Fraction]
 
+class Vector16(Exact):
+    """A point of R^16 as an octonion pair: 16 integer `numerators` (a
+    tuple) over one positive `denominator`, in lowest terms."""
 
-class Vector16:
-    """A point of R^16 as an octonion pair."""
-
-    __slots__ = ("x1", "x2")
+    __slots__ = ()
 
     def __init__(self, x1: Octonion, x2: Octonion):
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector16 is immutable")
+        ints, d = clear_denominators(x1.coeffs + x2.coeffs)
+        self._set(tuple(ints), d)
 
     @classmethod
     def basis(cls, k: int) -> "Vector16":
         if not 0 <= k <= 15:
             raise ValueError("basis index out of range 0..15")
-        if k < 8:
-            return cls(Octonion.unit(k), Octonion.zero())
-        return cls(Octonion.zero(), Octonion.unit(k - 8))
+        return cls._raw([int(t == k) for t in range(16)])
 
     @classmethod
     def from_coords(cls, coords: Sequence[Num]) -> "Vector16":
         c = tuple(coords)
         if len(c) != 16:
             raise ValueError("need 16 coordinates")
-        return cls(Octonion(c[:8]), Octonion(c[8:]))
+        return cls._raw(*clear_denominators(c))
 
     @classmethod
-    def _raw(cls, coords: Sequence[Num]) -> "Vector16":
-        """Unchecked constructor for 16 coordinates computed internally."""
-        return cls(Octonion._raw(coords[:8]), Octonion._raw(coords[8:]))
+    def _raw(cls, numerators, denominator: int = 1) -> "Vector16":
+        """Unchecked constructor for 16 integer numerators computed internally."""
+        v = cls.__new__(cls)
+        numerators, denominator = lowest_terms(numerators, denominator)
+        v._set(tuple(numerators), denominator)
+        return v
 
     def coords(self) -> tuple:
-        return self.x1.coeffs + self.x2.coeffs
+        """The 16 exact coordinates; whole ones are ints."""
+        d = self.denominator
+        if d == 1:
+            return self.numerators
+        return tuple(exact_ratio(x, d) for x in self.numerators)
+
+    @property
+    def x1(self) -> Octonion:
+        return Octonion._raw(self.coords()[:8])
+
+    @property
+    def x2(self) -> Octonion:
+        return Octonion._raw(self.coords()[8:])
 
     def __add__(self, other: "Vector16") -> "Vector16":
-        return Vector16(self.x1 + other.x1, self.x2 + other.x2)
-
-    def __sub__(self, other: "Vector16") -> "Vector16":
-        return Vector16(self.x1 - other.x1, self.x2 - other.x2)
-
-    def __neg__(self) -> "Vector16":
-        return Vector16(-self.x1, -self.x2)
-
-    def scale(self, t: Num) -> "Vector16":
-        return Vector16(self.x1.scale(t), self.x2.scale(t))
-
-    def __rmul__(self, t) -> "Vector16":
-        return self.scale(t)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vector16)
-            and self.x1 == other.x1
-            and self.x2 == other.x2
+        da, db = self.denominator, other.denominator
+        return Vector16._raw(
+            [a * db + b * da for a, b in zip(self.numerators, other.numerators)],
+            da * db,
         )
 
-    def __hash__(self) -> int:
-        return hash((self.x1, self.x2))
+    def __sub__(self, other: "Vector16") -> "Vector16":
+        return self + -other
+
+    def __neg__(self) -> "Vector16":
+        return Vector16._raw([-a for a in self.numerators], self.denominator)
+
+    def scale(self, t: Num) -> "Vector16":
+        t = require_exact(t)
+        return Vector16._raw(
+            [t.numerator * a for a in self.numerators], self.denominator * t.denominator
+        )
 
     def __bool__(self) -> bool:
-        return bool(self.x1) or bool(self.x2)
+        return any(self.numerators)
 
     def __repr__(self) -> str:
         return f"Vector16({self.x1!r}, {self.x2!r})"
 
 
 def inner16(x: Vector16, y: Vector16) -> Num:
-    return inner_oct(x.x1, y.x1) + inner_oct(x.x2, y.x2)
+    total = sum(a * b for a, b in zip(x.numerators, y.numerators))
+    return exact_ratio(total, x.denominator * y.denominator)
 
 
-class Operator16:
-    """A linear operator on R^16 as a dense 16x16 exact matrix.
+class Operator16(Exact):
+    """A linear operator on R^16: a 16x16 integer matrix `numerators`
+    (tuple rows) over one positive `denominator`, in lowest terms.
 
-    `entries()` lists the nonzero entries and `integer_entries()` the
-    same entries with their denominators cleared, each computed at most
-    once per instance; equality and hashing use the rows alone.
+    `entries()` lists the nonzero integer entries, computed at most once
+    per instance; `rows` gives the exact entries.
     """
 
-    __slots__ = ("rows", "_entries", "_integer_entries")
+    __slots__ = ("_entries",)
 
     def __init__(self, rows):
-        r = tuple(tuple(map(require_exact, row)) for row in rows)
+        r = tuple(map(tuple, rows))
         if len(r) != 16 or any(len(row) != 16 for row in r):
             raise ValueError("need a 16x16 matrix")
-        object.__setattr__(self, "rows", r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Operator16 is immutable")
+        ints, d = clear_denominators(x for row in r for x in row)
+        self._set(tuple(zip(*[iter(ints)] * 16)), d)
 
     @classmethod
-    def _raw(cls, rows: tuple) -> "Operator16":
-        """Unchecked constructor for arithmetic results (tuple rows)."""
+    def _raw(cls, numerators: tuple, denominator: int = 1) -> "Operator16":
+        """Unchecked constructor for integer rows (tuples) computed internally."""
         op = cls.__new__(cls)
-        object.__setattr__(op, "rows", rows)
+        if denominator != 1:
+            flat = [x for row in numerators for x in row]
+            flat, denominator = lowest_terms(flat, denominator)
+            numerators = tuple(zip(*[iter(flat)] * 16))
+        op._set(numerators, denominator)
         return op
+
+    @property
+    def rows(self) -> tuple:
+        """The exact entries by row; whole ones are ints."""
+        d = self.denominator
+        if d == 1:
+            return self.numerators
+        return tuple(tuple(exact_ratio(x, d) for x in row) for row in self.numerators)
 
     @classmethod
     def identity(cls, scale: Num = 1) -> "Operator16":
@@ -143,100 +168,83 @@ class Operator16:
         return cls(((0,) * 16,) * 16)
 
     def __add__(self, other: "Operator16") -> "Operator16":
+        da, db = self.denominator, other.denominator
         return Operator16._raw(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
+                tuple(a * db + b * da for a, b in zip(ra, rb))
+                for ra, rb in zip(self.numerators, other.numerators)
+            ),
+            da * db,
         )
 
     def __sub__(self, other: "Operator16") -> "Operator16":
-        return Operator16._raw(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self + -other
 
     def __neg__(self) -> "Operator16":
         return Operator16._raw(
-            tuple(tuple(-a for a in row) for row in self.rows)
+            tuple(tuple(-a for a in row) for row in self.numerators), self.denominator
         )
 
     def scale(self, t: Num) -> "Operator16":
         t = require_exact(t)
         return Operator16._raw(
-            tuple(tuple(t * a for a in row) for row in self.rows)
+            tuple(tuple(t.numerator * a for a in row) for row in self.numerators),
+            self.denominator * t.denominator,
         )
 
-    def __rmul__(self, t) -> "Operator16":
-        return self.scale(t)
-
     def entries(self) -> tuple:
-        """The nonzero entries (row, col, value) in row-major order."""
+        """The nonzero integer entries (row, col, numerator), row-major."""
         try:
             return self._entries
         except AttributeError:
             e = tuple(
                 (r, c, x)
-                for r, row in enumerate(self.rows)
+                for r, row in enumerate(self.numerators)
                 for c, x in enumerate(row)
                 if x
             )
             object.__setattr__(self, "_entries", e)
             return e
 
-    def integer_entries(self) -> tuple:
-        """(entries, d): the nonzero entries of d * self as (row, col, int),
-        d the lcm of the entries' denominators."""
-        try:
-            return self._integer_entries
-        except AttributeError:
-            ints, d = clear_denominators(x for _, _, x in self.entries())
-            e = tuple((r, c, x) for (r, c, _), x in zip(self.entries(), ints)), d
-            object.__setattr__(self, "_integer_entries", e)
-            return e
-
     def __matmul__(self, other: "Operator16") -> "Operator16":
         out = [[0] * 16 for _ in range(16)]
-        brows = other.rows
+        brows = other.numerators
         for r, k, x in self.entries():
             out[r] = [a + x * y for a, y in zip(out[r], brows[k])]
-        return Operator16._raw(tuple(map(tuple, out)))
+        return Operator16._raw(
+            tuple(map(tuple, out)), self.denominator * other.denominator
+        )
 
     def transpose(self) -> "Operator16":
-        return Operator16._raw(tuple(zip(*self.rows)))
+        return Operator16._raw(tuple(zip(*self.numerators)), self.denominator)
 
     def trace(self) -> Num:
-        return sum(self.rows[a][a] for a in range(16))
+        return exact_ratio(
+            sum(self.numerators[a][a] for a in range(16)), self.denominator
+        )
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.transpose().rows
+        """Entry (c, r) equals entry (r, c) at every nonzero (r, c); a zero
+        facing a nonzero entry fails at the nonzero one."""
+        n = self.numerators
+        return all(n[c][r] == x for r, c, x in self.entries())
 
     def is_skew(self) -> bool:
-        return self.rows == (-self).transpose().rows
+        """Entry (c, r) is minus entry (r, c) at every nonzero (r, c)."""
+        n = self.numerators
+        return all(n[c][r] == -x for r, c, x in self.entries())
 
     def apply(self, v: Vector16) -> Vector16:
-        """self v; with fractional entries, summed over the cleared integer
-        entries and coordinates and divided once, so whole results are ints."""
-        entries, d = self.integer_entries()
-        c = v.coords()
-        if d != 1:
-            c, dv = clear_denominators(c)
-            d *= dv
+        """self v, summed over the integer entries and numerators and put
+        over the product of the two denominators."""
+        c = v.numerators
         out = [0] * 16
-        for r, k, x in entries:
+        for r, k, x in self.entries():
             out[r] += x * c[k]
-        return Vector16._raw(out if d == 1 else [exact_ratio(x, d) for x in out])
+        return Vector16._raw(out, self.denominator * v.denominator)
 
     def det(self) -> Fraction:
-        return det(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Operator16) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
+        return det(self.numerators) / self.denominator**16
 
     def __repr__(self) -> str:
         return f"Operator16({self.rows!r})"

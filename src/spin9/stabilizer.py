@@ -62,9 +62,9 @@ def stabilizer_system(form: AlternatingForm, n: int) -> list:
     in.  A block is (units, rows): its columns in increasing order, and
     an integer array (`int_array`) with one row per monomial, sorted by
     mask, over those units.  Blocks come in the order of their first
-    unit; the coefficients are the form's, cleared of denominators.
+    unit; the coefficients are the form's numerators.
     """
-    table, _ = form._integer_table()
+    table = form.numerators
     masks = list(table)
     r, c = np.divmod(np.arange(n * n), n)
     _, key = sign_characters(masks, (1 << r) ^ (1 << c))
@@ -101,14 +101,14 @@ def vec_to_operator(vec, n: int) -> Operator16:
 def operator_rows(ops, n: int = 16) -> np.ndarray:
     """The n x n blocks of ops as integer rows of n*n entries (`int_array`).
 
-    Each operator is cleared of its denominators, a scale that keeps
-    spans and ranks unchanged.  An entry outside the block raises
+    Each operator gives its numerators, a scale that keeps spans and
+    ranks unchanged.  An entry outside the block raises
     ValueError: dropping it would let an operator on R^16 pass as one on
     R^n.
     """
     rows = []
     for op in ops:
-        entries, _ = op.integer_entries()
+        entries = op.entries()
         if any(r >= n or c >= n for r, c, _ in entries):
             raise ValueError(f"operator has entries outside the {n} x {n} block")
         row = [0] * (n * n)
@@ -150,7 +150,7 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
         raise ValueError("dimension must be between 1 and 16")
     if form.degree < 1 or form.degree > n:
         raise ValueError(f"degree {form.degree} form does not fit R^{n}")
-    if max(map(int.bit_length, form._terms), default=0) > n:
+    if max(map(int.bit_length, form.numerators), default=0) > n:
         raise ValueError(f"form uses coordinates beyond R^{n}")
     ncols = n * n
     rank, kernel = 0, []
@@ -323,8 +323,8 @@ def decomposable_certification() -> VerificationReport:
         expected=64 + 64 + 63,
     )
     ok = not any(
-        any(op.rows[r][c] for r in range(8) for c in range(8, 16))
-        or sum(op.rows[r][r] for r in range(8))
+        any(op.numerators[r][c] for r in range(8) for c in range(8, 16))
+        or sum(op.numerators[r][r] for r in range(8))
         for op in result.kernel_basis
     )
     report.add("stabilizer.decomposable.block-structure", ok)

@@ -273,6 +273,18 @@ def _bits(mask):
     return [i for i in range(16) if mask >> i & 1]
 
 
+def exact_terms(form):
+    """The form's exact coefficients {mask: int or Fraction}: each
+    numerator over the one denominator."""
+    return {m: exact_ratio(v, form.denominator) for m, v in form.numerators.items()}
+
+
+def form_of(degree, terms):
+    """The form with exact coefficients {mask: value}, built by the public
+    constructor; zero values drop out."""
+    return AlternatingForm(degree, {tuple(_bits(m)): v for m, v in terms.items()})
+
+
 def lie_derivative_oracle(form, op):
     """L_op form slot by slot: each index a becomes b, weighted by op[a][b].
 
@@ -280,7 +292,7 @@ def lie_derivative_oracle(form, op):
     code with the incidence kernel of `AlternatingForm.lie_derivative`.
     """
     out = {}
-    for m, coeff in form._terms.items():
+    for m, coeff in exact_terms(form).items():
         for a in _bits(m):
             rest = m & ~(1 << a)
             for b, v in enumerate(op.rows[a]):
@@ -289,7 +301,7 @@ def lie_derivative_oracle(form, op):
                 s = _merge_sign(1 << a, rest) * _merge_sign(1 << b, rest)
                 m2 = rest | 1 << b
                 out[m2] = out.get(m2, 0) + s * coeff * v
-    return AlternatingForm._raw(form.degree, {m: v for m, v in out.items() if v})
+    return form_of(form.degree, out)
 
 
 def generator_image_oracle(form, r, c):
@@ -301,14 +313,14 @@ def generator_image_oracle(form, r, c):
     between r and c, one sign flip each.  The diagonal unit E_rr keeps
     the monomials holding r.
     """
-    rbit = 1 << r
+    rbit, terms = 1 << r, exact_terms(form)
     if r == c:
-        return {m: v for m, v in form._terms.items() if m & rbit}
+        return {m: v for m, v in terms.items() if m & rbit}
     cbit = 1 << c
     between = (1 << max(r, c)) - (2 << min(r, c))
     return {
         m ^ rbit ^ cbit: -v if (m & between).bit_count() & 1 else v
-        for m, v in form._terms.items()
+        for m, v in terms.items()
         if m & rbit and not m & cbit
     }
 
@@ -345,13 +357,11 @@ def pullback_oracle(form, op):
     of op, on the operator's own int or Fraction entries; it shares no
     code with the vectorized kernel of `AlternatingForm.pullback`.
     """
-    rows = [[] for _ in range(16)]
-    for r, c, v in op.entries():
-        rows[r].append((c, v))
+    rows = [[(c, v) for c, v in enumerate(row) if v] for row in op.rows]
     out = {}
-    for m, coeff in form._terms.items():
+    for m, coeff in exact_terms(form).items():
         _expand_pullback(rows, _bits(m), 0, 0, coeff, out)
-    return AlternatingForm._raw(form.degree, {m: v for m, v in out.items() if v})
+    return form_of(form.degree, out)
 
 
 def w_tilde_oracle(v, vp, w, wp):

@@ -97,7 +97,8 @@ def test_alt_grouping_reduction_matches_the_literal_sum(monkeypatch):
     monkeypatch.setattr(canonical, "_sum_of_squares", spy)
     oracle = alt_grouping_oracle(w)
     assert len(oracle) > 100
-    assert canonical_8form_alt.__wrapped__()._terms == oracle
+    form = canonical_8form_alt.__wrapped__()
+    assert form.numerators == oracle and form.denominator == 1
     assert groups == [1296]
 
 

@@ -1,9 +1,11 @@
 """Exit codes, report grammar, export stability."""
 
 import hashlib
+import importlib
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +264,21 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "verify" in proc.stdout and "export" in proc.stdout
+
+
+def test_declared_entry_point_runs_without_installing(capsys):
+    # the console script of pyproject.toml, resolved by hand: the same
+    # target an installer would wrap, so the declaration is checked on
+    # every run and not only where `spin9` is on PATH
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    target = project["scripts"]["spin9"]
+    assert target == "spin9.cli:main"
+    module, _, name = target.partition(":")
+    main = getattr(importlib.import_module(module), name)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in ("verify", "export", "conjecture"))

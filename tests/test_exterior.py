@@ -13,6 +13,7 @@ from helpers import (
     _wedge_dicts_into,
     det_oracle,
     evaluate_oracle,
+    exact_terms,
     lie_derivative_oracle,
     np_tables_oracle,
     pullback_oracle,
@@ -170,7 +171,8 @@ def test_wedge_matches_dict_oracle_on_fraction_coefficients():
         for _ in range(4):
             a = _random_fraction_form(rng, p, nterms=6)
             b = _random_fraction_form(rng, q, nterms=6)
-            assert a.wedge(b)._terms == _wedge_dicts(a._terms, b._terms)
+            got = exact_terms(a.wedge(b))
+            assert got == _wedge_dicts(exact_terms(a), exact_terms(b))
     # whole quotients come back as plain ints
     half = AlternatingForm(1, {(0,): Fraction(1, 2)})
     two = AlternatingForm(1, {(1,): Fraction(4, 3), (2,): 6})
@@ -184,7 +186,7 @@ def test_wedge_with_degree_zero_forms():
     c = AlternatingForm(0, {(): Fraction(-3, 7)})
     f = _random_fraction_form(rng, 3)
     assert c.wedge(f) == f.wedge(c) == f.scale(Fraction(-3, 7))
-    assert c.wedge(f)._terms == _wedge_dicts(c._terms, f._terms)
+    assert exact_terms(c.wedge(f)) == _wedge_dicts(exact_terms(c), exact_terms(f))
     assert c.wedge(c) == AlternatingForm(0, {(): Fraction(9, 49)})
     assert not AlternatingForm.zero(0).wedge(f)
     assert f.wedge(AlternatingForm.zero(2)) == AlternatingForm.zero(5)
@@ -282,13 +284,15 @@ def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
         form.evaluate([e0, e1, e1])
     seen = spy_dtypes(monkeypatch, "_laplace_step")
     with pytest.raises(ValueError):
+        form.evaluate([e0, Vector16.from_coords([0, 0.1] + [0] * 14)])
+    # past the constructors, the kernel rejects what is not an int
+    with pytest.raises(TypeError):
         form.evaluate([e0, Vector16._raw([0, 0.1] + [0] * 14)])
     with pytest.raises(ValueError):
         AlternatingForm(2, {(0, 1): 0.5}).evaluate([e0, e1])
     with pytest.raises(ValueError):
         AlternatingForm(0, {(): 0.5}).evaluate([])
-    # the constructor rejects those coefficients; evaluate checks its own
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         AlternatingForm._raw(2, {0b11: 0.5}).evaluate([e0, e1])
     assert seen == []
 
@@ -375,7 +379,7 @@ def test_evaluate_gathers_on_the_crt_path_for_large_entries(monkeypatch):
         for _ in range(8)
     ]
     seen = spy_dtypes(monkeypatch, "_laplace_step")
-    value = evaluate_table(dict(form._terms), [v.coords() for v in vs])
+    value = evaluate_table(form.numerators, [v.coords() for v in vs])
     assert seen == [object]
     seen.clear()
     assert form.evaluate(vs) == value == evaluate_oracle(form, vs)
@@ -525,7 +529,7 @@ def test_pullback_takes_the_crt_path_past_int64(monkeypatch):
     got = f.pullback(op)
     assert got == pullback_oracle(f, op)
     assert max(abs(v) for _, v in got.items()) >= INT64_LIMIT
-    _, bound = _pullback_plan(dict(f._terms), 5, op.entries())
+    _, bound = _pullback_plan(f.numerators, 5, op.entries())
     assert bound >= INT64_LIMIT and seen == [object]
 
 
@@ -547,9 +551,9 @@ def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8):
     f, op = _past_int64_case(random.Random(77))
     whole = f.pullback(op)
     monkeypatch.setattr(exterior, "PULLBACK_CHUNK", 7)
-    plan, _ = _pullback_plan(dict(omega8._terms), 8, rot.integer_entries()[0])
+    plan, _ = _pullback_plan(omega8.numerators, 8, rot.entries())
     assert len(plan[-1]) == omega8.term_count()  # 2**8 leaves each: one a chunk
-    assert len(_pullback_plan(dict(f._terms), 5, op.entries())[0][-1]) > 1
+    assert len(_pullback_plan(f.numerators, 5, op.entries())[0][-1]) > 1
     assert omega8.pullback(rot) == omega8
     assert f.pullback(op) == whole
 
@@ -562,9 +566,10 @@ def test_pullback_rejects_inexact_coefficients():
         pullback_table({0b11: 1}, 2, [(0, 0, 0.5)])
     with pytest.raises(ValueError):
         pullback_table({0b11: 1}, 3, op.entries())
-    with pytest.raises(ValueError):
+    # past the constructors, the kernel rejects what is not an int
+    with pytest.raises(TypeError):
         AlternatingForm._raw(2, {0b11: 0.5}).pullback(op)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         AlternatingForm(2, {(0, 1): 1}).pullback(
             Operator16._raw(((0.5,) * 16,) * 16)
         )
@@ -631,15 +636,16 @@ def test_lie_derivative_takes_the_crt_path_past_int64(monkeypatch):
     f = _random_form(rng, 5, nterms=6, span=1 << 40)
     op = _sparse_operator(rng, 3, lambda: rng.randint(-(1 << 30), 1 << 30))
     seen = spy_dtypes(monkeypatch, "_lie_step")
-    terms = lie_table(dict(f._terms), op.entries())
+    terms = lie_table(f.numerators, op.entries())
     oracle = lie_derivative_oracle(f, op)
-    assert terms == oracle._terms and seen == [object]
+    assert oracle.denominator == 1
+    assert terms == oracle.numerators and seen == [object]
     assert max(abs(v) for v in terms.values()) >= INT64_LIMIT
     assert f.lie_derivative(op) == oracle
     seen.clear()
     small = _random_operator(rng)
-    terms = lie_table(dict(f._terms), small.entries())
-    assert terms == lie_derivative_oracle(f, small)._terms
+    terms = lie_table(f.numerators, small.entries())
+    assert terms == lie_derivative_oracle(f, small).numerators
     assert seen == [np.int64]
 
 
@@ -729,22 +735,22 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
     for _ in range(10):
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
-        plan, _, _ = _wedge_plan([[(a._terms, b._terms)]])
+        plan, _, _ = _wedge_plan([[(a.numerators, b.numerators)]])
         acc, keys = _wedge_step(plan, np.int64)
         assert keys is None and acc.shape == (1 << 16,)
         nz = np.flatnonzero(acc)
         terms = dict(zip(nz.tolist(), acc[nz].tolist()))
-        assert terms == _wedge_dicts(a._terms, b._terms)
+        assert terms == _wedge_dicts(a.numerators, b.numerators)
 
 
 def _table(form):
-    return dict(form._terms)
+    return dict(form.numerators)
 
 
 def _summed_wedges(pairs):
     total = {}
     for a, b in pairs:
-        _wedge_dicts_into(total, a._terms, b._terms)
+        _wedge_dicts_into(total, a.numerators, b.numerators)
     return total
 
 
@@ -771,7 +777,7 @@ def test_wedge_sum_modular_path_matches_exact_ints(monkeypatch):
         a, b = (_random_form(rng, 2, nterms=6, span=1 << 40) for _ in "ab")
         pairs.append((a, b))
     bound = sum(
-        sum(map(abs, a._terms.values())) * sum(map(abs, b._terms.values()))
+        sum(map(abs, a.numerators.values())) * sum(map(abs, b.numerators.values()))
         for a, b in pairs
     )
     assert bound >= INT64_LIMIT
@@ -817,7 +823,7 @@ def test_wedge_sum_rejects_inexact_coefficients():
 
 
 def _tables(pairs):
-    return [(a._terms, b._terms) for a, b in pairs]
+    return [(a.numerators, b.numerators) for a, b in pairs]
 
 
 def test_wedge_sums_match_each_group_summed_alone():
@@ -847,12 +853,12 @@ def test_wedge_of_a_table_with_itself_expands_unordered_pairs():
     for degree in (0, 1, 2, 3, 4):
         for _ in range(4):
             q = _random_form(rng, degree, nterms=9)
-            got = wedge_sum([(q._terms, q._terms)])
+            got = wedge_sum([(q.numerators, q.numerators)])
             assert got == _summed_wedges([(q, q)])
             if degree % 2:
                 assert got == {}
             # an equal copy is not the same object and expands every pair
-            assert wedge_sum([(q._terms, dict(q._terms))]) == got
+            assert wedge_sum([(q.numerators, dict(q.numerators))]) == got
     # tables with odd-degree terms, or a degree-0 term, expand every pair
     q = {0b1: 2, 0b110: -3, 0b11000: 5, 0b1100000: 1, 0b10000000: 7}
     for table in (q, {0: -4, **q}):
@@ -917,7 +923,7 @@ def test_bounds_far_past_2_63_run_each_step_once_on_python_ints(monkeypatch):
     huge = 1 << 100
     a, b, c = (_random_form(rng, 2, nterms=6, span=huge) for _ in "abc")
     pairs = [(a, b), (b, c), (c, c)]
-    norms = [sum(map(abs, f._terms.values())) for f in (a, b)]
+    norms = [sum(map(abs, f.numerators.values())) for f in (a, b)]
     assert norms[0] * norms[1] >= 1 << 200
     seen = spy_dtypes(monkeypatch, "_wedge_step")
     assert wedge_sum(_tables(pairs)) == _summed_wedges(pairs)
@@ -929,7 +935,7 @@ def test_bounds_far_past_2_63_run_each_step_once_on_python_ints(monkeypatch):
 
     f = _random_form(rng, 3, nterms=5, span=huge)
     op = _sparse_operator(rng, 2, lambda: rng.randint(-huge, huge))
-    _, bound = _pullback_plan(dict(f._terms), 3, op.entries())
+    _, bound = _pullback_plan(f.numerators, 3, op.entries())
     assert bound >= 1 << 200
     seen = spy_dtypes(monkeypatch, "_pullback_step")
     assert f.pullback(op) == pullback_oracle(f, op)
@@ -966,3 +972,47 @@ def test_wedge_square_of_two_form_symmetry(ta, tb):
     # even-degree forms commute; the polarization identity follows
     assert a.wedge(b) == b.wedge(a)
     assert (a + b).wedge(a + b) == a.wedge(a) + a.wedge(b).scale(2) + b.wedge(b)
+
+
+def test_forms_are_kept_in_lowest_terms(omega8):
+    quarter = AlternatingForm(2, {(0, 1): Fraction(2, 4), (2, 3): Fraction(3, 2)})
+    paths = [
+        quarter,
+        AlternatingForm(2, {(0, 1): Fraction(1, 2), (2, 3): Fraction(3, 2)}),
+        AlternatingForm(2, {(0, 1): 1, (2, 3): 3}).scale(Fraction(1, 2)),
+        AlternatingForm._raw(2, {0b11: 5, 0b1100: 15}, 10),
+        AlternatingForm(2, {(0, 1): 3, (2, 3): 9}).scale(Fraction(5, 6)).scale(
+            Fraction(1, 5)
+        ),
+    ]
+    for f in paths:
+        assert (f.numerators, f.denominator) == ({0b11: 1, 0b1100: 3}, 2)
+        assert f == quarter
+    zero = quarter - quarter
+    assert (zero.numerators, zero.denominator) == ({}, 1)
+    assert zero == AlternatingForm.zero(2)
+    # the denominators cancel in a sum, a wedge and a restriction
+    assert (quarter + quarter).denominator == 1
+    assert quarter.wedge(AlternatingForm(0, {(): 2})).denominator == 1
+    mixed = AlternatingForm(2, {(0, 1): 4, (8, 9): Fraction(1, 3)})
+    assert mixed.restrict_low() == AlternatingForm(2, {(0, 1): 4})
+    assert mixed.restrict_low().denominator == 1
+    # Omega pulled back by a rotation of denominator 5 comes back whole
+    rot = rotation(0, 1, RationalCirclePoint(Fraction(3, 5), Fraction(4, 5)))
+    pulled = omega8.pullback(rot)
+    assert pulled.denominator == 1 and pulled == omega8
+
+
+def test_whole_coefficients_and_values_come_back_as_ints():
+    f = AlternatingForm(2, {(0, 1): Fraction(1, 2), (2, 3): Fraction(6, 2)})
+    assert f.denominator == 2
+    assert type(f.coefficient((2, 3))) is int and f.coefficient((2, 3)) == 3
+    assert type(f.coefficient((4, 5))) is int and f.coefficient((4, 5)) == 0
+    assert f.coefficient((0, 1)) == Fraction(1, 2)
+    assert [type(v) for _, v in f.items()] == [Fraction, int]
+    e = [Vector16.basis(k) for k in range(4)]
+    assert type(f.evaluate([e[2], e[3]])) is int
+    two = Vector16.from_coords([2] + [0] * 15)
+    assert f.evaluate([two, e[1]]) == 1 and type(f.evaluate([two, e[1]])) is int
+    half = Vector16.from_coords([0, Fraction(1, 2)] + [0] * 14)
+    assert f.evaluate([e[0], half]) == Fraction(1, 4)

@@ -265,9 +265,11 @@ def test_entries_round_trip():
         assert entries is op.entries()
         dense = [[0] * 16 for _ in range(16)]
         for r, c, v in entries:
-            assert v
+            assert v and type(v) is int
             dense[r][c] = v
-        assert tuple(map(tuple, dense)) == op.rows
+        assert tuple(map(tuple, dense)) == op.numerators
+        d = op.denominator
+        assert op.rows == tuple(tuple(Fraction(x, d) for x in row) for row in dense)
         assert [rc[:2] for rc in entries] == sorted(rc[:2] for rc in entries)
         for _ in range(5):
             v = rand_vector(rng).coords()
@@ -287,8 +289,8 @@ def test_apply_with_fraction_entries_matches_the_per_entry_oracle():
     vectors += [rand_vector(rng) for _ in range(3)]
     vectors += [rand_fraction_vector(rng) for _ in range(3)]
     for op in ops:
-        entries, d = op.integer_entries()
-        assert d > 1 and entries is op.integer_entries()[0]
+        entries, d = op.entries(), op.denominator
+        assert d > 1 and entries is op.entries()
         assert all(type(x) is int for _, _, x in entries)
         for v in vectors:
             out = op.apply(v).coords()
@@ -335,3 +337,85 @@ def test_clifford_product_matches_oracle_on_every_index_tuple():
             assert clifford_product(idx) == expected
             count += 1
     assert count == 255
+
+
+def test_skew_and_symmetric_read_the_numerators_against_their_transpose():
+    p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
+    rot = rotation(1, 6, p)  # 3/5 Id + 4/5 I_1 I_6: neither skew nor symmetric
+    boost = boost8(RationalCirclePoint(Fraction(5, 4), Fraction(3, 4)))
+    pair = clifford_product((2, 7))
+    rows = [list(row) for row in pair.rows]
+    rows[4][9] += Fraction(1, 3)  # one entry off its mirror image
+    off = Operator16(rows)
+    cases = [
+        (rot, False, False),
+        (rot - rot.transpose(), True, False),
+        (boost, False, True),
+        (pair, True, False),
+        (pair @ pair, False, True),  # = -Id
+        (off, False, False),
+        (off - off.transpose(), True, False),
+        (Operator16.zero(), True, True),
+    ]
+    for op, skew, symmetric in cases:
+        assert op.is_skew() is skew == (op == -op.transpose())
+        assert op.is_symmetric() is symmetric == (op == op.transpose())
+    assert off.denominator == 3 and rot.denominator == 5
+
+
+def test_vectors_and_operators_are_kept_in_lowest_terms():
+    half = [Fraction(2, 4)] + [Fraction(k, 2) for k in range(2, 17)]
+    first = Vector16.from_coords(half)
+    paths = [
+        first,
+        Vector16.from_coords([Fraction(1, 2)] + half[1:]),
+        Vector16.from_coords(range(1, 17)).scale(Fraction(1, 2)),
+        Vector16._raw([3 * k for k in range(1, 17)], 6),
+        Vector16(first.x1, first.x2),
+    ]
+    for v in paths:
+        assert (v.numerators, v.denominator) == (tuple(range(1, 17)), 2)
+        assert v == paths[0] and hash(v) == hash(paths[0])
+    x = rand_fraction_vector(random.Random(27))
+    zero = x - x
+    assert (zero.numerators, zero.denominator) == ((0,) * 16, 1)
+    assert zero == Vector16.from_coords([0] * 16) and hash(zero) == hash(
+        Vector16.from_coords([0] * 16)
+    )
+
+    p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
+    rot = rotation(0, 3, p)
+    assert rot.denominator == 5
+    whole = rot.scale(5)
+    ints = Operator16.identity(3) + clifford_product((0, 3)).scale(4)
+    assert whole.denominator == ints.denominator == 1
+    assert whole.numerators == ints.numerators and hash(whole) == hash(ints)
+    assert rot == ints.scale(Fraction(2, 10)) and hash(rot) == hash(
+        ints.scale(Fraction(1, 5))
+    )
+    gone = rot - rot
+    assert gone == Operator16.zero() and gone.denominator == 1
+    assert hash(gone) == hash(Operator16.zero())
+
+
+def test_whole_values_come_back_as_ints():
+    v = Vector16.from_coords(
+        [Fraction(1, 2), 3] + [Fraction(k, 4) for k in range(14)]
+    )
+    coords = v.coords()
+    assert type(coords[1]) is int and coords[1] == 3
+    assert type(coords[2]) is int and coords[2] == 0
+    assert coords[0] == Fraction(1, 2)
+    assert type(v.x1.coeffs[1]) is int
+    w = Vector16.from_coords([Fraction(3, 2)] + [Fraction(1, 2)] * 3 + [0] * 12)
+    assert type(inner16(w, w)) is int and inner16(w, w) == 3
+    assert inner16(w, Vector16.basis(1)) == Fraction(1, 2)
+    boost = boost8(RationalCirclePoint(Fraction(5, 4), Fraction(3, 4)))
+    assert boost.denominator == 2  # entries 5/4 -+ 3/4
+    assert type(boost.trace()) is int and boost.trace() == 20
+    assert boost.rows[0][0] == Fraction(1, 2) and type(boost.rows[8][8]) is int
+    rot = rotation(0, 3, RationalCirclePoint(Fraction(3, 5), Fraction(4, 5)))
+    assert rot.trace() == Fraction(48, 5)
+    assert type(rot.scale(5).trace()) is int
+    # a denominator of 1 hands out the stored rows themselves
+    assert IDENT.rows is IDENT.numerators

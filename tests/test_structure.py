@@ -1,6 +1,8 @@
 """Module boundaries that the package keeps, checked on the source."""
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import subprocess
 import sys
@@ -175,3 +177,74 @@ def test_importing_the_cli_builds_no_bpt_table():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"] * 6
+
+
+def _private_reads(module):
+    """Lines of module that read `x._name` on another module's object.
+
+    A private name is the module's own when a class that the module
+    defines has it, inherited members included; `_raw`, the unchecked
+    constructor of the exact types, is open to every module.  Dunder
+    names are not private.
+    """
+    own = {
+        name
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+        for name in dir(obj)
+    }
+    path = Path(module.__file__)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        name = node.attr
+        if name.startswith("_") and not name.endswith("__") and name != "_raw":
+            if name not in own:
+                found.append(f"{path.name}:{node.lineno} reads {name}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    names = sorted(p.stem for p in Path(spin9.__file__).parent.glob("*.py"))
+    assert {"canonical", "curvature", "exterior", "operators", "stabilizer"} <= set(
+        names
+    )
+    modules = [importlib.import_module(f"spin9.{n}") for n in names if n != "__init__"]
+    found = [line for module in modules for line in _private_reads(module)]
+    assert found == []
+
+
+def test_private_read_guard_sees_a_reach_into_another_module(tmp_path):
+    src = tmp_path / "private_probe.py"
+    src.write_text(
+        "from spin9.exterior import AlternatingForm\n"
+        "from spin9.linalg import Exact\n"
+        "from spin9 import operators\n"
+        "\n"
+        "class Point(Exact):\n"
+        "    __slots__ = ('_cache',)\n"
+        "\n"
+        "    def _mine(self):\n"
+        "        return self._cache\n"
+        "\n"
+        "    @classmethod\n"
+        "    def make(cls, form, op):\n"
+        "        p = cls.__new__(cls)\n"
+        "        p._set((1,), 1)\n"
+        "        p._mine()\n"
+        "        AlternatingForm._raw(2, {3: 1}).__add__(form)\n"
+        "        return form._plan, op._entries, operators._product, form._terms\n"
+    )
+    spec = importlib.util.spec_from_file_location("private_probe", src)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # its own slot and method, an inherited method, `_raw` and a dunder
+    # pass; a slot of another module's class, a cached function of another
+    # module and a name that no class here has do not
+    assert _private_reads(module) == [
+        "private_probe.py:17 reads _plan",
+        "private_probe.py:17 reads _entries",
+        "private_probe.py:17 reads _product",
+        "private_probe.py:17 reads _terms",
+    ]
