@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .exterior import AlternatingForm, exact_array, perm_sign
-from .linalg import clear_denominators, exact_ratio
+from .linalg import exact_ratio
 from .octonion import XOR_SIGN, Octonion, coeff_mul, oct_mul
 from .operators import Vector16, clifford_product
 from .report import VerificationReport
@@ -52,9 +52,11 @@ def _pair_slots(n: int) -> tuple:
 
 def _crosses(vectors) -> tuple:
     """(C, d): row k of C is d^2 times the cross of the k-th pair i < j
-    (exact ints), d the lcm of all denominators; one batched `oct_mul`,
-    each coefficient 16 products: B = 16 M^2, M the largest |coordinate|."""
-    ints, d = clear_denominators(c for v in vectors for c in v.coords())
+    (exact ints), d the lcm of all denominators; one batched `oct_mul` on
+    the numerators scaled to d, each coefficient 16 products: B = 16 M^2,
+    M the largest scaled |numerator|."""
+    d = math.lcm(*(v.denominator for v in vectors))
+    ints = [x * (d // v.denominator) for v in vectors for x in v.numerators]
     x = np.array(ints, dtype=object).reshape(-1, 2, 8)
     i, j, _, _ = _pair_slots(len(x))
 

@@ -19,49 +19,47 @@ K(v, w) = <R_vw v, w> / |v ^ w|^2, and the Ricci trace is
 which is Ric = 9c g in the commutator sign (-36 at c = 4).
 
 Each expression is trilinear in (X, Y, Z): it runs its own formula on
-the integer numerators of its arguments and puts its 16 outputs over
--c / (4 d_X d_Y d_Z) once, at the end, with no clearing per call.  The
-octonion expressions split each list into its two octonion halves and
-use `coeff_mul` and `coeff_conj` on them, with no Octonion objects in
-between.  The operator expressions read the operators by column and
-visit only the nonzero coordinates of their vector arguments, so a
-basis triple costs a few entries per operator; a dense vector visits
-all 16.  Outputs are exact int or Fraction values; int inputs at c = 4
-give plain ints.  Only int and Fraction scales are accepted, and a
-vector holds integers by construction.
+the integer entries of its arguments, read from the cached
+`Vector16.entries()`, and puts its 16 outputs over the factor
+-c / (4 d_X d_Y d_Z), a pair of coprime ints, once at the end.  Its cost
+scales with the nonzero coordinates of its arguments: the operator
+expressions read the operators by column at those coordinates only, and
+the octonion expressions split each argument into the nonzero terms of
+its two halves and their conjugates once per call, shared by both
+orderings of the antisymmetrization, and multiply term lists with
+`term_mul`, which skips a product with an empty factor.  Outputs are
+exact int or Fraction values; int inputs at c = 4 give plain ints.  Only
+int and Fraction scales are accepted, and a vector holds integers by
+construction.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd
 
 from .linalg import Num, require_exact
-from .octonion import coeff_conj, coeff_mul
+from .octonion import term_mul
 from .operators import Vector16, build_involutions, inner16, lambda_basis
 from .report import VerificationReport
 
 
-def _require_scale(c: Num) -> Num:
+def _factor(x: Vector16, y: Vector16, z: Vector16, c: Num) -> tuple:
+    """-c / (4 d_x d_y d_z) as coprime ints (n, d), d > 0: the factor that
+    every expression, trilinear in (X, Y, Z), puts its numerators over."""
     if not require_exact(c):
         raise ValueError("curvature scale c must be nonzero")
-    return c
+    n = -c.numerator
+    d = 4 * c.denominator * x.denominator * y.denominator * z.denominator
+    g = gcd(n, d)
+    return n // g, d // g
 
 
-def _numerators(x: Vector16, y: Vector16, z: Vector16, c: Num) -> tuple:
-    """The integer numerators of x, y, z and the factor -c / (4 d_x d_y d_z).
-
-    Every expression below is trilinear in (X, Y, Z), so it runs on the
-    numerators and is put over the factor once at the end.
-    """
-    c = _require_scale(c)
-    d = 4 * x.denominator * y.denominator * z.denominator
-    return x.numerators, y.numerators, z.numerators, Fraction(-c, d)
-
-
-def _rescaled(total, factor: Fraction) -> Vector16:
-    """factor * total, in lowest terms."""
-    return Vector16._raw([factor.numerator * t for t in total], factor.denominator)
+def _rescaled(total, factor: tuple) -> Vector16:
+    """n * total / d for the factor (n, d), in lowest terms."""
+    n, d = factor
+    return Vector16._raw([n * t for t in total], d)
 
 
 @functools.cache
@@ -79,116 +77,135 @@ def _columns(grade: int) -> tuple:
     return len(ops), tuple(map(tuple, cols))
 
 
-def _expand(grade: int, a: list, b: list, d: list, total: list) -> list:
+def _expand(grade: int, a: tuple, b: tuple, d: tuple, total: list) -> list:
     """total + sum_i <a, P_i b> P_i d over the products P_i of one grade.
 
-    The first loop visits the nonzero coordinates of b only, the second
-    those of d only; a dense vector has all 16.
+    a is a numerator tuple, b and d are vector entries (k, numerator): the
+    first loop visits the nonzero coordinates of b only, the second those
+    of d only.
     """
     n, cols = _columns(grade)
     coeff = [0] * n
-    for k, t in enumerate(b):
-        if t:
-            for i, r, v in cols[k]:
-                coeff[i] += v * a[r] * t
-    for k, t in enumerate(d):
-        if t:
-            for i, r, v in cols[k]:
-                total[r] += coeff[i] * v * t
+    for k, t in b:
+        for i, r, v in cols[k]:
+            coeff[i] += v * a[r] * t
+    for k, t in d:
+        for i, r, v in cols[k]:
+            total[r] += coeff[i] * v * t
     return total
 
 
 def curvature_omega(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """R_XY Z via the two-form expansion over the 36 involution pairs."""
-    cx, cy, cz, factor = _numerators(x, y, z, c)
-    return _rescaled(_expand(2, cx, cy, cz, [0] * 16), factor)
+    factor = _factor(x, y, z, c)
+    total = _expand(2, x.numerators, y.entries(), z.entries(), [0] * 16)
+    return _rescaled(total, factor)
 
 
-def _antisymmetrized(s, x, y, z, c: Num) -> Vector16:
-    """-(c/4)(s(X, Y, Z) - s(Y, X, Z)), s run on the same integer coordinates."""
-    cx, cy, cz, factor = _numerators(x, y, z, c)
-    return _rescaled([a - b for a, b in zip(s(cx, cy, cz), s(cy, cx, cz))], factor)
+def _antisymmetrized(s, x, y, z, factor: tuple) -> Vector16:
+    """The factor times s(X, Y, Z) - s(Y, X, Z), both on the same arguments."""
+    return _rescaled([a - b for a, b in zip(s(x, y, z), s(y, x, z))], factor)
 
 
-def _brown_gray_s(x: list, y: list, z: list) -> list:
-    """S_XY Z / (-c/4) in octonion pairs; the curvature is its antisymmetrization."""
-    x1, x2, y1, y2, z1, z2 = x[:8], x[8:], y[:8], y[8:], z[:8], z[8:]
-    g1 = 4 * sum(p * q for p, q in zip(y1, z1))
-    g2 = 4 * sum(p * q for p, q in zip(y2, z2))
-    first = zip(
-        [g1 * a for a in x1],
-        coeff_mul(coeff_mul(z1, y2), coeff_conj(x2)),
-        coeff_mul(coeff_mul(x1, y2), coeff_conj(z2)),
+def _halves(v: Vector16) -> tuple:
+    """(x1, x2, conj x1, conj x2): the nonzero terms (k, numerator), k in
+    0..7, of the two octonion halves of v and of their conjugates."""
+    x1, x2, c1, c2 = [], [], [], []
+    for k, t in v.entries():
+        if k < 8:
+            x1.append((k, t))
+            c1.append((k, -t if k else t))
+        else:
+            x2.append((k - 8, t))
+            c2.append((k - 8, -t if k > 8 else t))
+    return x1, x2, c1, c2
+
+
+def _dot(a: list, b: list) -> int:
+    """The inner product of two octonions given by their terms."""
+    if not (a and b):
+        return 0
+    b = dict(b)
+    return sum(t * b.get(k, 0) for k, t in a)
+
+
+def _pair(first: list, second: list) -> list:
+    """The 16 numerators of the octonion pair whose halves are the sums of
+    the terms in first and in second."""
+    out = [0] * 16
+    for k, t in first:
+        out[k] += t
+    for k, t in second:
+        out[k + 8] += t
+    return out
+
+
+def _brown_gray_s(x: tuple, y: tuple, z: tuple) -> list:
+    """S_XY Z / (-c/4) in octonion pairs, on the `_halves` of X, Y, Z; the
+    curvature is its antisymmetrization."""
+    (x1, x2, x1c, x2c), (y1, y2, _, _), (z1, z2, z1c, z2c) = x, y, z
+    g1, g2 = 4 * _dot(y1, z1), 4 * _dot(y2, z2)
+    first = term_mul(term_mul(z1, y2), x2c) + term_mul(term_mul(x1, y2), z2c)
+    second = term_mul(x1c, term_mul(y1, z2)) + term_mul(z1c, term_mul(y1, x2))
+    return _pair(
+        [(k, g1 * t) for k, t in x1] + first, [(k, g2 * t) for k, t in x2] + second
     )
-    second = zip(
-        [g2 * a for a in x2],
-        coeff_mul(coeff_conj(x1), coeff_mul(y1, z2)),
-        coeff_mul(coeff_conj(z1), coeff_mul(y1, x2)),
-    )
-    return [sum(t) for t in first] + [sum(t) for t in second]
 
 
 def curvature_brown_gray(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
-    return _antisymmetrized(_brown_gray_s, x, y, z, c)
+    factor = _factor(x, y, z, c)
+    return _antisymmetrized(_brown_gray_s, _halves(x), _halves(y), _halves(z), factor)
 
 
-def _s_prime_operator(cx, cy, cz) -> list:
+def _s_prime_operator(x: Vector16, y: Vector16, z: Vector16) -> list:
     """S'_XY Z / (-c/4) = 3 g(Y,Z) X + sum_i g(I_i Y, Z) I_i X."""
-    g = sum(p * q for p, q in zip(cy, cz))
-    return _expand(1, cz, cy, cx, [3 * g * v for v in cx])
+    cz = z.numerators
+    g = sum(t * cz[k] for k, t in y.entries())
+    return _expand(1, cz, y.entries(), x.entries(), [3 * g * v for v in x.numerators])
 
 
 def s_prime_operator(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """S'_XY Z = -(c/4)(3 g(Y,Z) X + sum_i g(I_i Y, Z) I_i X)."""
-    cx, cy, cz, factor = _numerators(x, y, z, c)
-    return _rescaled(_s_prime_operator(cx, cy, cz), factor)
+    factor = _factor(x, y, z, c)
+    return _rescaled(_s_prime_operator(x, y, z), factor)
 
 
-def _s_prime_octonion(x: list, y: list, z: list) -> list:
-    """S'_XY Z / (-c/4) written through octonion products."""
-    x1, x2, y1, y2, z1, z2 = x[:8], x[8:], y[:8], y[8:], z[:8], z[8:]
-    y1c, y2c = coeff_conj(y1), coeff_conj(y2)
-    first = zip(
-        coeff_mul(coeff_mul(x1, y1c), z1),
-        coeff_mul(coeff_mul(x1, y2), coeff_conj(z2)),
-        coeff_mul(coeff_mul(z1, y1c), x1),
-        coeff_mul(coeff_mul(z1, y2), coeff_conj(x2)),
+def _s_prime_octonion(x: tuple, y: tuple, z: tuple) -> list:
+    """S'_XY Z / (-c/4) written through octonion products, on the
+    `_halves` of X, Y, Z."""
+    (x1, x2, x1c, x2c), (y1, y2, y1c, y2c), (z1, z2, z1c, z2c) = x, y, z
+    return _pair(
+        term_mul(term_mul(x1, y1c), z1) + term_mul(term_mul(x1, y2), z2c)
+        + term_mul(term_mul(z1, y1c), x1) + term_mul(term_mul(z1, y2), x2c),
+        term_mul(z1c, term_mul(y1, x2)) + term_mul(z2, term_mul(y2c, x2))
+        + term_mul(x2, term_mul(y2c, z2)) + term_mul(x1c, term_mul(y1, z2)),
     )
-    second = zip(
-        coeff_mul(coeff_conj(z1), coeff_mul(y1, x2)),
-        coeff_mul(z2, coeff_mul(y2c, x2)),
-        coeff_mul(x2, coeff_mul(y2c, z2)),
-        coeff_mul(coeff_conj(x1), coeff_mul(y1, z2)),
-    )
-    return [sum(t) for t in first] + [sum(t) for t in second]
 
 
 def s_prime_octonion(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """The same S' written through octonion products."""
-    cx, cy, cz, factor = _numerators(x, y, z, c)
-    return _rescaled(_s_prime_octonion(cx, cy, cz), factor)
+    factor = _factor(x, y, z, c)
+    return _rescaled(_s_prime_octonion(_halves(x), _halves(y), _halves(z)), factor)
 
 
 def curvature_prime_operator(x, y, z, c: Num) -> Vector16:
-    """S'_XY Z - S'_YX Z, both potentials on the same integer coordinates."""
-    return _antisymmetrized(_s_prime_operator, x, y, z, c)
+    """S'_XY Z - S'_YX Z, both potentials on the same integer entries."""
+    return _antisymmetrized(_s_prime_operator, x, y, z, _factor(x, y, z, c))
 
 
 def curvature_prime_octonion(x, y, z, c: Num) -> Vector16:
-    """The octonion S'_XY Z - S'_YX Z on the same integer coordinates."""
-    return _antisymmetrized(_s_prime_octonion, x, y, z, c)
+    """The octonion S'_XY Z - S'_YX Z, both potentials on the same halves."""
+    factor = _factor(x, y, z, c)
+    halves = _halves(x), _halves(y), _halves(z)
+    return _antisymmetrized(_s_prime_octonion, *halves, factor)
 
 
 def averaging_identity(x: Vector16, y: Vector16, z: Vector16, c: Num) -> VerificationReport:
     """Check 5 R_XY Z = sum_j I_j R_XY (I_j Z) for the given arguments."""
     lhs = 5 * curvature_omega(x, y, z, c)
-    rhs = functools.reduce(
-        Vector16.__add__,
-        (
-            op.apply(curvature_omega(x, y, op.apply(z), c))
-            for op in build_involutions().ops
-        ),
-    )
+    ops = build_involutions().ops
+    terms = (op.apply(curvature_omega(x, y, op.apply(z), c)) for op in ops)
+    rhs = functools.reduce(Vector16.__add__, terms)
     rep = VerificationReport()
     rep.add("curvature.averaging", lhs == rhs)
     return rep
@@ -201,7 +218,6 @@ def curvature_entry(x, y, z, w, c: Num) -> Num:
 
 def sectional_curvature(v: Vector16, w: Vector16, c: Num) -> Fraction:
     """K(v, w) = R_vwvw / (|v|^2 |w|^2 - <v,w>^2) for independent v, w."""
-    _require_scale(c)
     gram = inner16(v, v) * inner16(w, w) - inner16(v, w) ** 2
     if not gram:
         raise ValueError("vectors are linearly dependent")

@@ -176,13 +176,27 @@ def clear_denominators(values) -> tuple:
 
 class Exact:
     """An immutable exact value: integer `numerators` over one positive
-    `denominator`, in lowest terms; each subclass shapes its numerators."""
+    `denominator`, in lowest terms; each subclass shapes its numerators
+    and may list the nonzero ones in `_nonzero`, which `entries()` keeps:
+    the one cache of entries, computed at most once per instance."""
 
-    __slots__ = ("numerators", "denominator")
+    __slots__ = ("numerators", "denominator", "_entry_cache")
 
     def _set(self, numerators, denominator: int) -> None:
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "denominator", denominator)
+
+    def _nonzero(self) -> tuple:
+        raise NotImplementedError(f"{type(self).__name__} lists no entries")
+
+    def entries(self) -> tuple:
+        """The nonzero integer entries, as `_nonzero` lists them."""
+        try:
+            return self._entry_cache
+        except AttributeError:
+            e = self._nonzero()
+            object.__setattr__(self, "_entry_cache", e)
+            return e
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -14,9 +14,11 @@ rules
 
 In this basis every unit product is u_a u_b = +-u_{a xor b}, which is
 checked at import, so the table reduces to its signs SIGN[a][b].  Two
-products read it: `coeff_mul`, the scalar loop on plain coefficient
-sequences of ints or Fractions, and `oct_mul`, the same sum batched over
-integer arrays for the exact array stages of the BPT audit.
+products read it: `_product`, the one scalar loop, on lists of nonzero
+terms (index, coefficient) of ints or Fractions, and `oct_mul`, the same
+sum batched over integer arrays for the exact array stages of the BPT
+audit.  `term_mul` wraps the loop for term lists and `coeff_mul` for
+dense coefficient sequences.
 
 Everything is exact: coefficients are ints or fractions.Fraction, never
 floats.  All objects here are immutable, so values can be shared freely
@@ -94,21 +96,32 @@ if any(k != a ^ b for a, row in enumerate(MUL_TABLE) for b, (_, k) in enumerate(
     raise AssertionError("unit products are not indexed by a xor b")
 
 
-def coeff_mul(x: Sequence[Num], y: Sequence[Num]) -> list:
-    """Coefficients of the product of the octonions with coefficients x and y.
-
-    The scalar product loop: it visits the nonzero coefficients of
-    each factor and adds SIGN[a][b] x_a y_b to coefficient a ^ b.
-    """
+def _product(x: Sequence[tuple], y: Sequence[tuple]) -> list:
+    """The 8 coefficients of the product of two octonions given by their
+    nonzero terms (a, x_a): the one scalar loop, adding SIGN[a][b] x_a y_b
+    to coefficient a ^ b, so it costs the product of the term counts."""
     out = [0] * 8
-    if any(x) and any(y):
-        ys = [(b, cb) for b, cb in enumerate(y) if cb]
-        for a, ca in enumerate(x):
-            if ca:
-                row = SIGN[a]
-                for b, cb in ys:
-                    out[a ^ b] += row[b] * ca * cb
+    for a, ca in x:
+        row = SIGN[a]
+        for b, cb in y:
+            out[a ^ b] += row[b] * ca * cb
     return out
+
+
+def term_mul(x: Sequence[tuple], y: Sequence[tuple]) -> list:
+    """The nonzero terms, in index order, of the product of two octonions
+    given by their nonzero terms; a factor with no terms costs nothing."""
+    if not (x and y):
+        return []
+    return [term for term in enumerate(_product(x, y)) if term[1]]
+
+
+def coeff_mul(x: Sequence[Num], y: Sequence[Num]) -> list:
+    """Coefficients of the product of the octonions with coefficients x, y."""
+    return _product(
+        [term for term in enumerate(x) if term[1]],
+        [term for term in enumerate(y) if term[1]],
+    )
 
 
 # XOR[a, k] = a ^ k, XOR_SIGN[a, k] = SIGN[a][a ^ k]: the terms of coefficient k

@@ -11,9 +11,11 @@ Products of distinct I_i are signed permutations of the basis, so they
 have one nonzero entry per row.  `Vector16` and `Operator16` hold
 integer numerators over one positive denominator in lowest terms (the
 `linalg.Exact` representation); exact values appear only at the edge
-(`coords`, `x1`/`x2`, `rows`, `trace`, `inner16`).  `Operator16` lists
-its nonzero integer entries once; products and `apply` run over those,
-so a signed permutation costs 16 entries, and there is no second format.
+(`coords`, `x1`/`x2`, `rows`, `trace`, `inner16`).  Both list their
+nonzero integer entries once (`entries()`, the one cache of `Exact`):
+operator products and `apply` run over an operator's, the curvature
+expressions over a vector's, so a signed permutation costs 16 entries
+and a basis vector one, and there is no second format.
 
 `clifford_product` is the one source of the products I_{i1} ... I_{ir}
 (increasing indices, r = 1..4): each is cached per index tuple and built
@@ -44,7 +46,8 @@ from .octonion import Octonion
 
 class Vector16(Exact):
     """A point of R^16 as an octonion pair: 16 integer `numerators` (a
-    tuple) over one positive `denominator`, in lowest terms."""
+    tuple) over one positive `denominator`, in lowest terms; `entries()`
+    lists the nonzero ones as (k, numerator), computed at most once."""
 
     __slots__ = ()
 
@@ -72,6 +75,10 @@ class Vector16(Exact):
         numerators, denominator = lowest_terms(numerators, denominator)
         v._set(tuple(numerators), denominator)
         return v
+
+    def _nonzero(self) -> tuple:
+        """The nonzero integer entries (k, numerator), in index order."""
+        return tuple((k, x) for k, x in enumerate(self.numerators) if x)
 
     def coords(self) -> tuple:
         """The 16 exact coordinates; whole ones are ints."""
@@ -123,11 +130,11 @@ class Operator16(Exact):
     """A linear operator on R^16: a 16x16 integer matrix `numerators`
     (tuple rows) over one positive `denominator`, in lowest terms.
 
-    `entries()` lists the nonzero integer entries, computed at most once
-    per instance; `rows` gives the exact entries.
+    `entries()` lists the nonzero integer entries (row, col, numerator),
+    computed at most once per instance; `rows` gives the exact entries.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
     def __init__(self, rows):
         r = tuple(map(tuple, rows))
@@ -192,19 +199,10 @@ class Operator16(Exact):
             self.denominator * t.denominator,
         )
 
-    def entries(self) -> tuple:
+    def _nonzero(self) -> tuple:
         """The nonzero integer entries (row, col, numerator), row-major."""
-        try:
-            return self._entries
-        except AttributeError:
-            e = tuple(
-                (r, c, x)
-                for r, row in enumerate(self.numerators)
-                for c, x in enumerate(row)
-                if x
-            )
-            object.__setattr__(self, "_entries", e)
-            return e
+        rows = enumerate(self.numerators)
+        return tuple((r, c, x) for r, row in rows for c, x in enumerate(row) if x)
 
     def __matmul__(self, other: "Operator16") -> "Operator16":
         out = [[0] * 16 for _ in range(16)]

@@ -342,7 +342,7 @@ def verify_curvature(config: RunConfig) -> VerificationReport:
     basis = [Vector16.basis(k) for k in range(16)]
     c = 4
 
-    exprs = (
+    omega, *others = (
         curvature.curvature_omega,
         curvature.curvature_brown_gray,
         curvature.curvature_prime_operator,
@@ -351,27 +351,17 @@ def verify_curvature(config: RunConfig) -> VerificationReport:
     ok = True
     for _ in range(config.samples):
         x, y, z = (_rand_vector(rng) for _ in range(3))
-        ref = exprs[0](x, y, z, c)
-        if any(f(x, y, z, c) != ref for f in exprs[1:]):
-            ok = False
-    report.add(
-        "curvature.four-expressions", ok, samples=config.samples
-    )
+        ref = omega(x, y, z, c)
+        ok &= all(f(x, y, z, c) == ref for f in others)
+    report.add("curvature.four-expressions", ok, samples=config.samples)
 
-    e0 = basis[0]
-    op_val = curvature.s_prime_operator(e0, e0, e0, c)
-    oct_val = curvature.s_prime_octonion(e0, e0, e0, c)
+    e0, s_op, s_oct = basis[0], curvature.s_prime_operator, curvature.s_prime_octonion
+    op_val, oct_val = s_op(e0, e0, e0, c), s_oct(e0, e0, e0, c)
     sym_ok = True
     for _ in range(min(config.samples, 10)):
         x, y, z = (_rand_vector(rng) for _ in range(3))
-        dxy = curvature.s_prime_operator(
-            x, y, z, c
-        ) - curvature.s_prime_octonion(x, y, z, c)
-        dyx = curvature.s_prime_operator(
-            y, x, z, c
-        ) - curvature.s_prime_octonion(y, x, z, c)
-        if dxy != dyx:
-            sym_ok = False
+        dxy = s_op(x, y, z, c) - s_oct(x, y, z, c)
+        sym_ok &= dxy == s_op(y, x, z, c) - s_oct(y, x, z, c)
     report.add(
         "curvature.potential-variants",
         op_val == e0.scale(-4) and oct_val == e0.scale(-2) and sym_ok,
@@ -386,16 +376,11 @@ def verify_curvature(config: RunConfig) -> VerificationReport:
             ok = False
     report.add("curvature.averaging", ok)
 
-    ok = True
+    ok, entry = True, curvature.curvature_entry
     for _ in range(config.samples):
         x, y, z, w = (_rand_vector(rng) for _ in range(4))
-        r = curvature.curvature_omega
-        if r(x, y, z, c) + r(y, z, x, c) + r(z, x, y, c):
-            ok = False
-        if curvature.curvature_entry(x, y, z, w, c) != curvature.curvature_entry(
-            z, w, x, y, c
-        ):
-            ok = False
+        ok &= not omega(x, y, z, c) + omega(y, z, x, c) + omega(z, x, y, c)
+        ok &= entry(x, y, z, w, c) == entry(z, w, x, y, c)
     report.add("curvature.bianchi-and-pair-symmetry", ok)
 
     p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))

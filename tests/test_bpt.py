@@ -65,6 +65,25 @@ def test_cross_on_pair_vectors():
         assert not bpt_cross(u, u)
 
 
+def test_cross_and_reduced_sum_on_rational_vectors_match_the_octonion_formula():
+    # each vector on its own denominator, two of them whole: the crosses
+    # read the numerators scaled to the lcm of the denominators
+    rng = random.Random(89)
+    vs = [
+        Vector16.from_coords(
+            [Fraction(rng.randint(-6, 6), d) for _ in range(15)] + [Fraction(1, d)]
+        )
+        for d in (1, 2, 3, 5, 7, 4, 9, 1)
+    ]
+    assert [v.denominator for v in vs] == [1, 2, 3, 5, 7, 4, 9, 1]
+    for u, v in itertools.combinations(vs, 2):
+        expected = cross_oct(u.x1.conj(), v.x1.conj()) + cross_oct(u.x2, v.x2)
+        assert bpt_cross(u, v) == expected
+    value = bpt_8form_reduced(vs)
+    assert value == bpt_reduced_oracle(vs, s8_star())
+    assert Fraction(value).denominator > 1
+
+
 def test_full_and_reduced_sums_agree_on_basis():
     rng = random.Random(82)
     for _ in range(15):

@@ -280,6 +280,42 @@ def test_expressions_match_fraction_oracle(c):
         assert curvature_entry(x, y, z, w, c) == inner16(ref, w)
 
 
+BLOCK_SHAPES = ("low", "high", "one")
+
+
+def _block_vector(rng, shape):
+    """Nonzero Fraction coordinates on the low octonion half only, the
+    high half only, or one coordinate."""
+    if shape == "one":
+        support = [rng.randrange(16)]
+    else:
+        support = range(8) if shape == "low" else range(8, 16)
+    coords = [0] * 16
+    for k in support:
+        coords[k] = Fraction(rng.choice((-5, -3, -1, 1, 2, 7)), rng.randint(1, 6))
+    return Vector16.from_coords(coords)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_expressions_match_fraction_oracle_on_block_supported_inputs(c):
+    # the octonion expressions skip every product with an empty factor, so
+    # all 27 combinations of low-only, high-only and one-coordinate X, Y
+    # and Z are checked
+    rng = random.Random(72)
+    w = rand_fraction_vector(rng)
+    nonzero = 0
+    for shapes in itertools.product(BLOCK_SHAPES, repeat=3):
+        x, y, z = (_block_vector(rng, shape) for shape in shapes)
+        ref = curvature_oracle(x, y, z, c)
+        nonzero += bool(ref)
+        for f in EXPRS:
+            assert f(x, y, z, c) == ref, (f.__name__, shapes)
+        assert s_prime_operator(x, y, z, c) - s_prime_operator(y, x, z, c) == ref
+        assert s_prime_octonion(x, y, z, c) - s_prime_octonion(y, x, z, c) == ref
+        assert curvature_entry(x, y, z, w, c) == inner16(ref, w)
+    assert nonzero >= 20
+
+
 @pytest.mark.parametrize("c", SCALES)
 def test_sectional_curvature_matches_fraction_oracle(c):
     seen = 0

@@ -20,6 +20,7 @@ from spin9.octonion import (
     cross_oct,
     inner_oct,
     oct_mul,
+    term_mul,
     unit_mul,
 )
 
@@ -56,6 +57,31 @@ def test_unit_products_are_indexed_by_xor():
         assert tuple(coeff_mul(list(x), list(y))) == oct_mul_oracle(x, y)
     for x in samples:
         assert coeff_conj(x) == [x[0]] + [-a for a in x[1:]]
+
+
+def test_term_product_matches_the_oracle_on_nonzero_terms():
+    # terms in, nonzero terms out in index order; an empty factor gives
+    # no terms, and cancellation leaves a coefficient out
+    rng = random.Random(33)
+    samples = [(0,) * 8, (1,) + (0,) * 7, (0, 0, 0, 0, 0, -3, 0, 0)]
+    for _ in range(20):
+        density = rng.random()
+        samples.append(tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            if rng.random() < density else 0
+            for _ in range(8)
+        ))
+    for x, y in itertools.product(samples, repeat=2):
+        xs = [(a, v) for a, v in enumerate(x) if v]
+        ys = [(b, v) for b, v in enumerate(y) if v]
+        want = oct_mul_oracle(x, y)
+        assert term_mul(xs, ys) == [(k, v) for k, v in enumerate(want) if v]
+    one = [(1, 1), (2, 1)]
+    # (i + j)(i - j) = -1 - ij + ji + 1 = -2 ij and (i + j)^2 = -2: each
+    # leaves out the coefficient that cancels
+    assert term_mul(one, [(1, 1), (2, -1)]) == [(3, -2)]
+    assert term_mul(one, one) == [(0, -2)]
+    assert term_mul([], one) == term_mul(one, []) == []
 
 
 def test_batched_product_matches_the_scalar_loop_and_the_oracle():

@@ -15,6 +15,7 @@ from helpers import (
     rank,
 )
 from spin9 import operators
+from spin9.octonion import Octonion
 from spin9.operators import (
     Operator16,
     RationalCirclePoint,
@@ -275,6 +276,71 @@ def test_entries_round_trip():
             v = rand_vector(rng).coords()
             by_rows = tuple(sum(a * b for a, b in zip(row, v)) for row in op.rows)
             assert op.apply(Vector16.from_coords(v)).coords() == by_rows
+
+
+def _vector_entries_oracle(v):
+    return tuple((k, x) for k, x in enumerate(v.numerators) if x)
+
+
+def test_vector_entries_list_the_nonzero_numerators_once():
+    rng = random.Random(28)
+    sparse = [0] * 16
+    sparse[2], sparse[9], sparse[15] = Fraction(-3, 4), 5, Fraction(1, 6)
+    vectors = [
+        Vector16.basis(0),
+        Vector16.basis(15),
+        Vector16.from_coords([0] * 16),
+        Vector16.from_coords(sparse),
+        rand_vector(rng),
+        rand_fraction_vector(rng),
+    ]
+    for v in vectors:
+        entries = v.entries()
+        assert entries is v.entries()
+        assert entries == _vector_entries_oracle(v)
+        # index order, no zeros, integer numerators over the one denominator
+        assert [k for k, _ in entries] == sorted({k for k, _ in entries})
+        assert all(type(x) is int and x for _, x in entries)
+        assert all(v.coords()[k] == Fraction(x, v.denominator) for k, x in entries)
+    assert Vector16.from_coords([0] * 16).entries() == ()
+    assert vectors[3].entries() == ((2, -9), (9, 60), (15, 2))
+    assert vectors[3].denominator == 12
+
+
+def test_vector_entries_leave_the_vector_immutable_and_its_value_alone():
+    rng = random.Random(29)
+    x = rand_fraction_vector(rng)
+    twin = Vector16.from_coords(x.coords())
+    assert twin == x and hash(twin) == hash(x)
+    x.entries()
+    # a filled cache does not change equality or the hash
+    assert twin == x and x == twin and hash(twin) == hash(x)
+    twin.entries()
+    assert twin == x and hash(twin) == hash(x)
+    for name in ("numerators", "denominator", "_entry_cache", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, ())
+    assert x.entries() is x.entries() and x == twin
+
+
+def test_vector_entries_agree_across_constructors_and_arithmetic():
+    rng = random.Random(30)
+    for k in range(16):
+        coords = [int(t == k) for t in range(16)]
+        made = (
+            Vector16.basis(k),
+            Vector16.from_coords(coords),
+            Vector16._raw(coords),
+            Vector16._raw([7 * t for t in coords], 7),
+            Vector16(Octonion._raw(coords[:8]), Octonion._raw(coords[8:])),
+        )
+        assert all(v.entries() == ((k, 1),) for v in made)
+    for _ in range(5):
+        x, y = rand_fraction_vector(rng), rand_vector(rng)
+        t = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        for v in (x + y, x - y, -x, x.scale(t), t * y, FAM[rng.randrange(9)].apply(x)):
+            assert v.entries() == _vector_entries_oracle(v)
+            assert v.entries() == Vector16.from_coords(v.coords()).entries()
 
 
 def test_apply_with_fraction_entries_matches_the_per_entry_oracle():

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import spin9
-from spin9 import exterior
+from spin9 import exterior, octonion
 
 
 def _private_imports(path):
@@ -124,6 +124,70 @@ def test_driver_guard_sees_a_second_call_site(tmp_path):
         "exterior.py:6 reads INT64_LIMIT",
         "exterior.py:10 reads INT64_LIMIT",
         "exterior.py:11 reads INT64_LIMIT",
+    ]
+
+
+UNIT_TABLES = ("SIGN", "MUL_TABLE")
+
+
+def _unit_table_readers(path):
+    """Lines that read the octonion unit product tables `SIGN` or
+    `MUL_TABLE`: by name, as an attribute, imported under any name, or
+    through a star import of `octonion`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read = node.id in UNIT_TABLES
+        elif isinstance(node, ast.Attribute):
+            read = node.attr in UNIT_TABLES
+        elif isinstance(node, ast.ImportFrom):
+            star = (node.module or "").split(".")[-1] == "octonion"
+            read = any(
+                a.name in UNIT_TABLES or (star and a.name == "*") for a in node.names
+            )
+        else:
+            continue
+        if read:
+            found.append(node.lineno)
+    return [f"{path.name}:{line} reads a unit table" for line in sorted(found)]
+
+
+def test_only_the_octonion_module_reads_the_unit_product_tables():
+    # one scalar product loop (`_product`, under `term_mul` and `coeff_mul`)
+    # and its batched form (`oct_mul`) read the signs; every other module
+    # multiplies through them
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert {"octonion.py", "curvature.py", "bpt.py"} <= {p.name for p in sources}
+    assert "SIGN" in inspect.getsource(octonion._product)
+    found = [
+        line
+        for path in sources
+        if path.name != "octonion.py"
+        for line in _unit_table_readers(path)
+    ]
+    assert found == []
+
+
+def test_unit_table_guard_sees_a_second_product_loop(tmp_path):
+    (tmp_path / "curvature.py").write_text(
+        "from .octonion import SIGN\n"
+        "from .octonion import MUL_TABLE as UNITS\n"
+        "from . import octonion\n"
+        "from .octonion import *\n"
+        "def mul(x, y):\n"
+        "    return [octonion.SIGN[a][b] * x[a] * y[b] for a in x for b in y]\n"
+        "def sign(a, b):\n"
+        "    return SIGN[a][b]\n"
+        "XOR_SIGN = 'SIGN'  # another name and a string are no reads\n"
+        "from .exterior import *\n"
+    )
+    assert _unit_table_readers(tmp_path / "curvature.py") == [
+        "curvature.py:1 reads a unit table",
+        "curvature.py:2 reads a unit table",
+        "curvature.py:4 reads a unit table",
+        "curvature.py:6 reads a unit table",
+        "curvature.py:8 reads a unit table",
     ]
 
 
