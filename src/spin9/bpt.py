@@ -9,10 +9,10 @@ This module implements both sums literally, as exact array stages on
 `exact_array` (the crosses of all pairs in one batched `oct_mul`, then
 the block sums or the real-part table), materializes the form's full
 coefficient map (each distinct 4-slot block gathered once as int8 over
-all basis tuples, every term summed in int16 under a checked bound), and
-computes the exact invariance defect under the generator I_7 I_8: the
-defect is nonzero, so the construction is not invariant and cannot equal
-the canonical 8-form in any scaling.
+all basis tuples, every term of {-1, 0, 1} summed in the `int_dtype` of
+the term count), and computes the exact invariance defect under the
+generator I_7 I_8: the defect is nonzero, so the construction is not
+invariant and cannot equal the canonical 8-form in any scaling.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .exterior import AlternatingForm, exact_array, perm_sign
-from .linalg import exact_ratio
+from .linalg import exact_ratio, int_dtype
 from .octonion import XOR_SIGN, Octonion, coeff_mul, oct_mul
 from .operators import Vector16, clifford_product
 from .report import VerificationReport
@@ -222,9 +222,6 @@ def _re_pair_table() -> np.ndarray:
     return np.tensordot(cross * XOR_SIGN[:, 0], cross, axes=(2, 2)).astype(np.int8)
 
 
-ACC_LIMIT = 1 << 15  # int16 accumulator: |sum| <= number of terms < 2^15
-
-
 def _materialize(k: int, signed_perms) -> AlternatingForm:
     """The signed sum over all ascending basis k-tuples at once.
 
@@ -234,10 +231,9 @@ def _materialize(k: int, signed_perms) -> AlternatingForm:
     is gathered once for all tuples, by one `take` from the flat table
     on (a*16 + b) << 8 | (c*16 + d), from cached per-position-pair codes.
     Each term sign * factor * ... is in {-1, 0, 1} and is added on its
-    own, so an int16 accumulator is exact below ACC_LIMIT terms (checked).
+    own, so the term count bounds every sum: the accumulator takes its
+    `int_dtype`.
     """
-    if len(signed_perms) >= ACC_LIMIT:
-        raise OverflowError(f"{len(signed_perms)} terms overflow the int16 sum")
     flat = _re_pair_table().reshape(-1)
     combos = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(16), k)),
@@ -253,11 +249,11 @@ def _materialize(k: int, signed_perms) -> AlternatingForm:
         a, b, c, d = block
         return flat.take(code(a, b) << 8 | code(c, d))
 
-    acc = np.zeros(len(combos), dtype=np.int16)
+    acc = np.zeros(len(combos), dtype=int_dtype(len(signed_perms)))
     for perm, sign in signed_perms:
         blocks = (factor(perm[q:q + 4]) for q in range(0, k, 4))
         acc += math.prod(blocks, start=sign)
-    nz = np.flatnonzero(acc != 0)  # a bool scan is far faster than int16
+    nz = np.flatnonzero(acc != 0)  # a bool scan is far faster than int64
     masks = np.bitwise_or.reduce(1 << combos[nz], axis=1)
     return AlternatingForm._raw(k, dict(zip(masks.tolist(), acc[nz].tolist())))
 

@@ -36,12 +36,11 @@ degree, is a square: Q ^ Q = 2 sum_{i<j}, so only its term pairs i < j
 expand.  One group sums into a dense 2**16 accumulator, several by
 `np.unique` on the keys group << 16 | mask.
 
-One driver, `_exact`, serves all four kernels and `exact_array`, which
-runs the array stages of the BPT audit.  Each bounds its sums by B
-before any arithmetic (the wedge by the largest B_g = sum |a|_1 |b|_1)
-and runs its step once: in int64 when B < 2**63, which then holds every
-product and partial sum, else on Python ints (dtype=object), the rule
-`linalg` follows too.  No float enters either way.  The other kernels:
+Every kernel, and `exact_array`, which runs the array stages of the
+BPT audit, bounds its sums by B before any arithmetic (the wedge by the
+largest B_g = sum |a|_1 |b|_1) and runs its step once, in the dtype
+`linalg.int_dtype(B)` gives: int64 when B < 2**63, which then holds
+every product and partial sum, else Python ints.  The other kernels:
 
 - `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
   and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands all
@@ -68,11 +67,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .linalg import (
-    INT64_LIMIT,
     Exact,
     Num,
     clear_denominators,
     exact_ratio,
+    int_dtype,
     lowest_terms,
     require_exact,
 )
@@ -304,35 +303,25 @@ def _require_int(name: str, *groups) -> None:
         raise TypeError(f"{name} takes integer coefficients only")
 
 
-def _exact(plan, bound: int, run) -> tuple:
-    """(support, values, aux) of one exact kernel, whose step
-    `run(plan, dtype)` gives its sums as an array of that dtype and an
-    aux: once in int64 if `bound` < 2**63, else once on Python ints
-    (dtype=object).  `support` indexes the nonzero sums and `values`
-    holds them as ints.
-    """
-    sums, aux = run(plan, np.int64 if bound < INT64_LIMIT else object)
-    support = np.flatnonzero(sums != 0)  # scans bool far faster than int64
-    return support, sums[support].tolist(), aux
+def _nonzero(acc: np.ndarray) -> tuple:
+    """(masks, values) lists of a dense 2**16 accumulator's nonzero entries,
+    so that a large table {mask: int} is built after it is freed."""
+    masks = np.flatnonzero(acc != 0)  # scans bool far faster than int64
+    return masks.tolist(), acc[masks].tolist()
 
 
 def exact_array(step, bound: int, *arrays) -> np.ndarray:
-    """`step(*arrays)` on `_exact`, as an object array of exact ints: the
-    step maps integer arrays, cast to the driver's dtype, to an array of
-    that dtype; the caller proves first that `bound` covers its inputs,
+    """`step(*arrays)` as an object array of exact ints: the step maps
+    integer arrays, cast to `int_dtype(bound)`, to an array of that
+    dtype; the caller proves first that `bound` covers its inputs,
     products and sums.
     """
-    support, values, shape = _exact((step, arrays), bound, _array_step)
-    out = np.zeros(math.prod(shape), dtype=object)
-    out[support] = values
-    return out.reshape(shape)
-
-
-def _array_step(plan, dtype) -> tuple:
-    """(flat result, shape) of an `exact_array` step on its arrays as dtype."""
-    step, arrays = plan
+    dtype = int_dtype(bound)
     out = step(*(x.astype(dtype) for x in arrays))
-    return out.ravel(), out.shape
+    exact = np.zeros(out.shape, dtype=object)
+    support = np.nonzero(out != 0)
+    exact[support] = out[support].tolist()
+    return exact
 
 
 # candidate term pairs expanded at once; bounds the memory: the 4 x 2**14 int64
@@ -352,16 +341,17 @@ def wedge_sums(groups) -> list:
     {mask: int}: one table per group, no zero entries.
 
     B_g = sum |a|_1 |b|_1 bounds every product and partial sum of group
-    g; all groups run together under `_exact` with the largest B_g (at
-    least every |a|_1, see `_wedge_plan`).
+    g; all groups run together in the `int_dtype` of the largest B_g
+    (at least every |a|_1, see `_wedge_plan`).
     """
     plan, bound, count = _wedge_plan(groups)
     if plan is None:
         return [{} for _ in range(count)]
-    nz, values, keys = _exact(plan, bound, _wedge_step)
-    if keys is None:
-        return [dict(zip(nz.tolist(), values))]
-    keys = keys[nz]
+    if count == 1:
+        return [dict(zip(*_nonzero(_wedge_step(plan, int_dtype(bound)))))]
+    sums, keys = _wedge_step(plan, int_dtype(bound))
+    nz = np.flatnonzero(sums != 0)
+    values, keys = sums[nz].tolist(), keys[nz]
     cuts = np.searchsorted(keys >> 16, np.arange(count + 1)).tolist()
     masks = (keys & 0xFFFF).tolist()
     return [
@@ -423,16 +413,17 @@ def _wedge_plan(groups) -> tuple:
     return plan, max(*bounds, *norms.values()), len(groups)
 
 
-def _wedge_step(plan, dtype) -> tuple:
-    """(sums, keys) of the grouped pair sums, as an array of dtype.
+def _wedge_step(plan, dtype):
+    """The pair sums in dtype: one group's dense 2**16 accumulator, or the
+    (sums, keys) of several groups.
 
     The rows expand in chunks of at most WEDGE_CHUNK candidate term pairs
     (a row with more is a chunk alone).  A pair of overlapping masks drops
     out, and each index of the right mask moves left past the indices of
     the left mask above it, one sign flip each.  One group sums into a
-    dense 2**16 accumulator (keys None: the index is the mask).  Several
-    sum by `np.unique` on the keys group << 16 | mask; the rows run group
-    by group, so only the last group of a chunk carries into the next.
+    dense 2**16 accumulator, whose index is the mask.  Several sum by
+    `np.unique` on the keys group << 16 | mask; the rows run group by
+    group, so only the last group of a chunk carries into the next.
     """
     masks, coeffs, rows, count, ends, grouped = plan
     p16, poppar = _np_tables()
@@ -465,7 +456,7 @@ def _wedge_step(plan, dtype) -> tuple:
             keys, sums = keys[cut:], total[cut:]
         lo, before = hi, before + load
     if not grouped:
-        return sums, None
+        return sums
     parts.append((sums, keys))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
@@ -482,8 +473,7 @@ def pullback_table(table: dict, degree: int, entries) -> dict:
     plan, bound = _pullback_plan(table, degree, entries)
     if plan is None:
         return {}
-    support, values, _ = _exact(plan, bound, _pullback_step)
-    return dict(zip(support.tolist(), values))
+    return dict(zip(*_nonzero(_pullback_step(plan, int_dtype(bound)))))
 
 
 def _pullback_plan(table: dict, degree: int, entries) -> tuple:
@@ -529,8 +519,8 @@ def _pullback_plan(table: dict, degree: int, entries) -> tuple:
     return plan, bound
 
 
-def _pullback_step(plan, dtype) -> tuple:
-    """(accumulator, None) of the pullback, as an array of dtype.
+def _pullback_step(plan, dtype) -> np.ndarray:
+    """The dense 2**16 accumulator of the pullback, in dtype.
 
     All monomials of a chunk expand together, one index position at a
     time, as arrays of (monomial, mask, coefficient, sign parity): each
@@ -565,7 +555,7 @@ def _pullback_step(plan, dtype) -> tuple:
             mon = mon[src]
         coef *= 1 - 2 * odd
         np.add.at(acc, mask, coef)
-    return acc, None
+    return acc
 
 
 # exact evaluation kernel ----------------------------------------------------
@@ -633,22 +623,17 @@ def evaluate_table(table: dict, columns, plan=None) -> int:
     if not kept.size or not bound:
         return 0
     rows = kept if kept.size < len(table) else slice(None)
-    nz, minors, _ = _exact((plan, rows, cut, reach), bound, _laplace_step)
+    cols = np.array(cut, dtype=int_dtype(bound)).reshape(len(cut), 16)
+    minors = _minors(plan, cols, reach, rows)
+    nz = np.flatnonzero(minors != 0)
     coeffs = list(table.values())
-    return sum(coeffs[k] * x for k, x in zip(kept[nz].tolist(), minors))
+    return sum(coeffs[k] * x for k, x in zip(kept[nz].tolist(), minors[nz].tolist()))
 
 
 def _laplace_plan(table: dict, degree: int) -> tuple:
     """The `_laplace_split` across the middle of the table's masks."""
     masks = np.fromiter(table, dtype=np.int64, count=len(table))
     return _laplace_split(masks, degree, degree // 2)
-
-
-def _laplace_step(plan, dtype) -> tuple:
-    """(minors, None) of the kept monomials, as an array of dtype."""
-    split, rows, columns, reach = plan
-    cols = np.array(columns, dtype=dtype).reshape(len(columns), 16)
-    return _minors(split, cols, reach, rows), None
 
 
 def _minors(split, cols, reach: int, rows=slice(None)) -> np.ndarray:
@@ -736,7 +721,7 @@ def lie_table(table: dict, entries) -> dict:
 
     B = sum_m |c_m| * sum |value| bounds every product and partial sum;
     B = 0 leaves nothing to sum, else the incidences of `lie_incidences`
-    accumulate under `_exact`.
+    accumulate into a dense 2**16 array in `int_dtype(B)`.
     """
     entries = list(entries)
     coeffs = list(table.values())
@@ -748,16 +733,9 @@ def lie_table(table: dict, entries) -> dict:
     out, odd, mon, unit = lie_incidences(
         list(table), [r for r, _, _ in entries], [c for _, c, _ in entries]
     )
-    plan = (out, odd, mon, unit, coeffs, vals)
-    support, values, _ = _exact(plan, bound, _lie_step)
-    return dict(zip(support.tolist(), values))
-
-
-def _lie_step(plan, dtype) -> tuple:
-    """(accumulator, None) of the Lie derivative, as an array of dtype."""
-    out, odd, mon, unit, coeffs, vals = plan
+    dtype = int_dtype(bound)
     terms = np.array(coeffs, dtype=dtype)[mon] * np.array(vals, dtype=dtype)[unit]
     terms *= 1 - 2 * odd
     acc = np.zeros(1 << 16, dtype=dtype)
     np.add.at(acc, out, terms)
-    return acc, None
+    return dict(zip(*_nonzero(acc)))

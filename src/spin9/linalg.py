@@ -1,14 +1,16 @@
 """Exact integer and rational linear algebra.
 
-Integer systems are dense arrays (`int_array`): int64 while every entry
-fits, else Python ints (dtype=object).  `int_echelon` is the one
-elimination: a fraction-free reduced echelon, column by column.  Each
-step cross-multiplies every row holding an entry in the pivot column
-against the pivot row and divides each row by the gcd of its entries
-(`_eliminate`), so no rational appears.  Before each step in int64 the
-largest result is bounded from the maxima of the arrays; a bound of
-2**63 or more moves the matrix to Python ints, and the same loop goes
-on there.  No float enters either way, and there is no modular step.
+Every exact kernel of the package bounds its entries, products and
+partial sums by B before any arithmetic and takes its dtype from
+`int_dtype(B)`: int64 when B < 2**63, else Python ints (dtype=object).
+No float enters either way, and there is no modular step.  Integer
+systems are dense arrays (`int_array`, B their largest |entry|).
+`int_echelon` is the one elimination: a fraction-free reduced echelon,
+column by column.  Each step cross-multiplies every row holding an
+entry in the pivot column against the pivot row and divides each row by
+the gcd of its entries (`_eliminate`), so no rational appears.  Each
+step in int64 bounds its result from the maxima of the arrays first and
+moves the matrix to Python ints when the rule says so.
 
 The echelon is the primitive integer multiple of the reduced row echelon
 form, so it depends only on the row space: `nullspace` reads one kernel
@@ -33,21 +35,26 @@ INT64_LIMIT = 1 << 63
 Num = Union[int, Fraction]
 
 
+def int_dtype(bound: int):
+    """np.int64 for a kernel whose entries, products and partial sums all
+    lie within +-bound when bound < 2**63, else object (Python ints)."""
+    return np.int64 if bound < INT64_LIMIT else object
+
+
 def int_array(values) -> np.ndarray:
-    """values as an integer array: int64 when every entry lies strictly
-    within +-2**63, else Python ints (dtype=object).  Any entry that is
-    not an integer raises ValueError, so a float never enters a kernel."""
+    """values as an integer array in the `int_dtype` of its largest
+    |entry|.  Any entry that is not an integer raises ValueError, so a
+    float never enters a kernel."""
     a = np.asarray(values)
-    if a.dtype == np.int64 and (not a.size or a.min() > -INT64_LIMIT):
-        return a
     if a.dtype.kind not in "iu":
         # numpy reads ints past int64 as floats: take the entries as given
         a = np.array(values, dtype=object)
         if not all(isinstance(x, (int, np.integer)) for x in a.flat):
             raise ValueError("integer entries expected")
-    flat = [int(x) for x in a.flat]
-    small = all(-INT64_LIMIT < x < INT64_LIMIT for x in flat)
-    return np.array(flat, dtype=np.int64 if small else object).reshape(a.shape)
+    if a.dtype != np.int64:
+        a = np.array([int(x) for x in a.flat], dtype=object).reshape(a.shape)
+    peak = max(-int(a.min(initial=0)), int(a.max(initial=0)))
+    return a.astype(int_dtype(peak), copy=False)
 
 
 def _peak(a) -> int:
@@ -60,15 +67,14 @@ def _eliminate(m: np.ndarray, targets, piv: np.ndarray, col: int) -> np.ndarray:
     * piv, then divided by the gcd of its entries.
 
     In int64 the step first bounds its largest entry by
-    |piv[col]| max|m[t]| + max|m[t, col]| max|piv|; at 2**63 or more, m
-    and piv move to Python ints and the step runs there.  Returns m,
-    which is a new array after such a move.
+    |piv[col]| max|m[t]| + max|m[t, col]| max|piv|; when `int_dtype` puts
+    that on Python ints, m and piv move there and the step runs there.
+    Returns m, which is a new array after such a move.
     """
     sub = m[targets]
-    if m.dtype == object or piv.dtype == object or (
+    if m.dtype == object or piv.dtype == object or int_dtype(
         _peak(piv[col]) * _peak(sub) + _peak(sub[:, col]) * _peak(piv)
-        >= INT64_LIMIT
-    ):
+    ) is object:
         m, piv = m.astype(object, copy=False), piv.astype(object, copy=False)
         sub = m[targets]
     new = piv[col] * sub - sub[:, col:col + 1] * piv

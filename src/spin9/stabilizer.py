@@ -32,8 +32,8 @@ import numpy as np
 
 from .exterior import AlternatingForm, lie_incidences, sign_characters
 from .linalg import (
-    INT64_LIMIT,
     int_array,
+    int_dtype,
     int_echelon,
     nullspace,
     reduce_against,
@@ -195,17 +195,15 @@ def in_kernel_span(result: StabilizerResult, op: Operator16, ech=None) -> bool:
 def bracket_closure(result: StabilizerResult) -> VerificationReport:
     """Pairwise commutators of the kernel basis land back in the kernel.
 
-    All commutators come from one batched product of the n x n blocks;
-    |[A, B]_rc| <= 2 n max|A| max|B| bounds it, and below 2**63 it runs
-    in int64.  They are reduced against the kernel's echelon at once.
+    All commutators come from one batched product of the n x n blocks,
+    in the `int_dtype` of B = 2 n max|A| max|B|, which bounds every
+    |[A, B]_rc|.  They are reduced against the kernel's echelon at once.
     """
     report = VerificationReport()
     n = result.dimension
     basis = operator_rows(result.kernel_basis, n)
     peak = int(np.abs(basis).max(initial=0))
-    if 2 * n * peak * peak >= INT64_LIMIT:
-        basis = basis.astype(object)
-    mats = basis.reshape(-1, n, n)
+    mats = basis.astype(int_dtype(2 * n * peak * peak)).reshape(-1, n, n)
     a, b = np.triu_indices(len(mats), 1)
     comms = (mats[a] @ mats[b] - mats[b] @ mats[a]).reshape(-1, n * n)
     left = reduce_against(int_echelon(basis), comms)

@@ -1,12 +1,16 @@
 """Shared random generators and small independent oracles for the tests."""
 
+import importlib
+import pkgutil
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
 import numpy as np
 
-from spin9 import exterior, linalg
+import spin9
+from spin9 import linalg
 from spin9.exterior import AlternatingForm, perm_sign, wedge_sum
 from spin9.linalg import clear_denominators, exact_ratio
 from spin9.octonion import Octonion, cross_oct
@@ -406,7 +410,8 @@ def quadruple_sum_oracle(w2):
     w2 maps ordered (i, j), i != j, to two-form tables {mask: coeff}; the
     result is the sum over i, j, i', j' of w_ij ^ w_ij' ^ w_i'j ^ w_i'j'
     with j, j' outside {i, i'}.  Slow but exact for integers of any size,
-    it is the differential oracle of the int64 / multimodular kernel.
+    it is the differential oracle of the wedge kernel on int64 and on
+    Python ints.
     """
     pair = {}
     for i in range(9):
@@ -447,22 +452,36 @@ def alt_grouping_oracle(w):
     return {m: exact_ratio(-c, 2) for m, c in squares.items()}
 
 
-def spy_dtypes(monkeypatch, step):
-    """Record the dtype of every run of a kernel step, by name: an
-    `exterior` step called as step(plan, dtype) by `exterior._exact`
-    (for example "_wedge_step"), or `linalg._eliminate`, which records
-    the dtype the elimination leaves: int64, or object once the loop has
-    moved to Python ints."""
-    seen = []
-    module = linalg if step == "_eliminate" else exterior
-    run = getattr(module, step)
+Decision = namedtuple("Decision", "module bound dtype")
 
-    def spy(*args):
-        out = run(*args)
-        seen.append(out.dtype if module is linalg else np.dtype(args[-1]))
-        return out
+_INT_DTYPE = linalg.int_dtype
 
-    monkeypatch.setattr(module, step, spy)
+
+class Decisions(list):
+    """The `Decision`s recorded by `spy_dtypes`, in call order."""
+
+    def of(self, module: str) -> list:
+        """The dtypes decided in one module, in call order."""
+        return [d.dtype for d in self if d.module == module]
+
+
+def spy_dtypes(monkeypatch) -> Decisions:
+    """Record every `linalg.int_dtype` decision as a Decision(module,
+    bound, dtype): the short name of the spin9 module that asked, the
+    bound it passed and the dtype it got.  The spy replaces `int_dtype`
+    in every spin9 module that holds it; a later spy replaces this one."""
+    seen = Decisions()
+    for info in pkgutil.iter_modules(spin9.__path__):
+        module = importlib.import_module(f"spin9.{info.name}")
+        if not hasattr(module, "int_dtype"):
+            continue
+
+        def spy(bound, name=info.name):
+            dtype = _INT_DTYPE(bound)
+            seen.append(Decision(name, bound, np.dtype(dtype)))
+            return dtype
+
+        monkeypatch.setattr(module, "int_dtype", spy)
     return seen
 
 

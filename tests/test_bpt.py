@@ -134,15 +134,15 @@ def test_sums_match_the_octonion_oracles(monkeypatch):
         Vector16.from_coords([rng.randint(-(1 << 30), 1 << 30) for _ in range(16)])
         for _ in range(8)
     ]
-    seen = spy_dtypes(monkeypatch, "_array_step")
+    seen = spy_dtypes(monkeypatch)
     for vs in cases:
         assert bpt_8form_full(vs) == bpt_full_oracle(vs)
         assert bpt_8form_reduced(vs) == bpt_reduced_oracle(vs, s8_star())
         assert bpt_8form_full(vs) == bpt_8form_reduced(vs)
-    assert set(seen) == {np.dtype(np.int64)}
+    assert set(seen.of("exterior")) == {np.dtype(np.int64)}
     seen.clear()
     value = bpt_8form_full(big)
-    assert seen == [object, object]
+    assert seen.of("exterior") == [object, object]
     assert value == bpt_full_oracle(big) == bpt_8form_reduced(big)
     assert bpt_8form_reduced(big) == bpt_reduced_oracle(big, s8_star())
     assert abs(value) >= 1 << 63
@@ -158,12 +158,12 @@ def test_sums_far_past_int64_run_each_stage_once_on_python_ints(monkeypatch):
         )
         for _ in range(8)
     ]
-    seen = spy_dtypes(monkeypatch, "_array_step")
+    seen = spy_dtypes(monkeypatch)
     full = bpt_8form_full(vs)
-    assert seen == [object, object]
+    assert seen.of("exterior") == [object, object]
     seen.clear()
     reduced = bpt_8form_reduced(vs)
-    assert seen == [object, object]
+    assert seen.of("exterior") == [object, object]
     assert full == bpt_full_oracle(vs) == reduced
     assert reduced == bpt_reduced_oracle(vs, s8_star())
     assert abs(full) >= 1 << 500
@@ -251,14 +251,12 @@ def test_materialized_forms_match_the_per_permutation_gather():
             assert form.coefficient(idx) == expected.coefficient(idx)
 
 
-def test_materialize_raises_past_the_accumulator_limit(monkeypatch):
-    # with fewer terms allowed than the 315 of S*_8, the int16 bound no
-    # longer covers the sum, and the build must refuse instead of wrapping
-    monkeypatch.setattr(bpt, "ACC_LIMIT", 315)
-    with pytest.raises(OverflowError, match="int16"):
-        bpt._materialize(8, s8_star())
-    monkeypatch.setattr(bpt, "ACC_LIMIT", 316)
-    assert bpt._materialize(8, s8_star()) == materialize_bpt_8form()
+def test_materialize_accumulates_in_the_dtype_of_the_term_count(monkeypatch):
+    # every term is in {-1, 0, 1}, so the 315 terms of S*_8 bound each sum
+    expected = materialize_bpt_8form()
+    seen = spy_dtypes(monkeypatch)
+    assert bpt._materialize(8, s8_star()) == expected
+    assert seen == [("bpt", 315, np.int64)]
 
 
 def test_basis_cross_premise_is_checked(monkeypatch):

@@ -25,7 +25,6 @@ from spin9 import exterior
 from spin9.bpt import materialize_bpt_8form
 from spin9.canonical import omega2
 from spin9.exterior import (
-    INT64_LIMIT,
     AlternatingForm,
     _pullback_plan,
     _wedge_plan,
@@ -39,6 +38,7 @@ from spin9.exterior import (
     wedge_sum,
     wedge_sums,
 )
+from spin9.linalg import INT64_LIMIT
 from spin9.operators import (
     Operator16,
     RationalCirclePoint,
@@ -254,7 +254,7 @@ def test_evaluate_degrees_zero_and_one():
     assert AlternatingForm.zero(1).evaluate([v]) == 0
 
 
-def test_evaluate_takes_the_modular_path_for_large_entries(monkeypatch):
+def test_evaluate_runs_on_python_ints_for_large_entries(monkeypatch):
     # entries near 10**6 push the bound far past 2**63, and the 4-column
     # minors of the inner levels past it too: the whole recursion runs
     # once, on Python ints
@@ -266,11 +266,11 @@ def test_evaluate_takes_the_modular_path_for_large_entries(monkeypatch):
         )
         for _ in range(8)
     ]
-    seen = spy_dtypes(monkeypatch, "_laplace_step")
+    seen = spy_dtypes(monkeypatch)
     value = form.evaluate(vs)
+    assert seen.of("exterior") == [object]
     assert value == evaluate_oracle(form, vs)
     assert abs(value) >= INT64_LIMIT
-    assert seen == [object]
     inner = det_oracle([[v.coords()[i] for v in vs[:4]] for i in range(4)])
     assert abs(inner) >= INT64_LIMIT
 
@@ -282,7 +282,7 @@ def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
         form.evaluate([e0])
     with pytest.raises(ValueError):
         form.evaluate([e0, e1, e1])
-    seen = spy_dtypes(monkeypatch, "_laplace_step")
+    seen = spy_dtypes(monkeypatch)
     with pytest.raises(ValueError):
         form.evaluate([e0, Vector16.from_coords([0, 0.1] + [0] * 14)])
     # past the constructors, the kernel rejects what is not an int
@@ -329,7 +329,7 @@ def test_evaluate_matches_oracle_in_degrees_up_to_sixteen(monkeypatch):
     # each half down to single columns; the cleared Fraction entries take
     # the Python-int path through every level from degree 9 on, the
     # entries in -1..1 stay on int64 up to degree 16
-    seen = spy_dtypes(monkeypatch, "_laplace_step")
+    seen = spy_dtypes(monkeypatch)
     rng = random.Random(76)
     for degree in range(17):
         form = AlternatingForm(degree, {
@@ -343,7 +343,7 @@ def test_evaluate_matches_oracle_in_degrees_up_to_sixteen(monkeypatch):
         ):
             seen.clear()
             assert form.evaluate(vs) == evaluate_oracle(form, vs)
-            assert seen == [object if big else np.int64]
+            assert seen.of("exterior") == [object if big else np.int64]
         basis = [Vector16.basis(k) for k in range(degree)]
         assert form.evaluate(basis) == form.coefficient(tuple(range(degree)))
 
@@ -368,7 +368,7 @@ def test_evaluate_caches_the_plan_on_the_form():
     assert first._laplace() is plan
 
 
-def test_evaluate_gathers_on_the_crt_path_for_large_entries(monkeypatch):
+def test_evaluate_gathers_on_python_ints_for_large_entries(monkeypatch):
     # entries near 10**6 put |L|_1 |R|_1 far past 2**63
     rng = random.Random(75)
     form = _random_form(rng, 8, nterms=40, span=9)
@@ -378,31 +378,31 @@ def test_evaluate_gathers_on_the_crt_path_for_large_entries(monkeypatch):
         )
         for _ in range(8)
     ]
-    seen = spy_dtypes(monkeypatch, "_laplace_step")
+    seen = spy_dtypes(monkeypatch)
     value = evaluate_table(form.numerators, [v.coords() for v in vs])
-    assert seen == [object]
+    assert seen.of("exterior") == [object]
     seen.clear()
     assert form.evaluate(vs) == value == evaluate_oracle(form, vs)
-    assert seen == [object]
+    assert seen.of("exterior") == [object]
     seen.clear()
     small = [rand_vector(rng, span=9) for _ in range(8)]
     assert form.evaluate(small) == evaluate_oracle(form, small)
-    assert seen == [np.int64]
+    assert seen.of("exterior") == [np.int64]
 
 
 def test_evaluate_table_at_the_int64_edge(monkeypatch):
-    seen = spy_dtypes(monkeypatch, "_laplace_step")
+    seen = spy_dtypes(monkeypatch)
     e1 = [0, 1] + [0] * 14
     # B = 2**63 - 1 is the largest bound the int64 gather takes
     big = [INT64_LIMIT - 1] + [0] * 15
     assert evaluate_table({0b11: 1}, [big, e1]) == INT64_LIMIT - 1
-    assert seen == [np.int64]
+    assert seen == [("exterior", INT64_LIMIT - 1, np.int64)]
     # B = 2**63 goes to Python ints, and the minor itself does not fit int64
     seen.clear()
     half = [1 << 62] + [0] * 15
     minus_two = [-2 * x for x in e1]
     assert evaluate_table({0b11: 1}, [half, minus_two]) == -INT64_LIMIT
-    assert seen == [object]
+    assert seen == [("exterior", INT64_LIMIT, object)]
     # the swapped columns give the opposite minor, through the shuffle sign
     assert evaluate_table({0b11: 3}, [e1, big]) == -3 * (INT64_LIMIT - 1)
 
@@ -523,27 +523,28 @@ def _past_int64_case(rng):
     return f, op
 
 
-def test_pullback_takes_the_crt_path_past_int64(monkeypatch):
+def test_pullback_runs_on_python_ints_past_int64(monkeypatch):
     f, op = _past_int64_case(random.Random(76))
-    seen = spy_dtypes(monkeypatch, "_pullback_step")
+    seen = spy_dtypes(monkeypatch)
     got = f.pullback(op)
+    (decision,) = seen
+    assert decision.module == "exterior" and decision.dtype == object
+    assert decision.bound >= INT64_LIMIT
     assert got == pullback_oracle(f, op)
     assert max(abs(v) for _, v in got.items()) >= INT64_LIMIT
-    _, bound = _pullback_plan(f.numerators, 5, op.entries())
-    assert bound >= INT64_LIMIT and seen == [object]
 
 
 def test_pullback_at_the_int64_edge(monkeypatch):
-    seen = spy_dtypes(monkeypatch, "_pullback_step")
+    seen = spy_dtypes(monkeypatch)
     # B = 2**63 - 1 is the largest bound the int64 path takes
     assert pullback_table({1: INT64_LIMIT - 1}, 1, [(0, 0, 1)]) == {
         1: INT64_LIMIT - 1
     }
-    assert seen == [np.int64]
+    assert seen == [("exterior", INT64_LIMIT - 1, np.int64)]
     # B = 2**63 goes to Python ints, and the result itself does not fit int64
     seen.clear()
     assert pullback_table({1: 1 << 62}, 1, [(0, 3, -2)]) == {8: -INT64_LIMIT}
-    assert seen == [object]
+    assert seen == [("exterior", INT64_LIMIT, object)]
 
 
 def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8):
@@ -630,33 +631,34 @@ def test_lie_kernel_matches_slotwise_oracle_in_every_degree():
                 assert f.lie_derivative(op) == lie_derivative_oracle(f, op)
 
 
-def test_lie_derivative_takes_the_crt_path_past_int64(monkeypatch):
+def test_lie_derivative_runs_on_python_ints_past_int64(monkeypatch):
     # coefficients near 2**40 and entries near 2**30: terms near 2**70
     rng = random.Random(54)
     f = _random_form(rng, 5, nterms=6, span=1 << 40)
     op = _sparse_operator(rng, 3, lambda: rng.randint(-(1 << 30), 1 << 30))
-    seen = spy_dtypes(monkeypatch, "_lie_step")
+    seen = spy_dtypes(monkeypatch)
     terms = lie_table(f.numerators, op.entries())
+    assert seen.of("exterior") == [object]
     oracle = lie_derivative_oracle(f, op)
     assert oracle.denominator == 1
-    assert terms == oracle.numerators and seen == [object]
+    assert terms == oracle.numerators
     assert max(abs(v) for v in terms.values()) >= INT64_LIMIT
     assert f.lie_derivative(op) == oracle
     seen.clear()
     small = _random_operator(rng)
     terms = lie_table(f.numerators, small.entries())
+    assert seen.of("exterior") == [np.int64]
     assert terms == lie_derivative_oracle(f, small).numerators
-    assert seen == [np.int64]
 
 
 def test_lie_table_at_the_int64_edge(monkeypatch):
     # B = 2**63 - 1 stays in int64; B = 2**63 goes to Python ints
-    seen = spy_dtypes(monkeypatch, "_lie_step")
+    seen = spy_dtypes(monkeypatch)
     assert lie_table({1: INT64_LIMIT - 1}, [(0, 0, 1)]) == {1: INT64_LIMIT - 1}
-    assert seen == [np.int64]
+    assert seen == [("exterior", INT64_LIMIT - 1, np.int64)]
     seen.clear()
     assert lie_table({1: 1 << 62}, [(0, 3, -2)]) == {8: -INT64_LIMIT}
-    assert seen == [object]
+    assert seen == [("exterior", INT64_LIMIT, object)]
     # B = 0 sums nothing, however large the other factor
     seen.clear()
     assert lie_table({1: 1 << 70}, []) == lie_table({1: 1 << 70}, [(0, 3, 0)])
@@ -736,8 +738,8 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
         plan, _, _ = _wedge_plan([[(a.numerators, b.numerators)]])
-        acc, keys = _wedge_step(plan, np.int64)
-        assert keys is None and acc.shape == (1 << 16,)
+        acc = _wedge_step(plan, np.int64)
+        assert acc.dtype == np.int64 and acc.shape == (1 << 16,)
         nz = np.flatnonzero(acc)
         terms = dict(zip(nz.tolist(), acc[nz].tolist()))
         assert terms == _wedge_dicts(a.numerators, b.numerators)
@@ -756,7 +758,7 @@ def _summed_wedges(pairs):
 
 def test_wedge_sum_int64_path_matches_summed_wedges(monkeypatch):
     rng = random.Random(60)
-    seen = spy_dtypes(monkeypatch, "_wedge_step")
+    seen = spy_dtypes(monkeypatch)
     for p, q in ((1, 1), (2, 2), (2, 3), (4, 4)):
         pairs = [
             (_random_form(rng, p, nterms=8), _random_form(rng, q, nterms=8))
@@ -765,13 +767,13 @@ def test_wedge_sum_int64_path_matches_summed_wedges(monkeypatch):
         pairs.append((pairs[0][0], pairs[1][1]))  # a table used twice
         got = wedge_sum((_table(a), _table(b)) for a, b in pairs)
         assert got == _summed_wedges(pairs)
-    assert set(seen) == {np.dtype(np.int64)}
+    assert set(seen.of("exterior")) == {np.dtype(np.int64)}
 
 
-def test_wedge_sum_modular_path_matches_exact_ints(monkeypatch):
+def test_wedge_sum_python_int_path_matches_exact_ints(monkeypatch):
     # coefficients near 2**40: the bound passes 2**63 and so do results
     rng = random.Random(61)
-    seen = spy_dtypes(monkeypatch, "_wedge_step")
+    seen = spy_dtypes(monkeypatch)
     pairs = []
     for _ in range(8):
         a, b = (_random_form(rng, 2, nterms=6, span=1 << 40) for _ in "ab")
@@ -782,34 +784,34 @@ def test_wedge_sum_modular_path_matches_exact_ints(monkeypatch):
     )
     assert bound >= INT64_LIMIT
     got = wedge_sum((_table(a), _table(b)) for a, b in pairs)
+    assert seen == [("exterior", bound, object)]
     assert got == _summed_wedges(pairs)
-    assert seen == [object]
 
 
 def test_wedge_sum_at_the_int64_edge(monkeypatch):
-    seen = spy_dtypes(monkeypatch, "_wedge_step")
+    seen = spy_dtypes(monkeypatch)
     e01, e23 = 0b11, 0b1100
     # B = 2**63 - 1 is the largest bound the int64 path takes
     assert wedge_sum([({e01: INT64_LIMIT - 1}, {e23: 1})]) == {
         e01 | e23: INT64_LIMIT - 1
     }
-    assert seen == [np.int64]
+    assert seen == [("exterior", INT64_LIMIT - 1, np.int64)]
     # B = 2**63 goes to Python ints, and the result itself does not fit int64
     seen.clear()
     assert wedge_sum([({e01: 1 << 62}, {e23: -2})]) == {
         e01 | e23: -INT64_LIMIT
     }
-    assert seen == [object]
+    assert seen == [("exterior", INT64_LIMIT, object)]
     # two pairs that only reach 2**63 together
     seen.clear()
     got = wedge_sum([({e01: 1 << 62}, {e23: 1}), ({e23: 1 << 62}, {e01: 1})])
     assert got == {e01 | e23: INT64_LIMIT}
-    assert seen == [object]
+    assert seen == [("exterior", INT64_LIMIT, object)]
     # a partner of zeros adds nothing to B_g, yet the bound covers the
     # coefficient it meets
     seen.clear()
     assert wedge_sum([({e01: 1 << 70}, {e23: 0})]) == {}
-    assert seen == [object]
+    assert seen == [("exterior", 1 << 70, object)]
 
 
 def test_wedge_sum_rejects_inexact_coefficients():
@@ -885,21 +887,21 @@ def test_wedge_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
     expected = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
     expected.append(wedge_sum(_tables(groups[0])))
     monkeypatch.setattr(exterior, "WEDGE_CHUNK", chunk)
-    seen = spy_dtypes(monkeypatch, "_wedge_step")
+    seen = spy_dtypes(monkeypatch)
     got = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
     got.append(wedge_sum(_tables(groups[0])))
     assert got == expected
     assert expected[0] == [_summed_wedges(g) for g in groups]
     assert expected[1] == [_summed_wedges(g) for g in huge]
-    assert seen == [np.int64, object, np.int64]
+    assert seen.of("exterior") == [np.int64, object, np.int64]
 
 
-def test_wedge_sums_modular_path_aligns_the_keys_of_every_prime(monkeypatch):
+def test_wedge_sums_python_int_path_aligns_the_keys_of_every_group(monkeypatch):
     # the first group pushes the bound to 2**63, so all groups sum on
     # Python ints under the keys group << 16 | mask; the second group's
     # first sum cancels and drops out of its keys
     e01, e23, e45 = 0b11, 0b1100, 0b110000
-    seen = spy_dtypes(monkeypatch, "_wedge_step")
+    seen = spy_dtypes(monkeypatch)
     groups = [
         [({e01: 1 << 62}, {e23: 2})],
         [({e01: 5}, {e45: 1}), ({e23: 1}, {e45: 3}), ({e45: -5}, {e01: 1})],
@@ -911,7 +913,7 @@ def test_wedge_sums_modular_path_aligns_the_keys_of_every_prime(monkeypatch):
         {e01 | e23: -10},
     ]
     assert wedge_sums(groups) == expected
-    assert seen == [object]
+    assert seen == [("exterior", INT64_LIMIT, object)]
     # the largest bound decides the path, wherever its group stands
     assert wedge_sums(groups[::-1]) == expected[::-1]
 
@@ -925,34 +927,36 @@ def test_bounds_far_past_2_63_run_each_step_once_on_python_ints(monkeypatch):
     pairs = [(a, b), (b, c), (c, c)]
     norms = [sum(map(abs, f.numerators.values())) for f in (a, b)]
     assert norms[0] * norms[1] >= 1 << 200
-    seen = spy_dtypes(monkeypatch, "_wedge_step")
+    seen = spy_dtypes(monkeypatch)
     assert wedge_sum(_tables(pairs)) == _summed_wedges(pairs)
     groups = [pairs, [(c, a)], [], [(a, a)]]
     got = wedge_sums(_tables(g) for g in groups)
     assert got == [_summed_wedges(g) for g in groups]
-    assert seen == [object, object]
+    assert seen.of("exterior") == [object, object]
     assert all(type(v) is int for table in got for v in table.values())
 
     f = _random_form(rng, 3, nterms=5, span=huge)
     op = _sparse_operator(rng, 2, lambda: rng.randint(-huge, huge))
-    _, bound = _pullback_plan(f.numerators, 3, op.entries())
-    assert bound >= 1 << 200
-    seen = spy_dtypes(monkeypatch, "_pullback_step")
-    assert f.pullback(op) == pullback_oracle(f, op)
-    assert seen == [object]
+    seen.clear()
+    got = f.pullback(op)
+    (decision,) = seen
+    assert decision.module == "exterior" and decision.dtype == object
+    assert decision.bound >= 1 << 200
+    assert got == pullback_oracle(f, op)
 
-    seen = spy_dtypes(monkeypatch, "_lie_step")
-    assert f.lie_derivative(op) == lie_derivative_oracle(f, op)
-    assert seen == [object]
+    seen.clear()
+    got = f.lie_derivative(op)
+    assert seen.of("exterior") == [object]
+    assert got == lie_derivative_oracle(f, op)
 
     form = _random_form(rng, 4, nterms=9, span=huge)
     vs = [
         Vector16.from_coords([rng.randint(-huge, huge) for _ in range(16)])
         for _ in range(4)
     ]
-    seen = spy_dtypes(monkeypatch, "_laplace_step")
+    seen.clear()
     assert form.evaluate(vs) == evaluate_oracle(form, vs)
-    assert seen == [object]
+    assert seen.of("exterior") == [object]
 
 
 coeff_strategy = st.dictionaries(

@@ -21,9 +21,11 @@ from helpers import (
 )
 from spin9.canonical import givens9, mat9_mul
 from spin9.linalg import (
+    INT64_LIMIT,
     clear_denominators,
     det,
     int_array,
+    int_dtype,
     int_echelon,
     nullspace,
     reduce_against,
@@ -141,9 +143,10 @@ def test_echelon_past_the_int64_bound_finishes_in_python_ints(monkeypatch):
         {c: rng.randint(1 << 19, 1 << 20) * rng.choice((-1, 1)) for c in range(6)}
         for _ in range(5)
     ]
-    seen = spy_dtypes(monkeypatch, "_eliminate")
+    seen = spy_dtypes(monkeypatch)
     ech = int_echelon(dense_rows(rows, 6))
-    assert seen[0] == np.int64 and seen[-1] == object
+    dtypes = seen.of("linalg")
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
     assert ech.dtype == object and max(abs(x) for x in ech.ravel()) >= 1 << 63
     assert all(type(x) is int for x in ech.ravel())
     oracle = int_echelon_oracle(rows)
@@ -166,10 +169,34 @@ def test_a_step_whose_bound_reaches_2_63_runs_in_python_ints(monkeypatch):
     # reaches it; at P = 2**31 that is past int64, at P = 2**30 not
     for p, dtype in ((1 << 31, object), (1 << 30, np.int64)):
         rows = [{0: p, 1: p, 2: 1}, {0: -(p + 1), 1: p, 2: 1}]
-        seen = spy_dtypes(monkeypatch, "_eliminate")
+        seen = spy_dtypes(monkeypatch)
         vecs = nullspace(dense_rows(rows, 3))
-        assert seen[0] == dtype
+        # the rows fit int64; the first step decides on its own bound
+        assert seen[:2] == [
+            ("linalg", p + 1, np.int64),
+            ("linalg", 2 * p * (p + 1), dtype),
+        ]
         assert vecs == nullspace_oracle(rows, 3)
+
+
+def test_int_dtype_takes_int64_strictly_below_2_63():
+    assert int_dtype(0) is np.int64
+    assert int_dtype(INT64_LIMIT - 1) is np.int64
+    assert int_dtype(INT64_LIMIT) is object
+    assert int_dtype(1 << 200) is object
+
+
+def test_int_array_takes_the_int_dtype_of_its_largest_entry():
+    # -2**63 fits int64, but its absolute value is the bound: Python ints,
+    # from a list and from an int64 array alike
+    low, top = -INT64_LIMIT, INT64_LIMIT - 1
+    for values in ([low, 1], np.array([low, 1], dtype=np.int64)):
+        a = int_array(values)
+        assert a.dtype == object and a.tolist() == [low, 1]
+        assert all(type(x) is int for x in a)
+    for values in ([top, -top], np.array([top, -top], dtype=np.int64)):
+        a = int_array(values)
+        assert a.dtype == np.int64 and a.tolist() == [top, -top]
 
 
 def test_float_entries_are_rejected():

@@ -1,5 +1,6 @@
 """Kernel of A -> L_A form: certified solve, oracles, exclusion witnesses."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from helpers import (
 )
 from spin9 import stabilizer
 from spin9.exterior import AlternatingForm, sign_characters
-from spin9.linalg import int_echelon
+from spin9.linalg import INT64_LIMIT, int_echelon
 from spin9.operators import (
     Operator16,
     build_involutions,
@@ -196,10 +197,11 @@ def test_sign_blocks_of_the_eight_form(omega8):
 def test_eight_form_solve_stays_on_int64(omega8, monkeypatch):
     blocks = stabilizer_system(omega8, 16)
     assert {rows.dtype for _, rows in blocks} == {np.dtype(np.int64)}
-    seen = spy_dtypes(monkeypatch, "_eliminate")
+    seen = spy_dtypes(monkeypatch)
     result = infinitesimal_stabilizer(omega8)
     assert bracket_closure(result).passed and spans_involution_pairs(result)
-    assert len(seen) > 100 and set(seen) == {np.dtype(np.int64)}
+    dtypes = seen.of("linalg")
+    assert len(dtypes) > 100 and set(dtypes) == {np.dtype(np.int64)}
 
 
 def test_huge_coefficients_solve_in_python_ints(monkeypatch):
@@ -208,9 +210,9 @@ def test_huge_coefficients_solve_in_python_ints(monkeypatch):
     small = _random_form(random.Random(76), 3, 5)
     huge = small.scale(1 << 70)
     assert {r.dtype for _, r in stabilizer_system(huge, 16)} == {np.dtype(object)}
-    seen = spy_dtypes(monkeypatch, "_eliminate")
+    seen = spy_dtypes(monkeypatch)
     a, b = infinitesimal_stabilizer(huge), infinitesimal_stabilizer(small)
-    assert np.dtype(object) in seen
+    assert np.dtype(object) in seen.of("linalg")
     assert a.kernel_basis == b.kernel_basis and a.system_rank == b.system_rank
 
 
@@ -334,6 +336,27 @@ def test_bracket_closure_counts_the_pairs_that_leave_the_span():
         for basis, pairs, failures in (((e, f), 1, 1), ((e, f, h), 3, 0)):
             result = StabilizerResult(len(basis), basis, False, 0, 16)
             details = dict(bracket_closure(result).checks[0].details)
+            assert (details["pairs"], details["failures"]) == (pairs, failures)
+
+
+def test_bracket_closure_runs_on_python_ints_past_int64(monkeypatch):
+    # scaled by 2**31, the certified sp(4) basis puts the commutator bound
+    # 2 n max|A| max|B| past 2**63; its closure, and the one pair that
+    # leaves the span once an element is dropped, read the same as unscaled
+    result = infinitesimal_stabilizer(symplectic_form_r4(), n=4)
+    seen = spy_dtypes(monkeypatch)
+    for basis, failures in ((result.kernel_basis, 0), (result.kernel_basis[1:], 1)):
+        for scale in (1, 1 << 31):
+            ops = tuple(op.scale(scale) for op in basis)
+            scaled = dataclasses.replace(
+                result, kernel_dimension=len(ops), kernel_basis=ops
+            )
+            seen.clear()
+            details = dict(bracket_closure(scaled).checks[0].details)
+            (decision,) = [d for d in seen if d.module == "stabilizer"]
+            assert (decision.bound >= INT64_LIMIT) == (scale > 1)
+            assert decision.dtype == (object if scale > 1 else np.int64)
+            pairs = len(ops) * (len(ops) - 1) // 2
             assert (details["pairs"], details["failures"]) == (pairs, failures)
 
 

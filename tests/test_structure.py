@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import spin9
-from spin9 import exterior, octonion
+from spin9 import linalg, octonion
 
 
 def _private_imports(path):
@@ -75,16 +75,17 @@ def test_assert_guard_sees_assert_statements(tmp_path):
 
 
 def _limit_readers(path):
-    """Lines that read `INT64_LIMIT` outside the top-level `_exact`, the
-    one driver that picks int64 or Python ints for every exact kernel of
-    `exterior`; importing the name under another name counts as a read."""
+    """Lines of path that read `INT64_LIMIT` anywhere but in the body of
+    the top-level `int_dtype` of `linalg`, the one integer-width rule of
+    every exact kernel, or that define it anywhere but at the top level of
+    `linalg`; an import of the name, under any name, counts as a read."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    inside = {
-        id(node)
-        for top in tree.body
-        if isinstance(top, ast.FunctionDef) and top.name == "_exact"
-        for node in ast.walk(top)
-    }
+    allowed = set()
+    for top in tree.body if path.name == "linalg.py" else ():
+        if isinstance(top, ast.FunctionDef) and top.name == "int_dtype":
+            allowed.update(id(node) for node in ast.walk(top))
+        elif isinstance(top, ast.Assign):
+            allowed.update(id(target) for target in top.targets)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -92,38 +93,60 @@ def _limit_readers(path):
         elif isinstance(node, ast.Attribute):
             read = node.attr == "INT64_LIMIT"
         elif isinstance(node, ast.alias):
-            read = node.name == "INT64_LIMIT" and node.asname not in (None, node.name)
+            read = node.name == "INT64_LIMIT"
         else:
             continue
-        if read and id(node) not in inside:
+        if read and id(node) not in allowed:
             found.append(node.lineno)
     return [f"{path.name}:{line} reads INT64_LIMIT" for line in sorted(found)]
 
 
 def test_only_the_exact_driver_reads_the_int64_limit():
-    assert "INT64_LIMIT" in inspect.getsource(exterior._exact)
-    assert _limit_readers(Path(exterior.__file__)) == []
+    # `linalg.int_dtype` drives the width of every exact kernel
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert {"linalg.py", "exterior.py", "stabilizer.py", "bpt.py"} <= {
+        p.name for p in sources
+    }
+    assert "INT64_LIMIT" in inspect.getsource(linalg.int_dtype)
+    found = [line for path in sources for line in _limit_readers(path)]
+    assert found == []
 
 
 def test_driver_guard_sees_a_second_call_site(tmp_path):
-    (tmp_path / "exterior.py").write_text(
-        "from .linalg import INT64_LIMIT\n"
-        "def _exact(plan, bound, run):\n"
-        "    return run(plan, int if bound < INT64_LIMIT else object)\n"
+    (tmp_path / "linalg.py").write_text(
+        "INT64_LIMIT = 1 << 63\n"
+        "def int_dtype(bound):\n"
+        "    return np.int64 if bound < INT64_LIMIT else object\n"
         "\n"
-        "def fifth_table(plan, bound):\n"
-        "    return _fifth_step(plan, bound < linalg.INT64_LIMIT)\n"
+        "def int_array(values):\n"
+        "    return max(values) < INT64_LIMIT\n"
         "\n"
-        "class Form:\n"
-        "    def _exact(self, bound):\n"
+        "class Rule:\n"
+        "    def int_dtype(self, bound):\n"
         "        return bound < INT64_LIMIT\n"
-        "from .linalg import INT64_LIMIT as LIMIT\n"
     )
-    # a method called `_exact` is not the driver
-    assert _limit_readers(tmp_path / "exterior.py") == [
-        "exterior.py:6 reads INT64_LIMIT",
-        "exterior.py:10 reads INT64_LIMIT",
-        "exterior.py:11 reads INT64_LIMIT",
+    (tmp_path / "stabilizer.py").write_text(
+        "from .linalg import INT64_LIMIT\n"
+        "def bracket_closure(n, peak):\n"
+        "    return 2 * n * peak * peak >= INT64_LIMIT\n"
+        "\n"
+        "def int_dtype(bound):\n"
+        "    return bound < linalg.INT64_LIMIT\n"
+        "from .linalg import INT64_LIMIT as LIMIT\n"
+        "INT64_LIMIT = 1 << 63\n"
+    )
+    # a method called `int_dtype`, or the function in another module, is
+    # not the rule; a second definition is not the constant
+    assert _limit_readers(tmp_path / "linalg.py") == [
+        "linalg.py:6 reads INT64_LIMIT",
+        "linalg.py:10 reads INT64_LIMIT",
+    ]
+    assert _limit_readers(tmp_path / "stabilizer.py") == [
+        "stabilizer.py:1 reads INT64_LIMIT",
+        "stabilizer.py:3 reads INT64_LIMIT",
+        "stabilizer.py:6 reads INT64_LIMIT",
+        "stabilizer.py:7 reads INT64_LIMIT",
+        "stabilizer.py:8 reads INT64_LIMIT",
     ]
 
 
