@@ -22,9 +22,10 @@ minors D of the skew matrix (omega_ij); D vanishes when i = i' or j = j'
 and is antisymmetric in i <-> i' and in j <-> j', so each unordered pair
 of pairs stands for four ordered quadruples and the sum is -2 sum D^2
 over i < i', j < j'.  The triple-form sum is a sum of squared four-forms
-too; all three go through one sum-of-squares helper, which makes two
-kernel calls: `wedge_sums` builds every four-form at once, and `wedge_sum`
-squares them over unordered term pairs.  The module also
+too; all three go through one sum-of-squares helper, one `square_sums`
+call that builds every four-form at once and squares each distinct one
+once, over unordered term pairs: 45 of the 81 Q_jj' (Q_jj' = Q_j'j) and
+666 of the 1296 D.  The module also
 provides the S8-sum evaluation kernel, the vanishing corollaries, the
 verdict on the triple-form sum, deterministic coefficient export, and
 the two-form expansion identities of X-flat wedge Y-flat.
@@ -42,9 +43,9 @@ from .curvature import curvature_omega
 from .exterior import (
     AlternatingForm,
     perm_sign,
+    square_sums,
     two_form_from_operator,
     wedge_sum,
-    wedge_sums,
 )
 from .linalg import Num, clear_denominators, det, exact_ratio, require_exact
 from .octonion import Octonion
@@ -102,11 +103,11 @@ def sigma2(i: int, j: int, k: int) -> AlternatingForm:
 def _sum_of_squares(groups) -> dict:
     """sum over groups of Q ^ Q, where Q = sum of a ^ b over the group's pairs.
 
-    Each group is a list of (a, b) integer tables.  Two calls of the
-    checked kernel: `wedge_sums` builds every Q at once, exactly, and
-    `wedge_sum` squares them over unordered term pairs.
+    Each group is a list of (a, b) integer tables.  One call of the
+    checked kernel `square_sums`, which builds every Q at once and
+    squares each distinct Q once, over unordered term pairs.
     """
-    return wedge_sum((q, q) for q in wedge_sums(groups))
+    return square_sums(groups)
 
 
 @functools.cache
@@ -368,13 +369,14 @@ def export_coefficients(form: AlternatingForm, fmt: str) -> bytes:
     "json": one object per line with indices and num/den strings.
     "csv": header i1..ip,num,den then one row per monomial.
     """
-    rows = [(",".join(map(str, idx)), Fraction(v)) for idx, v in form.items()]
+    # a whole coefficient comes as an int, whose denominator is 1
+    rows = [(",".join(map(str, t)), v.numerator, v.denominator) for t, v in form.items()]
     if fmt == "json":
         record = '{"indices":[%s],"num":"%s","den":"%s"}'
-        lines = [record % (idx, q.numerator, q.denominator) for idx, q in rows]
+        lines = [record % row for row in rows]
     elif fmt == "csv":
         lines = [",".join(f"i{t + 1}" for t in range(form.degree)) + ",num,den"]
-        lines += [f"{idx},{q.numerator},{q.denominator}" for idx, q in rows]
+        lines += ["%s,%s,%s" % row for row in rows]
     else:
         raise ValueError("format must be 'json' or 'csv'")
     return ("\n".join(lines) + "\n").encode()

@@ -25,20 +25,21 @@ which turns index r into c, picks up the parity of the monomial's
 indices strictly between r and c (`lie_incidences`), and how the wedge
 kernel, the pullback and the Laplace gather sign each incoming factor.
 
-Forms are immutable.  `wedge_sums` is the one exact kernel behind every
-wedge, `AlternatingForm.wedge` and `wedge_sum` (one group) included: it
-takes groups of pairs of integer coefficient tables {mask: int} and sums
-a ^ b over each group's pairs.  Every term pair of every pair of every
-group expands in one array pass per chunk of WEDGE_CHUNK candidates;
-overlapping masks drop out and the sign is a popcount parity.  A pair
-whose two tables are the same object Q, every term of even positive
-degree, is a square: Q ^ Q = 2 sum_{i<j}, so only its term pairs i < j
-expand.  One group sums into a dense 2**16 accumulator, several by
-`np.unique` on the keys group << 16 | mask.
+Forms are immutable.  One exact kernel, `_wedge_step`, runs every wedge:
+`wedge_sum` sums a ^ b over pairs of integer coefficient tables
+{mask: int} (`AlternatingForm.wedge` among them), and `square_sums` sums
+Q_g ^ Q_g over groups g, Q_g the sum of a ^ b over the group's pairs,
+squaring each distinct Q_g once.  Every candidate term pair expands in
+one array pass per chunk of WEDGE_CHUNK; overlapping masks drop out and
+the sign is a popcount parity.  A square Q ^ Q, every term of Q of even
+positive degree, is 2 sum_{i<j}, so only its term pairs i < j expand.
+One group sums into a dense 2**16 accumulator, several by `np.unique`
+on the keys group << 16 | mask.
 
 Every kernel, and `exact_array`, which runs the array stages of the
 BPT audit, bounds its sums by B before any arithmetic (the wedge by the
-largest B_g = sum |a|_1 |b|_1) and runs its step once, in the dtype
+largest B_g = sum |a|_1 |b|_1, the square step of `square_sums` by
+sum_g |Q_g|_1^2) and runs each step once, in the dtype
 `linalg.int_dtype(B)` gives: int64 when B < 2**63, which then holds
 every product and partial sum, else Python ints.  The other kernels:
 
@@ -91,8 +92,16 @@ def _mask_of(indices) -> int:
     return m
 
 
-def _tuple_of(mask: int) -> tuple:
-    return tuple(i for i in range(16) if mask >> i & 1)
+@functools.cache
+def _byte_indices(offset: int) -> tuple:
+    """For each byte 0..255, the tuple of its set bits' indices plus offset."""
+    return tuple(tuple(i + offset for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def _lex_key(item) -> int:
+    """Minus the bit-reversed mask of a (mask, value) item: for masks of
+    one degree, the lex order of their index tuples."""
+    return -int(f"{item[0]:016b}"[::-1], 2)
 
 
 def perm_sign(seq) -> int:
@@ -149,11 +158,11 @@ class AlternatingForm(Exact):
 
     def items(self):
         """Sorted (index_tuple, coefficient) pairs; whole coefficients are ints."""
-        d = self.denominator
-        return sorted(
-            (_tuple_of(m), v if d == 1 else exact_ratio(v, d))
-            for m, v in self.numerators.items()
-        )
+        d, low, high = self.denominator, _byte_indices(0), _byte_indices(8)
+        return [
+            (low[m & 255] + high[m >> 8], v if d == 1 else exact_ratio(v, d))
+            for m, v in sorted(self.numerators.items(), key=_lex_key)
+        ]
 
     def coefficient(self, indices) -> Num:
         return exact_ratio(self.numerators.get(_mask_of(indices), 0), self.denominator)
@@ -330,57 +339,75 @@ WEDGE_CHUNK = 1 << 14
 
 
 def wedge_sum(pairs) -> dict:
-    """Exact sum of a ^ b over pairs of integer tables {mask: int}: the one
-    group of `wedge_sums`.  No zero entries.
+    """Exact sum of a ^ b over pairs of integer tables {mask: int}, with
+    no zero entries.
+
+    B = sum |a|_1 |b|_1 bounds every product and partial sum, and the
+    step runs in its `int_dtype` (see `_wedge_plan`).
     """
-    return wedge_sums([pairs])[0]
-
-
-def wedge_sums(groups) -> list:
-    """Exact sum of a ^ b over the pairs of each group of integer tables
-    {mask: int}: one table per group, no zero entries.
-
-    B_g = sum |a|_1 |b|_1 bounds every product and partial sum of group
-    g; all groups run together in the `int_dtype` of the largest B_g
-    (at least every |a|_1, see `_wedge_plan`).
-    """
-    plan, bound, count = _wedge_plan(groups)
+    plan, bound = _wedge_plan([pairs])
     if plan is None:
-        return [{} for _ in range(count)]
-    if count == 1:
-        return [dict(zip(*_nonzero(_wedge_step(plan, int_dtype(bound)))))]
-    sums, keys = _wedge_step(plan, int_dtype(bound))
+        return {}
+    return dict(zip(*_nonzero(_wedge_step(plan, int_dtype(bound)))))
+
+
+def square_sums(groups) -> dict:
+    """Exact sum over groups of Q_g ^ Q_g, Q_g the sum of a ^ b over the
+    group's pairs of integer tables {mask: int}; no zero entries.
+
+    The grouped step builds every Q_g at once under the largest
+    B_g = sum |a|_1 |b|_1, one segment of its sorted arrays per nonzero
+    Q_g.  Segments equal in masks and values (compared as bytes, or as
+    values on Python ints) are one table of multiplicity k, which the
+    square step expands once with weight k, under B = sum_g |Q_g|_1^2.
+    """
+    plan, bound = _wedge_plan(groups)
+    if plan is None:
+        return {}
+    out = _wedge_step(plan, int_dtype(bound))
+    # one group comes as its dense accumulator, whose index is the key
+    sums, keys = out if isinstance(out, tuple) else (out, np.arange(out.size))
     nz = np.flatnonzero(sums != 0)
-    values, keys = sums[nz].tolist(), keys[nz]
-    cuts = np.searchsorted(keys >> 16, np.arange(count + 1)).tolist()
-    masks = (keys & 0xFFFF).tolist()
-    return [
-        dict(zip(masks[lo:hi], values[lo:hi])) for lo, hi in zip(cuts, cuts[1:])
-    ]
+    sums, masks = sums[nz], keys[nz] & 0xFFFF
+    starts = np.flatnonzero(np.diff(keys[nz] >> 16, prepend=-1))
+    if not starts.size:
+        return {}
+    spans = zip(starts.tolist(), np.diff(starts, append=nz.size).tolist())
+    tables: dict = {}  # (masks, values) -> [start, length, even, count]
+    for (at, n), square in zip(spans, _even(masks, starts).tolist()):
+        values = sums[at:at + n]
+        values = tuple(values) if sums.dtype == object else values.tobytes()
+        key = masks[at:at + n].tobytes(), values
+        tables.setdefault(key, [at, n, square, 0])[3] += 1
+    pairs = [(at, n, at, n, square, k, 0) for at, n, square, k in tables.values()]
+    bound = sum(x * x for x in np.add.reduceat(np.abs(sums), starts).tolist())
+    acc = _wedge_step(_plan(masks, sums, pairs, False), int_dtype(bound))
+    return dict(zip(*_nonzero(acc)))
+
+
+def _even(masks: np.ndarray, starts) -> np.ndarray:
+    """Whether every mask of each segment, from its start to the next
+    one, has even positive degree."""
+    _, poppar = _np_tables()
+    return np.maximum.reduceat(poppar[masks] | (masks == 0), starts) == 0
 
 
 def _wedge_plan(groups) -> tuple:
-    """(plan, B, group count) for `_wedge_step`; plan is None when no
-    pair has two nonempty tables.  B is the largest B_g, or the largest
-    |a|_1 if more, so that it covers a coefficient whose partner table
-    holds only zeros.
-
-    A row of the plan is one term of a pair's first table with the range
-    of its partner terms in the second table.  When both tables of a pair
-    are the same object Q and every term of Q has even positive degree,
-    m ^ m = 0 and the terms commute, so Q ^ Q = 2 sum_{i<j} c_i c_j
-    m_i ^ m_j: the row takes only the later terms and is a square row,
-    whose products are doubled.  That sum stays within |Q|_1^2.  Any
-    other pair, an odd-degree square included, expands every term pair.
+    """(plan, B) for `_wedge_step`; plan is None when no pair has two
+    nonempty tables.  B is the largest B_g, or the largest |a|_1 if more,
+    so that it covers a coefficient whose partner table holds only zeros.
+    A pair whose two tables are one object Q, every term of even positive
+    degree, is a square of `_plan`; any other pair, an odd-degree square
+    included, expands every term pair.
     """
     groups = [[(a, b) for a, b in group if a and b] for group in groups]
     tables = {id(t): t for group in groups for pair in group for t in pair}
     norms = {key: sum(map(abs, t.values())) for key, t in tables.items()}
     # a coefficient that is not an int makes its table's norm none either
-    _require_int("wedge_sums", norms.values())
+    _require_int("the wedge kernel", norms.values())
     bounds = [sum(norms[id(a)] * norms[id(b)] for a, b in g) for g in groups]
     if not tables:
-        return None, 0, len(groups)
+        return None, 0
     spans, size = {}, 0
     for key, t in tables.items():
         spans[key] = size, len(t)
@@ -388,29 +415,40 @@ def _wedge_plan(groups) -> tuple:
     masks = np.fromiter(
         itertools.chain.from_iterable(tables.values()), dtype=np.int64, count=size
     )
-    _, poppar = _np_tables()
-    starts = [at for at, _ in spans.values()]
-    uneven = np.maximum.reduceat(poppar[masks] | (masks == 0), starts)
-    even = dict(zip(spans, (uneven == 0).tolist()))
-    pairs, begin = [], 0
-    for g, group in enumerate(groups):
-        for a, b in group:
-            (a_at, a_len), (b_at, b_len) = spans[id(a)], spans[id(b)]
-            square = a is b and even[id(a)]
-            pairs.append((a_len, begin, a_at, b_at, b_len, square, g))
-            begin += a_len
+    even = dict(zip(spans, _even(masks, [at for at, _ in spans.values()]).tolist()))
+    pairs = [
+        (*spans[id(a)], *spans[id(b)], a is b and even[id(a)], 1, g)
+        for g, group in enumerate(groups)
+        for a, b in group
+    ]
+    coeffs = [v for t in tables.values() for v in t.values()]
+    return _plan(masks, coeffs, pairs, len(groups) > 1), max(*bounds, *norms.values())
+
+
+def _plan(masks, coeffs, pairs, grouped: bool) -> tuple:
+    """The plan of `_wedge_step` for pairs (a_at, a_len, b_at, b_len,
+    square, weight, group), in group order, of spans of the masks and
+    coefficients.  A row is one term of a pair's first span with the
+    range of its partner terms in the second, its products times the
+    weight.  On a square, Q ^ Q with every term of Q of even positive
+    degree, m ^ m = 0 and the terms commute, so Q ^ Q = 2 sum_{i<j}
+    c_i c_j m_i ^ m_j: a row takes only the later terms and doubles the
+    weight.  That sum stays within |Q|_1^2.
+    """
     table = np.array(pairs, dtype=np.int64).T
-    begin, a_at, b_at, b_len, square, group = np.repeat(table[1:], table[0], axis=1)
+    a_len = table[1]
+    columns = np.vstack((table, np.cumsum(a_len) - a_len))
+    a_at, _, b_at, b_len, square, weight, group, begin = np.repeat(
+        columns, a_len, axis=1
+    )
     term = np.arange(begin.size) - begin
     later = (term + 1) * square
     count = b_len - later
     ends = np.cumsum(count)
     # a row's k-th candidate of the whole plan meets partner k + shift
     shift = b_at + later - (ends - count)
-    coeffs = [v for t in tables.values() for v in t.values()]
-    rows = np.array((a_at + term, shift, square, group))
-    plan = (masks, coeffs, rows, count, ends, len(groups) > 1)
-    return plan, max(*bounds, *norms.values()), len(groups)
+    rows = np.array((a_at + term, shift, weight << square, group))
+    return masks, coeffs, rows, count, ends, grouped
 
 
 def _wedge_step(plan, dtype):
@@ -438,10 +476,10 @@ def _wedge_step(plan, dtype):
         cand = np.repeat(rows[:, lo:hi], count[lo:hi], axis=1)
         cand[1] += np.arange(before, before + load)  # the partner terms
         disjoint = np.flatnonzero((masks[cand[0]] & masks[cand[1]]) == 0)
-        left, right, twice, group = cand[:, disjoint]
+        left, right, weight, group = cand[:, disjoint]
         ml, mr = masks[left], masks[right]
-        vals = c[left] * c[right] << twice
-        vals *= 1 - 2 * poppar[p16[ml] & mr]
+        vals = c[left] * c[right]
+        vals *= weight * (1 - 2 * poppar[p16[ml] & mr])
         if not grouped:
             np.add.at(sums, ml | mr, vals)
         else:

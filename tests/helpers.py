@@ -10,7 +10,7 @@ from math import gcd
 import numpy as np
 
 import spin9
-from spin9 import linalg
+from spin9 import exterior, linalg
 from spin9.exterior import AlternatingForm, perm_sign, wedge_sum
 from spin9.linalg import clear_denominators, exact_ratio
 from spin9.octonion import Octonion, cross_oct
@@ -483,6 +483,33 @@ def spy_dtypes(monkeypatch) -> Decisions:
 
         monkeypatch.setattr(module, "int_dtype", spy)
     return seen
+
+
+def spy_plans(monkeypatch) -> list:
+    """Record the pairs (a_at, a_len, b_at, b_len, square, weight, group)
+    of every plan the wedge kernel builds, one list per `exterior._plan`
+    call: one per `wedge_sum`, two per `square_sums` (the grouped step,
+    then the square step, one pair per distinct table)."""
+    seen = []
+    plan = exterior._plan
+
+    def spy(masks, coeffs, pairs, grouped):
+        seen.append(list(pairs))
+        return plan(masks, coeffs, pairs, grouped)
+
+    monkeypatch.setattr(exterior, "_plan", spy)
+    return seen
+
+
+def squares_oracle(groups) -> dict:
+    """sum_g Q_g ^ Q_g group by group: Q_g = `wedge_sum`(g), squared alone
+    by `wedge_sum([(Q_g, Q_g)])`, the tables added as dicts."""
+    total = {}
+    for group in groups:
+        q = wedge_sum(group)
+        for m, v in wedge_sum([(q, q)]).items():
+            total[m] = total.get(m, 0) + v
+    return {m: v for m, v in total.items() if v}
 
 
 def s8_star_oracle():

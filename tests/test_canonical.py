@@ -15,6 +15,7 @@ from helpers import (
     rand_octonion,
     rand_vector,
     spy_dtypes,
+    spy_plans,
     w_tilde_oracle,
 )
 from spin9.canonical import (
@@ -100,6 +101,30 @@ def test_alt_grouping_reduction_matches_the_literal_sum(monkeypatch):
     form = canonical_8form_alt.__wrapped__()
     assert form.numerators == oracle and form.denominator == 1
     assert groups == [1296]
+
+
+@pytest.mark.parametrize(
+    "build, groups, distinct",
+    [
+        (canonical_8form.__wrapped__, 81, 45),
+        (canonical_8form_alt.__wrapped__, 1296, 666),
+        (lambda: canonical._conjecture_build.__wrapped__("antisymmetric"), 81, 45),
+        (lambda: canonical._conjecture_build.__wrapped__("unsigned"), 81, 45),
+    ],
+    ids=["omega8", "omega8-alt", "antisymmetric", "unsigned"],
+)
+def test_square_stage_expands_each_distinct_four_form_once(
+    monkeypatch, build, groups, distinct
+):
+    # two-forms commute, so Q_jj' = Q_j'j and D_(ii'),(jj') = D_(jj'),(ii'):
+    # the square stage finds the equal four-forms in the computed tables
+    # and expands each once, weighted by how many groups share it
+    plans = spy_plans(monkeypatch)
+    build()
+    _, square = plans
+    assert len(square) == distinct
+    assert sum(weight for *_, weight, _ in square) == groups
+    assert all(pair[4] for pair in square)  # every four-form is a square
 
 
 def test_two_form_conventions():

@@ -20,6 +20,8 @@ from helpers import (
     rand_fraction_vector,
     rand_vector,
     spy_dtypes,
+    spy_plans,
+    squares_oracle,
 )
 from spin9 import exterior
 from spin9.bpt import materialize_bpt_8form
@@ -34,9 +36,9 @@ from spin9.exterior import (
     lie_table,
     perm_sign,
     pullback_table,
+    square_sums,
     two_form_from_operator,
     wedge_sum,
-    wedge_sums,
 )
 from spin9.linalg import INT64_LIMIT
 from spin9.operators import (
@@ -737,7 +739,7 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
     for _ in range(10):
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
-        plan, _, _ = _wedge_plan([[(a.numerators, b.numerators)]])
+        plan, _ = _wedge_plan([[(a.numerators, b.numerators)]])
         acc = _wedge_step(plan, np.int64)
         assert acc.dtype == np.int64 and acc.shape == (1 << 16,)
         nz = np.flatnonzero(acc)
@@ -820,7 +822,7 @@ def test_wedge_sum_rejects_inexact_coefficients():
     with pytest.raises(TypeError):
         wedge_sum([({3: 1}, {12: 0.5})])
     with pytest.raises(TypeError):
-        wedge_sums([[({3: 1}, {12: 1})], [({3: 1}, {12: Fraction(2)})]])
+        square_sums([[({3: 1}, {12: 1})], [({3: 1}, {12: Fraction(2)})]])
     assert wedge_sum([({3: 1}, {})]) == {}
 
 
@@ -828,7 +830,7 @@ def _tables(pairs):
     return [(a.numerators, b.numerators) for a, b in pairs]
 
 
-def test_wedge_sums_match_each_group_summed_alone():
+def test_square_sums_match_each_group_squared_alone():
     rng = random.Random(62)
     shared = _random_form(rng, 2, nterms=6)
     empty = AlternatingForm.zero(2)
@@ -841,11 +843,13 @@ def test_wedge_sums_match_each_group_summed_alone():
          for _ in range(5)],
         [(shared, _random_form(rng, 4, nterms=8))],
     ]
-    got = wedge_sums(_tables(g) for g in groups)
-    assert got == [_summed_wedges(g) for g in groups]
-    assert got == [wedge_sum(_tables(g)) for g in groups]
-    assert got[1] == got[2] == {}
-    assert wedge_sums([]) == [] and wedge_sums([[]]) == [{}]
+    for g in groups:
+        assert wedge_sum(_tables(g)) == _summed_wedges(g)
+        assert square_sums([_tables(g)]) == squares_oracle([_tables(g)])
+    got = square_sums(_tables(g) for g in groups)
+    assert got == squares_oracle(_tables(g) for g in groups) != {}
+    assert wedge_sum(_tables(groups[1])) == wedge_sum(_tables(groups[2])) == {}
+    assert square_sums([]) == {} and square_sums([[]]) == {}
 
 
 def test_wedge_of_a_table_with_itself_expands_unordered_pairs():
@@ -870,7 +874,7 @@ def test_wedge_of_a_table_with_itself_expands_unordered_pairs():
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
-def test_wedge_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
+def test_square_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
     rng = random.Random(64)
     # rows of 20 partners, and of 19 down to 0 in its square
     big = AlternatingForm(2, {
@@ -884,24 +888,44 @@ def test_wedge_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
     huge = [[(_random_form(rng, 2, nterms=6, span=1 << 40),
               _random_form(rng, 2, nterms=6, span=1 << 40))
              for _ in range(3)] for _ in range(3)]
-    expected = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
+    expected = [square_sums(_tables(g) for g in gs) for gs in (groups, huge)]
     expected.append(wedge_sum(_tables(groups[0])))
     monkeypatch.setattr(exterior, "WEDGE_CHUNK", chunk)
     seen = spy_dtypes(monkeypatch)
-    got = [wedge_sums(_tables(g) for g in gs) for gs in (groups, huge)]
+    got = [square_sums(_tables(g) for g in gs) for gs in (groups, huge)]
     got.append(wedge_sum(_tables(groups[0])))
     assert got == expected
-    assert expected[0] == [_summed_wedges(g) for g in groups]
-    assert expected[1] == [_summed_wedges(g) for g in huge]
-    assert seen.of("exterior") == [np.int64, object, np.int64]
+    # each square_sums decides its grouped step, then its square step
+    assert seen.of("exterior") == [np.int64, np.int64, object, object, np.int64]
+    for gs, squares in zip((groups, huge), expected):
+        assert [wedge_sum(_tables(g)) for g in gs] == [_summed_wedges(g) for g in gs]
+        assert squares == squares_oracle(_tables(g) for g in gs) != {}
 
 
-def test_wedge_sums_python_int_path_aligns_the_keys_of_every_group(monkeypatch):
+def _grouped_tables(out, count):
+    """The group tables {mask: int} of a grouped `_wedge_step` output."""
+    sums, keys = out
+    tables = [{} for _ in range(count)]
+    for key, v in zip(keys.tolist(), sums.tolist()):
+        if v:
+            tables[key >> 16][key & 0xFFFF] = v
+    return tables
+
+
+def test_square_sums_python_int_path_aligns_the_keys_of_every_group(monkeypatch):
     # the first group pushes the bound to 2**63, so all groups sum on
     # Python ints under the keys group << 16 | mask; the second group's
     # first sum cancels and drops out of its keys
     e01, e23, e45 = 0b11, 0b1100, 0b110000
     seen = spy_dtypes(monkeypatch)
+    steps = []
+    step = exterior._wedge_step
+
+    def spy(plan, dtype):
+        steps.append(step(plan, dtype))
+        return steps[-1]
+
+    monkeypatch.setattr(exterior, "_wedge_step", spy)
     groups = [
         [({e01: 1 << 62}, {e23: 2})],
         [({e01: 5}, {e45: 1}), ({e23: 1}, {e45: 3}), ({e45: -5}, {e01: 1})],
@@ -912,10 +936,80 @@ def test_wedge_sums_python_int_path_aligns_the_keys_of_every_group(monkeypatch):
         {e23 | e45: 3},
         {e01 | e23: -10},
     ]
-    assert wedge_sums(groups) == expected
-    assert seen == [("exterior", INT64_LIMIT, object)]
+    got = square_sums(groups)
+    assert _grouped_tables(steps[0], 3) == expected
+    square_bound = INT64_LIMIT**2 + 3**2 + 10**2
+    assert seen == [
+        ("exterior", INT64_LIMIT, object), ("exterior", square_bound, object)
+    ]
+    # each Q_g is one monomial, so its square vanishes
+    assert got == squares_oracle(groups) == {}
     # the largest bound decides the path, wherever its group stands
-    assert wedge_sums(groups[::-1]) == expected[::-1]
+    steps.clear()
+    seen.clear()
+    assert square_sums(groups[::-1]) == {}
+    assert _grouped_tables(steps[0], 3) == expected[::-1]
+    assert seen.of("exterior") == [object, object]
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 70])
+def test_square_sums_merge_equal_tables_that_are_distinct_objects(
+    monkeypatch, scale
+):
+    # a ^ b = b ^ a for two-forms: four groups of distinct tables, one Q;
+    # scale 2**70 puts both steps on Python ints
+    rng = random.Random(65)
+    a, b, c = (_table(_random_form(rng, 2, nterms=6)) for _ in "abc")
+    a, b = ({m: v * scale for m, v in t.items()} for t in (a, b))
+    groups = [
+        [(a, b)], [(dict(b), dict(a))], [(c, a)], [(dict(a), b)], [(b, dict(a))]
+    ]
+    seen = spy_dtypes(monkeypatch)
+    plans = spy_plans(monkeypatch)
+    got = square_sums(groups)
+    _, square = plans
+    dtype = np.int64 if scale == 1 else object
+    assert seen.of("exterior") == [dtype, dtype]
+    assert got == squares_oracle(groups) != {}
+    assert sorted(weight for *_, weight, _ in square) == [1, 4]
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 70])
+def test_square_sums_keep_tables_that_differ_in_one_coefficient(
+    monkeypatch, scale
+):
+    # the third group adds 1 to one coefficient of the first group's Q:
+    # the same masks, one value apart, on int64 and past 2**63
+    e01, e23, e45, e67 = 0b11, 0b1100, 0b110000, 0b11000000
+    a = {e01: 3 * scale, e23: -5 * scale}
+    b = {e45: 7 * scale, e67: 2 * scale}
+    groups = [[(a, b)], [(dict(a), dict(b))], [(a, b), ({e01: 1}, {e45: 1})]]
+    q = [wedge_sum(g) for g in groups]
+    assert q[2].keys() == q[0].keys() == q[1].keys()
+    assert [m for m in q[0] if q[2][m] != q[0][m]] == [e01 | e45]
+    seen = spy_dtypes(monkeypatch)
+    plans = spy_plans(monkeypatch)
+    got = square_sums(groups)
+    _, square = plans
+    dtype = np.int64 if scale == 1 else object
+    assert seen.of("exterior") == [dtype, dtype]
+    assert got == squares_oracle(groups) != {}
+    assert [weight for *_, weight, _ in square] == [2, 1]
+
+
+def test_square_sums_expand_every_pair_of_odd_or_degree_0_tables(monkeypatch):
+    # a table with an odd-degree or a degree-0 term is no square: every
+    # term pair expands, with the table's multiplicity as its weight
+    one = {0: 1}
+    q = {0b1: 2, 0b110: -3, 0b11000: 5, 0b1100000: 1, 0b10000000: 7}
+    for table in (q, {0: -4, **q}, {0: 3}):
+        groups = [[(table, one)], [(dict(table), one)], [({0b1: 1}, {0b10: 1})]]
+        plans = spy_plans(monkeypatch)
+        got = square_sums(groups)
+        _, square = plans
+        assert got == squares_oracle(groups) != {}
+        # (square, weight): the table twice, and the even monomial once
+        assert [tuple(pair[4:6]) for pair in square] == [(0, 2), (1, 1)]
 
 
 def test_bounds_far_past_2_63_run_each_step_once_on_python_ints(monkeypatch):
@@ -930,10 +1024,10 @@ def test_bounds_far_past_2_63_run_each_step_once_on_python_ints(monkeypatch):
     seen = spy_dtypes(monkeypatch)
     assert wedge_sum(_tables(pairs)) == _summed_wedges(pairs)
     groups = [pairs, [(c, a)], [], [(a, a)]]
-    got = wedge_sums(_tables(g) for g in groups)
-    assert got == [_summed_wedges(g) for g in groups]
-    assert seen.of("exterior") == [object, object]
-    assert all(type(v) is int for table in got for v in table.values())
+    got = square_sums(_tables(g) for g in groups)
+    assert seen.of("exterior") == [object, object, object]
+    assert got == squares_oracle(_tables(g) for g in groups)
+    assert all(type(v) is int for v in got.values())
 
     f = _random_form(rng, 3, nterms=5, span=huge)
     op = _sparse_operator(rng, 2, lambda: rng.randint(-huge, huge))
@@ -1005,6 +1099,22 @@ def test_forms_are_kept_in_lowest_terms(omega8):
     rot = rotation(0, 1, RationalCirclePoint(Fraction(3, 5), Fraction(4, 5)))
     pulled = omega8.pullback(rot)
     assert pulled.denominator == 1 and pulled == omega8
+
+
+def test_items_come_in_lex_order_of_the_index_tuples():
+    # items sort by the bit-reversed mask; the oracle sorts the tuples
+    rng = random.Random(66)
+    for degree in range(17):
+        form = _random_form(rng, degree, nterms=40).scale(Fraction(1, 6))
+        oracle = sorted(
+            (idx, form.coefficient(idx))
+            for idx in (
+                tuple(i for i in range(16) if m >> i & 1) for m in form.numerators
+            )
+        )
+        assert form.items() == oracle
+    every = AlternatingForm(8, {idx: 1 for idx in combinations(range(16), 8)})
+    assert [idx for idx, _ in every.items()] == list(combinations(range(16), 8))
 
 
 def test_whole_coefficients_and_values_come_back_as_ints():

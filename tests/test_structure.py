@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -335,3 +336,18 @@ def test_private_read_guard_sees_a_reach_into_another_module(tmp_path):
         "private_probe.py:17 reads _product",
         "private_probe.py:17 reads _terms",
     ]
+
+
+def test_no_module_names_the_per_group_wedge_tables():
+    # `square_sums` squares every group's four-form inside the kernel; a
+    # list of per-group tables would bring back the round trip through
+    # one Python dict per group
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert "exterior.py" in {p.name for p in sources}
+    found = [
+        f"{path.name}:{n}"
+        for path in sources
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bwedge_sums\b", line)
+    ]
+    assert found == []
