@@ -7,12 +7,13 @@ products of paired crosses, normalized by 2^-7, or equivalently a sum
 over the 315 canonical representatives S*_8 of products of real parts.
 This module implements both sums literally, as exact array stages on
 `exact_array` (the crosses of all pairs in one batched `oct_mul`, then
-the block sums or the real-part table), materializes the form's full
-coefficient map (each distinct 4-slot block gathered once as int8 over
-all basis tuples, every term of {-1, 0, 1} summed in the `int_dtype` of
-the term count), and computes the exact invariance defect under the
-generator I_7 I_8: the defect is nonzero, so the construction is not
-invariant and cannot equal the canonical 8-form in any scaling.
+the block sums and their split products, one batched `oct_mul` each, or
+the real-part table), materializes the form's full coefficient map (each
+distinct 4-slot block gathered once as int8 over all basis tuples, every
+term of {-1, 0, 1} summed in the `int_dtype` of the term count), and
+computes the exact invariance defect under the generator I_7 I_8: the
+defect is nonzero, so the construction is not invariant and cannot equal
+the canonical 8-form in any scaling.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .exterior import AlternatingForm, exact_array, perm_sign
 from .linalg import exact_ratio, int_dtype
-from .octonion import XOR_SIGN, Octonion, coeff_mul, oct_mul
+from .octonion import XOR_SIGN, Octonion, oct_mul
 from .operators import Vector16, clifford_product
 from .report import VerificationReport
 
@@ -72,7 +73,7 @@ def bpt_cross(u: Vector16, v: Vector16) -> Octonion:
     """Cross product on O^2: conjugated in the first slot, plain in the
     second; the one pair of `_crosses`."""
     (c,), d = _crosses([u, v])
-    return Octonion._raw(exact_ratio(x, d * d) for x in c)
+    return Octonion._raw(c.tolist(), d * d)
 
 
 def _pairings(block: tuple) -> tuple:
@@ -154,15 +155,15 @@ def bpt_8form_reduced(vectors) -> Fraction | int:
 def _block_plan() -> tuple:
     """(left, right, shuffle) of `bpt_8form_full`: the pair slots of the
     products of each 4-block of the slots (combinations order), in the
-    order of _BLOCK_SIGNS, and the shuffle sign of the block followed by
-    its complement, which sits as many places from the end."""
+    order of _BLOCK_SIGNS, and the shuffle sign of each block followed by
+    its complement, which sits as many places from the end, as a column."""
     _, _, slot, _ = _pair_slots(8)
     blocks = list(itertools.combinations(range(8), 4))
     pairs = np.array([
         (slot[a, b], slot[c, d]) for block in blocks for a, b, c, d in _pairings(block)
     ])
-    shuffle = [perm_sign(b + c) for b, c in zip(blocks, reversed(blocks))]
-    return pairs.ravel(), pairs[:, ::-1].ravel(), shuffle
+    shuffle = [[perm_sign(b + c)] for b, c in zip(blocks, reversed(blocks))]
+    return pairs.ravel(), pairs[:, ::-1].ravel(), np.array(shuffle)
 
 
 def bpt_8form_full(vectors) -> Fraction | int:
@@ -174,8 +175,10 @@ def bpt_8form_full(vectors) -> Fraction | int:
     shuffle sign.  Skewness of the cross folds a block's arrangements into
     its three pairings, each in both orders, times four: 420 literal
     products in one batched `oct_mul` (B = 4 * 6 * 8 M^2, M the largest
-    |cross coefficient|), then 70 split products on `coeff_mul`.  The
-    total must be a real octonion, which is asserted, not assumed.
+    |cross coefficient|), then the 70 split products of each block sum
+    and its complement's in one more, on Python ints, times the shuffle
+    signs.  The total must be a real octonion, which is asserted, not
+    assumed.
     """
     vs = list(vectors)
     if len(vs) != 8:
@@ -188,11 +191,8 @@ def bpt_8form_full(vectors) -> Fraction | int:
         return 4 * (prods * _BLOCK_SIGNS[:, None]).sum(axis=1)
 
     bound = 192 * max(map(abs, crosses.flat)) ** 2
-    blocks = exact_array(step, bound, crosses).tolist()
-    total = [0] * 8
-    for first, rest, sign in zip(blocks, reversed(blocks), shuffle):
-        for k, x in enumerate(coeff_mul(first, rest)):
-            total[k] += sign * x
+    blocks = exact_array(step, bound, crosses)
+    total = (oct_mul(blocks, blocks[::-1]) * shuffle).sum(axis=0).tolist()
     if any(total[1:]):
         raise AssertionError("symmetrized cross-product sum is not real")
     return exact_ratio(total[0], 128 * d**8)

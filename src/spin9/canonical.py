@@ -22,13 +22,13 @@ minors D of the skew matrix (omega_ij); D vanishes when i = i' or j = j'
 and is antisymmetric in i <-> i' and in j <-> j', so each unordered pair
 of pairs stands for four ordered quadruples and the sum is -2 sum D^2
 over i < i', j < j'.  The triple-form sum is a sum of squared four-forms
-too; all three go through one sum-of-squares helper, one `square_sums`
-call that builds every four-form at once and squares each distinct one
-once, over unordered term pairs: 45 of the 81 Q_jj' (Q_jj' = Q_j'j) and
-666 of the 1296 D.  The module also
-provides the S8-sum evaluation kernel, the vanishing corollaries, the
-verdict on the triple-form sum, deterministic coefficient export, and
-the two-form expansion identities of X-flat wedge Y-flat.
+too; each of the three is one call of the checked kernel
+`exterior.square_sums`, which builds every four-form at once and
+squares each distinct one once, over unordered term pairs: 45 of the 81
+Q_jj' (Q_jj' = Q_j'j) and 666 of the 1296 D.  The module also provides
+the S8-sum evaluation kernel, the vanishing corollaries, the verdict on
+the triple-form sum, deterministic coefficient export, and the two-form
+expansion identities of X-flat wedge Y-flat.
 """
 
 from __future__ import annotations
@@ -100,16 +100,6 @@ def sigma2(i: int, j: int, k: int) -> AlternatingForm:
 # the canonical eight-form ---------------------------------------------------
 
 
-def _sum_of_squares(groups) -> dict:
-    """sum over groups of Q ^ Q, where Q = sum of a ^ b over the group's pairs.
-
-    Each group is a list of (a, b) integer tables.  One call of the
-    checked kernel `square_sums`, which builds every Q at once and
-    squares each distinct Q once, over unordered term pairs.
-    """
-    return square_sums(groups)
-
-
 @functools.cache
 def canonical_8form() -> AlternatingForm:
     """The literal quadruple sum over the omega_ij tables."""
@@ -127,7 +117,7 @@ def build_8form_from_two_forms(w2: dict) -> dict:
     no index-set reduction enters.  Exact for integer coefficients of
     any size.
     """
-    return _sum_of_squares(
+    return square_sums(
         [(w2[(i, j)], w2[(i, jp)]) for i in range(9) if i not in (j, jp)]
         for j, jp in product(range(9), repeat=2)
     )
@@ -145,7 +135,7 @@ def canonical_8form_alt() -> AlternatingForm:
     is -2 sum D^2 over those groups.
     """
     w = _two_form_table
-    squares = _sum_of_squares(
+    squares = square_sums(
         [(w((i, j)), w((ip, jp))), (w((j, ip)), w((i, jp)))]
         for (i, ip), (j, jp) in product(combinations(range(9), 2), repeat=2)
     )
@@ -307,7 +297,7 @@ def conjecture_8form(convention: str = "antisymmetric") -> AlternatingForm:
 @functools.cache
 def _conjecture_build(convention: str) -> AlternatingForm:
     signed = convention == "antisymmetric"
-    squares = _sum_of_squares(
+    squares = square_sums(
         [
             (
                 _two_form_table((i, j, p), signed),

@@ -189,9 +189,6 @@ class AlternatingForm(Exact):
                 out.pop(m, None)
         return AlternatingForm._raw(self.degree, out, da * db)
 
-    def __sub__(self, other: "AlternatingForm") -> "AlternatingForm":
-        return self + (-other)
-
     def __neg__(self) -> "AlternatingForm":
         return AlternatingForm._raw(
             self.degree, {m: -v for m, v in self.numerators.items()}, self.denominator

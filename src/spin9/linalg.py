@@ -17,9 +17,11 @@ form, so it depends only on the row space: `nullspace` reads one kernel
 vector per free column off it, and `reduce_against` takes rows to zero
 exactly when they lie in its row space.
 
-`Exact` is the one exact representation of vectors, operators and forms:
-integer numerators over one positive denominator, in lowest terms by
-`lowest_terms`; `clear_denominators` takes exact input there once.
+`Exact` is the one exact representation of octonions, vectors, operators
+and forms: integer numerators over one positive denominator, in lowest
+terms by `lowest_terms`; `clear_denominators` takes exact input there
+once.  `ExactTuple` is its fixed-size tuple, with the one arithmetic of
+octonions and vectors.
 """
 
 from __future__ import annotations
@@ -217,6 +219,9 @@ class Exact:
     def __hash__(self) -> int:
         return hash((self.numerators, self.denominator))
 
+    def __sub__(self, other):
+        return self + -other
+
     def __rmul__(self, t):
         return self.scale(t)
 
@@ -234,6 +239,60 @@ def exact_ratio(n, d):
         return n // d
     q = Fraction(n, d)
     return q.numerator if q.denominator == 1 else q
+
+
+class ExactTuple(Exact):
+    """A tuple of `size` integer `numerators` over one positive
+    `denominator`, in lowest terms; `entries()` lists the nonzero ones as
+    (k, numerator), computed at most once."""
+
+    __slots__ = ()
+    size = 0
+
+    def __init__(self, values):
+        c = tuple(values)
+        if len(c) != self.size:
+            raise ValueError(f"{type(self).__name__} needs {self.size} values")
+        ints, d = clear_denominators(c)
+        self._set(tuple(ints), d)
+
+    @classmethod
+    def _raw(cls, numerators, denominator: int = 1):
+        """Unchecked constructor for `size` integer numerators computed internally."""
+        v = cls.__new__(cls)
+        numerators, denominator = lowest_terms(numerators, denominator)
+        v._set(tuple(numerators), denominator)
+        return v
+
+    def _nonzero(self) -> tuple:
+        """The nonzero integer entries (k, numerator), in index order."""
+        return tuple((k, x) for k, x in enumerate(self.numerators) if x)
+
+    def coords(self) -> tuple:
+        """The exact values; whole ones are ints."""
+        d = self.denominator
+        if d == 1:
+            return self.numerators
+        return tuple(exact_ratio(x, d) for x in self.numerators)
+
+    def __add__(self, other):
+        da, db = self.denominator, other.denominator
+        return self._raw(
+            [a * db + b * da for a, b in zip(self.numerators, other.numerators)],
+            da * db,
+        )
+
+    def __neg__(self):
+        return self._raw([-a for a in self.numerators], self.denominator)
+
+    def scale(self, t: Num):
+        t = require_exact(t)
+        return self._raw(
+            [t.numerator * a for a in self.numerators], self.denominator * t.denominator
+        )
+
+    def __bool__(self) -> bool:
+        return any(self.numerators)
 
 
 def det(rows) -> Fraction:

@@ -17,21 +17,24 @@ checked at import, so the table reduces to its signs SIGN[a][b].  Two
 products read it: `_product`, the one scalar loop, on lists of nonzero
 terms (index, coefficient) of ints or Fractions, and `oct_mul`, the same
 sum batched over integer arrays for the exact array stages of the BPT
-audit.  `term_mul` wraps the loop for term lists and `coeff_mul` for
-dense coefficient sequences.
+audit.  `term_mul` wraps the loop for term lists, and `Octonion.__mul__`
+for the nonzero numerators of two octonions, over the product of their
+denominators.
 
-Everything is exact: coefficients are ints or fractions.Fraction, never
-floats.  All objects here are immutable, so values can be shared freely
-across threads.
+`Octonion` is the `linalg.ExactTuple` of size 8: integer numerators over
+one positive denominator, in lowest terms, with the arithmetic it shares
+with `Vector16`; `coeffs` gives the exact coefficients, ints or
+fractions.Fraction, never floats.  All objects here are immutable, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import Num, require_exact
+from .linalg import ExactTuple, Num, exact_ratio
 
 BASIS_NAMES = ("1", "i", "j", "ij", "e", "ie", "je", "(ij)e")
 
@@ -116,31 +119,19 @@ def term_mul(x: Sequence[tuple], y: Sequence[tuple]) -> list:
     return [term for term in enumerate(_product(x, y)) if term[1]]
 
 
-def coeff_mul(x: Sequence[Num], y: Sequence[Num]) -> list:
-    """Coefficients of the product of the octonions with coefficients x, y."""
-    return _product(
-        [term for term in enumerate(x) if term[1]],
-        [term for term in enumerate(y) if term[1]],
-    )
-
-
 # XOR[a, k] = a ^ k, XOR_SIGN[a, k] = SIGN[a][a ^ k]: the terms of coefficient k
 XOR = np.bitwise_xor.outer(np.arange(8), np.arange(8))
 XOR_SIGN = np.array(SIGN, dtype=np.int64)[np.arange(8)[:, None], XOR]
 
 
 def oct_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`coeff_mul` batched over the last axis of two integer arrays: exact
-    on Python ints (dtype=object), and in int64 while it holds the
-    products and sums, which the caller bounds first.
+    """The sum of `_product` batched over the last axis of two dense
+    integer coefficient arrays: exact on Python ints (dtype=object), and
+    in int64 while it holds the products and sums, which the caller
+    bounds first.
     """
     terms = x[..., :, None] * y[..., XOR]
     return (terms * XOR_SIGN).sum(axis=-2)
-
-
-def coeff_conj(x: Sequence[Num]) -> list:
-    """Coefficients of the conjugate of the octonion with coefficients x."""
-    return [x[0]] + [-a for a in x[1:]]
 
 
 def unit_mul(a: SignedUnit, b: SignedUnit) -> SignedUnit:
@@ -149,26 +140,14 @@ def unit_mul(a: SignedUnit, b: SignedUnit) -> SignedUnit:
     return (a[0] * b[0] * s, k)
 
 
-class Octonion:
-    """An octonion with exact rational coefficients on u0..u7."""
+class Octonion(ExactTuple):
+    """An octonion: 8 integer `numerators` on u0..u7 over one positive
+    `denominator`, in lowest terms; `coeffs` gives the exact coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    size = 8
 
-    def __init__(self, coeffs: Iterable[Num]):
-        c = tuple(map(require_exact, coeffs))
-        if len(c) != 8:
-            raise ValueError("octonion needs exactly 8 coefficients")
-        object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Octonion is immutable")
-
-    @classmethod
-    def _raw(cls, coeffs) -> "Octonion":
-        """Unchecked constructor for arithmetic results."""
-        o = cls.__new__(cls)
-        object.__setattr__(o, "coeffs", tuple(coeffs))
-        return o
+    coeffs = property(ExactTuple.coords)
 
     @classmethod
     def zero(cls) -> "Octonion":
@@ -184,44 +163,28 @@ class Octonion:
     def scalar(cls, x: Num) -> "Octonion":
         return cls((x, 0, 0, 0, 0, 0, 0, 0))
 
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion._raw(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion._raw(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "Octonion":
-        return Octonion._raw(-a for a in self.coeffs)
-
-    def scale(self, x: Num) -> "Octonion":
-        x = require_exact(x)
-        return Octonion._raw(x * a for a in self.coeffs)
-
     def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion._raw(coeff_mul(self.coeffs, other.coeffs))
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "Octonion":
-        return self.scale(other)
+        # the terms are filtered inline, not cached by `entries()`: a
+        # product is a fresh value, mostly multiplied only once
+        if not isinstance(other, Octonion):
+            return self.scale(other)
+        return Octonion._raw(
+            _product(
+                [term for term in enumerate(self.numerators) if term[1]],
+                [term for term in enumerate(other.numerators) if term[1]],
+            ),
+            self.denominator * other.denominator,
+        )
 
     def conj(self) -> "Octonion":
-        return Octonion._raw(coeff_conj(self.coeffs))
+        n = self.numerators
+        return Octonion._raw([n[0]] + [-a for a in n[1:]], self.denominator)
 
     def re(self) -> Num:
-        return self.coeffs[0]
+        return exact_ratio(self.numerators[0], self.denominator)
 
     def im(self) -> "Octonion":
-        return Octonion._raw((0,) + self.coeffs[1:])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Octonion) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return Octonion._raw([0, *self.numerators[1:]], self.denominator)
 
     def __repr__(self) -> str:
         parts = []
@@ -236,7 +199,8 @@ _ZERO = Octonion((0,) * 8)
 
 def inner_oct(a: Octonion, b: Octonion) -> Num:
     """Euclidean inner product; agrees with Re(a conj(b)) for this basis."""
-    return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
+    total = sum(x * y for x, y in zip(a.numerators, b.numerators))
+    return exact_ratio(total, a.denominator * b.denominator)
 
 
 def cross_oct(u: Octonion, v: Octonion) -> Octonion:

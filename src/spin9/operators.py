@@ -10,8 +10,10 @@ and satisfy I_i I_j + I_j I_i = 2 delta_ij, I_i symmetric, trace zero.
 Products of distinct I_i are signed permutations of the basis, so they
 have one nonzero entry per row.  `Vector16` and `Operator16` hold
 integer numerators over one positive denominator in lowest terms (the
-`linalg.Exact` representation); exact values appear only at the edge
-(`coords`, `x1`/`x2`, `rows`, `trace`, `inner16`).  Both list their
+`linalg.Exact` representation).  `Vector16` is the `linalg.ExactTuple`
+of size 16 and shares its arithmetic with `Octonion`; its halves
+`x1`/`x2` are octonions over its denominator.  Exact values appear only
+at the edge (`coords`, `rows`, `trace`, `inner16`).  Both list their
 nonzero integer entries once (`entries()`, the one cache of `Exact`):
 operator products and `apply` run over an operator's, the curvature
 expressions over a vector's, so a signed permutation costs 16 entries
@@ -34,6 +36,7 @@ from typing import Sequence
 
 from .linalg import (
     Exact,
+    ExactTuple,
     Num,
     clear_denominators,
     det,
@@ -44,16 +47,16 @@ from .linalg import (
 from .octonion import Octonion
 
 
-class Vector16(Exact):
+class Vector16(ExactTuple):
     """A point of R^16 as an octonion pair: 16 integer `numerators` (a
     tuple) over one positive `denominator`, in lowest terms; `entries()`
     lists the nonzero ones as (k, numerator), computed at most once."""
 
     __slots__ = ()
+    size = 16
 
     def __init__(self, x1: Octonion, x2: Octonion):
-        ints, d = clear_denominators(x1.coeffs + x2.coeffs)
-        self._set(tuple(ints), d)
+        super().__init__(x1.coeffs + x2.coeffs)
 
     @classmethod
     def basis(cls, k: int) -> "Vector16":
@@ -63,59 +66,17 @@ class Vector16(Exact):
 
     @classmethod
     def from_coords(cls, coords: Sequence[Num]) -> "Vector16":
-        c = tuple(coords)
-        if len(c) != 16:
-            raise ValueError("need 16 coordinates")
-        return cls._raw(*clear_denominators(c))
-
-    @classmethod
-    def _raw(cls, numerators, denominator: int = 1) -> "Vector16":
-        """Unchecked constructor for 16 integer numerators computed internally."""
         v = cls.__new__(cls)
-        numerators, denominator = lowest_terms(numerators, denominator)
-        v._set(tuple(numerators), denominator)
+        ExactTuple.__init__(v, coords)
         return v
-
-    def _nonzero(self) -> tuple:
-        """The nonzero integer entries (k, numerator), in index order."""
-        return tuple((k, x) for k, x in enumerate(self.numerators) if x)
-
-    def coords(self) -> tuple:
-        """The 16 exact coordinates; whole ones are ints."""
-        d = self.denominator
-        if d == 1:
-            return self.numerators
-        return tuple(exact_ratio(x, d) for x in self.numerators)
 
     @property
     def x1(self) -> Octonion:
-        return Octonion._raw(self.coords()[:8])
+        return Octonion._raw(self.numerators[:8], self.denominator)
 
     @property
     def x2(self) -> Octonion:
-        return Octonion._raw(self.coords()[8:])
-
-    def __add__(self, other: "Vector16") -> "Vector16":
-        da, db = self.denominator, other.denominator
-        return Vector16._raw(
-            [a * db + b * da for a, b in zip(self.numerators, other.numerators)],
-            da * db,
-        )
-
-    def __sub__(self, other: "Vector16") -> "Vector16":
-        return self + -other
-
-    def __neg__(self) -> "Vector16":
-        return Vector16._raw([-a for a in self.numerators], self.denominator)
-
-    def scale(self, t: Num) -> "Vector16":
-        t = require_exact(t)
-        return Vector16._raw(
-            [t.numerator * a for a in self.numerators], self.denominator * t.denominator
-        )
-
-    def __bool__(self) -> bool:
-        return any(self.numerators)
+        return Octonion._raw(self.numerators[8:], self.denominator)
 
     def __repr__(self) -> str:
         return f"Vector16({self.x1!r}, {self.x2!r})"
@@ -183,9 +144,6 @@ class Operator16(Exact):
             ),
             da * db,
         )
-
-    def __sub__(self, other: "Operator16") -> "Operator16":
-        return self + -other
 
     def __neg__(self) -> "Operator16":
         return Operator16._raw(

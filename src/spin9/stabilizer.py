@@ -192,8 +192,9 @@ def in_kernel_span(result: StabilizerResult, op: Operator16, ech=None) -> bool:
     return not reduce_against(ech, operator_rows([op], result.dimension)).any()
 
 
-def bracket_closure(result: StabilizerResult) -> VerificationReport:
-    """Pairwise commutators of the kernel basis land back in the kernel.
+def bracket_closure(result: StabilizerResult, name: str) -> VerificationReport:
+    """Pairwise commutators of the kernel basis land back in the kernel,
+    reported as the check `name`.
 
     All commutators come from one batched product of the n x n blocks,
     in the `int_dtype` of B = 2 n max|A| max|B|, which bounds every
@@ -208,7 +209,7 @@ def bracket_closure(result: StabilizerResult) -> VerificationReport:
     comms = (mats[a] @ mats[b] - mats[b] @ mats[a]).reshape(-1, n * n)
     left = reduce_against(int_echelon(basis), comms)
     bad = int(np.count_nonzero(left.any(axis=1)))
-    report.add("stabilizer.bracket-closure", bad == 0, pairs=len(a), failures=bad)
+    report.add(name, bad == 0, pairs=len(a), failures=bad)
     return report
 
 
@@ -306,7 +307,7 @@ def sp4_certification() -> VerificationReport:
         for op in result.kernel_basis
     )
     report.add("stabilizer.sp4.symplectic-condition", ok)
-    report.extend(bracket_closure(result))
+    report.extend(bracket_closure(result, "stabilizer.sp4.bracket-closure"))
     return report
 
 

@@ -453,7 +453,7 @@ def verify_stabilizer(config: RunConfig) -> VerificationReport:
         "stabilizer.spin9-span",
         stabilizer.spans_involution_pairs(result),
     )
-    report.extend(stabilizer.bracket_closure(result))
+    report.extend(stabilizer.bracket_closure(result, "stabilizer.bracket-closure"))
     report.extend(stabilizer.lambda1_exclusion(omega))
     report.extend(stabilizer.lambda3_exclusion(omega))
     return report

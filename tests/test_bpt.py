@@ -101,27 +101,21 @@ def test_full_and_reduced_sums_agree_on_random():
 
 
 def test_full_sum_builds_each_block_sum_once(monkeypatch):
-    # 28 crosses of two products each and 420 block products, each set in
-    # one batched call; then 70 split products, one `coeff_mul` each
+    # 28 crosses of two products each, 420 block products and the 70
+    # split products, each set in one batched call
     rng = random.Random(84)
     vs = [rand_vector(rng, span=2) for _ in range(8)]
     expected = bpt_8form_reduced(vs)
-    batched, split = [], []
-    oct_mul, coeff_mul = bpt.oct_mul, bpt.coeff_mul
+    batched = []
+    oct_mul = bpt.oct_mul
 
     def counting_batch(x, y):
         batched.append(x.size // 8)
         return oct_mul(x, y)
 
-    def counting_split(x, y):
-        split.append(1)
-        return coeff_mul(x, y)
-
     monkeypatch.setattr(bpt, "oct_mul", counting_batch)
-    monkeypatch.setattr(bpt, "coeff_mul", counting_split)
     assert bpt_8form_full(vs) == expected
-    assert batched == [56, 420]
-    assert len(split) == 70
+    assert batched == [56, 420, 70]
 
 
 def test_sums_match_the_octonion_oracles(monkeypatch):

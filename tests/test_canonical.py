@@ -87,7 +87,7 @@ def test_alt_grouping_reduction_matches_the_literal_sum(monkeypatch):
         return family.get(idx, {})  # empty on a repeated index
 
     groups = []
-    squares = canonical._sum_of_squares
+    squares = canonical.square_sums
 
     def spy(gs):
         gs = list(gs)
@@ -95,7 +95,7 @@ def test_alt_grouping_reduction_matches_the_literal_sum(monkeypatch):
         return squares(gs)
 
     monkeypatch.setattr(canonical, "_two_form_table", table)
-    monkeypatch.setattr(canonical, "_sum_of_squares", spy)
+    monkeypatch.setattr(canonical, "square_sums", spy)
     oracle = alt_grouping_oracle(w)
     assert len(oracle) > 100
     form = canonical_8form_alt.__wrapped__()

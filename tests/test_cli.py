@@ -230,6 +230,14 @@ def test_verify_jobs_pool_prints_the_serial_lines(monkeypatch, capsys):
     assert len(serial.splitlines()) == 58
 
 
+def test_verify_check_ids_are_unique(capsys):
+    # each check line starts with its id, which names one check only
+    assert run_cli(["verify", "--samples", "1"]) == 0
+    ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert len(ids) == 58
+    assert len(set(ids)) == len(ids)
+
+
 def test_bench_is_not_a_command(capsys):
     # timing lives in the benchmark under bench/, not in the CLI
     with pytest.raises(SystemExit) as exc:

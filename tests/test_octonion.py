@@ -15,8 +15,6 @@ from spin9.octonion import (
     Octonion,
     apply_matrix8,
     automorphism_from_triple,
-    coeff_conj,
-    coeff_mul,
     cross_oct,
     inner_oct,
     oct_mul,
@@ -41,7 +39,7 @@ def test_unit_products_are_indexed_by_xor():
     for a, b in itertools.product(range(8), repeat=2):
         assert MUL_TABLE[a][b] == (SIGN[a][b], a ^ b)
         ua, ub = UNITS[a].coeffs, UNITS[b].coeffs
-        assert tuple(coeff_mul(ua, ub)) == oct_mul_oracle(ua, ub)
+        assert (Octonion(ua) * Octonion(ub)).coeffs == oct_mul_oracle(ua, ub)
     rng = random.Random(31)
     zero = (Fraction(0),) * 8
     samples = [zero, (0,) * 8]
@@ -53,10 +51,10 @@ def test_unit_products_are_indexed_by_xor():
             for _ in range(8)
         ))
     for x, y in itertools.product(samples, repeat=2):
-        assert tuple(coeff_mul(x, y)) == oct_mul_oracle(x, y)
-        assert tuple(coeff_mul(list(x), list(y))) == oct_mul_oracle(x, y)
+        assert (Octonion(x) * Octonion(y)).coeffs == oct_mul_oracle(x, y)
+        assert (Octonion(list(x)) * Octonion(list(y))).coeffs == oct_mul_oracle(x, y)
     for x in samples:
-        assert coeff_conj(x) == [x[0]] + [-a for a in x[1:]]
+        assert Octonion(x).conj().coeffs == (x[0],) + tuple(-a for a in x[1:])
 
 
 def test_term_product_matches_the_oracle_on_nonzero_terms():
@@ -98,9 +96,11 @@ def test_batched_product_matches_the_scalar_loop_and_the_oracle():
     assert big.dtype == object and max(abs(v) for v in big.flat) >= 1 << 63
     for k in np.ndindex(5, 3):
         a, b = x[k].tolist(), y[k].tolist()
-        assert out[k].tolist() == coeff_mul(a, b) == list(oct_mul_oracle(a, b))
+        scalar = (Octonion(a) * Octonion(b)).coeffs
+        assert tuple(out[k].tolist()) == scalar == oct_mul_oracle(a, b)
         a, b = big_x[k].tolist(), big_y[k].tolist()
-        assert big[k].tolist() == coeff_mul(a, b) == list(oct_mul_oracle(a, b))
+        scalar = (Octonion(a) * Octonion(b)).coeffs
+        assert tuple(big[k].tolist()) == scalar == oct_mul_oracle(a, b)
     units = np.eye(8, dtype=np.int64)
     for a, b in itertools.product(range(8), repeat=2):
         assert oct_mul(units[a], units[b])[a ^ b] == SIGN[a][b]
@@ -218,6 +218,37 @@ def test_scalar_and_fraction_coefficients():
     assert x * y == Octonion([0, Fraction(1, 3)] + [0] * 6)
     assert (x + y) - y == x
     assert x.scale(4) == Octonion([2] + [0] * 7)
+
+
+def test_arithmetic_matches_fractions_on_mixed_denominators():
+    # each octonion holds its coefficients over one common denominator in
+    # lowest terms; every result equals the validated octonion of the same
+    # Fraction sums, so a result left unreduced fails the equality
+    rng = random.Random(35)
+
+    def fractions():
+        return tuple(
+            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 6, 7)))
+            for _ in range(8)
+        )
+
+    for _ in range(40):
+        x, y = fractions(), fractions()
+        a, b = Octonion(x), Octonion(y)
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert a + b == Octonion(p + q for p, q in zip(x, y))
+        assert a - b == Octonion(p - q for p, q in zip(x, y))
+        assert -a == Octonion(-p for p in x)
+        assert a.scale(t) == t * a == a * t == Octonion(t * p for p in x)
+        assert a * b == Octonion(oct_mul_oracle(x, y))
+        assert a.conj() == Octonion((x[0],) + tuple(-p for p in x[1:]))
+        assert a.re() == x[0]
+        assert a.im() == Octonion((0,) + x[1:])
+        assert inner_oct(a, b) == sum(p * q for p, q in zip(x, y))
+    # the real part of a - a is a whole 0, and (3/2) u0 + (3/2) u0 is 3
+    a = Octonion.scalar(Fraction(3, 2))
+    assert type((a - a).re()) is int and type((a + a).re()) is int
+    assert (a + a).denominator == 1 and inner_oct(a, a) == Fraction(9, 4)
 
 
 def test_automorphism_identity_triple():

@@ -464,6 +464,15 @@ def test_vectors_and_operators_are_kept_in_lowest_terms():
     assert hash(gone) == hash(Operator16.zero())
 
 
+def test_vector_round_trips_through_halves_with_unequal_denominators():
+    x1, x2 = Octonion.unit(0, Fraction(1, 2)), Octonion.unit(1, Fraction(1, 3))
+    v = Vector16(x1, x2)
+    assert v.numerators == (3,) + (0,) * 8 + (2,) + (0,) * 6 and v.denominator == 6
+    assert v.x1 == x1 and v.x2 == x2
+    assert (v.x1.denominator, v.x2.denominator) == (2, 3)
+    assert Vector16(v.x1, v.x2) == v == Vector16.from_coords(x1.coeffs + x2.coeffs)
+
+
 def test_whole_values_come_back_as_ints():
     v = Vector16.from_coords(
         [Fraction(1, 2), 3] + [Fraction(k, 4) for k in range(14)]

@@ -199,7 +199,7 @@ def test_eight_form_solve_stays_on_int64(omega8, monkeypatch):
     assert {rows.dtype for _, rows in blocks} == {np.dtype(np.int64)}
     seen = spy_dtypes(monkeypatch)
     result = infinitesimal_stabilizer(omega8)
-    assert bracket_closure(result).passed and spans_involution_pairs(result)
+    assert bracket_closure(result, "closure").passed and spans_involution_pairs(result)
     dtypes = seen.of("linalg")
     assert len(dtypes) > 100 and set(dtypes) == {np.dtype(np.int64)}
 
@@ -258,6 +258,7 @@ def test_sp4_certification_report():
     ids = [c.check_id for c in rep.checks]
     assert "stabilizer.sp4.dimension" in ids
     assert "stabilizer.sp4.symplectic-condition" in ids
+    assert "stabilizer.sp4.bracket-closure" in ids
 
 
 def test_symplectic_kernel_matches_oracle():
@@ -323,7 +324,7 @@ def test_eight_form_kernel_spans_pairs(omega8):
 
 
 def test_eight_form_kernel_closes_under_bracket(omega8):
-    rep = bracket_closure(infinitesimal_stabilizer(omega8))
+    rep = bracket_closure(infinitesimal_stabilizer(omega8), "closure")
     assert rep.passed
 
 
@@ -335,7 +336,7 @@ def test_bracket_closure_counts_the_pairs_that_leave_the_span():
         h = _single_entry(0, 0).scale(scale) - _single_entry(1, 1).scale(scale)
         for basis, pairs, failures in (((e, f), 1, 1), ((e, f, h), 3, 0)):
             result = StabilizerResult(len(basis), basis, False, 0, 16)
-            details = dict(bracket_closure(result).checks[0].details)
+            details = dict(bracket_closure(result, "closure").checks[0].details)
             assert (details["pairs"], details["failures"]) == (pairs, failures)
 
 
@@ -352,7 +353,7 @@ def test_bracket_closure_runs_on_python_ints_past_int64(monkeypatch):
                 result, kernel_dimension=len(ops), kernel_basis=ops
             )
             seen.clear()
-            details = dict(bracket_closure(scaled).checks[0].details)
+            details = dict(bracket_closure(scaled, "closure").checks[0].details)
             (decision,) = [d for d in seen if d.module == "stabilizer"]
             assert (decision.bound >= INT64_LIMIT) == (scale > 1)
             assert decision.dtype == (object if scale > 1 else np.int64)

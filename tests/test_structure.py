@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import spin9
-from spin9 import linalg, octonion
+from spin9 import linalg, octonion, operators
 
 
 def _private_imports(path):
@@ -178,9 +178,9 @@ def _unit_table_readers(path):
 
 
 def test_only_the_octonion_module_reads_the_unit_product_tables():
-    # one scalar product loop (`_product`, under `term_mul` and `coeff_mul`)
-    # and its batched form (`oct_mul`) read the signs; every other module
-    # multiplies through them
+    # one scalar product loop (`_product`, under `term_mul` and
+    # `Octonion.__mul__`) and its batched form (`oct_mul`) read the signs;
+    # every other module multiplies through them
     sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
     assert {"octonion.py", "curvature.py", "bpt.py"} <= {p.name for p in sources}
     assert "SIGN" in inspect.getsource(octonion._product)
@@ -351,3 +351,60 @@ def test_no_module_names_the_per_group_wedge_tables():
         if re.search(r"\bwedge_sums\b", line)
     ]
     assert found == []
+
+
+TUPLE_ARITHMETIC = (
+    "_raw", "__add__", "__sub__", "__neg__", "scale", "__eq__", "__hash__",
+    "__setattr__",
+)
+
+
+def _class_members(path, name):
+    """Names that the body of the top-level class `name` in path binds, by
+    a def or an assignment."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+    found = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(t.id for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def test_octonions_and_vectors_share_one_tuple_arithmetic():
+    # `linalg.ExactTuple` holds the arithmetic on integer numerators over
+    # one denominator; a copy in either class would be a second one
+    for module, name in ((octonion, "Octonion"), (operators, "Vector16")):
+        assert issubclass(getattr(module, name), linalg.ExactTuple)
+        members = _class_members(Path(module.__file__), name)
+        assert "__repr__" in members
+        assert members.isdisjoint(TUPLE_ARITHMETIC), (name, members)
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert "octonion.py" in {p.name for p in sources}
+    found = [
+        f"{path.name}:{n}"
+        for path in sources
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bcoeff_(mul|conj)\b", line)
+    ]
+    assert found == []
+
+
+def test_class_member_guard_sees_defs_and_assignments(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "class Octonion(ExactTuple):\n"
+        "    size = 8\n"
+        "    scale: object = None\n"
+        "    def __sub__(self, other):\n"
+        "        _raw = 1\n"
+        "        return self\n"
+        "    __hash__ = ExactTuple.__hash__\n"
+        "def _raw():\n"
+        "    pass\n"
+    )
+    # a local of a method and a function outside the class are not members
+    assert _class_members(src, "Octonion") == {"size", "scale", "__sub__", "__hash__"}
