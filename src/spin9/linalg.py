@@ -20,8 +20,10 @@ exactly when they lie in its row space.
 `Exact` is the one exact representation of octonions, vectors, operators
 and forms: integer numerators over one positive denominator, in lowest
 terms by `lowest_terms`; `clear_denominators` takes exact input there
-once.  `ExactTuple` is its fixed-size tuple, with the one arithmetic of
-octonions and vectors.
+once.  `ExactTuple` is its fixed-size flat tuple, with the one
+arithmetic of octonions, vectors and operators (an operator's matrix
+row-major), the one cache of nonzero entries (`entries()`) and, in
+`inner_product`, the one Euclidean inner product.
 """
 
 from __future__ import annotations
@@ -184,27 +186,13 @@ def clear_denominators(values) -> tuple:
 
 class Exact:
     """An immutable exact value: integer `numerators` over one positive
-    `denominator`, in lowest terms; each subclass shapes its numerators
-    and may list the nonzero ones in `_nonzero`, which `entries()` keeps:
-    the one cache of entries, computed at most once per instance."""
+    `denominator`, in lowest terms; each subclass shapes its numerators."""
 
-    __slots__ = ("numerators", "denominator", "_entry_cache")
+    __slots__ = ("numerators", "denominator")
 
     def _set(self, numerators, denominator: int) -> None:
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "denominator", denominator)
-
-    def _nonzero(self) -> tuple:
-        raise NotImplementedError(f"{type(self).__name__} lists no entries")
-
-    def entries(self) -> tuple:
-        """The nonzero integer entries, as `_nonzero` lists them."""
-        try:
-            return self._entry_cache
-        except AttributeError:
-            e = self._nonzero()
-            object.__setattr__(self, "_entry_cache", e)
-            return e
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -244,9 +232,10 @@ def exact_ratio(n, d):
 class ExactTuple(Exact):
     """A tuple of `size` integer `numerators` over one positive
     `denominator`, in lowest terms; `entries()` lists the nonzero ones as
-    (k, numerator), computed at most once."""
+    `_nonzero` gives them, computed at most once: the one cache of
+    entries."""
 
-    __slots__ = ()
+    __slots__ = ("_entry_cache",)
     size = 0
 
     def __init__(self, values):
@@ -255,6 +244,14 @@ class ExactTuple(Exact):
             raise ValueError(f"{type(self).__name__} needs {self.size} values")
         ints, d = clear_denominators(c)
         self._set(tuple(ints), d)
+
+    @classmethod
+    def from_coords(cls, coords):
+        """The value with these `size` exact coordinates, checked as
+        `ExactTuple.__init__` checks them, whatever the subclass takes."""
+        v = cls.__new__(cls)
+        ExactTuple.__init__(v, coords)
+        return v
 
     @classmethod
     def _raw(cls, numerators, denominator: int = 1):
@@ -267,6 +264,15 @@ class ExactTuple(Exact):
     def _nonzero(self) -> tuple:
         """The nonzero integer entries (k, numerator), in index order."""
         return tuple((k, x) for k, x in enumerate(self.numerators) if x)
+
+    def entries(self) -> tuple:
+        """The nonzero integer entries, as `_nonzero` lists them."""
+        try:
+            return self._entry_cache
+        except AttributeError:
+            e = self._nonzero()
+            object.__setattr__(self, "_entry_cache", e)
+            return e
 
     def coords(self) -> tuple:
         """The exact values; whole ones are ints."""
@@ -293,6 +299,13 @@ class ExactTuple(Exact):
 
     def __bool__(self) -> bool:
         return any(self.numerators)
+
+
+def inner_product(x: ExactTuple, y: ExactTuple) -> Num:
+    """The Euclidean inner product of two `ExactTuple`s of one size; for
+    octonions it agrees with Re(x conj(y)) in the basis of `octonion`."""
+    total = sum(a * b for a, b in zip(x.numerators, y.numerators))
+    return exact_ratio(total, x.denominator * y.denominator)
 
 
 def det(rows) -> Fraction:

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ExactTuple, Num, exact_ratio
+from .linalg import ExactTuple, Num, exact_ratio, inner_product as inner_oct
 
 BASIS_NAMES = ("1", "i", "j", "ij", "e", "ie", "je", "(ij)e")
 
@@ -195,12 +195,6 @@ class Octonion(ExactTuple):
 
 
 _ZERO = Octonion((0,) * 8)
-
-
-def inner_oct(a: Octonion, b: Octonion) -> Num:
-    """Euclidean inner product; agrees with Re(a conj(b)) for this basis."""
-    total = sum(x * y for x, y in zip(a.numerators, b.numerators))
-    return exact_ratio(total, a.denominator * b.denominator)
 
 
 def cross_oct(u: Octonion, v: Octonion) -> Octonion:

@@ -8,16 +8,17 @@ for k = 0..7 and e_{k+8} = (0, u_k).  The involutions act by
 
 and satisfy I_i I_j + I_j I_i = 2 delta_ij, I_i symmetric, trace zero.
 Products of distinct I_i are signed permutations of the basis, so they
-have one nonzero entry per row.  `Vector16` and `Operator16` hold
-integer numerators over one positive denominator in lowest terms (the
-`linalg.Exact` representation).  `Vector16` is the `linalg.ExactTuple`
-of size 16 and shares its arithmetic with `Octonion`; its halves
-`x1`/`x2` are octonions over its denominator.  Exact values appear only
-at the edge (`coords`, `rows`, `trace`, `inner16`).  Both list their
-nonzero integer entries once (`entries()`, the one cache of `Exact`):
-operator products and `apply` run over an operator's, the curvature
-expressions over a vector's, so a signed permutation costs 16 entries
-and a basis vector one, and there is no second format.
+have one nonzero entry per row.  `Vector16`, `Operator16` and `Octonion`
+are `linalg.ExactTuple`s, of sizes 16, 256 and 8: integer numerators
+over one positive denominator in lowest terms, with one arithmetic.  An
+operator's numerators are its matrix row-major, entry (r, c) at
+16 r + c; a vector's halves `x1`/`x2` are octonions over its
+denominator.  Exact values appear only at the edge (`coords`, `rows`,
+`trace`, `inner16`).  Vectors and operators list their nonzero integer
+entries once (`entries()`, the one cache of `ExactTuple`): operator
+products and `apply` run over an operator's, the curvature expressions
+over a vector's, so a signed permutation costs 16 entries and a basis
+vector one, and there is no second format.
 
 `clifford_product` is the one source of the products I_{i1} ... I_{ir}
 (increasing indices, r = 1..4): each is cached per index tuple and built
@@ -31,19 +32,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from itertools import chain, combinations
 
-from .linalg import (
-    Exact,
-    ExactTuple,
-    Num,
-    clear_denominators,
-    det,
-    exact_ratio,
-    lowest_terms,
-    require_exact,
-)
+from .linalg import ExactTuple, Num, det, exact_ratio, require_exact
+from .linalg import inner_product as inner16
 from .octonion import Octonion
 
 
@@ -64,12 +56,6 @@ class Vector16(ExactTuple):
             raise ValueError("basis index out of range 0..15")
         return cls._raw([int(t == k) for t in range(16)])
 
-    @classmethod
-    def from_coords(cls, coords: Sequence[Num]) -> "Vector16":
-        v = cls.__new__(cls)
-        ExactTuple.__init__(v, coords)
-        return v
-
     @property
     def x1(self) -> Octonion:
         return Octonion._raw(self.numerators[:8], self.denominator)
@@ -82,113 +68,72 @@ class Vector16(ExactTuple):
         return f"Vector16({self.x1!r}, {self.x2!r})"
 
 
-def inner16(x: Vector16, y: Vector16) -> Num:
-    total = sum(a * b for a, b in zip(x.numerators, y.numerators))
-    return exact_ratio(total, x.denominator * y.denominator)
-
-
-class Operator16(Exact):
-    """A linear operator on R^16: a 16x16 integer matrix `numerators`
-    (tuple rows) over one positive `denominator`, in lowest terms.
+class Operator16(ExactTuple):
+    """A linear operator on R^16: its 16x16 matrix as 256 integer
+    `numerators`, row-major (entry (r, c) at 16 r + c, so the diagonal
+    is every 17th), over one positive `denominator`, in lowest terms.
 
     `entries()` lists the nonzero integer entries (row, col, numerator),
     computed at most once per instance; `rows` gives the exact entries.
     """
 
     __slots__ = ()
+    size = 256
 
     def __init__(self, rows):
-        r = tuple(map(tuple, rows))
+        r = [tuple(row) for row in rows]
         if len(r) != 16 or any(len(row) != 16 for row in r):
             raise ValueError("need a 16x16 matrix")
-        ints, d = clear_denominators(x for row in r for x in row)
-        self._set(tuple(zip(*[iter(ints)] * 16)), d)
-
-    @classmethod
-    def _raw(cls, numerators: tuple, denominator: int = 1) -> "Operator16":
-        """Unchecked constructor for integer rows (tuples) computed internally."""
-        op = cls.__new__(cls)
-        if denominator != 1:
-            flat = [x for row in numerators for x in row]
-            flat, denominator = lowest_terms(flat, denominator)
-            numerators = tuple(zip(*[iter(flat)] * 16))
-        op._set(numerators, denominator)
-        return op
+        super().__init__(x for row in r for x in row)
 
     @property
     def rows(self) -> tuple:
         """The exact entries by row; whole ones are ints."""
-        d = self.denominator
-        if d == 1:
-            return self.numerators
-        return tuple(tuple(exact_ratio(x, d) for x in row) for row in self.numerators)
+        c = self.coords()
+        return tuple(c[k:k + 16] for k in range(0, 256, 16))
 
     @classmethod
     def identity(cls, scale: Num = 1) -> "Operator16":
-        return cls(
-            tuple(
-                tuple(scale if a == b else 0 for b in range(16)) for a in range(16)
-            )
-        )
+        return cls._raw([int(k % 17 == 0) for k in range(256)]).scale(scale)
 
     @classmethod
     def zero(cls) -> "Operator16":
-        return cls(((0,) * 16,) * 16)
-
-    def __add__(self, other: "Operator16") -> "Operator16":
-        da, db = self.denominator, other.denominator
-        return Operator16._raw(
-            tuple(
-                tuple(a * db + b * da for a, b in zip(ra, rb))
-                for ra, rb in zip(self.numerators, other.numerators)
-            ),
-            da * db,
-        )
-
-    def __neg__(self) -> "Operator16":
-        return Operator16._raw(
-            tuple(tuple(-a for a in row) for row in self.numerators), self.denominator
-        )
-
-    def scale(self, t: Num) -> "Operator16":
-        t = require_exact(t)
-        return Operator16._raw(
-            tuple(tuple(t.numerator * a for a in row) for row in self.numerators),
-            self.denominator * t.denominator,
-        )
+        return cls._raw((0,) * 256)
 
     def _nonzero(self) -> tuple:
         """The nonzero integer entries (row, col, numerator), row-major."""
-        rows = enumerate(self.numerators)
-        return tuple((r, c, x) for r, row in rows for c, x in enumerate(row) if x)
+        return tuple((k // 16, k % 16, x) for k, x in enumerate(self.numerators) if x)
 
     def __matmul__(self, other: "Operator16") -> "Operator16":
-        out = [[0] * 16 for _ in range(16)]
-        brows = other.numerators
+        """self other, summed over the nonzero entries of both factors and
+        put over the product of the two denominators."""
+        by_row = [[] for _ in range(16)]
+        for k, c, y in other.entries():
+            by_row[k].append((c, y))
+        out = [0] * 256
         for r, k, x in self.entries():
-            out[r] = [a + x * y for a, y in zip(out[r], brows[k])]
-        return Operator16._raw(
-            tuple(map(tuple, out)), self.denominator * other.denominator
-        )
+            row = 16 * r
+            for c, y in by_row[k]:
+                out[row + c] += x * y
+        return Operator16._raw(out, self.denominator * other.denominator)
 
     def transpose(self) -> "Operator16":
-        return Operator16._raw(tuple(zip(*self.numerators)), self.denominator)
+        columns = (self.numerators[c::16] for c in range(16))
+        return Operator16._raw(list(chain.from_iterable(columns)), self.denominator)
 
     def trace(self) -> Num:
-        return exact_ratio(
-            sum(self.numerators[a][a] for a in range(16)), self.denominator
-        )
+        return exact_ratio(sum(self.numerators[::17]), self.denominator)
 
     def is_symmetric(self) -> bool:
         """Entry (c, r) equals entry (r, c) at every nonzero (r, c); a zero
         facing a nonzero entry fails at the nonzero one."""
         n = self.numerators
-        return all(n[c][r] == x for r, c, x in self.entries())
+        return all(n[16 * c + r] == x for r, c, x in self.entries())
 
     def is_skew(self) -> bool:
         """Entry (c, r) is minus entry (r, c) at every nonzero (r, c)."""
         n = self.numerators
-        return all(n[c][r] == -x for r, c, x in self.entries())
+        return all(n[16 * c + r] == -x for r, c, x in self.entries())
 
     def apply(self, v: Vector16) -> Vector16:
         """self v, summed over the integer entries and numerators and put
@@ -200,7 +145,7 @@ class Operator16(Exact):
         return Vector16._raw(out, self.denominator * v.denominator)
 
     def det(self) -> Fraction:
-        return det(self.numerators) / self.denominator**16
+        return det(self.rows)
 
     def __repr__(self) -> str:
         return f"Operator16({self.rows!r})"

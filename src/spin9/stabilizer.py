@@ -86,16 +86,17 @@ def stabilizer_system(form: AlternatingForm, n: int) -> list:
     return blocks
 
 
-def _block_rows(vec, n: int) -> tuple:
-    """The 16 x 16 rows of an n*n vector, with zeros outside the block."""
-    rows = [[0] * 16 for _ in range(16)]
+def _block_rows(vec, n: int) -> list:
+    """The 256 row-major entries of the 16 x 16 operator whose top-left
+    n x n block holds the n*n vector vec row by row, zero outside it."""
+    flat = [0] * 256
     for r in range(n):
-        rows[r][:n] = vec[n * r:n * r + n]
-    return tuple(map(tuple, rows))
+        flat[16 * r:16 * r + n] = vec[n * r:n * r + n]
+    return flat
 
 
 def vec_to_operator(vec, n: int) -> Operator16:
-    return Operator16(_block_rows(list(vec), n))
+    return Operator16.from_coords(_block_rows(list(vec), n))
 
 
 def operator_rows(ops, n: int = 16) -> np.ndarray:
@@ -322,8 +323,8 @@ def decomposable_certification() -> VerificationReport:
         expected=64 + 64 + 63,
     )
     ok = not any(
-        any(op.numerators[r][c] for r in range(8) for c in range(8, 16))
-        or sum(op.numerators[r][r] for r in range(8))
+        any(op.numerators[16 * r + c] for r in range(8) for c in range(8, 16))
+        or sum(op.numerators[17 * r] for r in range(8))
         for op in result.kernel_basis
     )
     report.add("stabilizer.decomposable.block-structure", ok)

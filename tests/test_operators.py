@@ -15,7 +15,7 @@ from helpers import (
     rank,
 )
 from spin9 import operators
-from spin9.octonion import Octonion
+from spin9.octonion import Octonion, inner_oct
 from spin9.operators import (
     Operator16,
     RationalCirclePoint,
@@ -268,7 +268,7 @@ def test_entries_round_trip():
         for r, c, v in entries:
             assert v and type(v) is int
             dense[r][c] = v
-        assert tuple(map(tuple, dense)) == op.numerators
+        assert [x for row in dense for x in row] == list(op.numerators)
         d = op.denominator
         assert op.rows == tuple(tuple(Fraction(x, d) for x in row) for row in dense)
         assert [rc[:2] for rc in entries] == sorted(rc[:2] for rc in entries)
@@ -492,5 +492,25 @@ def test_whole_values_come_back_as_ints():
     rot = rotation(0, 3, RationalCirclePoint(Fraction(3, 5), Fraction(4, 5)))
     assert rot.trace() == Fraction(48, 5)
     assert type(rot.scale(5).trace()) is int
-    # a denominator of 1 hands out the stored rows themselves
-    assert IDENT.rows is IDENT.numerators
+    # a denominator of 1 hands out the stored numerators, cut into rows
+    assert IDENT.coords() is IDENT.numerators
+    assert IDENT.rows == tuple(IDENT.numerators[k:k + 16] for k in range(0, 256, 16))
+    assert all(type(x) is int for row in IDENT.rows for x in row)
+
+
+def test_operator_truth_is_any_nonzero_entry():
+    assert not Operator16.zero() and not IDENT - IDENT
+    one = [[0] * 16 for _ in range(16)]
+    one[15][3] = Fraction(1, 7)
+    assert Operator16(one) and IDENT and FAM[8]
+    assert not Vector16.from_coords([0] * 16) and not Octonion.zero()
+
+
+def test_one_inner_product_serves_octonions_vectors_and_operators():
+    assert inner16 is inner_oct
+    x, y = Vector16.basis(3).scale(Fraction(1, 2)), Vector16.basis(3).scale(6)
+    assert inner16(x, y) == 3 and inner_oct(x.x1, y.x1) == 3
+    # on operators it is the trace of a^T b
+    a, b = rotation(1, 2, RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))), FAM[4]
+    assert inner16(a, b) == (a.transpose() @ b).trace()
+    assert inner16(IDENT, IDENT) == 16

@@ -374,14 +374,26 @@ def _class_members(path, name):
     return found
 
 
-def test_octonions_and_vectors_share_one_tuple_arithmetic():
+def test_octonions_vectors_and_operators_share_one_tuple_arithmetic():
     # `linalg.ExactTuple` holds the arithmetic on integer numerators over
-    # one denominator; a copy in either class would be a second one
-    for module, name in ((octonion, "Octonion"), (operators, "Vector16")):
-        assert issubclass(getattr(module, name), linalg.ExactTuple)
+    # one denominator; a copy in any of the classes would be a second one
+    for module, name, size in (
+        (octonion, "Octonion", 8),
+        (operators, "Vector16", 16),
+        (operators, "Operator16", 256),
+    ):
+        cls = getattr(module, name)
+        assert issubclass(cls, linalg.ExactTuple) and cls.size == size
         members = _class_members(Path(module.__file__), name)
         assert "__repr__" in members
         assert members.isdisjoint(TUPLE_ARITHMETIC), (name, members)
+    # the bench tracer patches these two by name on the class itself
+    assert {"__matmul__", "apply"} <= _class_members(
+        Path(operators.__file__), "Operator16"
+    )
+    # the entries cache lives with the tuples, and a form lists none
+    assert not hasattr(linalg.Exact, "entries")
+    assert not hasattr(linalg.Exact, "_nonzero")
     sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
     assert "octonion.py" in {p.name for p in sources}
     found = [
