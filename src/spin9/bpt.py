@@ -5,15 +5,17 @@ cross product U x V = conj(u1) x conj(v1) + u2 x v2, where the octonion
 cross is x x y = Im(conj(y) x).  The form is a signed sum over S_8 of
 products of paired crosses, normalized by 2^-7, or equivalently a sum
 over the 315 canonical representatives S*_8 of products of real parts.
-This module implements both sums literally, as exact array stages on
-`exact_array` (the crosses of all pairs in one batched `oct_mul`, then
-the block sums and their split products, one batched `oct_mul` each, or
-the real-part table), materializes the form's full coefficient map (each
-distinct 4-slot block gathered once as int8 over all basis tuples, every
-term of {-1, 0, 1} summed in the `int_dtype` of the term count), and
-computes the exact invariance defect under the generator I_7 I_8: the
-defect is nonzero, so the construction is not invariant and cannot equal
-the canonical 8-form in any scaling.
+This module implements both sums literally, as exact integer array
+stages (the crosses of all pairs in one batched `oct_mul`, then the
+block sums and their split products, one batched `oct_mul` each, or the
+real-part table): each stage bounds its sums by B, casts its inputs to
+`int_dtype(B)` and runs once, and hands exact Python ints to the next.
+It also materializes the form's full coefficient map (each distinct
+4-slot block gathered once as int8 over all basis tuples, every term of
+{-1, 0, 1} summed in the `int_dtype` of the term count), and computes
+the exact invariance defect under the generator I_7 I_8: the defect is
+nonzero, so the construction is not invariant and cannot equal the
+canonical 8-form in any scaling.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from .exterior import AlternatingForm, exact_array, perm_sign
+from .exterior import AlternatingForm, perm_sign
 from .linalg import exact_ratio, int_dtype
 from .octonion import XOR_SIGN, Octonion, oct_mul
 from .operators import Vector16, clifford_product
@@ -58,15 +60,12 @@ def _crosses(vectors) -> tuple:
     M the largest scaled |numerator|."""
     d = math.lcm(*(v.denominator for v in vectors))
     ints = [x * (d // v.denominator) for v in vectors for x in v.numerators]
-    x = np.array(ints, dtype=object).reshape(-1, 2, 8)
+    dtype = int_dtype(16 * max(map(abs, ints)) ** 2)
+    x = np.array(ints, dtype=dtype).reshape(-1, 2, 8)
     i, j, _, _ = _pair_slots(len(x))
-
-    def step(x):
-        c = oct_mul(x[j] * _LEFT, x[i] * _RIGHT).sum(axis=1)
-        c[:, 0] = 0
-        return c
-
-    return exact_array(step, 16 * max(map(abs, ints)) ** 2, x), d
+    c = oct_mul(x[j] * _LEFT, x[i] * _RIGHT).sum(axis=1)
+    c[:, 0] = 0
+    return c.astype(object), d
 
 
 def bpt_cross(u: Vector16, v: Vector16) -> Octonion:
@@ -135,11 +134,9 @@ def _factor_sum(vectors, k: int) -> Fraction | int:
     if len(vs) != k:
         raise ValueError(f"the {k}-form takes {k} vectors")
     crosses, d = _crosses(vs)
-
-    def step(c):
-        return (c[:, None, :] * c[None, :, :] * XOR_SIGN[:, 0]).sum(axis=-1)
-
-    table = exact_array(step, 8 * max(map(abs, crosses.flat)) ** 2, crosses)
+    c = crosses.astype(int_dtype(8 * max(map(abs, crosses.flat)) ** 2))
+    table = (c[:, None, :] * c[None, :, :] * XOR_SIGN[:, 0]).sum(axis=-1)
+    table = table.astype(object)
     factors, terms = _factor_plan(k)
     for f in factors.T:
         terms = terms * table.flat[f]
@@ -185,13 +182,9 @@ def bpt_8form_full(vectors) -> Fraction | int:
         raise ValueError("the 8-form takes eight vectors")
     crosses, d = _crosses(vs)
     left, right, shuffle = _block_plan()
-
-    def step(c):
-        prods = oct_mul(c[left], c[right]).reshape(70, 6, 8)
-        return 4 * (prods * _BLOCK_SIGNS[:, None]).sum(axis=1)
-
-    bound = 192 * max(map(abs, crosses.flat)) ** 2
-    blocks = exact_array(step, bound, crosses)
+    c = crosses.astype(int_dtype(192 * max(map(abs, crosses.flat)) ** 2))
+    prods = oct_mul(c[left], c[right]).reshape(70, 6, 8)
+    blocks = (4 * (prods * _BLOCK_SIGNS[:, None]).sum(axis=1)).astype(object)
     total = (oct_mul(blocks, blocks[::-1]) * shuffle).sum(axis=0).tolist()
     if any(total[1:]):
         raise AssertionError("symmetrized cross-product sum is not real")

@@ -36,16 +36,15 @@ positive degree, is 2 sum_{i<j}, so only its term pairs i < j expand.
 One group sums into a dense 2**16 accumulator, several by `np.unique`
 on the keys group << 16 | mask.
 
-Every kernel, and `exact_array`, which runs the array stages of the
-BPT audit, bounds its sums by B before any arithmetic (the wedge by the
-largest B_g = sum |a|_1 |b|_1, the square step of `square_sums` by
-sum_g |Q_g|_1^2) and runs each step once, in the dtype
-`linalg.int_dtype(B)` gives: int64 when B < 2**63, which then holds
-every product and partial sum, else Python ints.  The other kernels:
+Every kernel bounds its sums by B before any arithmetic (the wedge by
+the largest B_g = sum |a|_1 |b|_1, the square step of `square_sums` by
+sum_g |Q_g|_1^2), picks the dtype `linalg.int_dtype(B)` gives, int64
+when B < 2**63, which then holds every product and partial sum, else
+Python ints, and runs once in it.  The other kernels:
 
 - `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
-  and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands all
-  monomials together.
+  and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands the
+  monomials together, chunk by chunk, one index position at a time.
 - `evaluate_table` behind `AlternatingForm.evaluate` is a recursive
   Laplace expansion of every monomial's minor at once, across the middle
   and then one column at a time, on a plan of masks, splits and shuffle
@@ -316,20 +315,6 @@ def _nonzero(acc: np.ndarray) -> tuple:
     return masks.tolist(), acc[masks].tolist()
 
 
-def exact_array(step, bound: int, *arrays) -> np.ndarray:
-    """`step(*arrays)` as an object array of exact ints: the step maps
-    integer arrays, cast to `int_dtype(bound)`, to an array of that
-    dtype; the caller proves first that `bound` covers its inputs,
-    products and sums.
-    """
-    dtype = int_dtype(bound)
-    out = step(*(x.astype(dtype) for x in arrays))
-    exact = np.zeros(out.shape, dtype=object)
-    support = np.nonzero(out != 0)
-    exact[support] = out[support].tolist()
-    return exact
-
-
 # candidate term pairs expanded at once; bounds the memory: the 4 x 2**14 int64
 # of a chunk stay below the 1 MiB mmap threshold that `cli.main` fixes
 WEDGE_CHUNK = 1 << 14
@@ -504,21 +489,18 @@ PULLBACK_CHUNK = 1 << 18  # leaves expanded at once; bounds the kernel's memory
 def pullback_table(table: dict, degree: int, entries) -> dict:
     """Exact pullback of an integer table {mask: int} of the given degree
     along integer matrix entries (row, col, value), as an integer table.
-    """
-    plan, bound = _pullback_plan(table, degree, entries)
-    if plan is None:
-        return {}
-    return dict(zip(*_nonzero(_pullback_step(plan, int_dtype(bound)))))
-
-
-def _pullback_plan(table: dict, degree: int, entries) -> tuple:
-    """(plan, B) for `_pullback_step`; plan is None when nothing survives.
 
     Monomial m becomes the wedge over its indices t of sum_c A[t][c] dx_c.
     B = sum_m |c_m| prod_t |row t|_1 bounds every leaf and partial sum,
-    and every partial product too, as a nonzero row has norm at least 1.
-    The monomials are cut into chunks of at most PULLBACK_CHUNK leaves
-    (a monomial with more is a chunk alone), bounding the memory.
+    and every partial product too, as a nonzero row has norm at least 1;
+    the expansion runs in `int_dtype(B)`.  The monomials are cut into
+    chunks of at most PULLBACK_CHUNK leaves (a monomial with more is a
+    chunk alone), bounding the memory.  All monomials of a chunk expand
+    together, one index position at a time, as arrays of (monomial,
+    mask, coefficient, sign parity): each state branches over the
+    nonzero entries of its row, a leaf whose column is already in the
+    mask drops out, and the incoming dx_col moves left past the mask's
+    indices above col.  The leaves sum into a dense 2**16 accumulator.
     """
     rows: list = [[] for _ in range(16)]
     for r, c, v in sorted(entries):
@@ -530,50 +512,30 @@ def _pullback_plan(table: dict, degree: int, entries) -> tuple:
     norms = np.array([sum(abs(v) for _, v in row) for row in rows], dtype=object)
     coeffs = np.array(list(table.values()), dtype=object)
     sizes = np.abs(coeffs) * np.prod(norms[idx], axis=1)
-    bound = int(sizes.sum())
     keep = np.flatnonzero(sizes)  # a monomial meeting an empty row drops out
     if not keep.size:
-        return None, bound
-    counts = [len(row) for row in rows]
-    fans = np.prod(np.array(counts, dtype=object)[idx[keep]], axis=1)
-    chunks, start, load = [], 0, 0
-    for k, size in enumerate(fans.tolist()):
-        if load and load + size > PULLBACK_CHUNK:
-            chunks.append((start, k))
-            start, load = k, 0
-        load += size
-    chunks.append((start, keep.size))
-    plan = (
-        idx[keep],
-        coeffs[keep].tolist(),
-        np.cumsum([0] + counts),
-        np.array([c for row in rows for c, _ in row], dtype=np.int64),
-        [v for row in rows for _, v in row],
-        chunks,
-    )
-    return plan, bound
-
-
-def _pullback_step(plan, dtype) -> np.ndarray:
-    """The dense 2**16 accumulator of the pullback, in dtype.
-
-    All monomials of a chunk expand together, one index position at a
-    time, as arrays of (monomial, mask, coefficient, sign parity): each
-    state branches over the nonzero entries of its row, a leaf whose
-    column is already in the mask drops out, and the incoming dx_col
-    moves left past the mask's indices above col.
-    """
-    idx, coeffs, indptr, cols, vals, chunks = plan
+        return {}
+    dtype = int_dtype(int(sizes.sum()))
+    idx, start = idx[keep], coeffs[keep].astype(dtype)
+    nnz = np.array([len(row) for row in rows], dtype=np.int64)
+    indptr = np.cumsum(nnz) - nnz
+    cols = np.array([c for row in rows for c, _ in row], dtype=np.int64)
+    values = np.array([v for row in rows for _, v in row], dtype=dtype)
+    cuts, load = [0], 0
+    for k, fan in enumerate(np.prod(nnz.astype(object)[idx], axis=1).tolist()):
+        if load and load + fan > PULLBACK_CHUNK:
+            cuts.append(k)
+            load = 0
+        load += fan
+    cuts.append(keep.size)
     p16, _ = _np_tables()
-    nnz = np.diff(indptr)
-    values, start = np.array(vals, dtype=dtype), np.array(coeffs, dtype=dtype)
     acc = np.zeros(1 << 16, dtype=dtype)
-    for lo, hi in chunks:
+    for lo, hi in itertools.pairwise(cuts):
         mon = np.arange(lo, hi)
         mask = np.zeros(hi - lo, dtype=np.int64)
         odd = np.zeros(hi - lo, dtype=np.int64)
         coef = start[lo:hi]
-        for t in range(idx.shape[1]):
+        for t in range(degree):
             row = idx[mon, t]
             fan = nnz[row]
             src = np.repeat(np.arange(mon.size), fan)
@@ -590,7 +552,7 @@ def _pullback_step(plan, dtype) -> np.ndarray:
             mon = mon[src]
         coef *= 1 - 2 * odd
         np.add.at(acc, mask, coef)
-    return acc
+    return dict(zip(*_nonzero(acc)))
 
 
 # exact evaluation kernel ----------------------------------------------------

@@ -282,6 +282,7 @@ class ExactTuple(Exact):
         return tuple(exact_ratio(x, d) for x in self.numerators)
 
     def __add__(self, other):
+        _require_same_type(self, other)
         da, db = self.denominator, other.denominator
         return self._raw(
             [a * db + b * da for a, b in zip(self.numerators, other.numerators)],
@@ -301,9 +302,17 @@ class ExactTuple(Exact):
         return any(self.numerators)
 
 
+def _require_same_type(x, y) -> None:
+    """TypeError unless x and y are of one type: tuples of two types
+    (an octonion and a vector, say) never combine."""
+    if type(x) is not type(y):
+        raise TypeError(f"{type(x).__name__} and {type(y).__name__} do not combine")
+
+
 def inner_product(x: ExactTuple, y: ExactTuple) -> Num:
-    """The Euclidean inner product of two `ExactTuple`s of one size; for
+    """The Euclidean inner product of two `ExactTuple`s of one type; for
     octonions it agrees with Re(x conj(y)) in the basis of `octonion`."""
+    _require_same_type(x, y)
     total = sum(a * b for a, b in zip(x.numerators, y.numerators))
     return exact_ratio(total, x.denominator * y.denominator)
 

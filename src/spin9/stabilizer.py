@@ -11,10 +11,10 @@ its monomial.  Each block is a dense integer array over its own units
 is brought to `linalg.int_echelon`, int64 while its bound holds, with
 the kernel read off each block's echelon.  The certificate is the
 substitution: every basis vector is put back through the full
-Lie-derivative map and must give the zero form.  The rank of the blocks
-plus the kernel dimension equals n*n as a consistency identity, not a
-second certificate, because `nullspace` returns one vector per non-pivot
-column of those same echelons.
+Lie-derivative map and must give the zero form.  The blocks' units must
+partition the n*n matrix units, which is checked; then the rank of the
+blocks plus the kernel dimension is n*n, because `nullspace` returns one
+vector per non-pivot column of those same echelons.
 
 The solver is anchored on two closed-form cases before being trusted on
 the canonical 8-form: the standard symplectic 2-form on R^4, whose
@@ -96,7 +96,12 @@ def _block_rows(vec, n: int) -> list:
 
 
 def vec_to_operator(vec, n: int) -> Operator16:
-    return Operator16.from_coords(_block_rows(list(vec), n))
+    """The operator whose top-left n x n block is the n*n vector vec, row
+    by row; ValueError unless 1 <= n <= 16 and vec has n*n entries."""
+    vec = list(vec)
+    if not 1 <= n <= 16 or len(vec) != n * n:
+        raise ValueError(f"{len(vec)} entries for n = {n}; need n*n, 1 <= n <= 16")
+    return Operator16.from_coords(_block_rows(vec, n))
 
 
 def operator_rows(ops, n: int = 16) -> np.ndarray:
@@ -154,8 +159,11 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
     if max(map(int.bit_length, form.numerators), default=0) > n:
         raise ValueError(f"form uses coordinates beyond R^{n}")
     ncols = n * n
+    blocks = stabilizer_system(form, n)
+    if sorted(u for units, _ in blocks for u in units.tolist()) != [*range(ncols)]:
+        raise AssertionError("the blocks do not partition the matrix units")
     rank, kernel = 0, []
-    for units, rows in stabilizer_system(form, n):
+    for units, rows in blocks:
         ech = int_echelon(rows)
         rank += len(ech)
         units = units.tolist()
@@ -169,8 +177,6 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
     ops = [Operator16._raw(_block_rows(vec, n)) for _, vec in kernel]
     if any(form.lie_derivative(op) for op in ops):
         raise AssertionError("kernel vector moves the form")
-    if rank + len(ops) != ncols:
-        raise AssertionError("rank-nullity identity failed")
     contains = n == 16 and all(
         not form.lie_derivative(p) for p in lambda_basis(2)
     )

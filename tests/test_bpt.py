@@ -133,10 +133,10 @@ def test_sums_match_the_octonion_oracles(monkeypatch):
         assert bpt_8form_full(vs) == bpt_full_oracle(vs)
         assert bpt_8form_reduced(vs) == bpt_reduced_oracle(vs, s8_star())
         assert bpt_8form_full(vs) == bpt_8form_reduced(vs)
-    assert set(seen.of("exterior")) == {np.dtype(np.int64)}
+    assert set(seen.of("bpt")) == {np.dtype(np.int64)}
     seen.clear()
     value = bpt_8form_full(big)
-    assert seen.of("exterior") == [object, object]
+    assert seen.of("bpt") == [object, object]
     assert value == bpt_full_oracle(big) == bpt_8form_reduced(big)
     assert bpt_8form_reduced(big) == bpt_reduced_oracle(big, s8_star())
     assert abs(value) >= 1 << 63
@@ -154,10 +154,10 @@ def test_sums_far_past_int64_run_each_stage_once_on_python_ints(monkeypatch):
     ]
     seen = spy_dtypes(monkeypatch)
     full = bpt_8form_full(vs)
-    assert seen.of("exterior") == [object, object]
+    assert seen.of("bpt") == [object, object]
     seen.clear()
     reduced = bpt_8form_reduced(vs)
-    assert seen.of("exterior") == [object, object]
+    assert seen.of("bpt") == [object, object]
     assert full == bpt_full_oracle(vs) == reduced
     assert reduced == bpt_reduced_oracle(vs, s8_star())
     assert abs(full) >= 1 << 500

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from spin9.bpt import materialize_bpt_8form
 from spin9.canonical import omega2
 from spin9.exterior import (
     AlternatingForm,
-    _pullback_plan,
     _wedge_plan,
     _wedge_step,
     evaluate_table,
@@ -549,16 +549,38 @@ def test_pullback_at_the_int64_edge(monkeypatch):
     assert seen == [("exterior", INT64_LIMIT, object)]
 
 
+class _ChunkCounter:
+    """numpy as `exterior` sees it, counting the `np.add.at` calls: the
+    pullback kernel adds each chunk's leaves into its accumulator once."""
+
+    def __init__(self):
+        self.chunks = 0
+        self.add = SimpleNamespace(at=self._add_at)
+
+    def _add_at(self, *args):
+        self.chunks += 1
+        np.add.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8):
     rot = rotation(2, 5, RationalCirclePoint(Fraction(5, 13), Fraction(12, 13)))
     f, op = _past_int64_case(random.Random(77))
+    counter = _ChunkCounter()
+    monkeypatch.setattr(exterior, "np", counter)
     whole = f.pullback(op)
-    monkeypatch.setattr(exterior, "PULLBACK_CHUNK", 7)
-    plan, _ = _pullback_plan(omega8.numerators, 8, rot.entries())
-    assert len(plan[-1]) == omega8.term_count()  # 2**8 leaves each: one a chunk
-    assert len(_pullback_plan(f.numerators, 5, op.entries())[0][-1]) > 1
     assert omega8.pullback(rot) == omega8
+    assert counter.chunks == 2  # one pass each
+    counter.chunks = 0
+    monkeypatch.setattr(exterior, "PULLBACK_CHUNK", 7)
+    assert omega8.pullback(rot) == omega8
+    # 2**8 leaves each: every monomial is a chunk alone
+    assert counter.chunks == omega8.term_count() == 702
+    counter.chunks = 0
     assert f.pullback(op) == whole
+    assert counter.chunks > 1
 
 
 def test_pullback_rejects_inexact_coefficients():

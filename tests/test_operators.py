@@ -514,3 +514,17 @@ def test_one_inner_product_serves_octonions_vectors_and_operators():
     a, b = rotation(1, 2, RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))), FAM[4]
     assert inner16(a, b) == (a.transpose() @ b).trace()
     assert inner16(IDENT, IDENT) == 16
+
+
+def test_tuples_of_two_types_do_not_combine():
+    # zip would cut the longer tuple short: a vector plus an octonion
+    # would keep 8 numerators, an operator plus a vector 16
+    v, o = Vector16.basis(3), Octonion.unit(3)
+    for x, y in ((v, o), (o, v), (IDENT, v), (v, IDENT), (IDENT, o)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+        with pytest.raises(TypeError):
+            inner16(x, y)
+    assert v + v == v.scale(2) and inner16(v, v) == 1

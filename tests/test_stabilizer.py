@@ -248,6 +248,17 @@ def test_vec_operator_round_trip():
         vec_to_operator((0.5,) + vec[1:], 16)
 
 
+def test_vec_to_operator_takes_exactly_n_squared_entries():
+    assert vec_to_operator(range(1, 5), 2) == Operator16.from_coords(
+        [1, 2] + [0] * 14 + [3, 4] + [0] * 238
+    )
+    for vec, n in (
+        (range(1, 10), 2), (range(1, 300), 16), (range(3), 2), ((), 0), ((1,) * 289, 17)
+    ):
+        with pytest.raises(ValueError):
+            vec_to_operator(vec, n)
+
+
 def test_sp4_oracle_dimension():
     assert sp4_oracle_dimension() == 10
 
@@ -284,6 +295,26 @@ def test_decomposable_form_kernel():
     assert rep.passed
     result = infinitesimal_stabilizer(decomposable_form_low(), n=16)
     assert result.kernel_dimension == 191
+
+
+def test_blocks_that_do_not_partition_the_units_are_rejected(monkeypatch):
+    # E_01 leaves its block and block 0 takes a second copy of E_88: the
+    # block sizes still sum to 256, and the solve would report dimension
+    # 191 with a zero operator in its basis
+    def broken(form, n):
+        blocks = [(u.copy(), r.copy()) for u, r in stabilizer_system(form, n)]
+        k = next(k for k, (u, _) in enumerate(blocks) if 1 in u.tolist())
+        units, rows = blocks[k]
+        blocks[k] = (units[units != 1], rows[:, units != 1])
+        units, rows = blocks[0]
+        j = units.tolist().index(8 * 16 + 8)
+        blocks[0] = (np.append(units, units[j]), np.hstack((rows, rows[:, j:j + 1])))
+        assert sum(len(u) for u, _ in blocks) == 256
+        return blocks
+
+    monkeypatch.setattr(stabilizer, "stabilizer_system", broken)
+    with pytest.raises(AssertionError, match="partition"):
+        infinitesimal_stabilizer(decomposable_form_low(), n=16)
 
 
 def test_eight_form_kernel_certificate(omega8):

@@ -353,6 +353,21 @@ def test_no_module_names_the_per_group_wedge_tables():
     assert found == []
 
 
+def test_no_module_names_the_retired_kernel_drivers():
+    # the BPT stages and the pullback bound, pick their dtype and run
+    # inline; a step callback or a plan tuple would bring back a second
+    # layer between a kernel's bound and its arithmetic
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert {"bpt.py", "exterior.py"} <= {p.name for p in sources}
+    found = [
+        f"{path.name}:{n}"
+        for path in sources
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(exact_array|_pullback_plan|_pullback_step)\b", line)
+    ]
+    assert found == []
+
+
 TUPLE_ARITHMETIC = (
     "_raw", "__add__", "__sub__", "__neg__", "scale", "__eq__", "__hash__",
     "__setattr__",
