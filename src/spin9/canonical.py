@@ -27,8 +27,9 @@ too; each of the three is one call of the checked kernel
 squares each distinct one once, over unordered term pairs: 45 of the 81
 Q_jj' (Q_jj' = Q_j'j) and 666 of the 1296 D.  The module also provides
 the S8-sum evaluation kernel, the vanishing corollaries, the verdict on
-the triple-form sum, deterministic coefficient export, and the two-form
-expansion identities of X-flat wedge Y-flat.
+the triple-form sum, deterministic coefficient export, and Friedrich's
+expansions of X-flat ^ Y-flat, read off `curvature.clifford_coefficients`,
+the sweep behind the curvature and the plane multiplicities too.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional
 
-from .curvature import curvature_omega
+from .curvature import clifford_coefficients, curvature_omega
 from .exterior import (
     AlternatingForm,
     perm_sign,
@@ -55,7 +56,6 @@ from .operators import (
     Vector16,
     build_involutions,
     clifford_product,
-    inner16,
     rotation,
 )
 from .report import VerificationReport
@@ -377,8 +377,7 @@ def export_coefficients(form: AlternatingForm, fmt: str) -> bytes:
 
 def flat(x: Vector16) -> AlternatingForm:
     """The metric dual one-form of a vector."""
-    c = x.coords()
-    return AlternatingForm(1, {(a,): c[a] for a in range(16) if c[a]})
+    return AlternatingForm._raw(1, {1 << k: t for k, t in x.entries()}, x.denominator)
 
 
 def friedrich_identities(x: Vector16, y: Vector16) -> VerificationReport:
@@ -390,29 +389,30 @@ def friedrich_identities(x: Vector16, y: Vector16) -> VerificationReport:
       8 sum_l (I_l x)b ^ (I_l y)b
                            = 5 sum omega_ij(x,y) omega_ij - 3 sum sigma_ijk(x,y) sigma_ijk
 
-    with both sums over increasing index tuples.  Both sides are bilinear
-    in (x, y), so they run on the integer numerators of x and y and each
-    expansion sums its coefficients into one table.
+    with both sums over increasing index tuples, on the integer numerators
+    of x and y (both sides are bilinear): one `clifford_coefficients` sweep
+    per expansion, one `wedge_sum` per left-hand side.
     """
     x, y = Vector16._raw(x.numerators), Vector16._raw(y.numerators)
 
     def expansion(grade: int) -> AlternatingForm:
         """sum over increasing index tuples of <x, P y> times P's two-form."""
         total: dict = {}
-        for idx in combinations(range(9), grade):
-            c = inner16(x, clifford_product(idx).apply(y))
-            if c:
-                for m, v in _two_form_table(idx).items():
-                    total[m] = total.get(m, 0) + c * v
+        coeffs = clifford_coefficients(grade, x, y)
+        for idx, c in zip(combinations(range(9), grade), coeffs):
+            for m, v in _two_form_table(idx).items():
+                total[m] = total.get(m, 0) + c * v
         return AlternatingForm._raw(2, {m: v for m, v in total.items() if v})
+
+    def flat_wedges(pairs) -> AlternatingForm:
+        """8 times the sum of a-flat ^ b-flat over the pairs (a, b)."""
+        tables = ((flat(a).numerators, flat(b).numerators) for a, b in pairs)
+        return AlternatingForm._raw(2, wedge_sum(tables)).scale(8)
 
     omega_part = expansion(2)
     sigma_part = expansion(3)
-    lhs1 = flat(x).wedge(flat(y)).scale(8)
-    lhs2 = AlternatingForm.zero(2)
-    for op in build_involutions().ops:
-        lhs2 = lhs2 + flat(op.apply(x)).wedge(flat(op.apply(y)))
-    lhs2 = lhs2.scale(8)
+    lhs1 = flat_wedges([(x, y)])
+    lhs2 = flat_wedges((op.apply(x), op.apply(y)) for op in build_involutions().ops)
 
     rep = VerificationReport()
     rep.add("friedrich.wedge-expansion", lhs1 == omega_part + sigma_part)

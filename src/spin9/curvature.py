@@ -22,15 +22,17 @@ Each expression is trilinear in (X, Y, Z): it runs its own formula on
 the integer entries of its arguments, read from the cached
 `Vector16.entries()`, and puts its 16 outputs over the factor
 -c / (4 d_X d_Y d_Z), a pair of coprime ints, once at the end.  Its cost
-scales with the nonzero coordinates of its arguments: the operator
-expressions read the operators by column at those coordinates only, and
-the octonion expressions split each argument into the nonzero terms of
-its two halves and their conjugates once per call, shared by both
-orderings of the antisymmetrization, and multiply term lists with
-`term_mul`, which skips a product with an empty factor.  Outputs are
-exact int or Fraction values; int inputs at c = 4 give plain ints.  Only
-int and Fraction scales are accepted, and a vector holds integers by
-construction.
+scales with the nonzero coordinates of its arguments.  The operator
+expressions read the operators by column at those coordinates only; their
+sweep of <X, P_i Y> over a grade's products P_i, `clifford_coefficients`,
+is the one that `canonical.friedrich_identities` and the plane
+multiplicities of `suites` read too.  The octonion expressions split each
+argument into the nonzero terms of its two halves and their conjugates
+once per call, shared by both orderings of the antisymmetrization, and
+multiply term lists with `term_mul`, which skips a product with an empty
+factor.  Outputs are exact int or Fraction values; int inputs at c = 4
+give plain ints.  Only int and Fraction scales are accepted, and a vector
+holds integers by construction.
 """
 
 from __future__ import annotations
@@ -77,19 +79,22 @@ def _columns(grade: int) -> tuple:
     return len(ops), tuple(map(tuple, cols))
 
 
-def _expand(grade: int, a: tuple, b: tuple, d: tuple, total: list) -> list:
-    """total + sum_i <a, P_i b> P_i d over the products P_i of one grade.
-
-    a is a numerator tuple, b and d are vector entries (k, numerator): the
-    first loop visits the nonzero coordinates of b only, the second those
-    of d only.
-    """
+def clifford_coefficients(grade: int, x: Vector16, y: Vector16) -> list:
+    """The numerators of <x, P_i y> over d_x d_y for the products P_i of
+    lambda_basis(grade), in that order; visits y's nonzero entries only."""
     n, cols = _columns(grade)
-    coeff = [0] * n
-    for k, t in b:
+    a, coeff = x.numerators, [0] * n
+    for k, t in y.entries():
         for i, r, v in cols[k]:
             coeff[i] += v * a[r] * t
-    for k, t in d:
+    return coeff
+
+
+def _expand(grade: int, x: Vector16, y: Vector16, z: Vector16, total: list) -> list:
+    """total + sum_i <x, P_i y> P_i z over the products P_i of one grade, in
+    numerators; visits the nonzero coordinates of y and z only."""
+    coeff, cols = clifford_coefficients(grade, x, y), _columns(grade)[1]
+    for k, t in z.entries():
         for i, r, v in cols[k]:
             total[r] += coeff[i] * v * t
     return total
@@ -98,7 +103,7 @@ def _expand(grade: int, a: tuple, b: tuple, d: tuple, total: list) -> list:
 def curvature_omega(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:
     """R_XY Z via the two-form expansion over the 36 involution pairs."""
     factor = _factor(x, y, z, c)
-    total = _expand(2, x.numerators, y.entries(), z.entries(), [0] * 16)
+    total = _expand(2, x, y, z, [0] * 16)
     return _rescaled(total, factor)
 
 
@@ -159,9 +164,8 @@ def curvature_brown_gray(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vecto
 
 def _s_prime_operator(x: Vector16, y: Vector16, z: Vector16) -> list:
     """S'_XY Z / (-c/4) = 3 g(Y,Z) X + sum_i g(I_i Y, Z) I_i X."""
-    cz = z.numerators
-    g = sum(t * cz[k] for k, t in y.entries())
-    return _expand(1, cz, y.entries(), x.entries(), [3 * g * v for v in x.numerators])
+    g = sum(t * z.numerators[k] for k, t in y.entries())
+    return _expand(1, z, y, x, [3 * g * v for v in x.numerators])
 
 
 def s_prime_operator(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Vector16:

@@ -33,8 +33,8 @@ squaring each distinct Q_g once.  Every candidate term pair expands in
 one array pass per chunk of WEDGE_CHUNK; overlapping masks drop out and
 the sign is a popcount parity.  A square Q ^ Q, every term of Q of even
 positive degree, is 2 sum_{i<j}, so only its term pairs i < j expand.
-One group sums into a dense 2**16 accumulator, several by `np.unique`
-on the keys group << 16 | mask.
+`wedge_sum` sums into a dense 2**16 accumulator, the groups of
+`square_sums` by `np.unique` on the keys group << 16 | mask.
 
 Every kernel bounds its sums by B before any arithmetic (the wedge by
 the largest B_g = sum |a|_1 |b|_1, the square step of `square_sums` by
@@ -78,15 +78,15 @@ from .linalg import (
 from .operators import Operator16, Vector16
 
 
-def _mask_of(indices) -> int:
+def _mask_of(indices: tuple, degree: int) -> int:
+    if len(indices) != degree:
+        raise ValueError("index tuple length must equal the degree")
     m = 0
-    prev = -1
     for i in indices:
         if not isinstance(i, int) or not 0 <= i <= 15:
             raise ValueError("indices must be integers in 0..15")
-        if i <= prev:
+        if m >> i:  # an earlier index is i or above
             raise ValueError("indices must be strictly increasing")
-        prev = i
         m |= 1 << i
     return m
 
@@ -119,12 +119,11 @@ class AlternatingForm(Exact):
     def __init__(self, degree: int, terms: Mapping = ()):
         if not 0 <= degree <= 16:
             raise ValueError("degree must be in 0..16")
-        terms, masks = dict(terms), []
-        for key in terms:
-            idx = (key,) if isinstance(key, int) else tuple(key)
-            if len(idx) != degree:
-                raise ValueError("index tuple length must equal the degree")
-            masks.append(_mask_of(idx))
+        terms = dict(terms)
+        keys = ((k,) if isinstance(k, int) else tuple(k) for k in terms)
+        masks = [_mask_of(idx, degree) for idx in keys]
+        if len(set(masks)) < len(masks):
+            raise ValueError("a monomial is named twice")
         ints, d = clear_denominators(terms.values())
         self._set(degree, {m: v for m, v in zip(masks, ints) if v}, d)
 
@@ -164,7 +163,8 @@ class AlternatingForm(Exact):
         ]
 
     def coefficient(self, indices) -> Num:
-        return exact_ratio(self.numerators.get(_mask_of(indices), 0), self.denominator)
+        m = _mask_of(tuple(indices), self.degree)
+        return exact_ratio(self.numerators.get(m, 0), self.denominator)
 
     def term_count(self) -> int:
         return len(self.numerators)
@@ -327,7 +327,7 @@ def wedge_sum(pairs) -> dict:
     B = sum |a|_1 |b|_1 bounds every product and partial sum, and the
     step runs in its `int_dtype` (see `_wedge_plan`).
     """
-    plan, bound = _wedge_plan([pairs])
+    plan, bound = _wedge_plan([pairs], False)
     if plan is None:
         return {}
     return dict(zip(*_nonzero(_wedge_step(plan, int_dtype(bound)))))
@@ -343,12 +343,10 @@ def square_sums(groups) -> dict:
     values on Python ints) are one table of multiplicity k, which the
     square step expands once with weight k, under B = sum_g |Q_g|_1^2.
     """
-    plan, bound = _wedge_plan(groups)
+    plan, bound = _wedge_plan(groups, True)
     if plan is None:
         return {}
-    out = _wedge_step(plan, int_dtype(bound))
-    # one group comes as its dense accumulator, whose index is the key
-    sums, keys = out if isinstance(out, tuple) else (out, np.arange(out.size))
+    sums, keys = _wedge_step(plan, int_dtype(bound))
     nz = np.flatnonzero(sums != 0)
     sums, masks = sums[nz], keys[nz] & 0xFFFF
     starts = np.flatnonzero(np.diff(keys[nz] >> 16, prepend=-1))
@@ -374,8 +372,9 @@ def _even(masks: np.ndarray, starts) -> np.ndarray:
     return np.maximum.reduceat(poppar[masks] | (masks == 0), starts) == 0
 
 
-def _wedge_plan(groups) -> tuple:
-    """(plan, B) for `_wedge_step`; plan is None when no pair has two
+def _wedge_plan(groups, grouped: bool) -> tuple:
+    """(plan, B) for `_wedge_step`, summing by group key when `grouped`,
+    else into one dense accumulator; plan is None when no pair has two
     nonempty tables.  B is the largest B_g, or the largest |a|_1 if more,
     so that it covers a coefficient whose partner table holds only zeros.
     A pair whose two tables are one object Q, every term of even positive
@@ -404,7 +403,7 @@ def _wedge_plan(groups) -> tuple:
         for a, b in group
     ]
     coeffs = [v for t in tables.values() for v in t.values()]
-    return _plan(masks, coeffs, pairs, len(groups) > 1), max(*bounds, *norms.values())
+    return _plan(masks, coeffs, pairs, grouped), max(*bounds, *norms.values())
 
 
 def _plan(masks, coeffs, pairs, grouped: bool) -> tuple:
@@ -434,14 +433,14 @@ def _plan(masks, coeffs, pairs, grouped: bool) -> tuple:
 
 
 def _wedge_step(plan, dtype):
-    """The pair sums in dtype: one group's dense 2**16 accumulator, or the
-    (sums, keys) of several groups.
+    """The pair sums in dtype: a dense 2**16 accumulator, or the grouped
+    (sums, keys).
 
     The rows expand in chunks of at most WEDGE_CHUNK candidate term pairs
     (a row with more is a chunk alone).  A pair of overlapping masks drops
     out, and each index of the right mask moves left past the indices of
-    the left mask above it, one sign flip each.  One group sums into a
-    dense 2**16 accumulator, whose index is the mask.  Several sum by
+    the left mask above it, one sign flip each.  Dense, the pairs sum into
+    a 2**16 accumulator whose index is the mask.  Grouped, they sum by
     `np.unique` on the keys group << 16 | mask; the rows run group by
     group, so only the last group of a chunk carries into the next.
     """

@@ -398,13 +398,10 @@ def verify_curvature(config: RunConfig) -> VerificationReport:
         == curvature.curvature_omega(x, y, z, 4).scale(2),
     )
 
-    counts = []
-    for m in range(1, 16):
-        total = 0
-        for p in lambda_basis(2):
-            v = inner16(basis[0], p.apply(basis[m]))
-            total += v * v
-        counts.append(total)
+    counts = [
+        sum(v * v for v in curvature.clifford_coefficients(2, basis[0], basis[m]))
+        for m in range(1, 16)
+    ]
     report.add(
         "curvature.plane-multiplicities",
         counts == [4] * 7 + [1] * 8,

@@ -40,6 +40,7 @@ from spin9.canonical import (
 from spin9.exterior import AlternatingForm
 from spin9.octonion import Octonion
 from spin9.operators import (
+    Operator16,
     RationalCirclePoint,
     Vector16,
     clifford_product,
@@ -264,6 +265,25 @@ def test_friedrich_identities_random_pairs():
         assert friedrich_identities(x, y).passed
     x, y = rand_fraction_vector(rng), rand_fraction_vector(rng)
     assert friedrich_identities(x, y).passed
+
+
+def test_friedrich_identities_make_two_wedge_sums(monkeypatch):
+    # one wedge_sum per left-hand side; 18 applies give the nine (I_l x, I_l y)
+    calls = {"wedge_sum": 0, "wedge": 0, "apply": 0}
+
+    def counted(name, f):
+        def spy(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return spy
+
+    for owner, name in ((canonical, "wedge_sum"), (AlternatingForm, "wedge"),
+                        (Operator16, "apply")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    rng = random.Random(58)
+    assert friedrich_identities(rand_fraction_vector(rng), rand_vector(rng)).passed
+    assert calls == {"wedge_sum": 2, "wedge": 0, "apply": 18}
 
 
 def test_flat_one_form():

@@ -10,6 +10,7 @@ from helpers import curvature_oracle, rand_fraction_vector, rand_vector
 from spin9.octonion import Octonion
 from spin9.curvature import (
     averaging_identity,
+    clifford_coefficients,
     curvature_brown_gray,
     curvature_entry,
     curvature_omega,
@@ -26,6 +27,7 @@ from spin9.operators import (
     build_involutions,
     clifford_product,
     inner16,
+    lambda_basis,
     rotation,
 )
 
@@ -179,6 +181,21 @@ def test_plane_multiplicity_counts():
                 )
                 total += v * v
         assert total == (4 if m < 8 else 1)
+
+
+@pytest.mark.parametrize("grade", [1, 2, 3, 4])
+def test_clifford_coefficients_match_applied_products(grade):
+    # numerators of <x, P y> over d_x d_y, in the order of lambda_basis
+    rng = random.Random(70 + grade)
+    pairs = [(rand_vector(rng), rand_vector(rng)) for _ in range(3)]
+    pairs += [(rand_fraction_vector(rng), rand_fraction_vector(rng)) for _ in range(3)]
+    pairs += [(BASIS[3], BASIS[12]), (rand_vector(rng), Vector16.from_coords([0] * 16))]
+    for x, y in pairs:
+        got = clifford_coefficients(grade, x, y)
+        assert all(type(c) is int for c in got)
+        d = x.denominator * y.denominator
+        want = [inner16(x, p.apply(y)) for p in lambda_basis(grade)]
+        assert [Fraction(c, d) for c in got] == want
 
 
 def test_pinching_endpoints():

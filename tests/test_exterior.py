@@ -140,6 +140,25 @@ def test_degree_and_index_validation():
         AlternatingForm(2, {(0, 16): 1})
     with pytest.raises(ValueError):
         AlternatingForm(2, {(1, 1): 1})
+    with pytest.raises(ValueError):
+        AlternatingForm(2, {(3, 1): 1})
+
+
+def test_a_monomial_named_twice_is_rejected():
+    # an int key and a one-tuple name the same monomial of a one-form
+    with pytest.raises(ValueError):
+        AlternatingForm(1, {1: 1, (1,): 2})
+    assert AlternatingForm(1, {1: 1, (2,): 2}).term_count() == 2
+
+
+def test_coefficient_takes_exactly_degree_indices():
+    w = omega2(0, 1)
+    for idx in ((0, 1, 2), (8,), ()):
+        with pytest.raises(ValueError):
+            w.coefficient(idx)
+    idx, v = w.items()[0]
+    assert w.coefficient(list(idx)) == v
+    assert AlternatingForm.zero(0).coefficient(()) == 0
 
 
 def test_wedge_graded_commutativity():
@@ -761,7 +780,7 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
     for _ in range(10):
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
-        plan, _ = _wedge_plan([[(a.numerators, b.numerators)]])
+        plan, _ = _wedge_plan([[(a.numerators, b.numerators)]], False)
         acc = _wedge_step(plan, np.int64)
         assert acc.dtype == np.int64 and acc.shape == (1 << 16,)
         nz = np.flatnonzero(acc)

@@ -368,6 +368,21 @@ def test_no_module_names_the_retired_kernel_drivers():
     assert found == []
 
 
+def test_no_module_applies_an_operator_to_take_a_coefficient():
+    # <x, P_i y> over the products of a grade comes from the one sweep,
+    # `curvature.clifford_coefficients`; an inner product with an applied
+    # operator would be a second one
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert {"canonical.py", "curvature.py", "suites.py"} <= {p.name for p in sources}
+    found = [
+        f"{path.name}:{n}"
+        for path in sources
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\binner(16|_product)\(.*\.apply\(", line)
+    ]
+    assert found == []
+
+
 TUPLE_ARITHMETIC = (
     "_raw", "__add__", "__sub__", "__neg__", "scale", "__eq__", "__hash__",
     "__setattr__",
