@@ -8,10 +8,8 @@ rational arithmetic over that construction.
 """
 
 from .bpt import (
-    bpt_4form,
     bpt_8form_full,
     bpt_8form_reduced,
-    bpt_cross,
     bpt_invariance_defect,
     bpt_square_check,
     head_to_head,
@@ -42,7 +40,7 @@ from .curvature import (
     sectional_curvature,
 )
 from .exterior import AlternatingForm
-from .octonion import Octonion, automorphism_from_triple, cross_oct
+from .octonion import Octonion, automorphism_from_triple
 from .operators import (
     InvolutionFamily,
     Operator16,
@@ -77,10 +75,8 @@ __all__ = [
     "VerificationReport",
     "automorphism_from_triple",
     "boost8",
-    "bpt_4form",
     "bpt_8form_full",
     "bpt_8form_reduced",
-    "bpt_cross",
     "bpt_invariance_defect",
     "bpt_square_check",
     "build_involutions",
@@ -90,7 +86,6 @@ __all__ = [
     "commutator",
     "conjecture_8form",
     "conjecture_verdict",
-    "cross_oct",
     "curvature_brown_gray",
     "curvature_entry",
     "curvature_omega",

@@ -30,7 +30,7 @@ import numpy as np
 
 from .exterior import AlternatingForm, perm_sign
 from .linalg import exact_ratio, int_dtype
-from .octonion import XOR_SIGN, Octonion, oct_mul
+from .octonion import XOR_SIGN, oct_mul
 from .operators import Vector16, clifford_product
 from .report import VerificationReport
 
@@ -66,13 +66,6 @@ def _crosses(vectors) -> tuple:
     c = oct_mul(x[j] * _LEFT, x[i] * _RIGHT).sum(axis=1)
     c[:, 0] = 0
     return c.astype(object), d
-
-
-def bpt_cross(u: Vector16, v: Vector16) -> Octonion:
-    """Cross product on O^2: conjugated in the first slot, plain in the
-    second; the one pair of `_crosses`."""
-    (c,), d = _crosses([u, v])
-    return Octonion._raw(c.tolist(), d * d)
 
 
 def _pairings(block: tuple) -> tuple:
@@ -191,11 +184,6 @@ def bpt_8form_full(vectors) -> Fraction | int:
     return exact_ratio(total[0], 128 * d**8)
 
 
-def bpt_4form(vectors) -> Fraction | int:
-    """Signed S_4 sum of the real part of one product of two crosses."""
-    return _factor_sum(vectors, 4)
-
-
 @cache
 def _basis_cross_units() -> np.ndarray:
     """The crosses of the basis pairs a < b, from one `_crosses` call on the
@@ -265,8 +253,9 @@ def materialize_bpt_8form() -> AlternatingForm:
 def materialize_bpt_4form() -> AlternatingForm:
     """Coefficient map of the companion 4-form on all 1820 basis 4-tuples.
 
-    The signed S_4 sum of `bpt_4form`, vectorized; the tests check every
-    coefficient against the scalar evaluator.
+    The signed S_4 sum of the real part of one product of two crosses,
+    vectorized; the tests check every coefficient against the scalar sum
+    `_factor_sum(vectors, 4)`.
     """
     return _materialize(4, _s4_signed())
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ExactTuple, Num, exact_ratio, inner_product as inner_oct
+from .linalg import ExactTuple, Num, inner_product as inner_oct
 
 BASIS_NAMES = ("1", "i", "j", "ij", "e", "ie", "je", "(ij)e")
 
@@ -56,7 +56,9 @@ def _quaternion_unit_mul(a: int, b: int) -> tuple[int, int]:
     return (sign, c)
 
 
-def _build_mul_table() -> tuple:
+def _build_signs() -> tuple:
+    """SIGN[a][b] = sign with u_a u_b = sign * u_{a ^ b}; the index a ^ b of
+    every unit product and the doubling anchors are checked, not assumed."""
     table = []
     for a in range(8):
         al, ah = a % 4, a // 4
@@ -65,38 +67,33 @@ def _build_mul_table() -> tuple:
             bl, bh = b % 4, b // 4
             if ah == 0 and bh == 0:
                 s, k = _quaternion_unit_mul(al, bl)
-                row.append((s, k))
             elif ah == 0 and bh == 1:
                 # q1 (q2 e) = (q2 q1) e
                 s, k = _quaternion_unit_mul(bl, al)
-                row.append((s, k + 4))
+                k += 4
             elif ah == 1 and bh == 0:
                 # (q1 e) q2 = (q1 conj(q2)) e
                 s, k = _quaternion_unit_mul(al, bl)
                 if bl != 0:
                     s = -s
-                row.append((s, k + 4))
+                k += 4
             else:
                 # (q1 e)(q2 e) = -conj(q2) q1
                 s, k = _quaternion_unit_mul(bl, al)
                 if bl != 0:
                     s = -s
-                row.append((-s, k))
+                s = -s
+            if k != a ^ b:
+                raise AssertionError("unit products are not indexed by a xor b")
+            row.append(s)
         table.append(tuple(row))
-    out = tuple(table)
     # consistency of the doubling: u5 = u1 u4, u6 = u2 u4, u7 = u3 u4
-    if out[1][4] != (1, 5) or out[2][4] != (1, 6) or out[3][4] != (1, 7):
+    if table[1][4] != 1 or table[2][4] != 1 or table[3][4] != 1:
         raise AssertionError("Cayley-Dickson doubling is inconsistent")
-    return out
+    return tuple(table)
 
 
-# MUL_TABLE[a][b] = (sign, index) with u_a u_b = sign * u_index
-MUL_TABLE = _build_mul_table()
-
-# SIGN[a][b] = sign with u_a u_b = sign * u_{a ^ b}
-SIGN = tuple(tuple(s for s, _ in row) for row in MUL_TABLE)
-if any(k != a ^ b for a, row in enumerate(MUL_TABLE) for b, (_, k) in enumerate(row)):
-    raise AssertionError("unit products are not indexed by a xor b")
+SIGN = _build_signs()
 
 
 def _product(x: Sequence[tuple], y: Sequence[tuple]) -> list:
@@ -136,8 +133,7 @@ def oct_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def unit_mul(a: SignedUnit, b: SignedUnit) -> SignedUnit:
     """Product of two signed basis units, as a signed basis unit."""
-    s, k = MUL_TABLE[a[1]][b[1]]
-    return (a[0] * b[0] * s, k)
+    return (a[0] * b[0] * SIGN[a[1]][b[1]], a[1] ^ b[1])
 
 
 class Octonion(ExactTuple):
@@ -150,18 +146,10 @@ class Octonion(ExactTuple):
     coeffs = property(ExactTuple.coords)
 
     @classmethod
-    def zero(cls) -> "Octonion":
-        return _ZERO
-
-    @classmethod
     def unit(cls, k: int, sign: Num = 1) -> "Octonion":
         if not 0 <= k <= 7:
             raise ValueError("basis index out of range 0..7")
         return cls(tuple(sign if t == k else 0 for t in range(8)))
-
-    @classmethod
-    def scalar(cls, x: Num) -> "Octonion":
-        return cls((x, 0, 0, 0, 0, 0, 0, 0))
 
     def __mul__(self, other):
         # the terms are filtered inline, not cached by `entries()`: a
@@ -180,26 +168,12 @@ class Octonion(ExactTuple):
         n = self.numerators
         return Octonion._raw([n[0]] + [-a for a in n[1:]], self.denominator)
 
-    def re(self) -> Num:
-        return exact_ratio(self.numerators[0], self.denominator)
-
-    def im(self) -> "Octonion":
-        return Octonion._raw([0, *self.numerators[1:]], self.denominator)
-
     def __repr__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
             if c:
                 parts.append(f"{c}*{BASIS_NAMES[k]}" if k else f"{c}")
         return "Octonion<" + (" + ".join(parts) if parts else "0") + ">"
-
-
-_ZERO = Octonion((0,) * 8)
-
-
-def cross_oct(u: Octonion, v: Octonion) -> Octonion:
-    """Cross product Im(conj(v) u) = (conj(v) u - conj(u) v) / 2."""
-    return (v.conj() * u).im()
 
 
 def apply_matrix8(rows: Sequence[Sequence[Num]], a: Octonion) -> Octonion:
@@ -256,8 +230,8 @@ def automorphism_from_triple(ip: SignedUnit, jp: SignedUnit, ep: SignedUnit):
     for a in range(8):
         for b in range(8):
             lhs = unit_mul(images[a], images[b])
-            s, k = MUL_TABLE[a][b]
-            rhs = (s * images[k][0], images[k][1])
+            k = a ^ b
+            rhs = (SIGN[a][b] * images[k][0], images[k][1])
             if lhs != rhs:
                 raise ValueError("triple does not extend to an automorphism")
 

@@ -12,9 +12,9 @@ have one nonzero entry per row.  `Vector16`, `Operator16` and `Octonion`
 are `linalg.ExactTuple`s, of sizes 16, 256 and 8: integer numerators
 over one positive denominator in lowest terms, with one arithmetic.  An
 operator's numerators are its matrix row-major, entry (r, c) at
-16 r + c; a vector's halves `x1`/`x2` are octonions over its
-denominator.  Exact values appear only at the edge (`coords`, `rows`,
-`trace`, `inner16`).  Vectors and operators list their nonzero integer
+16 r + c; a vector's are its 16 coordinates, the octonion pair (x1, x2)
+in order.  Exact values appear only at the edge (`coords`, `rows`,
+`inner16`).  Vectors and operators list their nonzero integer
 entries once (`entries()`, the one cache of `ExactTuple`): operator
 products and `apply` run over an operator's, the curvature expressions
 over a vector's, so a signed permutation costs 16 entries and a basis
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .linalg import ExactTuple, Num, det, exact_ratio, require_exact
+from .linalg import ExactTuple, Num, det, require_exact
 from .linalg import inner_product as inner16
 from .octonion import Octonion
 
@@ -47,25 +47,14 @@ class Vector16(ExactTuple):
     __slots__ = ()
     size = 16
 
-    def __init__(self, x1: Octonion, x2: Octonion):
-        super().__init__(x1.coeffs + x2.coeffs)
-
     @classmethod
     def basis(cls, k: int) -> "Vector16":
         if not 0 <= k <= 15:
             raise ValueError("basis index out of range 0..15")
         return cls._raw([int(t == k) for t in range(16)])
 
-    @property
-    def x1(self) -> Octonion:
-        return Octonion._raw(self.numerators[:8], self.denominator)
-
-    @property
-    def x2(self) -> Octonion:
-        return Octonion._raw(self.numerators[8:], self.denominator)
-
     def __repr__(self) -> str:
-        return f"Vector16({self.x1!r}, {self.x2!r})"
+        return f"Vector16({self.coords()!r})"
 
 
 class Operator16(ExactTuple):
@@ -120,9 +109,6 @@ class Operator16(ExactTuple):
     def transpose(self) -> "Operator16":
         columns = (self.numerators[c::16] for c in range(16))
         return Operator16._raw(list(chain.from_iterable(columns)), self.denominator)
-
-    def trace(self) -> Num:
-        return exact_ratio(sum(self.numerators[::17]), self.denominator)
 
     def is_symmetric(self) -> bool:
         """Entry (c, r) equals entry (r, c) at every nonzero (r, c); a zero

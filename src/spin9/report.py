@@ -40,11 +40,5 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
     def lines(self) -> list:
         return [c.line() for c in self.checks]
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())

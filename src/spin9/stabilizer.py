@@ -95,15 +95,6 @@ def _block_rows(vec, n: int) -> list:
     return flat
 
 
-def vec_to_operator(vec, n: int) -> Operator16:
-    """The operator whose top-left n x n block is the n*n vector vec, row
-    by row; ValueError unless 1 <= n <= 16 and vec has n*n entries."""
-    vec = list(vec)
-    if not 1 <= n <= 16 or len(vec) != n * n:
-        raise ValueError(f"{len(vec)} entries for n = {n}; need n*n, 1 <= n <= 16")
-    return Operator16.from_coords(_block_rows(vec, n))
-
-
 def operator_rows(ops, n: int = 16) -> np.ndarray:
     """The n x n blocks of ops as integer rows of n*n entries (`int_array`).
 

@@ -383,13 +383,18 @@ def verify_curvature(config: RunConfig) -> VerificationReport:
         ok &= entry(x, y, z, w, c) == entry(z, w, x, y, c)
     report.add("curvature.bianchi-and-pair-symmetry", ok)
 
+    # every pair {i, j} shares exactly one index with some plane (0, k), so
+    # I_0 I_k anticommutes with I_i I_j: a wrong sign on any one omega_ij
+    # term breaks equivariance in that plane
     p = RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))
-    a = rotation(2, 5, p)
     x, y, z = (_rand_vector(rng) for _ in range(3))
+    r = omega(x, y, z, c)
     report.add(
         "curvature.rotation-equivariance",
-        curvature.curvature_omega(a.apply(x), a.apply(y), a.apply(z), c)
-        == a.apply(curvature.curvature_omega(x, y, z, c)),
+        all(
+            omega(a.apply(x), a.apply(y), a.apply(z), c) == a.apply(r)
+            for a in (rotation(0, k, p) for k in range(1, 9))
+        ),
     )
 
     report.add(

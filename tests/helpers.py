@@ -1,5 +1,6 @@
 """Shared random generators and small independent oracles for the tests."""
 
+import functools
 import importlib
 import pkgutil
 from collections import namedtuple
@@ -13,12 +14,23 @@ import spin9
 from spin9 import exterior, linalg
 from spin9.exterior import AlternatingForm, perm_sign, wedge_sum
 from spin9.linalg import clear_denominators, exact_ratio
-from spin9.octonion import Octonion, cross_oct
+from spin9.octonion import Octonion
 from spin9.operators import (
     Operator16,
     Vector16,
     clifford_product,
 )
+
+
+def halves(v):
+    """The octonion pair (x1, x2) of a `Vector16`, from its coordinates."""
+    c = v.coords()
+    return Octonion(c[:8]), Octonion(c[8:])
+
+
+def pair(x1, x2):
+    """The `Vector16` of the octonion pair (x1, x2)."""
+    return Vector16(x1.coeffs + x2.coeffs)
 
 
 def rand_octonion(rng, span=3):
@@ -46,6 +58,12 @@ def matmul_oracle(a, b):
     )
 
 
+@functools.cache
+def _pair_rows():
+    """The rows of the 36 products I_i I_j, i < j, read once per session."""
+    return tuple(clifford_product(ij).rows for ij in combinations(range(9), 2))
+
+
 def curvature_oracle(x, y, z, c):
     """R_XY Z = -(c/4) sum_{i<j} omega_ij(X, Y) I_i I_j Z on Fraction throughout.
 
@@ -58,13 +76,11 @@ def curvature_oracle(x, y, z, c):
 
     cx, cy, cz = x.coords(), y.coords(), z.coords()
     total = [Fraction(0)] * 16
-    for i in range(9):
-        for j in range(i + 1, 9):
-            rows = clifford_product((i, j)).rows
-            coeff = sum(p * q for p, q in zip(cx, apply(rows, cy)))
-            if coeff:
-                iz = apply(rows, cz)
-                total = [t + coeff * v for t, v in zip(total, iz)]
+    for rows in _pair_rows():
+        coeff = sum(p * q for p, q in zip(cx, apply(rows, cy)))
+        if coeff:
+            iz = apply(rows, cz)
+            total = [t + coeff * v for t, v in zip(total, iz)]
     scale = -Fraction(c, 4)
     return Vector16.from_coords([scale * t for t in total])
 
@@ -295,11 +311,11 @@ def lie_derivative_oracle(form, op):
     The monomial loop with its own merge-sign bookkeeping; it shares no
     code with the incidence kernel of `AlternatingForm.lie_derivative`.
     """
-    out = {}
+    out, rows = {}, op.rows
     for m, coeff in exact_terms(form).items():
         for a in _bits(m):
             rest = m & ~(1 << a)
-            for b, v in enumerate(op.rows[a]):
+            for b, v in enumerate(rows[a]):
                 if not v or (b != a and rest >> b & 1):
                     continue
                 s = _merge_sign(1 << a, rest) * _merge_sign(1 << b, rest)
@@ -561,11 +577,22 @@ def apply_oracle(op, v):
     ]
 
 
-def _cross_table_oracle(vectors):
-    """The crosses of the pairs i < j, each from two `cross_oct` calls on
-    `Octonion` objects."""
+def cross_oct(u, v):
+    """The octonion cross product Im(conj(v) u) = (conj(v) u - conj(u) v) / 2."""
+    return Octonion((0,) + (v.conj() * u).coeffs[1:])
+
+
+def bpt_cross_oracle(u, v):
+    """The cross of two `Vector16`s on O^2, conjugated in the first half and
+    plain in the second, from two `cross_oct` calls on `Octonion` objects."""
+    (u1, u2), (v1, v2) = halves(u), halves(v)
+    return cross_oct(u1.conj(), v1.conj()) + cross_oct(u2, v2)
+
+
+def cross_table_oracle(vectors):
+    """The crosses `bpt_cross_oracle` of the pairs i < j, by pair."""
     return {
-        (i, j): cross_oct(u.x1.conj(), v.x1.conj()) + cross_oct(u.x2, v.x2)
+        (i, j): bpt_cross_oracle(u, v)
         for (i, u), (j, v) in combinations(enumerate(vectors), 2)
     }
 
@@ -573,11 +600,11 @@ def _cross_table_oracle(vectors):
 def bpt_reduced_oracle(vectors, reps):
     """The reduced BPT sum over the signed representatives reps, one
     `Octonion` product per real part; every pair of reps must ascend."""
-    table = _cross_table_oracle(list(vectors))
+    table = cross_table_oracle(list(vectors))
     total = 0
     for perm, sign in reps:
         a, b, c, d = (table[perm[k], perm[k + 1]] for k in (0, 2, 4, 6))
-        total += sign * (a * b).re() * (c * d).re()
+        total += sign * (a * b).coeffs[0] * (c * d).coeffs[0]
     return total
 
 
@@ -585,7 +612,7 @@ def bpt_full_oracle(vectors):
     """The full BPT sum on `Octonion` objects: each 4-block's signed sum
     over its three pairings in both orders, times four, then the 70 split
     products with their shuffle signs, divided by 2^7."""
-    table = _cross_table_oracle(list(vectors))
+    table = cross_table_oracle(list(vectors))
 
     def block_sum(a, b, c, d):
         ab, cd = table[a, b], table[c, d]
@@ -594,9 +621,9 @@ def bpt_full_oracle(vectors):
         return ((ab * cd + cd * ab) - (ac * bd + bd * ac) + (ad * bc + bc * ad)).scale(4)
 
     blocks = {b: block_sum(*b) for b in combinations(range(8), 4)}
-    total = Octonion.zero()
+    total = Octonion((0,) * 8)
     for first, block in blocks.items():
         rest = tuple(k for k in range(8) if k not in first)
         total = total + (block * blocks[rest]).scale(perm_sign(first + rest))
-    assert not total.im()
-    return exact_ratio(total.re(), 128)
+    assert not any(total.coeffs[1:])
+    return exact_ratio(total.coeffs[0], 128)

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bpt_cross_oracle,
     bpt_full_oracle,
     bpt_reduced_oracle,
     materialize_oracle,
+    pair,
     rand_fraction_vector,
     rand_vector,
     s8_star_oracle,
@@ -18,10 +20,8 @@ from helpers import (
 )
 from spin9 import bpt
 from spin9.bpt import (
-    bpt_4form,
     bpt_8form_full,
     bpt_8form_reduced,
-    bpt_cross,
     bpt_invariance_defect,
     bpt_square_check,
     defect_vectors,
@@ -30,7 +30,7 @@ from spin9.bpt import (
     materialize_bpt_8form,
     s8_star,
 )
-from spin9.octonion import Octonion, cross_oct
+from spin9.octonion import Octonion
 from spin9.operators import Vector16, clifford_product
 
 
@@ -55,14 +55,21 @@ def test_census_against_direct_count():
     assert s8_star() == s8_star_oracle()
 
 
+def _crosses(vectors):
+    """The crosses of the pairs i < j from one `bpt._crosses` call, as
+    octonions in combinations order."""
+    c, d = bpt._crosses(vectors)
+    return [Octonion._raw(row, d * d) for row in c.tolist()]
+
+
 def test_cross_on_pair_vectors():
     rng = random.Random(81)
     for _ in range(20):
         u, v = rand_vector(rng), rand_vector(rng)
-        expected = cross_oct(u.x1.conj(), v.x1.conj()) + cross_oct(u.x2, v.x2)
-        assert bpt_cross(u, v) == expected
-        assert bpt_cross(u, v) == -bpt_cross(v, u)
-        assert not bpt_cross(u, u)
+        uv, uu, vu = _crosses([u, v, u])
+        assert uv == bpt_cross_oracle(u, v)
+        assert vu == -uv
+        assert not uu
 
 
 def test_cross_and_reduced_sum_on_rational_vectors_match_the_octonion_formula():
@@ -76,9 +83,9 @@ def test_cross_and_reduced_sum_on_rational_vectors_match_the_octonion_formula():
         for d in (1, 2, 3, 5, 7, 4, 9, 1)
     ]
     assert [v.denominator for v in vs] == [1, 2, 3, 5, 7, 4, 9, 1]
-    for u, v in itertools.combinations(vs, 2):
-        expected = cross_oct(u.x1.conj(), v.x1.conj()) + cross_oct(u.x2, v.x2)
-        assert bpt_cross(u, v) == expected
+    assert _crosses(vs) == [
+        bpt_cross_oracle(u, v) for u, v in itertools.combinations(vs, 2)
+    ]
     value = bpt_8form_reduced(vs)
     assert value == bpt_reduced_oracle(vs, s8_star())
     assert Fraction(value).denominator > 1
@@ -167,13 +174,13 @@ def test_four_form_reads_descending_pairs_as_negated_crosses():
     rng = random.Random(87)
     vs = [rand_vector(rng, span=3) for _ in range(4)]
     crosses = {
-        (a, b): bpt_cross(vs[a], vs[b]) for a in range(4) for b in range(4)
+        (a, b): bpt_cross_oracle(vs[a], vs[b]) for a in range(4) for b in range(4)
     }
     expected = sum(
-        sign * (crosses[p[0], p[1]] * crosses[p[2], p[3]]).re()
+        sign * (crosses[p[0], p[1]] * crosses[p[2], p[3]]).coeffs[0]
         for p, sign in bpt._s4_signed()
     )
-    assert bpt_4form(vs) == expected
+    assert bpt._factor_sum(vs, 4) == expected
     assert crosses[1, 0] == -crosses[0, 1]
 
 
@@ -208,12 +215,13 @@ def test_invariance_defect_values():
 
 def test_defect_witness_vectors():
     vs = defect_vectors()
-    assert vs[0] == Vector16(Octonion.zero(), Octonion.unit(0))
+    zero = Octonion((0,) * 8)
+    assert vs[0] == pair(zero, Octonion.unit(0))
     for k in range(7):
-        assert vs[k + 1] == Vector16(Octonion.unit(k), Octonion.zero())
+        assert vs[k + 1] == pair(Octonion.unit(k), zero)
     gen = clifford_product((7, 8))
     moved = gen.apply(vs[0])
-    assert moved == Vector16(Octonion.unit(7), Octonion.zero())
+    assert moved == pair(Octonion.unit(7), zero)
 
 
 def test_square_factorization():
@@ -229,7 +237,7 @@ def test_four_form_materialization():
     form = materialize_bpt_4form()
     basis = [Vector16.basis(k) for k in range(16)]
     for idx in itertools.combinations(range(16), 4):
-        assert form.coefficient(idx) == bpt_4form([basis[k] for k in idx])
+        assert form.coefficient(idx) == bpt._factor_sum([basis[k] for k in idx], 4)
     assert form.term_count() == 140
 
 

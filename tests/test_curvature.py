@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from helpers import curvature_oracle, rand_fraction_vector, rand_vector
-from spin9.octonion import Octonion
 from spin9.curvature import (
     averaging_identity,
     clifford_coefficients,
@@ -357,11 +356,6 @@ def test_integer_inputs_at_c4_give_plain_ints():
 BAD_INPUTS = ("c-float", "c-zero", "x-float", "y-float", "z-float")
 
 
-def _unchecked_vector(coords):
-    """A vector of octonions that are past their own constructor check."""
-    return Vector16(Octonion._raw(coords[:8]), Octonion._raw(coords[8:]))
-
-
 @pytest.mark.parametrize("kind", BAD_INPUTS)
 def test_expressions_reject_inexact_input_and_zero_scale(kind):
     x, y, z = BASIS[0], BASIS[1], BASIS[9]
@@ -371,7 +365,7 @@ def test_expressions_reject_inexact_input_and_zero_scale(kind):
         coords = [0] * 16
         coords[3] = 0.5
         with pytest.raises(ValueError):
-            _unchecked_vector(coords)
+            Vector16(coords)
         return
     for f in EXPRS + (s_prime_operator, s_prime_octonion):
         with pytest.raises(ValueError):
@@ -386,7 +380,7 @@ def test_expressions_reject_inexact_input_and_zero_scale(kind):
 
 def test_entry_rejects_inexact_fourth_vector():
     with pytest.raises(ValueError):
-        _unchecked_vector([0.25] + [0] * 15)
+        Vector16([0.25] + [0] * 15)
 
 
 def test_float_scale_with_zero_value_is_rejected():

@@ -44,7 +44,6 @@ from spin9.stabilizer import (
     spans_involution_pairs,
     stabilizer_system,
     symplectic_form_r4,
-    vec_to_operator,
 )
 
 FAM = build_involutions()
@@ -233,7 +232,7 @@ def test_stabilizer_system_rows_are_lie_coefficients():
         v for units, rows in blocks
         for v in (rows @ np.array(a)[units]).tolist() if v
     ]
-    image = f.lie_derivative(vec_to_operator(a, 16))
+    image = f.lie_derivative(Operator16.from_coords(a))
     assert sorted(values) == sorted(image.numerators.values())
     assert all(rows.any(axis=1).all() for _, rows in blocks)
 
@@ -241,22 +240,11 @@ def test_stabilizer_system_rows_are_lie_coefficients():
 def test_vec_operator_round_trip():
     rng = random.Random(73)
     vec = tuple(rng.randint(-3, 3) for _ in range(256))
-    row = operator_rows([vec_to_operator(vec, 16)], 16)
+    row = operator_rows([Operator16.from_coords(vec)], 16)
     assert row.tolist() == [list(vec)]
     # the public constructor still validates its entries
     with pytest.raises(ValueError):
-        vec_to_operator((0.5,) + vec[1:], 16)
-
-
-def test_vec_to_operator_takes_exactly_n_squared_entries():
-    assert vec_to_operator(range(1, 5), 2) == Operator16.from_coords(
-        [1, 2] + [0] * 14 + [3, 4] + [0] * 238
-    )
-    for vec, n in (
-        (range(1, 10), 2), (range(1, 300), 16), (range(3), 2), ((), 0), ((1,) * 289, 17)
-    ):
-        with pytest.raises(ValueError):
-            vec_to_operator(vec, n)
+        Operator16.from_coords((0.5,) + vec[1:])
 
 
 def test_sp4_oracle_dimension():

@@ -151,13 +151,13 @@ def test_driver_guard_sees_a_second_call_site(tmp_path):
     ]
 
 
-UNIT_TABLES = ("SIGN", "MUL_TABLE")
+UNIT_TABLES = ("SIGN",)
 
 
 def _unit_table_readers(path):
-    """Lines that read the octonion unit product tables `SIGN` or
-    `MUL_TABLE`: by name, as an attribute, imported under any name, or
-    through a star import of `octonion`."""
+    """Lines that read the octonion unit product signs `SIGN`: by name, as
+    an attribute, imported under any name, or through a star import of
+    `octonion`."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -196,7 +196,7 @@ def test_only_the_octonion_module_reads_the_unit_product_tables():
 def test_unit_table_guard_sees_a_second_product_loop(tmp_path):
     (tmp_path / "curvature.py").write_text(
         "from .octonion import SIGN\n"
-        "from .octonion import MUL_TABLE as UNITS\n"
+        "from .octonion import SIGN as UNITS\n"
         "from . import octonion\n"
         "from .octonion import *\n"
         "def mul(x, y):\n"
@@ -450,3 +450,217 @@ def test_class_member_guard_sees_defs_and_assignments(tmp_path):
     )
     # a local of a method and a function outside the class are not members
     assert _class_members(src, "Octonion") == {"size", "scale", "__sub__", "__hash__"}
+
+
+SRC = Path(spin9.__file__).parent
+
+# Runs argv[2] in a fresh interpreter with a profile hook set before its
+# first import, then writes the (file, first line, name) of every Python
+# function it called to argv[3]; the files are resolved, so that they
+# compare with the paths of SRC however `sys.path` names the package.
+PROFILE = r"""
+import os, sys
+code, out = sys.argv[2], sys.argv[3]
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        f = frame.f_code
+        called.add((f.co_filename, f.co_firstlineno, f.co_name))
+
+sys.setprofile(profile)
+exec(code, {})
+sys.setprofile(None)
+with open(out, "w") as fh:
+    for path, line, name in sorted(called):
+        fh.write(f"{os.path.realpath(path)}\t{line}\t{name}\n")
+"""
+
+# `verify --samples 1` reaches every function that the default run does,
+# and the `--samples` parser besides
+COMMANDS = r"""
+import contextlib, io, os, tempfile
+from spin9 import cli
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["verify", "--samples", "1"]), cli.main(["conjecture"])]
+    for form in cli.EXPORT_FORMS:
+        for fmt in ("json", "csv"):
+            dest = os.path.join(out, f"{form}.{fmt}")
+            codes.append(cli.main(["export", form, "--format", fmt, "--out", dest]))
+if any(codes):
+    raise SystemExit(f"a command failed: exit codes {codes}")
+"""
+
+# the functions in `src/` that no command reaches, each with its reason
+REACH_ALLOWED = {
+    "linalg.Exact.__setattr__": "the immutability guard: no command assigns",
+    "linalg.Exact.__hash__": "the hash contract of equal values, which test_operators checks",
+    "octonion.Octonion.__repr__": "pytest prints it on a failed assertion",
+    "operators.Vector16.__repr__": "pytest prints it on a failed assertion",
+    "operators.Operator16.__repr__": "pytest prints it on a failed assertion",
+    "exterior.AlternatingForm.__repr__": "pytest prints it on a failed assertion",
+    "cli._run_one": "it runs in the `--jobs` pool workers, which the hook does not follow",
+    "exterior.AlternatingForm.zero": "reached by `monomial` on a repeated index and by `scale(0)`",
+    "stabilizer.in_kernel_span": "kept for the curvature-projection anchor, ROADMAP item 2",
+}
+
+
+def _reached(code, tmp_path):
+    """(resolved file, first line, name) of every function that a fresh
+    interpreter calls while it runs code under the `PROFILE` hook."""
+    out = tmp_path / "reached.tsv"
+    proc = subprocess.run(
+        [sys.executable, "-c", PROFILE, "--", code, str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (line.split("\t") for line in out.read_text().splitlines())
+    return {(path, int(line), name) for path, line, name in rows}
+
+
+def _defs(path):
+    """(qualified name, first line, name) of every def in path, nested ones
+    included; a decorated def's code starts at its first decorator."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found.append((prefix + child.name, first, child.name))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{prefix}{child.name}."
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.")
+    return found
+
+
+def _unreached(paths, reached):
+    """Qualified names of the defs in paths that no call in reached entered."""
+    return [
+        qualname
+        for path in paths
+        for qualname, line, name in _defs(path)
+        if (str(path.resolve()), line, name) not in reached
+    ]
+
+
+def test_every_function_in_src_is_reached_by_a_command(tmp_path):
+    sources = sorted(SRC.glob("*.py"))
+    assert {"cli.py", "bpt.py", "stabilizer.py"} <= {p.name for p in sources}
+    assert len(REACH_ALLOWED) <= 9
+    unreached = _unreached(sources, _reached(COMMANDS, tmp_path))
+    # an allowed def that a command reaches is a stale entry
+    assert sorted(unreached) == sorted(REACH_ALLOWED)
+
+
+def test_reach_guard_flags_an_uncalled_def(tmp_path):
+    pkg = tmp_path / "probe"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(
+        "import functools\n"
+        "\n"
+        "@functools.cache\n"
+        "def cached():\n"
+        "    return helper()\n"
+        "\n"
+        "def helper():\n"
+        "    def inner():\n"
+        "        return 1\n"
+        "    return inner() + Box().used\n"
+        "\n"
+        "class Box:\n"
+        "    @property\n"
+        "    def used(self):\n"
+        "        return 2\n"
+        "\n"
+        "    def unused(self):\n"
+        "        return [lambda: 3 for _ in range(2)]\n"
+        "\n"
+        "def uncalled(): return 4\n"
+    )
+    code = f"import sys\nsys.path.insert(0, {str(tmp_path)!r})\nimport probe.mod\nprobe.mod.cached()\n"
+    reached = _reached(code, tmp_path)
+    # the decorated def is reached at its decorator line; the class body
+    # and the module, though entered, reach no def of their name
+    assert _unreached([pkg / "mod.py"], reached) == ["mod.Box.unused", "mod.uncalled"]
+
+
+def _unused_imports(paths):
+    """Lines of the modules in paths that import a name which the module
+    never reads and which no other module in paths imports from it.  The
+    package `__init__`, whose imports are its exports, is left to
+    `__all__`."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    taken = {
+        (node.module.split(".")[-1], alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        and (node.level or node.module.startswith("spin9."))
+        for alias in node.names
+    }
+    found = []
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        read = {
+            n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read and (stem, bound) not in taken:
+                    found.append(f"{stem}.py:{node.lineno} imports {bound}")
+    return found
+
+
+def test_every_import_in_src_is_read_or_reexported():
+    sources = sorted(SRC.glob("*.py"))
+    assert {"octonion.py", "operators.py", "suites.py"} <= {p.name for p in sources}
+    assert _unused_imports(sources) == []
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(imported) == sorted(spin9.__all__)
+
+
+def test_import_guard_flags_an_unused_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import ZERO\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "from .linalg import exact_ratio, inner_product as inner\n"
+        "ZERO = np.zeros(1)\n"
+        "def f(x: Fraction):\n"
+        "    import math\n"
+        "    exact_ratio = 1\n"
+        "\n"
+        "inner = 2\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import inner\n")
+    # `b` imports `inner` from `a`, `__init__` is left to `__all__`, and a
+    # name that is only assigned is not read
+    assert _unused_imports(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:3 imports os",
+        "a.py:5 imports exact_ratio",
+        "a.py:8 imports math",
+        "b.py:1 imports inner",
+    ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from spin9 import bpt
+from spin9 import bpt, curvature
 from spin9.report import VerificationReport
 from spin9.suites import SUITE_NAMES, RunConfig, run_suite
 
@@ -94,3 +94,20 @@ def test_a_descending_pair_fails_lines_instead_of_raising(
     lines = run_suite("bpt", RunConfig(samples=1)).lines()
     failed = {line.split(" ")[0] for line in lines if " FAIL" in line}
     assert {"bpt.representative-census", "bpt.full-vs-reduced"} <= failed
+
+
+def test_rotation_line_fails_on_one_wrong_two_form_sign(monkeypatch):
+    # coefficient 5 of the grade-2 sweep is omega_06 of the pair (0, 6);
+    # a rotation in the plane (2, 5) alone cannot see its sign, since
+    # I_2 I_5 commutes with I_0 I_6
+    sweep = curvature.clifford_coefficients
+
+    def mutant(grade, x, y):
+        coeff = sweep(grade, x, y)
+        if grade == 2:
+            coeff[5] = -coeff[5]
+        return coeff
+
+    monkeypatch.setattr(curvature, "clifford_coefficients", mutant)
+    lines = run_suite("curvature", RunConfig()).lines()
+    assert "curvature.rotation-equivariance FAIL" in lines
