@@ -104,14 +104,14 @@ def _s4_signed() -> tuple:
 
 
 @cache
-def _factor_plan(k: int) -> tuple:
-    """(factors, signs) of `_factor_sum` in degree k: for each signed
-    permutation (S*_8, or all of S_4) the flat indices of its k / 4
-    factors Re(C_{p0 p1} C_{p2 p3}), ... in the table of crosses, and its
-    sign times the skew of each pair: a descending pair reads the negated
-    cross."""
-    signed = s8_star() if k == 8 else _s4_signed()
-    i, _, slot, skew = _pair_slots(k)
+def _factor_plan() -> tuple:
+    """(factors, signs) of `bpt_8form_reduced`: for each signed
+    representative of S*_8 the flat indices of its two factors
+    Re(C_{p0 p1} C_{p2 p3}) and Re(C_{p4 p5} C_{p6 p7}) in the table of
+    crosses, and its sign times the skew of each pair: a descending pair
+    reads the negated cross."""
+    signed = s8_star()
+    i, _, slot, skew = _pair_slots(8)
     perms = np.array([perm for perm, _ in signed])
     pairs = slot[perms[:, 0::2], perms[:, 1::2]]
     turns = skew[perms[:, 0::2], perms[:, 1::2]].prod(axis=1).tolist()
@@ -119,26 +119,24 @@ def _factor_plan(k: int) -> tuple:
     return pairs[:, 0::2] * i.size + pairs[:, 1::2], signs
 
 
-def _factor_sum(vectors, k: int) -> Fraction | int:
-    """The signed sum over `_factor_plan(k)` of products of real parts, read
+def bpt_8form_reduced(vectors) -> Fraction | int:
+    """The 315-term reduced sum of products of two real parts.
+
+    The signed sum over `_factor_plan` of products of real parts, read
     from the table Re(C_s C_t) over the pairs s, t: with M the largest
-    |cross coefficient|, Re(x y) = sum_a SIGN[a][a] x_a y_a, so B = 8 M^2."""
+    |cross coefficient|, Re(x y) = sum_a SIGN[a][a] x_a y_a, so B = 8 M^2.
+    """
     vs = list(vectors)
-    if len(vs) != k:
-        raise ValueError(f"the {k}-form takes {k} vectors")
+    if len(vs) != 8:
+        raise ValueError("the 8-form takes eight vectors")
     crosses, d = _crosses(vs)
     c = crosses.astype(int_dtype(8 * max(map(abs, crosses.flat)) ** 2))
     table = (c[:, None, :] * c[None, :, :] * XOR_SIGN[:, 0]).sum(axis=-1)
     table = table.astype(object)
-    factors, terms = _factor_plan(k)
+    factors, terms = _factor_plan()
     for f in factors.T:
         terms = terms * table.flat[f]
-    return exact_ratio(int(terms.sum()), d**k)
-
-
-def bpt_8form_reduced(vectors) -> Fraction | int:
-    """The 315-term reduced sum of products of two real parts."""
-    return _factor_sum(vectors, 8)
+    return exact_ratio(int(terms.sum()), d**8)
 
 
 @cache
@@ -254,8 +252,8 @@ def materialize_bpt_4form() -> AlternatingForm:
     """Coefficient map of the companion 4-form on all 1820 basis 4-tuples.
 
     The signed S_4 sum of the real part of one product of two crosses,
-    vectorized; the tests check every coefficient against the scalar sum
-    `_factor_sum(vectors, 4)`.
+    vectorized; the tests check every coefficient against a scalar sum
+    on octonion objects.
     """
     return _materialize(4, _s4_signed())
 

@@ -91,18 +91,6 @@ def _mask_of(indices: tuple, degree: int) -> int:
     return m
 
 
-@functools.cache
-def _byte_indices(offset: int) -> tuple:
-    """For each byte 0..255, the tuple of its set bits' indices plus offset."""
-    return tuple(tuple(i + offset for i in range(8) if b >> i & 1) for b in range(256))
-
-
-def _lex_key(item) -> int:
-    """Minus the bit-reversed mask of a (mask, value) item: for masks of
-    one degree, the lex order of their index tuples."""
-    return -int(f"{item[0]:016b}"[::-1], 2)
-
-
 def perm_sign(seq) -> int:
     """Sign of the permutation sorting distinct entries: inversion parity."""
     seq = tuple(seq)
@@ -155,11 +143,20 @@ class AlternatingForm(Exact):
         return cls(len(idx), {tuple(sorted(idx)): perm_sign(idx) * coeff})
 
     def items(self):
-        """Sorted (index_tuple, coefficient) pairs; whole coefficients are ints."""
-        d, low, high = self.denominator, _byte_indices(0), _byte_indices(8)
+        """Sorted (index_tuple, coefficient) pairs; whole coefficients are ints.
+
+        The index tuples are the rows of `_positions`, ordered by
+        `np.lexsort` with the first index as the primary key; the masks
+        come last in priority, only so that degree 0 has a key (no two
+        rows tie).
+        """
+        d, table = self.denominator, self.numerators
+        masks = np.fromiter(table, dtype=np.int64, count=len(table))
+        pos = _positions(masks, self.degree)
+        keys, values = pos.tolist(), list(table.values())
         return [
-            (low[m & 255] + high[m >> 8], v if d == 1 else exact_ratio(v, d))
-            for m, v in sorted(self.numerators.items(), key=_lex_key)
+            (tuple(keys[k]), values[k] if d == 1 else exact_ratio(values[k], d))
+            for k in np.lexsort((masks, *pos.T[::-1])).tolist()
         ]
 
     def coefficient(self, indices) -> Num:

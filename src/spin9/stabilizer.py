@@ -8,13 +8,14 @@ m ^ e_r ^ e_c, so the sign group D of diagonal sign matrices that fix w
 character of e_r ^ e_c: every unit of an equation has the character of
 its monomial.  Each block is a dense integer array over its own units
 (for the canonical 8-form, 16 blocks of 16 units, no row dropped), and
-is brought to `linalg.int_echelon`, int64 while its bound holds, with
-the kernel read off each block's echelon.  The certificate is the
-substitution: every basis vector is put back through the full
-Lie-derivative map and must give the zero form.  The blocks' units must
-partition the n*n matrix units, which is checked; then the rank of the
-blocks plus the kernel dimension is n*n, because `nullspace` returns one
-vector per non-pivot column of those same echelons.
+is eliminated once, by `linalg.nullspace`, int64 while its bound holds.
+The kernel is one integer matrix, a row of n*n entries per basis
+vector.  The certificate is the substitution: every row is put back
+through `exterior.lie_table` and must give the zero form.  The blocks'
+units must partition the n*n matrix units, which is checked; then the
+rank of the blocks plus the kernel dimension is n*n, because `nullspace`
+returns one vector per non-pivot column.  Containment in the kernel is
+reduction against its echelon, computed once.
 
 The solver is anchored on two closed-form cases before being trusted on
 the canonical 8-form: the standard symplectic 2-form on R^4, whose
@@ -26,18 +27,13 @@ stabilizer is the rank-10 symplectic algebra, and the decomposable
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .exterior import AlternatingForm, lie_incidences, sign_characters
-from .linalg import (
-    int_array,
-    int_dtype,
-    int_echelon,
-    nullspace,
-    reduce_against,
-)
+from .exterior import AlternatingForm, lie_incidences, lie_table, sign_characters
+from .linalg import int_array, int_dtype, int_echelon, nullspace, reduce_against
 from .operators import (
     Operator16,
     RationalCirclePoint,
@@ -86,62 +82,56 @@ def stabilizer_system(form: AlternatingForm, n: int) -> list:
     return blocks
 
 
-def _block_rows(vec, n: int) -> list:
-    """The 256 row-major entries of the 16 x 16 operator whose top-left
-    n x n block holds the n*n vector vec row by row, zero outside it."""
-    flat = [0] * 256
-    for r in range(n):
-        flat[16 * r:16 * r + n] = vec[n * r:n * r + n]
-    return flat
-
-
 def operator_rows(ops, n: int = 16) -> np.ndarray:
-    """The n x n blocks of ops as integer rows of n*n entries (`int_array`).
+    """The n x n blocks of ops as integer rows of n*n entries (`int_array`),
+    sliced off each operator's row-major numerators.
 
     Each operator gives its numerators, a scale that keeps spans and
     ranks unchanged.  An entry outside the block raises
     ValueError: dropping it would let an operator on R^16 pass as one on
     R^n.
     """
-    rows = []
-    for op in ops:
-        entries = op.entries()
-        if any(r >= n or c >= n for r, c, _ in entries):
-            raise ValueError(f"operator has entries outside the {n} x {n} block")
-        row = [0] * (n * n)
-        for r, c, v in entries:
-            row[n * r + c] = v
-        rows.append(row)
-    return int_array(rows).reshape(len(rows), n * n)
+    mats = int_array([op.numerators for op in ops]).reshape(-1, 16, 16)
+    if mats[:, n:].any() or mats[:, :, n:].any():
+        raise ValueError(f"operator has entries outside the {n} x {n} block")
+    return mats[:, :n, :n].reshape(-1, n * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilizerResult:
-    """Exact kernel of A -> L_A form, with its certificates.
+    """Exact kernel of A -> L_A form on R^n, with its certificates.
 
-    kernel_basis elements are primitive integer matrices, each checked
-    to annihilate the form by substitution; that check is the
-    certificate.  system_rank is the exact rank of the equation system,
+    kernel holds one primitive integer row of n*n entries per basis
+    matrix, entry (r, c) at n*r + c, in increasing free-column order; each
+    row is checked to annihilate the form by substitution, and that check
+    is the certificate.  echelon is the kernel's `int_echelon`, computed
+    on first use.  system_rank is the exact rank of the equation system,
     and system_rank plus kernel_dimension equals n*n by construction.
     """
 
-    kernel_dimension: int
-    kernel_basis: tuple
-    contains_spin9: bool
+    kernel: np.ndarray
     system_rank: int
     dimension: int
+
+    @property
+    def kernel_dimension(self) -> int:
+        return len(self.kernel)
+
+    @cached_property
+    def echelon(self) -> np.ndarray:
+        return int_echelon(self.kernel)
 
 
 def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerResult:
     """Solve {A in gl(n) : L_A form = 0} exactly.
 
-    Each block of `stabilizer_system` is eliminated on its own.  The
-    kernel basis is the one of the whole system, one vector per free
-    column in increasing order: a block's kernel vector has its last
-    nonzero entry in its free column, and is zero outside the block.
-    Every reported kernel vector is substituted back through the full
-    Lie-derivative map; the result is returned only once each image is
-    the exact zero form.
+    Each block of `stabilizer_system` is eliminated once, by `nullspace`;
+    its rank is its unit count minus its kernel vectors.  The kernel
+    basis is the one of the whole system, one vector per free column in
+    increasing order: a block's kernel vector has its last nonzero entry
+    in its free column, and is zero outside the block.  Every kernel row
+    is substituted back through `lie_table` on its entries; the result is
+    returned only once each image is the exact zero form.
     """
     if not 1 <= n <= 16:
         raise ValueError("dimension must be between 1 and 16")
@@ -155,39 +145,28 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
         raise AssertionError("the blocks do not partition the matrix units")
     rank, kernel = 0, []
     for units, rows in blocks:
-        ech = int_echelon(rows)
-        rank += len(ech)
+        vecs = nullspace(rows)
+        rank += len(units) - len(vecs)
         units = units.tolist()
-        for vec in nullspace(ech):
+        for vec in vecs:
             full = [0] * ncols
             for u, v in zip(units, vec):
                 full[u] = v
             free = max(j for j, v in enumerate(vec) if v)
             kernel.append((units[free], full))
-    kernel.sort()
-    ops = [Operator16._raw(_block_rows(vec, n)) for _, vec in kernel]
-    if any(form.lie_derivative(op) for op in ops):
-        raise AssertionError("kernel vector moves the form")
-    contains = n == 16 and all(
-        not form.lie_derivative(p) for p in lambda_basis(2)
-    )
-    return StabilizerResult(
-        kernel_dimension=len(ops),
-        kernel_basis=tuple(ops),
-        contains_spin9=contains,
-        system_rank=rank,
-        dimension=n,
-    )
+    kernel = [row for _, row in sorted(kernel)]
+    for row in kernel:
+        entries = [(*divmod(j, n), v) for j, v in enumerate(row) if v]
+        if lie_table(form.numerators, entries):
+            raise AssertionError("kernel vector moves the form")
+    return StabilizerResult(int_array(kernel).reshape(len(kernel), ncols), rank, n)
 
 
-def kernel_echelon(result: StabilizerResult) -> np.ndarray:
-    return int_echelon(operator_rows(result.kernel_basis, result.dimension))
-
-
-def in_kernel_span(result: StabilizerResult, op: Operator16, ech=None) -> bool:
-    if ech is None:
-        ech = kernel_echelon(result)
-    return not reduce_against(ech, operator_rows([op], result.dimension)).any()
+def in_kernel_span(result: StabilizerResult, ops) -> bool:
+    """Whether every operator of ops lies in the span of the kernel: the
+    `operator_rows` of all of them reduce to zero against its echelon."""
+    rows = operator_rows(ops, result.dimension)
+    return not reduce_against(result.echelon, rows).any()
 
 
 def bracket_closure(result: StabilizerResult, name: str) -> VerificationReport:
@@ -199,31 +178,31 @@ def bracket_closure(result: StabilizerResult, name: str) -> VerificationReport:
     |[A, B]_rc|.  They are reduced against the kernel's echelon at once.
     """
     report = VerificationReport()
-    n = result.dimension
-    basis = operator_rows(result.kernel_basis, n)
+    n, basis = result.dimension, result.kernel
     peak = int(np.abs(basis).max(initial=0))
     mats = basis.astype(int_dtype(2 * n * peak * peak)).reshape(-1, n, n)
     a, b = np.triu_indices(len(mats), 1)
     comms = (mats[a] @ mats[b] - mats[b] @ mats[a]).reshape(-1, n * n)
-    left = reduce_against(int_echelon(basis), comms)
+    left = reduce_against(result.echelon, comms)
     bad = int(np.count_nonzero(left.any(axis=1)))
     report.add(name, bad == 0, pairs=len(a), failures=bad)
     return report
 
 
-def spans_involution_pairs(result: StabilizerResult) -> bool:
-    """Kernel span equals span{I_i I_j : i < j} exactly.
+def spans_involution_pairs(result: StabilizerResult) -> tuple:
+    """(contained, equal) for the products I_i I_j, i < j, on R^16.
 
-    Containment one way is certified by reducing each product against
-    the kernel's echelon; equality follows when the 36 products are
-    independent and the kernel dimension is 36.
+    contained: every product lies in the kernel's span (`in_kernel_span`),
+    so each fixes the form, as every kernel row is certified.  equal: the
+    spans are equal, which follows from containment when the 36 products
+    are independent and the kernel dimension is 36.
     """
-    if result.dimension != 16 or result.kernel_dimension != 36:
-        return False
-    prods = operator_rows(lambda_basis(2))
-    if reduce_against(kernel_echelon(result), prods).any():
-        return False
-    return len(int_echelon(prods)) == 36
+    if result.dimension != 16:
+        return False, False
+    prods = lambda_basis(2)
+    contained = in_kernel_span(result, prods)
+    equal = contained and result.kernel_dimension == 36
+    return contained, equal and len(int_echelon(operator_rows(prods))) == 36
 
 
 def symplectic_form_r4() -> AlternatingForm:
@@ -295,15 +274,10 @@ def sp4_certification() -> VerificationReport:
         solver_dim=result.kernel_dimension,
         oracle_dim=oracle_dim,
     )
-    jrows = [[0] * 16 for _ in range(16)]
-    for a, b in ((0, 1), (2, 3)):
-        jrows[a][b] = 1
-        jrows[b][a] = -1
-    j = Operator16(jrows)
-    ok = all(
-        j @ op + op.transpose() @ j == Operator16.zero()
-        for op in result.kernel_basis
-    )
+    j = np.zeros((4, 4), dtype=np.int64)
+    j[[0, 2], [1, 3]], j[[1, 3], [0, 2]] = 1, -1
+    mats = result.kernel.reshape(-1, 4, 4)
+    ok = not (j @ mats + mats.transpose(0, 2, 1) @ j).any()
     report.add("stabilizer.sp4.symplectic-condition", ok)
     report.extend(bracket_closure(result, "stabilizer.sp4.bracket-closure"))
     return report
@@ -319,11 +293,9 @@ def decomposable_certification() -> VerificationReport:
         dim=result.kernel_dimension,
         expected=64 + 64 + 63,
     )
-    ok = not any(
-        any(op.numerators[16 * r + c] for r in range(8) for c in range(8, 16))
-        or sum(op.numerators[17 * r] for r in range(8))
-        for op in result.kernel_basis
-    )
+    mats = result.kernel.reshape(-1, 16, 16)
+    trace = np.trace(mats[:, :8, :8], axis1=1, axis2=2)
+    ok = not mats[:, :8, 8:].any() and not trace.any()
     report.add("stabilizer.decomposable.block-structure", ok)
     return report
 

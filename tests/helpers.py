@@ -598,13 +598,21 @@ def cross_table_oracle(vectors):
 
 
 def bpt_reduced_oracle(vectors, reps):
-    """The reduced BPT sum over the signed representatives reps, one
-    `Octonion` product per real part; every pair of reps must ascend."""
+    """The signed sum over the permutations reps of the slots of vectors (4
+    or 8) of products of real parts Re(C_{p0 p1} C_{p2 p3}) ..., one
+    `Octonion` product each; a descending pair reads the negated cross."""
     table = cross_table_oracle(list(vectors))
+
+    def cross(a, b):
+        return table[a, b] if a < b else -table[b, a]
+
     total = 0
     for perm, sign in reps:
-        a, b, c, d = (table[perm[k], perm[k + 1]] for k in (0, 2, 4, 6))
-        total += sign * (a * b).coeffs[0] * (c * d).coeffs[0]
+        term = sign
+        for k in range(0, len(perm), 4):
+            a, b = cross(*perm[k:k + 2]), cross(*perm[k + 2:k + 4])
+            term *= (a * b).coeffs[0]
+        total += term
     return total
 
 

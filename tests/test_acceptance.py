@@ -151,7 +151,7 @@ def test_criterion_05_vanishing_corollaries():
 def test_criterion_06_stabilizer_kernel(omega8):
     t0 = time.perf_counter()
     result = infinitesimal_stabilizer(omega8)
-    spans = spans_involution_pairs(result)
+    contained, spans = spans_involution_pairs(result)
     l1 = lambda1_exclusion(omega8)
     l3 = lambda3_exclusion(omega8)
     elapsed = time.perf_counter() - t0
@@ -162,7 +162,7 @@ def test_criterion_06_stabilizer_kernel(omega8):
     )["factor"]
     ok = (
         result.kernel_dimension == 36
-        and result.contains_spin9
+        and contained
         and spans
         and l1.passed
         and l3.passed

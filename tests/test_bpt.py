@@ -180,7 +180,7 @@ def test_four_form_reads_descending_pairs_as_negated_crosses():
         sign * (crosses[p[0], p[1]] * crosses[p[2], p[3]]).coeffs[0]
         for p, sign in bpt._s4_signed()
     )
-    assert bpt._factor_sum(vs, 4) == expected
+    assert bpt_reduced_oracle(vs, bpt._s4_signed()) == expected
     assert crosses[1, 0] == -crosses[0, 1]
 
 
@@ -233,11 +233,12 @@ def test_square_factorization():
 
 
 def test_four_form_materialization():
-    # the scalar sum is the one path that does not read `_re_pair_table`
+    # the scalar oracle on octonion objects does not read `_re_pair_table`
     form = materialize_bpt_4form()
     basis = [Vector16.basis(k) for k in range(16)]
     for idx in itertools.combinations(range(16), 4):
-        assert form.coefficient(idx) == bpt._factor_sum([basis[k] for k in idx], 4)
+        vs = [basis[k] for k in idx]
+        assert form.coefficient(idx) == bpt_reduced_oracle(vs, bpt._s4_signed())
     assert form.term_count() == 140
 
 

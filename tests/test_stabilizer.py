@@ -45,6 +45,7 @@ from spin9.stabilizer import (
     stabilizer_system,
     symplectic_form_r4,
 )
+from spin9.suites import RunConfig, run_suite
 
 FAM = build_involutions()
 
@@ -52,6 +53,15 @@ FAM = build_involutions()
 def _single_entry(r, c, n=16):
     rows = [[0] * 16 for _ in range(16)]
     rows[r][c] = 1
+    return Operator16(rows)
+
+
+def _as_operator(row, n=16):
+    """The operator on R^16 whose top-left n x n block holds the n*n
+    entries of a kernel row, row by row, and is zero outside it."""
+    rows = [[0] * 16 for _ in range(16)]
+    for j, v in enumerate(row):
+        rows[j // n][j % n] = v
     return Operator16(rows)
 
 
@@ -160,7 +170,7 @@ def test_block_solve_matches_the_dict_echelon_oracle(omega8):
         assert result.system_rank == oracle_rank == len(pivots)
         assert pivots == oracle_pivots
         # the same vectors, in the same order
-        assert operator_rows(result.kernel_basis, n).tolist() == oracle_kernel
+        assert result.kernel.tolist() == oracle_kernel
     assert sum(len(rows) for _, rows in stabilizer_system(omega8, 16)) == 12030
 
 
@@ -198,21 +208,26 @@ def test_eight_form_solve_stays_on_int64(omega8, monkeypatch):
     assert {rows.dtype for _, rows in blocks} == {np.dtype(np.int64)}
     seen = spy_dtypes(monkeypatch)
     result = infinitesimal_stabilizer(omega8)
-    assert bracket_closure(result, "closure").passed and spans_involution_pairs(result)
+    assert bracket_closure(result, "closure").passed
+    assert spans_involution_pairs(result) == (True, True)
     dtypes = seen.of("linalg")
     assert len(dtypes) > 100 and set(dtypes) == {np.dtype(np.int64)}
 
 
 def test_huge_coefficients_solve_in_python_ints(monkeypatch):
     # a coefficient past 2**63 puts its system on Python ints from the
-    # start; the kernel is the one of the scaled-down form
+    # start; the kernel is the one of the scaled-down form, and its
+    # echelon and closure read the same
     small = _random_form(random.Random(76), 3, 5)
     huge = small.scale(1 << 70)
     assert {r.dtype for _, r in stabilizer_system(huge, 16)} == {np.dtype(object)}
     seen = spy_dtypes(monkeypatch)
     a, b = infinitesimal_stabilizer(huge), infinitesimal_stabilizer(small)
     assert np.dtype(object) in seen.of("linalg")
-    assert a.kernel_basis == b.kernel_basis and a.system_rank == b.system_rank
+    assert a.kernel.tolist() == b.kernel.tolist() and a.system_rank == b.system_rank
+    assert a.echelon.tolist() == b.echelon.tolist()
+    closures = [bracket_closure(r, "closure").lines() for r in (a, b)]
+    assert closures[0] == closures[1]
 
 
 def test_stabilizer_system_rows_are_lie_coefficients():
@@ -271,11 +286,12 @@ def test_operators_outside_the_block_are_rejected():
     # E_{5,9} acts outside R^4; keeping only the 4 x 4 block would
     # report it in the span of the sp(4) kernel
     result = infinitesimal_stabilizer(symplectic_form_r4(), n=4)
+    first = _as_operator(result.kernel[0].tolist(), 4)
     with pytest.raises(ValueError, match="outside the 4 x 4 block"):
-        in_kernel_span(result, _single_entry(5, 9))
+        in_kernel_span(result, [first, _single_entry(5, 9)])
     with pytest.raises(ValueError, match="outside the 4 x 4 block"):
-        operator_rows([result.kernel_basis[0] + _single_entry(0, 4)], 4)
-    assert in_kernel_span(result, result.kernel_basis[0])
+        operator_rows([first + _single_entry(0, 4)], 4)
+    assert in_kernel_span(result, [first])
 
 
 def test_decomposable_form_kernel():
@@ -283,6 +299,85 @@ def test_decomposable_form_kernel():
     assert rep.passed
     result = infinitesimal_stabilizer(decomposable_form_low(), n=16)
     assert result.kernel_dimension == 191
+
+
+def _doctor_kernels(monkeypatch, change):
+    """Make every solve return its result with the kernel change(kernel),
+    change taking a copy of the kernel and returning the doctored one."""
+    solve = stabilizer.infinitesimal_stabilizer
+
+    def doctored(form, n=16):
+        result = solve(form, n)
+        return dataclasses.replace(result, kernel=change(result.kernel.copy()))
+
+    monkeypatch.setattr(stabilizer, "infinitesimal_stabilizer", doctored)
+
+
+def test_symplectic_condition_fails_on_a_matrix_unit_row(monkeypatch):
+    # the unit E_00 does not preserve dx0^dx1 + dx2^dx3; the count of ten
+    # rows stays right, so only the condition itself can see it
+    def unit(kernel):
+        kernel[3] = 0
+        kernel[3, 0] = 1
+        return kernel
+
+    _doctor_kernels(monkeypatch, unit)
+    checks = {c.check_id: c.passed for c in sp4_certification().checks}
+    assert checks["stabilizer.sp4.dimension"]
+    assert not checks["stabilizer.sp4.symplectic-condition"]
+
+
+@pytest.mark.parametrize("unit", [8, 0])
+def test_block_structure_fails_on_a_doctored_row(monkeypatch, unit):
+    # E_{0,8} lies outside the block triangle; E_00 leaves it inside but
+    # puts 1 on the trace of the low block
+    def add(kernel):
+        kernel[5, unit] += 1
+        return kernel
+
+    _doctor_kernels(monkeypatch, add)
+    checks = {c.check_id: c.passed for c in decomposable_certification().checks}
+    assert checks["stabilizer.decomposable.dimension"]
+    assert not checks["stabilizer.decomposable.block-structure"]
+
+
+def test_kernel_lines_fail_when_a_pair_product_leaves_the_span(monkeypatch):
+    # the stabilizer module reads a triple product in place of I_2 I_3:
+    # it moves the 8-form, so it lies outside the certified kernel
+    basis = stabilizer.lambda_basis
+
+    def swapped(grade):
+        ops = list(basis(grade))
+        if grade == 2:
+            ops[15] = clifford_product((0, 1, 2))
+        return ops
+
+    monkeypatch.setattr(stabilizer, "lambda_basis", swapped)
+    lines = run_suite("stabilizer", RunConfig()).lines()
+    assert (
+        "stabilizer.kernel FAIL stabilizer_dim=36 system_rank=220 contains_spin9=False"
+        in lines
+    )
+    assert "stabilizer.spin9-span FAIL" in lines
+
+
+def test_certificate_rejects_a_perturbed_kernel_row(omega8, monkeypatch):
+    # the first kernel vector of the first block that has one gains 1 in
+    # its first unit before substitution
+    solve = stabilizer.nullspace
+    done = []
+
+    def perturbed(rows):
+        vecs = solve(rows)
+        if vecs and not done:
+            vecs[0][0] += 1
+            done.append(True)
+        return vecs
+
+    monkeypatch.setattr(stabilizer, "nullspace", perturbed)
+    with pytest.raises(AssertionError, match="kernel vector moves the form"):
+        infinitesimal_stabilizer(omega8)
+    assert done
 
 
 def test_blocks_that_do_not_partition_the_units_are_rejected(monkeypatch):
@@ -310,10 +405,10 @@ def test_eight_form_kernel_certificate(omega8):
     assert result.kernel_dimension == 36
     assert result.system_rank == 220
     assert result.system_rank + result.kernel_dimension == 256
-    assert result.contains_spin9
+    assert spans_involution_pairs(result)[0]
     # every kernel element annihilates the form, re-checked directly and
     # through the slotwise oracle
-    for op in result.kernel_basis:
+    for op in map(_as_operator, result.kernel.tolist()):
         assert not omega8.lie_derivative(op)
         assert not lie_derivative_oracle(omega8, op)
 
@@ -333,13 +428,15 @@ def test_truncated_system_fails_the_certificate(omega8, monkeypatch):
 
 def test_eight_form_kernel_spans_pairs(omega8):
     result = infinitesimal_stabilizer(omega8)
-    assert spans_involution_pairs(result)
-    for pair in ((0, 1), (3, 8), (6, 7)):
-        op = clifford_product(pair)
-        assert in_kernel_span(result, op)
-    assert not in_kernel_span(result, FAM[0])
-    assert not in_kernel_span(result, clifford_product((0, 1, 2)))
-    assert not in_kernel_span(result, Operator16.identity())
+    assert spans_involution_pairs(result) == (True, True)
+    pairs = [clifford_product(pair) for pair in ((0, 1), (3, 8), (6, 7))]
+    assert in_kernel_span(result, pairs)
+    for op in pairs:
+        assert in_kernel_span(result, [op])
+    # one operator outside the span fails the whole batch
+    for op in (FAM[0], clifford_product((0, 1, 2)), Operator16.identity()):
+        assert not in_kernel_span(result, [op])
+        assert not in_kernel_span(result, pairs + [op])
 
 
 def test_eight_form_kernel_closes_under_bracket(omega8):
@@ -354,7 +451,7 @@ def test_bracket_closure_counts_the_pairs_that_leave_the_span():
         e, f = _single_entry(0, 1).scale(scale), _single_entry(1, 0).scale(scale)
         h = _single_entry(0, 0).scale(scale) - _single_entry(1, 1).scale(scale)
         for basis, pairs, failures in (((e, f), 1, 1), ((e, f, h), 3, 0)):
-            result = StabilizerResult(len(basis), basis, False, 0, 16)
+            result = StabilizerResult(operator_rows(basis), 0, 16)
             details = dict(bracket_closure(result, "closure").checks[0].details)
             assert (details["pairs"], details["failures"]) == (pairs, failures)
 
@@ -365,24 +462,21 @@ def test_bracket_closure_runs_on_python_ints_past_int64(monkeypatch):
     # leaves the span once an element is dropped, read the same as unscaled
     result = infinitesimal_stabilizer(symplectic_form_r4(), n=4)
     seen = spy_dtypes(monkeypatch)
-    for basis, failures in ((result.kernel_basis, 0), (result.kernel_basis[1:], 1)):
+    for kernel, failures in ((result.kernel, 0), (result.kernel[1:], 1)):
         for scale in (1, 1 << 31):
-            ops = tuple(op.scale(scale) for op in basis)
-            scaled = dataclasses.replace(
-                result, kernel_dimension=len(ops), kernel_basis=ops
-            )
+            scaled = dataclasses.replace(result, kernel=kernel * scale)
             seen.clear()
             details = dict(bracket_closure(scaled, "closure").checks[0].details)
             (decision,) = [d for d in seen if d.module == "stabilizer"]
             assert (decision.bound >= INT64_LIMIT) == (scale > 1)
             assert decision.dtype == (object if scale > 1 else np.int64)
-            pairs = len(ops) * (len(ops) - 1) // 2
+            pairs = len(kernel) * (len(kernel) - 1) // 2
             assert (details["pairs"], details["failures"]) == (pairs, failures)
 
 
 def test_kernel_basis_products_match_dense_oracle(omega8):
     # the 630 commutators that bracket_closure forms, product by product
-    basis = infinitesimal_stabilizer(omega8).kernel_basis
+    basis = [_as_operator(row) for row in infinitesimal_stabilizer(omega8).kernel.tolist()]
     assert len(basis) == 36
     for a, b in itertools.combinations(basis, 2):
         assert a @ b == matmul_oracle(a, b)

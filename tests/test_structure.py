@@ -368,6 +368,25 @@ def test_no_module_names_the_retired_kernel_drivers():
     assert found == []
 
 
+def test_no_module_names_the_retired_round_trips():
+    # the stabilizer's kernel is one integer matrix with one echelon, which
+    # every reader takes as it is, and `items()` reads its index tuples off
+    # `_positions`: an operator per kernel vector, a second echelon of the
+    # kernel, a stored Lie-derivative verdict or a second mask-to-indices
+    # table would bring back a conversion done twice; the keyword of the
+    # `contains_spin9=` detail on the kernel line stays
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert {"exterior.py", "stabilizer.py", "suites.py"} <= {p.name for p in sources}
+    names = "_block_rows|kernel_echelon|kernel_basis|contains_spin9|_byte_indices|_lex_key"
+    found = [
+        f"{path.name}:{n}"
+        for path in sources
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(rf"\b({names})\b(?!=[^=])", line)
+    ]
+    assert found == []
+
+
 def test_no_module_applies_an_operator_to_take_a_coefficient():
     # <x, P_i y> over the products of a grade comes from the one sweep,
     # `curvature.clifford_coefficients`; an inner product with an applied
@@ -501,7 +520,6 @@ REACH_ALLOWED = {
     "exterior.AlternatingForm.__repr__": "pytest prints it on a failed assertion",
     "cli._run_one": "it runs in the `--jobs` pool workers, which the hook does not follow",
     "exterior.AlternatingForm.zero": "reached by `monomial` on a repeated index and by `scale(0)`",
-    "stabilizer.in_kernel_span": "kept for the curvature-projection anchor, ROADMAP item 2",
 }
 
 
@@ -550,7 +568,7 @@ def _unreached(paths, reached):
 def test_every_function_in_src_is_reached_by_a_command(tmp_path):
     sources = sorted(SRC.glob("*.py"))
     assert {"cli.py", "bpt.py", "stabilizer.py"} <= {p.name for p in sources}
-    assert len(REACH_ALLOWED) <= 9
+    assert len(REACH_ALLOWED) <= 8
     unreached = _unreached(sources, _reached(COMMANDS, tmp_path))
     # an allowed def that a command reaches is a stale entry
     assert sorted(unreached) == sorted(REACH_ALLOWED)
