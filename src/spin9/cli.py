@@ -25,7 +25,12 @@ from .canonical import (
 )
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
-EXPORT_FORMS = ("omega8", "omega8-alt", "conjecture-rhs", "bpt")
+EXPORT_FORMS = {
+    "omega8": canonical_8form,
+    "omega8-alt": canonical_8form_alt,
+    "conjecture-rhs": lambda: conjecture_8form("antisymmetric"),
+    "bpt": materialize_bpt_8form,
+}
 
 
 def _run_one(args):
@@ -60,18 +65,8 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _export_form(name):
-    if name == "omega8":
-        return canonical_8form()
-    if name == "omega8-alt":
-        return canonical_8form_alt()
-    if name == "conjecture-rhs":
-        return conjecture_8form("antisymmetric")
-    return materialize_bpt_8form()
-
-
 def cmd_export(args) -> int:
-    form = _export_form(args.form)
+    form = EXPORT_FORMS[args.form]()
     data = export_coefficients(form, args.format)
     records = form.term_count()
     if args.out is None:

@@ -41,9 +41,9 @@ import functools
 from fractions import Fraction
 from math import gcd
 
-from .linalg import Num, require_exact
+from .linalg import Num, inner_product, require_exact
 from .octonion import term_mul
-from .operators import Vector16, build_involutions, inner16, lambda_basis
+from .operators import Vector16, build_involutions, lambda_basis
 from .report import VerificationReport
 
 
@@ -205,10 +205,16 @@ def curvature_prime_octonion(x, y, z, c: Num) -> Vector16:
 
 
 def averaging_identity(x: Vector16, y: Vector16, z: Vector16, c: Num) -> VerificationReport:
-    """Check 5 R_XY Z = sum_j I_j R_XY (I_j Z) for the given arguments."""
+    """Check 5 R_XY Z = sum_j I_j R_XY (I_j Z) for the given arguments.
+
+    The left side is the two-form expansion and the right side's terms are
+    `curvature_prime_operator`, which reads the grade-1 sweep only, so a
+    wrong sign in the grade-2 sweep breaks the identity."""
     lhs = 5 * curvature_omega(x, y, z, c)
     ops = build_involutions().ops
-    terms = (op.apply(curvature_omega(x, y, op.apply(z), c)) for op in ops)
+    terms = (
+        op.apply(curvature_prime_operator(x, y, op.apply(z), c)) for op in ops
+    )
     rhs = functools.reduce(Vector16.__add__, terms)
     rep = VerificationReport()
     rep.add("curvature.averaging", lhs == rhs)
@@ -217,12 +223,12 @@ def averaging_identity(x: Vector16, y: Vector16, z: Vector16, c: Num) -> Verific
 
 def curvature_entry(x, y, z, w, c: Num) -> Num:
     """The (4,0) tensor R_XYZW = <R_XY Z, W>."""
-    return inner16(curvature_omega(x, y, z, c), w)
+    return inner_product(curvature_omega(x, y, z, c), w)
 
 
 def sectional_curvature(v: Vector16, w: Vector16, c: Num) -> Fraction:
     """K(v, w) = R_vwvw / (|v|^2 |w|^2 - <v,w>^2) for independent v, w."""
-    gram = inner16(v, v) * inner16(w, w) - inner16(v, w) ** 2
+    gram = inner_product(v, v) * inner_product(w, w) - inner_product(v, w) ** 2
     if not gram:
         raise ValueError("vectors are linearly dependent")
     return Fraction(curvature_entry(v, w, v, w, c)) / gram

@@ -23,7 +23,7 @@ denominators.
 
 `Octonion` is the `linalg.ExactTuple` of size 8: integer numerators over
 one positive denominator, in lowest terms, with the arithmetic it shares
-with `Vector16`; `coeffs` gives the exact coefficients, ints or
+with `Vector16`; `coords()` gives the exact coefficients, ints or
 fractions.Fraction, never floats.  All objects here are immutable, so
 values can be shared freely across threads.
 """
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ExactTuple, Num, inner_product as inner_oct
+from .linalg import ExactTuple, Num
 
 BASIS_NAMES = ("1", "i", "j", "ij", "e", "ie", "je", "(ij)e")
 
@@ -138,12 +138,10 @@ def unit_mul(a: SignedUnit, b: SignedUnit) -> SignedUnit:
 
 class Octonion(ExactTuple):
     """An octonion: 8 integer `numerators` on u0..u7 over one positive
-    `denominator`, in lowest terms; `coeffs` gives the exact coefficients."""
+    `denominator`, in lowest terms; `coords()` gives the exact coefficients."""
 
     __slots__ = ()
     size = 8
-
-    coeffs = property(ExactTuple.coords)
 
     @classmethod
     def unit(cls, k: int, sign: Num = 1) -> "Octonion":
@@ -170,7 +168,7 @@ class Octonion(ExactTuple):
 
     def __repr__(self) -> str:
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.coords()):
             if c:
                 parts.append(f"{c}*{BASIS_NAMES[k]}" if k else f"{c}")
         return "Octonion<" + (" + ".join(parts) if parts else "0") + ">"
@@ -178,7 +176,7 @@ class Octonion(ExactTuple):
 
 def apply_matrix8(rows: Sequence[Sequence[Num]], a: Octonion) -> Octonion:
     """Apply an 8x8 matrix (tuple of rows) to the coefficient vector."""
-    c = a.coeffs
+    c = a.coords()
     return Octonion(tuple(sum(r[k] * c[k] for k in range(8) if c[k]) for r in rows))
 
 

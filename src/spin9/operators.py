@@ -14,8 +14,8 @@ over one positive denominator in lowest terms, with one arithmetic.  An
 operator's numerators are its matrix row-major, entry (r, c) at
 16 r + c; a vector's are its 16 coordinates, the octonion pair (x1, x2)
 in order.  Exact values appear only at the edge (`coords`, `rows`,
-`inner16`).  Vectors and operators list their nonzero integer
-entries once (`entries()`, the one cache of `ExactTuple`): operator
+`linalg.inner_product`).  Vectors and operators list their nonzero
+integer entries once (`entries()`, the one cache of `ExactTuple`): operator
 products and `apply` run over an operator's, the curvature expressions
 over a vector's, so a signed permutation costs 16 entries and a basis
 vector one, and there is no second format.
@@ -35,7 +35,6 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .linalg import ExactTuple, Num, det, require_exact
-from .linalg import inner_product as inner16
 from .octonion import Octonion
 
 
@@ -160,9 +159,9 @@ def build_involutions() -> InvolutionFamily:
         for b in range(8):
             ub = Octonion.unit(b).conj()
             # I_i e_b = (0, conj(u_b) u_i) and I_i e_{b+8} = (u_i conj(u_b), 0)
-            for t, v in enumerate((ub * ui).coeffs):
+            for t, v in enumerate((ub * ui).coords()):
                 rows[t + 8][b] = v
-            for t, v in enumerate((ui * ub).coeffs):
+            for t, v in enumerate((ui * ub).coords()):
                 rows[t][b + 8] = v
         ops.append(Operator16(rows))
     ops.append(

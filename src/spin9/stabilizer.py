@@ -27,7 +27,7 @@ stabilizer is the rank-10 symplectic algebra, and the decomposable
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -189,20 +189,26 @@ def bracket_closure(result: StabilizerResult, name: str) -> VerificationReport:
     return report
 
 
+@cache
+def pair_product_rank() -> int:
+    """The rank of the 36 products I_i I_j, i < j, on R^16: the length of
+    the `int_echelon` of their `operator_rows`, formed once per process."""
+    return len(int_echelon(operator_rows(lambda_basis(2))))
+
+
 def spans_involution_pairs(result: StabilizerResult) -> tuple:
     """(contained, equal) for the products I_i I_j, i < j, on R^16.
 
     contained: every product lies in the kernel's span (`in_kernel_span`),
     so each fixes the form, as every kernel row is certified.  equal: the
     spans are equal, which follows from containment when the 36 products
-    are independent and the kernel dimension is 36.
+    are independent (`pair_product_rank`) and the kernel dimension is 36.
     """
     if result.dimension != 16:
         return False, False
-    prods = lambda_basis(2)
-    contained = in_kernel_span(result, prods)
+    contained = in_kernel_span(result, lambda_basis(2))
     equal = contained and result.kernel_dimension == 36
-    return contained, equal and len(int_echelon(operator_rows(prods))) == 36
+    return contained, equal and pair_product_rank() == 36
 
 
 def symplectic_form_r4() -> AlternatingForm:

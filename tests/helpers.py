@@ -30,7 +30,7 @@ def halves(v):
 
 def pair(x1, x2):
     """The `Vector16` of the octonion pair (x1, x2)."""
-    return Vector16(x1.coeffs + x2.coeffs)
+    return Vector16(x1.coords() + x2.coords())
 
 
 def rand_octonion(rng, span=3):
@@ -387,7 +387,7 @@ def pullback_oracle(form, op):
 def w_tilde_oracle(v, vp, w, wp):
     """The literal S8 sum of `w_tilde`, one term per signed permutation."""
     mats = [
-        [(x * (y * Octonion.unit(b))).coeffs for b in range(8)]
+        [(x * (y * Octonion.unit(b))).coords() for b in range(8)]
         for x, y in ((v, w), (v, wp), (vp, w), (vp, wp))
     ]
     total = 0
@@ -579,7 +579,7 @@ def apply_oracle(op, v):
 
 def cross_oct(u, v):
     """The octonion cross product Im(conj(v) u) = (conj(v) u - conj(u) v) / 2."""
-    return Octonion((0,) + (v.conj() * u).coeffs[1:])
+    return Octonion((0,) + (v.conj() * u).coords()[1:])
 
 
 def bpt_cross_oracle(u, v):
@@ -611,7 +611,7 @@ def bpt_reduced_oracle(vectors, reps):
         term = sign
         for k in range(0, len(perm), 4):
             a, b = cross(*perm[k:k + 2]), cross(*perm[k + 2:k + 4])
-            term *= (a * b).coeffs[0]
+            term *= (a * b).coords()[0]
         total += term
     return total
 
@@ -633,5 +633,5 @@ def bpt_full_oracle(vectors):
     for first, block in blocks.items():
         rest = tuple(k for k in range(8) if k not in first)
         total = total + (block * blocks[rest]).scale(perm_sign(first + rest))
-    assert not any(total.coeffs[1:])
-    return exact_ratio(total.coeffs[0], 128)
+    assert not any(total.coords()[1:])
+    return exact_ratio(total.coords()[0], 128)

@@ -137,12 +137,12 @@ def test_criterion_05_vanishing_corollaries():
     squares_ok = not four_form_omega_sum() and not four_form_sigma_sum()
     rng = random.Random(105)
     cyclic_ok = True
-    from spin9.operators import inner16
+    from spin9.linalg import inner_product
 
     for _ in range(100):
         x, y, z, w = (rand_fraction_vector(rng) for _ in range(4))
         residual = bianchi_cyclic_residual(x, y, z)
-        if inner16(residual, w) != 0 or residual != ZERO16:
+        if inner_product(residual, w) != 0 or residual != ZERO16:
             cyclic_ok = False
     ok = squares_ok and cyclic_ok
     _record(5, ok, squared_sums="zero", cyclic_samples=100)
@@ -281,9 +281,7 @@ def test_criterion_08_pinching():
 def test_criterion_09_friedrich_identities():
     rng = random.Random(109)
     ok = all(
-        friedrich_identities(
-            rand_fraction_vector(rng), rand_fraction_vector(rng)
-        ).passed
+        friedrich_identities(rand_fraction_vector(rng), rand_fraction_vector(rng))
         for _ in range(100)
     )
     _record(9, ok, pairs=100)

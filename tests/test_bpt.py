@@ -177,7 +177,7 @@ def test_four_form_reads_descending_pairs_as_negated_crosses():
         (a, b): bpt_cross_oracle(vs[a], vs[b]) for a in range(4) for b in range(4)
     }
     expected = sum(
-        sign * (crosses[p[0], p[1]] * crosses[p[2], p[3]]).coeffs[0]
+        sign * (crosses[p[0], p[1]] * crosses[p[2], p[3]]).coords()[0]
         for p, sign in bpt._s4_signed()
     )
     assert bpt_reduced_oracle(vs, bpt._s4_signed()) == expected

@@ -19,13 +19,13 @@ from spin9.curvature import (
     s_prime_operator,
     sectional_curvature,
 )
+from spin9.linalg import inner_product
 from spin9.operators import (
     Operator16,
     RationalCirclePoint,
     Vector16,
     build_involutions,
     clifford_product,
-    inner16,
     lambda_basis,
     rotation,
 )
@@ -175,7 +175,7 @@ def test_plane_multiplicity_counts():
         total = 0
         for i in range(9):
             for j in range(i + 1, 9):
-                v = inner16(
+                v = inner_product(
                     BASIS[0], clifford_product((i, j)).apply(BASIS[m])
                 )
                 total += v * v
@@ -193,7 +193,7 @@ def test_clifford_coefficients_match_applied_products(grade):
         got = clifford_coefficients(grade, x, y)
         assert all(type(c) is int for c in got)
         d = x.denominator * y.denominator
-        want = [inner16(x, p.apply(y)) for p in lambda_basis(grade)]
+        want = [inner_product(x, p.apply(y)) for p in lambda_basis(grade)]
         assert [Fraction(c, d) for c in got] == want
 
 
@@ -293,7 +293,7 @@ def test_expressions_match_fraction_oracle(c):
             assert f(x, y, z, c) == ref
         assert s_prime_operator(x, y, z, c) - s_prime_operator(y, x, z, c) == ref
         assert s_prime_octonion(x, y, z, c) - s_prime_octonion(y, x, z, c) == ref
-        assert curvature_entry(x, y, z, w, c) == inner16(ref, w)
+        assert curvature_entry(x, y, z, w, c) == inner_product(ref, w)
 
 
 BLOCK_SHAPES = ("low", "high", "one")
@@ -328,7 +328,7 @@ def test_expressions_match_fraction_oracle_on_block_supported_inputs(c):
             assert f(x, y, z, c) == ref, (f.__name__, shapes)
         assert s_prime_operator(x, y, z, c) - s_prime_operator(y, x, z, c) == ref
         assert s_prime_octonion(x, y, z, c) - s_prime_octonion(y, x, z, c) == ref
-        assert curvature_entry(x, y, z, w, c) == inner16(ref, w)
+        assert curvature_entry(x, y, z, w, c) == inner_product(ref, w)
     assert nonzero >= 20
 
 
@@ -336,11 +336,11 @@ def test_expressions_match_fraction_oracle_on_block_supported_inputs(c):
 def test_sectional_curvature_matches_fraction_oracle(c):
     seen = 0
     for v, w, _, _ in _oracle_quadruples():
-        gram = inner16(v, v) * inner16(w, w) - inner16(v, w) ** 2
+        gram = inner_product(v, v) * inner_product(w, w) - inner_product(v, w) ** 2
         if not gram:
             continue
         seen += 1
-        expected = Fraction(inner16(curvature_oracle(v, w, v, c), w)) / gram
+        expected = Fraction(inner_product(curvature_oracle(v, w, v, c), w)) / gram
         assert sectional_curvature(v, w, c) == expected
     assert seen >= 9
 

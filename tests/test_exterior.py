@@ -40,7 +40,7 @@ from spin9.exterior import (
     two_form_from_operator,
     wedge_sum,
 )
-from spin9.linalg import INT64_LIMIT
+from spin9.linalg import INT64_LIMIT, inner_product
 from spin9.operators import (
     Operator16,
     RationalCirclePoint,
@@ -48,7 +48,6 @@ from spin9.operators import (
     boost8,
     build_involutions,
     clifford_product,
-    inner16,
     rotation,
 )
 
@@ -756,7 +755,7 @@ def test_two_form_from_operator_convention():
     for op in (clifford_product((0, 2)), skew):
         f = two_form_from_operator(op)
         for a, b in combinations(range(16), 2):
-            assert f.coefficient((a, b)) == inner16(basis[a], op.apply(basis[b]))
+            assert f.coefficient((a, b)) == inner_product(basis[a], op.apply(basis[b]))
 
 
 def test_two_form_from_operator_rejects_symmetric_parts():

@@ -15,7 +15,8 @@ from helpers import (
     rank,
 )
 from spin9 import operators
-from spin9.octonion import Octonion, inner_oct
+from spin9.linalg import inner_product
+from spin9.octonion import Octonion
 from spin9.operators import (
     Operator16,
     RationalCirclePoint,
@@ -24,7 +25,6 @@ from spin9.operators import (
     build_involutions,
     clifford_product,
     commutator,
-    inner16,
     lambda_basis,
     rotation,
 )
@@ -53,7 +53,7 @@ def test_involutions_are_isometries():
     for k in range(9):
         for _ in range(5):
             x, y = rand_vector(rng), rand_vector(rng)
-            assert inner16(FAM[k].apply(x), FAM[k].apply(y)) == inner16(x, y)
+            assert inner_product(FAM[k].apply(x), FAM[k].apply(y)) == inner_product(x, y)
 
 
 def test_graded_counts_and_independence():
@@ -101,7 +101,7 @@ def test_pair_commutators_close():
         br = commutator(a, b)
         rebuilt = Operator16.zero()
         for p in pair_ops:
-            coeff = Fraction(inner16(p, br), 16)
+            coeff = Fraction(inner_product(p, br), 16)
             if coeff:
                 rebuilt = rebuilt + p.scale(coeff)
         assert rebuilt == br
@@ -473,15 +473,15 @@ def test_whole_values_come_back_as_ints():
     assert type(coords[2]) is int and coords[2] == 0
     assert coords[0] == Fraction(1, 2)
     w = Vector16.from_coords([Fraction(3, 2)] + [Fraction(1, 2)] * 3 + [0] * 12)
-    assert type(inner16(w, w)) is int and inner16(w, w) == 3
-    assert inner16(w, Vector16.basis(1)) == Fraction(1, 2)
+    assert type(inner_product(w, w)) is int and inner_product(w, w) == 3
+    assert inner_product(w, Vector16.basis(1)) == Fraction(1, 2)
     boost = boost8(RationalCirclePoint(Fraction(5, 4), Fraction(3, 4)))
     assert boost.denominator == 2  # entries 5/4 -+ 3/4
-    assert type(inner16(IDENT, boost)) is int and inner16(IDENT, boost) == 20
+    assert type(inner_product(IDENT, boost)) is int and inner_product(IDENT, boost) == 20
     assert boost.rows[0][0] == Fraction(1, 2) and type(boost.rows[8][8]) is int
     rot = rotation(0, 3, RationalCirclePoint(Fraction(3, 5), Fraction(4, 5)))
-    assert inner16(IDENT, rot) == Fraction(48, 5)
-    assert type(inner16(IDENT, rot.scale(5))) is int
+    assert inner_product(IDENT, rot) == Fraction(48, 5)
+    assert type(inner_product(IDENT, rot.scale(5))) is int
     # a denominator of 1 hands out the stored numerators, cut into rows
     assert IDENT.coords() is IDENT.numerators
     assert IDENT.rows == tuple(IDENT.numerators[k:k + 16] for k in range(0, 256, 16))
@@ -497,14 +497,13 @@ def test_operator_truth_is_any_nonzero_entry():
 
 
 def test_one_inner_product_serves_octonions_vectors_and_operators():
-    assert inner16 is inner_oct
     x, y = Vector16.basis(3).scale(Fraction(1, 2)), Vector16.basis(3).scale(6)
     u, w = Octonion.unit(3, Fraction(1, 2)), Octonion.unit(3, 6)
-    assert inner16(x, y) == 3 and inner_oct(u, w) == 3
+    assert inner_product(x, y) == 3 and inner_product(u, w) == 3
     # on operators it is the trace of a^T b
     a, b = rotation(1, 2, RationalCirclePoint(Fraction(3, 5), Fraction(4, 5))), FAM[4]
-    assert inner16(a, b) == sum((a.transpose() @ b).rows[k][k] for k in range(16))
-    assert inner16(IDENT, IDENT) == 16
+    assert inner_product(a, b) == sum((a.transpose() @ b).rows[k][k] for k in range(16))
+    assert inner_product(IDENT, IDENT) == 16
 
 
 def test_tuples_of_two_types_do_not_combine():
@@ -517,5 +516,5 @@ def test_tuples_of_two_types_do_not_combine():
         with pytest.raises(TypeError):
             x - y
         with pytest.raises(TypeError):
-            inner16(x, y)
-    assert v + v == v.scale(2) and inner16(v, v) == 1
+            inner_product(x, y)
+    assert v + v == v.scale(2) and inner_product(v, v) == 1

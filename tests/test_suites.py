@@ -1,8 +1,14 @@
 """Suite dispatch, report grammar, and seeded reproducibility."""
 
+import importlib
+import pkgutil
+
+import numpy as np
 import pytest
 
-from spin9 import bpt, curvature
+import spin9
+from spin9 import bpt, curvature, linalg, stabilizer
+from spin9.operators import lambda_basis
 from spin9.report import VerificationReport
 from spin9.suites import SUITE_NAMES, RunConfig, run_suite
 
@@ -99,7 +105,8 @@ def test_a_descending_pair_fails_lines_instead_of_raising(
 def test_rotation_line_fails_on_one_wrong_two_form_sign(monkeypatch):
     # coefficient 5 of the grade-2 sweep is omega_06 of the pair (0, 6);
     # a rotation in the plane (2, 5) alone cannot see its sign, since
-    # I_2 I_5 commutes with I_0 I_6
+    # I_2 I_5 commutes with I_0 I_6.  The averaging identity takes its
+    # right side from the grade-1 sweep, so it sees the sign too
     sweep = curvature.clifford_coefficients
 
     def mutant(grade, x, y):
@@ -111,3 +118,23 @@ def test_rotation_line_fails_on_one_wrong_two_form_sign(monkeypatch):
     monkeypatch.setattr(curvature, "clifford_coefficients", mutant)
     lines = run_suite("curvature", RunConfig()).lines()
     assert "curvature.rotation-equivariance FAIL" in lines
+    assert "curvature.averaging FAIL" in lines
+
+
+def test_verify_forms_the_pair_product_echelon_once(monkeypatch):
+    # the operator suite's pair rank and the stabilizer's span check read
+    # one elimination of the 36 pair products I_i I_j
+    pairs = stabilizer.operator_rows(lambda_basis(2))
+    echelon, seen = linalg.int_echelon, []
+
+    def spy(rows):
+        seen.append(np.array_equal(rows, pairs))
+        return echelon(rows)
+
+    for info in pkgutil.iter_modules(spin9.__path__):
+        module = importlib.import_module(f"spin9.{info.name}")
+        if getattr(module, "int_echelon", None) is echelon:
+            monkeypatch.setattr(module, "int_echelon", spy)
+    stabilizer.pair_product_rank.cache_clear()
+    assert run_suite("all", RunConfig()).passed
+    assert seen.count(True) == 1
