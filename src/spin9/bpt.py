@@ -12,10 +12,11 @@ real-part table): each stage bounds its sums by B, casts its inputs to
 `int_dtype(B)` and runs once, and hands exact Python ints to the next.
 It also materializes the form's full coefficient map (each distinct
 4-slot block gathered once as int8 over all basis tuples, every term of
-{-1, 0, 1} summed in the `int_dtype` of the term count), and computes
-the exact invariance defect under the generator I_7 I_8: the defect is
-nonzero, so the construction is not invariant and cannot equal the
-canonical 8-form in any scaling.
+{-1, 0, 1} summed in the `int_dtype` of the term count) and, on the
+wedge kernel, that of the companion 4-form, and computes the exact
+invariance defect under the generator I_7 I_8: the defect is nonzero,
+so the construction is not invariant and cannot equal the canonical
+8-form in any scaling.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cache
 
 import numpy as np
 
-from .exterior import AlternatingForm, perm_sign
+from .exterior import AlternatingForm, perm_sign, wedge_sum
 from .linalg import exact_ratio, int_dtype
 from .octonion import XOR_SIGN, oct_mul
 from .operators import Vector16, clifford_product
@@ -94,13 +95,6 @@ def s8_star() -> tuple:
     if len(set(perms)) != 315 or any(p[0] or sorted(p) != [*range(8)] for p in perms):
         raise AssertionError("S*_8 census is not 315 permutations starting at 0")
     return tuple((perm, perm_sign(perm)) for perm in perms)
-
-
-@cache
-def _s4_signed() -> tuple:
-    return tuple(
-        (perm, perm_sign(perm)) for perm in itertools.permutations(range(4))
-    )
 
 
 @cache
@@ -201,23 +195,19 @@ def _re_pair_table() -> np.ndarray:
     return np.tensordot(cross * XOR_SIGN[:, 0], cross, axes=(2, 2)).astype(np.int8)
 
 
-def _materialize(k: int, signed_perms) -> AlternatingForm:
-    """The signed sum over all ascending basis k-tuples at once.
+@cache
+def materialize_bpt_8form() -> AlternatingForm:
+    """Coefficient map of the cross-product 8-form on all 12870 basis 8-tuples.
 
-    On basis vectors every cross is zero or a signed imaginary unit, so
-    each real-part factor (one 4-slot block of a permutation) is one
-    int8 entry of `_re_pair_table`, in {-1, 0, 1}.  Each distinct block
-    is gathered once for all tuples, by one `take` from the flat table
-    on (a*16 + b) << 8 | (c*16 + d), from cached per-position-pair codes.
-    Each term sign * factor * ... is in {-1, 0, 1} and is added on its
-    own, so the term count bounds every sum: the accumulator takes its
-    `int_dtype`.
+    The 315-representative reduced sum, vectorized.  On basis vectors a
+    cross is zero or a signed imaginary unit, so each real-part factor is
+    one int8 entry of `_re_pair_table`: each distinct 4-slot block is one
+    `take` for all tuples, on cached per-position-pair codes.  Every term
+    is in {-1, 0, 1}, so the accumulator takes the term count's `int_dtype`.
     """
     flat = _re_pair_table().reshape(-1)
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(16), k)),
-        dtype=np.intp,
-    ).reshape(-1, k)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(16), 8))
+    combos = np.fromiter(combos, dtype=np.intp).reshape(-1, 8)
 
     @cache
     def code(i: int, j: int) -> np.ndarray:
@@ -228,34 +218,30 @@ def _materialize(k: int, signed_perms) -> AlternatingForm:
         a, b, c, d = block
         return flat.take(code(a, b) << 8 | code(c, d))
 
-    acc = np.zeros(len(combos), dtype=int_dtype(len(signed_perms)))
-    for perm, sign in signed_perms:
-        blocks = (factor(perm[q:q + 4]) for q in range(0, k, 4))
-        acc += math.prod(blocks, start=sign)
+    acc = np.zeros(len(combos), dtype=int_dtype(len(s8_star())))
+    for perm, sign in s8_star():
+        acc += sign * factor(perm[:4]) * factor(perm[4:])
     nz = np.flatnonzero(acc != 0)  # a bool scan is far faster than int64
     masks = np.bitwise_or.reduce(1 << combos[nz], axis=1)
-    return AlternatingForm._raw(k, dict(zip(masks.tolist(), acc[nz].tolist())))
-
-
-@cache
-def materialize_bpt_8form() -> AlternatingForm:
-    """Coefficient map of the cross-product 8-form on all 12870 basis 8-tuples.
-
-    The 315-representative reduced sum, vectorized; spot-checked against
-    the scalar evaluators in the tests.
-    """
-    return _materialize(8, s8_star())
+    return AlternatingForm._raw(8, dict(zip(masks.tolist(), acc[nz].tolist())))
 
 
 @cache
 def materialize_bpt_4form() -> AlternatingForm:
     """Coefficient map of the companion 4-form on all 1820 basis 4-tuples.
 
-    The signed S_4 sum of the real part of one product of two crosses,
-    vectorized; the tests check every coefficient against a scalar sum
-    on octonion objects.
+    The signed S_4 sum of Re(C_{p0 p1} C_{p2 p3}) is -4 sum_k gamma_k ^
+    gamma_k in one `wedge_sum`, gamma_k the two-form of coordinate k of the
+    basis crosses (`_basis_cross_units`): crosses are imaginary, so
+    Re(x y) = -sum_k x_k y_k, and the signed S_4 sum of a(p0, p1) b(p2, p3)
+    over two two-forms is 4 times their wedge.
     """
-    return _materialize(4, _s4_signed())
+    i, j, _, _ = _pair_slots(16)
+    pairs = (1 << i | 1 << j).tolist()
+    crosses = _basis_cross_units()[:, 1:].T.tolist()
+    gammas = [{m: v for m, v in zip(pairs, k) if v} for k in crosses]
+    squares = wedge_sum((g, g) for g in gammas)
+    return AlternatingForm._raw(4, {m: -4 * v for m, v in squares.items()})
 
 
 @dataclass(frozen=True)

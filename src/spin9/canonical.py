@@ -26,10 +26,11 @@ too; each of the three is one call of the checked kernel
 `exterior.square_sums`, which builds every four-form at once and
 squares each distinct one once, over unordered term pairs: 45 of the 81
 Q_jj' (Q_jj' = Q_j'j) and 666 of the 1296 D.  The module also provides
-the S8-sum evaluation kernel, the vanishing corollaries, the verdict on
-the triple-form sum, deterministic coefficient export, and Friedrich's
-expansions of X-flat ^ Y-flat, read off `curvature.clifford_coefficients`,
-the sweep behind the curvature and the plane multiplicities too.
+w~, a wedge of four skew Gram two-forms, the vanishing corollaries, the
+verdict on the triple-form sum, deterministic coefficient export, and
+Friedrich's expansions of X-flat ^ Y-flat, read off
+`curvature.clifford_coefficients`, the sweep behind the curvature and
+the plane multiplicities too.
 """
 
 from __future__ import annotations
@@ -141,42 +142,29 @@ def canonical_8form_alt() -> AlternatingForm:
     return AlternatingForm._raw(8, {m: -2 * c for m, c in squares.items()})
 
 
-# S8-sum evaluation kernel ---------------------------------------------------
+# the averaged coefficient w~ ------------------------------------------------
 
 
 def w_tilde(v: Octonion, vp: Octonion, w: Octonion, wp: Octonion) -> Num:
     """The 2^-4-normalized S8 sum of four octonion Gram factors.
 
     The sum runs over permutations perm of 0..7 of
-    sign(perm) prod_k M_k[perm(2k+1)][perm(2k)], by a DP over the set S
-    of values placed so far: placing a after S adds popcount(S >> (a+1))
-    inversions, so the sign is a popcount parity and the 40320 terms
-    collapse onto 256 subsets.  Independent of the wedge machinery;
-    evaluating the corresponding product of restricted two-forms on the
-    octonion-line basis gives the same number, which tests exploit as a
-    cross-check.
+    sign(perm) prod_k M_k[perm(2k+1)][perm(2k)], where M_k[b][a] is
+    coordinate a of x (y u_b) for the k-th pair (x, y) of (v, w), (v, w'),
+    (v', w), (v', w').  It is the coefficient of dx_0 ^ ... ^ dx_7 in
+    b_1 ^ b_2 ^ b_3 ^ b_4, b_k the skew part of M_k: the two-form with
+    coefficient M_k[j][i] - M_k[i][j] on i < j.  Each b_k doubles the
+    signed sum, and the wedge's 1/2! per two-form halves it again.
     """
-    sums = {0: 1}
-    for x, y in ((v, w), (v, wp), (vp, w), (vp, wp)):
+
+    def skew(x: Octonion, y: Octonion) -> AlternatingForm:
         cols = [(x * (y * Octonion.unit(b))).coords() for b in range(8)]
-        step: dict = {}
-        for s, total in sums.items():
-            for a in range(8):
-                if s >> a & 1:
-                    continue
-                sa = s | 1 << a
-                odd = (s >> (a + 1)).bit_count()
-                for b in range(8):
-                    f = cols[b][a]
-                    if not f or sa >> b & 1:
-                        continue
-                    t = f * total
-                    if (odd + (sa >> (b + 1)).bit_count()) & 1:
-                        t = -t
-                    key = sa | 1 << b
-                    step[key] = step.get(key, 0) + t
-        sums = step
-    return exact_ratio(sums.get(255, 0), 16)
+        pairs = combinations(range(8), 2)
+        return AlternatingForm(2, {(i, j): cols[j][i] - cols[i][j] for i, j in pairs})
+
+    b1, b2, b3, b4 = (skew(x, y) for x in (v, vp) for y in (w, wp))
+    top = b1.wedge(b2).wedge(b3.wedge(b4))
+    return exact_ratio(top.numerators.get(0xFF, 0), 16 * top.denominator)
 
 
 # vanishing corollaries ------------------------------------------------------

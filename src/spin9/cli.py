@@ -14,6 +14,7 @@ import concurrent.futures
 import ctypes
 import os
 import sys
+from itertools import repeat
 
 from .bpt import materialize_bpt_8form
 from .canonical import (
@@ -33,11 +34,6 @@ EXPORT_FORMS = {
 }
 
 
-def _run_one(args):
-    name, config = args
-    return name, run_suite(name, config)
-
-
 def pool_size(jobs: int, tasks: int) -> int:
     """Worker processes for `tasks` tasks: never more than CPUs or tasks."""
     return min(jobs, os.cpu_count() or 1, tasks)
@@ -48,13 +44,8 @@ def cmd_verify(args) -> int:
     workers = pool_size(args.jobs, len(SUITE_NAMES))
     if args.suite == "all" and workers > 1:
         # fan out per suite; output order stays fixed by suite name
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        ) as pool:
-            results = dict(
-                pool.map(_run_one, [(s, config) for s in SUITE_NAMES])
-            )
-        reports = [results[s] for s in SUITE_NAMES]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(run_suite, SUITE_NAMES, repeat(config)))
     else:
         reports = [run_suite(args.suite, config)]
     ok = True

@@ -10,12 +10,13 @@ its monomial.  Each block is a dense integer array over its own units
 (for the canonical 8-form, 16 blocks of 16 units, no row dropped), and
 is eliminated once, by `linalg.nullspace`, int64 while its bound holds.
 The kernel is one integer matrix, a row of n*n entries per basis
-vector.  The certificate is the substitution: every row is put back
-through `exterior.lie_table` and must give the zero form.  The blocks'
-units must partition the n*n matrix units, which is checked; then the
-rank of the blocks plus the kernel dimension is n*n, because `nullspace`
-returns one vector per non-pivot column.  Containment in the kernel is
-reduction against its echelon, computed once.
+vector.  The certificate is the substitution: block by block, every
+row's entries there go back through one `exterior.lie_incidences` pass
+and must give the zero form.  The blocks' units must partition the n*n
+matrix units, which is checked; then the rank of the blocks plus the
+kernel dimension is n*n, because `nullspace` returns one vector per
+non-pivot column.  Containment in the kernel is reduction against its
+echelon, computed once.
 
 The solver is anchored on two closed-form cases before being trusted on
 the canonical 8-form: the standard symplectic 2-form on R^4, whose
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exterior import AlternatingForm, lie_incidences, lie_table, sign_characters
+from .exterior import AlternatingForm, lie_incidences, sign_characters
 from .linalg import int_array, int_dtype, int_echelon, nullspace, reduce_against
 from .operators import (
     Operator16,
@@ -129,9 +130,8 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
     its rank is its unit count minus its kernel vectors.  The kernel
     basis is the one of the whole system, one vector per free column in
     increasing order: a block's kernel vector has its last nonzero entry
-    in its free column, and is zero outside the block.  Every kernel row
-    is substituted back through `lie_table` on its entries; the result is
-    returned only once each image is the exact zero form.
+    in its free column, and is zero outside the block.  The kernel is
+    returned only once `_certify` finds every image the exact zero form.
     """
     if not 1 <= n <= 16:
         raise ValueError("dimension must be between 1 and 16")
@@ -147,19 +147,37 @@ def infinitesimal_stabilizer(form: AlternatingForm, n: int = 16) -> StabilizerRe
     for units, rows in blocks:
         vecs = nullspace(rows)
         rank += len(units) - len(vecs)
-        units = units.tolist()
         for vec in vecs:
-            full = [0] * ncols
-            for u, v in zip(units, vec):
-                full[u] = v
-            free = max(j for j, v in enumerate(vec) if v)
-            kernel.append((units[free], full))
-    kernel = [row for _, row in sorted(kernel)]
-    for row in kernel:
-        entries = [(*divmod(j, n), v) for j, v in enumerate(row) if v]
-        if lie_table(form.numerators, entries):
+            entries = dict(zip(units.tolist(), vec))
+            kernel.append([entries.get(j, 0) for j in range(ncols)])
+    kernel.sort(key=lambda row: max(j for j, v in enumerate(row) if v))
+    kernel = int_array(kernel).reshape(-1, ncols)
+    _certify(form.numerators, n, blocks, kernel)
+    return StabilizerResult(kernel, rank, n)
+
+
+def _certify(table: dict, n: int, blocks, kernel: np.ndarray) -> None:
+    """Raise unless every kernel row annihilates the table {mask: int}.
+
+    The blocks partition the units, so a row does when its entries on
+    each block do, however the rows were sorted and scattered.  Per block
+    one `lie_incidences` pass serves every row nonzero there, summed by
+    output mask in the `int_dtype` of B = sum_m |c_m| max_k sum_u |x_ku|.
+    """
+    coeffs = list(table.values())
+    for units, _ in blocks:
+        part = kernel[:, units]
+        part = part[part.any(axis=1)].tolist()
+        if not part:
+            continue
+        dtype = int_dtype(sum(map(abs, coeffs)) * max(sum(map(abs, r)) for r in part))
+        out, odd, mon, unit = lie_incidences(list(table), units // n, units % n)
+        terms = np.array(coeffs, dtype=dtype)[mon] * (1 - 2 * odd)
+        keys, at = np.unique(out, return_inverse=True)
+        images = np.zeros((keys.size, len(part)), dtype=dtype)
+        np.add.at(images, at, terms[:, None] * np.array(part, dtype=dtype).T[unit])
+        if images.any():
             raise AssertionError("kernel vector moves the form")
-    return StabilizerResult(int_array(kernel).reshape(len(kernel), ncols), rank, n)
 
 
 def in_kernel_span(result: StabilizerResult, ops) -> bool:

@@ -540,6 +540,10 @@ def s8_star_oracle():
     return tuple(reps)
 
 
+# the 24 arrangements of four slots, each with its sign
+S4_SIGNED = tuple((perm, perm_sign(perm)) for perm in permutations(range(4)))
+
+
 def materialize_oracle(k, signed_perms, table):
     """The signed sum on every ascending basis k-tuple, one int64 4-index
     gather of `table` per 4-slot block of every permutation."""

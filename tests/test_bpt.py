@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    S4_SIGNED,
     bpt_cross_oracle,
     bpt_full_oracle,
     bpt_reduced_oracle,
@@ -30,6 +31,7 @@ from spin9.bpt import (
     materialize_bpt_8form,
     s8_star,
 )
+from spin9.exterior import wedge_sum
 from spin9.octonion import Octonion
 from spin9.operators import Vector16, clifford_product
 
@@ -178,9 +180,9 @@ def test_four_form_reads_descending_pairs_as_negated_crosses():
     }
     expected = sum(
         sign * (crosses[p[0], p[1]] * crosses[p[2], p[3]]).coords()[0]
-        for p, sign in bpt._s4_signed()
+        for p, sign in S4_SIGNED
     )
-    assert bpt_reduced_oracle(vs, bpt._s4_signed()) == expected
+    assert bpt_reduced_oracle(vs, S4_SIGNED) == expected
     assert crosses[1, 0] == -crosses[0, 1]
 
 
@@ -232,13 +234,53 @@ def test_square_factorization():
     assert Fraction(factor) == Fraction(1, 128)
 
 
+def test_square_factor_fails_on_one_wrong_real_part(monkeypatch):
+    # the 4-form is built from the basis crosses, not from `_re_pair_table`,
+    # so a wrong entry of the table moves the 8-form alone and the factor
+    # check must fail
+    table = bpt._re_pair_table().copy()
+    assert table[3, 4, 9, 14]
+    for a, b, c, d in ((3, 4, 9, 14), (9, 14, 3, 4)):
+        for x, y in ((a, b), (b, a)):
+            for z, w in ((c, d), (d, c)):
+                table[x, y, z, w] = -table[x, y, z, w]
+    builders = (materialize_bpt_8form, materialize_bpt_4form)
+    for f in builders:
+        f.cache_clear()
+    monkeypatch.setattr(bpt, "_re_pair_table", lambda: table)
+    try:
+        checks = {c.check_id: c for c in bpt_square_check().checks}
+    finally:
+        for f in builders:
+            f.cache_clear()
+    assert not checks["bpt.square-factor"].passed
+    assert checks["bpt.four-form-not-invariant"].passed
+
+
+def test_four_form_is_one_wedge_sum_of_the_basis_crosses(monkeypatch):
+    calls = []
+
+    def counted(pairs):
+        calls.append(1)
+        return wedge_sum(pairs)
+
+    def unread():
+        raise AssertionError("the 4-form read the real-part table")
+
+    expected = materialize_bpt_4form()
+    monkeypatch.setattr(bpt, "wedge_sum", counted)
+    monkeypatch.setattr(bpt, "_re_pair_table", unread)
+    assert materialize_bpt_4form.__wrapped__() == expected
+    assert len(calls) == 1
+
+
 def test_four_form_materialization():
-    # the scalar oracle on octonion objects does not read `_re_pair_table`
+    # the scalar oracle on octonion objects does not read the basis crosses
     form = materialize_bpt_4form()
     basis = [Vector16.basis(k) for k in range(16)]
     for idx in itertools.combinations(range(16), 4):
         vs = [basis[k] for k in idx]
-        assert form.coefficient(idx) == bpt_reduced_oracle(vs, bpt._s4_signed())
+        assert form.coefficient(idx) == bpt_reduced_oracle(vs, S4_SIGNED)
     assert form.term_count() == 140
 
 
@@ -247,7 +289,7 @@ def test_materialized_forms_match_the_per_permutation_gather():
     table = bpt._re_pair_table()
     for k, form, perms in (
         (8, materialize_bpt_8form(), s8_star()),
-        (4, materialize_bpt_4form(), bpt._s4_signed()),
+        (4, materialize_bpt_4form(), S4_SIGNED),
     ):
         expected = materialize_oracle(k, perms, table)
         for idx in itertools.combinations(range(16), k):
@@ -258,7 +300,7 @@ def test_materialize_accumulates_in_the_dtype_of_the_term_count(monkeypatch):
     # every term is in {-1, 0, 1}, so the 315 terms of S*_8 bound each sum
     expected = materialize_bpt_8form()
     seen = spy_dtypes(monkeypatch)
-    assert bpt._materialize(8, s8_star()) == expected
+    assert materialize_bpt_8form.__wrapped__() == expected
     assert seen == [("bpt", 315, np.int64)]
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     spy_plans,
     w_tilde_oracle,
 )
+from spin9 import exterior
 from spin9.canonical import (
     build_8form_from_two_forms,
     canonical_8form,
@@ -37,7 +39,7 @@ from spin9.canonical import (
     sigma2,
     w_tilde,
 )
-from spin9.exterior import AlternatingForm
+from spin9.exterior import AlternatingForm, wedge_sum
 from spin9.linalg import inner_product
 from spin9.octonion import Octonion
 from spin9.operators import (
@@ -62,6 +64,15 @@ def test_eight_form_anchor_value(omega8):
 def test_eight_form_term_count(omega8):
     assert omega8.term_count() == 702
     assert all(v for _, v in omega8.items())
+
+
+def test_eight_form_coefficient_census(omega8):
+    # the coefficients of Omega, all whole: -20160 on dx_0..7 and 20160 on
+    # dx_8..15, and 126 terms of each sign of 2880, 224 of each sign of 1440
+    assert omega8.denominator == 1
+    assert Counter(omega8.numerators.values()) == {
+        20160: 1, -20160: 1, 2880: 126, -2880: 126, 1440: 224, -1440: 224
+    }
 
 
 def test_grouped_rebuild_agrees(omega8):
@@ -163,8 +174,23 @@ def test_w_tilde_anchors():
     assert w_tilde(u(0), u(1), u(2), u(4)) == -8
 
 
-def test_w_tilde_subset_sum_matches_the_literal_s8_sum():
-    # the DP over placed-value subsets against one term per permutation,
+def test_w_tilde_reaches_the_wedge_kernel(monkeypatch):
+    # w~ is the top coefficient of a wedge of four two-forms, taken on the
+    # one wedge kernel: three wedges, (b1 ^ b2) ^ (b3 ^ b4)
+    calls = []
+
+    def counted(pairs):
+        calls.append(1)
+        return wedge_sum(pairs)
+
+    monkeypatch.setattr(exterior, "wedge_sum", counted)
+    u = Octonion.unit
+    assert w_tilde(u(0), u(0), u(1), u(1)) == -24
+    assert len(calls) == 3
+
+
+def test_w_tilde_matches_the_literal_s8_sum():
+    # the wedge of the skew Gram factors against one term per permutation,
     # on integer and Fraction octonions with zero coordinates and zero
     # arguments among them
     rng = random.Random(57)
@@ -199,9 +225,9 @@ def test_w_tilde_pair_symmetries():
 
 
 def test_w_tilde_matches_wedge_evaluation():
-    # independent cross-check: antisymmetrize the four Gram forms
-    # beta(a, b) = <x (y u_b), u_a> and wedge them; the 8-basis value
-    # is exactly 16 w_tilde
+    # antisymmetrize the four Gram forms beta(a, b) = <x (y u_b), u_a>
+    # and wedge them; their value on the 8-basis, by form evaluation
+    # rather than a read coefficient, is exactly 16 w_tilde
     def two_form(x, y):
         cols = [(x * (y * Octonion.unit(b))).coords() for b in range(8)]
         terms = {}

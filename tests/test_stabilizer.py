@@ -413,6 +413,21 @@ def test_eight_form_kernel_certificate(omega8):
         assert not lie_derivative_oracle(omega8, op)
 
 
+def test_certificate_takes_one_incidence_pass_per_block(omega8, monkeypatch):
+    # one pass over all 256 units builds the system; the certificate then
+    # takes one per block whose kernel is not empty, 15 of Omega's 16
+    incidences = stabilizer.lie_incidences
+    calls = []
+
+    def counted(masks, rows, cols):
+        calls.append(len(rows))
+        return incidences(masks, rows, cols)
+
+    monkeypatch.setattr(stabilizer, "lie_incidences", counted)
+    infinitesimal_stabilizer(omega8)
+    assert calls == [256] + [16] * 15
+
+
 def test_truncated_system_fails_the_certificate(omega8, monkeypatch):
     # 6 equations per block, 96 in all, leave a kernel far larger than
     # spin(9); a kernel vector outside the stabilizer must stop the solve
