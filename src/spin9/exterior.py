@@ -50,11 +50,11 @@ Python ints, and runs once in it.  The other kernels:
   and then one column at a time, on a plan of masks, splits and shuffle
   signs cached on the form, under B = prod_b |w_b|_1 over the vectors'
   numerators.
-- `lie_table` behind `AlternatingForm.lie_derivative` finds every
-  (monomial, matrix unit) incidence in one array pass and accumulates
-  them under B = sum_m |c_m| sum |op entry|; `stabilizer_system` reads
-  its equation blocks off the same incidences, split by the characters
-  of the sign group D of `sign_characters`.
+- `lie_images` behind `AlternatingForm.lie_derivative` sums every
+  (monomial, matrix unit) incidence, found in one array pass and weighted
+  by k vectors of entries at once, by output mask under B = max_m |c_m|
+  max_j sum |entry|; the stabilizer builds its equation blocks and
+  certifies its kernel on it, block by block over `sign_characters`.
 """
 
 from __future__ import annotations
@@ -251,12 +251,14 @@ class AlternatingForm(Exact):
         return AlternatingForm._raw(self.degree, terms, d)
 
     def lie_derivative(self, op: Operator16) -> "AlternatingForm":
-        """Derivative of the pullback along exp(t op) at t = 0, on `lie_table`.
+        """Derivative of the pullback along exp(t op) at t = 0, on `lie_images`.
 
         Linear in op and in the form: with op = A / d_op and coefficients
         a / d_a for integer A and a, it is (L_A a) / (d_a d_op).
         """
-        terms = lie_table(self.numerators, op.entries())
+        rows, cols, vals = np.array(op.entries(), dtype=object).reshape(-1, 3).T
+        masks, images = lie_images(self.numerators, rows, cols, [vals])
+        terms = {m: v for m, v in zip(masks.tolist(), images[:, 0].tolist()) if v}
         d = self.denominator * op.denominator
         return AlternatingForm._raw(self.degree, terms, d)
 
@@ -708,27 +710,29 @@ def lie_incidences(masks, rows, cols) -> tuple:
     return m ^ (1 << r) ^ (1 << c), poppar[m & between[unit]], mon, unit
 
 
-def lie_table(table: dict, entries) -> dict:
-    """Exact Lie derivative of an integer table {mask: int} along integer
-    matrix entries (row, col, value), as an integer table.
+def lie_images(table: dict, rows, cols, vectors) -> tuple:
+    """Lie derivatives of an integer table {mask: int} along k integer
+    matrices at once: (masks, images), images[i, j] the coefficient of
+    masks[i] in L_{A_j} table, A_j = sum_u vectors[j][u] E_{rows[u], cols[u]}.
 
-    B = sum_m |c_m| * sum |value| bounds every product and partial sum;
-    B = 0 leaves nothing to sum, else the incidences of `lie_incidences`
-    accumulate into a dense 2**16 array in `int_dtype(B)`.
+    Distinct monomials have distinct images under one unit, so each
+    (mask, unit) takes at most one term, and B = max_m |c_m| *
+    max_j sum_u |vectors[j][u]| bounds every product and partial sum.
+    B = 0 leaves nothing to sum, else the weighted incidences of
+    `lie_incidences` are summed by output mask (`np.unique`, masks
+    sorted) in `int_dtype(B)`; an image is 0 where its terms cancel.
     """
-    entries = list(entries)
-    coeffs = list(table.values())
-    vals = [v for _, _, v in entries]
-    _require_int("lie_table", coeffs, vals)
-    bound = sum(map(abs, coeffs)) * sum(map(abs, vals))
+    coeffs, vectors = list(table.values()), [list(v) for v in vectors]
+    _require_int("lie_images", coeffs, *vectors)
+    k, peak = len(vectors), max((sum(map(abs, v)) for v in vectors), default=0)
+    bound = max(map(abs, coeffs), default=0) * peak
     if not bound:
-        return {}
-    out, odd, mon, unit = lie_incidences(
-        list(table), [r for r, _, _ in entries], [c for _, c, _ in entries]
-    )
+        return np.zeros(0, dtype=np.int64), np.zeros((0, k), dtype=np.int64)
+    out, odd, mon, unit = lie_incidences(list(table), rows, cols)
     dtype = int_dtype(bound)
-    terms = np.array(coeffs, dtype=dtype)[mon] * np.array(vals, dtype=dtype)[unit]
-    terms *= 1 - 2 * odd
-    acc = np.zeros(1 << 16, dtype=dtype)
-    np.add.at(acc, out, terms)
-    return dict(zip(*_nonzero(acc)))
+    terms = np.array(coeffs, dtype=dtype)[mon] * (1 - 2 * odd)
+    weighted = terms[:, None] * np.array(vectors, dtype=dtype).T[unit]
+    masks, at = np.unique(out, return_inverse=True)
+    images = np.zeros(masks.size * k, dtype=dtype)  # flat: a 1-d np.add.at is faster
+    np.add.at(images, (k * at[:, None] + np.arange(k)).ravel(), weighted.ravel())
+    return masks, images.reshape(-1, k)

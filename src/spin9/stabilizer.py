@@ -10,13 +10,14 @@ its monomial.  Each block is a dense integer array over its own units
 (for the canonical 8-form, 16 blocks of 16 units, no row dropped), and
 is eliminated once, by `linalg.nullspace`, int64 while its bound holds.
 The kernel is one integer matrix, a row of n*n entries per basis
-vector.  The certificate is the substitution: block by block, every
-row's entries there go back through one `exterior.lie_incidences` pass
-and must give the zero form.  The blocks' units must partition the n*n
-matrix units, which is checked; then the rank of the blocks plus the
-kernel dimension is n*n, because `nullspace` returns one vector per
-non-pivot column.  Containment in the kernel is reduction against its
-echelon, computed once.
+vector.  One Lie-derivative kernel, `exterior.lie_images`, serves the
+system and its certificate: a block's rows are the images of its
+units, and the certificate substitutes every kernel row's entries on
+each block back into the form and must get the zero form.  The
+blocks' units must partition the n*n matrix units, which is checked;
+then the rank of the blocks plus the kernel dimension is n*n, because
+`nullspace` returns one vector per non-pivot column.  Containment in
+the kernel is reduction against its echelon, computed once.
 
 The solver is anchored on two closed-form cases before being trusted on
 the canonical 8-form: the standard symplectic 2-form on R^4, whose
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exterior import AlternatingForm, lie_incidences, sign_characters
+from .exterior import AlternatingForm, lie_images, sign_characters
 from .linalg import int_array, int_dtype, int_echelon, nullspace, reduce_against
 from .operators import (
     Operator16,
@@ -51,35 +52,23 @@ def stabilizer_system(form: AlternatingForm, n: int) -> list:
     """Equation blocks of {A : L_A form = 0}, one per D-character.
 
     Column n*r + c carries the matrix entry A[r][c] and holds the image
-    of the matrix unit E_rc, read off the same `lie_incidences` that
-    `AlternatingForm.lie_derivative` accumulates; each equation demands
-    that one monomial coefficient of L_A form vanish.  Units share a
-    block when e_r ^ e_c have the same character on the sign group D of
-    the form (`sign_characters`), and so do the equations they appear
-    in.  A block is (units, rows): its columns in increasing order, and
-    an integer array (`int_array`) with one row per monomial, sorted by
-    mask, over those units.  Blocks come in the order of their first
-    unit; the coefficients are the form's numerators.
+    of the matrix unit E_rc; each equation demands that one monomial
+    coefficient of L_A form vanish.  Units share a block when e_r ^ e_c
+    have the same character on the sign group D of the form
+    (`sign_characters`), and so do the equations they appear in.  A block
+    is (units, rows): its columns in increasing order, and the images of
+    those units one by one, `exterior.lie_images` of the form's numerators
+    along the identity vectors, one row per monomial, sorted by mask.
+    Blocks come in the order of their first unit.
     """
     table = form.numerators
-    masks = list(table)
     r, c = np.divmod(np.arange(n * n), n)
-    _, key = sign_characters(masks, (1 << r) ^ (1 << c))
-    out, odd, mon, unit = lie_incidences(masks, r, c)
-    coeffs = int_array(list(table.values()))[mon]
-    vals = np.where(odd, -coeffs, coeffs)
-    order = np.lexsort((out, key[unit]))
-    out, unit, vals = out[order], unit[order], vals[order]
-    inc_key = key[unit]
-    keys, first = np.unique(key, return_index=True)
+    _, key = sign_characters(list(table), (1 << r) ^ (1 << c))
     blocks = []
-    for k in keys[np.argsort(first)]:
+    for k in dict.fromkeys(key.tolist()):
         units = np.flatnonzero(key == k)
-        lo, hi = np.searchsorted(inc_key, [k, k + 1])
-        row_masks, row = np.unique(out[lo:hi], return_inverse=True)
-        rows = np.zeros((row_masks.size, units.size), dtype=vals.dtype)
-        rows[row, np.searchsorted(units, unit[lo:hi])] = vals[lo:hi]
-        blocks.append((units, rows))
+        identity = np.identity(units.size, dtype=np.int64).tolist()
+        blocks.append((units, lie_images(table, r[units], c[units], identity)[1]))
     return blocks
 
 
@@ -161,22 +150,13 @@ def _certify(table: dict, n: int, blocks, kernel: np.ndarray) -> None:
 
     The blocks partition the units, so a row does when its entries on
     each block do, however the rows were sorted and scattered.  Per block
-    one `lie_incidences` pass serves every row nonzero there, summed by
-    output mask in the `int_dtype` of B = sum_m |c_m| max_k sum_u |x_ku|.
+    one `lie_images` call takes every row nonzero there, straight from
+    the form, and every image must be 0.
     """
-    coeffs = list(table.values())
     for units, _ in blocks:
         part = kernel[:, units]
         part = part[part.any(axis=1)].tolist()
-        if not part:
-            continue
-        dtype = int_dtype(sum(map(abs, coeffs)) * max(sum(map(abs, r)) for r in part))
-        out, odd, mon, unit = lie_incidences(list(table), units // n, units % n)
-        terms = np.array(coeffs, dtype=dtype)[mon] * (1 - 2 * odd)
-        keys, at = np.unique(out, return_inverse=True)
-        images = np.zeros((keys.size, len(part)), dtype=dtype)
-        np.add.at(images, at, terms[:, None] * np.array(part, dtype=dtype).T[unit])
-        if images.any():
+        if part and lie_images(table, units // n, units % n, part)[1].any():
             raise AssertionError("kernel vector moves the form")
 
 

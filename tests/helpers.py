@@ -6,7 +6,7 @@ import pkgutil
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -222,19 +222,52 @@ def det_oracle(m):
     return det
 
 
+def _int_det(m):
+    """Determinant of an integer matrix by division-free elimination.
+
+    Each step multiplies the rows below the pivot by the pivot before
+    subtracting, which scales the determinant by the pivot once per row;
+    those scalings are divided out, exactly, once at the end.
+    """
+    rows = [list(row) for row in m]
+    n = len(rows)
+    det, scale = 1, 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pval = rows[col][col]
+        det *= pval
+        for r in range(col + 1, n):
+            f = rows[r][col]
+            rows[r] = [pval * x - f * y for x, y in zip(rows[r], rows[col])]
+        scale *= pval ** (n - col - 1)
+    return det // scale
+
+
 def evaluate_oracle(form, vectors):
     """form(v1, ..., vp) as one determinant per monomial, by definition.
 
-    (dx_i1 ^ ... ^ dx_ip)(v1, ..., vp) = det [v_b[i_a]]; slow, but it
-    shares no code with the Laplace gather of `AlternatingForm.evaluate`.
+    (dx_i1 ^ ... ^ dx_ip)(v1, ..., vp) = det [v_b[i_a]].  The determinant
+    is linear in each vector, so each is cleared of its denominator first
+    and every minor is an integer one (`_int_det`); slow, but it shares no
+    code with the Laplace gather of `AlternatingForm.evaluate`.
     """
-    cols = [v.coords() for v in vectors]
+    cols, scale = [], 1
+    for v in vectors:
+        coords = [Fraction(x) for x in v.coords()]
+        d = lcm(*(x.denominator for x in coords))
+        cols.append([int(x * d) for x in coords])
+        scale *= d
     assert len(cols) == form.degree
-    return sum(
-        (coeff * det_oracle([[col[i] for i in idx] for col in cols])
-         for idx, coeff in form.items()),
-        Fraction(0),
+    total = sum(
+        coeff * _int_det([[col[i] for i in idx] for col in cols])
+        for idx, coeff in form.items()
     )
+    return Fraction(total) / scale
 
 
 def quat_mul(p, q):
@@ -279,8 +312,10 @@ def associator(a, b, c):
     return (a * b) * c - a * (b * c)
 
 
+@functools.cache
 def _merge_sign(a, b):
-    """Sign of dx_A ^ dx_B for disjoint masks, by inversion parity."""
+    """Sign of dx_A ^ dx_B for disjoint masks, by inversion parity; cached
+    per mask pair, since the quadruple-sum oracle meets each pair often."""
     parity = 0
     while b:
         low = b & -b

@@ -224,30 +224,6 @@ def test_w_tilde_pair_symmetries():
         assert w_tilde(v, vp, w, wp) == w_tilde(w, wp, v, vp)
 
 
-def test_w_tilde_matches_wedge_evaluation():
-    # antisymmetrize the four Gram forms beta(a, b) = <x (y u_b), u_a>
-    # and wedge them; their value on the 8-basis, by form evaluation
-    # rather than a read coefficient, is exactly 16 w_tilde
-    def two_form(x, y):
-        cols = [(x * (y * Octonion.unit(b))).coords() for b in range(8)]
-        terms = {}
-        for a in range(8):
-            for b in range(a + 1, 8):
-                cab = cols[b][a] - cols[a][b]
-                if cab:
-                    terms[(a, b)] = cab
-        return AlternatingForm(2, terms)
-
-    rng = random.Random(54)
-    for _ in range(4):
-        v, vp, w, wp = (rand_octonion(rng, span=2) for _ in range(4))
-        forms = [
-            two_form(x, y) for (x, y) in ((v, w), (v, wp), (vp, w), (vp, wp))
-        ]
-        prod = forms[0].wedge(forms[1]).wedge(forms[2]).wedge(forms[3])
-        assert prod.evaluate(FRAME8) == 16 * w_tilde(v, vp, w, wp)
-
-
 def test_vanishing_squared_sums():
     assert not four_form_omega_sum()
     assert not four_form_sigma_sum()

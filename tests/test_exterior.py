@@ -32,8 +32,8 @@ from spin9.exterior import (
     _wedge_plan,
     _wedge_step,
     evaluate_table,
+    lie_images,
     lie_incidences,
-    lie_table,
     perm_sign,
     pullback_table,
     square_sums,
@@ -48,8 +48,10 @@ from spin9.operators import (
     boost8,
     build_involutions,
     clifford_product,
+    lambda_basis,
     rotation,
 )
+from spin9.stabilizer import operator_rows
 
 FAM = build_involutions()
 
@@ -673,13 +675,26 @@ def test_lie_kernel_matches_slotwise_oracle_in_every_degree():
                 assert f.lie_derivative(op) == lie_derivative_oracle(f, op)
 
 
+def _lie_terms(table, entries):
+    """The nonzero images of one k = 1 `lie_images` call along the matrix
+    entries (row, col, value)."""
+    entries = list(entries)
+    masks, images = lie_images(
+        table,
+        [r for r, _, _ in entries],
+        [c for _, c, _ in entries],
+        [[v for _, _, v in entries]],
+    )
+    return {m: v for m, v in zip(masks.tolist(), images[:, 0].tolist()) if v}
+
+
 def test_lie_derivative_runs_on_python_ints_past_int64(monkeypatch):
     # coefficients near 2**40 and entries near 2**30: terms near 2**70
     rng = random.Random(54)
     f = _random_form(rng, 5, nterms=6, span=1 << 40)
     op = _sparse_operator(rng, 3, lambda: rng.randint(-(1 << 30), 1 << 30))
     seen = spy_dtypes(monkeypatch)
-    terms = lie_table(f.numerators, op.entries())
+    terms = _lie_terms(f.numerators, op.entries())
     assert seen.of("exterior") == [object]
     oracle = lie_derivative_oracle(f, op)
     assert oracle.denominator == 1
@@ -688,28 +703,85 @@ def test_lie_derivative_runs_on_python_ints_past_int64(monkeypatch):
     assert f.lie_derivative(op) == oracle
     seen.clear()
     small = _random_operator(rng)
-    terms = lie_table(f.numerators, small.entries())
+    terms = _lie_terms(f.numerators, small.entries())
     assert seen.of("exterior") == [np.int64]
     assert terms == lie_derivative_oracle(f, small).numerators
 
 
-def test_lie_table_at_the_int64_edge(monkeypatch):
+def test_lie_images_at_the_int64_edge(monkeypatch):
     # B = 2**63 - 1 stays in int64; B = 2**63 goes to Python ints
     seen = spy_dtypes(monkeypatch)
-    assert lie_table({1: INT64_LIMIT - 1}, [(0, 0, 1)]) == {1: INT64_LIMIT - 1}
+    assert _lie_terms({1: INT64_LIMIT - 1}, [(0, 0, 1)]) == {1: INT64_LIMIT - 1}
     assert seen == [("exterior", INT64_LIMIT - 1, np.int64)]
     seen.clear()
-    assert lie_table({1: 1 << 62}, [(0, 3, -2)]) == {8: -INT64_LIMIT}
+    assert _lie_terms({1: 1 << 62}, [(0, 3, -2)]) == {8: -INT64_LIMIT}
     assert seen == [("exterior", INT64_LIMIT, object)]
+    # the bound takes the largest vector, not the sum over the vectors
+    seen.clear()
+    masks, images = lie_images({1: INT64_LIMIT - 1}, [0], [0], [[1], [-1]])
+    assert masks.tolist() == [1]
+    assert images.tolist() == [[INT64_LIMIT - 1, 1 - INT64_LIMIT]]
+    assert seen == [("exterior", INT64_LIMIT - 1, np.int64)]
     # B = 0 sums nothing, however large the other factor
     seen.clear()
-    assert lie_table({1: 1 << 70}, []) == lie_table({1: 1 << 70}, [(0, 3, 0)])
-    assert lie_table({1: 1 << 70}, []) == {}
+    assert _lie_terms({1: 1 << 70}, []) == _lie_terms({1: 1 << 70}, [(0, 3, 0)])
+    assert _lie_terms({1: 1 << 70}, []) == {}
+    masks, images = lie_images({1: 1 << 70}, [0, 0], [3, 5], [[0, 0], [0, 0]])
+    assert masks.size == 0 and images.shape == (0, 2)
     assert seen == []
     with pytest.raises(TypeError):
-        lie_table({3: Fraction(1, 2)}, [(0, 0, 1)])
+        lie_images({3: Fraction(1, 2)}, [0], [0], [[1]])
     with pytest.raises(TypeError):
-        lie_table({3: 1}, [(0, 0, 0.5)])
+        lie_images({3: 1}, [0], [0], [[0.5]])
+
+
+def test_lie_images_bound_reads_the_largest_coefficient(monkeypatch):
+    # eight coefficients of size 2**60 - 1 along entries of total size 7:
+    # sum |c| sum |x| passes 2**63 but max |c| sum |x| does not, since each
+    # (output mask, unit) takes at most one term
+    top = (1 << 60) - 1
+    monomials = list(combinations(range(5), 3))[:8]
+    f = AlternatingForm(3, {m: top if k % 3 else -top for k, m in enumerate(monomials)})
+    rows = [[0] * 16 for _ in range(16)]
+    for r, c, v in ((0, 5, 2), (1, 6, -1), (2, 2, 1), (3, 0, 1), (4, 1, -2)):
+        rows[r][c] = v
+    op = Operator16(rows)
+    bound = top * 7
+    assert sum(map(abs, f.numerators.values())) * 7 >= INT64_LIMIT > bound
+    seen = spy_dtypes(monkeypatch)
+    terms = _lie_terms(f.numerators, op.entries())
+    assert seen == [("exterior", bound, np.int64)]
+    assert terms == lie_derivative_oracle(f, op).numerators
+    assert max(map(abs, terms.values())) == 2 * top
+
+
+def test_each_lie_images_column_is_one_lie_derivative():
+    # k = 3 operators at once over all 256 units, each column against the
+    # slotwise oracle of its own operator
+    rng = random.Random(56)
+    rows, cols = np.divmod(np.arange(256), 16)
+    for degree in range(6):
+        f = _random_form(rng, degree, nterms=6)
+        ops = [_random_operator(rng) for _ in range(3)]
+        masks, images = lie_images(f.numerators, rows, cols, [op.numerators for op in ops])
+        assert images.shape == (masks.size, 3)
+        for op, column in zip(ops, images.T.tolist()):
+            terms = {m: v for m, v in zip(masks.tolist(), column) if v}
+            oracle = lie_derivative_oracle(f, op)
+            assert oracle.denominator == 1 and terms == oracle.numerators
+
+
+def test_lie_images_of_the_pair_products_vanish_on_omega(omega8):
+    # the 36 products I_i I_j as 36 vectors over all 256 units, one call;
+    # a triple product appended as a 37th vector moves the form alone
+    rows, cols = np.divmod(np.arange(256), 16)
+    vectors = operator_rows(lambda_basis(2)).tolist()
+    masks, images = lie_images(omega8.numerators, rows, cols, vectors)
+    assert images.shape == (masks.size, 36) and masks.size > 0
+    assert not images.any()
+    vectors.append(list(clifford_product((0, 1, 2)).numerators))
+    masks, images = lie_images(omega8.numerators, rows, cols, vectors)
+    assert not images[:, :36].any() and images[:, 36].any()
 
 
 def test_lie_incidences_move_r_to_c_with_the_between_parity():

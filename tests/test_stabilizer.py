@@ -414,18 +414,21 @@ def test_eight_form_kernel_certificate(omega8):
 
 
 def test_certificate_takes_one_incidence_pass_per_block(omega8, monkeypatch):
-    # one pass over all 256 units builds the system; the certificate then
-    # takes one per block whose kernel is not empty, 15 of Omega's 16
-    incidences = stabilizer.lie_incidences
+    # one `lie_images` call per block builds the system, identity vectors
+    # over its 16 units; the certificate then takes one per block whose
+    # kernel is not empty, 15 of Omega's 16, with that block's kernel rows
+    images = stabilizer.lie_images
     calls = []
 
-    def counted(masks, rows, cols):
-        calls.append(len(rows))
-        return incidences(masks, rows, cols)
+    def counted(table, rows, cols, vectors):
+        assert table == omega8.numerators
+        calls.append((len(rows), len(vectors)))
+        return images(table, rows, cols, vectors)
 
-    monkeypatch.setattr(stabilizer, "lie_incidences", counted)
+    monkeypatch.setattr(stabilizer, "lie_images", counted)
     infinitesimal_stabilizer(omega8)
-    assert calls == [256] + [16] * 15
+    assert calls[:16] == [(16, 16)] * 16
+    assert sorted(calls[16:]) == [(16, 1)] * 8 + [(16, 4)] * 7
 
 
 def test_truncated_system_fails_the_certificate(omega8, monkeypatch):

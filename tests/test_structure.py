@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import spin9
-from spin9 import linalg, octonion, operators
+from spin9 import exterior, linalg, octonion, operators
 
 
 def _private_imports(path):
@@ -180,6 +180,70 @@ def test_driver_guard_sees_a_second_call_site(tmp_path):
         "stabilizer.py:6 reads INT64_LIMIT",
         "stabilizer.py:7 reads INT64_LIMIT",
         "stabilizer.py:8 reads INT64_LIMIT",
+    ]
+
+
+def _lie_incidence_callers(path):
+    """Lines of path that call `lie_incidences`, by name or as an
+    attribute, or import it under any name, outside the body of the
+    top-level `lie_images` of `exterior`, the one Lie-derivative kernel."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    for top in tree.body if path.name == "exterior.py" else ():
+        if isinstance(top, ast.FunctionDef) and top.name == "lie_images":
+            allowed.update(id(node) for node in ast.walk(top))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "lie_incidences" and id(node) not in allowed:
+            found.append(node.lineno)
+    return [f"{path.name}:{line} reaches lie_incidences" for line in sorted(found)]
+
+
+def test_only_lie_images_moves_a_form_by_a_matrix():
+    # the Lie derivative, the stabilizer's equation blocks and its
+    # certificate all substitute matrix entries through `lie_images`; a
+    # second caller of the incidences would be a second substitution
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert {"exterior.py", "stabilizer.py"} <= {p.name for p in sources}
+    assert "lie_incidences(" in inspect.getsource(exterior.lie_images)
+    found = [line for path in sources for line in _lie_incidence_callers(path)]
+    assert found == []
+
+
+def test_lie_incidence_guard_sees_a_second_caller(tmp_path):
+    (tmp_path / "exterior.py").write_text(
+        "def lie_incidences(masks, rows, cols):\n"
+        "    return masks\n"
+        "def lie_images(table, rows, cols, vectors):\n"
+        "    return lie_incidences(list(table), rows, cols)\n"
+        "def lie_table(table, entries):\n"
+        "    return lie_incidences(list(table), *zip(*entries))\n"
+        "class Form:\n"
+        "    def lie_images(self, rows, cols):\n"
+        "        return lie_incidences(self.masks, rows, cols)\n"
+    )
+    (tmp_path / "stabilizer.py").write_text(
+        "from .exterior import lie_incidences as incidences\n"
+        "from . import exterior\n"
+        "def stabilizer_system(table, r, c):\n"
+        "    return exterior.lie_incidences(list(table), r, c)\n"
+        "NAME = 'lie_incidences'  # a string is no call\n"
+    )
+    # a method called `lie_images` is not the kernel
+    assert _lie_incidence_callers(tmp_path / "exterior.py") == [
+        "exterior.py:6 reaches lie_incidences",
+        "exterior.py:9 reaches lie_incidences",
+    ]
+    assert _lie_incidence_callers(tmp_path / "stabilizer.py") == [
+        "stabilizer.py:1 reaches lie_incidences",
+        "stabilizer.py:4 reaches lie_incidences",
     ]
 
 
