@@ -23,14 +23,17 @@ and is antisymmetric in i <-> i' and in j <-> j', so each unordered pair
 of pairs stands for four ordered quadruples and the sum is -2 sum D^2
 over i < i', j < j'.  The triple-form sum is a sum of squared four-forms
 too; each of the three is one call of the checked kernel
-`exterior.square_sums`, which builds every four-form at once and
-squares each distinct one once, over unordered term pairs: 45 of the 81
-Q_jj' (Q_jj' = Q_j'j) and 666 of the 1296 D.  The module also provides
-w~, a wedge of four skew Gram two-forms, the vanishing corollaries, the
-verdict on the triple-form sum, deterministic coefficient export, and
-Friedrich's expansions of X-flat ^ Y-flat, read off
-`curvature.clifford_coefficients`, the sweep behind the curvature and
-the plane multiplicities too.
+`exterior.square_sums`, handed one list of two-form tables, one per
+index tuple that repeats no index, and the pairs as integer index
+arrays (table a, table b, group) computed from the positions of the
+tuples (`_tuple_positions`), so no pair is a Python object.  The kernel
+builds every four-form at once and squares each distinct one once,
+over unordered term pairs: 45 of the 81 Q_jj' (Q_jj' = Q_j'j) and 666
+of the 1296 D.  The module also provides w~, a wedge of four skew Gram
+two-forms, the vanishing corollaries, the verdict on the triple-form
+sum, deterministic coefficient export, and Friedrich's expansions of
+X-flat ^ Y-flat, read off `curvature.clifford_coefficients`, the sweep
+behind the curvature and the plane multiplicities too.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Optional
+
+import numpy as np
 
 from .curvature import clifford_coefficients, curvature_omega
 from .exterior import (
@@ -107,6 +112,25 @@ def canonical_8form() -> AlternatingForm:
     return AlternatingForm._raw(8, build_8form_from_two_forms(w2))
 
 
+@functools.cache
+def _tuple_positions(r: int) -> tuple:
+    """(tuples, at): the r-tuples of distinct indices 0..8 in
+    lexicographic order, and the (9,) * r array at of each one's position
+    there, -1 on a tuple that repeats an index."""
+    tuples = tuple(permutations(range(9), r))
+    at = np.full((9,) * r, -1, dtype=np.int64)
+    at[tuple(np.array(tuples).T)] = np.arange(len(tuples))
+    at.flags.writeable = False  # every caller shares the cached array
+    return tuples, at
+
+
+def _squares_of_distinct(tables, a, b, group) -> dict:
+    """`square_sums` over the pairs whose two tuples repeat no index: the
+    positions a and b both at least 0."""
+    keep = (a >= 0) & (b >= 0)
+    return square_sums(tables, a[keep], b[keep], group[keep])
+
+
 def build_8form_from_two_forms(w2: dict) -> dict:
     """The quadruple sum over arbitrary integer two-form tables.
 
@@ -117,10 +141,10 @@ def build_8form_from_two_forms(w2: dict) -> dict:
     no index-set reduction enters.  Exact for integer coefficients of
     any size.
     """
-    return square_sums(
-        [(w2[(i, j)], w2[(i, jp)]) for i in range(9) if i not in (j, jp)]
-        for j, jp in product(range(9), repeat=2)
-    )
+    tuples, at = _tuple_positions(2)
+    j, jp, i = np.indices((9, 9, 9)).reshape(3, -1)
+    tables = [w2[ij] for ij in tuples]
+    return _squares_of_distinct(tables, at[i, j], at[i, jp], 9 * j + jp)
 
 
 @functools.cache
@@ -134,10 +158,16 @@ def canonical_8form_alt() -> AlternatingForm:
     stands for four ordered quadruples with the same square, and the sum
     is -2 sum D^2 over those groups.
     """
-    w = _two_form_table
-    squares = square_sums(
-        [(w((i, j)), w((ip, jp))), (w((j, ip)), w((i, jp)))]
-        for (i, ip), (j, jp) in product(combinations(range(9), 2), repeat=2)
+    tuples, at = _tuple_positions(2)
+    rising = np.array(list(combinations(range(9), 2)))
+    group = np.arange(len(rising) ** 2)
+    i, ip = rising[group // len(rising)].T
+    j, jp = rising[group % len(rising)].T
+    squares = _squares_of_distinct(
+        [_two_form_table(ij) for ij in tuples],
+        np.stack((at[i, j], at[j, ip]), axis=1).ravel(),
+        np.stack((at[ip, jp], at[i, jp]), axis=1).ravel(),
+        np.repeat(group, 2),
     )
     return AlternatingForm._raw(8, {m: -2 * c for m, c in squares.items()})
 
@@ -284,15 +314,13 @@ def conjecture_8form(convention: str = "antisymmetric") -> AlternatingForm:
 @functools.cache
 def _conjecture_build(convention: str) -> AlternatingForm:
     signed = convention == "antisymmetric"
-    squares = square_sums(
-        [
-            (
-                _two_form_table((i, j, p), signed),
-                _two_form_table((i, j, pp), signed),
-            )
-            for i, j in product(range(9), repeat=2)
-        ]
-        for p, pp in product(range(9), repeat=2)
+    tuples, at = _tuple_positions(3)
+    p, pp, i, j = np.indices((9,) * 4).reshape(4, -1)
+    squares = _squares_of_distinct(
+        [_two_form_table(ijp, signed) for ijp in tuples],
+        at[i, j, p],
+        at[i, j, pp],
+        9 * p + pp,
     )
     return AlternatingForm._raw(8, squares, 4)
 

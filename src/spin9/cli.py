@@ -10,7 +10,6 @@ for example `mkdir -p bench/out && python3 bench/run.py --workload all
 """
 
 import argparse
-import concurrent.futures
 import ctypes
 import os
 import sys
@@ -43,7 +42,10 @@ def cmd_verify(args) -> int:
     config = RunConfig(seed=args.seed, samples=args.samples)
     workers = pool_size(args.jobs, len(SUITE_NAMES))
     if args.suite == "all" and workers > 1:
-        # fan out per suite; output order stays fixed by suite name
+        # fan out per suite; output order stays fixed by suite name.  Only
+        # here is the pool imported: it pulls in `logging` on import
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_suite, SUITE_NAMES, repeat(config)))
     else:
@@ -160,7 +162,7 @@ def main(argv=None) -> int:
     # glibc raises its mmap threshold to the largest array freed and keeps up
     # to twice that free on the heap, so a run's peak memory would hang on the
     # heap layout.  Fixed at 1 MiB, larger arrays go back to the system when
-    # freed, while the wedge kernel's 512 KiB chunk arrays reuse the heap.
+    # freed, while the wedge kernel's 384 KiB chunk arrays reuse the heap.
     if sys.platform == "linux":
         ctypes.CDLL(None).mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD, fixed
     args = build_parser().parse_args(argv)

@@ -25,22 +25,30 @@ which turns index r into c, picks up the parity of the monomial's
 indices strictly between r and c (`lie_incidences`), and how the wedge
 kernel, the pullback and the Laplace gather sign each incoming factor.
 
-Forms are immutable.  One exact kernel, `_wedge_step`, runs every wedge:
-`wedge_sum` sums a ^ b over pairs of integer coefficient tables
-{mask: int} (`AlternatingForm.wedge` among them), and `square_sums` sums
-Q_g ^ Q_g over groups g, Q_g the sum of a ^ b over the group's pairs,
-squaring each distinct Q_g once.  Every candidate term pair expands in
-one array pass per chunk of WEDGE_CHUNK; overlapping masks drop out and
-the sign is a popcount parity.  A square Q ^ Q, every term of Q of even
-positive degree, is 2 sum_{i<j}, so only its term pairs i < j expand.
-`wedge_sum` sums into a dense 2**16 accumulator, the groups of
-`square_sums` by `np.unique` on the keys group << 16 | mask.
+Forms are immutable.  One planner, `_wedge_plan`, takes a list of
+integer coefficient tables {mask: int} and the pairs as index arrays
+(table a, table b, group), and one exact kernel, `_wedge_step`, runs its
+plan: `wedge_sum` sums a ^ b over a list of pairs of tables
+(`AlternatingForm.wedge` among them) into a dense 2**16 accumulator, and
+`square_sums` sums Q_g ^ Q_g over groups g, Q_g the sum of a ^ b over
+the group's pairs, by `np.unique` on the keys group << 16 | mask, then
+squares each distinct Q_g once in its square step.  Every candidate term
+pair expands in one array pass per chunk of WEDGE_CHUNK (`_products`);
+overlapping masks drop out and the sign is a popcount parity.  The plan
+expands every term pair; the square step alone uses that a square
+Q ^ Q, every term of Q of even positive degree, is 2 sum_{i<j}, and
+expands the pairs of a cached grid per table size (`_pair_grid`).
 
 Every kernel bounds its sums by B before any arithmetic (the wedge by
 the largest B_g = sum |a|_1 |b|_1, the square step of `square_sums` by
 sum_g |Q_g|_1^2), picks the dtype `linalg.int_dtype(B)` gives, int64
 when B < 2**63, which then holds every product and partial sum, else
-Python ints, and runs once in it.  The other kernels:
+Python ints, and runs once in it.  The square step asks
+`linalg.sum_dtype` instead, which adds a third width: when B passes
+2**63 but every single product (max|c|^2 times the largest weight) and
+the pair count times 2**32 stay below it, the sums run in two int64
+limbs, v >> 32 and v & 0xFFFFFFFF, recombined as Python ints on the
+nonzero masks.  The other kernels:
 
 - `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
   and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands the
@@ -53,8 +61,9 @@ Python ints, and runs once in it.  The other kernels:
 - `lie_images` behind `AlternatingForm.lie_derivative` sums every
   (monomial, matrix unit) incidence, found in one array pass and weighted
   by k vectors of entries at once, by output mask under B = max_m |c_m|
-  max_j sum |entry|; the stabilizer builds its equation blocks and
-  certifies its kernel on it, block by block over `sign_characters`.
+  max_j sum |entry|; the stabilizer certifies its kernel on it, block by
+  block over `sign_characters`, and reads its equation blocks straight
+  off the incidences.
 """
 
 from __future__ import annotations
@@ -71,9 +80,11 @@ from .linalg import (
     Num,
     clear_denominators,
     exact_ratio,
+    LIMBS,
     int_dtype,
     lowest_terms,
     require_exact,
+    sum_dtype,
 )
 from .operators import Operator16, Vector16
 
@@ -314,7 +325,7 @@ def _nonzero(acc: np.ndarray) -> tuple:
     return masks.tolist(), acc[masks].tolist()
 
 
-# candidate term pairs expanded at once; bounds the memory: the 4 x 2**14 int64
+# candidate term pairs expanded at once; bounds the memory: the 3 x 2**14 int64
 # of a chunk stay below the 1 MiB mmap threshold that `cli.main` fixes
 WEDGE_CHUNK = 1 << 14
 
@@ -326,23 +337,45 @@ def wedge_sum(pairs) -> dict:
     B = sum |a|_1 |b|_1 bounds every product and partial sum, and the
     step runs in its `int_dtype` (see `_wedge_plan`).
     """
-    plan, bound = _wedge_plan([pairs], False)
+    tables, a, b, _ = _index_pairs([pairs])
+    plan, bound = _wedge_plan(tables, a, b)
     if plan is None:
         return {}
     return dict(zip(*_nonzero(_wedge_step(plan, int_dtype(bound)))))
 
 
-def square_sums(groups) -> dict:
-    """Exact sum over groups of Q_g ^ Q_g, Q_g the sum of a ^ b over the
-    group's pairs of integer tables {mask: int}; no zero entries.
+def _index_pairs(groups) -> tuple:
+    """(tables, a, b, group) of groups of pairs (x, y) of tables: each
+    table object once, and each pair as the positions a, b of its tables
+    with the number of its group."""
+    tables, at, a, b, group = [], {}, [], [], []
+    for g, pairs in enumerate(groups):
+        for x, y in pairs:
+            for t in (x, y):
+                if id(t) not in at:
+                    at[id(t)] = len(tables)
+                    tables.append(t)
+            a.append(at[id(x)])
+            b.append(at[id(y)])
+            group.append(g)
+    return tables, a, b, group
+
+
+def square_sums(tables, a, b, group) -> dict:
+    """Exact sum over groups g of Q_g ^ Q_g, Q_g the sum of
+    tables[a[k]] ^ tables[b[k]] over the pairs k of group g, for integer
+    tables {mask: int}; no zero entries.  group is nondecreasing.
 
     The grouped step builds every Q_g at once under the largest
     B_g = sum |a|_1 |b|_1, one segment of its sorted arrays per nonzero
     Q_g.  Segments equal in masks and values (compared as bytes, or as
     values on Python ints) are one table of multiplicity k, which the
-    square step expands once with weight k, under B = sum_g |Q_g|_1^2.
+    square step (`_square_step`) expands once with weight k.  Its sums
+    lie within B = sum_g |Q_g|_1^2 and its products within
+    max|c|^2 max weight, and `sum_dtype` picks its width from both and
+    the number of candidate pairs.
     """
-    plan, bound = _wedge_plan(groups, True)
+    plan, bound = _wedge_plan(tables, a, b, group)
     if plan is None:
         return {}
     sums, keys = _wedge_step(plan, int_dtype(bound))
@@ -352,16 +385,19 @@ def square_sums(groups) -> dict:
     if not starts.size:
         return {}
     spans = zip(starts.tolist(), np.diff(starts, append=nz.size).tolist())
-    tables: dict = {}  # (masks, values) -> [start, length, even, count]
-    for (at, n), square in zip(spans, _even(masks, starts).tolist()):
+    distinct: dict = {}  # (masks, values) -> [start, length, even, count]
+    for (at, n), even in zip(spans, _even(masks, starts).tolist()):
         values = sums[at:at + n]
         values = tuple(values) if sums.dtype == object else values.tobytes()
         key = masks[at:at + n].tobytes(), values
-        tables.setdefault(key, [at, n, square, 0])[3] += 1
-    pairs = [(at, n, at, n, square, k, 0) for at, n, square, k in tables.values()]
+        distinct.setdefault(key, [at, n, even, 0])[3] += 1
+    squares = list(distinct.values())
     bound = sum(x * x for x in np.add.reduceat(np.abs(sums), starts).tolist())
-    acc = _wedge_step(_plan(masks, sums, pairs, False), int_dtype(bound))
-    return dict(zip(*_nonzero(acc)))
+    peak = max(-int(sums.min()), int(sums.max()))
+    weight = max(k << even for _, _, even, k in squares)
+    count = sum(_grid_size(n, even) for _, n, even, _ in squares)
+    dtype = sum_dtype(bound, peak**2 * weight, count)
+    return _square_step(masks, sums, squares, dtype)
 
 
 def _even(masks: np.ndarray, starts) -> np.ndarray:
@@ -371,64 +407,137 @@ def _even(masks: np.ndarray, starts) -> np.ndarray:
     return np.maximum.reduceat(poppar[masks] | (masks == 0), starts) == 0
 
 
-def _wedge_plan(groups, grouped: bool) -> tuple:
-    """(plan, B) for `_wedge_step`, summing by group key when `grouped`,
-    else into one dense accumulator; plan is None when no pair has two
-    nonempty tables.  B is the largest B_g, or the largest |a|_1 if more,
-    so that it covers a coefficient whose partner table holds only zeros.
-    A pair whose two tables are one object Q, every term of even positive
-    degree, is a square of `_plan`; any other pair, an odd-degree square
-    included, expands every term pair.
+def _grid_size(n: int, even: bool) -> int:
+    """How many term pairs the square of a table of n terms expands
+    (`_pair_grid`): n (n - 1) / 2 when even, else n * n."""
+    return n * (n - 1) // 2 if even else n * n
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_grid(n: int, even: bool, lo: int, hi: int) -> tuple:
+    """The term pairs (i, j) number lo to hi, row by row, of those that
+    the square Q ^ Q of a table of n terms expands.
+
+    When every term has even positive degree, m ^ m = 0 and the terms
+    commute, so Q ^ Q = 2 sum_{i<j} c_i c_j m_i ^ m_j: the upper triangle
+    i < j, each pair weighted 2, whose row i starts at pair
+    i n - i (i + 1) / 2.  Any other table, an odd-degree or a degree-0
+    term in it, expands every pair.  A slice holds at most WEDGE_CHUNK
+    pairs, so the cache stays small.
     """
-    groups = [[(a, b) for a, b in group if a and b] for group in groups]
-    tables = {id(t): t for group in groups for pair in group for t in pair}
-    norms = {key: sum(map(abs, t.values())) for key, t in tables.items()}
-    # a coefficient that is not an int makes its table's norm none either
-    _require_int("the wedge kernel", norms.values())
-    bounds = [sum(norms[id(a)] * norms[id(b)] for a, b in g) for g in groups]
-    if not tables:
+    k = np.arange(lo, hi)
+    if even:
+        rows = np.arange(n)
+        starts = rows * n - rows * (rows + 1) // 2
+        i = np.searchsorted(starts, k, "right") - 1
+        grid = i, k - starts[i] + i + 1
+    else:
+        grid = np.divmod(k, n)
+    for half in grid:
+        half.flags.writeable = False  # every caller shares the cached grid
+    return grid
+
+
+def _square_step(masks, sums, squares, dtype) -> dict:
+    """sum of k Q ^ Q over the squares (start, length, even, k), each Q the
+    segment of the masks and sums that it names, in dtype (`sum_dtype`).
+
+    The squares of one size expand together from its `_pair_grid`, in
+    chunks of at most WEDGE_CHUNK candidate pairs (`_products`), into a
+    dense 2**16 accumulator.  On LIMBS each product v is split into
+    v >> 32 and v & 0xFFFFFFFF, each summed into an int64 accumulator of
+    its own, and the masks where either is nonzero are recombined as
+    Python ints.
+    """
+    limbs = dtype is LIMBS
+    at, size, even, weight = np.array(squares, dtype=np.int64).T
+    weight <<= even
+    c = sums.astype(np.int64 if limbs else dtype)
+    acc = np.zeros((1 + limbs, 1 << 16), dtype=np.int64 if limbs else dtype)
+    for n, square in sorted(set(zip(size.tolist(), even.tolist()))):
+        which = np.flatnonzero((size == n) & (even == square))
+        pairs = _grid_size(n, square)
+        # whole grids of as many squares as a chunk holds, or one square's
+        # grid cut into chunks
+        per = max(1, WEDGE_CHUNK // max(pairs, 1))
+        for lo in range(0, which.size, per):
+            t = which[lo:lo + per, None]
+            for cut in range(0, pairs, WEDGE_CHUNK):
+                i, j = _pair_grid(n, square, cut, min(cut + WEDGE_CHUNK, pairs))
+                left, right = (at[t] + i).ravel(), (at[t] + j).ravel()
+                out, vals, kept = _products(masks, c, left, right)
+                vals *= weight[t.ravel()[kept // i.size]]
+                if limbs:
+                    np.add.at(acc[0], out, vals >> 32)
+                    np.add.at(acc[1], out, vals & 0xFFFFFFFF)
+                else:
+                    np.add.at(acc[0], out, vals)
+    if not limbs:
+        return dict(zip(*_nonzero(acc[0])))
+    out = np.flatnonzero((acc != 0).any(axis=0))
+    high, low = acc[:, out].tolist()
+    totals = ((m, (h << 32) + v) for m, h, v in zip(out.tolist(), high, low))
+    return {m: v for m, v in totals if v}
+
+
+def _wedge_plan(tables, a, b, group=None) -> tuple:
+    """(plan, B) for `_wedge_step` over the pairs tables[a[k]] ^
+    tables[b[k]], summed by group (nondecreasing) when one is given, else
+    into one dense accumulator; plan is None when no pair has two
+    nonempty tables.
+
+    The spans, norms |t|_1 and bounds come from the tables and the index
+    arrays: B_g = sum |a|_1 |b|_1 over the pairs of group g, in Python
+    ints, and B is the largest B_g, or the largest |t|_1 if more, so that
+    it covers a coefficient whose partner table holds only zeros.  A row
+    of the plan is one term of a pair's first table with the range of
+    its partner terms in the second; every pair expands every term pair.
+    """
+    sizes = np.array([len(t) for t in tables], dtype=np.int64)
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    grouped = group is not None
+    group = np.asarray(group, dtype=np.int64) if grouped else np.zeros_like(a)
+    keep = np.flatnonzero((sizes[a] > 0) & (sizes[b] > 0))
+    if not keep.size:
         return None, 0
-    spans, size = {}, 0
-    for key, t in tables.items():
-        spans[key] = size, len(t)
-        size += len(t)
+    a, b, group = a[keep], b[keep], group[keep]
+    norms = np.array([sum(map(abs, t.values())) for t in tables], dtype=object)
+    # a coefficient that is not an int makes its table's norm none either
+    _require_int("the wedge kernel", norms.tolist())
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    bounds = np.add.reduceat(norms[a] * norms[b], starts)
+    spans = np.cumsum(sizes) - sizes
     masks = np.fromiter(
-        itertools.chain.from_iterable(tables.values()), dtype=np.int64, count=size
+        itertools.chain.from_iterable(tables), dtype=np.int64, count=int(sizes.sum())
     )
-    even = dict(zip(spans, _even(masks, [at for at, _ in spans.values()]).tolist()))
-    pairs = [
-        (*spans[id(a)], *spans[id(b)], a is b and even[id(a)], 1, g)
-        for g, group in enumerate(groups)
-        for a, b in group
-    ]
-    coeffs = [v for t in tables.values() for v in t.values()]
-    return _plan(masks, coeffs, pairs, grouped), max(*bounds, *norms.values())
-
-
-def _plan(masks, coeffs, pairs, grouped: bool) -> tuple:
-    """The plan of `_wedge_step` for pairs (a_at, a_len, b_at, b_len,
-    square, weight, group), in group order, of spans of the masks and
-    coefficients.  A row is one term of a pair's first span with the
-    range of its partner terms in the second, its products times the
-    weight.  On a square, Q ^ Q with every term of Q of even positive
-    degree, m ^ m = 0 and the terms commute, so Q ^ Q = 2 sum_{i<j}
-    c_i c_j m_i ^ m_j: a row takes only the later terms and doubles the
-    weight.  That sum stays within |Q|_1^2.
-    """
-    table = np.array(pairs, dtype=np.int64).T
-    a_len = table[1]
-    columns = np.vstack((table, np.cumsum(a_len) - a_len))
-    a_at, _, b_at, b_len, square, weight, group, begin = np.repeat(
-        columns, a_len, axis=1
-    )
-    term = np.arange(begin.size) - begin
-    later = (term + 1) * square
-    count = b_len - later
+    coeffs = [v for t in tables for v in t.values()]
+    # one row per term of a pair's first table; a row's k-th candidate of
+    # the whole plan meets partner k + shift
+    a_len = sizes[a]
+    first = np.repeat(np.cumsum(a_len) - a_len, a_len)
+    term = np.arange(first.size) - first
+    count = np.repeat(sizes[b], a_len)
     ends = np.cumsum(count)
-    # a row's k-th candidate of the whole plan meets partner k + shift
-    shift = b_at + later - (ends - count)
-    rows = np.array((a_at + term, shift, weight << square, group))
-    return masks, coeffs, rows, count, ends, grouped
+    shift = np.repeat(spans[b], a_len) - (ends - count)
+    left = np.repeat(spans[a], a_len) + term
+    rows = np.array((left, shift, np.repeat(group, a_len)))
+    plan = masks, coeffs, rows, count, ends, grouped
+    return plan, max(*bounds.tolist(), *norms.tolist())
+
+
+def _products(masks, c, left, right) -> tuple:
+    """(out, vals, kept) of the candidate term pairs (left, right) of the
+    masks and coefficients c: kept lists the pairs of disjoint masks, out
+    their union, vals c_left c_right with the sign of moving each index
+    of the right mask left past the indices of the left mask above it,
+    one flip each."""
+    p16, poppar = _np_tables()
+    kept = np.flatnonzero((masks[left] & masks[right]) == 0)
+    left, right = left[kept], right[kept]
+    ml, mr = masks[left], masks[right]
+    vals = c[left] * c[right]
+    vals *= 1 - 2 * poppar[p16[ml] & mr]
+    return ml | mr, vals, kept
 
 
 def _wedge_step(plan, dtype):
@@ -436,15 +545,12 @@ def _wedge_step(plan, dtype):
     (sums, keys).
 
     The rows expand in chunks of at most WEDGE_CHUNK candidate term pairs
-    (a row with more is a chunk alone).  A pair of overlapping masks drops
-    out, and each index of the right mask moves left past the indices of
-    the left mask above it, one sign flip each.  Dense, the pairs sum into
-    a 2**16 accumulator whose index is the mask.  Grouped, they sum by
-    `np.unique` on the keys group << 16 | mask; the rows run group by
-    group, so only the last group of a chunk carries into the next.
+    (a row with more is a chunk alone) by `_products`.  Dense, the pairs
+    sum into a 2**16 accumulator whose index is the mask.  Grouped, they
+    sum by `np.unique` on the keys group << 16 | mask; the rows run group
+    by group, so only the last group of a chunk carries into the next.
     """
     masks, coeffs, rows, count, ends, grouped = plan
-    p16, poppar = _np_tables()
     c = np.array(coeffs, dtype=dtype)
     parts: list = []
     keys = np.zeros(0, dtype=np.int64)
@@ -453,23 +559,19 @@ def _wedge_step(plan, dtype):
     while lo < count.size:
         hi = max(lo + 1, int(np.searchsorted(ends, before + WEDGE_CHUNK, "right")))
         load = int(ends[hi - 1]) - before
-        cand = np.repeat(rows[:, lo:hi], count[lo:hi], axis=1)
-        cand[1] += np.arange(before, before + load)  # the partner terms
-        disjoint = np.flatnonzero((masks[cand[0]] & masks[cand[1]]) == 0)
-        left, right, weight, group = cand[:, disjoint]
-        ml, mr = masks[left], masks[right]
-        vals = c[left] * c[right]
-        vals *= weight * (1 - 2 * poppar[p16[ml] & mr])
+        left, right, group = np.repeat(rows[:, lo:hi], count[lo:hi], axis=1)
+        right += np.arange(before, before + load)  # the partner terms
+        out, vals, kept = _products(masks, c, left, right)
         if not grouped:
-            np.add.at(sums, ml | mr, vals)
+            np.add.at(sums, out, vals)
         else:
             keys, inverse = np.unique(
-                np.concatenate((keys, group << 16 | ml | mr)), return_inverse=True
+                np.concatenate((keys, group[kept] << 16 | out)), return_inverse=True
             )
             total = np.zeros(keys.size, dtype=dtype)
             np.add.at(total, inverse, np.concatenate((sums, vals)))
             # the keys of the chunk's last group carry into the next chunk
-            cut = np.searchsorted(keys, rows[3, hi - 1] << 16)
+            cut = np.searchsorted(keys, rows[2, hi - 1] << 16)
             parts.append((total[:cut], keys[:cut]))
             keys, sums = keys[cut:], total[cut:]
         lo, before = hi, before + load

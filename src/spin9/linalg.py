@@ -3,14 +3,16 @@
 Every exact kernel of the package bounds its entries, products and
 partial sums by B before any arithmetic and takes its dtype from
 `int_dtype(B)`: int64 when B < 2**63, else Python ints (dtype=object).
-No float enters either way, and there is no modular step.  Integer
-systems are dense arrays (`int_array`, B their largest |entry|).
-`int_echelon` is the one elimination: a fraction-free reduced echelon,
-column by column.  Each step cross-multiplies every row holding an
-entry in the pivot column against the pivot row and divides each row by
-the gcd of its entries (`_eliminate`), so no rational appears.  Each
-step in int64 bounds its result from the maxima of the arrays first and
-moves the matrix to Python ints when the rule says so.
+A sum whose single products stay in int64 may run between the two, on
+two int64 limbs (`sum_dtype`).  No float enters either way, and there
+is no modular step.  Integer systems are dense arrays (`int_array`, B
+their largest |entry|).  `int_echelon` is the one elimination: a
+fraction-free reduced echelon, column by column.  Each step
+cross-multiplies every row holding an entry in the pivot column against
+the pivot row and divides each row by the gcd of its entries
+(`_eliminate`), so no rational appears.  Each step in int64 bounds its
+result from the maxima of the arrays first and moves the matrix to
+Python ints when the rule says so.
 
 The echelon is the primitive integer multiple of the reduced row echelon
 form, so it depends only on the row space: `nullspace` reads one kernel
@@ -43,6 +45,23 @@ def int_dtype(bound: int):
     """np.int64 for a kernel whose entries, products and partial sums all
     lie within +-bound when bound < 2**63, else object (Python ints)."""
     return np.int64 if bound < INT64_LIMIT else object
+
+
+# a sum held in two int64 limbs, v >> 32 and v & 0xFFFFFFFF, summed apart
+LIMBS = np.dtype([("hi", np.int64), ("lo", np.int64)])
+
+
+def sum_dtype(bound: int, product: int, count: int):
+    """The width of a sum of at most `count` products, each within
+    +-product, whose partial sums lie within +-bound: `int_dtype(bound)`
+    when that is int64.  Else LIMBS when every product and count * 2**32
+    fit int64: a product's high limb lies in [-2**31, 2**31) and its low
+    limb in [0, 2**32), so neither limb's sum leaves int64.  Else object.
+    """
+    dtype = int_dtype(bound)
+    if dtype is object and int_dtype(max(product, count << 32)) is np.int64:
+        return LIMBS
+    return dtype
 
 
 def int_array(values) -> np.ndarray:

@@ -10,14 +10,15 @@ its monomial.  Each block is a dense integer array over its own units
 (for the canonical 8-form, 16 blocks of 16 units, no row dropped), and
 is eliminated once, by `linalg.nullspace`, int64 while its bound holds.
 The kernel is one integer matrix, a row of n*n entries per basis
-vector.  One Lie-derivative kernel, `exterior.lie_images`, serves the
-system and its certificate: a block's rows are the images of its
-units, and the certificate substitutes every kernel row's entries on
-each block back into the form and must get the zero form.  The
-blocks' units must partition the n*n matrix units, which is checked;
-then the rank of the blocks plus the kernel dimension is n*n, because
-`nullspace` returns one vector per non-pivot column.  Containment in
-the kernel is reduction against its echelon, computed once.
+vector.  The system reads its blocks off the (monomial, unit)
+incidences of `exterior.lie_incidences`, found once for all units, and
+the certificate substitutes every kernel row's entries on each block
+back into the form through `exterior.lie_images`, the Lie derivative's
+kernel, and must get the zero form.  The blocks' units must partition
+the n*n matrix units, which is checked; then the rank of the blocks
+plus the kernel dimension is n*n, because `nullspace` returns one
+vector per non-pivot column.  Containment in the kernel is reduction
+against its echelon, computed once.
 
 The solver is anchored on two closed-form cases before being trusted on
 the canonical 8-form: the standard symplectic 2-form on R^4, whose
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exterior import AlternatingForm, lie_images, sign_characters
+from .exterior import AlternatingForm, lie_images, lie_incidences, sign_characters
 from .linalg import int_array, int_dtype, int_echelon, nullspace, reduce_against
 from .operators import (
     Operator16,
@@ -56,19 +57,28 @@ def stabilizer_system(form: AlternatingForm, n: int) -> list:
     coefficient of L_A form vanish.  Units share a block when e_r ^ e_c
     have the same character on the sign group D of the form
     (`sign_characters`), and so do the equations they appear in.  A block
-    is (units, rows): its columns in increasing order, and the images of
-    those units one by one, `exterior.lie_images` of the form's numerators
-    along the identity vectors, one row per monomial, sorted by mask.
-    Blocks come in the order of their first unit.
+    is (units, rows): its columns in increasing order, and one row per
+    image monomial, sorted by mask.  The `lie_incidences` of all n*n
+    units are found once; each (monomial, unit) is one signed coefficient
+    of the form, assigned to its image's row and its unit's column, as
+    distinct monomials have distinct images under one unit.  Blocks come
+    in the order of their first unit.
     """
     table = form.numerators
     r, c = np.divmod(np.arange(n * n), n)
     _, key = sign_characters(list(table), (1 << r) ^ (1 << c))
+    out, odd, mon, unit = lie_incidences(list(table), r, c)
+    peak = max(map(abs, table.values()), default=0)
+    coeffs = np.array(list(table.values()), dtype=int_dtype(peak))
+    terms = coeffs[mon] * (1 - 2 * odd)
     blocks = []
     for k in dict.fromkeys(key.tolist()):
         units = np.flatnonzero(key == k)
-        identity = np.identity(units.size, dtype=np.int64).tolist()
-        blocks.append((units, lie_images(table, r[units], c[units], identity)[1]))
+        hit = np.flatnonzero(key[unit] == k)
+        masks, row = np.unique(out[hit], return_inverse=True)
+        rows = np.zeros((masks.size, units.size), dtype=terms.dtype)
+        rows[row, np.searchsorted(units, unit[hit])] = terms[hit]
+        blocks.append((units, rows))
     return blocks
 
 

@@ -506,6 +506,7 @@ def alt_grouping_oracle(w):
 Decision = namedtuple("Decision", "module bound dtype")
 
 _INT_DTYPE = linalg.int_dtype
+_SUM_DTYPE = linalg.sum_dtype
 
 
 class Decisions(list):
@@ -517,39 +518,63 @@ class Decisions(list):
 
 
 def spy_dtypes(monkeypatch) -> Decisions:
-    """Record every `linalg.int_dtype` decision as a Decision(module,
-    bound, dtype): the short name of the spin9 module that asked, the
-    bound it passed and the dtype it got.  The spy replaces `int_dtype`
-    in every spin9 module that holds it; a later spy replaces this one."""
+    """Record every `linalg.int_dtype` and `linalg.sum_dtype` decision as
+    a Decision(module, bound, dtype): the short name of the spin9 module
+    that asked, the bound it passed and the dtype it got (`linalg.LIMBS`
+    for two int64 limbs).  The spy replaces both in every spin9 module
+    that holds them; a `sum_dtype` decision is one record, without the
+    `int_dtype` calls it makes.  A later spy replaces this one."""
     seen = Decisions()
     for info in pkgutil.iter_modules(spin9.__path__):
         module = importlib.import_module(f"spin9.{info.name}")
-        if not hasattr(module, "int_dtype"):
-            continue
+        if hasattr(module, "int_dtype"):
 
-        def spy(bound, name=info.name):
-            dtype = _INT_DTYPE(bound)
-            seen.append(Decision(name, bound, np.dtype(dtype)))
-            return dtype
+            def spy(bound, name=info.name):
+                dtype = _INT_DTYPE(bound)
+                seen.append(Decision(name, bound, np.dtype(dtype)))
+                return dtype
 
-        monkeypatch.setattr(module, "int_dtype", spy)
+            monkeypatch.setattr(module, "int_dtype", spy)
+        if hasattr(module, "sum_dtype"):
+
+            def spy_sum(bound, product, count, name=info.name):
+                inner = len(seen)
+                dtype = _SUM_DTYPE(bound, product, count)
+                del seen[inner:]
+                seen.append(Decision(name, bound, np.dtype(dtype)))
+                return dtype
+
+            monkeypatch.setattr(module, "sum_dtype", spy_sum)
     return seen
 
 
 def spy_plans(monkeypatch) -> list:
-    """Record the pairs (a_at, a_len, b_at, b_len, square, weight, group)
-    of every plan the wedge kernel builds, one list per `exterior._plan`
-    call: one per `wedge_sum`, two per `square_sums` (the grouped step,
-    then the square step, one pair per distinct table)."""
+    """Record every plan of the wedge kernel, in call order: the pairs
+    (a, b, group) of each `exterior._wedge_plan` (group 0 when dense),
+    and the squares (start, length, even, weight) of each
+    `exterior._square_step`, one per distinct table.  A `wedge_sum`
+    builds one plan, a `square_sums` two: its grouped plan, then its
+    square step."""
     seen = []
-    plan = exterior._plan
+    plan, step = exterior._wedge_plan, exterior._square_step
 
-    def spy(masks, coeffs, pairs, grouped):
-        seen.append(list(pairs))
-        return plan(masks, coeffs, pairs, grouped)
+    def spy_plan(tables, a, b, group=None):
+        seen.append(list(zip(a, b, [0] * len(a) if group is None else group)))
+        return plan(tables, a, b, group)
 
-    monkeypatch.setattr(exterior, "_plan", spy)
+    def spy_step(masks, sums, squares, dtype):
+        seen.append([tuple(square) for square in squares])
+        return step(masks, sums, squares, dtype)
+
+    monkeypatch.setattr(exterior, "_wedge_plan", spy_plan)
+    monkeypatch.setattr(exterior, "_square_step", spy_step)
     return seen
+
+
+def square_groups(groups) -> dict:
+    """`exterior.square_sums` of groups of pairs of tables, handed over as
+    `exterior._index_pairs` indexes them."""
+    return exterior.square_sums(*exterior._index_pairs(groups))
 
 
 def squares_oracle(groups) -> dict:

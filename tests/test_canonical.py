@@ -40,7 +40,7 @@ from spin9.canonical import (
     w_tilde,
 )
 from spin9.exterior import AlternatingForm, wedge_sum
-from spin9.linalg import inner_product
+from spin9.linalg import LIMBS, inner_product
 from spin9.octonion import Octonion
 from spin9.operators import (
     Operator16,
@@ -101,10 +101,9 @@ def test_alt_grouping_reduction_matches_the_literal_sum(monkeypatch):
     groups = []
     squares = canonical.square_sums
 
-    def spy(gs):
-        gs = list(gs)
-        groups.append(len(gs))
-        return squares(gs)
+    def spy(tables, a, b, group):
+        groups.append(np.unique(group).size)
+        return squares(tables, a, b, group)
 
     monkeypatch.setattr(canonical, "_two_form_table", table)
     monkeypatch.setattr(canonical, "square_sums", spy)
@@ -135,8 +134,8 @@ def test_square_stage_expands_each_distinct_four_form_once(
     build()
     _, square = plans
     assert len(square) == distinct
-    assert sum(weight for *_, weight, _ in square) == groups
-    assert all(pair[4] for pair in square)  # every four-form is a square
+    assert sum(weight for *_, weight in square) == groups
+    assert all(even for *_, even, _ in square)  # every four-form is a square
 
 
 def test_two_form_conventions():
@@ -309,13 +308,16 @@ def test_frame_independence_three_matrices():
     assert frame_change_fixes(m3)
 
 
-def test_frame_independence_d85_runs_on_python_ints(omega8, monkeypatch):
-    # (13, 84, 85): the rebuilt coefficients need 66 bits, past int64; the
-    # four-forms are built in int64 first, then squared once on Python ints
+def test_frame_independence_d85_runs_on_int64_limbs(omega8, monkeypatch):
+    # (13, 84, 85): the rebuilt coefficients need 66 bits, past int64, but
+    # each product of the square stage fits in 58; the four-forms are
+    # built in int64 first, then squared once on two int64 limbs and
+    # recombined exactly
     seen = spy_dtypes(monkeypatch)
     m = givens9(2, 7, RationalCirclePoint(Fraction(13, 85), Fraction(84, 85)))
     assert frame_change_fixes(m)
-    assert seen.of("exterior") == [np.int64, object]
+    assert seen.of("exterior") == [np.int64, LIMBS]
+    assert seen[-1].module == "exterior" and seen[-1].bound >= 1 << 63
 
 
 def test_frame_independence_d25_stays_on_int64(omega8, monkeypatch):

@@ -1,5 +1,6 @@
 """Exit codes, report grammar, export stability."""
 
+import concurrent.futures
 import hashlib
 import importlib
 import shutil
@@ -215,13 +216,13 @@ def test_verify_jobs_pool_prints_the_serial_lines(monkeypatch, capsys):
     # two CPUs seen here, so --jobs 2 fans the suites out to two workers
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     pools = []
-    executor = cli.concurrent.futures.ProcessPoolExecutor
+    executor = concurrent.futures.ProcessPoolExecutor
 
     def spy(max_workers):
         pools.append(max_workers)
         return executor(max_workers=max_workers)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     assert run_cli(["verify", "--jobs", "1", "--samples", "1"]) == 0
     serial = capsys.readouterr().out
     assert run_cli(["verify", "--jobs", "2", "--samples", "1"]) == 0

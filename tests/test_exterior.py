@@ -22,6 +22,7 @@ from helpers import (
     rand_vector,
     spy_dtypes,
     spy_plans,
+    square_groups,
     squares_oracle,
 )
 from spin9 import exterior
@@ -36,11 +37,10 @@ from spin9.exterior import (
     lie_incidences,
     perm_sign,
     pullback_table,
-    square_sums,
     two_form_from_operator,
     wedge_sum,
 )
-from spin9.linalg import INT64_LIMIT, inner_product
+from spin9.linalg import INT64_LIMIT, LIMBS, inner_product
 from spin9.operators import (
     Operator16,
     RationalCirclePoint,
@@ -851,7 +851,7 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
     for _ in range(10):
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
-        plan, _ = _wedge_plan([[(a.numerators, b.numerators)]], False)
+        plan, _ = _wedge_plan([a.numerators, b.numerators], [0], [1])
         acc = _wedge_step(plan, np.int64)
         assert acc.dtype == np.int64 and acc.shape == (1 << 16,)
         nz = np.flatnonzero(acc)
@@ -934,7 +934,7 @@ def test_wedge_sum_rejects_inexact_coefficients():
     with pytest.raises(TypeError):
         wedge_sum([({3: 1}, {12: 0.5})])
     with pytest.raises(TypeError):
-        square_sums([[({3: 1}, {12: 1})], [({3: 1}, {12: Fraction(2)})]])
+        square_groups([[({3: 1}, {12: 1})], [({3: 1}, {12: Fraction(2)})]])
     assert wedge_sum([({3: 1}, {})]) == {}
 
 
@@ -957,16 +957,18 @@ def test_square_sums_match_each_group_squared_alone():
     ]
     for g in groups:
         assert wedge_sum(_tables(g)) == _summed_wedges(g)
-        assert square_sums([_tables(g)]) == squares_oracle([_tables(g)])
-    got = square_sums(_tables(g) for g in groups)
+        assert square_groups([_tables(g)]) == squares_oracle([_tables(g)])
+    got = square_groups(_tables(g) for g in groups)
     assert got == squares_oracle(_tables(g) for g in groups) != {}
     assert wedge_sum(_tables(groups[1])) == wedge_sum(_tables(groups[2])) == {}
-    assert square_sums([]) == {} and square_sums([[]]) == {}
+    assert square_groups([]) == {} and square_groups([[]]) == {}
 
 
-def test_wedge_of_a_table_with_itself_expands_unordered_pairs():
+def test_wedge_of_a_table_with_itself_matches_the_pair_sum():
     # Q ^ Q is 2 sum_{i<j} for even degrees and vanishes for odd ones;
-    # a degree-0 term is the one term whose own square is not 0
+    # a degree-0 term is the one term whose own square is not 0.  The
+    # wedge kernel expands every term pair of a square; only the square
+    # step of `square_sums` takes the upper triangle
     rng = random.Random(63)
     for degree in (0, 1, 2, 3, 4):
         for _ in range(4):
@@ -975,9 +977,9 @@ def test_wedge_of_a_table_with_itself_expands_unordered_pairs():
             assert got == _summed_wedges([(q, q)])
             if degree % 2:
                 assert got == {}
-            # an equal copy is not the same object and expands every pair
+            # an equal copy that is not the same object sums the same
             assert wedge_sum([(q.numerators, dict(q.numerators))]) == got
-    # tables with odd-degree terms, or a degree-0 term, expand every pair
+    # tables with odd-degree terms, or a degree-0 term
     q = {0b1: 2, 0b110: -3, 0b11000: 5, 0b1100000: 1, 0b10000000: 7}
     for table in (q, {0: -4, **q}):
         total = {}
@@ -988,7 +990,8 @@ def test_wedge_of_a_table_with_itself_expands_unordered_pairs():
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_square_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
     rng = random.Random(64)
-    # rows of 20 partners, and of 19 down to 0 in its square
+    # plan rows of 20 partners, and squares whose pair grids span many
+    # chunks
     big = AlternatingForm(2, {
         ij: k + 1 for k, ij in enumerate(combinations(range(16), 2)) if k < 20
     })
@@ -1000,11 +1003,11 @@ def test_square_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
     huge = [[(_random_form(rng, 2, nterms=6, span=1 << 40),
               _random_form(rng, 2, nterms=6, span=1 << 40))
              for _ in range(3)] for _ in range(3)]
-    expected = [square_sums(_tables(g) for g in gs) for gs in (groups, huge)]
+    expected = [square_groups(_tables(g) for g in gs) for gs in (groups, huge)]
     expected.append(wedge_sum(_tables(groups[0])))
     monkeypatch.setattr(exterior, "WEDGE_CHUNK", chunk)
     seen = spy_dtypes(monkeypatch)
-    got = [square_sums(_tables(g) for g in gs) for gs in (groups, huge)]
+    got = [square_groups(_tables(g) for g in gs) for gs in (groups, huge)]
     got.append(wedge_sum(_tables(groups[0])))
     assert got == expected
     # each square_sums decides its grouped step, then its square step
@@ -1048,7 +1051,7 @@ def test_square_sums_python_int_path_aligns_the_keys_of_every_group(monkeypatch)
         {e23 | e45: 3},
         {e01 | e23: -10},
     ]
-    got = square_sums(groups)
+    got = square_groups(groups)
     assert _grouped_tables(steps[0], 3) == expected
     square_bound = INT64_LIMIT**2 + 3**2 + 10**2
     assert seen == [
@@ -1059,7 +1062,7 @@ def test_square_sums_python_int_path_aligns_the_keys_of_every_group(monkeypatch)
     # the largest bound decides the path, wherever its group stands
     steps.clear()
     seen.clear()
-    assert square_sums(groups[::-1]) == {}
+    assert square_groups(groups[::-1]) == {}
     assert _grouped_tables(steps[0], 3) == expected[::-1]
     assert seen.of("exterior") == [object, object]
 
@@ -1078,12 +1081,12 @@ def test_square_sums_merge_equal_tables_that_are_distinct_objects(
     ]
     seen = spy_dtypes(monkeypatch)
     plans = spy_plans(monkeypatch)
-    got = square_sums(groups)
+    got = square_groups(groups)
     _, square = plans
     dtype = np.int64 if scale == 1 else object
     assert seen.of("exterior") == [dtype, dtype]
     assert got == squares_oracle(groups) != {}
-    assert sorted(weight for *_, weight, _ in square) == [1, 4]
+    assert sorted(weight for *_, weight in square) == [1, 4]
 
 
 @pytest.mark.parametrize("scale", [1, 1 << 70])
@@ -1101,12 +1104,12 @@ def test_square_sums_keep_tables_that_differ_in_one_coefficient(
     assert [m for m in q[0] if q[2][m] != q[0][m]] == [e01 | e45]
     seen = spy_dtypes(monkeypatch)
     plans = spy_plans(monkeypatch)
-    got = square_sums(groups)
+    got = square_groups(groups)
     _, square = plans
     dtype = np.int64 if scale == 1 else object
     assert seen.of("exterior") == [dtype, dtype]
     assert got == squares_oracle(groups) != {}
-    assert [weight for *_, weight, _ in square] == [2, 1]
+    assert [weight for *_, weight in square] == [2, 1]
 
 
 def test_square_sums_expand_every_pair_of_odd_or_degree_0_tables(monkeypatch):
@@ -1117,11 +1120,40 @@ def test_square_sums_expand_every_pair_of_odd_or_degree_0_tables(monkeypatch):
     for table in (q, {0: -4, **q}, {0: 3}):
         groups = [[(table, one)], [(dict(table), one)], [({0b1: 1}, {0b10: 1})]]
         plans = spy_plans(monkeypatch)
-        got = square_sums(groups)
+        got = square_groups(groups)
         _, square = plans
         assert got == squares_oracle(groups) != {}
-        # (square, weight): the table twice, and the even monomial once
-        assert [tuple(pair[4:6]) for pair in square] == [(0, 2), (1, 1)]
+        # (even, weight): the table twice, and the even monomial once
+        assert [(even, weight) for *_, even, weight in square] == [(0, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("width", ["int64", "limbs", "object"])
+def test_square_step_is_exact_at_every_width(monkeypatch, width):
+    # tables of mixed sizes and degrees 0..3, each group also as an equal
+    # copy that is another object; the loud groups square degree-0 tables:
+    # nine squares near 2**60 sum past 2**63 while every product, weights
+    # included, stays below it (limbs), and a square of 2**66 is one
+    # product past it (Python ints)
+    rng = random.Random(66)
+    groups = []
+    for p, q in ((0, 0), (0, 2), (1, 1), (1, 2), (2, 2), (0, 3), (1, 3)):
+        for nterms in (1, 4, 9):
+            a, b = (_random_form(rng, d, nterms, span=1 << 8) for d in (p, q))
+            groups.append([(a.numerators, b.numerators)])
+            groups.append([(dict(a.numerators), dict(b.numerators))])
+    loud = {
+        "int64": [],
+        "limbs": [[({0: 1 << 15}, {0: (1 << 15) + t})] for t in range(9)],
+        "object": [[({0: 1 << 33}, {0: 1})]],
+    }
+    groups += loud[width]
+    seen = spy_dtypes(monkeypatch)
+    got = square_groups(groups)
+    decided = {"int64": np.int64, "limbs": LIMBS, "object": object}[width]
+    assert seen.of("exterior") == [np.int64, decided]
+    assert got == squares_oracle(groups) != {}
+    assert all(type(v) is int for v in got.values())
+    assert (max(map(abs, got.values())) >= INT64_LIMIT) == (width != "int64")
 
 
 def test_bounds_far_past_2_63_run_each_step_once_on_python_ints(monkeypatch):
@@ -1136,7 +1168,7 @@ def test_bounds_far_past_2_63_run_each_step_once_on_python_ints(monkeypatch):
     seen = spy_dtypes(monkeypatch)
     assert wedge_sum(_tables(pairs)) == _summed_wedges(pairs)
     groups = [pairs, [(c, a)], [], [(a, a)]]
-    got = square_sums(_tables(g) for g in groups)
+    got = square_groups(_tables(g) for g in groups)
     assert seen.of("exterior") == [object, object, object]
     assert got == squares_oracle(_tables(g) for g in groups)
     assert all(type(v) is int for v in got.values())

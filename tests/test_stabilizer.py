@@ -414,21 +414,27 @@ def test_eight_form_kernel_certificate(omega8):
 
 
 def test_certificate_takes_one_incidence_pass_per_block(omega8, monkeypatch):
-    # one `lie_images` call per block builds the system, identity vectors
-    # over its 16 units; the certificate then takes one per block whose
+    # the system takes the incidences of all 256 units in one pass and no
+    # `lie_images` call; the certificate then takes one per block whose
     # kernel is not empty, 15 of Omega's 16, with that block's kernel rows
-    images = stabilizer.lie_images
-    calls = []
+    images, incidences = stabilizer.lie_images, stabilizer.lie_incidences
+    calls, passes = [], []
 
     def counted(table, rows, cols, vectors):
         assert table == omega8.numerators
         calls.append((len(rows), len(vectors)))
         return images(table, rows, cols, vectors)
 
+    def passed(masks, rows, cols):
+        assert masks == list(omega8.numerators)
+        passes.append(len(rows))
+        return incidences(masks, rows, cols)
+
     monkeypatch.setattr(stabilizer, "lie_images", counted)
+    monkeypatch.setattr(stabilizer, "lie_incidences", passed)
     infinitesimal_stabilizer(omega8)
-    assert calls[:16] == [(16, 16)] * 16
-    assert sorted(calls[16:]) == [(16, 1)] * 8 + [(16, 4)] * 7
+    assert passes == [256]
+    assert sorted(calls) == [(16, 1)] * 8 + [(16, 4)] * 7
 
 
 def test_truncated_system_fails_the_certificate(omega8, monkeypatch):
