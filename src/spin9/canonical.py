@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Optional
 
 import numpy as np
@@ -54,7 +54,7 @@ from .exterior import (
     two_form_from_operator,
     wedge_sum,
 )
-from .linalg import Num, clear_denominators, det, exact_ratio, require_exact
+from .linalg import Num, clear_denominators, det, exact_ratio
 from .octonion import Octonion
 from .operators import (
     Operator16,
@@ -253,13 +253,6 @@ def givens9(a: int, b: int, p: RationalCirclePoint):
     return tuple(tuple(r) for r in rows)
 
 
-def mat9_mul(m1, m2):
-    return tuple(
-        tuple(sum(m1[r][t] * m2[t][c] for t in range(9)) for c in range(9))
-        for r in range(9)
-    )
-
-
 def frame_change_fixes(m9) -> bool:
     """Whether rebuilding the eight-form from I'_i = sum_j m[i][j] I_j changes it.
 
@@ -273,12 +266,14 @@ def frame_change_fixes(m9) -> bool:
     rows = tuple(tuple(row) for row in m9)
     if len(rows) != 9 or any(len(row) != 9 for row in rows):
         raise ValueError("frame matrix must be 9 x 9")
-    rows = tuple(tuple(Fraction(require_exact(v)) for v in row) for row in rows)
-    if mat9_mul(tuple(zip(*rows)), rows) != _IDENTITY9:
-        raise ValueError("frame matrix is not orthogonal")
+    entries, d = clear_denominators(v for row in rows for v in row)
+    # m = E / d is orthogonal when the integer columns of E meet E^T E = d^2 I
+    cols = [entries[c::9] for c in range(9)]
+    for a, b in combinations_with_replacement(range(9), 2):
+        if sum(x * y for x, y in zip(cols[a], cols[b])) != (d * d if a == b else 0):
+            raise ValueError("frame matrix is not orthogonal")
     if det(rows) != 1:
         raise ValueError("frame matrix must have determinant 1")
-    entries, d = clear_denominators(v for row in rows for v in row)
     fam = build_involutions()
     scaled_ops = []
     for i in range(9):

@@ -27,28 +27,29 @@ kernel, the pullback and the Laplace gather sign each incoming factor.
 
 Forms are immutable.  One planner, `_wedge_plan`, takes a list of
 integer coefficient tables {mask: int} and the pairs as index arrays
-(table a, table b, group), and one exact kernel, `_wedge_step`, runs its
-plan: `wedge_sum` sums a ^ b over a list of pairs of tables
-(`AlternatingForm.wedge` among them) into a dense 2**16 accumulator, and
-`square_sums` sums Q_g ^ Q_g over groups g, Q_g the sum of a ^ b over
-the group's pairs, by `np.unique` on the keys group << 16 | mask, then
-squares each distinct Q_g once in its square step.  Every candidate term
-pair expands in one array pass per chunk of WEDGE_CHUNK (`_products`);
-overlapping masks drop out and the sign is a popcount parity.  The plan
-expands every term pair; the square step alone uses that a square
-Q ^ Q, every term of Q of even positive degree, is 2 sum_{i<j}, and
-expands the pairs of a cached grid per table size (`_pair_grid`).
+(table a, table b, group) and makes one block per pair, and one
+expander, `_expand_grids`, runs blocks: each expands a cached grid of
+term pairs (`_pair_grid`), in chunks of WEDGE_CHUNK candidate pairs and
+one array pass each (`_products`); overlapping masks drop out and the
+sign is a popcount parity.  `wedge_sum` sums a ^ b over a list of pairs
+of tables (`AlternatingForm.wedge` among them) into a dense 2**16
+accumulator.  `square_sums` sums Q_g ^ Q_g over groups g, Q_g the sum of
+a ^ b over the group's pairs: the expander builds every Q_g by
+`np.unique` on the keys group << 16 | mask, and then squares each
+distinct Q_g as one block of itself.  Only those blocks use that a
+square Q ^ Q, every term of Q of even positive degree, is 2 sum_{i<j}:
+they expand the triangle i < j of their grid at twice the weight.
 
 Every kernel bounds its sums by B before any arithmetic (the wedge by
-the largest B_g = sum |a|_1 |b|_1, the square step of `square_sums` by
+the largest B_g = sum |a|_1 |b|_1, the squares of `square_sums` by
 sum_g |Q_g|_1^2), picks the dtype `linalg.int_dtype(B)` gives, int64
 when B < 2**63, which then holds every product and partial sum, else
-Python ints, and runs once in it.  The square step asks
-`linalg.sum_dtype` instead, which adds a third width: when B passes
-2**63 but every single product (max|c|^2 times the largest weight) and
-the pair count times 2**32 stay below it, the sums run in two int64
-limbs, v >> 32 and v & 0xFFFFFFFF, recombined as Python ints on the
-nonzero masks.  The other kernels:
+Python ints, and runs once in it.  The squares ask `linalg.sum_dtype`
+instead, which adds a third width: when B passes 2**63 but every single
+product (max|c|^2 times the largest weight) and the pair count times
+2**32 stay below it, the expander sums v >> 32 and v & 0xFFFFFFFF into
+two int64 accumulators, which `square_sums` recombines as Python ints
+on the nonzero masks.  The other kernels:
 
 - `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
   and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands the
@@ -335,30 +336,14 @@ def wedge_sum(pairs) -> dict:
     no zero entries.
 
     B = sum |a|_1 |b|_1 bounds every product and partial sum, and the
-    step runs in its `int_dtype` (see `_wedge_plan`).
+    pairs expand in its `int_dtype` (see `_wedge_plan`).
     """
-    tables, a, b, _ = _index_pairs([pairs])
-    plan, bound = _wedge_plan(tables, a, b)
-    if plan is None:
+    tables = [t for pair in pairs for t in pair]
+    a = np.arange(0, len(tables), 2)
+    masks, coeffs, blocks, bound = _wedge_plan(tables, a, a + 1)
+    if not bound:
         return {}
-    return dict(zip(*_nonzero(_wedge_step(plan, int_dtype(bound)))))
-
-
-def _index_pairs(groups) -> tuple:
-    """(tables, a, b, group) of groups of pairs (x, y) of tables: each
-    table object once, and each pair as the positions a, b of its tables
-    with the number of its group."""
-    tables, at, a, b, group = [], {}, [], [], []
-    for g, pairs in enumerate(groups):
-        for x, y in pairs:
-            for t in (x, y):
-                if id(t) not in at:
-                    at[id(t)] = len(tables)
-                    tables.append(t)
-            a.append(at[id(x)])
-            b.append(at[id(y)])
-            group.append(g)
-    return tables, a, b, group
+    return dict(zip(*_nonzero(_expand_grids(masks, coeffs, blocks, int_dtype(bound)))))
 
 
 def square_sums(tables, a, b, group) -> dict:
@@ -366,19 +351,22 @@ def square_sums(tables, a, b, group) -> dict:
     tables[a[k]] ^ tables[b[k]] over the pairs k of group g, for integer
     tables {mask: int}; no zero entries.  group is nondecreasing.
 
-    The grouped step builds every Q_g at once under the largest
+    The first expansion builds every Q_g at once under the largest
     B_g = sum |a|_1 |b|_1, one segment of its sorted arrays per nonzero
     Q_g.  Segments equal in masks and values (compared as bytes, or as
     values on Python ints) are one table of multiplicity k, which the
-    square step (`_square_step`) expands once with weight k.  Its sums
-    lie within B = sum_g |Q_g|_1^2 and its products within
-    max|c|^2 max weight, and `sum_dtype` picks its width from both and
-    the number of candidate pairs.
+    second expansion squares once: one block of the segment with itself,
+    a triangle of weight 2k when every term has even positive degree,
+    else the whole grid of weight k (`_pair_grid`), the blocks sorted by
+    size.  Its sums lie within B = sum_g |Q_g|_1^2 and its products
+    within max|c|^2 max weight, and `sum_dtype` picks its width from both
+    and the number of candidate pairs.  On LIMBS the accumulator's two
+    rows are recombined as Python ints on the nonzero masks.
     """
-    plan, bound = _wedge_plan(tables, a, b, group)
-    if plan is None:
+    masks, coeffs, blocks, bound = _wedge_plan(tables, a, b, group)
+    if not bound:
         return {}
-    sums, keys = _wedge_step(plan, int_dtype(bound))
+    sums, keys = _expand_grids(masks, coeffs, blocks, int_dtype(bound), grouped=True)
     nz = np.flatnonzero(sums != 0)
     sums, masks = sums[nz], keys[nz] & 0xFFFF
     starts = np.flatnonzero(np.diff(keys[nz] >> 16, prepend=-1))
@@ -391,13 +379,21 @@ def square_sums(tables, a, b, group) -> dict:
         values = tuple(values) if sums.dtype == object else values.tobytes()
         key = masks[at:at + n].tobytes(), values
         distinct.setdefault(key, [at, n, even, 0])[3] += 1
-    squares = list(distinct.values())
+    squares = sorted(distinct.values(), key=lambda s: s[1:3])  # by (size, even)
+    at, n, even, k = np.array(squares, dtype=np.int64).T
+    weight = k << even
+    blocks = np.array((at, at, n, n, even, weight, 0 * k)).T
     bound = sum(x * x for x in np.add.reduceat(np.abs(sums), starts).tolist())
     peak = max(-int(sums.min()), int(sums.max()))
-    weight = max(k << even for _, _, even, k in squares)
-    count = sum(_grid_size(n, even) for _, n, even, _ in squares)
-    dtype = sum_dtype(bound, peak**2 * weight, count)
-    return _square_step(masks, sums, squares, dtype)
+    count = int(_grid_sizes(n, n, even).sum())
+    dtype = sum_dtype(bound, peak**2 * int(weight.max()), count)
+    acc = _expand_grids(masks, sums, blocks, dtype)
+    if dtype is not LIMBS:
+        return dict(zip(*_nonzero(acc)))
+    out = np.flatnonzero((acc != 0).any(axis=0))
+    high, low = acc[:, out].tolist()
+    totals = ((m, (h << 32) + v) for m, h, v in zip(out.tolist(), high, low))
+    return {m: v for m, v in totals if v}
 
 
 def _even(masks: np.ndarray, starts) -> np.ndarray:
@@ -407,122 +403,140 @@ def _even(masks: np.ndarray, starts) -> np.ndarray:
     return np.maximum.reduceat(poppar[masks] | (masks == 0), starts) == 0
 
 
-def _grid_size(n: int, even: bool) -> int:
-    """How many term pairs the square of a table of n terms expands
-    (`_pair_grid`): n (n - 1) / 2 when even, else n * n."""
-    return n * (n - 1) // 2 if even else n * n
-
-
-@functools.lru_cache(maxsize=16)
-def _pair_grid(n: int, even: bool, lo: int, hi: int) -> tuple:
-    """The term pairs (i, j) number lo to hi, row by row, of those that
-    the square Q ^ Q of a table of n terms expands.
-
-    When every term has even positive degree, m ^ m = 0 and the terms
-    commute, so Q ^ Q = 2 sum_{i<j} c_i c_j m_i ^ m_j: the upper triangle
-    i < j, each pair weighted 2, whose row i starts at pair
-    i n - i (i + 1) / 2.  Any other table, an odd-degree or a degree-0
-    term in it, expands every pair.  A slice holds at most WEDGE_CHUNK
-    pairs, so the cache stays small.
-    """
-    k = np.arange(lo, hi)
-    if even:
-        rows = np.arange(n)
-        starts = rows * n - rows * (rows + 1) // 2
-        i = np.searchsorted(starts, k, "right") - 1
-        grid = i, k - starts[i] + i + 1
-    else:
-        grid = np.divmod(k, n)
-    for half in grid:
-        half.flags.writeable = False  # every caller shares the cached grid
-    return grid
-
-
-def _square_step(masks, sums, squares, dtype) -> dict:
-    """sum of k Q ^ Q over the squares (start, length, even, k), each Q the
-    segment of the masks and sums that it names, in dtype (`sum_dtype`).
-
-    The squares of one size expand together from its `_pair_grid`, in
-    chunks of at most WEDGE_CHUNK candidate pairs (`_products`), into a
-    dense 2**16 accumulator.  On LIMBS each product v is split into
-    v >> 32 and v & 0xFFFFFFFF, each summed into an int64 accumulator of
-    its own, and the masks where either is nonzero are recombined as
-    Python ints.
-    """
-    limbs = dtype is LIMBS
-    at, size, even, weight = np.array(squares, dtype=np.int64).T
-    weight <<= even
-    c = sums.astype(np.int64 if limbs else dtype)
-    acc = np.zeros((1 + limbs, 1 << 16), dtype=np.int64 if limbs else dtype)
-    for n, square in sorted(set(zip(size.tolist(), even.tolist()))):
-        which = np.flatnonzero((size == n) & (even == square))
-        pairs = _grid_size(n, square)
-        # whole grids of as many squares as a chunk holds, or one square's
-        # grid cut into chunks
-        per = max(1, WEDGE_CHUNK // max(pairs, 1))
-        for lo in range(0, which.size, per):
-            t = which[lo:lo + per, None]
-            for cut in range(0, pairs, WEDGE_CHUNK):
-                i, j = _pair_grid(n, square, cut, min(cut + WEDGE_CHUNK, pairs))
-                left, right = (at[t] + i).ravel(), (at[t] + j).ravel()
-                out, vals, kept = _products(masks, c, left, right)
-                vals *= weight[t.ravel()[kept // i.size]]
-                if limbs:
-                    np.add.at(acc[0], out, vals >> 32)
-                    np.add.at(acc[1], out, vals & 0xFFFFFFFF)
-                else:
-                    np.add.at(acc[0], out, vals)
-    if not limbs:
-        return dict(zip(*_nonzero(acc[0])))
-    out = np.flatnonzero((acc != 0).any(axis=0))
-    high, low = acc[:, out].tolist()
-    totals = ((m, (h << 32) + v) for m, h, v in zip(out.tolist(), high, low))
-    return {m: v for m, v in totals if v}
-
-
 def _wedge_plan(tables, a, b, group=None) -> tuple:
-    """(plan, B) for `_wedge_step` over the pairs tables[a[k]] ^
-    tables[b[k]], summed by group (nondecreasing) when one is given, else
-    into one dense accumulator; plan is None when no pair has two
-    nonempty tables.
+    """(masks, coeffs, blocks, B) for `_expand_grids` over the pairs
+    tables[a[k]] ^ tables[b[k]], with group (nondecreasing, else 0) in
+    the blocks; B is 0 when no pair has two nonempty tables.
 
-    The spans, norms |t|_1 and bounds come from the tables and the index
-    arrays: B_g = sum |a|_1 |b|_1 over the pairs of group g, in Python
-    ints, and B is the largest B_g, or the largest |t|_1 if more, so that
-    it covers a coefficient whose partner table holds only zeros.  A row
-    of the plan is one term of a pair's first table with the range of
-    its partner terms in the second; every pair expands every term pair.
+    The masks and coefficients are those of every table in turn.  Each
+    pair with two nonempty tables is one block of weight 1: the spans of
+    its tables, their sizes, and the whole grid of term pairs.  The
+    norms |t|_1 and bounds come from the tables and the index arrays:
+    B_g = sum |a|_1 |b|_1 over the pairs of group g, in Python ints, and
+    B is the largest B_g, or the largest |t|_1 if more, so that it covers
+    a coefficient whose partner table holds only zeros.
     """
     sizes = np.array([len(t) for t in tables], dtype=np.int64)
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    grouped = group is not None
-    group = np.asarray(group, dtype=np.int64) if grouped else np.zeros_like(a)
+    group = np.zeros_like(a) if group is None else np.asarray(group, dtype=np.int64)
     keep = np.flatnonzero((sizes[a] > 0) & (sizes[b] > 0))
     if not keep.size:
-        return None, 0
+        return None, None, None, 0
     a, b, group = a[keep], b[keep], group[keep]
     norms = np.array([sum(map(abs, t.values())) for t in tables], dtype=object)
     # a coefficient that is not an int makes its table's norm none either
     _require_int("the wedge kernel", norms.tolist())
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
     bounds = np.add.reduceat(norms[a] * norms[b], starts)
     spans = np.cumsum(sizes) - sizes
     masks = np.fromiter(
         itertools.chain.from_iterable(tables), dtype=np.int64, count=int(sizes.sum())
     )
     coeffs = [v for t in tables for v in t.values()]
-    # one row per term of a pair's first table; a row's k-th candidate of
-    # the whole plan meets partner k + shift
-    a_len = sizes[a]
-    first = np.repeat(np.cumsum(a_len) - a_len, a_len)
-    term = np.arange(first.size) - first
-    count = np.repeat(sizes[b], a_len)
-    ends = np.cumsum(count)
-    shift = np.repeat(spans[b], a_len) - (ends - count)
-    left = np.repeat(spans[a], a_len) + term
-    rows = np.array((left, shift, np.repeat(group, a_len)))
-    plan = masks, coeffs, rows, count, ends, grouped
-    return plan, max(*bounds.tolist(), *norms.tolist())
+    ones = np.ones_like(a)
+    blocks = np.array((spans[a], spans[b], sizes[a], sizes[b], 0 * ones, ones, group))
+    return masks, coeffs, blocks.T, max(*bounds.tolist(), *norms.tolist())
+
+
+def _grid_sizes(n, m, triangle) -> np.ndarray:
+    """How many term pairs the blocks expand (`_pair_grid`): n m, or
+    n (n - 1) / 2 for a triangle (m = n)."""
+    return n * (2 * m - triangle * (n + 1)) // 2
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_grid(n: int, m: int, triangle: bool, lo: int, hi: int) -> tuple:
+    """The term pairs (i, j) number lo to hi, row by row, of an n x m
+    grid, or of its upper triangle i < j when triangle (m = n).
+
+    A square Q ^ Q whose every term has even positive degree is
+    2 sum_{i<j} c_i c_j m_i ^ m_j, since m ^ m = 0 and the terms commute:
+    the triangle, whose row i starts at pair i n - i (i + 1) / 2.  A slice
+    holds at most WEDGE_CHUNK pairs, so the cache stays small.
+    """
+    k = np.arange(lo, hi)
+    if triangle:
+        rows = np.arange(n)
+        starts = rows * n - rows * (rows + 1) // 2
+        i = np.searchsorted(starts, k, "right") - 1
+        grid = i, k - starts[i] + i + 1
+    else:
+        grid = np.divmod(k, m)
+    for half in grid:
+        half.flags.writeable = False  # every caller shares the cached grid
+    return grid
+
+
+def _expand_grids(masks, coeffs, blocks, dtype, grouped=False):
+    """The weighted sum of every block's term pairs in dtype: a dense
+    2**16 accumulator, two of them on LIMBS, or grouped (sums, keys).
+
+    A block (left span, right span, n, m, triangle, weight, group)
+    expands the `_pair_grid` of its n terms from the left span against
+    its m terms from the right span, each pair c_i c_j m_i ^ m_j times
+    the weight.  The blocks run in order, in chunks of at most
+    WEDGE_CHUNK candidate pairs (a block with more is a chunk alone, cut
+    into slices); inside a chunk the blocks of one shape (n, m,
+    triangle) gather together from one grid and expand in one
+    `_products` pass.  Dense, the pairs sum into an accumulator whose
+    index is the mask; on LIMBS each product v is split into v >> 32 and
+    v & 0xFFFFFFFF, each summed into an int64 accumulator of its own.
+    Grouped, they sum by `np.unique` on the keys group << 16 | mask; the
+    blocks run group by group, so only the last group of a chunk carries
+    into the next.
+    """
+    limbs = dtype is LIMBS
+    c = np.asarray(coeffs, dtype=np.int64 if limbs else dtype)
+    left, right, n, m, triangle, weight, group = blocks.T
+    sizes = _grid_sizes(n, m, triangle)
+    shape = n << 32 | m << 1 | triangle
+    ends = np.add.accumulate(sizes)
+    weighted = np.maximum.reduce(weight) > 1  # every weight is at least 1
+    parts, keys, sums = [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
+    if not grouped:
+        acc = np.zeros((1 + limbs, 1 << 16), dtype=c.dtype)
+    lo, before = 0, 0
+    while lo < len(blocks):
+        hi = max(lo + 1, int(np.searchsorted(ends, before + WEDGE_CHUNK, "right")))
+        # the chunk's blocks sorted by shape, cut into runs of one shape
+        order, runs = np.arange(lo, hi), [0, hi - lo]
+        if hi > lo + 1 and (shape[lo + 1:hi] != shape[lo]).any():
+            order = lo + np.argsort(shape[lo:hi], kind="stable")
+            runs[1:1] = (1 + np.flatnonzero(np.diff(shape[order]))).tolist()
+        # a chunk of several blocks takes their whole grids, a lone block slices
+        for cut in range(0, int(sizes[lo]), WEDGE_CHUNK) if hi == lo + 1 else [0]:
+            found = [(keys, sums)]
+            for which in (order[a:b] for a, b in itertools.pairwise(runs)):
+                t = which[0]
+                i, j = _pair_grid(
+                    int(n[t]), int(m[t]), bool(triangle[t]),
+                    cut, min(cut + WEDGE_CHUNK, int(sizes[t])),
+                )
+                pairs = (left[which, None] + i).ravel(), (right[which, None] + j).ravel()
+                out, vals, kept = _products(masks, c, *pairs)
+                owner = which[kept // max(i.size, 1)]
+                if weighted:
+                    vals *= weight[owner]
+                if grouped:
+                    found.append((group[owner] << 16 | out, vals))
+                    continue
+                split = (vals >> 32, vals & 0xFFFFFFFF) if limbs else [vals]
+                for row, part in zip(acc, split):
+                    np.add.at(row, out, part)
+            if grouped:
+                found = [np.concatenate(x) for x in zip(*found)]
+                keys, inverse = np.unique(found[0], return_inverse=True)
+                total = np.zeros(keys.size, dtype=dtype)
+                np.add.at(total, inverse, found[1])
+                # the keys of the chunk's last group carry into the next chunk
+                carry = np.searchsorted(keys, group[hi - 1] << 16)
+                parts.append((total[:carry], keys[:carry]))
+                keys, sums = keys[carry:], total[carry:]
+        lo, before = hi, int(ends[hi - 1])
+    if not grouped:
+        return acc if limbs else acc[0]
+    parts.append((sums, keys))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _products(masks, c, left, right) -> tuple:
@@ -538,47 +552,6 @@ def _products(masks, c, left, right) -> tuple:
     vals = c[left] * c[right]
     vals *= 1 - 2 * poppar[p16[ml] & mr]
     return ml | mr, vals, kept
-
-
-def _wedge_step(plan, dtype):
-    """The pair sums in dtype: a dense 2**16 accumulator, or the grouped
-    (sums, keys).
-
-    The rows expand in chunks of at most WEDGE_CHUNK candidate term pairs
-    (a row with more is a chunk alone) by `_products`.  Dense, the pairs
-    sum into a 2**16 accumulator whose index is the mask.  Grouped, they
-    sum by `np.unique` on the keys group << 16 | mask; the rows run group
-    by group, so only the last group of a chunk carries into the next.
-    """
-    masks, coeffs, rows, count, ends, grouped = plan
-    c = np.array(coeffs, dtype=dtype)
-    parts: list = []
-    keys = np.zeros(0, dtype=np.int64)
-    sums = np.zeros(0 if grouped else 1 << 16, dtype=dtype)
-    lo, before = 0, 0
-    while lo < count.size:
-        hi = max(lo + 1, int(np.searchsorted(ends, before + WEDGE_CHUNK, "right")))
-        load = int(ends[hi - 1]) - before
-        left, right, group = np.repeat(rows[:, lo:hi], count[lo:hi], axis=1)
-        right += np.arange(before, before + load)  # the partner terms
-        out, vals, kept = _products(masks, c, left, right)
-        if not grouped:
-            np.add.at(sums, out, vals)
-        else:
-            keys, inverse = np.unique(
-                np.concatenate((keys, group[kept] << 16 | out)), return_inverse=True
-            )
-            total = np.zeros(keys.size, dtype=dtype)
-            np.add.at(total, inverse, np.concatenate((sums, vals)))
-            # the keys of the chunk's last group carry into the next chunk
-            cut = np.searchsorted(keys, rows[2, hi - 1] << 16)
-            parts.append((total[:cut], keys[:cut]))
-            keys, sums = keys[cut:], total[cut:]
-        lo, before = hi, before + load
-    if not grouped:
-        return sums
-    parts.append((sums, keys))
-    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 # exact pullback kernel ------------------------------------------------------

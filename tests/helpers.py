@@ -85,6 +85,14 @@ def curvature_oracle(x, y, z, c):
     return Vector16.from_coords([scale * t for t in total])
 
 
+def mat9_mul(m1, m2):
+    """The product of two 9 x 9 matrices of tuple rows, by definition."""
+    return tuple(
+        tuple(sum(m1[r][t] * m2[t][c] for t in range(9)) for c in range(9))
+        for r in range(9)
+    )
+
+
 def dense_rank(rows, ncols):
     """Textbook Gaussian elimination over Fraction, as an independent oracle."""
     mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
@@ -548,33 +556,41 @@ def spy_dtypes(monkeypatch) -> Decisions:
     return seen
 
 
+Block = namedtuple("Block", "left right n m triangle weight group")
+
+
 def spy_plans(monkeypatch) -> list:
-    """Record every plan of the wedge kernel, in call order: the pairs
-    (a, b, group) of each `exterior._wedge_plan` (group 0 when dense),
-    and the squares (start, length, even, weight) of each
-    `exterior._square_step`, one per distinct table.  A `wedge_sum`
-    builds one plan, a `square_sums` two: its grouped plan, then its
-    square step."""
+    """Record the blocks of every `exterior._expand_grids` call, in call
+    order, as lists of `Block`s.  A `wedge_sum` expands once, one block
+    per pair; a `square_sums` twice: its grouped pairs, then one block per
+    distinct four-form Q, a triangle of weight 2k when Q is a square of
+    even terms, else a whole grid of weight k, k the groups that share Q."""
     seen = []
-    plan, step = exterior._wedge_plan, exterior._square_step
+    expand = exterior._expand_grids
 
-    def spy_plan(tables, a, b, group=None):
-        seen.append(list(zip(a, b, [0] * len(a) if group is None else group)))
-        return plan(tables, a, b, group)
+    def spy(masks, coeffs, blocks, dtype, grouped=False):
+        seen.append([Block(*row) for row in blocks.tolist()])
+        return expand(masks, coeffs, blocks, dtype, grouped)
 
-    def spy_step(masks, sums, squares, dtype):
-        seen.append([tuple(square) for square in squares])
-        return step(masks, sums, squares, dtype)
-
-    monkeypatch.setattr(exterior, "_wedge_plan", spy_plan)
-    monkeypatch.setattr(exterior, "_square_step", spy_step)
+    monkeypatch.setattr(exterior, "_expand_grids", spy)
     return seen
 
 
 def square_groups(groups) -> dict:
-    """`exterior.square_sums` of groups of pairs of tables, handed over as
-    `exterior._index_pairs` indexes them."""
-    return exterior.square_sums(*exterior._index_pairs(groups))
+    """`exterior.square_sums` of groups of pairs (x, y) of tables, handed
+    over as one list with each table object once, and each pair as the
+    positions a, b of its tables with the number of its group."""
+    tables, at, a, b, group = [], {}, [], [], []
+    for g, pairs in enumerate(groups):
+        for x, y in pairs:
+            for t in (x, y):
+                if id(t) not in at:
+                    at[id(t)] = len(tables)
+                    tables.append(t)
+            a.append(at[id(x)])
+            b.append(at[id(y)])
+            group.append(g)
+    return exterior.square_sums(tables, a, b, group)
 
 
 def squares_oracle(groups) -> dict:

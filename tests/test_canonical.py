@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     alt_grouping_oracle,
+    mat9_mul,
     quadruple_sum_oracle,
     rand_fraction_vector,
     rand_octonion,
@@ -33,7 +34,6 @@ from spin9.canonical import (
     frame_change_fixes,
     friedrich_identities,
     givens9,
-    mat9_mul,
     omega2,
     rotation_fixes,
     sigma2,
@@ -134,8 +134,8 @@ def test_square_stage_expands_each_distinct_four_form_once(
     build()
     _, square = plans
     assert len(square) == distinct
-    assert sum(weight for *_, weight in square) == groups
-    assert all(even for *_, even, _ in square)  # every four-form is a square
+    assert sum(block.weight >> block.triangle for block in square) == groups
+    assert all(block.triangle for block in square)  # every four-form is a square
 
 
 def test_two_form_conventions():
@@ -335,6 +335,15 @@ def test_frame_change_rejects_non_orthogonal():
     )
     with pytest.raises(ValueError):
         frame_change_fixes(bad)
+    # over denominator 5: a Givens rotation with one entry's sign flipped,
+    # and twice a rotation, whose columns are orthogonal but of length 2,
+    # which a check of the off-diagonal entries of E^T E alone would pass
+    flipped = [list(row) for row in givens9(0, 4, P1)]
+    flipped[0][4] = -flipped[0][4]
+    doubled = [[2 * v for v in row] for row in givens9(0, 4, P1)]
+    for frame in (flipped, doubled):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            frame_change_fixes(frame)
 
 
 def test_frame_change_checks_shape_and_entries():

@@ -30,8 +30,8 @@ from spin9.bpt import materialize_bpt_8form
 from spin9.canonical import omega2
 from spin9.exterior import (
     AlternatingForm,
+    _expand_grids,
     _wedge_plan,
-    _wedge_step,
     evaluate_table,
     lie_images,
     lie_incidences,
@@ -851,8 +851,8 @@ def test_numpy_wedge_kernel_matches_sparse_wedge():
     for _ in range(10):
         a = _random_form(rng, 2)
         b = _random_form(rng, 2)
-        plan, _ = _wedge_plan([a.numerators, b.numerators], [0], [1])
-        acc = _wedge_step(plan, np.int64)
+        masks, coeffs, blocks, _ = _wedge_plan([a.numerators, b.numerators], [0], [1])
+        acc = _expand_grids(masks, coeffs, blocks, np.int64)
         assert acc.dtype == np.int64 and acc.shape == (1 << 16,)
         nz = np.flatnonzero(acc)
         terms = dict(zip(nz.tolist(), acc[nz].tolist()))
@@ -987,11 +987,13 @@ def test_wedge_of_a_table_with_itself_matches_the_pair_sum():
         assert wedge_sum([(table, table)]) == total != {}
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_square_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
     rng = random.Random(64)
-    # plan rows of 20 partners, and squares whose pair grids span many
-    # chunks
+    # blocks of 4 x 20 and 20 x 20 pairs beside a 4 x 4 one, and squares
+    # whose pair grids span many chunks: below 400 the 20 x 20 blocks and
+    # every square are cut into slices, and the grouped sums carry from
+    # slice to slice inside one group
     big = AlternatingForm(2, {
         ij: k + 1 for k, ij in enumerate(combinations(range(16), 2)) if k < 20
     })
@@ -1003,14 +1005,19 @@ def test_square_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
     huge = [[(_random_form(rng, 2, nterms=6, span=1 << 40),
               _random_form(rng, 2, nterms=6, span=1 << 40))
              for _ in range(3)] for _ in range(3)]
+    plans = spy_plans(monkeypatch)
     expected = [square_groups(_tables(g) for g in gs) for gs in (groups, huge)]
     expected.append(wedge_sum(_tables(groups[0])))
+    whole, plans[:] = plans[:], []
     monkeypatch.setattr(exterior, "WEDGE_CHUNK", chunk)
     seen = spy_dtypes(monkeypatch)
     got = [square_groups(_tables(g) for g in gs) for gs in (groups, huge)]
     got.append(wedge_sum(_tables(groups[0])))
     assert got == expected
-    # each square_sums decides its grouped step, then its square step
+    # every Q_g comes out of the grouped sums whole, one term per mask,
+    # so the square blocks do not depend on the chunk either
+    assert plans == whole
+    # each square_sums decides its grouped expansion, then its squares
     assert seen.of("exterior") == [np.int64, np.int64, object, object, np.int64]
     for gs, squares in zip((groups, huge), expected):
         assert [wedge_sum(_tables(g)) for g in gs] == [_summed_wedges(g) for g in gs]
@@ -1018,7 +1025,7 @@ def test_square_sums_do_not_depend_on_the_chunk(monkeypatch, chunk):
 
 
 def _grouped_tables(out, count):
-    """The group tables {mask: int} of a grouped `_wedge_step` output."""
+    """The group tables {mask: int} of a grouped `_expand_grids` output."""
     sums, keys = out
     tables = [{} for _ in range(count)]
     for key, v in zip(keys.tolist(), sums.tolist()):
@@ -1034,13 +1041,13 @@ def test_square_sums_python_int_path_aligns_the_keys_of_every_group(monkeypatch)
     e01, e23, e45 = 0b11, 0b1100, 0b110000
     seen = spy_dtypes(monkeypatch)
     steps = []
-    step = exterior._wedge_step
+    expand = exterior._expand_grids
 
-    def spy(plan, dtype):
-        steps.append(step(plan, dtype))
+    def spy(*args, **kwargs):
+        steps.append(expand(*args, **kwargs))
         return steps[-1]
 
-    monkeypatch.setattr(exterior, "_wedge_step", spy)
+    monkeypatch.setattr(exterior, "_expand_grids", spy)
     groups = [
         [({e01: 1 << 62}, {e23: 2})],
         [({e01: 5}, {e45: 1}), ({e23: 1}, {e45: 3}), ({e45: -5}, {e01: 1})],
@@ -1086,7 +1093,7 @@ def test_square_sums_merge_equal_tables_that_are_distinct_objects(
     dtype = np.int64 if scale == 1 else object
     assert seen.of("exterior") == [dtype, dtype]
     assert got == squares_oracle(groups) != {}
-    assert sorted(weight for *_, weight in square) == [1, 4]
+    assert sorted(block.weight >> block.triangle for block in square) == [1, 4]
 
 
 @pytest.mark.parametrize("scale", [1, 1 << 70])
@@ -1109,7 +1116,7 @@ def test_square_sums_keep_tables_that_differ_in_one_coefficient(
     dtype = np.int64 if scale == 1 else object
     assert seen.of("exterior") == [dtype, dtype]
     assert got == squares_oracle(groups) != {}
-    assert [weight for *_, weight in square] == [2, 1]
+    assert [block.weight >> block.triangle for block in square] == [2, 1]
 
 
 def test_square_sums_expand_every_pair_of_odd_or_degree_0_tables(monkeypatch):
@@ -1123,8 +1130,10 @@ def test_square_sums_expand_every_pair_of_odd_or_degree_0_tables(monkeypatch):
         got = square_groups(groups)
         _, square = plans
         assert got == squares_oracle(groups) != {}
-        # (even, weight): the table twice, and the even monomial once
-        assert [(even, weight) for *_, even, weight in square] == [(0, 2), (1, 1)]
+        # (even, multiplicity): the table twice, and the even monomial once
+        assert sorted(
+            (block.triangle, block.weight >> block.triangle) for block in square
+        ) == [(0, 2), (1, 1)]
 
 
 @pytest.mark.parametrize("width", ["int64", "limbs", "object"])

@@ -13,13 +13,14 @@ from helpers import (
     dense_rows,
     det_oracle,
     int_echelon_oracle,
+    mat9_mul,
     nullspace_oracle,
     rank,
     reduce_against_oracle,
     row_to_int,
     spy_dtypes,
 )
-from spin9.canonical import givens9, mat9_mul
+from spin9.canonical import givens9
 from spin9.linalg import (
     INT64_LIMIT,
     clear_denominators,

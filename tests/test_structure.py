@@ -468,16 +468,85 @@ def test_no_module_names_the_per_group_wedge_tables():
 def test_no_module_names_the_retired_kernel_drivers():
     # the BPT stages and the pullback bound, pick their dtype and run
     # inline; a step callback or a plan tuple would bring back a second
-    # layer between a kernel's bound and its arithmetic
+    # layer between a kernel's bound and its arithmetic, and a wedge step
+    # beside the pair-grid expander a second expansion of term pairs
     sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
     assert {"bpt.py", "exterior.py"} <= {p.name for p in sources}
     found = [
         f"{path.name}:{n}"
         for path in sources
         for n, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"\b(exact_array|_pullback_plan|_pullback_step)\b", line)
+        if re.search(
+            r"\b(exact_array|_pullback_plan|_pullback_step|_wedge_step|_square_step)\b",
+            line,
+        )
     ]
     assert found == []
+
+
+def _product_callers(path):
+    """Lines of path that call `_products`, by name or as an attribute, or
+    import it under any name, outside the body of the top-level
+    `_expand_grids` of `exterior`, the one expander of term pairs."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    for top in tree.body if path.name == "exterior.py" else ():
+        if isinstance(top, ast.FunctionDef) and top.name == "_expand_grids":
+            allowed.update(id(node) for node in ast.walk(top))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "_products" and id(node) not in allowed:
+            found.append(node.lineno)
+    return [f"{path.name}:{line} calls _products" for line in sorted(found)]
+
+
+def test_only_the_pair_grid_expander_forms_term_products():
+    # every wedge, the squares of `square_sums` among them, expands its
+    # term pairs from pair grids in `_expand_grids`; a second caller of
+    # `_products` would be a second expander beside it
+    sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
+    assert "exterior.py" in {p.name for p in sources}
+    assert "_products(" in inspect.getsource(exterior._expand_grids)
+    found = [line for path in sources for line in _product_callers(path)]
+    assert found == []
+
+
+def test_product_guard_sees_a_second_caller(tmp_path):
+    (tmp_path / "exterior.py").write_text(
+        "def _products(masks, c, left, right):\n"
+        "    return masks\n"
+        "def _expand_grids(masks, c, blocks, dtype):\n"
+        "    return _products(masks, c, blocks, blocks)\n"
+        "def _square_step(masks, c, squares, dtype):\n"
+        "    return _products(masks, c, squares, squares)\n"
+        "class Kernel:\n"
+        "    def _expand_grids(self, blocks):\n"
+        "        return _products(self.masks, self.c, blocks, blocks)\n"
+        "NAME = '_products'  # a string is no call\n"
+    )
+    (tmp_path / "bpt.py").write_text(
+        "from .exterior import _products as products\n"
+        "from . import exterior\n"
+        "def _expand_grids(masks, c, left, right):\n"
+        "    return exterior._products(masks, c, left, right)\n"
+    )
+    # a method called `_expand_grids`, or a function of that name in
+    # another module, is not the expander
+    assert _product_callers(tmp_path / "exterior.py") == [
+        "exterior.py:6 calls _products",
+        "exterior.py:9 calls _products",
+    ]
+    assert _product_callers(tmp_path / "bpt.py") == [
+        "bpt.py:1 calls _products",
+        "bpt.py:4 calls _products",
+    ]
 
 
 def test_no_module_names_the_retired_round_trips():
