@@ -23,7 +23,8 @@ indices into increasing order costs the parity of its inversions,
 the popcount parity of those others; that is how the matrix unit E_rc,
 which turns index r into c, picks up the parity of the monomial's
 indices strictly between r and c (`lie_incidences`), and how the wedge
-kernel, the pullback and the Laplace gather sign each incoming factor.
+kernel (`_products`, for every wedge and pullback) and the Laplace
+gather sign each incoming factor.
 
 Forms are immutable.  One planner, `_wedge_plan`, takes a list of
 integer coefficient tables {mask: int} and the pairs as index arrays
@@ -39,21 +40,21 @@ a ^ b over the group's pairs: the expander builds every Q_g by
 distinct Q_g as one block of itself.  Only those blocks use that a
 square Q ^ Q, every term of Q of even positive degree, is 2 sum_{i<j}:
 they expand the triangle i < j of their grid at twice the weight.
+`pullback_table` wedges the row one-forms of every monomial there too,
+one grouped expansion per index position.
 
 Every kernel bounds its sums by B before any arithmetic (the wedge by
 the largest B_g = sum |a|_1 |b|_1, the squares of `square_sums` by
-sum_g |Q_g|_1^2), picks the dtype `linalg.int_dtype(B)` gives, int64
-when B < 2**63, which then holds every product and partial sum, else
-Python ints, and runs once in it.  The squares ask `linalg.sum_dtype`
+sum_g |Q_g|_1^2, the pullback by sum_m |c_m| prod_t |row m_t|_1),
+picks the dtype `linalg.int_dtype(B)` gives, int64 when B < 2**63,
+which then holds every product and partial sum, else Python ints, and
+runs once in it.  The squares ask `linalg.sum_dtype`
 instead, which adds a third width: when B passes 2**63 but every single
 product (max|c|^2 times the largest weight) and the pair count times
 2**32 stay below it, the expander sums v >> 32 and v & 0xFFFFFFFF into
 two int64 accumulators, which `square_sums` recombines as Python ints
 on the nonzero masks.  The other kernels:
 
-- `pullback_table` behind `AlternatingForm.pullback` bounds every leaf
-  and partial sum by B = sum_m |c_m| prod_t |row m_t|_1 and expands the
-  monomials together, chunk by chunk, one index position at a time.
 - `evaluate_table` behind `AlternatingForm.evaluate` is a recursive
   Laplace expansion of every monomial's minor at once, across the middle
   and then one column at a time, on a plan of masks, splits and shuffle
@@ -491,7 +492,7 @@ def _expand_grids(masks, coeffs, blocks, dtype, grouped=False):
     sizes = _grid_sizes(n, m, triangle)
     shape = n << 32 | m << 1 | triangle
     ends = np.add.accumulate(sizes)
-    weighted = np.maximum.reduce(weight) > 1  # every weight is at least 1
+    weighted = np.maximum.reduce(weight, initial=1) > 1  # every weight is at least 1
     parts, keys, sums = [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
     if not grouped:
         acc = np.zeros((1 + limbs, 1 << 16), dtype=c.dtype)
@@ -556,30 +557,29 @@ def _products(masks, c, left, right) -> tuple:
 
 # exact pullback kernel ------------------------------------------------------
 
-PULLBACK_CHUNK = 1 << 18  # leaves expanded at once; bounds the kernel's memory
-
 
 def pullback_table(table: dict, degree: int, entries) -> dict:
     """Exact pullback of an integer table {mask: int} of the given degree
-    along integer matrix entries (row, col, value), as an integer table.
+    along integer matrix entries (row, col, value), which add up where
+    repeated, as an integer table.
 
-    Monomial m becomes the wedge over its indices t of sum_c A[t][c] dx_c.
-    B = sum_m |c_m| prod_t |row t|_1 bounds every leaf and partial sum,
-    and every partial product too, as a nonzero row has norm at least 1;
-    the expansion runs in `int_dtype(B)`.  The monomials are cut into
-    chunks of at most PULLBACK_CHUNK leaves (a monomial with more is a
-    chunk alone), bounding the memory.  All monomials of a chunk expand
-    together, one index position at a time, as arrays of (monomial,
-    mask, coefficient, sign parity): each state branches over the
-    nonzero entries of its row, a leaf whose column is already in the
-    mask drops out, and the incoming dx_col moves left past the mask's
-    indices above col.  The leaves sum into a dense 2**16 accumulator.
+    Monomial m becomes the wedge, over its indices t in increasing order,
+    of the one-forms sum_c A[t][c] dx_c.  A monomial that meets an empty
+    row drops out first, so every row met has norm at least 1 and
+    B = sum_m |c_m| prod_t |row t|_1 bounds every product and partial sum,
+    which run in `int_dtype(B)`.  The states are the grouped sums of
+    `_expand_grids`, keyed group << 16 | mask: monomial m starts as group m
+    (the indices still to pull back), mask 0 (the columns wedged so far).
+    Each of the degree steps expands every state of group s, one block
+    each, against the one-form of s's lowest index into group s & (s - 1),
+    where monomials that share their remaining indices merge.
     """
     rows: list = [[] for _ in range(16)]
-    for r, c, v in sorted(entries):
+    for r, c, v in entries:
         rows[r].append((c, v))
     _require_int("pullback_table", table.values(), (v for row in rows for _, v in row))
-    idx = _positions(np.fromiter(table, dtype=np.int64, count=len(table)), degree)
+    masks = np.fromiter(table, dtype=np.int64, count=len(table))
+    idx = _positions(masks, degree)
 
     # object arrays keep the bound in exact Python integers
     norms = np.array([sum(abs(v) for _, v in row) for row in rows], dtype=object)
@@ -589,43 +589,29 @@ def pullback_table(table: dict, degree: int, entries) -> dict:
     if not keep.size:
         return {}
     dtype = int_dtype(int(sizes.sum()))
-    idx, start = idx[keep], coeffs[keep].astype(dtype)
+    keys, sums = masks[keep] << 16, coeffs[keep].astype(dtype)
+    met = int(np.bitwise_or.reduce(masks[keep]))  # B bounds only the rows met
+    rows = [row if met >> r & 1 else [] for r, row in enumerate(rows)]
     nnz = np.array([len(row) for row in rows], dtype=np.int64)
-    indptr = np.cumsum(nnz) - nnz
-    cols = np.array([c for row in rows for c, _ in row], dtype=np.int64)
+    spans = np.cumsum(nnz) - nnz
+    forms = np.array([1 << c for row in rows for c, _ in row], dtype=np.int64)
     values = np.array([v for row in rows for _, v in row], dtype=dtype)
-    cuts, load = [0], 0
-    for k, fan in enumerate(np.prod(nnz.astype(object)[idx], axis=1).tolist()):
-        if load and load + fan > PULLBACK_CHUNK:
-            cuts.append(k)
-            load = 0
-        load += fan
-    cuts.append(keep.size)
-    p16, _ = _np_tables()
-    acc = np.zeros(1 << 16, dtype=dtype)
-    for lo, hi in itertools.pairwise(cuts):
-        mon = np.arange(lo, hi)
-        mask = np.zeros(hi - lo, dtype=np.int64)
-        odd = np.zeros(hi - lo, dtype=np.int64)
-        coef = start[lo:hi]
-        for t in range(degree):
-            row = idx[mon, t]
-            fan = nnz[row]
-            src = np.repeat(np.arange(mon.size), fan)
-            pos = np.arange(src.size) + np.repeat(
-                indptr[row] - (np.cumsum(fan) - fan), fan
-            )
-            col = cols[pos]
-            old = mask[src]
-            free = (old >> col & 1) == 0
-            src, col, pos, old = src[free], col[free], pos[free], old[free]
-            odd = odd[src] ^ (p16[old] >> col & 1)
-            mask = old | 1 << col
-            coef = coef[src] * values[pos]
-            mon = mon[src]
-        coef *= 1 - 2 * odd
-        np.add.at(acc, mask, coef)
-    return dict(zip(*_nonzero(acc)))
+    for _ in range(degree):
+        s = keys >> 16
+        t = np.searchsorted(1 << np.arange(16), s & -s)  # the lowest index of s
+        into = s & (s - 1)
+        ones = np.ones_like(s)
+        blocks = np.array(
+            (np.arange(s.size), s.size + spans[t], ones, nnz[t], 0 * ones, ones, into)
+        )
+        sums, keys = _expand_grids(
+            np.concatenate((keys & 0xFFFF, forms)),
+            np.concatenate((sums, values)),
+            blocks.T[np.argsort(into, kind="stable")],  # run group by group
+            dtype,
+            grouped=True,
+        )
+    return {m: v for m, v in zip(keys.tolist(), sums.tolist()) if v}
 
 
 # exact evaluation kernel ----------------------------------------------------

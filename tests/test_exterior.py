@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -450,6 +449,15 @@ def test_pullback_matches_definition():
         for _ in range(6):
             vs = [rand_vector(rng, span=2) for _ in range(degree)]
             assert pulled.evaluate(vs) == f.evaluate([op.apply(v) for v in vs])
+    # rank 1 (row 7 empty): past degree 1 every wedge of its one-forms
+    # overlaps, so every state of the expansion drops out
+    op = Operator16([[r - 7 if c == 3 else 0 for c in range(16)] for r in range(16)])
+    for degree in (1, 2, 3):
+        f = _random_form(rng, degree)
+        pulled = f.pullback(op)
+        assert bool(pulled) == (degree == 1)
+        vs = [rand_vector(rng, span=2) for _ in range(degree)]
+        assert pulled.evaluate(vs) == f.evaluate([op.apply(v) for v in vs])
 
 
 def test_pullback_functoriality():
@@ -567,40 +575,36 @@ def test_pullback_at_the_int64_edge(monkeypatch):
     seen.clear()
     assert pullback_table({1: 1 << 62}, 1, [(0, 3, -2)]) == {8: -INT64_LIMIT}
     assert seen == [("exterior", INT64_LIMIT, object)]
+    # repeated (row, col) entries add up
+    seen.clear()
+    assert pullback_table({0b1: 1}, 1, [(0, 2, 3), (0, 2, 4)]) == {4: 7}
+    assert seen == [("exterior", 7, np.int64)]
+    # a monomial that meets an empty row drops out before any arithmetic,
+    # and so do the rows that no kept monomial meets: neither counts in B
+    seen.clear()
+    table = {0b11: 1 << 62, 0b101: 1}
+    assert pullback_table(table, 2, [(0, 3, 8), (2, 4, 1)]) == {24: 8}
+    assert pullback_table(table, 2, [(0, 3, 8), (2, 4, 1), (5, 5, 1 << 70)]) == {24: 8}
+    assert seen == [("exterior", 8, np.int64)] * 2
 
 
-class _ChunkCounter:
-    """numpy as `exterior` sees it, counting the `np.add.at` calls: the
-    pullback kernel adds each chunk's leaves into its accumulator once."""
-
-    def __init__(self):
-        self.chunks = 0
-        self.add = SimpleNamespace(at=self._add_at)
-
-    def _add_at(self, *args):
-        self.chunks += 1
-        np.add.at(*args)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8):
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_pullback_chunks_agree_with_one_pass(monkeypatch, omega8, chunk):
     rot = rotation(2, 5, RationalCirclePoint(Fraction(5, 13), Fraction(12, 13)))
     f, op = _past_int64_case(random.Random(77))
-    counter = _ChunkCounter()
-    monkeypatch.setattr(exterior, "np", counter)
+    plans = spy_plans(monkeypatch)
     whole = f.pullback(op)
+    assert whole == pullback_oracle(f, op)
     assert omega8.pullback(rot) == omega8
-    assert counter.chunks == 2  # one pass each
-    counter.chunks = 0
-    monkeypatch.setattr(exterior, "PULLBACK_CHUNK", 7)
-    assert omega8.pullback(rot) == omega8
-    # 2**8 leaves each: every monomial is a chunk alone
-    assert counter.chunks == omega8.term_count() == 702
-    counter.chunks = 0
+    # one grouped expansion per index position
+    assert len(plans) == 5 + 8
+    expected, plans[:] = plans[:], []
+    monkeypatch.setattr(exterior, "WEDGE_CHUNK", chunk)
     assert f.pullback(op) == whole
-    assert counter.chunks > 1
+    assert omega8.pullback(rot) == omega8
+    # every step's states come out of the grouped sums whole, one term per
+    # mask, so the blocks of the next step do not depend on the chunk either
+    assert plans == expected
 
 
 def test_pullback_rejects_inexact_coefficients():

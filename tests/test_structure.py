@@ -469,7 +469,8 @@ def test_no_module_names_the_retired_kernel_drivers():
     # the BPT stages and the pullback bound, pick their dtype and run
     # inline; a step callback or a plan tuple would bring back a second
     # layer between a kernel's bound and its arithmetic, and a wedge step
-    # beside the pair-grid expander a second expansion of term pairs
+    # or a pullback chunk beside the pair-grid expander a second expansion
+    # of term pairs
     sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
     assert {"bpt.py", "exterior.py"} <= {p.name for p in sources}
     found = [
@@ -477,7 +478,8 @@ def test_no_module_names_the_retired_kernel_drivers():
         for path in sources
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if re.search(
-            r"\b(exact_array|_pullback_plan|_pullback_step|_wedge_step|_square_step)\b",
+            r"\b(exact_array|_pullback_plan|_pullback_step|_wedge_step|_square_step"
+            r"|PULLBACK_CHUNK)\b",
             line,
         )
     ]
@@ -509,11 +511,15 @@ def _product_callers(path):
 
 def test_only_the_pair_grid_expander_forms_term_products():
     # every wedge, the squares of `square_sums` among them, expands its
-    # term pairs from pair grids in `_expand_grids`; a second caller of
-    # `_products` would be a second expander beside it
+    # term pairs from pair grids in `_expand_grids`, and so does every
+    # pullback, one grouped expansion per index position; a second caller
+    # of `_products` would be a second expander beside it
     sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
     assert "exterior.py" in {p.name for p in sources}
     assert "_products(" in inspect.getsource(exterior._expand_grids)
+    # the pullback expands there too, with no parity table of its own
+    assert "_expand_grids(" in inspect.getsource(exterior.pullback_table)
+    assert "_np_tables(" not in inspect.getsource(exterior.pullback_table)
     found = [line for path in sources for line in _product_callers(path)]
     assert found == []
 
