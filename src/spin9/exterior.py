@@ -55,11 +55,12 @@ product (max|c|^2 times the largest weight) and the pair count times
 two int64 accumulators, which `square_sums` recombines as Python ints
 on the nonzero masks.  The other kernels:
 
-- `evaluate_table` behind `AlternatingForm.evaluate` is a recursive
-  Laplace expansion of every monomial's minor at once, across the middle
-  and then one column at a time, on a plan of masks, splits and shuffle
-  signs cached on the form, under B = prod_b |w_b|_1 over the vectors'
-  numerators.
+- `evaluate_table` behind `AlternatingForm.evaluate` is one Laplace
+  level: each monomial's minor is the shuffle-signed sum of L[A] R[m - A]
+  over the halves A of its indices, on a plan of places and signs cached
+  on the form; L and R are the minors of each half of the columns on
+  every mask, peeled one column at a time (`_peel`, `_column_minors`),
+  under B = prod_b |w_b|_1 over the vectors' numerators.
 - `lie_images` behind `AlternatingForm.lie_derivative` sums every
   (monomial, matrix unit) incidence, found in one array pass and weighted
   by k vectors of entries at once, by output mask under B = max_m |c_m|
@@ -235,6 +236,8 @@ class AlternatingForm(Exact):
         which `evaluate_table` sums exactly.
         """
         vs = list(vectors)
+        if not all(isinstance(v, Vector16) for v in vs):
+            raise TypeError("evaluate takes Vector16 arguments")
         if len(vs) != self.degree:
             raise ValueError(
                 f"form of degree {self.degree} takes {self.degree} vectors"
@@ -259,6 +262,8 @@ class AlternatingForm(Exact):
         With op = A / d_op and coefficients a / d_a for integer A and a,
         the pullback is (A* a) / (d_a d_op^p).
         """
+        if not isinstance(op, Operator16):
+            raise TypeError("pullback takes an Operator16")
         terms = pullback_table(self.numerators, self.degree, op.entries())
         d = self.denominator * op.denominator**self.degree
         return AlternatingForm._raw(self.degree, terms, d)
@@ -269,6 +274,8 @@ class AlternatingForm(Exact):
         Linear in op and in the form: with op = A / d_op and coefficients
         a / d_a for integer A and a, it is (L_A a) / (d_a d_op).
         """
+        if not isinstance(op, Operator16):
+            raise TypeError("lie_derivative takes an Operator16")
         rows, cols, vals = np.array(op.entries(), dtype=object).reshape(-1, 3).T
         masks, images = lie_images(self.numerators, rows, cols, [vals])
         terms = {m: v for m, v in zip(masks.tolist(), images[:, 0].tolist()) if v}
@@ -632,82 +639,78 @@ def _positions(masks: np.ndarray, degree: int) -> np.ndarray:
     return (np.flatnonzero(bits) & 15).reshape(masks.size, degree)
 
 
-def _laplace_split(masks: np.ndarray, k: int, q: int) -> tuple:
-    """(masks, q, sign, left, right): each mask of k indices split every
-    way into A, q of its indices, and the rest B, one column per split,
-    sign = eps(A, B).  A half of j indices is (index, split): for j <= 1
-    split is None and index its one coordinate (0 if j = 0), else index
-    points into the half's unique masks, whose split takes off their last
-    column.  uint16 indices and int8 signs keep a plan small.
-    """
-    pos = _positions(masks, k)
-    a = np.zeros((masks.size, math.comb(k, q)), dtype=np.int64)
-    for position in _subset_positions(k, q).T:
-        a |= 1 << pos[:, position]
-    b = masks[:, None] ^ a
-    halves = []
-    for part, j in ((a, q), (b, k - q)):
-        if j <= 1:
-            index, split = _positions(part.ravel(), j).sum(axis=1), None
-        else:
-            unique, index = np.unique(part, return_inverse=True)
-            split = _laplace_split(unique, j, j - 1)
-        halves.append((index.reshape(part.shape).astype(np.uint16), split))
-    p16, poppar = _np_tables()
-    return masks, q, 1 - 2 * poppar[p16[a] & b].astype(np.int8), *halves
+@functools.cache
+def _peel(k: int) -> tuple:
+    """(masks, indices, places, signs) of the masks of k indices, in
+    increasing order: each mask's indices in increasing order, the place
+    among the (k - 1)-masks of the mask left when index t drops out, as
+    uint16, and signs[t] = (-1)**(k - 1 - t), the sign that row t of the
+    last column carries when a minor is expanded along that column."""
+    count = np.zeros(1, dtype=np.int8)
+    for _ in range(16):  # count[m] = popcount(m), one bit more per pass
+        count = np.concatenate((count, count + 1))
+    masks, below = np.flatnonzero(count == k), np.flatnonzero(count == k - 1)
+    indices = _positions(masks, k)
+    places = np.searchsorted(below, masks[:, None] ^ 1 << indices).astype(np.uint16)
+    return masks, indices, places, (1 - 2 * (k - 1 - np.arange(k) & 1)).astype(np.int8)
+
+
+def _column_minors(cols: np.ndarray) -> np.ndarray:
+    """The minors det[w_b[i_a]] of the k columns w_b of cols on every
+    k-mask, in `_peel(k)` order and the columns' dtype: step j expands
+    the minor of the first j columns along column j - 1, each entry
+    times the (j - 1)-minor of its mask without its index."""
+    minors = np.ones(1, dtype=cols.dtype)
+    for k, w in enumerate(cols, 1):
+        _, indices, places, signs = _peel(k)
+        minors = (w[indices] * minors[places] * signs).sum(axis=1)
+    return minors
 
 
 def evaluate_table(table: dict, columns, plan=None) -> int:
     """sum_m c_m det[w_b[i_a]] for an integer table {mask: int} of degree p
     and p integer columns w_b.
 
-    A recursive Laplace expansion on `plan`, the table's `_laplace_plan`
-    (built if None; `AlternatingForm.evaluate` caches it on the form):
-    each minor is sum_A eps(A, m - A) L[A] R[m - A] over the q-subsets A
-    of m, q = p // 2, and the halves' minors come from the same gather,
-    one column at a time.  The columns are cut to the table's support and
-    every level to the masks in their reach.  A minor's terms are products
-    of one entry per column, so B = prod_b |w_b|_1.
+    One Laplace level on `plan`, the table's `_laplace_plan` (built if
+    None; `AlternatingForm.evaluate` caches it on the form): each minor
+    is sum_A eps(A, m - A) L[A] R[m - A] over the q-subsets A of m,
+    q = p // 2, L and R the `_column_minors` of the first q and the last
+    p - q columns, cut to the table's support.  Every peel step, product
+    L[A] R[m - A] and partial sum is a signed sum of distinct products
+    of one entry per column, so B = prod_b |w_b|_1 bounds them all.
     """
     _require_int("evaluate_table", table.values(), *columns)
-    plan = plan or _laplace_plan(table, len(columns))
-    support = int(np.bitwise_or.reduce(plan[0]))
+    masks, a, b, sign = plan or _laplace_plan(table, len(columns))
+    support = int(np.bitwise_or.reduce(masks))
     cut = [[x if support >> i & 1 else 0 for i, x in enumerate(w)] for w in columns]
-    reach = sum(1 << i for i in range(16) if any(w[i] for w in cut))
-    kept = np.flatnonzero((plan[0] & ~reach) == 0)
     bound = math.prod(sum(map(abs, w)) for w in cut)
-    if not kept.size or not bound:
+    if not bound:
         return 0
-    rows = kept if kept.size < len(table) else slice(None)
     cols = np.array(cut, dtype=int_dtype(bound)).reshape(len(cut), 16)
-    minors = _minors(plan, cols, reach, rows)
+    q = len(cut) // 2
+    left, right = _column_minors(cols[:q]), _column_minors(cols[q:])
+    minors = (left[a] * right[b] * sign).sum(axis=1)
     nz = np.flatnonzero(minors != 0)
     coeffs = list(table.values())
-    return sum(coeffs[k] * x for k, x in zip(kept[nz].tolist(), minors[nz].tolist()))
+    return sum(coeffs[k] * x for k, x in zip(nz.tolist(), minors[nz].tolist()))
 
 
 def _laplace_plan(table: dict, degree: int) -> tuple:
-    """The `_laplace_split` across the middle of the table's masks."""
+    """(masks, a, b, sign) of the table's masks m: for every q-subset A
+    of m's indices (q = degree // 2), one column each, the places of A
+    and of m - A among the masks of their size (`_peel`) as uint16, and
+    eps(A, m - A), the parity of moving m - A left past A, as int8."""
+    q = degree // 2
     masks = np.fromiter(table, dtype=np.int64, count=len(table))
-    return _laplace_split(masks, degree, degree // 2)
-
-
-def _minors(split, cols, reach: int, rows=slice(None)) -> np.ndarray:
-    """The minors on the columns cols of a split's masks (the rows given),
-    from its halves' minors on their masks inside reach (the others are
-    0), in the dtype of cols.
-    """
-    _, q, sign, *halves = split
-    vals = np.ones(1, dtype=cols.dtype)
-    for (index, half), part in zip(halves, (cols[:q], cols[q:])):
-        values = part[0] if len(part) else np.ones(1, dtype=cols.dtype)
-        if half is not None:
-            inside = np.flatnonzero((half[0] & ~reach) == 0)
-            values = np.zeros(half[0].size, dtype=cols.dtype)
-            values[inside] = _minors(half, part, reach, inside)
-        vals = vals * values.take(index[rows])
-    vals *= sign[rows]
-    return vals.sum(axis=1)
+    pos = _positions(masks, degree)
+    a = np.zeros((masks.size, math.comb(degree, q)), dtype=np.int64)
+    for position in _subset_positions(degree, q).T:
+        a |= 1 << pos[:, position]
+    b = masks[:, None] ^ a
+    p16, poppar = _np_tables()
+    halves = ((q, a), (degree - q, b))
+    places = (np.searchsorted(_peel(j)[0], x).astype(np.uint16) for j, x in halves)
+    return masks, *places, 1 - 2 * poppar[p16[a] & b].astype(np.int8)
 
 
 # exact Lie-derivative kernel ------------------------------------------------

@@ -4,21 +4,21 @@ The eight basis units are indexed 0..7 in the order
 
     u0 = 1, u1 = i, u2 = j, u3 = ij, u4 = e, u5 = ie, u6 = je, u7 = (ij)e,
 
-so an octonion is a quaternion pair q1 + q2 e.  The multiplication table
-is generated from the quaternion relations together with the doubling
-rules
+so an octonion is a quaternion pair q1 + q2 e, and a quaternion a complex
+pair in the same way.  The multiplication table comes from one doubling
+rule, applied from the reals up with the high bit of an index as its e
+part,
 
-    q1 (q2 e) = (q2 q1) e,
-    (q1 e) q2 = (q1 conj(q2)) e,
-    (q1 e)(q2 e) = -conj(q2) q1.
+    (p + q e)(r + s e) = (p r - conj(s) q) + (s p + q conj(r)) e.
 
-In this basis every unit product is u_a u_b = +-u_{a xor b}, which is
-checked at import, so the table reduces to its signs SIGN[a][b].  Two
-products read it: `_product`, the one scalar loop, on lists of nonzero
-terms (index, coefficient) of ints or Fractions, and `oct_mul`, the same
-sum batched over integer arrays for the exact array stages of the BPT
-audit.  `term_mul` wraps the loop for term lists, and `Octonion.__mul__`
-for the nonzero numerators of two octonions, over the product of their
+On units it gives u_a u_b = +-u_{a xor b}, so the table reduces to its
+signs SIGN[a][b]; the doubling anchors u1 u2 = u3, u5 = u1 u4,
+u6 = u2 u4, u7 = u3 u4 are checked at import.  Two products read it:
+`_product`, the one scalar loop, on lists of nonzero terms (index,
+coefficient) of ints or Fractions, and `oct_mul`, the same sum batched
+over integer arrays for the exact array stages of the BPT audit.
+`term_mul` wraps the loop for term lists, and `Octonion.__mul__` for
+the nonzero numerators of two octonions, over the product of their
 denominators.
 
 `Octonion` is the `linalg.ExactTuple` of size 8: integer numerators over
@@ -38,62 +38,29 @@ from .linalg import ExactTuple, Num
 
 BASIS_NAMES = ("1", "i", "j", "ij", "e", "ie", "je", "(ij)e")
 
-# A signed basis unit is a pair (sign, index) with sign in {+1, -1}.
-SignedUnit = tuple
+
+def _unit_sign(a: int, b: int, half: int = 4) -> int:
+    """The sign s of u_a u_b = s u_{a ^ b}, by the doubling rule
+
+        (p + q e)(r + s e) = (p r - conj(s) q) + (s p + q conj(r)) e
+
+    on units, bit `half` of an index being its e part, down to the reals:
+    the product of the halves swaps when b has an e part, conj(r) or
+    conj(s) flips the sign of an imaginary unit, and e e = -1."""
+    if not half:
+        return 1
+    low = half - 1
+    x, y = (b & low, a & low) if b & half else (a & low, b & low)
+    sign = _unit_sign(x, y, half >> 1)
+    if a & half and b & low:
+        sign = -sign
+    return -sign if a & half and b & half else sign
 
 
-def _quaternion_unit_mul(a: int, b: int) -> tuple[int, int]:
-    """Product of quaternion units 1, i, j, k indexed 0..3, as (sign, index)."""
-    if a == 0:
-        return (1, b)
-    if b == 0:
-        return (1, a)
-    if a == b:
-        return (-1, 0)
-    c = 6 - a - b
-    # cyclic (1,2), (2,3), (3,1) carry +1
-    sign = 1 if (a, b) in ((1, 2), (2, 3), (3, 1)) else -1
-    return (sign, c)
-
-
-def _build_signs() -> tuple:
-    """SIGN[a][b] = sign with u_a u_b = sign * u_{a ^ b}; the index a ^ b of
-    every unit product and the doubling anchors are checked, not assumed."""
-    table = []
-    for a in range(8):
-        al, ah = a % 4, a // 4
-        row = []
-        for b in range(8):
-            bl, bh = b % 4, b // 4
-            if ah == 0 and bh == 0:
-                s, k = _quaternion_unit_mul(al, bl)
-            elif ah == 0 and bh == 1:
-                # q1 (q2 e) = (q2 q1) e
-                s, k = _quaternion_unit_mul(bl, al)
-                k += 4
-            elif ah == 1 and bh == 0:
-                # (q1 e) q2 = (q1 conj(q2)) e
-                s, k = _quaternion_unit_mul(al, bl)
-                if bl != 0:
-                    s = -s
-                k += 4
-            else:
-                # (q1 e)(q2 e) = -conj(q2) q1
-                s, k = _quaternion_unit_mul(bl, al)
-                if bl != 0:
-                    s = -s
-                s = -s
-            if k != a ^ b:
-                raise AssertionError("unit products are not indexed by a xor b")
-            row.append(s)
-        table.append(tuple(row))
-    # consistency of the doubling: u5 = u1 u4, u6 = u2 u4, u7 = u3 u4
-    if table[1][4] != 1 or table[2][4] != 1 or table[3][4] != 1:
-        raise AssertionError("Cayley-Dickson doubling is inconsistent")
-    return tuple(table)
-
-
-SIGN = _build_signs()
+SIGN = tuple(tuple(_unit_sign(a, b) for b in range(8)) for a in range(8))
+# the doubling anchors: u1 u2 = u3, u5 = u1 u4, u6 = u2 u4, u7 = u3 u4
+if (SIGN[1][2], SIGN[1][4], SIGN[2][4], SIGN[3][4]) != (1, 1, 1, 1):
+    raise AssertionError("Cayley-Dickson doubling is inconsistent")
 
 
 def _product(x: Sequence[tuple], y: Sequence[tuple]) -> list:
@@ -129,11 +96,6 @@ def oct_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     terms = x[..., :, None] * y[..., XOR]
     return (terms * XOR_SIGN).sum(axis=-2)
-
-
-def unit_mul(a: SignedUnit, b: SignedUnit) -> SignedUnit:
-    """Product of two signed basis units, as a signed basis unit."""
-    return (a[0] * b[0] * SIGN[a[1]][b[1]], a[1] ^ b[1])
 
 
 class Octonion(ExactTuple):
@@ -180,7 +142,7 @@ def apply_matrix8(rows: Sequence[Sequence[Num]], a: Octonion) -> Octonion:
     return Octonion(tuple(sum(r[k] * c[k] for k in range(8) if c[k]) for r in rows))
 
 
-def _require_imaginary_unit(x: SignedUnit, name: str) -> None:
+def _require_imaginary_unit(x: tuple, name: str) -> None:
     if (
         not isinstance(x, tuple)
         or len(x) != 2
@@ -192,7 +154,7 @@ def _require_imaginary_unit(x: SignedUnit, name: str) -> None:
         raise ValueError(f"{name} must be imaginary: index in 1..7, got {x[1]}")
 
 
-def automorphism_from_triple(ip: SignedUnit, jp: SignedUnit, ep: SignedUnit):
+def automorphism_from_triple(ip: tuple, jp: tuple, ep: tuple):
     """The algebra automorphism sending the basic triple (ip, jp, ep) to (u1, u2, u4).
 
     Arguments are signed imaginary basis units (sign, index).  jp must not
@@ -207,35 +169,22 @@ def automorphism_from_triple(ip: SignedUnit, jp: SignedUnit, ep: SignedUnit):
     _require_imaginary_unit(ep, "ep")
     if jp[1] == ip[1]:
         raise ValueError("jp must not lie in {+ip, -ip}")
-    kp = unit_mul(ip, jp)
-    if ep[1] in (ip[1], jp[1], kp[1]):
+    if ep[1] in (ip[1], jp[1], ip[1] ^ jp[1]):
         raise ValueError("ep must avoid {+-ip, +-jp, +-(ip jp)}")
 
-    # images of u0..u7 under the inverse map psi: standard basis -> triple basis
-    images = [None] * 8
-    images[0] = (1, 0)
-    images[1] = ip
-    images[2] = jp
-    images[4] = ep
-    images[3] = unit_mul(images[1], images[2])
-    images[5] = unit_mul(images[1], images[4])
-    images[6] = unit_mul(images[2], images[4])
-    images[7] = unit_mul(images[3], images[4])
-
-    occupied = {im[1] for im in images}
-    if len(occupied) != 8:
-        raise ValueError("triple does not generate the basis")
+    # images of u0..u7 under the inverse map psi: standard basis -> triple
+    # basis, u3 = u1 u2 and u_{k+4} = u_k u4
+    images = [Octonion.unit(0)] * 8
+    for k, (sign, index) in zip((1, 2, 4), (ip, jp, ep)):
+        images[k] = Octonion.unit(index, sign)
+    for k in (3, 5, 6, 7):
+        top = 4 if k & 4 else 2
+        images[k] = images[k - top] * images[top]
     for a in range(8):
         for b in range(8):
-            lhs = unit_mul(images[a], images[b])
-            k = a ^ b
-            rhs = (SIGN[a][b] * images[k][0], images[k][1])
-            if lhs != rhs:
+            if images[a] * images[b] != SIGN[a][b] * images[a ^ b]:
                 raise ValueError("triple does not extend to an automorphism")
 
     # psi as a matrix has column k equal to images[k]; the answer is its
     # inverse, which for a signed permutation is the transpose.
-    rows = [[0] * 8 for _ in range(8)]
-    for k, (s, p) in enumerate(images):
-        rows[k][p] = s
-    return tuple(tuple(r) for r in rows)
+    return tuple(image.coords() for image in images)

@@ -40,6 +40,7 @@ from spin9.exterior import (
     wedge_sum,
 )
 from spin9.linalg import INT64_LIMIT, LIMBS, inner_product
+from spin9.octonion import Octonion
 from spin9.operators import (
     Operator16,
     RationalCirclePoint,
@@ -318,6 +319,16 @@ def test_evaluate_rejects_wrong_count_and_inexact_entries(monkeypatch):
     assert seen == []
 
 
+def test_evaluate_takes_only_vectors():
+    # an octonion holds 8 numerators, not 16: a TypeError, not an IndexError
+    form = AlternatingForm(2, {(0, 1): 1})
+    with pytest.raises(TypeError, match="Vector16"):
+        form.evaluate([Octonion.unit(0), Octonion.unit(1)])
+    with pytest.raises(TypeError, match="Vector16"):
+        form.evaluate([Vector16.basis(0), [0, 1] + [0] * 14])
+    assert form.evaluate([Vector16.basis(0), Vector16.basis(1)]) == 1
+
+
 def test_evaluate_matches_oracle_in_every_degree():
     # odd degrees split into halves q = p // 2 and p - q of unequal size
     rng = random.Random(74)
@@ -346,10 +357,11 @@ def test_evaluate_matches_oracle_in_every_degree():
 
 
 def test_evaluate_matches_oracle_in_degrees_up_to_sixteen(monkeypatch):
-    # the top level splits at q = p // 2 (q != p - q in odd degrees) and
-    # each half down to single columns; the cleared Fraction entries take
-    # the Python-int path through every level from degree 9 on, the
-    # entries in -1..1 stay on int64 up to degree 16
+    # the one Laplace level splits at q = p // 2 (q != p - q in odd
+    # degrees) and each half's minors are peeled one column at a time; the
+    # cleared Fraction entries take the Python-int path through every peel
+    # step from degree 9 on, the entries in -1..1 stay on int64 up to
+    # degree 16
     seen = spy_dtypes(monkeypatch)
     rng = random.Random(76)
     for degree in range(17):
@@ -622,6 +634,23 @@ def test_pullback_rejects_inexact_coefficients():
         AlternatingForm(2, {(0, 1): 1}).pullback(
             Operator16._raw(((0.5,) * 16,) * 16)
         )
+
+
+def test_pullback_takes_only_an_operator():
+    # a vector's entries are pairs, not (row, col, value) triples
+    form = AlternatingForm(2, {(0, 1): 1})
+    for wrong in (Vector16.basis(0), Operator16.identity().entries()):
+        with pytest.raises(TypeError, match="Operator16"):
+            form.pullback(wrong)
+    assert form.pullback(Operator16.identity()) == form
+
+
+def test_lie_derivative_takes_only_an_operator():
+    form = AlternatingForm(2, {(0, 1): 1})
+    for wrong in (Vector16.basis(0), Operator16.identity().entries()):
+        with pytest.raises(TypeError, match="Operator16"):
+            form.lie_derivative(wrong)
+    assert form.lie_derivative(Operator16.identity()) == form.scale(2)
 
 
 def test_lie_derivative_leibniz_rule():

@@ -17,7 +17,6 @@ from spin9.octonion import (
     automorphism_from_triple,
     oct_mul,
     term_mul,
-    unit_mul,
 )
 
 UNITS = [Octonion.unit(k) for k in range(8)]
@@ -127,8 +126,9 @@ def test_unit_mul_signed_pairs():
         for b in range(8):
             prod = oct_mul_oracle(UNITS[a].coords(), UNITS[b].coords())
             (k, s), = [(k, s) for k, s in enumerate(prod) if s]
-            assert unit_mul((1, a), (1, b)) == (s, k)
-            assert unit_mul((-1, a), (1, b)) == (-s, k)
+            assert k == a ^ b
+            assert Octonion.unit(a) * Octonion.unit(b) == Octonion.unit(k, s)
+            assert Octonion.unit(a, -1) * Octonion.unit(b) == Octonion.unit(k, -s)
     assert unit_conj((1, 0)) == (1, 0)
     assert unit_conj((1, 3)) == (-1, 3)
 

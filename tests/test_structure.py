@@ -343,14 +343,15 @@ def test_importing_the_cli_builds_no_product():
 
 
 def test_importing_the_cli_builds_no_exterior_table():
-    # the parity tables and the Laplace subset positions are built on
-    # first use, and no form holds a Laplace plan, so that no command pays
-    # for them at import
+    # the parity tables, the Laplace subset positions and the peel
+    # tables are built on first use, and no form holds a Laplace plan, so
+    # that no command pays for them at import
     code = (
         "import gc, spin9.cli\n"
         "from spin9 import exterior\n"
         "print(exterior._np_tables.cache_info().currsize,"
         " exterior._subset_positions.cache_info().currsize,"
+        " exterior._peel.cache_info().currsize,"
         " sum(hasattr(f, '_plan') for f in gc.get_objects()"
         " if isinstance(f, exterior.AlternatingForm)))\n"
     )
@@ -358,7 +359,7 @@ def test_importing_the_cli_builds_no_exterior_table():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
 
 
 def test_importing_the_cli_builds_no_bpt_table():
@@ -468,9 +469,11 @@ def test_no_module_names_the_per_group_wedge_tables():
 def test_no_module_names_the_retired_kernel_drivers():
     # the BPT stages and the pullback bound, pick their dtype and run
     # inline; a step callback or a plan tuple would bring back a second
-    # layer between a kernel's bound and its arithmetic, and a wedge step
-    # or a pullback chunk beside the pair-grid expander a second expansion
-    # of term pairs
+    # layer between a kernel's bound and its arithmetic, a wedge step or a
+    # pullback chunk beside the pair-grid expander a second expansion of
+    # term pairs, a recursive Laplace split beside the one-level evaluation
+    # a second evaluation, and a signed-unit product beside `SIGN` a
+    # second octonion product rule
     sources = sorted(Path(spin9.__file__).parent.glob("*.py"))
     assert {"bpt.py", "exterior.py"} <= {p.name for p in sources}
     found = [
@@ -479,7 +482,8 @@ def test_no_module_names_the_retired_kernel_drivers():
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if re.search(
             r"\b(exact_array|_pullback_plan|_pullback_step|_wedge_step|_square_step"
-            r"|PULLBACK_CHUNK)\b",
+            r"|PULLBACK_CHUNK|_laplace_split|_minors|unit_mul"
+            r"|_quaternion_unit_mul)\b",
             line,
         )
     ]
